@@ -34,7 +34,7 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Iterator, Mapping, Optional
 
 import jsonschema
 
@@ -86,27 +86,29 @@ _FIELD_SCHEMAS: dict[str, dict[str, Any]] = {
 }
 
 
-def scenario_schema() -> dict[str, Any]:
-    """JSON Schema for scenario files, generated from the runner's own
-    operation catalogue: one branch per op, unknown fields rejected."""
-    steps = []
-    for op, (required, optional) in sorted(op_signatures().items()):
-        properties: dict[str, Any] = {
-            "op": {"const": op},
-            "t": {"type": "integer"},
-            "expect": {"type": "string", "pattern": "^(ok|error:[A-Za-z]+)$"},
-            "expect_result": {},
-        }
-        for field in sorted(required | optional):
-            properties[field] = _FIELD_SCHEMAS[field]
-        steps.append(
-            {
-                "type": "object",
-                "properties": properties,
-                "required": ["op", "t", *sorted(required)],
-                "additionalProperties": False,
-            }
-        )
+def _step_schema(op: str) -> dict[str, Any]:
+    """The schema branch for one op: its `op` pinned by `const`, its own
+    fields typed, unknown fields rejected."""
+    required, optional = op_signatures()[op]
+    properties: dict[str, Any] = {
+        "op": {"const": op},
+        "t": {"type": "integer"},
+        "expect": {"type": "string", "pattern": "^(ok|error:[A-Za-z]+)$"},
+        "expect_result": {},
+    }
+    for field in sorted(required | optional):
+        properties[field] = _FIELD_SCHEMAS[field]
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": ["op", "t", *sorted(required)],
+        "additionalProperties": False,
+    }
+
+
+def _document_schema(step: dict[str, Any] | bool) -> dict[str, Any]:
+    """The top-level scenario document, with `step` as the schema of each
+    timeline item (`True` accepts any item)."""
     return {
         "$schema": "https://json-schema.org/draft/2020-12/schema",
         "title": "Scenario file",
@@ -119,14 +121,15 @@ def scenario_schema() -> dict[str, Any]:
                     "genesis_humans": {
                         "type": "array",
                         "items": {"type": "string"},
+                        "uniqueItems": True,
                     },
-                    "challenge_window": {"type": "integer"},
-                    "tree_depth": {"type": "integer"},
+                    "challenge_window": {"type": "integer", "minimum": 1},
+                    "tree_depth": {"type": "integer", "minimum": 1},
                     "group_id": {"type": "integer"},
                 },
                 "additionalProperties": False,
             },
-            "timeline": {"type": "array", "items": {"oneOf": steps}},
+            "timeline": {"type": "array", "items": step},
             "expected": {"type": "object"},
         },
         "required": ["seed", "timeline"],
@@ -134,7 +137,78 @@ def scenario_schema() -> dict[str, Any]:
     }
 
 
+def scenario_schema() -> dict[str, Any]:
+    """JSON Schema for scenario files, generated from the runner's own
+    operation catalogue: one branch per op, unknown fields rejected."""
+    return _document_schema(
+        {"oneOf": [_step_schema(op) for op in sorted(op_signatures())]}
+    )
+
+
 SCENARIO_SCHEMA = scenario_schema()
+
+# ScenarioValidator's validators, built once at import: the document with its
+# steps left unchecked, one per op for the steps that name it, and one for a
+# step that names no known op.
+_ENVELOPE = jsonschema.Draft202012Validator(_document_schema(True))
+_STEP_VALIDATORS = {
+    op: jsonschema.Draft202012Validator(_step_schema(op)) for op in op_signatures()
+}
+_KNOWN_OP = jsonschema.Draft202012Validator(
+    {
+        "type": "object",
+        "properties": {"op": {"enum": sorted(op_signatures())}},
+        "required": ["op"],
+    }
+)
+
+
+class ScenarioValidator:
+    """A validator for SCENARIO_SCHEMA, in the form `jsonschema.validate`
+    takes as `cls`. Every branch of the schema's `oneOf` pins `op` with
+    `const`, so at most one branch can match a step: checking the document
+    apart from its steps, then each step against its own op's branch,
+    accepts exactly the documents SCENARIO_SCHEMA accepts, without trying
+    every branch on every step."""
+
+    def __init__(self, schema: Any) -> None:
+        self.check_schema(schema)
+
+    @staticmethod
+    def check_schema(schema: Any) -> None:
+        """SCENARIO_SCHEMA is built at import and checked against its
+        metaschema by the test suite, not on every run."""
+        if schema is not SCENARIO_SCHEMA:
+            raise jsonschema.SchemaError("ScenarioValidator checks SCENARIO_SCHEMA only")
+
+    def iter_errors(self, script: Any) -> Iterator[jsonschema.ValidationError]:
+        """The errors of the document apart from its steps or, when there are
+        none, those of the first step that fails, with paths from the
+        document root."""
+        errors = list(_ENVELOPE.iter_errors(script))
+        if errors:
+            return iter(errors)
+        for position, step in enumerate(script["timeline"]):
+            op = step.get("op") if isinstance(step, dict) else None
+            validator = (
+                _STEP_VALIDATORS.get(op, _KNOWN_OP) if isinstance(op, str) else _KNOWN_OP
+            )
+            errors = list(validator.iter_errors(step))
+            if errors:
+                for error in errors:
+                    error.path.extendleft((position, "timeline"))
+                return iter(errors)
+        return iter(())
+
+
+def _located(error: jsonschema.ValidationError) -> str:
+    """`error`'s message, led by the path of the value it is about, e.g.
+    `timeline[17].expect: 'maybe' does not match ...`."""
+    where = ""
+    for key in error.absolute_path:
+        where += f"[{key}]" if isinstance(key, int) else f".{key}"
+    return f"{where.lstrip('.')}: {error.message}" if where else error.message
+
 
 # ---- audit artifact (de)serialization -------------------------------------------
 
@@ -218,6 +292,12 @@ def _opt_str(value: Any) -> Optional[str]:
     return value
 
 
+def _object(value: Any) -> Mapping[str, Any]:
+    if not isinstance(value, Mapping):
+        raise ValueError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
 def transcript_from_jsonable(doc: Any) -> AuditTranscript:
     if not isinstance(doc, Mapping):
         raise ValueError("transcript document must be an object")
@@ -261,7 +341,9 @@ def transcript_from_jsonable(doc: Any) -> AuditTranscript:
         entries=entries,
         final_states=final_states,
         message_set_digest=_hex(doc["message_set_digest"]),
-        tally={int(option): _int(value) for option, value in doc["tally"].items()},
+        tally={
+            int(option): _int(value) for option, value in _object(doc["tally"]).items()
+        },
         salt=_hex(doc["salt"]),
     )
 
@@ -287,9 +369,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        jsonschema.validate(script, SCENARIO_SCHEMA)
+        # benchmarks/tracing.py times this call as the `cli.schema` span
+        jsonschema.validate(script, SCENARIO_SCHEMA, cls=ScenarioValidator)
     except jsonschema.ValidationError as exc:
-        print(f"scenario fails the schema: {exc.message}", file=sys.stderr)
+        print(f"scenario fails the schema: {_located(exc)}", file=sys.stderr)
         return EXIT_USAGE
     try:
         report = run_scenario(script, seed=args.seed)

@@ -24,7 +24,7 @@ from .engine import (
     Escrow,
     enrollment_scope,
 )
-from .errors import MalformedScript, ProtocolError
+from .errors import DuplicateHuman, MalformedScript, ProtocolError
 from .identity import Identity, PohRegistry, SemaphoreGroup, create_signal
 from .incentives import (
     ReputationLedger,
@@ -608,9 +608,19 @@ def run_scenario(script: Mapping[str, Any], *, seed: Optional[int] = None) -> di
         set(config) <= _CONFIG_FIELDS,
         f"unknown config keys {sorted(set(config) - _CONFIG_FIELDS)}",
     )
+    for knob in sorted({"challenge_window", "tree_depth", "group_id"} & set(config)):
+        _require(
+            isinstance(config[knob], int) and not isinstance(config[knob], bool),
+            f"config: {knob} must be an integer",
+        )
 
     effective_seed = seed if seed is not None else script["seed"]
-    world = World(effective_seed, **config)
+    try:
+        world = World(effective_seed, **config)
+    except ValueError as exc:
+        raise MalformedScript(f"config: {exc}") from None
+    except DuplicateHuman as exc:
+        raise MalformedScript(f"config: duplicate genesis human {exc}") from None
 
     steps_report: list[dict] = []
     ok = True

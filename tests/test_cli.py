@@ -1,12 +1,17 @@
 """Command-line surface: exit codes, byte-stable reports, artifact formats."""
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from support import resolved_court
 
@@ -16,6 +21,7 @@ from disputekit.cli import (
     EXIT_OK,
     EXIT_USAGE,
     SCENARIO_SCHEMA,
+    ScenarioValidator,
     commitment_to_jsonable,
     main,
     scenario_schema,
@@ -86,31 +92,63 @@ def test_run_failed_step_exits_one_and_names_it(tmp_path, capsys) -> None:
     assert "close_phase1" in capsys.readouterr().err
 
 
+def naming(mutate, *names):
+    """A corruption that applies `mutate` and returns the words the schema
+    error must contain: where the fault is, and what it is."""
+    return lambda script: (mutate(script), names)[1]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda s: s.pop("seed"),
-        lambda s: s.__setitem__("seed", "7"),
-        lambda s: s.__setitem__("unknown_key", 1),
-        lambda s: s.__setitem__("config", {"bad_knob": 2}),
-        lambda s: s["timeline"].append({"op": "fly_to_moon", "t": 999}),
-        lambda s: s["timeline"].append(
-            {"op": "group_join", "t": 999, "human": "x", "extra": 1}
+        naming(lambda s: s.pop("seed"), "'seed' is a required property"),
+        naming(lambda s: s.__setitem__("seed", "7"), "seed: '7'"),
+        naming(lambda s: s.__setitem__("unknown_key", 1), "'unknown_key'"),
+        naming(
+            lambda s: s.__setitem__("config", {"bad_knob": 2}), "config: ", "'bad_knob'"
         ),
-        lambda s: s["timeline"].append({"op": "close_phase1", "t": 999}),
-        lambda s: s["timeline"].__setitem__(
-            0, {**s["timeline"][0], "expect": "maybe"}
+        naming(
+            lambda s: s["timeline"].append({"op": "fly_to_moon", "t": 999}),
+            "timeline[29].op: 'fly_to_moon'",
+        ),
+        naming(
+            lambda s: s["timeline"].append(
+                {"op": "group_join", "t": 999, "human": "x", "extra": 1}
+            ),
+            "timeline[29]: ",
+            "'extra'",
+        ),
+        naming(
+            lambda s: s["timeline"].append({"op": "close_phase1", "t": 999}),
+            "timeline[29]: 'dispute' is a required property",
+        ),
+        naming(
+            lambda s: s["timeline"].__setitem__(
+                0, {**s["timeline"][0], "expect": "maybe"}
+            ),
+            "timeline[0].expect: 'maybe'",
+        ),
+        naming(lambda s: s["config"].update(tree_depth=0), "config.tree_depth: 0"),
+        naming(
+            lambda s: s["config"].update(challenge_window=0), "config.challenge_window: 0"
+        ),
+        naming(
+            lambda s: s["config"]["genesis_humans"].append("judge0"),
+            "config.genesis_humans: ",
+            "non-unique",
         ),
     ],
 )
 def test_run_schema_violations_exit_two(tmp_path, capsys, corrupt) -> None:
     script = json.loads(HAPPY.read_text())
-    corrupt(script)
+    named = corrupt(script)
     path = write_json(tmp_path / "bad.json", script)
     assert main(["run", path]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""  # no report on a rejected file
     assert "schema" in captured.err
+    for words in named:
+        assert words in captured.err
 
 
 def test_run_unparseable_file_exits_two(tmp_path, capsys) -> None:
@@ -139,6 +177,92 @@ def test_run_out_of_order_timestamps_exit_two(tmp_path, capsys) -> None:
 def test_published_schema_file_matches_the_generator() -> None:
     published = json.loads((REPO / "scenarios" / "scenario.schema.json").read_text())
     assert published == scenario_schema() == SCENARIO_SCHEMA
+
+
+def test_schema_conforms_to_its_metaschema() -> None:
+    jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
+
+
+# ---- the scenario check against the reference validator -----------------------
+
+BUNDLED = [json.loads(path.read_text()) for path in (HAPPY, STALLED)]
+# one value of each JSON type; 2.0 is an integer to JSON Schema, not to Python
+OTHER_TYPES = [0, 2.0, 1.5, "x", True, None, [], {}]
+
+
+def paths(node, prefix=()):
+    """The path of every value inside `node`, itself included."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from paths(child, (*prefix, key))
+
+
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def one_field_mutations(draw):
+    """A bundled scenario with one key dropped or added, one value's type
+    swapped, one step's `op` made unknown, or one step made a non-object."""
+    doc = copy.deepcopy(draw(st.sampled_from(BUNDLED)))
+    kind = draw(st.sampled_from(["drop", "add", "retype", "op", "non_object"]))
+    if kind in ("drop", "retype"):
+        *parent, key = draw(st.sampled_from([p for p in paths(doc) if p]))
+        container = value_at(doc, parent)
+        if kind == "drop":
+            del container[key]
+        else:
+            old = container[key]
+            container[key] = draw(
+                st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(old)])
+            )
+    elif kind == "add":
+        objects = [p for p in paths(doc) if isinstance(value_at(doc, p), dict)]
+        container = value_at(doc, draw(st.sampled_from(objects)))
+        key = draw(st.sampled_from(["unknown", "fee", "human", "dispute", "expect"]))
+        container.setdefault(key, draw(st.sampled_from(OTHER_TYPES)))
+    else:
+        position = draw(st.integers(0, len(doc["timeline"]) - 1))
+        if kind == "op":
+            doc["timeline"][position]["op"] = draw(
+                st.sampled_from(["fly_to_moon", "", ["group_join"], 3, 2.5])
+            )
+        else:
+            doc["timeline"][position] = draw(st.sampled_from([1, "step", None, [], True]))
+    return doc
+
+
+def rejects(doc, cls=None) -> bool:
+    """Whether `cls` finds `doc` invalid; by default jsonschema's own
+    validator for the schema, which tries every branch of the `oneOf`."""
+    try:
+        jsonschema.validate(doc, SCENARIO_SCHEMA, cls=cls)
+    except jsonschema.ValidationError:
+        return True
+    return False
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=one_field_mutations())
+def test_scenario_check_agrees_with_the_reference_validator(tmp_path, doc) -> None:
+    rejected = rejects(doc)
+    assert rejects(doc, ScenarioValidator) == rejected
+    path = write_json(tmp_path / "mutated.json", doc)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["run", path])
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+    if rejected:
+        assert code == EXIT_USAGE and out.getvalue() == ""
 
 
 # ---- sweep -----------------------------------------------------------------------
@@ -289,6 +413,7 @@ def test_verify_swapped_commitment_exits_one(tmp_path, capsys, audit_artifacts) 
         lambda d: d.__setitem__("poll_id", "zero"),
         lambda d: d["entries"][0].__setitem__("valid", "yes"),
         lambda d: d.__setitem__("final_states", None),
+        lambda d: d.__setitem__("tally", list(d["tally"].items())),
     ],
 )
 def test_verify_malformed_transcript_exits_two(

@@ -185,6 +185,16 @@ def test_seed_override_changes_bytes_not_verdicts() -> None:
             lambda s: s["timeline"].append({"op": "enroll_judge", "t": 999}),
             "missing",
         ),
+        (lambda s: s["config"].__setitem__("tree_depth", 0), "config: depth"),
+        (
+            lambda s: s["config"].__setitem__("tree_depth", 2.0),
+            "config: tree_depth must be an integer",
+        ),
+        (lambda s: s["config"].__setitem__("challenge_window", 0), "config: challenge"),
+        (
+            lambda s: s["config"]["genesis_humans"].append("judge0"),
+            "duplicate genesis human judge0",
+        ),
     ],
 )
 def test_malformed_scripts_are_rejected(mutate, message_part) -> None:
