@@ -48,7 +48,7 @@ from .maci import (
     verify_audit,
 )
 from .oracle import SweepReport, consistency_sweep, square_grid_pairs
-from .scenario import op_signatures, run_scenario
+from .scenario import EXPECT_PATTERN, op_signatures, run_scenario
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -93,7 +93,7 @@ def _step_schema(op: str) -> dict[str, Any]:
     properties: dict[str, Any] = {
         "op": {"const": op},
         "t": {"type": "integer"},
-        "expect": {"type": "string", "pattern": "^(ok|error:[A-Za-z]+)$"},
+        "expect": {"type": "string", "pattern": EXPECT_PATTERN},
         "expect_result": {},
     }
     for field in sorted(required | optional):

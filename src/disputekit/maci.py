@@ -11,16 +11,18 @@ at processing time:
   is what makes coerced ballots cheaply revocable;
 * spending above the voter's budget invalidates the command.
 
-Processing emits an ``AuditTranscript``: decrypted commands, per-message
-verdicts, final voter states, the tally, and the commitment salt. The
-transcript replaces succinct proofs at simulation fidelity — anyone can
-re-derive verdicts, states, tally, and commitment from it via
-``verify_audit``. What it cannot prove is honest decryption of messages
-the coordinator *claims* are garbage; that residual trust in the
-coordinator is the modeled boundary.
+Processing is "decrypt, then the auditor's replay": trial-decrypt every
+message, then run ``replay_ballots``, the one definition of these rules. It
+emits an ``AuditTranscript``: decrypted commands, per-message verdicts, final
+voter states, the tally, and the commitment salt. The transcript replaces
+succinct proofs at simulation fidelity — ``verify_audit`` runs the same replay
+over it. What it cannot prove is honest decryption of messages the
+coordinator *claims* are garbage; that residual trust in the coordinator is
+the modeled boundary.
 """
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
@@ -60,15 +62,7 @@ from .primitives import (
     sign,
     verify_sig,
 )
-
-# Spending rules, keyed by name so transcripts can say which one applied.
-# "linear": unit-priced votes, negatives forbidden (juror phase).
-# "quadratic": v votes cost v*v, negatives allowed (party runoff phase).
-COST_RULES: dict[str, Callable[[Sequence[int]], int]] = {
-    "linear": lambda amounts: sum(abs(a) for a in amounts),
-    "quadratic": lambda amounts: sum(a * a for a in amounts),
-}
-NEGATIVES_ALLOWED = {"linear": False, "quadratic": True}
+from .voting import COST_RULES, NEGATIVES_ALLOWED
 
 
 @dataclass(frozen=True)
@@ -283,9 +277,6 @@ class MaciPoll:
 
     # -- processing ----------------------------------------------------------
 
-    def shared_key_for(self, coordinator_secret: KeyPair, voter_index: int) -> bytes:
-        return key_agree(coordinator_secret, self.voters[voter_index].registered_key)
-
     def preview_valid_votes(self, coordinator_secret: KeyPair) -> tuple[VoterFinalState, ...]:
         """Pure dry run over the current message list (no state change);
         used to test quorum before deciding whether to extend."""
@@ -306,78 +297,33 @@ class MaciPoll:
     def _run(
         self, coordinator_secret: KeyPair
     ) -> tuple[tuple[VoterFinalState, ...], AuditTranscript]:
-        cost = COST_RULES[self.cost_rule]
-        negatives_ok = NEGATIVES_ALLOWED[self.cost_rule]
         shared_keys = [
             key_agree(coordinator_secret, voter.registered_key)
             for voter in self.voters
         ]
-        current_keys = [voter.registered_key for voter in self.voters]
-        pending: list[Optional[FinalVote]] = [None] * len(self.voters)
-        entries: list[TranscriptEntry] = []
-
-        for message in self.messages:
-            ct = message.ciphertext
-            ct_digest = ciphertext_digest(ct)
-            plaintext = None
-            for key in shared_keys:
-                try:
-                    plaintext = decrypt(key, ct)
-                    break
-                except AuthFailure:
-                    continue
-            if plaintext is None:
-                entries.append(
-                    TranscriptEntry(
-                        message.arrival_index, ct_digest, None, False,
-                        REASON_AUTH_FAILURE,
-                    )
-                )
-                continue
-
-            valid, reason, command = _judge_plaintext(
-                plaintext, current_keys, [v.voice_credits for v in self.voters],
-                cost, negatives_ok,
-            )
-            entries.append(
-                TranscriptEntry(
-                    message.arrival_index, ct_digest, plaintext, valid, reason
-                )
-            )
-            if valid:
-                assert command is not None
-                idx = command.voter_registration_index
-                current_keys[idx] = command.new_public_key
-                pending[idx] = FinalVote(
-                    command.vote_option,
-                    command.vote_amount,
-                    command.memo,
-                    message.arrival_index,
-                )
-
-        final_states = tuple(
-            VoterFinalState(
-                voter.registration_index,
-                current_keys[i].encode(),
-                voter.voice_credits,
-                pending[i],
-            )
-            for i, voter in enumerate(self.voters)
+        ciphertexts = [message.ciphertext for message in self.messages]
+        digests = [ciphertext_digest(ct) for ct in ciphertexts]
+        plaintexts = [_trial_decrypt(shared_keys, ct) for ct in ciphertexts]
+        initial_voters = tuple(
+            (v.registration_index, v.registered_key.encode(), v.voice_credits)
+            for v in self.voters
         )
-        tally = _aggregate(final_states)
+        verdicts, final_states = replay_ballots(
+            self.cost_rule, initial_voters, plaintexts
+        )
         transcript = AuditTranscript(
             poll_id=self.poll_id,
             cost_rule=self.cost_rule,
-            initial_voters=tuple(
-                (v.registration_index, v.registered_key.encode(), v.voice_credits)
-                for v in self.voters
+            initial_voters=initial_voters,
+            entries=tuple(
+                TranscriptEntry(message.arrival_index, digest, plaintext, valid, reason)
+                for message, digest, plaintext, (valid, reason) in zip(
+                    self.messages, digests, plaintexts, verdicts
+                )
             ),
-            entries=tuple(entries),
             final_states=final_states,
-            message_set_digest=message_set_digest(
-                [m.ciphertext for m in self.messages]
-            ),
-            tally=tally,
+            message_set_digest=digest_over_entries(digests),
+            tally=_aggregate(final_states),
             salt=b"",  # filled at publish time; commitments carry their own salt
         )
         return final_states, transcript
@@ -414,17 +360,17 @@ class MaciPoll:
             raise CommitBeforeProcessing("no processing result yet")
         if self._salt is None:
             raise WrongState("transcript is published together with the salt")
-        transcript = self._processed[1]
-        return AuditTranscript(
-            poll_id=transcript.poll_id,
-            cost_rule=transcript.cost_rule,
-            initial_voters=transcript.initial_voters,
-            entries=transcript.entries,
-            final_states=transcript.final_states,
-            message_set_digest=transcript.message_set_digest,
-            tally=transcript.tally,
-            salt=self._salt,
-        )
+        return dataclasses.replace(self._processed[1], salt=self._salt)
+
+
+def _trial_decrypt(shared_keys: Sequence[bytes], ct: Ciphertext) -> Optional[bytes]:
+    """Try every voter's channel key; None when no key opens the message."""
+    for key in shared_keys:
+        try:
+            return decrypt(key, ct)
+        except AuthFailure:
+            continue
+    return None
 
 
 def _judge_plaintext(
@@ -434,7 +380,7 @@ def _judge_plaintext(
     cost: Callable[[Sequence[int]], int],
     negatives_ok: bool,
 ) -> tuple[bool, Optional[str], Optional[Command]]:
-    """Validity rules shared by processing and audit replay."""
+    """Validity rules for one decrypted command, applied by the replay."""
     try:
         command, signature = decode_signed_command(plaintext)
     except (DecodeError, InvalidKey):
@@ -455,6 +401,47 @@ def _judge_plaintext(
     if cost(command.vote_amount) > credits[idx]:
         return False, REASON_OVER_BUDGET, None
     return True, None, command
+
+
+def replay_ballots(
+    cost_rule: str,
+    initial_voters: Sequence[tuple[int, bytes, int]],
+    plaintexts: Sequence[Optional[bytes]],
+) -> tuple[list[tuple[bool, Optional[str]]], tuple[VoterFinalState, ...]]:
+    """The ballot-replay rule, run by processing and by the audit alike.
+
+    Judges the plaintexts in arrival order against the keys as they stand;
+    each valid command becomes its voter's vote and sets the voter's key. A
+    ``None`` plaintext (undecryptable) is an AuthFailure. ``initial_voters``
+    holds (index, key bytes, credits); a malformed key raises InvalidKey.
+    Returns each plaintext's (valid, reason) and the final voter states.
+    """
+    cost = COST_RULES[cost_rule]
+    negatives_ok = NEGATIVES_ALLOWED[cost_rule]
+    current_keys = [PublicKey.decode(key) for _, key, _ in initial_voters]
+    credits = [credit for _, _, credit in initial_voters]
+    pending: list[Optional[FinalVote]] = [None] * len(initial_voters)
+    verdicts: list[tuple[bool, Optional[str]]] = []
+    for arrival_index, plaintext in enumerate(plaintexts):
+        if plaintext is None:
+            verdicts.append((False, REASON_AUTH_FAILURE))
+            continue
+        valid, reason, command = _judge_plaintext(
+            plaintext, current_keys, credits, cost, negatives_ok
+        )
+        verdicts.append((valid, reason))
+        if valid:
+            assert command is not None
+            idx = command.voter_registration_index
+            current_keys[idx] = command.new_public_key
+            pending[idx] = FinalVote(
+                command.vote_option, command.vote_amount, command.memo, arrival_index
+            )
+    final_states = tuple(
+        VoterFinalState(index, current_keys[i].encode(), credit, pending[i])
+        for i, (index, _, credit) in enumerate(initial_voters)
+    )
+    return verdicts, final_states
 
 
 def _aggregate(final_states: Sequence[VoterFinalState]) -> dict[int, int]:
@@ -479,8 +466,8 @@ def verify_audit(
     check that fails.
 
     1. the transcript covers exactly the observed message set;
-    2. replaying the decrypted commands reproduces every verdict and the
-       final voter states;
+    2. ``replay_ballots``, the rule processing ran, reproduces every
+       verdict and the final voter states from the published plaintexts;
     3. aggregating the final votes reproduces the tally;
     4. the published commitment opens to (tally, salt).
     """
@@ -492,51 +479,21 @@ def verify_audit(
     if derived_set != intake_digest:
         return Verdict.reject(REASON_MESSAGE_SET_MISMATCH)
 
-    cost = COST_RULES.get(transcript.cost_rule)
-    if cost is None:
+    if transcript.cost_rule not in COST_RULES or any(
+        entry.arrival_index != position
+        for position, entry in enumerate(transcript.entries)
+    ):
         return Verdict.reject(REASON_REPLAY_MISMATCH)
-    negatives_ok = NEGATIVES_ALLOWED[transcript.cost_rule]
-
     try:
-        current_keys = [
-            PublicKey.decode(key_bytes)
-            for _, key_bytes, _ in transcript.initial_voters
-        ]
-    except Exception:
-        return Verdict.reject(REASON_REPLAY_MISMATCH)
-    credits = [c for _, _, c in transcript.initial_voters]
-    pending: list[Optional[FinalVote]] = [None] * len(current_keys)
-
-    for position, entry in enumerate(transcript.entries):
-        if entry.arrival_index != position:
-            return Verdict.reject(REASON_REPLAY_MISMATCH)
-        if entry.plaintext is None:
-            # Undecryptable by the coordinator's claim; unverifiable without
-            # the key, but it must at least be marked invalid.
-            if entry.valid or entry.reason != REASON_AUTH_FAILURE:
-                return Verdict.reject(REASON_REPLAY_MISMATCH)
-            continue
-        valid, reason, command = _judge_plaintext(
-            entry.plaintext, current_keys, credits, cost, negatives_ok
+        verdicts, derived_states = replay_ballots(
+            transcript.cost_rule,
+            transcript.initial_voters,
+            [entry.plaintext for entry in transcript.entries],
         )
-        if valid != entry.valid or reason != entry.reason:
-            return Verdict.reject(REASON_REPLAY_MISMATCH)
-        if valid:
-            assert command is not None
-            idx = command.voter_registration_index
-            current_keys[idx] = command.new_public_key
-            pending[idx] = FinalVote(
-                command.vote_option,
-                command.vote_amount,
-                command.memo,
-                entry.arrival_index,
-            )
-
-    derived_states = tuple(
-        VoterFinalState(index, current_keys[i].encode(), credit, pending[i])
-        for i, (index, _, credit) in enumerate(transcript.initial_voters)
-    )
-    if derived_states != transcript.final_states:
+    except InvalidKey:
+        return Verdict.reject(REASON_REPLAY_MISMATCH)
+    claimed = [(entry.valid, entry.reason) for entry in transcript.entries]
+    if verdicts != claimed or derived_states != transcript.final_states:
         return Verdict.reject(REASON_REPLAY_MISMATCH)
 
     if _aggregate(derived_states) != dict(transcript.tally):

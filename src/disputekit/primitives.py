@@ -141,9 +141,6 @@ class Ciphertext:
     def encode(self) -> bytes:
         return self.nonce + self.payload + self.tag
 
-    def __len__(self) -> int:
-        return len(self.nonce) + len(self.payload) + len(self.tag)
-
 
 def encrypt(
     key: bytes, plaintext: bytes, rng: Optional[random.Random] = None
@@ -193,10 +190,6 @@ class MerkleTree:
     @property
     def capacity(self) -> int:
         return 1 << self.depth
-
-    @property
-    def leaf_count(self) -> int:
-        return len(self._leaves)
 
     def leaf(self, index: int) -> bytes:
         if not 0 <= index < len(self._leaves):

@@ -15,6 +15,7 @@ and attack probes read the view to confirm exactly that.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
@@ -518,6 +519,9 @@ _TIMELESS = {
 
 _STEP_META = {"op", "t", "expect", "expect_result"}
 
+# What a step may expect: success, or a rejection naming its error class.
+EXPECT_PATTERN = "^(ok|error:[A-Za-z]+)$"
+
 
 def _call_op(world: World, op: str, step: Mapping[str, Any]) -> Any:
     method = getattr(world, _OPS[op][0])
@@ -565,7 +569,7 @@ def _validate_step(position: int, step: Any, last_t: int) -> int:
     )
     expect = step.get("expect", "ok")
     _require(
-        expect == "ok" or (isinstance(expect, str) and expect.startswith("error:")),
+        isinstance(expect, str) and re.fullmatch(EXPECT_PATTERN, expect) is not None,
         f"step {position}: expect must be 'ok' or 'error:<Name>'",
     )
     return step["t"]

@@ -9,7 +9,7 @@ proposal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     REASON_OVER_BUDGET,
@@ -17,6 +17,15 @@ from .errors import (
     UnknownProposal,
     Verdict,
 )
+
+# Spending rules, keyed by name so ballot transcripts can say which one
+# applied. "linear": unit-priced votes, negatives forbidden (juror phase).
+# "quadratic": v votes cost v*v, negatives allowed (party runoff phase).
+COST_RULES: dict[str, Callable[[Iterable[int]], int]] = {
+    "linear": lambda amounts: sum(abs(a) for a in amounts),
+    "quadratic": lambda amounts: sum(a * a for a in amounts),
+}
+NEGATIVES_ALLOWED = {"linear": False, "quadratic": True}
 
 
 @dataclass(frozen=True)
@@ -66,7 +75,7 @@ class QuadraticAllocation:
 
 def quadratic_cost(votes: Mapping[int, int]) -> int:
     """Credits consumed by an allocation: sum of squared vote counts."""
-    return sum(v * v for v in votes.values())
+    return COST_RULES["quadratic"](votes.values())
 
 
 def validate_allocation(
@@ -101,5 +110,6 @@ def tally_phase2(
             if proposal_id not in scores:
                 raise UnknownProposal(str(proposal_id))
             scores[proposal_id] += votes
-    winner = max(order, key=lambda pid: (scores[pid], -order.index(pid)))
+    # max keeps the first maximal item: the earliest-submitted proposal
+    winner = max(order, key=scores.__getitem__)
     return Phase2Tally(scores, winner)

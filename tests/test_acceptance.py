@@ -357,10 +357,11 @@ def test_ballot_processing_semantics() -> None:
     """1000 randomized message sequences against a reference state
     machine: only the last command signed with the voter's then-current
     key counts, rotation orphans the old key, and overspends are refused
-    with the OverBudget verdict."""
+    with the OverBudget verdict. Every poll is then committed and
+    published, and the audit replay must accept its transcript."""
     rng = random.Random(4096)
     sequences, violations = 1000, []
-    overspends_checked = 0
+    overspends_checked = audits_accepted = 0
     for sequence in range(sequences):
         coordinator = KeyPair.generate(rng)
         cost_rule = rng.choice(["linear", "quadratic"])
@@ -433,11 +434,21 @@ def test_ballot_processing_semantics() -> None:
             if state.current_key_bytes != model_keys[index].public.encode():
                 violations.append((sequence, "final key", index))
 
+        # salts come from their own generator so the sequences stay as they were
+        poll.commit_tally(poll.tally, random.Random(sequence))
+        poll.publish_tally()
+        intake = message_set_digest([m.ciphertext for m in poll.messages])
+        if verify_audit(poll.audit_transcript(), intake, poll.commitment).ok:
+            audits_accepted += 1
+        else:
+            violations.append((sequence, "audit", None))
+
     verdict_line(
         "ballot processing semantics",
         not violations,
         f"{sequences} random sequences, 0 violations expected, got "
-        f"{len(violations)}; overspend verdicts checked: {overspends_checked}"
+        f"{len(violations)}; overspend verdicts checked: {overspends_checked}; "
+        f"audits accepted: {audits_accepted}"
         + (f"; first {violations[0]}" if violations else ""),
     )
 

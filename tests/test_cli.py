@@ -265,6 +265,46 @@ def test_scenario_check_agrees_with_the_reference_validator(tmp_path, doc) -> No
         assert code == EXIT_USAGE and out.getvalue() == ""
 
 
+# every JSON type, two kinds of bad hex, and the empty list and object
+VERIFY_SWAPS = [*OTHER_TYPES, "zz", "abc"]
+
+
+@st.composite
+def one_field_verify_mutations(draw, transcript, record):
+    """A real transcript and its commitment record, one of them with one
+    key or list item dropped, or one value swapped for a `VERIFY_SWAPS`
+    value."""
+    docs = json.loads(json.dumps([transcript, record]))
+    doc = draw(st.sampled_from(docs))
+    *parent, key = draw(st.sampled_from([p for p in paths(doc) if p]))
+    container = value_at(doc, parent)
+    if draw(st.booleans()):
+        del container[key]
+    else:
+        container[key] = draw(st.sampled_from(VERIFY_SWAPS))
+    return docs
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_verify_keeps_the_exit_contract_under_mutation(
+    tmp_path, audit_artifacts, data
+) -> None:
+    doc, record, _ = audit_artifacts
+    doc, record = data.draw(one_field_verify_mutations(doc, record))
+    t = write_json(tmp_path / "t.json", doc)
+    c = write_json(tmp_path / "c.json", record)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["verify", t, c])
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+
+
 # ---- sweep -----------------------------------------------------------------------
 
 

@@ -195,6 +195,18 @@ def test_seed_override_changes_bytes_not_verdicts() -> None:
             lambda s: s["config"]["genesis_humans"].append("judge0"),
             "duplicate genesis human judge0",
         ),
+        (
+            lambda s: s["timeline"].append(
+                {"op": "poh_finalize", "t": 999, "expect": "error:"}
+            ),
+            "expect must be 'ok' or 'error:<Name>'",
+        ),
+        (
+            lambda s: s["timeline"].append(
+                {"op": "poh_finalize", "t": 999, "expect": "error:Bad Name"}
+            ),
+            "expect must be 'ok' or 'error:<Name>'",
+        ),
     ],
 )
 def test_malformed_scripts_are_rejected(mutate, message_part) -> None:

@@ -190,8 +190,18 @@ def test_undecryptable_message_marked_auth_failure(rng) -> None:
     cast(poll, rng, voters[1], shared[1], 1, {0: 1})
     _, tally, _ = finish(poll, coordinator, rng)
     assert tally == {0: 1}
-    entry = poll.audit_transcript().entries[0]
+    transcript = poll.audit_transcript()
+    entry = transcript.entries[0]
     assert (entry.valid, entry.reason, entry.plaintext) == (False, "AuthFailure", None)
+    intake = message_set_digest([m.ciphertext for m in poll.messages])
+    assert verify_audit(transcript, intake, poll.commitment).ok
+    for valid, reason in [(True, None), (True, "AuthFailure"), (False, "DecodeError")]:
+        junk = dataclasses.replace(entry, valid=valid, reason=reason)
+        mutated = dataclasses.replace(
+            transcript, entries=(junk, *transcript.entries[1:])
+        )
+        verdict = verify_audit(mutated, intake, poll.commitment)
+        assert (verdict.ok, verdict.reason) == (False, "ReplayMismatch")
 
 
 def test_zero_messages_zero_tally(rng) -> None:
