@@ -125,7 +125,6 @@ def _document_schema(step: dict[str, Any] | bool) -> dict[str, Any]:
                     },
                     "challenge_window": {"type": "integer", "minimum": 1},
                     "tree_depth": {"type": "integer", "minimum": 1},
-                    "group_id": {"type": "integer"},
                 },
                 "additionalProperties": False,
             },

@@ -183,17 +183,9 @@ class Signal:
 class SemaphoreGroup:
     """Merkle tree of commitments with double-signal protection."""
 
-    def __init__(
-        self,
-        group_id: str,
-        registry: PohRegistry,
-        tree_depth: int = 20,
-        zero_value: bytes = ZERO_DIGEST,
-    ):
-        self.group_id = group_id
+    def __init__(self, registry: PohRegistry, tree_depth: int = 20):
         self.registry = registry
-        self.tree = MerkleTree(tree_depth, zero_value)
-        self._zero_value = zero_value
+        self.tree = MerkleTree(tree_depth)
         # human_id -> leaf index; never deleted, so bans are permanent.
         self.member_bindings: dict[str, int] = {}
         self._leaf_by_commitment: dict[bytes, int] = {}
@@ -218,7 +210,7 @@ class SemaphoreGroup:
         """Zero out a leaf (ban); the human's binding stays so they cannot
         rejoin. Returns the new root."""
         commitment = self.tree.leaf(leaf_index)
-        new_root = self.tree.update(leaf_index, self._zero_value)
+        new_root = self.tree.update(leaf_index, ZERO_DIGEST)
         self._leaf_by_commitment.pop(commitment, None)
         return new_root
 
@@ -237,7 +229,7 @@ class SemaphoreGroup:
             leaf = self.tree.leaf(signal.membership_path.leaf_index)
         except IndexOutOfRange:
             return Verdict.reject(REASON_BAD_MEMBERSHIP)
-        if leaf == self._zero_value:
+        if leaf == ZERO_DIGEST:
             return Verdict.reject(REASON_BAD_MEMBERSHIP)
         if not merkle_verify(signal.claimed_root, leaf, signal.membership_path):
             return Verdict.reject(REASON_BAD_MEMBERSHIP)

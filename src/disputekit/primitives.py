@@ -174,74 +174,73 @@ class MerkleTree:
 
     Capacity is 2**depth leaves. Root of the empty tree is the depth-th
     iterated zero-subtree digest, and updating any occupied slot (used for
-    member removal) changes the root.
+    member removal) changes the root. A write recomputes the one path from
+    its leaf to the root; reads are lookups.
     """
 
-    def __init__(self, depth: int = 20, zero_value: bytes = ZERO_DIGEST):
+    def __init__(self, depth: int = 20):
         if depth < 1:
             raise ValueError("depth must be >= 1")
         self.depth = depth
-        self.zeros = [zero_value]
+        self.zeros = [ZERO_DIGEST]
         for _ in range(depth):
             self.zeros.append(hash_bytes(self.zeros[-1] + self.zeros[-1]))
-        self._leaves: list[bytes] = []
-        self._levels: list[list[bytes]] | None = None
+        # _levels[0] holds the leaves, _levels[depth] the root once written;
+        # a node past the end of its level is that level's zero digest.
+        self._levels: list[list[bytes]] = [[] for _ in range(depth + 1)]
 
     @property
     def capacity(self) -> int:
         return 1 << self.depth
 
-    def leaf(self, index: int) -> bytes:
-        if not 0 <= index < len(self._leaves):
+    def _check(self, index: int) -> None:
+        if not 0 <= index < len(self._levels[0]):
             raise IndexOutOfRange(f"no leaf at index {index}")
-        return self._leaves[index]
+
+    def leaf(self, index: int) -> bytes:
+        self._check(index)
+        return self._levels[0][index]
 
     def insert(self, leaf: bytes) -> int:
-        if len(self._leaves) >= self.capacity:
+        index = len(self._levels[0])
+        if index >= self.capacity:
             raise TreeFull(f"tree holds at most {self.capacity} leaves")
-        self._leaves.append(leaf)
-        self._levels = None
-        return len(self._leaves) - 1
+        self._write(index, leaf)
+        return index
 
     def update(self, index: int, leaf: bytes) -> bytes:
-        if not 0 <= index < len(self._leaves):
-            raise IndexOutOfRange(f"no leaf at index {index}")
-        self._leaves[index] = leaf
-        self._levels = None
+        self._check(index)
+        self._write(index, leaf)
         return self.root
 
     def _node(self, level: int, index: int) -> bytes:
-        nodes = self._all_levels()[level]
+        nodes = self._levels[level]
         return nodes[index] if index < len(nodes) else self.zeros[level]
 
-    def _all_levels(self) -> list[list[bytes]]:
-        if self._levels is None:
-            levels = [list(self._leaves)]
-            for depth_idx in range(self.depth):
-                prev, zero = levels[-1], self.zeros[depth_idx]
-                nxt = []
-                for i in range(0, len(prev), 2):
-                    left = prev[i]
-                    right = prev[i + 1] if i + 1 < len(prev) else zero
-                    nxt.append(hash_bytes(left + right))
-                levels.append(nxt)
-            self._levels = levels
-        return self._levels
+    def _write(self, index: int, leaf: bytes) -> None:
+        """Set the leaf at `index` (an occupied slot or the next free one)
+        and rehash each node on its path to the root."""
+        node = leaf
+        for level, nodes in enumerate(self._levels):
+            if index < len(nodes):
+                nodes[index] = node
+            else:
+                nodes.append(node)
+            if level < self.depth:
+                sibling = self._node(level, index ^ 1)
+                node = hash_bytes(sibling + node if index & 1 else node + sibling)
+                index >>= 1
 
     @property
     def root(self) -> bytes:
-        top = self._all_levels()[self.depth]
-        return top[0] if top else self.zeros[self.depth]
+        return self._node(self.depth, 0)
 
     def prove(self, index: int) -> MerklePath:
-        if not 0 <= index < len(self._leaves):
-            raise IndexOutOfRange(f"no leaf at index {index}")
-        siblings = []
-        node = index
-        for level in range(self.depth):
-            siblings.append(self._node(level, node ^ 1))
-            node >>= 1
-        return MerklePath(index, tuple(siblings))
+        self._check(index)
+        siblings = tuple(
+            self._node(level, (index >> level) ^ 1) for level in range(self.depth)
+        )
+        return MerklePath(index, siblings)
 
 
 def merkle_verify(root: bytes, leaf: bytes, path: MerklePath) -> bool:

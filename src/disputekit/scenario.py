@@ -151,7 +151,6 @@ class World:
         genesis_humans: Sequence[str] = (),
         challenge_window: int = 10,
         tree_depth: int = 12,
-        group_id: int = 1,
         thresholds: Optional[Thresholds] = None,
     ):
         self.seed = seed
@@ -159,9 +158,7 @@ class World:
         self.adversary_rng = random.Random(f"{seed}:adversary")
         self.view = AdversaryView()
         self.registry = PohRegistry(challenge_window=challenge_window)
-        self.group = SemaphoreGroup(
-            group_id=group_id, registry=self.registry, tree_depth=tree_depth
-        )
+        self.group = SemaphoreGroup(self.registry, tree_depth=tree_depth)
         self.coordinator = KeyPair.generate(self.rng)
         self.escrow = Escrow()
         self.engine = DisputeEngine(
@@ -463,39 +460,31 @@ class World:
 
 # ---- scripted scenarios ---------------------------------------------------------
 
-# op name -> (world method, required fields, optional fields)
-_OPS: dict[str, tuple[str, set[str], set[str]]] = {
-    "poh_register": ("poh_register", {"human", "voucher"}, set()),
-    "poh_challenge": ("poh_challenge", {"human", "reason"}, set()),
-    "poh_finalize": ("poh_finalize", set(), set()),
-    "group_join": ("group_join", {"human"}, set()),
+# op name (also the World method it calls) -> (required fields, optional fields)
+_OPS: dict[str, tuple[set[str], set[str]]] = {
+    "poh_register": ({"human", "voucher"}, set()),
+    "poh_challenge": ({"human", "reason"}, set()),
+    "poh_finalize": (set(), set()),
+    "group_join": ({"human"}, set()),
     "open_dispute": (
-        "open_dispute",
         {"initiator", "respondents", "fee", "t1", "t2", "min_judges"},
         {"extension", "phase2_window"},
     ),
-    "join_dispute": ("join_dispute", {"dispute", "party", "fee"}, set()),
-    "submit_evidence": ("submit_evidence", {"dispute", "party", "label", "text"}, set()),
-    "default_if_absent": ("default_if_absent", {"dispute"}, set()),
-    "enroll_judge": ("enroll_judge", {"dispute", "judge"}, set()),
-    "phase1_vote": (
-        "phase1_vote",
-        {"dispute", "judge", "party", "proposal"},
-        {"rotate_key"},
-    ),
-    "close_phase1": ("close_phase1", {"dispute"}, set()),
-    "start_phase2": ("start_phase2", {"dispute"}, set()),
-    "phase2_vote": ("phase2_vote", {"dispute", "party", "allocations"}, set()),
-    "close_phase2": ("close_phase2", {"dispute"}, set()),
-    "claim_fee": ("claim_fee", {"dispute", "judge", "wallet"}, set()),
-    "apply_reputation": ("apply_reputation", {"dispute"}, set()),
-    "enforce_thresholds": ("enforce_thresholds", set(), set()),
-    "issue_party_sbt": (
-        "issue_party_sbt",
-        {"dispute", "party", "complied", "deadline_passed"},
-        set(),
-    ),
+    "join_dispute": ({"dispute", "party", "fee"}, set()),
+    "submit_evidence": ({"dispute", "party", "label", "text"}, set()),
+    "default_if_absent": ({"dispute"}, set()),
+    "enroll_judge": ({"dispute", "judge"}, set()),
+    "phase1_vote": ({"dispute", "judge", "party", "proposal"}, {"rotate_key"}),
+    "close_phase1": ({"dispute"}, set()),
+    "start_phase2": ({"dispute"}, set()),
+    "phase2_vote": ({"dispute", "party", "allocations"}, set()),
+    "close_phase2": ({"dispute"}, set()),
+    "claim_fee": ({"dispute", "judge", "wallet"}, set()),
+    "apply_reputation": ({"dispute"}, set()),
+    "enforce_thresholds": (set(), set()),
+    "issue_party_sbt": ({"dispute", "party", "complied", "deadline_passed"}, set()),
 }
+
 
 def op_signatures() -> dict[str, tuple[frozenset[str], frozenset[str]]]:
     """Public catalogue of script operations: op -> (required, optional)
@@ -504,7 +493,7 @@ def op_signatures() -> dict[str, tuple[frozenset[str], frozenset[str]]]:
     this, so the two layers cannot drift apart."""
     return {
         op: (frozenset(required), frozenset(optional))
-        for op, (_, required, optional) in _OPS.items()
+        for op, (required, optional) in _OPS.items()
     }
 
 
@@ -520,19 +509,21 @@ _TIMELESS = {
 _STEP_META = {"op", "t", "expect", "expect_result"}
 
 # What a step may expect: success, or a rejection naming its error class.
-EXPECT_PATTERN = "^(ok|error:[A-Za-z]+)$"
+# `(?!\n)` keeps Python's `re.search`, whose `$` also matches before a
+# final newline, to the ECMA-262 meaning of the published schema.
+EXPECT_PATTERN = r"^(ok|error:[A-Za-z]+)(?!\n)$"
+
+# script field names -> world method parameter names
+_RENAMES = {"dispute": "dispute_id", "judge": "human", "proposal": "proposal_text"}
 
 
 def _call_op(world: World, op: str, step: Mapping[str, Any]) -> Any:
-    method = getattr(world, _OPS[op][0])
-    args = {
-        key: value for key, value in step.items() if key not in _STEP_META
+    method = getattr(world, op)
+    kwargs = {
+        _RENAMES.get(key, key): value
+        for key, value in step.items()
+        if key not in _STEP_META
     }
-    # script field names -> method parameter names
-    renames = {"dispute": "dispute_id", "judge": "human", "proposal": "proposal_text"}
-    if op in ("poh_register", "poh_challenge", "group_join"):
-        renames = {}
-    kwargs = {renames.get(key, key): value for key, value in args.items()}
     if op not in _TIMELESS:
         kwargs["now"] = step["t"]
     return method(**kwargs)
@@ -556,7 +547,7 @@ def _validate_step(position: int, step: Any, last_t: int) -> int:
         step["t"] >= last_t,
         f"step {position}: timestamps must be non-decreasing",
     )
-    _, required, optional = _OPS[op]
+    required, optional = _OPS[op]
     fields = set(step) - _STEP_META
     _require(
         required <= fields,
@@ -575,7 +566,7 @@ def _validate_step(position: int, step: Any, last_t: int) -> int:
     return step["t"]
 
 
-_CONFIG_FIELDS = {"genesis_humans", "challenge_window", "tree_depth", "group_id"}
+_CONFIG_FIELDS = {"genesis_humans", "challenge_window", "tree_depth"}
 
 
 def matches_expected(snapshot: Any, expected: Any) -> bool:
@@ -612,7 +603,7 @@ def run_scenario(script: Mapping[str, Any], *, seed: Optional[int] = None) -> di
         set(config) <= _CONFIG_FIELDS,
         f"unknown config keys {sorted(set(config) - _CONFIG_FIELDS)}",
     )
-    for knob in sorted({"challenge_window", "tree_depth", "group_id"} & set(config)):
+    for knob in sorted({"challenge_window", "tree_depth"} & set(config)):
         _require(
             isinstance(config[knob], int) and not isinstance(config[knob], bool),
             f"config: {knob} must be an integer",

@@ -25,7 +25,7 @@ class Court:
     def __init__(self, seed: int = 11, judges: int = 5):
         self.rng = random.Random(seed)
         self.registry = PohRegistry(challenge_window=10)
-        self.group = SemaphoreGroup(group_id=1, registry=self.registry, tree_depth=8)
+        self.group = SemaphoreGroup(registry=self.registry, tree_depth=8)
         self.coordinator = KeyPair.generate(self.rng)
         self.events: list[tuple[str, dict]] = []
         self.engine = DisputeEngine(

@@ -883,7 +883,7 @@ class _ModelState:
     def __init__(self) -> None:
         self.registry = PohRegistry(challenge_window=_BFS_WINDOW)
         self.registry.seed_approved("h0")
-        self.group = SemaphoreGroup("model", self.registry, tree_depth=4)
+        self.group = SemaphoreGroup(self.registry, tree_depth=4)
         self.clock = 0
         self.status = {"h0": "approved", "h1": "absent", "h2": "absent"}
         self.matured = {human: False for human in _BFS_HUMANS}

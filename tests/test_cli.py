@@ -137,6 +137,13 @@ def naming(mutate, *names):
             "config.genesis_humans: ",
             "non-unique",
         ),
+        # Python's `$` alone would also match before this trailing newline
+        naming(
+            lambda s: s["timeline"].__setitem__(
+                0, {**s["timeline"][0], "expect": "ok\n"}
+            ),
+            "timeline[0].expect: 'ok\\n'",
+        ),
     ],
 )
 def test_run_schema_violations_exit_two(tmp_path, capsys, corrupt) -> None:

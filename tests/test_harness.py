@@ -207,6 +207,12 @@ def test_seed_override_changes_bytes_not_verdicts() -> None:
             ),
             "expect must be 'ok' or 'error:<Name>'",
         ),
+        (
+            lambda s: s["timeline"].append(
+                {"op": "poh_finalize", "t": 999, "expect": "ok\n"}
+            ),
+            "expect must be 'ok' or 'error:<Name>'",
+        ),
     ],
 )
 def test_malformed_scripts_are_rejected(mutate, message_part) -> None:

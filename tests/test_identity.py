@@ -128,7 +128,7 @@ def group_with(
     *humans: str, depth: int = 8, seed: int = 42
 ) -> tuple[SemaphoreGroup, dict[str, Identity]]:
     registry = make_registry(*humans)
-    group = SemaphoreGroup("jurors", registry, tree_depth=depth)
+    group = SemaphoreGroup(registry, tree_depth=depth)
     rng = random.Random(seed)
     identities = {}
     for human in humans:
@@ -141,7 +141,7 @@ def group_with(
 def test_join_requires_approval() -> None:
     registry = make_registry("genesis")
     registry.register("alice", hash_bytes(b"v"), "genesis", now=0)
-    group = SemaphoreGroup("jurors", registry, tree_depth=4)
+    group = SemaphoreGroup(registry, tree_depth=4)
     identity = Identity.generate(random.Random(0))
     with pytest.raises(NotApproved):
         group.join("alice", identity.commitment)  # still pending

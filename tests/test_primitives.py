@@ -200,3 +200,61 @@ def test_every_inserted_leaf_proves_membership(leaves: list[bytes]) -> None:
         tree.insert(leaf)
     for index in range(len(leaves)):
         assert merkle_verify(tree.root, tree.leaf(index), tree.prove(index))
+
+
+# ---- differential: the incremental tree against a full rebuild -----------------
+
+def rebuilt_levels(leaves: list[bytes], depth: int) -> list[list[bytes]]:
+    """Reference tree: pad the leaves to capacity with the zero digest and
+    hash every level from scratch with hashlib."""
+    level = leaves + [ZERO_DIGEST] * ((1 << depth) - len(leaves))
+    levels = [level]
+    while len(level) > 1:
+        level = [
+            hashlib.sha256(level[i] + level[i + 1]).digest()
+            for i in range(0, len(level), 2)
+        ]
+        levels.append(level)
+    return levels
+
+
+LEAF = st.one_of(st.just(ZERO_DIGEST), st.binary(min_size=32, max_size=32))
+TREE_OP = st.one_of(
+    st.tuples(st.just("insert"), LEAF),
+    st.tuples(st.just("update"), st.integers(-1, 33), LEAF),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.lists(TREE_OP, max_size=70))
+def test_tree_matches_a_full_rebuild_after_every_write(depth, ops) -> None:
+    tree = MerkleTree(depth)
+    leaves: list[bytes] = []
+    for op in ops:
+        if op[0] == "insert":
+            if len(leaves) == 1 << depth:
+                with pytest.raises(TreeFull):
+                    tree.insert(op[1])
+            else:
+                assert tree.insert(op[1]) == len(leaves)
+                leaves.append(op[1])
+        else:
+            _, index, leaf = op
+            if 0 <= index < len(leaves):
+                leaves[index] = leaf
+                assert tree.update(index, leaf) == rebuilt_levels(leaves, depth)[-1][0]
+            else:
+                with pytest.raises(IndexOutOfRange):
+                    tree.update(index, leaf)
+        levels = rebuilt_levels(leaves, depth)
+        assert tree.root == levels[-1][0]
+        for index, leaf in enumerate(leaves):
+            assert tree.leaf(index) == leaf
+            path = tree.prove(index)
+            assert path.leaf_index == index
+            assert path.siblings == tuple(
+                levels[level][(index >> level) ^ 1] for level in range(depth)
+            )
+        for read in (tree.leaf, tree.prove):
+            with pytest.raises(IndexOutOfRange):
+                read(len(leaves))
