@@ -16,7 +16,8 @@ Lifecycle (states in parentheses):
 Fees: every party escrows the same fee f at entry; a resolved dispute
 pays the whole pool (n*f) to the judge who authored the winning proposal;
 aborts and defaults refund everyone in full. The escrow ledger records
-every movement so conservation can be replayed.
+every movement; each write keeps the balances up to date, so reads are
+lookups, and replaying the ledger is the audit that conservation held.
 """
 from __future__ import annotations
 
@@ -162,45 +163,45 @@ class EscrowEntry:
     actor: str
     amount: int
 
+    @property
+    def delta(self) -> int:  # to the dispute's balance; the actor's net moves opposite
+        return self.amount if self.kind == "deposit" else -self.amount
+
 
 class Escrow:
-    """Append-only ledger of fee movements, balances derived from it."""
+    """Append-only ledger of fee movements. Every write goes through
+    ``_append``, which keeps each dispute's balance and each actor's net
+    position, so reads are lookups; ``conserved`` replays the ledger as the
+    independent audit of both."""
 
     def __init__(self) -> None:
         self.entries: list[EscrowEntry] = []
+        self._balances: dict[int, int] = {}
+        self._net: dict[str, int] = {}
+
+    def _append(self, kind: str, dispute_id: int, actor: str, amount: int) -> EscrowEntry:
+        if amount <= 0:
+            raise ValueError(f"{kind} amounts must be positive")
+        entry = EscrowEntry(kind, dispute_id, actor, amount)
+        held = self._balances.get(dispute_id, 0)
+        if held + entry.delta < 0:
+            raise ValueError(f"dispute {dispute_id} holds {held}, cannot pay {amount}")
+        self.entries.append(entry)
+        self._balances[dispute_id] = held + entry.delta
+        self._net[actor] = self._net.get(actor, 0) - entry.delta
+        return entry
 
     def deposit(self, dispute_id: int, actor: str, amount: int) -> EscrowEntry:
-        if amount <= 0:
-            raise ValueError("deposits must be positive")
-        entry = EscrowEntry("deposit", dispute_id, actor, amount)
-        self.entries.append(entry)
-        return entry
-
-    def _pay(self, kind: str, dispute_id: int, actor: str, amount: int) -> EscrowEntry:
-        if amount <= 0:
-            raise ValueError("outflows must be positive")
-        if amount > self.balance(dispute_id):
-            raise ValueError(
-                f"dispute {dispute_id} holds {self.balance(dispute_id)}, "
-                f"cannot pay {amount}"
-            )
-        entry = EscrowEntry(kind, dispute_id, actor, amount)
-        self.entries.append(entry)
-        return entry
+        return self._append("deposit", dispute_id, actor, amount)
 
     def refund(self, dispute_id: int, actor: str, amount: int) -> EscrowEntry:
-        return self._pay("refund", dispute_id, actor, amount)
+        return self._append("refund", dispute_id, actor, amount)
 
     def payout(self, dispute_id: int, actor: str, amount: int) -> EscrowEntry:
-        return self._pay("payout", dispute_id, actor, amount)
+        return self._append("payout", dispute_id, actor, amount)
 
     def balance(self, dispute_id: int) -> int:
-        total = 0
-        for entry in self.entries:
-            if entry.dispute_id != dispute_id:
-                continue
-            total += entry.amount if entry.kind == "deposit" else -entry.amount
-        return total
+        return self._balances.get(dispute_id, 0)
 
     def total(self, kind: str) -> int:
         return sum(e.amount for e in self.entries if e.kind == kind)
@@ -208,23 +209,19 @@ class Escrow:
     def conserved(self) -> bool:
         """Replay the ledger: deposits fund outflows exactly, never below zero."""
         balances: dict[int, int] = {}
+        net: dict[str, int] = {}
         for entry in self.entries:
-            delta = entry.amount if entry.kind == "deposit" else -entry.amount
-            balances[entry.dispute_id] = balances.get(entry.dispute_id, 0) + delta
+            balances[entry.dispute_id] = balances.get(entry.dispute_id, 0) + entry.delta
             if balances[entry.dispute_id] < 0:
                 return False
-        return self.total("deposit") == self.total("refund") + self.total(
-            "payout"
-        ) + sum(balances.values())
+            net[entry.actor] = net.get(entry.actor, 0) - entry.delta
+        outflows = self.total("refund") + self.total("payout")
+        balanced = self.total("deposit") == outflows + sum(balances.values())
+        return balanced and (balances, net) == (self._balances, self._net)
 
     def net_position(self, actor: str) -> int:
         """Actor's cumulative flow: refunds and payouts minus deposits."""
-        total = 0
-        for entry in self.entries:
-            if entry.actor != actor:
-                continue
-            total += -entry.amount if entry.kind == "deposit" else entry.amount
-        return total
+        return self._net.get(actor, 0)
 
 
 # ---- dispute record --------------------------------------------------------------

@@ -232,6 +232,8 @@ class MaciPoll:
         self.closed = False
         self._keys_seen: set[bytes] = set()
         self._processed: Optional[tuple[tuple[VoterFinalState, ...], AuditTranscript]] = None
+        # (coordinator, result) of the last preview; dropped on any intake
+        self._preview: Optional[tuple[KeyPair, tuple]] = None
         self._committed_tally: Optional[dict[int, int]] = None
         self._salt: Optional[bytes] = None
         self.commitment: Optional[TallyCommitment] = None
@@ -251,6 +253,7 @@ class MaciPoll:
         if encoded in self._keys_seen:
             raise DuplicateKey("public key already registered")
         self._keys_seen.add(encoded)
+        self._preview = None
         voter = RegisteredVoter(len(self.voters), public_key, public_key, credits)
         self.voters.append(voter)
         return voter
@@ -261,6 +264,7 @@ class MaciPoll:
             raise PollClosed(f"deadline {self.deadline}, now {now}")
         index = len(self.messages)
         self.messages.append(MaciMessage(index, ciphertext))
+        self._preview = None
         return index
 
     def extend_deadline(self, new_deadline: int) -> None:
@@ -278,10 +282,12 @@ class MaciPoll:
     # -- processing ----------------------------------------------------------
 
     def preview_valid_votes(self, coordinator_secret: KeyPair) -> tuple[VoterFinalState, ...]:
-        """Pure dry run over the current message list (no state change);
-        used to test quorum before deciding whether to extend."""
-        final_states, _ = self._run(coordinator_secret)
-        return final_states
+        """Dry run over the current message list, used to test quorum before
+        deciding whether to extend. It is not a processing result; it is kept
+        for ``process_messages`` to reuse until the next intake."""
+        result = self._run(coordinator_secret)
+        self._preview = (coordinator_secret, result)
+        return result[0]
 
     def process_messages(
         self, coordinator_secret: KeyPair
@@ -289,7 +295,9 @@ class MaciPoll:
         if not self.closed:
             raise WrongState("process requires a closed poll")
         if self._processed is None:
-            self._processed = self._run(coordinator_secret)
+            preview = self._preview
+            reusable = preview is not None and preview[0] == coordinator_secret
+            self._processed = preview[1] if reusable else self._run(coordinator_secret)
             for voter, state in zip(self.voters, self._processed[0]):
                 voter.current_key = PublicKey.decode(state.current_key_bytes)
         return self._processed

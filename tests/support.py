@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 
-from disputekit.engine import DisputeConfig, DisputeEngine, enrollment_scope
+from disputekit.engine import DisputeConfig, DisputeEngine, Escrow, enrollment_scope
 from disputekit.identity import Identity, PohRegistry, SemaphoreGroup, create_signal
 from disputekit.maci import build_message
 from disputekit.primitives import KeyPair, hash_bytes, key_agree
@@ -13,6 +13,19 @@ CFG = DisputeConfig(t1=100, t2=200, min_judges=3)
 
 def proposal_hash(tag: str) -> bytes:
     return hash_bytes(tag.encode())
+
+
+def plant_double_booked_payouts(monkeypatch) -> None:
+    """Ledger fault: every payout is written a second time, bypassing the
+    escrow's write path, so the replay overdraws the dispute."""
+    payout = Escrow.payout
+
+    def double_booked(self, dispute_id, actor, amount):
+        entry = payout(self, dispute_id, actor, amount)
+        self.entries.append(entry)
+        return entry
+
+    monkeypatch.setattr(Escrow, "payout", double_booked)
 
 
 class Court:

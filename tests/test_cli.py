@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from support import resolved_court
+from support import plant_double_booked_payouts, resolved_court
 
 import disputekit.oracle as oracle
 from disputekit.cli import (
@@ -90,6 +90,15 @@ def test_run_failed_step_exits_one_and_names_it(tmp_path, capsys) -> None:
     path = write_json(tmp_path / "wrong-step.json", script)
     assert main(["run", path]) == EXIT_FAIL
     assert "close_phase1" in capsys.readouterr().err
+
+
+def test_run_ledger_fault_exits_one_without_traceback(monkeypatch, capsys) -> None:
+    plant_double_booked_payouts(monkeypatch)
+    assert main(["run", str(HAPPY)]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["steps"][-1]["invariant"] == "escrow conservation violated"
+    assert "issue_party_sbt" in captured.err and "Traceback" not in captured.err
 
 
 def naming(mutate, *names):

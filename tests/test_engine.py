@@ -3,11 +3,14 @@ enrollment, both voting phases, and settlement."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disputekit.engine import (
     DisputeConfig,
     DisputeState,
     Escrow,
+    EscrowEntry,
     enrollment_scope,
 )
 from disputekit.errors import (
@@ -56,6 +59,70 @@ def test_escrow_rejects_overdraw_and_nonpositive_amounts() -> None:
     with pytest.raises(ValueError):
         escrow.refund(0, "alice", -1)
     assert escrow.balance(0) == 5
+
+
+def test_conservation_audits_the_kept_balances() -> None:
+    escrow = Escrow()
+    escrow.deposit(0, "alice", 10)
+    # an entry that bypasses the write path: every prefix stays funded, but
+    # the replay no longer matches the balances the writes kept
+    escrow.entries.append(EscrowEntry("deposit", 0, "bob", 5))
+    assert not escrow.conserved()
+
+
+# ---- differential: the kept balances against a naive ledger replay -------------
+
+ESCROW_DISPUTES = (0, 1, 2)
+ESCROW_ACTORS = ("alice", "bob", "judge")
+ESCROW_OP = st.tuples(
+    st.sampled_from(["deposit", "refund", "payout"]),
+    st.sampled_from(ESCROW_DISPUTES),
+    st.sampled_from(ESCROW_ACTORS),
+    st.integers(-3, 12),
+)
+
+
+def replayed_books(ledger: list[tuple[str, int, str, int]]) -> tuple[dict, dict]:
+    """Reference: per-dispute balances and per-actor net positions summed
+    from the accepted writes."""
+    balances = dict.fromkeys(ESCROW_DISPUTES, 0)
+    net = dict.fromkeys(ESCROW_ACTORS, 0)
+    for kind, dispute, actor, amount in ledger:
+        signed = amount if kind == "deposit" else -amount
+        balances[dispute] += signed
+        net[actor] -= signed
+    return balances, net
+
+
+def escrow_reads(escrow: Escrow) -> tuple:
+    return (
+        list(escrow.entries),
+        {d: escrow.balance(d) for d in ESCROW_DISPUTES},
+        {a: escrow.net_position(a) for a in ESCROW_ACTORS},
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ESCROW_OP, max_size=40))
+def test_escrow_matches_a_naive_ledger_replay(ops) -> None:
+    escrow = Escrow()
+    ledger: list[tuple[str, int, str, int]] = []
+    for kind, dispute, actor, amount in ops:
+        held = replayed_books(ledger)[0][dispute]
+        if amount <= 0 or (kind != "deposit" and amount > held):
+            before = escrow_reads(escrow)
+            with pytest.raises(ValueError):
+                getattr(escrow, kind)(dispute, actor, amount)
+            assert escrow_reads(escrow) == before
+        else:
+            entry = getattr(escrow, kind)(dispute, actor, amount)
+            assert entry == EscrowEntry(kind, dispute, actor, amount)
+            ledger.append((kind, dispute, actor, amount))
+        assert escrow_reads(escrow) == (
+            [EscrowEntry(*write) for write in ledger], *replayed_books(ledger)
+        )
+        assert escrow.conserved()  # the reference accepts only funded writes
+        assert escrow.balance(99) == 0 and escrow.net_position("nobody") == 0
 
 
 def test_config_validation_and_window_defaults() -> None:

@@ -16,6 +16,7 @@ from disputekit.attacks import (
     attack_takeover,
     run_all_attacks,
 )
+from disputekit.engine import Escrow
 from disputekit.errors import MalformedScript
 from disputekit.scenario import (
     AdversaryView,
@@ -23,6 +24,8 @@ from disputekit.scenario import (
     matches_expected,
     run_scenario,
 )
+
+from support import plant_double_booked_payouts
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -272,6 +275,28 @@ def test_expect_result_mismatch_fails_the_run() -> None:
             step["expect_result"] = "aborted"
     report = run_scenario(script)
     assert not report["ok"]
+
+
+def test_a_ledger_fault_fails_the_run_and_names_the_invariant(monkeypatch) -> None:
+    plant_double_booked_payouts(monkeypatch)
+    replays = []
+    conserved = Escrow.conserved
+    monkeypatch.setattr(
+        Escrow, "conserved", lambda self: replays.append(1) or conserved(self)
+    )
+    report = run_scenario(happy_path_script())
+    assert replays == [1]  # the ledger is replayed once per run
+    assert report["ok"] is False
+    *earlier, last = report["steps"]
+    assert last["pass"] is False
+    assert last["invariant"] == "escrow conservation violated"
+    assert all(step["pass"] and "invariant" not in step for step in earlier)
+
+
+def test_a_ledger_fault_fails_an_empty_timeline(monkeypatch) -> None:
+    monkeypatch.setattr(Escrow, "conserved", lambda self: False)
+    report = run_scenario({"seed": 1, "timeline": []})
+    assert report["ok"] is False and report["steps"] == []
 
 
 def test_matches_expected_is_a_subset_check() -> None:

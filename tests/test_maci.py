@@ -211,6 +211,54 @@ def test_zero_messages_zero_tally(rng) -> None:
     assert all(s.vote is None for s in final_states)
 
 
+# ---- the quorum preview and processing ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "preview_by, late_intake",
+    [
+        ("coordinator", None),
+        ("coordinator", "ballot"),
+        ("coordinator", "voter"),
+        ("stranger", None),
+    ],
+)
+def test_processing_after_a_preview_equals_a_fresh_poll(preview_by, late_intake) -> None:
+    """A preview may stand in for processing only while the intake is the one
+    it saw and the coordinator is the same."""
+
+    def processed(preview: bool):
+        r = random.Random(31)
+        poll, coordinator, voters, shared = make_poll(r)
+        keys = {"coordinator": coordinator, "stranger": KeyPair.generate(r)}
+        cast(poll, r, voters[0], shared[0], 0, {0: 1})
+        cast(poll, r, voters[2], shared[2], 2, {2: 1}, now=1)
+        if preview:
+            poll.preview_valid_votes(keys[preview_by])
+        if late_intake == "ballot":
+            cast(poll, r, voters[1], shared[1], 1, {1: 1}, now=5)
+        elif late_intake == "voter":
+            poll.register_voter(KeyPair.generate(r).public, 1)
+        poll.close(100)
+        final_states, transcript = poll.process_messages(coordinator)
+        return poll.tally, transcript, final_states
+
+    assert processed(preview=True) == processed(preview=False)
+
+
+def test_a_preview_alone_is_not_processing(rng) -> None:
+    poll, coordinator, voters, shared = make_poll(rng)
+    cast(poll, rng, voters[0], shared[0], 0, {0: 1})
+    assert poll.preview_valid_votes(coordinator)[0].vote is not None
+    poll.close(100)
+    with pytest.raises(CommitBeforeProcessing):
+        poll.tally
+    with pytest.raises(CommitBeforeProcessing):
+        poll.commit_tally({0: 1}, rng)
+    with pytest.raises(CommitBeforeProcessing):
+        poll.audit_transcript()
+
+
 # ---- commitments -------------------------------------------------------------------
 
 
