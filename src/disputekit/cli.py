@@ -4,10 +4,12 @@ Three subcommands, three artifact formats:
 
   run <file> [--seed N] [--out PATH]
       Execute a JSON scenario file end-to-end and emit the run report
-      (JSON, keys sorted, two-space indent). The file is validated
-      against the published document schema before anything runs.
-      Exit 0 when every step met its expectation, 1 when one did not,
-      2 on a parse or schema error.
+      (JSON, keys sorted, two-space indent). The runner checks the file
+      against the published document schema (`scenario.SCENARIO_SCHEMA`)
+      before anything runs. Exit 0 when every step met its expectation
+      and every invariant held, 1 when one did not (each failed step,
+      and any broken invariant, named on stderr), 2 on a parse or schema
+      error or a step that refers to nothing.
 
   sweep <v_max> <grid_step> [--out PATH]
       Brute-force both runoff pricing rules over every integer budget
@@ -34,9 +36,10 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Optional
+from typing import Any, Mapping, Optional
 
-import jsonschema
+# not used here: benchmarks/tracing.py reaches jsonschema as `cli.jsonschema`
+import jsonschema  # noqa: F401
 
 from .errors import MalformedScript
 from .maci import (
@@ -48,166 +51,11 @@ from .maci import (
     verify_audit,
 )
 from .oracle import SweepReport, consistency_sweep, square_grid_pairs
-from .scenario import EXPECT_PATTERN, op_signatures, run_scenario
+from .scenario import run_scenario
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-# ---- the published scenario-file schema ---------------------------------------
-
-_FIELD_SCHEMAS: dict[str, dict[str, Any]] = {
-    "human": {"type": "string"},
-    "voucher": {"type": "string"},
-    "reason": {"type": "string"},
-    "initiator": {"type": "string"},
-    "respondents": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-    "fee": {"type": "integer"},
-    "t1": {"type": "integer"},
-    "t2": {"type": "integer"},
-    "min_judges": {"type": "integer"},
-    "extension": {"type": "integer"},
-    "phase2_window": {"type": "integer"},
-    "dispute": {"type": "integer"},
-    "party": {"type": "string"},
-    "label": {"type": "string"},
-    "text": {"type": "string"},
-    "judge": {"type": "string"},
-    "proposal": {"type": "string"},
-    "rotate_key": {"type": "boolean"},
-    "allocations": {
-        "type": "object",
-        "propertyNames": {"pattern": "^-?[0-9]+$"},
-        "additionalProperties": {"type": "integer"},
-    },
-    "wallet": {"type": "string"},
-    "complied": {"type": "boolean"},
-    "deadline_passed": {"type": "boolean"},
-}
-
-
-def _step_schema(op: str) -> dict[str, Any]:
-    """The schema branch for one op: its `op` pinned by `const`, its own
-    fields typed, unknown fields rejected."""
-    required, optional = op_signatures()[op]
-    properties: dict[str, Any] = {
-        "op": {"const": op},
-        "t": {"type": "integer"},
-        "expect": {"type": "string", "pattern": EXPECT_PATTERN},
-        "expect_result": {},
-    }
-    for field in sorted(required | optional):
-        properties[field] = _FIELD_SCHEMAS[field]
-    return {
-        "type": "object",
-        "properties": properties,
-        "required": ["op", "t", *sorted(required)],
-        "additionalProperties": False,
-    }
-
-
-def _document_schema(step: dict[str, Any] | bool) -> dict[str, Any]:
-    """The top-level scenario document, with `step` as the schema of each
-    timeline item (`True` accepts any item)."""
-    return {
-        "$schema": "https://json-schema.org/draft/2020-12/schema",
-        "title": "Scenario file",
-        "type": "object",
-        "properties": {
-            "seed": {"type": "integer"},
-            "config": {
-                "type": "object",
-                "properties": {
-                    "genesis_humans": {
-                        "type": "array",
-                        "items": {"type": "string"},
-                        "uniqueItems": True,
-                    },
-                    "challenge_window": {"type": "integer", "minimum": 1},
-                    "tree_depth": {"type": "integer", "minimum": 1},
-                },
-                "additionalProperties": False,
-            },
-            "timeline": {"type": "array", "items": step},
-            "expected": {"type": "object"},
-        },
-        "required": ["seed", "timeline"],
-        "additionalProperties": False,
-    }
-
-
-def scenario_schema() -> dict[str, Any]:
-    """JSON Schema for scenario files, generated from the runner's own
-    operation catalogue: one branch per op, unknown fields rejected."""
-    return _document_schema(
-        {"oneOf": [_step_schema(op) for op in sorted(op_signatures())]}
-    )
-
-
-SCENARIO_SCHEMA = scenario_schema()
-
-# ScenarioValidator's validators, built once at import: the document with its
-# steps left unchecked, one per op for the steps that name it, and one for a
-# step that names no known op.
-_ENVELOPE = jsonschema.Draft202012Validator(_document_schema(True))
-_STEP_VALIDATORS = {
-    op: jsonschema.Draft202012Validator(_step_schema(op)) for op in op_signatures()
-}
-_KNOWN_OP = jsonschema.Draft202012Validator(
-    {
-        "type": "object",
-        "properties": {"op": {"enum": sorted(op_signatures())}},
-        "required": ["op"],
-    }
-)
-
-
-class ScenarioValidator:
-    """A validator for SCENARIO_SCHEMA, in the form `jsonschema.validate`
-    takes as `cls`. Every branch of the schema's `oneOf` pins `op` with
-    `const`, so at most one branch can match a step: checking the document
-    apart from its steps, then each step against its own op's branch,
-    accepts exactly the documents SCENARIO_SCHEMA accepts, without trying
-    every branch on every step."""
-
-    def __init__(self, schema: Any) -> None:
-        self.check_schema(schema)
-
-    @staticmethod
-    def check_schema(schema: Any) -> None:
-        """SCENARIO_SCHEMA is built at import and checked against its
-        metaschema by the test suite, not on every run."""
-        if schema is not SCENARIO_SCHEMA:
-            raise jsonschema.SchemaError("ScenarioValidator checks SCENARIO_SCHEMA only")
-
-    def iter_errors(self, script: Any) -> Iterator[jsonschema.ValidationError]:
-        """The errors of the document apart from its steps or, when there are
-        none, those of the first step that fails, with paths from the
-        document root."""
-        errors = list(_ENVELOPE.iter_errors(script))
-        if errors:
-            return iter(errors)
-        for position, step in enumerate(script["timeline"]):
-            op = step.get("op") if isinstance(step, dict) else None
-            validator = (
-                _STEP_VALIDATORS.get(op, _KNOWN_OP) if isinstance(op, str) else _KNOWN_OP
-            )
-            errors = list(validator.iter_errors(step))
-            if errors:
-                for error in errors:
-                    error.path.extendleft((position, "timeline"))
-                return iter(errors)
-        return iter(())
-
-
-def _located(error: jsonschema.ValidationError) -> str:
-    """`error`'s message, led by the path of the value it is about, e.g.
-    `timeline[17].expect: 'maybe' does not match ...`."""
-    where = ""
-    for key in error.absolute_path:
-        where += f"[{key}]" if isinstance(key, int) else f".{key}"
-    return f"{where.lstrip('.')}: {error.message}" if where else error.message
-
 
 # ---- audit artifact (de)serialization -------------------------------------------
 
@@ -368,12 +216,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        # benchmarks/tracing.py times this call as the `cli.schema` span
-        jsonschema.validate(script, SCENARIO_SCHEMA, cls=ScenarioValidator)
-    except jsonschema.ValidationError as exc:
-        print(f"scenario fails the schema: {_located(exc)}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         report = run_scenario(script, seed=args.seed)
     except MalformedScript as exc:
         print(f"malformed scenario: {exc}", file=sys.stderr)
@@ -383,6 +225,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not report["ok"]:
         failed = [
             f"step {step['position']} ({step['op']})"
+            + (f": {step['invariant']}" if "invariant" in step else "")
             for step in report["steps"]
             if not step["pass"]
         ]

@@ -5,7 +5,9 @@ one personhood registry, one juror group, one coordinator, one escrow, and
 any number of disputes, all drawing randomness from a single seeded
 generator so a run can be replayed bit-for-bit. The scenario runner drives
 a `World` from a plain-dict script (usually parsed from JSON) and produces
-a JSON-able report.
+a JSON-able report. The published scenario schema, `SCENARIO_SCHEMA`, is
+built here from the runner's own operation table, and the runner applies
+it to every script, whoever calls it.
 
 Everything a chain observer could see goes through the `AdversaryView`:
 an append-only log of schema-checked public events. Ballot plaintexts,
@@ -15,9 +17,10 @@ and attack probes read the view to confirm exactly that.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Iterator, Mapping, Optional, Sequence
+
+import jsonschema
 
 from .engine import (
     DisputeConfig,
@@ -25,7 +28,7 @@ from .engine import (
     Escrow,
     enrollment_scope,
 )
-from .errors import DuplicateHuman, MalformedScript, ProtocolError
+from .errors import MalformedScript, ProtocolError
 from .identity import Identity, PohRegistry, SemaphoreGroup, create_signal
 from .incentives import (
     ReputationLedger,
@@ -485,18 +488,6 @@ _OPS: dict[str, tuple[set[str], set[str]]] = {
     "issue_party_sbt": ({"dispute", "party", "complied", "deadline_passed"}, set()),
 }
 
-
-def op_signatures() -> dict[str, tuple[frozenset[str], frozenset[str]]]:
-    """Public catalogue of script operations: op -> (required, optional)
-    payload fields, excluding the step metadata (op, t, expect,
-    expect_result). The CLI builds its published document schema from
-    this, so the two layers cannot drift apart."""
-    return {
-        op: (frozenset(required), frozenset(optional))
-        for op, (required, optional) in _OPS.items()
-    }
-
-
 # ops whose world method takes no `now`
 _TIMELESS = {
     "group_join",
@@ -509,12 +500,182 @@ _TIMELESS = {
 _STEP_META = {"op", "t", "expect", "expect_result"}
 
 # What a step may expect: success, or a rejection naming its error class.
-# `(?!\n)` keeps Python's `re.search`, whose `$` also matches before a
-# final newline, to the ECMA-262 meaning of the published schema.
+# `(?!\n)` keeps Python's `re.search`, which jsonschema's `pattern` uses and
+# whose `$` also matches before a final newline, to the ECMA-262 meaning of
+# the published schema.
 EXPECT_PATTERN = r"^(ok|error:[A-Za-z]+)(?!\n)$"
 
 # script field names -> world method parameter names
 _RENAMES = {"dispute": "dispute_id", "judge": "human", "proposal": "proposal_text"}
+
+# ---- the published scenario-file schema ---------------------------------------
+
+_FIELD_SCHEMAS: dict[str, dict[str, Any]] = {
+    "human": {"type": "string"},
+    "voucher": {"type": "string"},
+    "reason": {"type": "string"},
+    "initiator": {"type": "string"},
+    "respondents": {"type": "array", "items": {"type": "string"}, "minItems": 1},
+    "fee": {"type": "integer"},
+    "t1": {"type": "integer"},
+    "t2": {"type": "integer"},
+    "min_judges": {"type": "integer"},
+    "extension": {"type": "integer"},
+    "phase2_window": {"type": "integer"},
+    "dispute": {"type": "integer"},
+    "party": {"type": "string"},
+    "label": {"type": "string"},
+    "text": {"type": "string"},
+    "judge": {"type": "string"},
+    "proposal": {"type": "string"},
+    "rotate_key": {"type": "boolean"},
+    "allocations": {
+        "type": "object",
+        "propertyNames": {"pattern": "^-?[0-9]+$"},
+        "additionalProperties": {"type": "integer"},
+    },
+    "wallet": {"type": "string"},
+    "complied": {"type": "boolean"},
+    "deadline_passed": {"type": "boolean"},
+}
+
+
+def _step_schema(op: str) -> dict[str, Any]:
+    """The schema branch for one op: its `op` pinned by `const`, its own
+    fields typed, unknown fields rejected."""
+    required, optional = _OPS[op]
+    properties: dict[str, Any] = {
+        "op": {"const": op},
+        "t": {"type": "integer", "minimum": 0},
+        "expect": {"type": "string", "pattern": EXPECT_PATTERN},
+        "expect_result": {},
+    }
+    for field in sorted(required | optional):
+        properties[field] = _FIELD_SCHEMAS[field]
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": ["op", "t", *sorted(required)],
+        "additionalProperties": False,
+    }
+
+
+def _document_schema(step: dict[str, Any] | bool) -> dict[str, Any]:
+    """The top-level scenario document, with `step` as the schema of each
+    timeline item (`True` accepts any item)."""
+    return {
+        "$schema": "https://json-schema.org/draft/2020-12/schema",
+        "title": "Scenario file",
+        "type": "object",
+        "properties": {
+            "seed": {"type": "integer"},
+            "config": {
+                "type": "object",
+                "properties": {
+                    "genesis_humans": {
+                        "type": "array",
+                        "items": {"type": "string"},
+                        "uniqueItems": True,
+                    },
+                    "challenge_window": {"type": "integer", "minimum": 1},
+                    # 32 is Semaphore's MAX_DEPTH; a tree costs time and
+                    # memory linear in its depth
+                    "tree_depth": {"type": "integer", "minimum": 1, "maximum": 32},
+                },
+                "additionalProperties": False,
+            },
+            "timeline": {"type": "array", "items": step},
+            "expected": {"type": "object"},
+        },
+        "required": ["seed", "timeline"],
+        "additionalProperties": False,
+    }
+
+
+def scenario_schema() -> dict[str, Any]:
+    """JSON Schema for scenario files, generated from the runner's own
+    operation catalogue: one branch per op, unknown fields rejected."""
+    return _document_schema({"oneOf": [_step_schema(op) for op in sorted(_OPS)]})
+
+
+SCENARIO_SCHEMA = scenario_schema()
+
+# ScenarioValidator's validators, built once at import: the document with its
+# steps left unchecked, one per op for the steps that name it, and one for a
+# step that names no known op.
+_ENVELOPE = jsonschema.Draft202012Validator(_document_schema(True))
+_STEP_VALIDATORS = {
+    op: jsonschema.Draft202012Validator(_step_schema(op)) for op in _OPS
+}
+_KNOWN_OP = jsonschema.Draft202012Validator(
+    {
+        "type": "object",
+        "properties": {"op": {"enum": sorted(_OPS)}},
+        "required": ["op"],
+    }
+)
+
+
+class ScenarioValidator:
+    """A validator for SCENARIO_SCHEMA, in the form `jsonschema.validate`
+    takes as `cls`. Every branch of the schema's `oneOf` pins `op` with
+    `const`, so at most one branch can match a step: checking the document
+    apart from its steps, then each step against its own op's branch,
+    accepts exactly the documents SCENARIO_SCHEMA accepts, without trying
+    every branch on every step."""
+
+    def __init__(self, schema: Any) -> None:
+        self.check_schema(schema)
+
+    @staticmethod
+    def check_schema(schema: Any) -> None:
+        """SCENARIO_SCHEMA is built at import and checked against its
+        metaschema by the test suite, not on every run."""
+        if schema is not SCENARIO_SCHEMA:
+            raise jsonschema.SchemaError("ScenarioValidator checks SCENARIO_SCHEMA only")
+
+    def iter_errors(self, script: Any) -> Iterator[jsonschema.ValidationError]:
+        """The errors of the document apart from its steps or, when there are
+        none, those of the first step that fails, with paths from the
+        document root."""
+        errors = list(_ENVELOPE.iter_errors(script))
+        if errors:
+            return iter(errors)
+        for position, step in enumerate(script["timeline"]):
+            op = step.get("op") if isinstance(step, dict) else None
+            validator = (
+                _STEP_VALIDATORS.get(op, _KNOWN_OP) if isinstance(op, str) else _KNOWN_OP
+            )
+            errors = list(validator.iter_errors(step))
+            if errors:
+                for error in errors:
+                    error.path.extendleft((position, "timeline"))
+                return iter(errors)
+        return iter(())
+
+
+def _located(error: jsonschema.ValidationError) -> str:
+    """`error`'s message, led by the path of the value it is about, e.g.
+    `timeline[17].expect: 'maybe' does not match ...`."""
+    where = ""
+    for key in error.absolute_path:
+        where += f"[{key}]" if isinstance(key, int) else f".{key}"
+    return f"{where.lstrip('.')}: {error.message}" if where else error.message
+
+
+def _integral(value: Any) -> Any:
+    """`value` with every integral float made an int: JSON Schema counts
+    `25.0` as an integer, so the runner must too."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, dict):
+        return {key: _integral(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_integral(item) for item in value]
+    return value
+
+
+# ---- running a script ------------------------------------------------------------
 
 
 def _call_op(world: World, op: str, step: Mapping[str, Any]) -> Any:
@@ -527,46 +688,6 @@ def _call_op(world: World, op: str, step: Mapping[str, Any]) -> Any:
     if op not in _TIMELESS:
         kwargs["now"] = step["t"]
     return method(**kwargs)
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise MalformedScript(message)
-
-
-def _validate_step(position: int, step: Any, last_t: int) -> int:
-    _require(isinstance(step, Mapping), f"step {position}: not an object")
-    _require("op" in step, f"step {position}: missing op")
-    op = step["op"]
-    _require(op in _OPS, f"step {position}: unknown op {op!r}")
-    _require(
-        isinstance(step.get("t"), int) and not isinstance(step.get("t"), bool),
-        f"step {position}: missing integer timestamp",
-    )
-    _require(
-        step["t"] >= last_t,
-        f"step {position}: timestamps must be non-decreasing",
-    )
-    required, optional = _OPS[op]
-    fields = set(step) - _STEP_META
-    _require(
-        required <= fields,
-        f"step {position}: {op} missing {sorted(required - fields)}",
-    )
-    _require(
-        fields <= required | optional,
-        f"step {position}: {op} has unknown fields "
-        f"{sorted(fields - required - optional)}",
-    )
-    expect = step.get("expect", "ok")
-    _require(
-        isinstance(expect, str) and re.fullmatch(EXPECT_PATTERN, expect) is not None,
-        f"step {position}: expect must be 'ok' or 'error:<Name>'",
-    )
-    return step["t"]
-
-
-_CONFIG_FIELDS = {"genesis_humans", "challenge_window", "tree_depth"}
 
 
 def matches_expected(snapshot: Any, expected: Any) -> bool:
@@ -585,43 +706,33 @@ def matches_expected(snapshot: Any, expected: Any) -> bool:
 def run_scenario(script: Mapping[str, Any], *, seed: Optional[int] = None) -> dict:
     """Execute a script against a fresh world; returns the run report.
 
-    Structural problems in the script raise MalformedScript. Protocol
+    A script that fails SCENARIO_SCHEMA, or whose timestamps decrease,
+    raises MalformedScript naming the value at fault; so does a step that
+    refers to an actor or dispute that does not exist. Protocol
     rejections do not raise — each step says what it expects ("ok" by
     default, or "error:SomeError") and the report records whether
     expectations held. `seed` overrides the script's own seed.
     """
-    _require(isinstance(script, Mapping), "script must be an object")
-    _require(
-        set(script) <= {"seed", "config", "timeline", "expected"},
-        f"unknown top-level keys {sorted(set(script) - {'seed', 'config', 'timeline', 'expected'})}",
-    )
-    _require("seed" in script and isinstance(script["seed"], int), "missing integer seed")
-    _require(isinstance(script.get("timeline"), list), "missing timeline list")
-    config = script.get("config", {})
-    _require(isinstance(config, Mapping), "config must be an object")
-    _require(
-        set(config) <= _CONFIG_FIELDS,
-        f"unknown config keys {sorted(set(config) - _CONFIG_FIELDS)}",
-    )
-    for knob in sorted({"challenge_window", "tree_depth"} & set(config)):
-        _require(
-            isinstance(config[knob], int) and not isinstance(config[knob], bool),
-            f"config: {knob} must be an integer",
-        )
+    try:
+        # benchmarks/tracing.py times this call as the `cli.schema` span
+        jsonschema.validate(script, SCENARIO_SCHEMA, cls=ScenarioValidator)
+    except jsonschema.ValidationError as exc:
+        raise MalformedScript(f"fails the schema: {_located(exc)}") from None
+    timeline = script["timeline"]
+    for position, (before, step) in enumerate(zip(timeline, timeline[1:]), 1):
+        if step["t"] < before["t"]:
+            raise MalformedScript(
+                f"timeline[{position}].t: {step['t']} follows {before['t']}; "
+                "timestamps must be non-decreasing"
+            )
+    script = _integral(script)
 
     effective_seed = seed if seed is not None else script["seed"]
-    try:
-        world = World(effective_seed, **config)
-    except ValueError as exc:
-        raise MalformedScript(f"config: {exc}") from None
-    except DuplicateHuman as exc:
-        raise MalformedScript(f"config: duplicate genesis human {exc}") from None
+    world = World(effective_seed, **script.get("config", {}))
 
     steps_report: list[dict] = []
     ok = True
-    last_t = 0
     for position, step in enumerate(script["timeline"]):
-        last_t = _validate_step(position, step, last_t)
         op = step["op"]
         expect = step.get("expect", "ok")
         entry: dict[str, Any] = {"position": position, "op": op, "t": step["t"]}

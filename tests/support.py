@@ -28,6 +28,98 @@ def plant_double_booked_payouts(monkeypatch) -> None:
     monkeypatch.setattr(Escrow, "payout", double_booked)
 
 
+def naming(mutate, *names):
+    """A corruption that applies `mutate` and returns the words the error
+    must contain: where the fault is, and what it is."""
+    return lambda script: (mutate(script), names)[1]
+
+
+def schema_fault(mutate, *names):
+    """A corruption the published schema rejects, naming `names`."""
+    return naming(mutate, "fails the schema", *names)
+
+
+def appended(step):
+    """A mutation that adds `step` at the end of the timeline."""
+    return lambda s: s["timeline"].append(step)
+
+
+# Every structural fault of a scenario file: a corruption of
+# `scenarios/happy_path.json` (29 steps) and the words its error must
+# contain. The run harness checks each through `run_scenario`, the CLI
+# tests through `disputekit run`.
+STRUCTURAL_FAULTS = [
+    schema_fault(lambda s: s.pop("seed"), "'seed' is a required property"),
+    schema_fault(lambda s: s.__setitem__("seed", "7"), "seed: '7'"),
+    schema_fault(lambda s: s.__setitem__("unknown_key", 1), "'unknown_key'"),
+    schema_fault(
+        lambda s: s.__setitem__("config", {"bad_knob": 2}), "config: ", "'bad_knob'"
+    ),
+    schema_fault(
+        appended({"op": "fly_to_moon", "t": 999}), "timeline[29].op: 'fly_to_moon'"
+    ),
+    schema_fault(
+        appended({"op": "group_join", "t": 999, "human": "x", "extra": 1}),
+        "timeline[29]: ",
+        "'extra'",
+    ),
+    schema_fault(
+        appended({"op": "close_phase1", "t": 999}),
+        "timeline[29]: 'dispute' is a required property",
+    ),
+    schema_fault(
+        lambda s: s["timeline"][0].update(expect="maybe"),
+        "timeline[0].expect: 'maybe'",
+    ),
+    schema_fault(lambda s: s["config"].update(tree_depth=0), "config.tree_depth: 0"),
+    schema_fault(
+        lambda s: s["config"].update(challenge_window=0), "config.challenge_window: 0"
+    ),
+    schema_fault(
+        lambda s: s["config"]["genesis_humans"].append("judge0"),
+        "config.genesis_humans: ",
+        "non-unique",
+    ),
+    # Python's `$` alone would also match before this trailing newline
+    schema_fault(
+        lambda s: s["timeline"][0].update(expect="ok\n"),
+        "timeline[0].expect: 'ok\\n'",
+    ),
+    schema_fault(lambda s: s.pop("timeline"), "'timeline' is a required property"),
+    schema_fault(
+        appended({"op": "poh_finalize"}), "timeline[29]: 't' is a required property"
+    ),
+    schema_fault(
+        appended({"op": "enroll_judge", "t": 999}),
+        "timeline[29]: ",
+        "is a required property",
+    ),
+    schema_fault(
+        appended({"op": "poh_finalize", "t": 999, "expect": "error:"}),
+        "timeline[29].expect: 'error:' does not match",
+    ),
+    schema_fault(
+        appended({"op": "poh_finalize", "t": 999, "expect": "error:Bad Name"}),
+        "timeline[29].expect: 'error:Bad Name' does not match",
+    ),
+    # 32 is Semaphore's MAX_DEPTH
+    schema_fault(
+        lambda s: s["config"].update(tree_depth=33),
+        "config.tree_depth: 33 is greater than the maximum of 32",
+    ),
+    schema_fault(
+        lambda s: s["timeline"][0].update(t=-1),
+        "timeline[0].t: -1 is less than the minimum of 0",
+    ),
+    # the one structural rule the schema cannot state
+    naming(
+        lambda s: s["timeline"].insert(0, {"op": "poh_finalize", "t": 10**6}),
+        "timeline[1].t: 0 follows 1000000",
+        "non-decreasing",
+    ),
+]
+
+
 class Court:
     """Registry + juror group + engine, with ergonomic vote helpers.
 

@@ -13,22 +13,25 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from support import plant_double_booked_payouts, resolved_court
+from support import STRUCTURAL_FAULTS, plant_double_booked_payouts, resolved_court
 
 import disputekit.oracle as oracle
 from disputekit.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
-    SCENARIO_SCHEMA,
-    ScenarioValidator,
     commitment_to_jsonable,
     main,
-    scenario_schema,
     transcript_from_jsonable,
     transcript_to_jsonable,
 )
 from disputekit.maci import message_set_digest
+from disputekit.scenario import (
+    _OPS,
+    SCENARIO_SCHEMA,
+    ScenarioValidator,
+    scenario_schema,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 HAPPY = REPO / "scenarios" / "happy_path.json"
@@ -98,63 +101,11 @@ def test_run_ledger_fault_exits_one_without_traceback(monkeypatch, capsys) -> No
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert report["steps"][-1]["invariant"] == "escrow conservation violated"
-    assert "issue_party_sbt" in captured.err and "Traceback" not in captured.err
+    assert "issue_party_sbt): escrow conservation violated" in captured.err
+    assert "Traceback" not in captured.err
 
 
-def naming(mutate, *names):
-    """A corruption that applies `mutate` and returns the words the schema
-    error must contain: where the fault is, and what it is."""
-    return lambda script: (mutate(script), names)[1]
-
-
-@pytest.mark.parametrize(
-    "corrupt",
-    [
-        naming(lambda s: s.pop("seed"), "'seed' is a required property"),
-        naming(lambda s: s.__setitem__("seed", "7"), "seed: '7'"),
-        naming(lambda s: s.__setitem__("unknown_key", 1), "'unknown_key'"),
-        naming(
-            lambda s: s.__setitem__("config", {"bad_knob": 2}), "config: ", "'bad_knob'"
-        ),
-        naming(
-            lambda s: s["timeline"].append({"op": "fly_to_moon", "t": 999}),
-            "timeline[29].op: 'fly_to_moon'",
-        ),
-        naming(
-            lambda s: s["timeline"].append(
-                {"op": "group_join", "t": 999, "human": "x", "extra": 1}
-            ),
-            "timeline[29]: ",
-            "'extra'",
-        ),
-        naming(
-            lambda s: s["timeline"].append({"op": "close_phase1", "t": 999}),
-            "timeline[29]: 'dispute' is a required property",
-        ),
-        naming(
-            lambda s: s["timeline"].__setitem__(
-                0, {**s["timeline"][0], "expect": "maybe"}
-            ),
-            "timeline[0].expect: 'maybe'",
-        ),
-        naming(lambda s: s["config"].update(tree_depth=0), "config.tree_depth: 0"),
-        naming(
-            lambda s: s["config"].update(challenge_window=0), "config.challenge_window: 0"
-        ),
-        naming(
-            lambda s: s["config"]["genesis_humans"].append("judge0"),
-            "config.genesis_humans: ",
-            "non-unique",
-        ),
-        # Python's `$` alone would also match before this trailing newline
-        naming(
-            lambda s: s["timeline"].__setitem__(
-                0, {**s["timeline"][0], "expect": "ok\n"}
-            ),
-            "timeline[0].expect: 'ok\\n'",
-        ),
-    ],
-)
+@pytest.mark.parametrize("corrupt", STRUCTURAL_FAULTS)
 def test_run_schema_violations_exit_two(tmp_path, capsys, corrupt) -> None:
     script = json.loads(HAPPY.read_text())
     named = corrupt(script)
@@ -162,9 +113,55 @@ def test_run_schema_violations_exit_two(tmp_path, capsys, corrupt) -> None:
     assert main(["run", path]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""  # no report on a rejected file
-    assert "schema" in captured.err
+    assert captured.err.startswith("malformed scenario: ")
     for words in named:
         assert words in captured.err
+
+
+def as_floats(node):
+    """`node` with every integer, booleans aside, written as a float."""
+    if isinstance(node, dict):
+        return {key: as_floats(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [as_floats(value) for value in node]
+    if isinstance(node, int) and not isinstance(node, bool):
+        return float(node)
+    return node
+
+
+def at_depth_two(script):
+    script["config"]["tree_depth"] = 2
+    return script
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        json.loads(HAPPY.read_text()),
+        json.loads(STALLED.read_text()),
+        at_depth_two(json.loads(STALLED.read_text())),
+    ],
+    ids=["happy", "stalled", "stalled_depth_2"],
+)
+def test_integral_floats_run_as_integers(tmp_path, script) -> None:
+    """JSON Schema counts `25.0` as an integer, so the runner must too: a
+    scenario with every integer written as a float reports the same bytes."""
+    twin = as_floats(script)
+    assert isinstance(twin["config"]["tree_depth"], float)
+    reports = []
+    for name, doc in (("original", script), ("twin", twin)):
+        out = tmp_path / f"{name}.report.json"
+        path = write_json(tmp_path / f"{name}.json", doc)
+        assert main(["run", path, "--out", str(out)]) == EXIT_OK
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_run_accepts_the_deepest_tree(tmp_path, capsys) -> None:
+    script = json.loads(HAPPY.read_text())
+    script["config"]["tree_depth"] = 32
+    assert main(["run", write_json(tmp_path / "deep.json", script)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["ok"]
 
 
 def test_run_unparseable_file_exits_two(tmp_path, capsys) -> None:
@@ -279,6 +276,88 @@ def test_scenario_check_agrees_with_the_reference_validator(tmp_path, doc) -> No
     assert "Traceback" not in err.getvalue()
     if rejected:
         assert code == EXIT_USAGE and out.getvalue() == ""
+
+
+# ---- any document given to `run` keeps the exit contract ------------------------
+
+NAMES = st.sampled_from(["alice", "bob", "judge0", "judge1", "judge2", "nobody", ""])
+# negatives, past int64, past a float's exact range, and integral floats
+NUMBERS = st.sampled_from([-1, 0, 1, 2, 3, 10, 200, 2**63, 10**25, -5.0, 2.0, 200.0])
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | NUMBERS
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["seed", "config", "timeline", "op", "t"])
+        | st.text(max_size=3),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=10,
+)
+WELL_TYPED = {
+    "integer": NUMBERS,
+    "string": NAMES,
+    "boolean": st.booleans(),
+    "array": st.lists(NAMES, min_size=1, max_size=3),
+    "object": st.dictionaries(
+        st.sampled_from(["0", "1", "2", "-1"]), NUMBERS, max_size=3
+    ),
+}
+# each op's schema branch, for the JSON type of its fields
+BRANCHES = {
+    branch["properties"]["op"]["const"]: branch["properties"]
+    for branch in SCENARIO_SCHEMA["properties"]["timeline"]["items"]["oneOf"]
+}
+
+
+@st.composite
+def schema_shaped_scenarios(draw):
+    """A scenario of steps drawn from the runner's op table, each with its
+    op's fields at edge values; one time step in five goes back."""
+    timeline, t = [], 0
+    for _ in range(draw(st.integers(0, 10))):
+        op = draw(st.sampled_from(sorted(_OPS)))
+        required, optional = _OPS[op]
+        t += draw(st.sampled_from([0, 1, 10, 100, -1]))
+        step = {"op": op, "t": t}
+        for field in sorted(required) + sorted(optional):
+            if field in required or draw(st.booleans()):
+                step[field] = draw(WELL_TYPED[BRANCHES[op][field]["type"]])
+        if draw(st.booleans()):
+            step["expect"] = draw(st.sampled_from(["ok", "error:ZeroFee", "error:X"]))
+        timeline.append(step)
+    config = draw(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "genesis_humans": st.lists(NAMES, unique=True, max_size=4),
+                "challenge_window": NUMBERS,
+                "tree_depth": st.sampled_from([0, 1, 2, 4, 12, 32, 33, 3.0]),
+            },
+        )
+    )
+    return {"seed": draw(NUMBERS), "config": config, "timeline": timeline}
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=JSON_VALUES | schema_shaped_scenarios())
+def test_run_keeps_the_exit_contract_on_any_document(tmp_path, doc) -> None:
+    path = write_json(tmp_path / "any.json", doc)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["run", path])
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_USAGE:
+        assert out.getvalue() == ""
 
 
 # every JSON type, two kinds of bad hex, and the empty list and object

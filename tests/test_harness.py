@@ -25,7 +25,7 @@ from disputekit.scenario import (
     run_scenario,
 )
 
-from support import plant_double_booked_payouts
+from support import STRUCTURAL_FAULTS, plant_double_booked_payouts
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -157,73 +157,14 @@ def test_seed_override_changes_bytes_not_verdicts() -> None:
     )
 
 
-@pytest.mark.parametrize(
-    "mutate, message_part",
-    [
-        (lambda s: s.pop("seed"), "seed"),
-        (lambda s: s.__setitem__("seed", "7"), "seed"),
-        (lambda s: s.__setitem__("surprise", 1), "unknown top-level"),
-        (lambda s: s.__setitem__("config", {"bad_knob": 1}), "unknown config"),
-        (lambda s: s.pop("timeline"), "timeline"),
-        (
-            lambda s: s["timeline"].append({"op": "take_over_the_world", "t": 999}),
-            "unknown op",
-        ),
-        (
-            lambda s: s["timeline"].append({"op": "poh_finalize"}),
-            "timestamp",
-        ),
-        (
-            lambda s: s["timeline"].insert(0, {"op": "poh_finalize", "t": 10 ** 6})
-            or s["timeline"].append({"op": "poh_finalize", "t": 0}),
-            "non-decreasing",
-        ),
-        (
-            lambda s: s["timeline"].append(
-                {"op": "group_join", "t": 999, "human": "ghost", "extra": 1}
-            ),
-            "unknown fields",
-        ),
-        (
-            lambda s: s["timeline"].append({"op": "enroll_judge", "t": 999}),
-            "missing",
-        ),
-        (lambda s: s["config"].__setitem__("tree_depth", 0), "config: depth"),
-        (
-            lambda s: s["config"].__setitem__("tree_depth", 2.0),
-            "config: tree_depth must be an integer",
-        ),
-        (lambda s: s["config"].__setitem__("challenge_window", 0), "config: challenge"),
-        (
-            lambda s: s["config"]["genesis_humans"].append("judge0"),
-            "duplicate genesis human judge0",
-        ),
-        (
-            lambda s: s["timeline"].append(
-                {"op": "poh_finalize", "t": 999, "expect": "error:"}
-            ),
-            "expect must be 'ok' or 'error:<Name>'",
-        ),
-        (
-            lambda s: s["timeline"].append(
-                {"op": "poh_finalize", "t": 999, "expect": "error:Bad Name"}
-            ),
-            "expect must be 'ok' or 'error:<Name>'",
-        ),
-        (
-            lambda s: s["timeline"].append(
-                {"op": "poh_finalize", "t": 999, "expect": "ok\n"}
-            ),
-            "expect must be 'ok' or 'error:<Name>'",
-        ),
-    ],
-)
-def test_malformed_scripts_are_rejected(mutate, message_part) -> None:
+@pytest.mark.parametrize("corrupt", STRUCTURAL_FAULTS)
+def test_malformed_scripts_are_rejected(corrupt) -> None:
     script = happy_path_script()
-    mutate(script)
+    named = corrupt(script)
     with pytest.raises(MalformedScript) as excinfo:
         run_scenario(script)
-    assert message_part in str(excinfo.value)
+    for words in named:
+        assert words in str(excinfo.value)
 
 
 def test_unknown_actor_reference_is_malformed() -> None:
