@@ -33,7 +33,7 @@ from .identity import Identity, create_signal
 from .incentives import PARTY_NON_COMPLIANT, issue_party_sbt
 from .maci import build_message
 from .oracle import region_nonempty
-from .primitives import KeyPair, hash_bytes, key_agree
+from .primitives import KeyPair, hash_bytes
 from .scenario import World
 
 BLOCKED = "Blocked"
@@ -102,11 +102,10 @@ def _adversary_ballot(
 ) -> int:
     """A ballot the adversary forces out of (or forges for) a juror slot,
     built entirely from adversarial randomness."""
-    channel = world.channel_keys[(dispute_id, judge)]
     signer = world.signer_keys[(dispute_id, judge)]
     ciphertext = build_message(
         signer=signer,
-        shared_key=key_agree(channel, world.coordinator.public),
+        coordinator_public=world.coordinator.public,
         voter_registration_index=world.reg_index[(dispute_id, judge)],
         votes=votes,
         new_public_key=new_key.public if new_key else None,
@@ -434,7 +433,7 @@ def attack_takeover(seed: int = 2029) -> AttackReport:
     alice_key = world.party_keys["alice"]
     forged = build_message(
         signer=alice_key,
-        shared_key=key_agree(world.party_keys["bob"], world.coordinator.public),
+        coordinator_public=world.coordinator.public,
         voter_registration_index=dispute.parties.index("bob"),
         votes={alice_option: 1},
         rng=world.adversary_rng,

@@ -74,6 +74,11 @@ class Reader:
         self._pos = end
         return chunk
 
+    @property
+    def offset(self) -> int:
+        """How many bytes have been read."""
+        return self._pos
+
     def read_uint32(self) -> int:
         return _U32.unpack(self._take(4))[0]
 

@@ -229,6 +229,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             for step in report["steps"]
             if not step["pass"]
         ]
+        if "invariant" in report:
+            failed.append(report["invariant"])
         if not report.get("expected_match", True):
             failed.append("final-state expectation")
         print("failed: " + "; ".join(failed), file=sys.stderr)

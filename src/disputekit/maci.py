@@ -11,14 +11,21 @@ at processing time:
   is what makes coerced ballots cheaply revocable;
 * spending above the voter's budget invalidates the command.
 
-Processing is "decrypt, then the auditor's replay": trial-decrypt every
-message, then run ``replay_ballots``, the one definition of these rules. It
-emits an ``AuditTranscript``: decrypted commands, per-message verdicts, final
-voter states, the tally, and the commitment salt. The transcript replaces
-succinct proofs at simulation fidelity — ``verify_audit`` runs the same replay
-over it. What it cannot prove is honest decryption of messages the
-coordinator *claims* are garbage; that residual trust in the coordinator is
-the modeled boundary.
+Each ballot travels in MACI's envelope: the client seals it for the
+coordinator under a fresh one-time agreement key, and the ciphertext carries
+that key's public point (MACI's ``encPubKey``). Nothing in the envelope names
+the sender; the signed command inside does.
+
+Processing is "decrypt, then the auditor's replay": open each message with
+one key agreement against its own point and one decryption, so processing is
+linear in the messages; then run ``replay_ballots``, the one definition of
+these rules. A message that does not open (a malformed or low-order point, a
+failed tag) is an AuthFailure. Processing emits an ``AuditTranscript``:
+decrypted commands, per-message verdicts, final voter states, the tally, and
+the commitment salt. The transcript replaces succinct proofs at simulation
+fidelity — ``verify_audit`` runs the same replay over it. What it cannot
+prove is honest decryption of messages the coordinator *claims* are garbage;
+that residual trust in the coordinator is the modeled boundary.
 """
 from __future__ import annotations
 
@@ -64,6 +71,8 @@ from .primitives import (
 )
 from .voting import COST_RULES, NEGATIVES_ALLOWED
 
+SIGNING_LABEL = b"ballot-command-v1"
+
 
 @dataclass(frozen=True)
 class Command:
@@ -81,7 +90,7 @@ class Command:
     voter_registration_index: int
 
     def signing_bytes(self) -> bytes:
-        return b"ballot-command-v1" + self._body()
+        return SIGNING_LABEL + self._body()
 
     def _body(self) -> bytes:
         return b"".join(
@@ -98,22 +107,25 @@ class Command:
         return self._body() + canonical.encode_bytes(signature)
 
 
-def decode_signed_command(plaintext: bytes) -> tuple[Command, bytes]:
+def decode_signed_command(plaintext: bytes) -> tuple[Command, bytes, bytes]:
+    """The command, its body (the slice of `plaintext` that SIGNING_LABEL
+    prefixes to form the signed bytes) and its signature."""
     reader = canonical.Reader(plaintext)
     key = PublicKey.decode(reader.read_bytes())
     options = tuple(reader.read_int_list())
     amounts = tuple(reader.read_int_list())
     memo = reader.read_bytes()
     index = reader.read_int64()
+    body = plaintext[: reader.offset]
     signature = reader.read_bytes()
     reader.expect_end()
-    return Command(key, options, amounts, memo, index), signature
+    return Command(key, options, amounts, memo, index), body, signature
 
 
 def build_message(
     *,
     signer: KeyPair,
-    shared_key: bytes,
+    coordinator_public: PublicKey,
     voter_registration_index: int,
     votes: Mapping[int, int],
     new_public_key: Optional[PublicKey] = None,
@@ -121,7 +133,8 @@ def build_message(
     rng: Optional[random.Random] = None,
 ) -> Ciphertext:
     """Client-side helper: canonical command, signed, sealed for the
-    coordinator. Options are sorted so equal ballots byte-match."""
+    coordinator under a fresh one-time agreement key drawn from `rng`.
+    Options are sorted so equal commands encode alike."""
     options = tuple(sorted(votes))
     command = Command(
         new_public_key=new_public_key or signer.public,
@@ -131,7 +144,7 @@ def build_message(
         voter_registration_index=voter_registration_index,
     )
     signature = sign(signer, command.signing_bytes())
-    return encrypt(shared_key, command.encode_signed(signature), rng)
+    return encrypt(coordinator_public, command.encode_signed(signature), rng)
 
 
 # ---- poll state -----------------------------------------------------------------
@@ -140,7 +153,7 @@ def build_message(
 @dataclass
 class RegisteredVoter:
     registration_index: int
-    registered_key: PublicKey  # fixed; derives the encryption channel
+    registered_key: PublicKey  # fixed; the replay starts from it
     current_key: PublicKey  # rotates via commands
     voice_credits: int
 
@@ -305,13 +318,9 @@ class MaciPoll:
     def _run(
         self, coordinator_secret: KeyPair
     ) -> tuple[tuple[VoterFinalState, ...], AuditTranscript]:
-        shared_keys = [
-            key_agree(coordinator_secret, voter.registered_key)
-            for voter in self.voters
-        ]
         ciphertexts = [message.ciphertext for message in self.messages]
         digests = [ciphertext_digest(ct) for ct in ciphertexts]
-        plaintexts = [_trial_decrypt(shared_keys, ct) for ct in ciphertexts]
+        plaintexts = [_open(coordinator_secret, ct) for ct in ciphertexts]
         initial_voters = tuple(
             (v.registration_index, v.registered_key.encode(), v.voice_credits)
             for v in self.voters
@@ -371,14 +380,13 @@ class MaciPoll:
         return dataclasses.replace(self._processed[1], salt=self._salt)
 
 
-def _trial_decrypt(shared_keys: Sequence[bytes], ct: Ciphertext) -> Optional[bytes]:
-    """Try every voter's channel key; None when no key opens the message."""
-    for key in shared_keys:
-        try:
-            return decrypt(key, ct)
-        except AuthFailure:
-            continue
-    return None
+def _open(coordinator_secret: KeyPair, ct: Ciphertext) -> Optional[bytes]:
+    """One key agreement with the message's own point, one decryption; None
+    when the point is malformed or of low order, or the tag fails."""
+    try:
+        return decrypt(key_agree(coordinator_secret, ct.ephemeral), ct)
+    except (InvalidKey, AuthFailure):
+        return None
 
 
 def _judge_plaintext(
@@ -390,7 +398,7 @@ def _judge_plaintext(
 ) -> tuple[bool, Optional[str], Optional[Command]]:
     """Validity rules for one decrypted command, applied by the replay."""
     try:
-        command, signature = decode_signed_command(plaintext)
+        command, body, signature = decode_signed_command(plaintext)
     except (DecodeError, InvalidKey):
         return False, REASON_DECODE_ERROR, None
     if len(command.vote_option) != len(command.vote_amount):
@@ -402,7 +410,7 @@ def _judge_plaintext(
     idx = command.voter_registration_index
     if not 0 <= idx < len(current_keys):
         return False, REASON_UNKNOWN_VOTER, None
-    if not verify_sig(current_keys[idx], command.signing_bytes(), signature):
+    if not verify_sig(current_keys[idx], SIGNING_LABEL + body, signature):
         return False, REASON_BAD_SIGNATURE, None
     if not negatives_ok and any(a < 0 for a in command.vote_amount):
         return False, REASON_BAD_AMOUNT, None

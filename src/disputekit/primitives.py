@@ -5,7 +5,9 @@ live behind this module's functions; nothing above it names an algorithm.
 One seed yields one participant keypair that can both sign and derive
 shared encryption keys — the two underlying curve keys are derived from
 the seed with domain-separated hashing, so the public half is a pure
-function of the seed.
+function of the seed. A message is sealed for one recipient under a fresh
+one-time agreement key whose public point travels with the ciphertext, so
+the recipient opens it with one key agreement and one decryption.
 
 All randomness is drawn through ``random_bytes`` so callers can inject a
 seeded generator and replay byte-identical protocol runs.
@@ -78,46 +80,51 @@ class PublicKey:
         return PublicKey(data[:32], data[32:])
 
 
-def _signing_private(seed: bytes) -> Ed25519PrivateKey:
-    return Ed25519PrivateKey.from_private_bytes(hash_fields(b"sign", seed))
-
-
-def _agreement_private(seed: bytes) -> X25519PrivateKey:
-    return X25519PrivateKey.from_private_bytes(hash_fields(b"agree", seed))
-
-
 @dataclass(frozen=True)
 class KeyPair:
-    """Participant keypair; ``seed`` is the only secret material."""
+    """Participant keypair; ``seed`` is the only secret material. The two
+    private curve keys derived from it are kept, so signing and key
+    agreement do not rebuild them on every call."""
 
     seed: bytes
     public: PublicKey = field(compare=False)
+    signing: Ed25519PrivateKey = field(compare=False, repr=False)
+    agreement: X25519PrivateKey = field(compare=False, repr=False)
 
     @staticmethod
     def from_seed(seed: bytes) -> "KeyPair":
         if len(seed) != SEED_SIZE:
             raise InvalidKey(f"seed must be {SEED_SIZE} bytes")
-        sign_pub = _signing_private(seed).public_key().public_bytes_raw()
-        agree_pub = _agreement_private(seed).public_key().public_bytes_raw()
-        return KeyPair(seed, PublicKey(sign_pub, agree_pub))
+        signing = Ed25519PrivateKey.from_private_bytes(hash_fields(b"sign", seed))
+        agreement = X25519PrivateKey.from_private_bytes(hash_fields(b"agree", seed))
+        public = PublicKey(
+            signing.public_key().public_bytes_raw(),
+            agreement.public_key().public_bytes_raw(),
+        )
+        return KeyPair(seed, public, signing, agreement)
 
     @staticmethod
     def generate(rng: Optional[random.Random] = None) -> "KeyPair":
         return KeyPair.from_seed(random_bytes(SEED_SIZE, rng))
 
 
-def key_agree(secret: KeyPair, public: PublicKey) -> bytes:
-    """Symmetric 32-byte shared key: agree(a, B) == agree(b, A)."""
+def _shared_key(secret: X25519PrivateKey, peer_point: bytes) -> bytes:
     try:
-        peer = X25519PublicKey.from_public_bytes(public.agree_bytes)
-        raw = _agreement_private(secret.seed).exchange(peer)
-    except (ValueError, TypeError) as exc:
+        raw = secret.exchange(X25519PublicKey.from_public_bytes(peer_point))
+    except (ValueError, TypeError) as exc:  # wrong length or low-order point
         raise InvalidKey(str(exc)) from exc
     return hash_fields(b"shared", raw)
 
 
+def key_agree(secret: KeyPair, peer_point: bytes) -> bytes:
+    """Symmetric 32-byte shared key with the holder of the 32-byte agreement
+    point `peer_point`: agree(a, B.agree_bytes) == agree(b, A.agree_bytes).
+    A point of the wrong length or of low order raises InvalidKey."""
+    return _shared_key(secret.agreement, peer_point)
+
+
 def sign(secret: KeyPair, message: bytes) -> bytes:
-    return _signing_private(secret.seed).sign(message)
+    return secret.signing.sign(message)
 
 
 def verify_sig(public: PublicKey, message: bytes, signature: bytes) -> bool:
@@ -134,20 +141,34 @@ def verify_sig(public: PublicKey, message: bytes, signature: bytes) -> bool:
 
 @dataclass(frozen=True)
 class Ciphertext:
+    """A message sealed for one recipient: the sender's one-time public
+    agreement point, then the AEAD nonce, payload and tag."""
+
+    ephemeral: bytes
     nonce: bytes
     payload: bytes
     tag: bytes
 
     def encode(self) -> bytes:
-        return self.nonce + self.payload + self.tag
+        return self.ephemeral + self.nonce + self.payload + self.tag
 
 
 def encrypt(
-    key: bytes, plaintext: bytes, rng: Optional[random.Random] = None
+    recipient: PublicKey, plaintext: bytes, rng: Optional[random.Random] = None
 ) -> Ciphertext:
+    """Seal `plaintext` for `recipient` under a one-time agreement key drawn
+    from `rng` (32 bytes, then the 12-byte nonce). The recipient opens it
+    with ``decrypt(key_agree(secret, ciphertext.ephemeral), ciphertext)``."""
+    ephemeral = X25519PrivateKey.from_private_bytes(random_bytes(SEED_SIZE, rng))
+    key = _shared_key(ephemeral, recipient.agree_bytes)
     nonce = random_bytes(NONCE_SIZE, rng)
     sealed = ChaCha20Poly1305(key).encrypt(nonce, plaintext, None)
-    return Ciphertext(nonce, sealed[:-TAG_SIZE], sealed[-TAG_SIZE:])
+    return Ciphertext(
+        ephemeral.public_key().public_bytes_raw(),
+        nonce,
+        sealed[:-TAG_SIZE],
+        sealed[-TAG_SIZE:],
+    )
 
 
 def decrypt(key: bytes, ciphertext: Ciphertext) -> bytes:

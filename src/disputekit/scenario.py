@@ -41,7 +41,7 @@ from .incentives import (
     sign_claim,
 )
 from .maci import build_message
-from .primitives import KeyPair, hash_bytes, key_agree
+from .primitives import KeyPair, hash_bytes
 
 # ---- the public record ---------------------------------------------------------
 
@@ -176,8 +176,7 @@ class World:
         self.thresholds = thresholds if thresholds is not None else Thresholds()
         self.identities: dict[str, Identity] = {}
         self.party_keys: dict[str, KeyPair] = {}
-        # per (dispute, judge): fixed encryption channel vs rotating signer
-        self.channel_keys: dict[tuple[int, str], KeyPair] = {}
+        # per (dispute, judge): the ballot key, replaced when a vote rotates it
         self.signer_keys: dict[tuple[int, str], KeyPair] = {}
         self.reg_index: dict[tuple[int, str], int] = {}
         self.judge_by_index: dict[int, dict[int, str]] = {}
@@ -290,7 +289,6 @@ class World:
             enrollment_scope(dispute_id),
         )
         index = self.engine.enroll_judge(dispute_id, signal, now)
-        self.channel_keys[(dispute_id, human)] = ballot_key
         self.signer_keys[(dispute_id, human)] = ballot_key
         self.reg_index[(dispute_id, human)] = index
         self.judge_by_index.setdefault(dispute_id, {})[index] = human
@@ -308,12 +306,11 @@ class World:
     ) -> int:
         dispute = self.engine.disputes[dispute_id]
         option = dispute.parties.index(party)
-        channel = self.channel_keys[(dispute_id, human)]
         signer = self.signer_keys[(dispute_id, human)]
         fresh = KeyPair.generate(self.rng) if rotate_key else None
         ciphertext = build_message(
             signer=signer,
-            shared_key=key_agree(channel, self.coordinator.public),
+            coordinator_public=self.coordinator.public,
             voter_registration_index=self.reg_index[(dispute_id, human)],
             votes={option: 1},
             new_public_key=fresh.public if fresh else None,
@@ -345,7 +342,7 @@ class World:
         pair = self._party_key(party)
         ciphertext = build_message(
             signer=pair,
-            shared_key=key_agree(pair, self.coordinator.public),
+            coordinator_public=self.coordinator.public,
             voter_registration_index=dispute.parties.index(party),
             votes={int(option): int(amount) for option, amount in allocations.items()},
             rng=self.rng,
@@ -761,13 +758,6 @@ def run_scenario(script: Mapping[str, Any], *, seed: Optional[int] = None) -> di
         ok = ok and step_ok
         steps_report.append(entry)
 
-    # the replay checks every prefix of the ledger, so once covers every step
-    if not world.escrow.conserved():
-        ok = False
-        if steps_report:
-            steps_report[-1]["pass"] = False
-            steps_report[-1]["invariant"] = "escrow conservation violated"
-
     snapshot = world.snapshot()
     report: dict[str, Any] = {
         "seed": effective_seed,
@@ -776,8 +766,17 @@ def run_scenario(script: Mapping[str, Any], *, seed: Optional[int] = None) -> di
         "view": world.view.as_jsonable(),
         "ok": ok,
     }
+    # the replay checks every prefix of the ledger, so once covers every step;
+    # a broken invariant is named on the last step, or on the report if none
+    if not world.escrow.conserved():
+        broken = "escrow conservation violated"
+        report["ok"] = False
+        if steps_report:
+            steps_report[-1].update({"pass": False, "invariant": broken})
+        else:
+            report["invariant"] = broken
     if "expected" in script:
         matched = matches_expected(snapshot, script["expected"])
         report["expected_match"] = matched
-        report["ok"] = ok and matched
+        report["ok"] = report["ok"] and matched
     return report

@@ -1,12 +1,22 @@
 """Shared scaffolding: a court with approved jurors plus vote helpers."""
 from __future__ import annotations
 
+import hashlib
 import random
+import struct
+
+from cryptography.exceptions import InvalidSignature, InvalidTag
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import (
+    X25519PrivateKey,
+    X25519PublicKey,
+)
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from disputekit.engine import DisputeConfig, DisputeEngine, Escrow, enrollment_scope
 from disputekit.identity import Identity, PohRegistry, SemaphoreGroup, create_signal
 from disputekit.maci import build_message
-from disputekit.primitives import KeyPair, hash_bytes, key_agree
+from disputekit.primitives import KeyPair, hash_bytes
 
 CFG = DisputeConfig(t1=100, t2=200, min_judges=3)
 
@@ -26,6 +36,120 @@ def plant_double_booked_payouts(monkeypatch) -> None:
         return entry
 
     monkeypatch.setattr(Escrow, "payout", double_booked)
+
+
+# ---- ballot processing by an independent route ----------------------------
+#
+# Written from the wire format and the curve library up, sharing no code
+# with disputekit's primitives, codec or replay: the coordinator's agreement
+# scalar and the shared key are SHA-256 over 4-byte length-prefixed fields,
+# a sealed ballot is (one-time point, nonce, payload, tag), and a command is
+# key | options | amounts | memo | index | signature in u32-prefixed,
+# big-endian int64 fields.
+
+
+def _digest(*fields: bytes) -> bytes:
+    return hashlib.sha256(
+        b"".join(struct.pack(">I", len(f)) + f for f in fields)
+    ).digest()
+
+
+def naive_open(coordinator_seed: bytes, ciphertext) -> bytes | None:
+    """One X25519 exchange with the ballot's own point, one
+    ChaCha20-Poly1305 open; None when either fails."""
+    scalar = X25519PrivateKey.from_private_bytes(_digest(b"agree", coordinator_seed))
+    try:
+        shared = scalar.exchange(X25519PublicKey.from_public_bytes(ciphertext.ephemeral))
+        return ChaCha20Poly1305(_digest(b"shared", shared)).decrypt(
+            ciphertext.nonce, ciphertext.payload + ciphertext.tag, None
+        )
+    except (ValueError, InvalidTag):
+        return None
+
+
+def _naive_command(plaintext: bytes):
+    """(key, options, amounts, memo, index, signed bytes, signature), or
+    None when the plaintext is not exactly one well-formed command."""
+    position = 0
+
+    def take(count: int) -> bytes:
+        nonlocal position
+        if position + count > len(plaintext):
+            raise ValueError("short")
+        position += count
+        return plaintext[position - count:position]
+
+    def prefixed() -> bytes:
+        return take(struct.unpack(">I", take(4))[0])
+
+    def int64s() -> tuple[int, ...]:
+        count = struct.unpack(">I", take(4))[0]
+        return tuple(struct.unpack(">q", take(8))[0] for _ in range(count))
+
+    try:
+        key, options, amounts, memo = prefixed(), int64s(), int64s(), prefixed()
+        index = struct.unpack(">q", take(8))[0]
+        signed = b"ballot-command-v1" + plaintext[:position]
+        signature = prefixed()
+    except ValueError:
+        return None
+    if position != len(plaintext) or len(key) != 64:
+        return None
+    return key, options, amounts, memo, index, signed, signature
+
+
+def _naive_verify(key: bytes, signed: bytes, signature: bytes) -> bool:
+    try:
+        Ed25519PublicKey.from_public_bytes(key[:32]).verify(signature, signed)
+        return True
+    except (InvalidSignature, ValueError):
+        return False
+
+
+def naive_process(coordinator_seed: bytes, cost_rule: str, voters, ciphertexts):
+    """Process a poll anew from its inputs. `voters` holds (key bytes,
+    credits) in registration order. Returns the plaintexts, each message's
+    (valid, reason), each voter's final (index, key bytes, credits, vote)
+    with vote = (options, amounts, memo, arrival) or None, and the tally."""
+    keys = [key for key, _ in voters]
+    credits = [credit for _, credit in voters]
+    votes: list = [None] * len(voters)
+    plaintexts = [naive_open(coordinator_seed, ct) for ct in ciphertexts]
+    verdicts = []
+    for arrival, plaintext in enumerate(plaintexts):
+        command = None if plaintext is None else _naive_command(plaintext)
+        if plaintext is None:
+            verdict = "AuthFailure"
+        elif command is None:
+            verdict = "DecodeError"
+        else:
+            key, options, amounts, memo, index, signed, signature = command
+            if len(options) != len(amounts) or any(
+                b <= a for a, b in zip(options, options[1:])
+            ):
+                verdict = "DecodeError"
+            elif not 0 <= index < len(keys):
+                verdict = "UnknownVoter"
+            elif not _naive_verify(keys[index], signed, signature):
+                verdict = "BadSignature"
+            elif cost_rule == "linear" and min(amounts, default=0) < 0:
+                verdict = "BadAmount"
+            elif sum(a * a if cost_rule == "quadratic" else a for a in amounts) > credits[index]:
+                verdict = "OverBudget"
+            else:
+                verdict = None
+                keys[index] = key
+                votes[index] = (options, amounts, memo, arrival)
+        verdicts.append((verdict is None, verdict))
+    tally: dict[int, int] = {}
+    for vote in votes:
+        if vote is not None:
+            for option, amount in zip(vote[0], vote[1]):
+                tally[option] = tally.get(option, 0) + amount
+    finals = [
+        (index, keys[index], credits[index], votes[index]) for index in range(len(voters))
+    ]
+    return plaintexts, verdicts, finals, tally
 
 
 def naming(mutate, *names):
@@ -187,7 +311,7 @@ class Court:
     ) -> int:
         ct = build_message(
             signer=ballot_key,
-            shared_key=key_agree(ballot_key, self.coordinator.public),
+            coordinator_public=self.coordinator.public,
             voter_registration_index=index,
             votes={party_index: amount},
             memo=memo,
@@ -200,7 +324,7 @@ class Court:
         pair = self.party_keys[party]
         ct = build_message(
             signer=pair,
-            shared_key=key_agree(pair, self.coordinator.public),
+            coordinator_public=self.coordinator.public,
             voter_registration_index=dispute.parties.index(party),
             votes=votes,
             rng=self.rng,

@@ -21,7 +21,6 @@ from disputekit.cli import transcript_from_jsonable, transcript_to_jsonable
 from disputekit.engine import enrollment_scope
 from disputekit.errors import (
     AlreadyJoined,
-    AuthFailure,
     DuplicateHuman,
     NotApproved,
     ProtocolError,
@@ -32,13 +31,13 @@ from disputekit.maci import (
     COST_RULES,
     MaciPoll,
     build_message,
-    decode_signed_command,
     message_set_digest,
     verify_audit,
 )
 from disputekit.oracle import brute_force_defeat, region_nonempty
-from disputekit.primitives import KeyPair, decrypt, hash_bytes, key_agree, verify_sig
+from disputekit.primitives import KeyPair, hash_bytes
 from disputekit.scenario import World, run_scenario
+from support import naive_process
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -121,7 +120,7 @@ def test_quadratic_cost_law() -> None:
             poll.submit_message(
                 build_message(
                     signer=voter,
-                    shared_key=key_agree(voter, coordinator.public),
+                    coordinator_public=coordinator.public,
                     voter_registration_index=0,
                     votes={0: n},
                     rng=rng,
@@ -149,55 +148,18 @@ def test_quadratic_cost_law() -> None:
 
 
 def _naive_final_votes(poll: MaciPoll, coordinator: KeyPair) -> list:
-    """Decrypt-everything recount, written from the wire format up: try
-    each voter's channel, keep the last command whose signature matches
-    that voter's then-current key and whose spend fits the budget."""
-    registered = [voter.registered_key for voter in poll.voters]
-    budgets = [voter.voice_credits for voter in poll.voters]
-    channels = [key_agree(coordinator, key) for key in registered]
-    current = list(registered)
-    last: list = [None] * len(registered)
-    quadratic = poll.cost_rule == "quadratic"
-
-    for message in poll.messages:
-        plaintext = None
-        for channel in channels:
-            try:
-                plaintext = decrypt(channel, message.ciphertext)
-                break
-            except AuthFailure:
-                continue
-        if plaintext is None:
-            continue
-        try:
-            command, signature = decode_signed_command(plaintext)
-        except ProtocolError:
-            continue
-        index = command.voter_registration_index
-        if not 0 <= index < len(registered):
-            continue
-        if len(command.vote_option) != len(command.vote_amount):
-            continue
-        if any(b <= a for a, b in zip(command.vote_option, command.vote_option[1:])):
-            continue
-        if not verify_sig(current[index], command.signing_bytes(), signature):
-            continue
-        if quadratic:
-            cost = sum(a * a for a in command.vote_amount)
-        else:
-            if any(a < 0 for a in command.vote_amount):
-                continue
-            cost = sum(command.vote_amount)
-        if cost > budgets[index]:
-            continue
-        current[index] = command.new_public_key
-        last[index] = (
-            command.vote_option,
-            command.vote_amount,
-            command.memo,
-            message.arrival_index,
-        )
-    return last
+    """Decrypt-everything recount, written from the wire format up by the
+    independent route in `support.naive_process` (the curve and AEAD library
+    called directly, its own command parser and rules): each voter's last
+    command whose signature matches their then-current key and whose spend
+    fits the budget, as (options, amounts, memo, arrival) or None."""
+    _, _, finals, _ = naive_process(
+        coordinator.seed,
+        poll.cost_rule,
+        [(voter.registered_key.encode(), voter.voice_credits) for voter in poll.voters],
+        [message.ciphertext for message in poll.messages],
+    )
+    return [vote for _, _, _, vote in finals]
 
 
 def _random_pipeline(seed: int, rng: random.Random) -> dict:
@@ -366,13 +328,13 @@ def test_ballot_processing_semantics() -> None:
         coordinator = KeyPair.generate(rng)
         cost_rule = rng.choice(["linear", "quadratic"])
         voter_count = rng.randint(1, 4)
-        channels = [KeyPair.generate(rng) for _ in range(voter_count)]
+        registered = [KeyPair.generate(rng) for _ in range(voter_count)]
         budgets = [rng.randint(0, 16) for _ in range(voter_count)]
         poll = MaciPoll(0, coordinator.public, deadline=1000, cost_rule=cost_rule)
-        for key, budget in zip(channels, budgets):
+        for key, budget in zip(registered, budgets):
             poll.register_voter(key.public, budget)
 
-        model_keys = [pair for pair in channels]
+        model_keys = [pair for pair in registered]
         model_last: list = [None] * voter_count
         expectations = []
 
@@ -382,7 +344,7 @@ def test_ballot_processing_semantics() -> None:
             if signer_kind < 0.70:
                 signer = model_keys[index]
             elif signer_kind < 0.85:
-                signer = channels[index]  # original key: stale after a rotation
+                signer = registered[index]  # original key: stale after a rotation
             else:
                 signer = KeyPair.generate(rng)  # nobody's key
             option = rng.randint(0, 2)
@@ -390,7 +352,7 @@ def test_ballot_processing_semantics() -> None:
             rotated = KeyPair.generate(rng) if rng.random() < 0.25 else None
             ciphertext = build_message(
                 signer=signer,
-                shared_key=key_agree(channels[index], coordinator.public),
+                coordinator_public=coordinator.public,
                 voter_registration_index=index,
                 votes={option: amount},
                 new_public_key=rotated.public if rotated else None,
@@ -582,10 +544,9 @@ def _double_vote_states(seed: int) -> tuple[dict, dict]:
     except ProtocolError:
         pass
     # a stuffed early ballot, later superseded by the honest final one
-    channel = attacked.channel_keys[(dispute_id, "judge0")]
     stuffed = build_message(
         signer=attacked.signer_keys[(dispute_id, "judge0")],
-        shared_key=key_agree(channel, attacked.coordinator.public),
+        coordinator_public=attacked.coordinator.public,
         voter_registration_index=attacked.reg_index[(dispute_id, "judge0")],
         votes={0: 1},
         memo=hash_bytes(b"stuffed"),
@@ -659,7 +620,7 @@ def _takeover_states(seed: int) -> tuple[dict, dict]:
             world.phase2_vote(dispute_id, "alice", {0: 4}, now=219)  # cost 16 > 12
             forged = build_message(
                 signer=world.party_keys["alice"],
-                shared_key=key_agree(world.party_keys["bob"], world.coordinator.public),
+                coordinator_public=world.coordinator.public,
                 voter_registration_index=1,
                 votes={0: 1},
                 rng=world.adversary_rng,

@@ -25,6 +25,7 @@ from disputekit.cli import (
     transcript_from_jsonable,
     transcript_to_jsonable,
 )
+from disputekit.engine import Escrow
 from disputekit.maci import message_set_digest
 from disputekit.scenario import (
     _OPS,
@@ -50,6 +51,7 @@ def test_run_happy_path_exits_zero(capsys) -> None:
     assert main(["run", str(HAPPY)]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] and report["expected_match"]
+    assert all("invariant" not in entry for entry in (report, *report["steps"]))
 
 
 def test_run_stalled_court_exits_zero(capsys) -> None:
@@ -103,6 +105,15 @@ def test_run_ledger_fault_exits_one_without_traceback(monkeypatch, capsys) -> No
     assert report["steps"][-1]["invariant"] == "escrow conservation violated"
     assert "issue_party_sbt): escrow conservation violated" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_run_names_a_broken_invariant_with_no_steps(tmp_path, monkeypatch, capsys) -> None:
+    monkeypatch.setattr(Escrow, "conserved", lambda self: False)
+    path = write_json(tmp_path / "empty.json", {"seed": 1, "timeline": []})
+    assert main(["run", path]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["invariant"] == "escrow conservation violated"
+    assert captured.err == "failed: escrow conservation violated\n"
 
 
 @pytest.mark.parametrize("corrupt", STRUCTURAL_FAULTS)

@@ -28,7 +28,7 @@ from disputekit.errors import (
 )
 from disputekit.identity import create_signal
 from disputekit.maci import build_message
-from disputekit.primitives import KeyPair, key_agree
+from disputekit.primitives import KeyPair
 from support import CFG, Court, proposal_hash, resolved_court
 
 
@@ -408,7 +408,7 @@ def test_malformed_ballots_do_not_count_toward_quorum() -> None:
     for (index, key), shape in zip(enrolled, shapes):
         ct = build_message(
             signer=key,
-            shared_key=key_agree(key, court.coordinator.public),
+            coordinator_public=court.coordinator.public,
             voter_registration_index=index,
             votes=shape["votes"],
             memo=shape["memo"],

@@ -238,6 +238,7 @@ def test_a_ledger_fault_fails_an_empty_timeline(monkeypatch) -> None:
     monkeypatch.setattr(Escrow, "conserved", lambda self: False)
     report = run_scenario({"seed": 1, "timeline": []})
     assert report["ok"] is False and report["steps"] == []
+    assert report["invariant"] == "escrow conservation violated"
 
 
 def test_matches_expected_is_a_subset_check() -> None:

@@ -29,7 +29,7 @@ from disputekit.incentives import (
 )
 from disputekit.engine import enrollment_scope
 from disputekit.maci import build_message
-from disputekit.primitives import KeyPair, key_agree
+from disputekit.primitives import KeyPair
 from support import Court, proposal_hash, resolved_court
 
 
@@ -255,7 +255,7 @@ def test_claim_follows_a_key_switch() -> None:
         signer = key
         ct = build_message(
             signer=signer,
-            shared_key=key_agree(signer, court.coordinator.public),
+            coordinator_public=court.coordinator.public,
             voter_registration_index=index,
             votes={0: 1},
             new_public_key=new_key,
@@ -266,7 +266,7 @@ def test_claim_follows_a_key_switch() -> None:
     # juror 0's second ballot, signed with the rotated key, sets the proposal
     ct = build_message(
         signer=fresh,
-        shared_key=key_agree(enrolled[0][1], court.coordinator.public),
+        coordinator_public=court.coordinator.public,
         voter_registration_index=0,
         votes={0: 1},
         memo=memos[0],

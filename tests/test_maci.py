@@ -6,25 +6,36 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from support import naive_process
 
 from disputekit.errors import (
     AlreadyCommitted,
     CommitBeforeProcessing,
+    DecodeError,
     DuplicateKey,
+    InvalidKey,
     PollClosed,
     TooEarly,
     WrongState,
 )
 from disputekit.maci import (
+    COST_RULES,
+    Command,
     MaciPoll,
     TallyCommitment,
     TranscriptEntry,
     build_message,
+    ciphertext_digest,
     commitment_digest,
+    decode_signed_command,
     message_set_digest,
     verify_audit,
 )
-from disputekit.primitives import Ciphertext, KeyPair, key_agree
+from disputekit.primitives import Ciphertext, KeyPair, PublicKey, encrypt, sign
+from disputekit.scenario import World
 
 
 @pytest.fixture
@@ -38,14 +49,13 @@ def make_poll(rng, *, cost_rule="linear", credits=(1, 1, 1), deadline=100):
     voters = [KeyPair.generate(rng) for _ in credits]
     for pair, credit in zip(voters, credits):
         poll.register_voter(pair.public, credit)
-    shared = [key_agree(pair, coordinator.public) for pair in voters]
-    return poll, coordinator, voters, shared
+    return poll, coordinator, voters
 
 
-def cast(poll, rng, signer, shared_key, index, votes, *, now=0, new_key=None, memo=b""):
+def cast(poll, rng, signer, index, votes, *, now=0, new_key=None, memo=b""):
     ct = build_message(
         signer=signer,
-        shared_key=shared_key,
+        coordinator_public=poll.coordinator_public,
         voter_registration_index=index,
         votes=votes,
         new_public_key=new_key,
@@ -67,37 +77,37 @@ def finish(poll, coordinator, rng, *, now=100):
 
 
 def test_registration_indices_are_dense(rng) -> None:
-    poll, _, _, _ = make_poll(rng)
+    poll, _, _ = make_poll(rng)
     assert [v.registration_index for v in poll.voters] == [0, 1, 2]
 
 
 def test_duplicate_key_rejected(rng) -> None:
-    poll, _, voters, _ = make_poll(rng)
+    poll, _, voters = make_poll(rng)
     with pytest.raises(DuplicateKey):
         poll.register_voter(voters[0].public, 1)
 
 
 def test_submit_at_deadline_is_closed(rng) -> None:
-    poll, _, voters, shared = make_poll(rng, deadline=10)
-    assert cast(poll, rng, voters[0], shared[0], 0, {0: 1}, now=9) == 0
+    poll, _, voters = make_poll(rng, deadline=10)
+    assert cast(poll, rng, voters[0], 0, {0: 1}, now=9) == 0
     with pytest.raises(PollClosed):
-        cast(poll, rng, voters[0], shared[0], 0, {0: 1}, now=10)
+        cast(poll, rng, voters[0], 0, {0: 1}, now=10)
 
 
 def test_intake_is_content_blind(rng) -> None:
-    poll, _, _, _ = make_poll(rng)
-    garbage = Ciphertext(bytes(12), b"not a ballot", bytes(16))
+    poll, _, _ = make_poll(rng)
+    garbage = Ciphertext(bytes(32), bytes(12), b"not a ballot", bytes(16))
     assert poll.submit_message(garbage, now=0) == 0
 
 
 def test_close_before_deadline_too_early(rng) -> None:
-    poll, _, _, _ = make_poll(rng, deadline=10)
+    poll, _, _ = make_poll(rng, deadline=10)
     with pytest.raises(TooEarly):
         poll.close(now=9)
 
 
 def test_process_requires_close(rng) -> None:
-    poll, coordinator, _, _ = make_poll(rng)
+    poll, coordinator, _ = make_poll(rng)
     with pytest.raises(WrongState):
         poll.process_messages(coordinator)
 
@@ -106,16 +116,16 @@ def test_process_requires_close(rng) -> None:
 
 
 def test_single_vote_tallies(rng) -> None:
-    poll, coordinator, voters, shared = make_poll(rng)
-    cast(poll, rng, voters[0], shared[0], 0, {1: 1})
+    poll, coordinator, voters = make_poll(rng)
+    cast(poll, rng, voters[0], 0, {1: 1})
     _, tally, _ = finish(poll, coordinator, rng)
     assert tally == {1: 1}
 
 
 def test_last_message_wins(rng) -> None:
-    poll, coordinator, voters, shared = make_poll(rng)
-    cast(poll, rng, voters[0], shared[0], 0, {0: 1}, now=0)
-    cast(poll, rng, voters[0], shared[0], 0, {1: 1}, now=5)
+    poll, coordinator, voters = make_poll(rng)
+    cast(poll, rng, voters[0], 0, {0: 1}, now=0)
+    cast(poll, rng, voters[0], 0, {1: 1}, now=5)
     final_states, tally, _ = finish(poll, coordinator, rng)
     assert tally == {1: 1}
     assert final_states[0].vote is not None
@@ -123,12 +133,12 @@ def test_last_message_wins(rng) -> None:
 
 
 def test_key_switch_invalidates_stale_key(rng) -> None:
-    poll, coordinator, voters, shared = make_poll(rng)
+    poll, coordinator, voters = make_poll(rng)
     fresh = KeyPair.generate(rng)
     # switch to `fresh`, voting option 0
-    cast(poll, rng, voters[0], shared[0], 0, {0: 1}, new_key=fresh.public)
+    cast(poll, rng, voters[0], 0, {0: 1}, new_key=fresh.public)
     # stale: still signed with the registration key
-    cast(poll, rng, voters[0], shared[0], 0, {1: 1})
+    cast(poll, rng, voters[0], 0, {1: 1})
     final_states, tally, _ = finish(poll, coordinator, rng)
     assert tally == {0: 1}
     transcript = poll.audit_transcript()
@@ -139,20 +149,20 @@ def test_key_switch_invalidates_stale_key(rng) -> None:
 
 
 def test_key_switch_then_new_key_message_counts(rng) -> None:
-    poll, coordinator, voters, shared = make_poll(rng)
+    poll, coordinator, voters = make_poll(rng)
     fresh = KeyPair.generate(rng)
-    cast(poll, rng, voters[0], shared[0], 0, {0: 1}, new_key=fresh.public)
-    cast(poll, rng, fresh, shared[0], 0, {1: 1})  # same channel, new signer
+    cast(poll, rng, voters[0], 0, {0: 1}, new_key=fresh.public)
+    cast(poll, rng, fresh, 0, {1: 1})  # same slot, new signer
     _, tally, _ = finish(poll, coordinator, rng)
     assert tally == {1: 1}
 
 
 def test_over_budget_message_is_discarded(rng) -> None:
-    poll, coordinator, voters, shared = make_poll(
+    poll, coordinator, voters = make_poll(
         rng, cost_rule="quadratic", credits=(9, 9)
     )
-    cast(poll, rng, voters[0], shared[0], 0, {0: 3})  # cost 9: fits
-    cast(poll, rng, voters[1], shared[1], 1, {0: 4})  # cost 16: over
+    cast(poll, rng, voters[0], 0, {0: 3})  # cost 9: fits
+    cast(poll, rng, voters[1], 1, {0: 4})  # cost 16: over
     _, tally, _ = finish(poll, coordinator, rng)
     assert tally == {0: 3}
     transcript = poll.audit_transcript()
@@ -160,34 +170,34 @@ def test_over_budget_message_is_discarded(rng) -> None:
 
 
 def test_budget_is_aggregate_across_options(rng) -> None:
-    poll, coordinator, voters, shared = make_poll(
+    poll, coordinator, voters = make_poll(
         rng, cost_rule="quadratic", credits=(8,)
     )
-    cast(poll, rng, voters[0], shared[0], 0, {0: 2, 1: 2})  # 4 + 4 = 8
-    cast(poll, rng, voters[0], shared[0], 0, {0: 2, 1: -3})  # 4 + 9 = 13
+    cast(poll, rng, voters[0], 0, {0: 2, 1: 2})  # 4 + 4 = 8
+    cast(poll, rng, voters[0], 0, {0: 2, 1: -3})  # 4 + 9 = 13
     _, tally, _ = finish(poll, coordinator, rng)
     assert tally == {0: 2, 1: 2}  # second message over budget, first stands
 
 
 def test_negative_amounts_forbidden_on_linear_poll(rng) -> None:
-    poll, coordinator, voters, shared = make_poll(rng)
-    cast(poll, rng, voters[0], shared[0], 0, {0: -1})
+    poll, coordinator, voters = make_poll(rng)
+    cast(poll, rng, voters[0], 0, {0: -1})
     _, tally, _ = finish(poll, coordinator, rng)
     assert tally == {}
     assert poll.audit_transcript().entries[0].reason == "BadAmount"
 
 
 def test_unknown_registration_index(rng) -> None:
-    poll, coordinator, voters, shared = make_poll(rng)
-    cast(poll, rng, voters[0], shared[0], 7, {0: 1})
+    poll, coordinator, voters = make_poll(rng)
+    cast(poll, rng, voters[0], 7, {0: 1})
     finish(poll, coordinator, rng)
     assert poll.audit_transcript().entries[0].reason == "UnknownVoter"
 
 
 def test_undecryptable_message_marked_auth_failure(rng) -> None:
-    poll, coordinator, voters, shared = make_poll(rng)
-    poll.submit_message(Ciphertext(bytes(12), b"junk", bytes(16)), now=0)
-    cast(poll, rng, voters[1], shared[1], 1, {0: 1})
+    poll, coordinator, voters = make_poll(rng)
+    poll.submit_message(Ciphertext(bytes(32), bytes(12), b"junk", bytes(16)), now=0)
+    cast(poll, rng, voters[1], 1, {0: 1})
     _, tally, _ = finish(poll, coordinator, rng)
     assert tally == {0: 1}
     transcript = poll.audit_transcript()
@@ -205,10 +215,214 @@ def test_undecryptable_message_marked_auth_failure(rng) -> None:
 
 
 def test_zero_messages_zero_tally(rng) -> None:
-    poll, coordinator, _, _ = make_poll(rng)
+    poll, coordinator, _ = make_poll(rng)
     final_states, tally, _ = finish(poll, coordinator, rng)
     assert tally == {}
     assert all(s.vote is None for s in final_states)
+
+
+# ---- the ballot envelope ------------------------------------------------------------
+
+# X25519 points of small order (libsodium's blocklist): 0, 1, the two points
+# of order 8, p - 1, and p and p + 1 (non-canonical encodings of 0 and 1)
+LOW_ORDER_POINTS = [
+    bytes.fromhex(h)
+    for h in (
+        "00" * 32,
+        "01" + "00" * 31,
+        "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+        "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+        "ec" + "ff" * 30 + "7f",
+        "ed" + "ff" * 30 + "7f",
+        "ee" + "ff" * 30 + "7f",
+    )
+]
+
+
+@pytest.mark.parametrize("point", [b"", b"\x09" * 31, *LOW_ORDER_POINTS])
+def test_a_bad_envelope_point_is_an_auth_failure(rng, point) -> None:
+    poll, coordinator, voters = make_poll(rng)
+    cast(poll, rng, voters[0], 0, {0: 1})
+    bad = dataclasses.replace(poll.messages[0].ciphertext, ephemeral=point)
+    poll.submit_message(bad, now=1)
+    poll.preview_valid_votes(coordinator)
+    _, tally, _ = finish(poll, coordinator, rng)
+    assert tally == {0: 1}
+    transcript = poll.audit_transcript()
+    entry = transcript.entries[1]
+    assert (entry.valid, entry.reason, entry.plaintext) == (False, "AuthFailure", None)
+    intake = message_set_digest([m.ciphertext for m in poll.messages])
+    assert verify_audit(transcript, intake, poll.commitment).ok
+
+
+def test_envelopes_are_one_time_and_one_size() -> None:
+    """Every Phase-1 ballot carries its own point, which is no participant's
+    key, and every ballot of one shape has the same public size."""
+    world = World(5, genesis_humans=[f"j{i}" for i in range(4)], tree_depth=4)
+    for i in range(4):
+        world.group_join(f"j{i}")
+    d = world.open_dispute("alice", ["bob"], 10, t1=100, t2=200, min_judges=3, now=0)
+    world.join_dispute(d, "bob", 10, now=1)
+    for i in range(4):
+        world.enroll_judge(d, f"j{i}", now=10)
+    world.phase1_vote(d, "j0", "alice", "first", 150)
+    world.phase1_vote(d, "j0", "bob", "second thoughts", 151, rotate_key=True)
+    world.phase1_vote(d, "j0", "bob", "third", 152)
+    for i in range(1, 4):
+        world.phase1_vote(d, f"j{i}", ("alice", "bob")[i % 2], "x" * 100 * i, 153 + i)
+    poll = world.engine.disputes[d].phase1_poll
+    ballots = [event.payload["ciphertext"] for event in world.view.of_kind("ballot")]
+    points = [message.ciphertext.ephemeral for message in poll.messages]
+    assert [ballot[:32] for ballot in ballots] == points  # the public record has them
+    assert len(set(points)) == len(points) == 6
+    keys = [voter.registered_key for voter in poll.voters]
+    keys += [pair.public for pair in (*world.signer_keys.values(), world.coordinator)]
+    known = {part for key in keys for part in (key.sign_bytes, key.agree_bytes)}
+    assert not known & set(points)
+    assert len({len(ballot) for ballot in ballots}) == 1
+    # the point is part of what the intake digest commits to
+    first = poll.messages[0].ciphertext
+    moved = dataclasses.replace(first, ephemeral=points[1])
+    assert ciphertext_digest(moved) != ciphertext_digest(first)
+
+
+_BODY = st.builds(
+    Command,
+    new_public_key=st.builds(PublicKey, st.binary(min_size=32, max_size=32),
+                             st.binary(min_size=32, max_size=32)),
+    vote_option=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4).map(tuple),
+    vote_amount=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4).map(tuple),
+    memo=st.binary(max_size=40),
+    voter_registration_index=st.integers(-(2**63), 2**63 - 1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=_BODY,
+    signature=st.binary(max_size=70),
+    cut=st.integers(0, 12),
+    tail=st.binary(max_size=4),
+)
+def test_the_signed_slice_is_the_command_body(command, signature, cut, tail) -> None:
+    """The replay verifies a signature over the label plus a slice of the
+    plaintext; for every plaintext that decodes, that slice is the body the
+    client signed. Truncated or extended plaintexts must not decode."""
+    plaintext = command.encode_signed(signature)
+    decoded, body, got_signature = decode_signed_command(plaintext)
+    assert (decoded, body, got_signature) == (command, command._body(), signature)
+    for variant in (plaintext[: len(plaintext) - cut - 1], plaintext + tail):
+        if variant == plaintext:
+            continue
+        try:
+            decoded, body, _ = decode_signed_command(variant)
+        except (DecodeError, InvalidKey):
+            continue
+        assert body == decoded._body()
+
+
+_MOVES = [
+    "vote", "rotate", "stranger", "unknown_index", "late_voter", "junk",
+    "garbled", "unsorted", "wrong_coordinator", "low_order", "truncated", "replay",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cost_rule=st.sampled_from(sorted(COST_RULES)),
+    credits=st.lists(st.integers(0, 12), min_size=1, max_size=3),
+    moves=st.lists(
+        st.tuples(
+            st.sampled_from(_MOVES), st.integers(0, 40), st.integers(-3, 4),
+            st.integers(0, 2),
+        ),
+        max_size=12,
+    ),
+)
+def test_processing_matches_an_independent_reference(seed, cost_rule, credits, moves) -> None:
+    """Differential check of processing against `support.naive_process`,
+    which opens each envelope with the curve and AEAD library directly and
+    applies the rules with its own parser: the plaintexts, verdicts, final
+    voter states and tally must all agree, on polls with late voters, key
+    rotations, stale and stranger signers, junk, undecodable plaintexts,
+    envelopes for another coordinator, and bad envelope points."""
+    rng = random.Random(seed)
+    coordinator, stranger = KeyPair.generate(rng), KeyPair.generate(rng)
+    poll = MaciPoll(0, coordinator.public, 100, cost_rule)
+    signers: list[KeyPair] = []
+
+    def register(credit: int) -> None:
+        signers.append(KeyPair.generate(rng))
+        poll.register_voter(signers[-1].public, credit)
+
+    for credit in credits:
+        register(credit)
+    for move, pick, amount, option in moves:
+        index = pick % len(signers)
+        signer = signers[index]
+        if move == "late_voter":
+            register(pick % 13)
+            continue
+        if move == "replay" and poll.messages:
+            ct = poll.messages[pick % len(poll.messages)].ciphertext
+        elif move == "junk":
+            ct = Ciphertext(*(rng.randbytes(n) for n in (32, 12, pick, 16)))
+        elif move == "garbled":
+            ct = encrypt(coordinator.public, rng.randbytes(pick), rng)
+        elif move == "unsorted":
+            command = Command(signer.public, (2, option), (1, 1), b"", index)
+            plaintext = command.encode_signed(sign(signer, command.signing_bytes()))
+            ct = encrypt(coordinator.public, plaintext, rng)
+        else:
+            fresh = KeyPair.generate(rng) if move == "rotate" else None
+            ct = build_message(
+                signer=KeyPair.generate(rng) if move == "stranger" else signer,
+                coordinator_public=(
+                    stranger if move == "wrong_coordinator" else coordinator
+                ).public,
+                voter_registration_index=index + 9 * (move == "unknown_index"),
+                votes={option: amount},
+                new_public_key=fresh.public if fresh else None,
+                memo=rng.randbytes(option * 16),
+                rng=rng,
+            )
+            if move == "low_order":
+                point = LOW_ORDER_POINTS[pick % len(LOW_ORDER_POINTS)]
+                ct = dataclasses.replace(ct, ephemeral=point)
+            elif move == "truncated":
+                ct = dataclasses.replace(ct, ephemeral=ct.ephemeral[: pick % 32])
+            if fresh is not None:
+                signers[index] = fresh
+        poll.submit_message(ct, now=0)
+    poll.close(100)
+    final_states, transcript = poll.process_messages(coordinator)
+
+    plaintexts, verdicts, finals, tally = naive_process(
+        coordinator.seed,
+        cost_rule,
+        [(voter.registered_key.encode(), voter.voice_credits) for voter in poll.voters],
+        [message.ciphertext for message in poll.messages],
+    )
+    assert [entry.plaintext for entry in transcript.entries] == plaintexts
+    assert [(entry.valid, entry.reason) for entry in transcript.entries] == verdicts
+    assert [
+        (
+            state.registration_index,
+            state.current_key_bytes,
+            state.voice_credits,
+            None
+            if state.vote is None
+            else (
+                state.vote.vote_option,
+                state.vote.vote_amount,
+                state.vote.memo,
+                state.vote.arrival_index,
+            ),
+        )
+        for state in final_states
+    ] == finals
+    assert poll.tally == tally
 
 
 # ---- the quorum preview and processing ----------------------------------------------
@@ -229,14 +443,14 @@ def test_processing_after_a_preview_equals_a_fresh_poll(preview_by, late_intake)
 
     def processed(preview: bool):
         r = random.Random(31)
-        poll, coordinator, voters, shared = make_poll(r)
+        poll, coordinator, voters = make_poll(r)
         keys = {"coordinator": coordinator, "stranger": KeyPair.generate(r)}
-        cast(poll, r, voters[0], shared[0], 0, {0: 1})
-        cast(poll, r, voters[2], shared[2], 2, {2: 1}, now=1)
+        cast(poll, r, voters[0], 0, {0: 1})
+        cast(poll, r, voters[2], 2, {2: 1}, now=1)
         if preview:
             poll.preview_valid_votes(keys[preview_by])
         if late_intake == "ballot":
-            cast(poll, r, voters[1], shared[1], 1, {1: 1}, now=5)
+            cast(poll, r, voters[1], 1, {1: 1}, now=5)
         elif late_intake == "voter":
             poll.register_voter(KeyPair.generate(r).public, 1)
         poll.close(100)
@@ -247,8 +461,8 @@ def test_processing_after_a_preview_equals_a_fresh_poll(preview_by, late_intake)
 
 
 def test_a_preview_alone_is_not_processing(rng) -> None:
-    poll, coordinator, voters, shared = make_poll(rng)
-    cast(poll, rng, voters[0], shared[0], 0, {0: 1})
+    poll, coordinator, voters = make_poll(rng)
+    cast(poll, rng, voters[0], 0, {0: 1})
     assert poll.preview_valid_votes(coordinator)[0].vote is not None
     poll.close(100)
     with pytest.raises(CommitBeforeProcessing):
@@ -263,14 +477,14 @@ def test_a_preview_alone_is_not_processing(rng) -> None:
 
 
 def test_commit_before_processing_rejected(rng) -> None:
-    poll, coordinator, _, _ = make_poll(rng)
+    poll, coordinator, _ = make_poll(rng)
     poll.close(100)
     with pytest.raises(CommitBeforeProcessing):
         poll.commit_tally({}, rng)
 
 
 def test_single_commitment_rule(rng) -> None:
-    poll, coordinator, _, _ = make_poll(rng)
+    poll, coordinator, _ = make_poll(rng)
     poll.close(100)
     poll.process_messages(coordinator)
     poll.commit_tally(poll.tally, rng)
@@ -279,8 +493,8 @@ def test_single_commitment_rule(rng) -> None:
 
 
 def test_publish_opens_commitment(rng) -> None:
-    poll, coordinator, voters, shared = make_poll(rng)
-    cast(poll, rng, voters[0], shared[0], 0, {1: 1})
+    poll, coordinator, voters = make_poll(rng)
+    cast(poll, rng, voters[0], 0, {1: 1})
     finish(poll, coordinator, rng)
     tally, salt = poll.publish_tally()
     assert commitment_digest(tally, salt) == poll.commitment.digest
@@ -294,10 +508,10 @@ def test_publish_opens_commitment(rng) -> None:
 
 
 def audited_poll(rng, *, tamper_commit=False):
-    poll, coordinator, voters, shared = make_poll(rng, credits=(1, 1, 1))
-    cast(poll, rng, voters[0], shared[0], 0, {0: 1}, now=0)
-    cast(poll, rng, voters[1], shared[1], 1, {1: 1}, now=1)
-    cast(poll, rng, voters[2], shared[2], 2, {1: 2}, now=2)  # over budget
+    poll, coordinator, voters = make_poll(rng, credits=(1, 1, 1))
+    cast(poll, rng, voters[0], 0, {0: 1}, now=0)
+    cast(poll, rng, voters[1], 1, {1: 1}, now=1)
+    cast(poll, rng, voters[2], 2, {1: 2}, now=2)  # over budget
     poll.close(100)
     poll.process_messages(coordinator)
     committed = dict(poll.tally)
@@ -341,7 +555,7 @@ def test_tally_increment_detected(rng) -> None:
 
 def test_message_set_substitution_detected(rng) -> None:
     transcript, intake, commitment = audited_poll(rng)
-    other = message_set_digest([Ciphertext(bytes(12), b"x", bytes(16))])
+    other = message_set_digest([Ciphertext(bytes(32), bytes(12), b"x", bytes(16))])
     assert verify_audit(transcript, other, commitment).reason == "MessageSetMismatch"
     # or the transcript's own claimed digest is doctored
     mutated = dataclasses.replace(transcript, message_set_digest=other)

@@ -62,43 +62,47 @@ def test_public_key_round_trip_and_length_check() -> None:
 def test_key_agreement_is_symmetric() -> None:
     rng = random.Random(2)
     alice, bob = KeyPair.generate(rng), KeyPair.generate(rng)
-    assert key_agree(alice, bob.public) == key_agree(bob, alice.public)
-    assert len(key_agree(alice, bob.public)) == 32
+    assert key_agree(alice, bob.public.agree_bytes) == key_agree(
+        bob, alice.public.agree_bytes
+    )
+    assert len(key_agree(alice, bob.public.agree_bytes)) == 32
 
 
 def test_key_agreement_differs_per_peer() -> None:
     rng = random.Random(3)
     alice, bob, carol = (KeyPair.generate(rng) for _ in range(3))
-    assert key_agree(alice, bob.public) != key_agree(alice, carol.public)
+    assert key_agree(alice, bob.public.agree_bytes) != key_agree(
+        alice, carol.public.agree_bytes
+    )
 
 
 def test_encrypt_decrypt_round_trip() -> None:
     rng = random.Random(4)
-    a, b = KeyPair.generate(rng), KeyPair.generate(rng)
-    key = key_agree(a, b.public)
-    ct = encrypt(key, b"the vote", rng)
+    b = KeyPair.generate(rng)
+    ct = encrypt(b.public, b"the vote", rng)
+    key = key_agree(b, ct.ephemeral)
     assert decrypt(key, ct) == b"the vote"
 
 
 def test_decrypt_rejects_single_bit_flip() -> None:
     rng = random.Random(5)
-    a, b = KeyPair.generate(rng), KeyPair.generate(rng)
-    key = key_agree(a, b.public)
-    ct = encrypt(key, b"the vote", rng)
+    b = KeyPair.generate(rng)
+    ct = encrypt(b.public, b"the vote", rng)
+    key = key_agree(b, ct.ephemeral)
     flipped_payload = bytes([ct.payload[0] ^ 1]) + ct.payload[1:]
     with pytest.raises(AuthFailure):
-        decrypt(key, Ciphertext(ct.nonce, flipped_payload, ct.tag))
+        decrypt(key, Ciphertext(ct.ephemeral, ct.nonce, flipped_payload, ct.tag))
     flipped_tag = ct.tag[:-1] + bytes([ct.tag[-1] ^ 1])
     with pytest.raises(AuthFailure):
-        decrypt(key, Ciphertext(ct.nonce, ct.payload, flipped_tag))
+        decrypt(key, Ciphertext(ct.ephemeral, ct.nonce, ct.payload, flipped_tag))
 
 
 def test_decrypt_rejects_wrong_key() -> None:
     rng = random.Random(6)
-    a, b, c = (KeyPair.generate(rng) for _ in range(3))
-    ct = encrypt(key_agree(a, b.public), b"secret", rng)
+    b, c = (KeyPair.generate(rng) for _ in range(2))
+    ct = encrypt(b.public, b"secret", rng)
     with pytest.raises(AuthFailure):
-        decrypt(key_agree(a, c.public), ct)
+        decrypt(key_agree(c, ct.ephemeral), ct)
 
 
 def test_sign_verify_and_tamper() -> None:
