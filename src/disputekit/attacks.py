@@ -378,13 +378,13 @@ def attack_spam(seed: int = 2029) -> AttackReport:
 
     base_honest = _dispute_outcome(baseline, honest_base)
     attacked_honest = _dispute_outcome(attacked, honest_id)
-    spammer_net = attacked.escrow.net_position("spammer")
+    spammer_net = attacked.engine.escrow.net_position("spammer")
     blocked = (
         base_honest == attacked_honest
-        and attacked.escrow.conserved()
+        and attacked.engine.escrow.conserved()
         and spammer_net == -fee  # refunded when ignored, forfeited when contested
-        and attacked.escrow.balance(ignored) == 0
-        and attacked.escrow.balance(contested) == 0
+        and attacked.engine.escrow.balance(ignored) == 0
+        and attacked.engine.escrow.balance(contested) == 0
         and attacked.sbts.has(PARTY_NON_COMPLIANT, "spammer")
     )
     return AttackReport(

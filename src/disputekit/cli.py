@@ -133,10 +133,14 @@ def _bool(value: Any) -> bool:
     return value
 
 
-def _opt_str(value: Any) -> Optional[str]:
-    if value is not None and not isinstance(value, str):
-        raise ValueError(f"expected a string or null, got {value!r}")
+def _str(value: Any) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
     return value
+
+
+def _opt_str(value: Any) -> Optional[str]:
+    return None if value is None else _str(value)
 
 
 def _object(value: Any) -> Mapping[str, Any]:
@@ -180,7 +184,7 @@ def transcript_from_jsonable(doc: Any) -> AuditTranscript:
     )
     return AuditTranscript(
         poll_id=_int(doc["poll_id"]),
-        cost_rule=str(doc["cost_rule"]),
+        cost_rule=_str(doc["cost_rule"]),
         initial_voters=tuple(
             (_int(index), _hex(key), _int(credits))
             for index, key, credits in doc["initial_voters"]
@@ -212,7 +216,7 @@ def _load_json(path: str) -> Any:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         script = _load_json(args.file)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -299,7 +303,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         record = _load_json(args.commitment)
         intake_digest = _hex(record["intake_digest"])
         commitment = TallyCommitment(_hex(record["commitment_digest"]))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (
+        OSError, json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError
+    ) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

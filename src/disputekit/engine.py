@@ -13,6 +13,12 @@ Lifecycle (states in parentheses):
          quorum missed   -> one deadline extension, then Aborted + refunds
     missing party at t1  -> DefaultJudgment + refunds
 
+Each voting phase is one MACI poll, and both take the same path: intake
+(a ``ballot`` event per message), then close, process and commit
+(``tally_commitment``), then publish tally and salt (``tally_published``) —
+Phase 1's when Phase 2 starts, Phase 2's when it closes. Phase deadlines
+live on the polls alone.
+
 Fees: every party escrows the same fee f at entry; a resolved dispute
 pays the whole pool (n*f) to the judge who authored the winning proposal;
 aborts and defaults refund everyone in full. The escrow ledger records
@@ -24,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     AlreadyJoined,
@@ -43,20 +49,14 @@ from .identity import SemaphoreGroup, Signal
 from .maci import MaciPoll, VoterFinalState
 from .primitives import Ciphertext, DIGEST_SIZE, KeyPair, PublicKey
 from .voting import (
-    Phase1Ballot,
     Phase1Tally,
     Phase2Tally,
-    Proposal,
     QuadraticAllocation,
     tally_phase1,
     tally_phase2,
 )
 
 Observer = Callable[[str, dict], None]
-
-
-def _no_observer(kind: str, payload: dict) -> None:
-    pass
 
 
 def enrollment_scope(dispute_id: int) -> int:
@@ -93,13 +93,6 @@ _ALLOWED_TRANSITIONS: dict[DisputeState, set[DisputeState]] = {
     DisputeState.DEFAULT_JUDGMENT: set(),
     DisputeState.ABORTED: set(),
 }
-
-TERMINAL_STATES = {
-    DisputeState.RESOLVED,
-    DisputeState.DEFAULT_JUDGMENT,
-    DisputeState.ABORTED,
-}
-
 
 @dataclass(frozen=True)
 class DisputeConfig:
@@ -233,18 +226,15 @@ class Dispute:
     parties: list[str]  # initiator first
     fee: int
     config: DisputeConfig
+    phase1_poll: MaciPoll  # its deadline is t2, moved once by an extension
     state: DisputeState = DisputeState.OPENED
     party_keys: dict[str, PublicKey] = field(default_factory=dict)
     joined: set[str] = field(default_factory=set)
     evidence: list[EvidenceRef] = field(default_factory=list)
     transitions: list[tuple[int, str, str]] = field(default_factory=list)
-    phase1_poll: Optional[MaciPoll] = None
-    extension_used: bool = False
-    t2_effective: int = 0
     phase1_tally: Optional[Phase1Tally] = None
     proposals: list[EngineProposal] = field(default_factory=list)
     phase2_poll: Optional[MaciPoll] = None
-    phase2_deadline: Optional[int] = None
     phase2_tally: Optional[Phase2Tally] = None
     winning_proposal_id: Optional[int] = None
     dropped_allocations: list[str] = field(default_factory=list)
@@ -269,13 +259,12 @@ class DisputeEngine:
         self,
         coordinator: KeyPair,
         group: SemaphoreGroup,
-        escrow: Optional[Escrow] = None,
-        rng: Optional[random.Random] = None,
-        observer: Observer = _no_observer,
+        rng: random.Random,
+        observer: Observer,
     ):
         self.coordinator = coordinator
         self.group = group
-        self.escrow = escrow if escrow is not None else Escrow()
+        self.escrow = Escrow()
         self.rng = rng
         self.observe = observer
         self.disputes: dict[int, Dispute] = {}
@@ -330,23 +319,23 @@ class DisputeEngine:
         if len(set(respondents)) != len(respondents):
             raise ValueError("duplicate respondent")
 
+        dispute_id = self._next_id
         dispute = Dispute(
-            dispute_id=self._next_id,
+            dispute_id=dispute_id,
             parties=[initiator, *respondents],
             fee=fee,
             config=config,
-            t2_effective=config.t2,
+            phase1_poll=MaciPoll(
+                dispute_id * 2,
+                self.coordinator.public,
+                deadline=config.t2,
+                cost_rule="linear",
+            ),
         )
         self._next_id += 1
-        self.disputes[dispute.dispute_id] = dispute
-        dispute.phase1_poll = MaciPoll(
-            dispute.dispute_id * 2,
-            self.coordinator.public,
-            deadline=config.t2,
-            cost_rule="linear",
-        )
+        self.disputes[dispute_id] = dispute
         dispute.party_keys[initiator] = initiator_key
-        entry = self.escrow.deposit(dispute.dispute_id, initiator, fee)
+        entry = self.escrow.deposit(dispute_id, initiator, fee)
         self.observe("escrow", _escrow_event(entry))
         self._transition(dispute, DisputeState.AWAITING_JOIN, now)
         dispute.joined.add(initiator)
@@ -416,9 +405,10 @@ class DisputeEngine:
     # -- judges and phase 1 --------------------------------------------------
 
     def enroll_judge(self, dispute_id: int, signal: Signal, now: int) -> int:
-        """Admit an anonymous juror: the signal proves group membership and
-        delivers the fresh ballot key; its nullifier burns the one
-        enrollment this identity gets for this dispute."""
+        """Admit a juror: the signal's path shows group membership and
+        delivers the fresh ballot key; its nullifier hash is spent for this
+        dispute. The hash is not yet bound to the path's leaf; see
+        `SemaphoreGroup.verify_signal`."""
         dispute = self._get(dispute_id)
         self._sync(dispute, now)
         if now >= dispute.config.t1:
@@ -432,7 +422,6 @@ class DisputeEngine:
         except InvalidKey:
             raise InvalidSignal("BadKey") from None
         poll = dispute.phase1_poll
-        assert poll is not None
         if poll.has_key(ballot_key):
             # refuse before burning the nullifier
             raise InvalidSignal("DuplicateKey")
@@ -461,19 +450,7 @@ class DisputeEngine:
             DisputeState.PHASE1_VOTING,
         ):
             raise WrongState(f"no Phase-1 intake in {dispute.state.value}")
-        poll = dispute.phase1_poll
-        assert poll is not None
-        index = poll.submit_message(ciphertext, now)
-        self.observe(
-            "ballot",
-            {
-                "dispute_id": dispute_id,
-                "poll_id": poll.poll_id,
-                "arrival_index": index,
-                "ciphertext": ciphertext.encode(),
-            },
-        )
-        return index
+        return self._intake(dispute_id, dispute.phase1_poll, ciphertext, now)
 
     def close_phase1(self, dispute_id: int, now: int) -> str:
         """Returns "tallied", "extended", or "aborted"."""
@@ -482,35 +459,23 @@ class DisputeEngine:
         if dispute.state != DisputeState.PHASE1_VOTING:
             raise WrongState(f"cannot close Phase 1 from {dispute.state.value}")
         poll = dispute.phase1_poll
-        assert poll is not None
         if now < poll.deadline:
             raise TooEarly(f"Phase 1 runs until {poll.deadline}")
 
         preview = poll.preview_valid_votes(self.coordinator)
-        ballots, proposals = self._extract_phase1(dispute, preview)
+        choices, proposals = self._extract_phase1(dispute, preview)
 
-        if len(ballots) >= dispute.config.min_judges:
-            poll.close(now)
-            poll.process_messages(self.coordinator)
-            commitment = poll.commit_tally(poll.tally, self.rng)
-            self.observe(
-                "tally_commitment",
-                {
-                    "dispute_id": dispute_id,
-                    "poll_id": poll.poll_id,
-                    "digest": commitment.digest,
-                },
-            )
-            dispute.phase1_tally = tally_phase1(ballots, dispute.parties)
+        if len(choices) >= dispute.config.min_judges:
+            self._commit(dispute_id, poll, now)
+            dispute.phase1_tally = tally_phase1(choices, dispute.parties)
             dispute.proposals = proposals
             self._transition(dispute, DisputeState.PHASE1_TALLIED, now)
             return "tallied"
 
-        if not dispute.extension_used:
-            dispute.extension_used = True
+        # the deadline only moves forward, so it still reads t2 until extended
+        if poll.deadline == dispute.config.t2:
             new_deadline = poll.deadline + dispute.config.extension_value
             poll.extend_deadline(new_deadline)
-            dispute.t2_effective = new_deadline
             self.observe(
                 "deadline_extended",
                 {"dispute_id": dispute_id, "new_deadline": new_deadline},
@@ -523,11 +488,12 @@ class DisputeEngine:
 
     def _extract_phase1(
         self, dispute: Dispute, final_states: Sequence[VoterFinalState]
-    ) -> tuple[list[Phase1Ballot], list[EngineProposal]]:
-        """Interpret final juror votes. A well-formed ballot names exactly
-        one party, spends exactly one credit, and carries a proposal hash;
-        anything else counts as not having voted."""
-        ballots: list[Phase1Ballot] = []
+    ) -> tuple[list[str], list[EngineProposal]]:
+        """Interpret final juror votes: the party each counted ballot names,
+        and the proposals in arrival order. A well-formed ballot names
+        exactly one party, spends exactly one credit, and carries a proposal
+        hash; anything else counts as not having voted."""
+        choices: list[str] = []
         raw: list[tuple[int, int, bytes]] = []  # (arrival, author, text_hash)
         for state in final_states:
             vote = state.vote
@@ -540,12 +506,7 @@ class DisputeEngine:
                 continue
             if len(vote.memo) != DIGEST_SIZE:
                 continue
-            ballots.append(
-                Phase1Ballot(
-                    dispute.parties[option],
-                    Proposal(vote.memo, state.registration_index),
-                )
-            )
+            choices.append(dispute.parties[option])
             raw.append((vote.arrival_index, state.registration_index, vote.memo))
         raw.sort()
         proposals = [
@@ -557,7 +518,7 @@ class DisputeEngine:
             )
             for position, (arrival, author, text_hash) in enumerate(raw)
         ]
-        return ballots, proposals
+        return choices, proposals
 
     # -- phase 2 -----------------------------------------------------------
 
@@ -567,23 +528,12 @@ class DisputeEngine:
         dispute = self._get(dispute_id)
         if dispute.state != DisputeState.PHASE1_TALLIED:
             raise WrongState(f"cannot start Phase 2 from {dispute.state.value}")
-        phase1_poll = dispute.phase1_poll
-        assert phase1_poll is not None and dispute.phase1_tally is not None
-        tally, salt = phase1_poll.publish_tally()
-        self.observe(
-            "tally_published",
-            {
-                "dispute_id": dispute_id,
-                "poll_id": phase1_poll.poll_id,
-                "tally": tally,
-                "salt": salt,
-            },
-        )
-        deadline = now + dispute.config.phase2_window_value
+        assert dispute.phase1_tally is not None
+        self._publish(dispute_id, dispute.phase1_poll)
         poll = MaciPoll(
-            dispute.dispute_id * 2 + 1,
+            dispute_id * 2 + 1,
             self.coordinator.public,
-            deadline=deadline,
+            deadline=now + dispute.config.phase2_window_value,
             cost_rule="quadratic",
         )
         for party in dispute.parties:
@@ -592,7 +542,6 @@ class DisputeEngine:
                 credits=dispute.phase1_tally.scores[party],
             )
         dispute.phase2_poll = poll
-        dispute.phase2_deadline = deadline
         self._transition(dispute, DisputeState.PHASE2_VOTING, now)
         return poll
 
@@ -602,19 +551,8 @@ class DisputeEngine:
         dispute = self._get(dispute_id)
         if dispute.state != DisputeState.PHASE2_VOTING:
             raise WrongState(f"no Phase-2 intake in {dispute.state.value}")
-        poll = dispute.phase2_poll
-        assert poll is not None
-        index = poll.submit_message(ciphertext, now)
-        self.observe(
-            "ballot",
-            {
-                "dispute_id": dispute_id,
-                "poll_id": poll.poll_id,
-                "arrival_index": index,
-                "ciphertext": ciphertext.encode(),
-            },
-        )
-        return index
+        assert dispute.phase2_poll is not None
+        return self._intake(dispute_id, dispute.phase2_poll, ciphertext, now)
 
     def close_phase2(self, dispute_id: int, now: int) -> Phase2Tally:
         dispute = self._get(dispute_id)
@@ -624,31 +562,12 @@ class DisputeEngine:
         assert poll is not None
         if now < poll.deadline:
             raise TooEarly(f"Phase 2 runs until {poll.deadline}")
-        poll.close(now)
-        final_states, _ = poll.process_messages(self.coordinator)
-        commitment = poll.commit_tally(poll.tally, self.rng)
-        self.observe(
-            "tally_commitment",
-            {
-                "dispute_id": dispute_id,
-                "poll_id": poll.poll_id,
-                "digest": commitment.digest,
-            },
-        )
+        final_states = self._commit(dispute_id, poll, now)
         allocations = self._extract_phase2(dispute, final_states)
         order = [p.proposal_id for p in dispute.proposals]
         dispute.phase2_tally = tally_phase2(allocations, order)
         dispute.winning_proposal_id = dispute.phase2_tally.winner
-        tally, salt = poll.publish_tally()
-        self.observe(
-            "tally_published",
-            {
-                "dispute_id": dispute_id,
-                "poll_id": poll.poll_id,
-                "tally": tally,
-                "salt": salt,
-            },
-        )
+        self._publish(dispute_id, poll)
         self._transition(dispute, DisputeState.RESOLVED, now)
         return dispute.phase2_tally
 
@@ -671,6 +590,53 @@ class DisputeEngine:
                 )
             )
         return allocations
+
+    # -- one poll lifecycle, shared by both phases -------------------------------
+
+    def _intake(
+        self, dispute_id: int, poll: MaciPoll, ciphertext: Ciphertext, now: int
+    ) -> int:
+        index = poll.submit_message(ciphertext, now)
+        self.observe(
+            "ballot",
+            {
+                "dispute_id": dispute_id,
+                "poll_id": poll.poll_id,
+                "arrival_index": index,
+                "ciphertext": ciphertext.encode(),
+            },
+        )
+        return index
+
+    def _commit(
+        self, dispute_id: int, poll: MaciPoll, now: int
+    ) -> tuple[VoterFinalState, ...]:
+        """Close and process the poll, commit to its tally; returns the
+        final voter states."""
+        poll.close(now)
+        final_states, _ = poll.process_messages(self.coordinator)
+        commitment = poll.commit_tally(poll.tally, self.rng)
+        self.observe(
+            "tally_commitment",
+            {
+                "dispute_id": dispute_id,
+                "poll_id": poll.poll_id,
+                "digest": commitment.digest,
+            },
+        )
+        return final_states
+
+    def _publish(self, dispute_id: int, poll: MaciPoll) -> None:
+        tally, salt = poll.publish_tally()
+        self.observe(
+            "tally_published",
+            {
+                "dispute_id": dispute_id,
+                "poll_id": poll.poll_id,
+                "tally": tally,
+                "salt": salt,
+            },
+        )
 
     # -- settlement -----------------------------------------------------------
 

@@ -152,7 +152,7 @@ class Identity:
     commitment: bytes
 
     @staticmethod
-    def generate(rng: Optional[random.Random] = None) -> "Identity":
+    def generate(rng: random.Random) -> "Identity":
         trapdoor = random_bytes(32, rng)
         nullifier = random_bytes(32, rng)
         secret = hash_bytes(trapdoor + nullifier)
@@ -169,9 +169,10 @@ def nullifier_hash(identity: Identity, external_nullifier: int) -> bytes:
 
 @dataclass(frozen=True)
 class Signal:
-    """Anonymous group action: payload plus a membership proof and the
-    double-signal tag. Carries no direct pointer to who sent it (the leaf
-    index in the path is pseudonymous)."""
+    """Group action: payload plus a membership path and the double-signal
+    tag. Not anonymous: the path's leaf index names its sender, because the
+    public `group_join` event maps each human to a leaf index. Nor is the tag
+    bound to that leaf; see `SemaphoreGroup.verify_signal`."""
 
     data: bytes
     membership_path: MerklePath
@@ -222,7 +223,11 @@ class SemaphoreGroup:
 
     def verify_signal(self, signal: Signal) -> Verdict:
         """Accept iff the path proves membership under the current root and
-        the nullifier hash is fresh. Accepting records the nullifier."""
+        the nullifier hash is fresh. Accepting records the nullifier.
+
+        Paths are public and nothing ties the nullifier hash to the path's
+        leaf, so anyone can pair any member's path with a fresh hash: this
+        is not yet the proof a Semaphore circuit gives (ROADMAP item 1)."""
         if signal.claimed_root != self.root:
             return Verdict.reject(REASON_BAD_MEMBERSHIP)
         try:

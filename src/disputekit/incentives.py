@@ -225,9 +225,7 @@ def distribute_fee(
     ):
         raise WrongState("fee distribution follows a resolved dispute")
     proposal = dispute.proposal_by_id(dispute.winning_proposal_id)
-    poll = dispute.phase1_poll
-    assert poll is not None
-    author_key = poll.voters[proposal.author_registration_index].current_key
+    author_key = dispute.phase1_poll.voters[proposal.author_registration_index].current_key
     if not verify_sig(author_key, claim_bytes(dispute_id, wallet), claim_signature):
         raise NotTheAuthor("claim not signed by the winning proposal's key")
     return engine.settle(dispute_id, wallet)

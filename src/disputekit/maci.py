@@ -130,7 +130,7 @@ def build_message(
     votes: Mapping[int, int],
     new_public_key: Optional[PublicKey] = None,
     memo: bytes = b"",
-    rng: Optional[random.Random] = None,
+    rng: random.Random,
 ) -> Ciphertext:
     """Client-side helper: canonical command, signed, sealed for the
     coordinator under a fresh one-time agreement key drawn from `rng`.
@@ -250,7 +250,6 @@ class MaciPoll:
         self._committed_tally: Optional[dict[int, int]] = None
         self._salt: Optional[bytes] = None
         self.commitment: Optional[TallyCommitment] = None
-        self.published = False
 
     # -- intake ------------------------------------------------------------
 
@@ -353,9 +352,7 @@ class MaciPoll:
 
     # -- commitment ----------------------------------------------------------
 
-    def commit_tally(
-        self, tally: Mapping[int, int], rng: Optional[random.Random] = None
-    ) -> TallyCommitment:
+    def commit_tally(self, tally: Mapping[int, int], rng: random.Random) -> TallyCommitment:
         if self._processed is None:
             raise CommitBeforeProcessing("commit requires processed messages")
         if self.commitment is not None:
@@ -368,7 +365,6 @@ class MaciPoll:
     def publish_tally(self) -> tuple[dict[int, int], bytes]:
         if self.commitment is None or self._committed_tally is None or self._salt is None:
             raise WrongState("publish requires a commitment")
-        self.published = True
         return dict(self._committed_tally), self._salt
 
     def audit_transcript(self) -> AuditTranscript:

@@ -9,16 +9,14 @@ function of the seed. A message is sealed for one recipient under a fresh
 one-time agreement key whose public point travels with the ciphertext, so
 the recipient opens it with one key agreement and one decryption.
 
-All randomness is drawn through ``random_bytes`` so callers can inject a
-seeded generator and replay byte-identical protocol runs.
+All randomness is drawn through ``random_bytes`` from a generator every
+caller must pass, so a seeded one replays byte-identical protocol runs.
 """
 from __future__ import annotations
 
 import hashlib
-import os
 import random
 from dataclasses import dataclass, field
-from typing import Optional
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -54,10 +52,9 @@ def hash_fields(*fields_: bytes) -> bytes:
     return h.digest()
 
 
-def random_bytes(count: int, rng: Optional[random.Random] = None) -> bytes:
-    """Fresh bytes from the injected generator, or the OS if none given."""
-    if rng is None:
-        return os.urandom(count)
+def random_bytes(count: int, rng: random.Random) -> bytes:
+    """Fresh bytes from the injected generator; pass ``random.SystemRandom()``
+    for OS entropy."""
     return rng.randbytes(count)
 
 
@@ -104,7 +101,7 @@ class KeyPair:
         return KeyPair(seed, public, signing, agreement)
 
     @staticmethod
-    def generate(rng: Optional[random.Random] = None) -> "KeyPair":
+    def generate(rng: random.Random) -> "KeyPair":
         return KeyPair.from_seed(random_bytes(SEED_SIZE, rng))
 
 
@@ -153,9 +150,7 @@ class Ciphertext:
         return self.ephemeral + self.nonce + self.payload + self.tag
 
 
-def encrypt(
-    recipient: PublicKey, plaintext: bytes, rng: Optional[random.Random] = None
-) -> Ciphertext:
+def encrypt(recipient: PublicKey, plaintext: bytes, rng: random.Random) -> Ciphertext:
     """Seal `plaintext` for `recipient` under a one-time agreement key drawn
     from `rng` (32 bytes, then the 12-byte nonce). The recipient opens it
     with ``decrypt(key_agree(secret, ciphertext.ephemeral), ciphertext)``."""

@@ -22,12 +22,7 @@ from typing import Any, Iterator, Mapping, Optional, Sequence
 
 import jsonschema
 
-from .engine import (
-    DisputeConfig,
-    DisputeEngine,
-    Escrow,
-    enrollment_scope,
-)
+from .engine import DisputeConfig, DisputeEngine, enrollment_scope
 from .errors import MalformedScript, ProtocolError
 from .identity import Identity, PohRegistry, SemaphoreGroup, create_signal
 from .incentives import (
@@ -163,13 +158,8 @@ class World:
         self.registry = PohRegistry(challenge_window=challenge_window)
         self.group = SemaphoreGroup(self.registry, tree_depth=tree_depth)
         self.coordinator = KeyPair.generate(self.rng)
-        self.escrow = Escrow()
         self.engine = DisputeEngine(
-            self.coordinator,
-            self.group,
-            self.escrow,
-            rng=self.rng,
-            observer=self.view.append,
+            self.coordinator, self.group, rng=self.rng, observer=self.view.append
         )
         self.reputation = ReputationLedger()
         self.sbts = SbtRegistry()
@@ -431,7 +421,8 @@ class World:
                 "default_winner": dispute.default_winner,
                 "settled": dispute.settled,
             }
-        actors = sorted({entry.actor for entry in self.escrow.entries})
+        escrow = self.engine.escrow
+        actors = sorted({entry.actor for entry in escrow.entries})
         return {
             "poh": {
                 human: record.status.value
@@ -442,10 +433,10 @@ class World:
             "spent_nullifiers": len(self.group.seen_nullifier_hashes),
             "disputes": disputes,
             "escrow_balances": {
-                str(d): self.escrow.balance(d) for d in self.engine.disputes
+                str(d): escrow.balance(d) for d in self.engine.disputes
             },
             "escrow_net": {
-                actor: self.escrow.net_position(actor) for actor in actors
+                actor: escrow.net_position(actor) for actor in actors
             },
             "reputation": dict(self.reputation.scores),
             "sbts": [
@@ -705,16 +696,20 @@ def run_scenario(script: Mapping[str, Any], *, seed: Optional[int] = None) -> di
 
     A script that fails SCENARIO_SCHEMA, or whose timestamps decrease,
     raises MalformedScript naming the value at fault; so does a step that
-    refers to an actor or dispute that does not exist. Protocol
-    rejections do not raise — each step says what it expects ("ok" by
-    default, or "error:SomeError") and the report records whether
-    expectations held. `seed` overrides the script's own seed.
+    refers to an actor or dispute that does not exist, and a script nested
+    too deeply for the runner to walk. Protocol rejections do not raise —
+    each step says what it expects ("ok" by default, or "error:SomeError")
+    and the report records whether expectations held. `seed` overrides the
+    script's own seed.
     """
     try:
         # benchmarks/tracing.py times this call as the `cli.schema` span
         jsonschema.validate(script, SCENARIO_SCHEMA, cls=ScenarioValidator)
+        script = _integral(script)
     except jsonschema.ValidationError as exc:
         raise MalformedScript(f"fails the schema: {_located(exc)}") from None
+    except RecursionError:
+        raise MalformedScript("nested too deeply to read") from None
     timeline = script["timeline"]
     for position, (before, step) in enumerate(zip(timeline, timeline[1:]), 1):
         if step["t"] < before["t"]:
@@ -722,7 +717,6 @@ def run_scenario(script: Mapping[str, Any], *, seed: Optional[int] = None) -> di
                 f"timeline[{position}].t: {step['t']} follows {before['t']}; "
                 "timestamps must be non-decreasing"
             )
-    script = _integral(script)
 
     effective_seed = seed if seed is not None else script["seed"]
     world = World(effective_seed, **script.get("config", {}))
@@ -768,7 +762,7 @@ def run_scenario(script: Mapping[str, Any], *, seed: Optional[int] = None) -> di
     }
     # the replay checks every prefix of the ledger, so once covers every step;
     # a broken invariant is named on the last step, or on the report if none
-    if not world.escrow.conserved():
+    if not world.engine.escrow.conserved():
         broken = "escrow conservation violated"
         report["ok"] = False
         if steps_report:

@@ -29,37 +29,18 @@ NEGATIVES_ALLOWED = {"linear": False, "quadratic": True}
 
 
 @dataclass(frozen=True)
-class Proposal:
-    """A juror's proposed resolution: content hash plus author pseudonym."""
-
-    text_hash: bytes
-    judge_registration_index: int
-
-
-@dataclass(frozen=True)
-class Phase1Ballot:
-    party_choice: str
-    proposal: Proposal
-
-
-@dataclass(frozen=True)
 class Phase1Tally:
     scores: Mapping[str, int]
-    total_ballots: int
 
 
-def tally_phase1(
-    ballots: Iterable[Phase1Ballot], parties: Sequence[str]
-) -> Phase1Tally:
-    """Count one vote per ballot; every party appears in scores, even at 0."""
+def tally_phase1(choices: Iterable[str], parties: Sequence[str]) -> Phase1Tally:
+    """Count one vote per chosen party; every party appears in scores, even at 0."""
     scores = {party: 0 for party in parties}
-    total = 0
-    for ballot in ballots:
-        if ballot.party_choice not in scores:
-            raise UnknownParty(ballot.party_choice)
-        scores[ballot.party_choice] += 1
-        total += 1
-    return Phase1Tally(scores, total)
+    for choice in choices:
+        if choice not in scores:
+            raise UnknownParty(choice)
+        scores[choice] += 1
+    return Phase1Tally(scores)
 
 
 # ---- quadratic phase -----------------------------------------------------------

@@ -355,7 +355,7 @@ def resolved_court(*, choices=None, allocations=None, seed=11):
         choices = [(0, memos[0]), (1, memos[1]), (0, memos[2])]
     court.run_phase1(dispute.dispute_id, choices)
     court.engine.start_phase2(dispute.dispute_id, now=210)
-    deadline = dispute.phase2_deadline
+    deadline = dispute.phase2_poll.deadline
     if allocations is None:
         allocations = {"alice": {0: 1, 2: 1}, "bob": {1: 1}}
     for party, votes in allocations.items():

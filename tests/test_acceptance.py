@@ -297,7 +297,7 @@ def test_pipeline_matches_naive_recount() -> None:
             problems.append("winner")
         if sorted(dispute.dropped_allocations) != sorted(dropped):
             problems.append("dropped allocations")
-        if not world.escrow.conserved():
+        if not world.engine.escrow.conserved():
             problems.append("escrow")
         if problems:
             mismatches.append((run, problems))
@@ -703,7 +703,7 @@ def test_attack_suite_all_blocked_with_baseline_equality() -> None:
         and all(hit["escrow_net"][actor] == base["escrow_net"][actor]
                 for actor in base["escrow_net"])
         and hit["escrow_net"]["spammer"] == -10
-        and attacked.escrow.conserved()
+        and attacked.engine.escrow.conserved()
     )
     shape_a, snap_a = _info_shapes(506, _HONEST_VOTES)
     flipped = [(j, "bob" if p == "alice" else "alice", t) for j, p, t in _HONEST_VOTES]
@@ -741,7 +741,7 @@ def _random_lifecycle(seed: int, rng: random.Random) -> tuple[str, int]:
     def step(action, *args, **kwargs):
         nonlocal violations
         result = action(*args, **kwargs)
-        if not world.escrow.conserved():
+        if not world.engine.escrow.conserved():
             violations += 1
         return result
 
@@ -800,7 +800,7 @@ def _random_lifecycle(seed: int, rng: random.Random) -> tuple[str, int]:
         ).author_registration_index
         judge = world.judge_by_index[dispute_id][winner_index]
         step(world.claim_fee, dispute_id, judge, f"wallet-{judge}")
-        if world.escrow.balance(dispute_id) != 0:
+        if world.engine.escrow.balance(dispute_id) != 0:
             violations += 1
     return path, violations
 

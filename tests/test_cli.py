@@ -129,6 +129,34 @@ def test_run_schema_violations_exit_two(tmp_path, capsys, corrupt) -> None:
         assert words in captured.err
 
 
+# nested past the interpreter's recursion limit, so a recursive parser fails
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+
+
+def test_run_deeply_nested_json_exits_two(tmp_path, capsys) -> None:
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_ARRAY)
+    assert main(["run", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot read scenario: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_run_deeply_nested_expected_block_exits_two(tmp_path, capsys) -> None:
+    # parses and fits the schema (`expected` is any object), but is too deep
+    # for the runner to walk
+    path = tmp_path / "deep-expected.json"
+    path.write_text(
+        '{"seed": 1, "timeline": [], "expected": '
+        + '{"a": ' * 900 + "{}" + "}" * 900 + "}"
+    )
+    assert main(["run", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "malformed scenario: nested too deeply to read\n"
+
+
 def as_floats(node):
     """`node` with every integer, booleans aside, written as a float."""
     if isinstance(node, dict):
@@ -560,6 +588,8 @@ def test_verify_swapped_commitment_exits_one(tmp_path, capsys, audit_artifacts) 
         lambda d: d["entries"][0].__setitem__("valid", "yes"),
         lambda d: d.__setitem__("final_states", None),
         lambda d: d.__setitem__("tally", list(d["tally"].items())),
+        lambda d: d.__setitem__("cost_rule", 7),
+        lambda d: d.__setitem__("cost_rule", None),
     ],
 )
 def test_verify_malformed_transcript_exits_two(
@@ -572,6 +602,18 @@ def test_verify_malformed_transcript_exits_two(
     c = write_json(tmp_path / "c.json", record)
     assert main(["verify", t, c]) == EXIT_USAGE
     assert "malformed input" in capsys.readouterr().err
+
+
+def test_verify_deeply_nested_json_exits_two(tmp_path, capsys, audit_artifacts) -> None:
+    _, record, _ = audit_artifacts
+    t = tmp_path / "t.json"
+    t.write_text(DEEP_ARRAY)
+    c = write_json(tmp_path / "c.json", record)
+    assert main(["verify", str(t), c]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("malformed input: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_verify_truncated_file_exits_two(tmp_path, capsys, audit_artifacts) -> None:

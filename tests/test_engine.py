@@ -355,7 +355,7 @@ def test_quorum_shortfall_extends_once_then_aborts() -> None:
 
     assert court.engine.close_phase1(dispute.dispute_id, now=CFG.t2) == "extended"
     extended_deadline = CFG.t2 + CFG.extension_value
-    assert dispute.t2_effective == extended_deadline
+    assert dispute.phase1_poll.deadline == extended_deadline
     assert dispute.state == DisputeState.PHASE1_VOTING
 
     # intake stays open during the extension; two voters still miss quorum
@@ -482,10 +482,10 @@ def test_phase2_close_respects_its_own_deadline() -> None:
     )
     court.engine.start_phase2(dispute.dispute_id, now=210)
     with pytest.raises(TooEarly):
-        court.engine.close_phase2(dispute.dispute_id, now=dispute.phase2_deadline - 1)
+        court.engine.close_phase2(dispute.dispute_id, now=dispute.phase2_poll.deadline - 1)
     with pytest.raises(PollClosed):
         court.phase2_vote(
-            dispute.dispute_id, "alice", {0: 1}, now=dispute.phase2_deadline
+            dispute.dispute_id, "alice", {0: 1}, now=dispute.phase2_poll.deadline
         )
 
 
@@ -548,7 +548,7 @@ def test_mixed_outcomes_keep_the_escrow_conserved() -> None:
     )
     court.engine.start_phase2(resolved.dispute_id, now=210)
     court.phase2_vote(resolved.dispute_id, "alice", {0: 1}, now=211)
-    court.engine.close_phase2(resolved.dispute_id, now=resolved.phase2_deadline)
+    court.engine.close_phase2(resolved.dispute_id, now=resolved.phase2_poll.deadline)
     court.engine.settle(resolved.dispute_id, "judge-wallet")
 
     defaulted_key = KeyPair.generate(court.rng)

@@ -118,7 +118,7 @@ def test_world_claim_fee_pays_the_author() -> None:
     dispute_id = drive_minimal_dispute(world)
     amount = world.claim_fee(dispute_id, "j0", "payout-wallet")
     assert amount == 20
-    assert world.escrow.net_position("payout-wallet") == 20
+    assert world.engine.escrow.net_position("payout-wallet") == 20
 
 
 def test_snapshot_is_json_round_trippable() -> None:
@@ -175,6 +175,31 @@ def test_unknown_actor_reference_is_malformed() -> None:
         ],
     }
     with pytest.raises(MalformedScript):
+        run_scenario(script)
+
+
+def nested(depth: int) -> dict:
+    doc: dict = {}
+    for _ in range(depth):
+        doc = {"a": doc}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        {"seed": 1, "timeline": [], "expected": nested(900)},
+        {
+            "seed": 1,
+            "timeline": [
+                {"op": "group_join", "t": 0, "human": "x", "expect_result": nested(900)}
+            ],
+        },
+    ],
+    ids=["expected", "expect_result"],
+)
+def test_a_block_too_deep_to_walk_is_malformed(script) -> None:
+    with pytest.raises(MalformedScript, match="nested too deeply"):
         run_scenario(script)
 
 

@@ -286,9 +286,9 @@ def test_claim_follows_a_key_switch() -> None:
         dispute.dispute_id,
         "alice",
         {rotated_proposal: 1},
-        now=dispute.phase2_deadline - 1,
+        now=dispute.phase2_poll.deadline - 1,
     )
-    court.engine.close_phase2(dispute.dispute_id, now=dispute.phase2_deadline)
+    court.engine.close_phase2(dispute.dispute_id, now=dispute.phase2_poll.deadline)
     assert dispute.winning_proposal_id == rotated_proposal
 
     stale = sign_claim(enrolled[0][1], dispute.dispute_id, "wallet")
