@@ -4,7 +4,8 @@ Three subcommands, three artifact formats:
 
   run <file> [--seed N] [--out PATH]
       Execute a JSON scenario file end-to-end and emit the run report
-      (JSON, keys sorted, two-space indent). The runner checks the file
+      (compact JSON on one line, keys sorted; pretty-print it with
+      `python -m json.tool`). The runner checks the file
       against the published document schema (`scenario.SCENARIO_SCHEMA`)
       before anything runs. Exit 0 when every step met its expectation
       and every invariant held, 1 when one did not (each failed step,
@@ -143,6 +144,15 @@ def _opt_str(value: Any) -> Optional[str]:
     return None if value is None else _str(value)
 
 
+def _decimal(key: Any) -> int:
+    """An integer map key as JSON writes it: canonical decimal, so no two
+    spellings (`"152"`, `"0152"`, `" 152"`) name one key."""
+    value = int(_str(key))
+    if str(value) != key:
+        raise ValueError(f"expected a canonical decimal key, got {key!r}")
+    return value
+
+
 def _object(value: Any) -> Mapping[str, Any]:
     if not isinstance(value, Mapping):
         raise ValueError(f"expected an object, got {type(value).__name__}")
@@ -193,7 +203,8 @@ def transcript_from_jsonable(doc: Any) -> AuditTranscript:
         final_states=final_states,
         message_set_digest=_hex(doc["message_set_digest"]),
         tally={
-            int(option): _int(value) for option, value in _object(doc["tally"]).items()
+            _decimal(option): _int(value)
+            for option, value in _object(doc["tally"]).items()
         },
         salt=_hex(doc["salt"]),
     )
@@ -225,7 +236,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"malformed scenario: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
+    # without `indent`, json.dumps takes the C encoder
+    _emit(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n", args.out)
     if not report["ok"]:
         failed = [
             f"step {step['position']} ({step['op']})"

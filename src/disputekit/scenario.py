@@ -16,9 +16,11 @@ and attack probes read the view to confirm exactly that.
 """
 from __future__ import annotations
 
+import numbers
 import random
+import re
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 import jsonschema
 
@@ -588,12 +590,180 @@ def scenario_schema() -> dict[str, Any]:
 
 SCENARIO_SCHEMA = scenario_schema()
 
-# ScenarioValidator's validators, built once at import: the document with its
-# steps left unchecked, one per op for the steps that name it, and one for a
-# step that names no known op.
+# ---- the compiled accept path ----------------------------------------------------
+
+Predicate = Callable[[Any], bool]
+
+
+def _always(value: Any) -> bool:
+    return True
+
+
+def _never(value: Any) -> bool:
+    return False
+
+
+def _is_integer(value: Any) -> bool:
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+
+
+def _is_number(value: Any) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Number)
+
+
+# JSON type name -> membership, as jsonschema's Draft 2020-12 type checker
+# has it: an integral float is an integer, a bool is neither an integer nor
+# a number
+_TYPES: dict[str, Predicate] = {
+    "array": lambda value: isinstance(value, list),
+    "boolean": lambda value: isinstance(value, bool),
+    "integer": _is_integer,
+    "null": lambda value: value is None,
+    "number": _is_number,
+    "object": lambda value: isinstance(value, dict),
+    "string": lambda value: isinstance(value, str),
+}
+
+
+# Each keyword compiler takes the keyword's argument and its whole schema,
+# and returns the keyword's check, or None for a form it does not read. As in
+# JSON Schema, a keyword about one JSON type passes every value of another.
+
+
+def _type(name: Any, schema: dict) -> Optional[Predicate]:
+    return _TYPES.get(name) if isinstance(name, str) else None
+
+
+def _const(const: Any, schema: dict) -> Optional[Predicate]:
+    if not isinstance(const, str):
+        return None
+    return lambda value: isinstance(value, str) and value == const
+
+
+def _minimum(minimum: Any, schema: dict) -> Optional[Predicate]:
+    if not _is_number(minimum):
+        return None
+    return lambda value: not _is_number(value) or not value < minimum
+
+
+def _pattern(pattern: Any, schema: dict) -> Optional[Predicate]:
+    if not isinstance(pattern, str):
+        return None
+    search = re.compile(pattern).search
+    return lambda value: not isinstance(value, str) or search(value) is not None
+
+
+def _properties(properties: Any, schema: dict) -> Optional[Predicate]:
+    if not isinstance(properties, dict):
+        return None
+    compiled = [(name, _accepts(sub)) for name, sub in properties.items()]
+    fields = [(name, accept) for name, accept in compiled if accept is not _always]
+
+    def check(value: Any) -> bool:
+        if not isinstance(value, dict):
+            return True
+        for name, accept in fields:
+            if name in value and not accept(value[name]):
+                return False
+        return True
+
+    return check
+
+
+def _required(required: Any, schema: dict) -> Optional[Predicate]:
+    if not isinstance(required, list) or not all(isinstance(n, str) for n in required):
+        return None
+    names = frozenset(required)
+    return lambda value: not isinstance(value, dict) or value.keys() >= names
+
+
+def _additional_properties(additional: Any, schema: dict) -> Optional[Predicate]:
+    # `patternProperties`, which would also exempt names, is not read here,
+    # so a schema using it accepts nothing
+    known = schema.get("properties", {})
+    if not isinstance(known, dict):
+        return None
+    if additional is True:
+        return _always
+    if additional is False:
+        return lambda value: not isinstance(value, dict) or known.keys() >= value.keys()
+    if not isinstance(additional, dict):
+        return None
+    accept = _accepts(additional)
+    return lambda value: not isinstance(value, dict) or all(
+        accept(item) for name, item in value.items() if name not in known
+    )
+
+
+def _items(items: Any, schema: dict) -> Optional[Predicate]:
+    accept = _accepts(items)
+    return lambda value: not isinstance(value, list) or all(map(accept, value))
+
+
+def _min_items(minimum: Any, schema: dict) -> Optional[Predicate]:
+    if isinstance(minimum, bool) or not isinstance(minimum, int):
+        return None
+    return lambda value: not isinstance(value, list) or len(value) >= minimum
+
+
+def _property_names(names: Any, schema: dict) -> Optional[Predicate]:
+    accept = _accepts(names)
+    return lambda value: not isinstance(value, dict) or all(map(accept, value))
+
+
+_KEYWORDS: dict[str, Callable[[Any, dict], Optional[Predicate]]] = {
+    "type": _type,
+    "const": _const,
+    "minimum": _minimum,
+    "pattern": _pattern,
+    "properties": _properties,
+    "required": _required,
+    "additionalProperties": _additional_properties,
+    "items": _items,
+    "minItems": _min_items,
+    "propertyNames": _property_names,
+}
+
+
+def _accepts(schema: Any) -> Predicate:
+    """A predicate true only of values `schema` accepts under Draft 2020-12,
+    for the keywords the scenario schema uses. A schema with any other
+    keyword, or a keyword in a form not read here, gives a predicate that
+    accepts nothing; the caller then asks jsonschema."""
+    if schema is True:
+        return _always
+    if not isinstance(schema, dict):
+        return _never
+    checks = []
+    for keyword, argument in schema.items():
+        compile_keyword = _KEYWORDS.get(keyword)
+        check = compile_keyword(argument, schema) if compile_keyword else None
+        if check is None:
+            return _never
+        if check is not _always:
+            checks.append(check)
+    if not checks:
+        return _always
+
+    def accept(value: Any) -> bool:
+        for check in checks:
+            if not check(value):
+                return False
+        return True
+
+    return accept
+
+
+# ScenarioValidator's checks, built once at import: the document with its
+# steps left unchecked; per op, its branch compiled to a fast accept and its
+# jsonschema validator for every step the accept does not take; and a
+# validator for a step that names no known op.
 _ENVELOPE = jsonschema.Draft202012Validator(_document_schema(True))
-_STEP_VALIDATORS = {
-    op: jsonschema.Draft202012Validator(_step_schema(op)) for op in _OPS
+_STEP_CHECKS = {
+    op: (_accepts(_step_schema(op)), jsonschema.Draft202012Validator(_step_schema(op)))
+    for op in _OPS
 }
 _KNOWN_OP = jsonschema.Draft202012Validator(
     {
@@ -610,7 +780,13 @@ class ScenarioValidator:
     `const`, so at most one branch can match a step: checking the document
     apart from its steps, then each step against its own op's branch,
     accepts exactly the documents SCENARIO_SCHEMA accepts, without trying
-    every branch on every step."""
+    every branch on every step.
+
+    Each branch is also compiled once, at import, into a predicate that is
+    true only of steps jsonschema would accept (`_accepts`). A step the
+    predicate takes is done; every other step goes to its branch's
+    jsonschema validator, which stays the judge: it decides each rejection
+    and writes each message."""
 
     def __init__(self, schema: Any) -> None:
         self.check_schema(schema)
@@ -631,9 +807,12 @@ class ScenarioValidator:
             return iter(errors)
         for position, step in enumerate(script["timeline"]):
             op = step.get("op") if isinstance(step, dict) else None
-            validator = (
-                _STEP_VALIDATORS.get(op, _KNOWN_OP) if isinstance(op, str) else _KNOWN_OP
-            )
+            if isinstance(op, str) and op in _STEP_CHECKS:
+                accept, validator = _STEP_CHECKS[op]
+                if accept(step):
+                    continue
+            else:
+                validator = _KNOWN_OP
             errors = list(validator.iter_errors(step))
             if errors:
                 for error in errors:

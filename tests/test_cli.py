@@ -5,12 +5,13 @@ import copy
 import csv
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from support import STRUCTURAL_FAULTS, plant_double_booked_payouts, resolved_court
@@ -26,11 +27,23 @@ from disputekit.cli import (
     transcript_to_jsonable,
 )
 from disputekit.engine import Escrow
-from disputekit.maci import message_set_digest
+from disputekit.maci import (
+    AuditTranscript,
+    Command,
+    TranscriptEntry,
+    digest_over_entries,
+    message_set_digest,
+    replay_ballots,
+)
+from disputekit.primitives import KeyPair, hash_bytes, sign
 from disputekit.scenario import (
     _OPS,
+    _STEP_CHECKS,
     SCENARIO_SCHEMA,
     ScenarioValidator,
+    _accepts,
+    _step_schema,
+    run_scenario,
     scenario_schema,
 )
 
@@ -67,6 +80,15 @@ def test_run_reports_are_byte_identical(tmp_path) -> None:
     assert main(["run", str(HAPPY), "--out", str(second)]) == EXIT_OK
     assert first.read_bytes() == second.read_bytes()
     assert first.read_bytes().endswith(b"\n")
+
+
+def test_run_writes_one_line_of_sorted_compact_json(tmp_path) -> None:
+    out = tmp_path / "report.json"
+    assert main(["run", str(HAPPY), "--out", str(out)]) == EXIT_OK
+    report = run_scenario(json.loads(HAPPY.read_text()))
+    assert out.read_text() == (
+        json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    )
 
 
 def test_run_seed_override_changes_bytes(tmp_path, capsys) -> None:
@@ -256,12 +278,51 @@ def value_at(doc, path):
     return doc
 
 
+INTEGER_FIELDS = [
+    "t", "fee", "t1", "t2", "min_judges", "extension", "phase2_window", "dispute"
+]
+# step field values of the field's own type, or of none, at a keyword's edge
+REVALUES = [
+    ("t", -1),
+    ("expect", "ok\n"),
+    ("expect", "maybe"),
+    ("respondents", []),
+    ("allocations", {"x": 1}),
+    ("allocations", {"1": 1.5}),
+    *[(field, value) for field in INTEGER_FIELDS for value in (2.0, 2.5, True)],
+]
+
+
+def takers(doc, field):
+    """The positions of `doc`'s steps whose op's branch declares `field`."""
+    return [
+        position
+        for position, step in enumerate(doc["timeline"])
+        if field in _step_schema(step["op"])["properties"]
+    ]
+
+
+def revalued(doc, position, field, value):
+    doc = copy.deepcopy(doc)
+    doc["timeline"][position][field] = copy.deepcopy(value)
+    return doc
+
+
 @st.composite
 def one_field_mutations(draw):
     """A bundled scenario with one key dropped or added, one value's type
-    swapped, one step's `op` made unknown, or one step made a non-object."""
-    doc = copy.deepcopy(draw(st.sampled_from(BUNDLED)))
-    kind = draw(st.sampled_from(["drop", "add", "retype", "op", "non_object"]))
+    swapped, one step field set to a `REVALUES` value, one step's `op` made
+    unknown, or one step made a non-object."""
+    doc = draw(st.sampled_from(BUNDLED))
+    kind = draw(
+        st.sampled_from(["drop", "add", "retype", "revalue", "op", "non_object"])
+    )
+    if kind == "revalue":
+        field, value = draw(
+            st.sampled_from([(f, v) for f, v in REVALUES if takers(doc, f)])
+        )
+        return revalued(doc, draw(st.sampled_from(takers(doc, field))), field, value)
+    doc = copy.deepcopy(doc)
     if kind in ("drop", "retype"):
         *parent, key = draw(st.sampled_from([p for p in paths(doc) if p]))
         container = value_at(doc, parent)
@@ -298,11 +359,22 @@ def rejects(doc, cls=None) -> bool:
     return False
 
 
+def with_each_revalue(test):
+    """`test` with one explicit example per `REVALUES` entry, on the first
+    bundled step that takes its field, so each edge value runs every time
+    and not only when drawn."""
+    for field, value in REVALUES:
+        doc = next(doc for doc in BUNDLED if takers(doc, field))
+        test = example(doc=revalued(doc, takers(doc, field)[0], field, value))(test)
+    return test
+
+
 @settings(
     max_examples=80,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
+@with_each_revalue
 @given(doc=one_field_mutations())
 def test_scenario_check_agrees_with_the_reference_validator(tmp_path, doc) -> None:
     rejected = rejects(doc)
@@ -315,6 +387,47 @@ def test_scenario_check_agrees_with_the_reference_validator(tmp_path, doc) -> No
     assert "Traceback" not in err.getvalue()
     if rejected:
         assert code == EXIT_USAGE and out.getvalue() == ""
+
+
+# the least of each JSON type a step field takes
+MINIMAL = {"string": "x", "integer": 0, "boolean": False, "array": ["x"], "object": {}}
+
+
+def minimal_step(op):
+    branch = _step_schema(op)
+    return {
+        "op": op,
+        **{
+            field: MINIMAL[branch["properties"][field]["type"]]
+            for field in branch["required"]
+            if field != "op"
+        },
+    }
+
+
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_each_compiled_branch_accepts_a_minimal_step(op) -> None:
+    step = minimal_step(op)
+    jsonschema.validate(step, _step_schema(op))
+    accept, _ = _STEP_CHECKS[op]
+    assert accept(step)
+    assert not accept({**step, "op": f"not_{op}"})
+
+
+@pytest.mark.parametrize(
+    "extend",
+    [
+        lambda branch: branch.update(maxProperties=99),
+        lambda branch: branch["properties"]["t"].update(maximum=10**9),
+    ],
+    ids=["on_the_branch", "on_a_field"],
+)
+def test_a_keyword_the_compiler_does_not_read_accepts_nothing(extend) -> None:
+    branch = _step_schema("group_join")
+    extend(branch)
+    step = minimal_step("group_join")
+    jsonschema.validate(step, branch)
+    assert not _accepts(branch)(step)
 
 
 # ---- any document given to `run` keeps the exit contract ------------------------
@@ -590,6 +703,13 @@ def test_verify_swapped_commitment_exits_one(tmp_path, capsys, audit_artifacts) 
         lambda d: d.__setitem__("tally", list(d["tally"].items())),
         lambda d: d.__setitem__("cost_rule", 7),
         lambda d: d.__setitem__("cost_rule", None),
+        *[
+            lambda d, spell=spell: d.__setitem__(
+                "tally", {spell(k): v for k, v in d["tally"].items()}
+            )
+            for spell in (lambda k: "0" + k, lambda k: " " + k, lambda k: "+" + k)
+        ],
+        lambda d: d.__setitem__("tally", {"0" + min(d["tally"]): 999999, **d["tally"]}),
     ],
 )
 def test_verify_malformed_transcript_exits_two(
@@ -602,6 +722,44 @@ def test_verify_malformed_transcript_exits_two(
     c = write_json(tmp_path / "c.json", record)
     assert main(["verify", t, c]) == EXIT_USAGE
     assert "malformed input" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_tally_past_int64(tmp_path, capsys) -> None:
+    """Three voters spend 2**62 credits each on one option under the linear
+    rule; the replay agrees, but a tally of 3 * 2**62 has no int64 encoding,
+    so it opens no commitment."""
+    rng = random.Random(3)
+    voters = [KeyPair.generate(rng) for _ in range(3)]
+    initial = tuple((i, v.public.encode(), 2**62) for i, v in enumerate(voters))
+    plaintexts = []
+    for index, voter in enumerate(voters):
+        command = Command(voter.public, (0,), (2**62,), b"", index)
+        plaintexts.append(command.encode_signed(sign(voter, command.signing_bytes())))
+    verdicts, states = replay_ballots("linear", initial, plaintexts)
+    assert verdicts == [(True, None)] * 3
+    # the audit reads the message set off the entries' digests alone
+    digests = [hash_bytes(plaintext) for plaintext in plaintexts]
+    intake = digest_over_entries(digests)
+    transcript = AuditTranscript(
+        poll_id=0,
+        cost_rule="linear",
+        initial_voters=initial,
+        entries=tuple(
+            TranscriptEntry(i, digest, plaintext, True, None)
+            for i, (digest, plaintext) in enumerate(zip(digests, plaintexts))
+        ),
+        final_states=states,
+        message_set_digest=intake,
+        tally={0: 3 * 2**62},
+        salt=bytes(32),
+    )
+    t = write_json(tmp_path / "t.json", transcript_to_jsonable(transcript))
+    c = write_json(
+        tmp_path / "c.json",
+        {"intake_digest": intake.hex(), "commitment_digest": "00" * 32},
+    )
+    assert main(["verify", t, c]) == EXIT_FAIL
+    assert capsys.readouterr().out == "rejected: CommitmentMismatch\n"
 
 
 def test_verify_deeply_nested_json_exits_two(tmp_path, capsys, audit_artifacts) -> None:
