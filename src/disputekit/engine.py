@@ -231,7 +231,6 @@ class Dispute:
     party_keys: dict[str, PublicKey] = field(default_factory=dict)
     joined: set[str] = field(default_factory=set)
     evidence: list[EvidenceRef] = field(default_factory=list)
-    transitions: list[tuple[int, str, str]] = field(default_factory=list)
     phase1_tally: Optional[Phase1Tally] = None
     proposals: list[EngineProposal] = field(default_factory=list)
     phase2_poll: Optional[MaciPoll] = None
@@ -283,7 +282,6 @@ class DisputeEngine:
             raise WrongState(f"{dispute.state.value} cannot become {new.value}")
         old = dispute.state
         dispute.state = new
-        dispute.transitions.append((now, old.value, new.value))
         self.observe(
             "dispute_state",
             {

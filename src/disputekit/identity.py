@@ -63,7 +63,7 @@ class PohRegistry:
     """Vouch-and-challenge personhood registry (adjudication simplified:
     any challenge inside the window sinks the registration)."""
 
-    def __init__(self, challenge_window: int = 10):
+    def __init__(self, challenge_window: int):
         if challenge_window < 1:
             raise ValueError("challenge window must be positive")
         self.challenge_window = challenge_window
@@ -184,7 +184,7 @@ class Signal:
 class SemaphoreGroup:
     """Merkle tree of commitments with double-signal protection."""
 
-    def __init__(self, registry: PohRegistry, tree_depth: int = 20):
+    def __init__(self, registry: PohRegistry, tree_depth: int):
         self.registry = registry
         self.tree = MerkleTree(tree_depth)
         # human_id -> leaf index; never deleted, so bans are permanent.

@@ -232,7 +232,7 @@ class MaciPoll:
         poll_id: int,
         coordinator_public: PublicKey,
         deadline: int,
-        cost_rule: str = "linear",
+        cost_rule: str,
     ):
         if cost_rule not in COST_RULES:
             raise ValueError(f"unknown cost rule {cost_rule!r}")

@@ -194,7 +194,7 @@ class MerkleTree:
     its leaf to the root; reads are lookups.
     """
 
-    def __init__(self, depth: int = 20):
+    def __init__(self, depth: int):
         if depth < 1:
             raise ValueError("depth must be >= 1")
         self.depth = depth

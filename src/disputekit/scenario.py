@@ -16,7 +16,6 @@ and attack probes read the view to confirm exactly that.
 """
 from __future__ import annotations
 
-import numbers
 import random
 import re
 from dataclasses import dataclass
@@ -126,7 +125,7 @@ class AdversaryView:
 def _jsonable(value: Any) -> Any:
     if isinstance(value, bytes):
         return value.hex()
-    if isinstance(value, Mapping):
+    if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
@@ -151,7 +150,6 @@ class World:
         genesis_humans: Sequence[str] = (),
         challenge_window: int = 10,
         tree_depth: int = 12,
-        thresholds: Optional[Thresholds] = None,
     ):
         self.seed = seed
         self.rng = random.Random(seed)
@@ -165,7 +163,6 @@ class World:
         )
         self.reputation = ReputationLedger()
         self.sbts = SbtRegistry()
-        self.thresholds = thresholds if thresholds is not None else Thresholds()
         self.identities: dict[str, Identity] = {}
         self.party_keys: dict[str, KeyPair] = {}
         # per (dispute, judge): the ballot key, replaced when a vote rotates it
@@ -366,7 +363,7 @@ class World:
         before = {judge: self.group.member_bindings.get(judge) for judge in
                   self.reputation.scores}
         actions = enforce_thresholds(
-            self.reputation, self.thresholds, self.sbts, self.group
+            self.reputation, Thresholds(), self.sbts, self.group
         )
         for action, judge in actions:
             if action == "ban" and before.get(judge) is not None:
@@ -595,14 +592,6 @@ SCENARIO_SCHEMA = scenario_schema()
 Predicate = Callable[[Any], bool]
 
 
-def _always(value: Any) -> bool:
-    return True
-
-
-def _never(value: Any) -> bool:
-    return False
-
-
 def _is_integer(value: Any) -> bool:
     if isinstance(value, bool):
         return False
@@ -610,146 +599,109 @@ def _is_integer(value: Any) -> bool:
 
 
 def _is_number(value: Any) -> bool:
-    return not isinstance(value, bool) and isinstance(value, numbers.Number)
+    return not isinstance(value, bool) and isinstance(value, (int, float))
 
 
 # JSON type name -> membership, as jsonschema's Draft 2020-12 type checker
-# has it: an integral float is an integer, a bool is neither an integer nor
-# a number
+# has it: an integral float is an integer, a bool is not
 _TYPES: dict[str, Predicate] = {
     "array": lambda value: isinstance(value, list),
     "boolean": lambda value: isinstance(value, bool),
     "integer": _is_integer,
-    "null": lambda value: value is None,
-    "number": _is_number,
     "object": lambda value: isinstance(value, dict),
     "string": lambda value: isinstance(value, str),
 }
 
 
-# Each keyword compiler takes the keyword's argument and its whole schema,
-# and returns the keyword's check, or None for a form it does not read. As in
-# JSON Schema, a keyword about one JSON type passes every value of another.
+# Each keyword compiler takes the keyword's argument and returns its check.
+# As in JSON Schema, a keyword about one JSON type passes every value of
+# another.
 
 
-def _type(name: Any, schema: dict) -> Optional[Predicate]:
-    return _TYPES.get(name) if isinstance(name, str) else None
+def _const(const: Any) -> Predicate:
+    return lambda value: type(value) is type(const) and value == const
 
 
-def _const(const: Any, schema: dict) -> Optional[Predicate]:
-    if not isinstance(const, str):
-        return None
-    return lambda value: isinstance(value, str) and value == const
-
-
-def _minimum(minimum: Any, schema: dict) -> Optional[Predicate]:
-    if not _is_number(minimum):
-        return None
+def _minimum(minimum: Any) -> Predicate:
     return lambda value: not _is_number(value) or not value < minimum
 
 
-def _pattern(pattern: Any, schema: dict) -> Optional[Predicate]:
-    if not isinstance(pattern, str):
-        return None
+def _pattern(pattern: str) -> Predicate:
     search = re.compile(pattern).search
     return lambda value: not isinstance(value, str) or search(value) is not None
 
 
-def _properties(properties: Any, schema: dict) -> Optional[Predicate]:
-    if not isinstance(properties, dict):
-        return None
-    compiled = [(name, _accepts(sub)) for name, sub in properties.items()]
-    fields = [(name, accept) for name, accept in compiled if accept is not _always]
-
-    def check(value: Any) -> bool:
-        if not isinstance(value, dict):
-            return True
-        for name, accept in fields:
-            if name in value and not accept(value[name]):
-                return False
-        return True
-
-    return check
-
-
-def _required(required: Any, schema: dict) -> Optional[Predicate]:
-    if not isinstance(required, list) or not all(isinstance(n, str) for n in required):
-        return None
-    names = frozenset(required)
-    return lambda value: not isinstance(value, dict) or value.keys() >= names
-
-
-def _additional_properties(additional: Any, schema: dict) -> Optional[Predicate]:
-    # `patternProperties`, which would also exempt names, is not read here,
-    # so a schema using it accepts nothing
-    known = schema.get("properties", {})
-    if not isinstance(known, dict):
-        return None
-    if additional is True:
-        return _always
-    if additional is False:
-        return lambda value: not isinstance(value, dict) or known.keys() >= value.keys()
-    if not isinstance(additional, dict):
-        return None
-    accept = _accepts(additional)
-    return lambda value: not isinstance(value, dict) or all(
-        accept(item) for name, item in value.items() if name not in known
-    )
-
-
-def _items(items: Any, schema: dict) -> Optional[Predicate]:
-    accept = _accepts(items)
+def _items(items: dict) -> Predicate:
+    accept = _field_accepts(items)
     return lambda value: not isinstance(value, list) or all(map(accept, value))
 
 
-def _min_items(minimum: Any, schema: dict) -> Optional[Predicate]:
-    if isinstance(minimum, bool) or not isinstance(minimum, int):
-        return None
+def _min_items(minimum: int) -> Predicate:
     return lambda value: not isinstance(value, list) or len(value) >= minimum
 
 
-def _property_names(names: Any, schema: dict) -> Optional[Predicate]:
-    accept = _accepts(names)
+def _property_names(names: dict) -> Predicate:
+    accept = _field_accepts(names)
     return lambda value: not isinstance(value, dict) or all(map(accept, value))
 
 
-_KEYWORDS: dict[str, Callable[[Any, dict], Optional[Predicate]]] = {
-    "type": _type,
+def _additional_properties(additional: dict) -> Predicate:
+    # with no `properties` beside it, every member is an additional one
+    accept = _field_accepts(additional)
+    return lambda value: not isinstance(value, dict) or all(map(accept, value.values()))
+
+
+_KEYWORDS: dict[str, Callable[[Any], Predicate]] = {
+    "type": _TYPES.__getitem__,
     "const": _const,
     "minimum": _minimum,
     "pattern": _pattern,
-    "properties": _properties,
-    "required": _required,
-    "additionalProperties": _additional_properties,
     "items": _items,
     "minItems": _min_items,
     "propertyNames": _property_names,
+    "additionalProperties": _additional_properties,
 }
 
 
-def _accepts(schema: Any) -> Predicate:
-    """A predicate true only of values `schema` accepts under Draft 2020-12,
-    for the keywords the scenario schema uses. A schema with any other
-    keyword, or a keyword in a form not read here, gives a predicate that
-    accepts nothing; the caller then asks jsonschema."""
-    if schema is True:
-        return _always
-    if not isinstance(schema, dict):
-        return _never
+def _field_accepts(schema: dict) -> Predicate:
+    """A predicate true exactly of the values a field's schema accepts under
+    Draft 2020-12. Raises ValueError on a keyword it does not read."""
     checks = []
     for keyword, argument in schema.items():
-        compile_keyword = _KEYWORDS.get(keyword)
-        check = compile_keyword(argument, schema) if compile_keyword else None
-        if check is None:
-            return _never
-        if check is not _always:
-            checks.append(check)
-    if not checks:
-        return _always
+        if keyword not in _KEYWORDS:
+            raise ValueError(f"the step check does not read {keyword!r}")
+        checks.append(_KEYWORDS[keyword](argument))
+    if len(checks) == 1:
+        return checks[0]
 
     def accept(value: Any) -> bool:
         for check in checks:
             if not check(value):
+                return False
+        return True
+
+    return accept
+
+
+def _step_accepts(op: str) -> Predicate:
+    """A predicate true exactly of the steps `_step_schema(op)` accepts: a
+    dict with every required key, no other key, and each value accepted by
+    its field's schema. Raises ValueError on a branch of any other shape."""
+    branch = dict(_step_schema(op))
+    properties, required = branch.pop("properties"), branch.pop("required")
+    if branch != {"type": "object", "additionalProperties": False}:
+        raise ValueError(f"the step check does not read the {op} branch {branch}")
+    fields = {name: _field_accepts(schema) for name, schema in properties.items()}
+
+    def accept(step: Any) -> bool:
+        if not isinstance(step, dict):
+            return False
+        for name in required:
+            if name not in step:
+                return False
+        for name, value in step.items():
+            check = fields.get(name)
+            if check is None or not check(value):
                 return False
         return True
 
@@ -762,7 +714,7 @@ def _accepts(schema: Any) -> Predicate:
 # validator for a step that names no known op.
 _ENVELOPE = jsonschema.Draft202012Validator(_document_schema(True))
 _STEP_CHECKS = {
-    op: (_accepts(_step_schema(op)), jsonschema.Draft202012Validator(_step_schema(op)))
+    op: (_step_accepts(op), jsonschema.Draft202012Validator(_step_schema(op)))
     for op in _OPS
 }
 _KNOWN_OP = jsonschema.Draft202012Validator(
@@ -782,9 +734,12 @@ class ScenarioValidator:
     accepts exactly the documents SCENARIO_SCHEMA accepts, without trying
     every branch on every step.
 
-    Each branch is also compiled once, at import, into a predicate that is
-    true only of steps jsonschema would accept (`_accepts`). A step the
-    predicate takes is done; every other step goes to its branch's
+    Each branch is also compiled once, at import, into a predicate true
+    exactly of the steps jsonschema accepts (`_step_accepts`). It reads the
+    branch's `properties` and `required`, and each field's own keywords
+    (`_field_accepts`); a branch or field using anything else fails the
+    import, so no step is ever judged by a keyword the predicate skipped. A
+    step the predicate takes is done; every other step goes to its branch's
     jsonschema validator, which stays the judge: it decides each rejection
     and writes each message."""
 
@@ -860,8 +815,8 @@ def _call_op(world: World, op: str, step: Mapping[str, Any]) -> Any:
 def matches_expected(snapshot: Any, expected: Any) -> bool:
     """Deep subset match: every key in `expected` must exist and match;
     lists and scalars must be equal outright."""
-    if isinstance(expected, Mapping):
-        if not isinstance(snapshot, Mapping):
+    if isinstance(expected, dict):
+        if not isinstance(snapshot, dict):
             return False
         return all(
             key in snapshot and matches_expected(snapshot[key], value)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from support import STRUCTURAL_FAULTS, plant_double_booked_payouts, resolved_court
 
 import disputekit.oracle as oracle
+import disputekit.scenario as scenario
 from disputekit.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -37,11 +38,12 @@ from disputekit.maci import (
 )
 from disputekit.primitives import KeyPair, hash_bytes, sign
 from disputekit.scenario import (
+    _FIELD_SCHEMAS,
     _OPS,
     _STEP_CHECKS,
     SCENARIO_SCHEMA,
     ScenarioValidator,
-    _accepts,
+    _step_accepts,
     _step_schema,
     run_scenario,
     scenario_schema,
@@ -414,20 +416,71 @@ def test_each_compiled_branch_accepts_a_minimal_step(op) -> None:
     assert not accept({**step, "op": f"not_{op}"})
 
 
+# values at a keyword's edge, of a type no field takes, or of a field's own type
+STEP_VALUES = [
+    2.0, 2.5, True, -1, "ok\n", [], {"x": 1}, {"1": 1.5},
+    0, 7, False, "x", "ok", "error:WrongFee", ["x", "y"], [3], {}, {"-3": 2}, None,
+]
+
+
+def step_keys(op):
+    """`op`'s own keys, and some it does not take."""
+    own = sorted(_step_schema(op)["properties"])
+    return own, sorted(set(_FIELD_SCHEMAS) - set(own)) + ["unknown"]
+
+
+def assert_step_check_agrees(op, step) -> None:
+    accept, _ = _STEP_CHECKS[op]
+    reference = jsonschema.Draft202012Validator(_step_schema(op)).is_valid(step)
+    assert accept(step) == reference, step
+
+
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_each_step_check_agrees_with_its_branch_on_one_edit(op) -> None:
+    """A minimal step with one key dropped, or set to each `STEP_VALUES`."""
+    own, foreign = step_keys(op)
+    for key in own:
+        assert_step_check_agrees(op, {k: v for k, v in minimal_step(op).items() if k != key})
+    for key in own + foreign:
+        for value in STEP_VALUES:
+            assert_step_check_agrees(op, {**minimal_step(op), key: copy.deepcopy(value)})
+
+
+@pytest.mark.parametrize("op", sorted(_OPS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_each_step_check_agrees_with_its_branch(op, data) -> None:
+    """A minimal step with up to four keys dropped, set or added."""
+    own, foreign = step_keys(op)
+    step = minimal_step(op)
+    for _ in range(data.draw(st.integers(0, 4))):
+        kind = data.draw(st.sampled_from(["drop", "set", "set", "add"]))
+        if kind == "drop" and step:
+            del step[data.draw(st.sampled_from(sorted(step)))]
+        elif kind != "drop":
+            key = data.draw(st.sampled_from(own if kind == "set" else foreign))
+            step[key] = copy.deepcopy(data.draw(st.sampled_from(STEP_VALUES)))
+    assert_step_check_agrees(op, step)
+
+
 @pytest.mark.parametrize(
     "extend",
     [
         lambda branch: branch.update(maxProperties=99),
+        lambda branch: branch.update(additionalProperties=True),
         lambda branch: branch["properties"]["t"].update(maximum=10**9),
     ],
-    ids=["on_the_branch", "on_a_field"],
+    ids=["on_the_branch", "open_branch", "on_a_field"],
 )
-def test_a_keyword_the_compiler_does_not_read_accepts_nothing(extend) -> None:
+def test_a_keyword_the_step_check_does_not_read_fails_to_compile(
+    monkeypatch, extend
+) -> None:
     branch = _step_schema("group_join")
     extend(branch)
-    step = minimal_step("group_join")
-    jsonschema.validate(step, branch)
-    assert not _accepts(branch)(step)
+    jsonschema.validate(minimal_step("group_join"), branch)
+    monkeypatch.setattr(scenario, "_step_schema", lambda op: branch)
+    with pytest.raises(ValueError, match="does not read"):
+        _step_accepts("group_join")
 
 
 # ---- any document given to `run` keeps the exit contract ------------------------

@@ -513,7 +513,11 @@ def test_settlement_requires_resolution() -> None:
 
 def test_transitions_never_skip_states() -> None:
     court, dispute = resolved_court()
-    assert [(old, new) for _, old, new in dispute.transitions] == [
+    assert [
+        (payload["old"], payload["new"])
+        for kind, payload in court.events
+        if kind == "dispute_state" and payload["dispute_id"] == dispute.dispute_id
+    ] == [
         ("Opened", "AwaitingJoin"),
         ("AwaitingJoin", "EvidenceOpen"),
         ("EvidenceOpen", "Phase1Voting"),
