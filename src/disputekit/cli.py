@@ -36,6 +36,7 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
@@ -220,14 +221,26 @@ def _emit(payload: str, out: Optional[str]) -> None:
         Path(out).write_text(payload)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """An object with each key once. `json` keeps the last of two equal
+    keys, so a reader that keeps the first would see another document."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        repeated = next(key for key, count in counts.items() if count > 1)
+        raise ValueError(f"duplicate key {repeated!r}")
+    return obj
+
+
 def _load_json(path: str) -> Any:
-    return json.loads(Path(path).read_text())
+    return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         script = _load_json(args.file)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError covers a JSONDecodeError and a key `_unique_keys` refuses
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -475,13 +475,20 @@ def verify_audit(
     commitment: TallyCommitment,
 ) -> Verdict:
     """Re-derive everything the coordinator claimed; reject on the first
-    check that fails.
+    check that fails. The checks run cheapest first:
 
     1. the transcript covers exactly the observed message set;
-    2. ``replay_ballots``, the rule processing ran, reproduces every
-       verdict and the final voter states from the published plaintexts;
-    3. aggregating the final votes reproduces the tally;
-    4. the published commitment opens to (tally, salt).
+    2. aggregating the claimed final votes reproduces the tally;
+    3. the published commitment opens to (tally, salt);
+    4. ``replay_ballots``, the rule processing ran, reproduces every
+       verdict and the claimed final voter states from the published
+       plaintexts — the O(M) signature replay.
+
+    Checks 2 and 3 read only the claims, so they cost O(V). The accept set
+    is that of any order: 4 pins the claimed states to the replayed ones,
+    so 2 then holds of the replayed states too. Only a transcript that
+    fails more than one check can be named by a different check than in
+    another order (an edited final vote fails 2 and 4, and reads 2).
     """
     if transcript.message_set_digest != intake_digest:
         return Verdict.reject(REASON_MESSAGE_SET_MISMATCH)
@@ -490,6 +497,17 @@ def verify_audit(
     )
     if derived_set != intake_digest:
         return Verdict.reject(REASON_MESSAGE_SET_MISMATCH)
+
+    if _aggregate(transcript.final_states) != dict(transcript.tally):
+        return Verdict.reject(REASON_TALLY_MISMATCH)
+
+    try:
+        opened = commitment_digest(transcript.tally, transcript.salt) == commitment.digest
+    except DecodeError:
+        # a tally past int64 has no canonical encoding, so it opens nothing
+        opened = False
+    if not opened:
+        return Verdict.reject(REASON_COMMITMENT_MISMATCH)
 
     if transcript.cost_rule not in COST_RULES or any(
         entry.arrival_index != position
@@ -507,15 +525,4 @@ def verify_audit(
     claimed = [(entry.valid, entry.reason) for entry in transcript.entries]
     if verdicts != claimed or derived_states != transcript.final_states:
         return Verdict.reject(REASON_REPLAY_MISMATCH)
-
-    if _aggregate(derived_states) != dict(transcript.tally):
-        return Verdict.reject(REASON_TALLY_MISMATCH)
-
-    try:
-        opened = commitment_digest(transcript.tally, transcript.salt) == commitment.digest
-    except DecodeError:
-        # a tally past int64 has no canonical encoding, so it opens nothing
-        opened = False
-    if not opened:
-        return Verdict.reject(REASON_COMMITMENT_MISMATCH)
     return Verdict.accept()

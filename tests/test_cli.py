@@ -234,6 +234,22 @@ def test_run_unparseable_file_exits_two(tmp_path, capsys) -> None:
     assert "cannot read scenario" in capsys.readouterr().err
 
 
+def test_run_duplicate_key_exits_two(tmp_path, capsys) -> None:
+    path = tmp_path / "twice.json"
+    path.write_text(HAPPY.read_text().replace('"seed": 7,', '"seed": 7, "seed": 8,', 1))
+    assert main(["run", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cannot read scenario: duplicate key 'seed'\n"
+
+
+def test_run_non_utf8_file_exits_two(tmp_path, capsys) -> None:
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"seed": 7, "timeline": [], "note": "\xff"}')
+    assert main(["run", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("cannot read scenario: 'utf-8' codec")
+
+
 def test_run_missing_file_exits_two(tmp_path, capsys) -> None:
     assert main(["run", str(tmp_path / "absent.json")]) == EXIT_USAGE
     assert "cannot read scenario" in capsys.readouterr().err
@@ -256,7 +272,10 @@ def test_published_schema_file_matches_the_generator() -> None:
 
 
 def test_schema_conforms_to_its_metaschema() -> None:
-    jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
+    # so `REFERENCE` below is the judge `jsonschema.validate` would use
+    draft = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
+    assert draft is jsonschema.Draft202012Validator
+    draft.check_schema(SCENARIO_SCHEMA)
 
 
 # ---- the scenario check against the reference validator -----------------------
@@ -351,9 +370,16 @@ def one_field_mutations(draw):
     return doc
 
 
+# the class `jsonschema.validate` picks for the schema, built once: the call
+# form re-checks the schema against its meta-schema every time
+REFERENCE = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+
+
 def rejects(doc, cls=None) -> bool:
     """Whether `cls` finds `doc` invalid; by default jsonschema's own
     validator for the schema, which tries every branch of the `oneOf`."""
+    if cls is None:
+        return not REFERENCE.is_valid(doc)
     try:
         jsonschema.validate(doc, SCENARIO_SCHEMA, cls=cls)
     except jsonschema.ValidationError:
@@ -722,6 +748,14 @@ def test_verify_honest_transcript(tmp_path, capsys, audit_artifacts) -> None:
             lambda d: d["final_states"][0].__setitem__("voice_credits", 10 ** 6),
             "ReplayMismatch",
         ),
+        # one edit, two failing checks: the claimed votes no longer sum to
+        # the tally, and the replay no longer gives the claimed states; the
+        # tally check runs first
+        pytest.param(
+            lambda d: d["final_states"][0]["vote"].__setitem__("options", [1]),
+            "TallyMismatch",
+            id="final-vote-TallyMismatch",
+        ),
     ],
 )
 def test_verify_tampering_exits_one(
@@ -775,6 +809,20 @@ def test_verify_malformed_transcript_exits_two(
     c = write_json(tmp_path / "c.json", record)
     assert main(["verify", t, c]) == EXIT_USAGE
     assert "malformed input" in capsys.readouterr().err
+
+
+def test_verify_duplicate_key_exits_two(tmp_path, capsys, audit_artifacts) -> None:
+    """`json` keeps the last of two equal keys, so this tally would read
+    {0: 2, 1: 1} and verify, while a reader keeping the first sees 999999."""
+    doc, record, _ = audit_artifacts
+    assert doc["tally"] == {"0": 2, "1": 1}
+    t = tmp_path / "t.json"
+    t.write_text(json.dumps(doc).replace('"tally": {', '"tally": {"0": 999999, ', 1))
+    c = write_json(tmp_path / "c.json", record)
+    assert main(["verify", str(t), c]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "malformed input: duplicate key '0'\n"
 
 
 def test_verify_rejects_a_tally_past_int64(tmp_path, capsys) -> None:

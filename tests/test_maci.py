@@ -19,11 +19,13 @@ from disputekit.errors import (
     InvalidKey,
     PollClosed,
     TooEarly,
+    Verdict,
     WrongState,
 )
 from disputekit.maci import (
     COST_RULES,
     Command,
+    FinalVote,
     MaciPoll,
     TallyCommitment,
     TranscriptEntry,
@@ -31,7 +33,9 @@ from disputekit.maci import (
     ciphertext_digest,
     commitment_digest,
     decode_signed_command,
+    digest_over_entries,
     message_set_digest,
+    replay_ballots,
     verify_audit,
 )
 from disputekit.primitives import Ciphertext, KeyPair, PublicKey, encrypt, sign
@@ -579,3 +583,130 @@ def test_dropped_entry_detected(rng) -> None:
     transcript, intake, commitment = audited_poll(rng)
     mutated = dataclasses.replace(transcript, entries=transcript.entries[:-1])
     assert not verify_audit(mutated, intake, commitment).ok
+
+
+# ---- the audit's check order against a naive reference ---------------------------
+
+
+def naive_verify_audit(transcript, intake_digest, commitment) -> Verdict:
+    """`verify_audit` with the replay first: message set, then the full
+    replay, then the tally of the *replayed* states, then the commitment."""
+    derived_set = digest_over_entries(e.ciphertext_digest for e in transcript.entries)
+    if intake_digest != transcript.message_set_digest or intake_digest != derived_set:
+        return Verdict.reject("MessageSetMismatch")
+    arrivals = [entry.arrival_index for entry in transcript.entries]
+    if transcript.cost_rule not in COST_RULES or arrivals != list(range(len(arrivals))):
+        return Verdict.reject("ReplayMismatch")
+    try:
+        verdicts, states = replay_ballots(
+            transcript.cost_rule,
+            transcript.initial_voters,
+            [entry.plaintext for entry in transcript.entries],
+        )
+    except InvalidKey:
+        return Verdict.reject("ReplayMismatch")
+    claimed = [(entry.valid, entry.reason) for entry in transcript.entries]
+    if verdicts != claimed or states != transcript.final_states:
+        return Verdict.reject("ReplayMismatch")
+    tally: dict[int, int] = {}
+    for state in states:
+        if state.vote is not None:
+            for option, amount in zip(state.vote.vote_option, state.vote.vote_amount):
+                tally[option] = tally.get(option, 0) + amount
+    if tally != dict(transcript.tally):
+        return Verdict.reject("TallyMismatch")
+    try:
+        opened = commitment_digest(transcript.tally, transcript.salt) == commitment.digest
+    except DecodeError:
+        opened = False
+    return Verdict.accept() if opened else Verdict.reject("CommitmentMismatch")
+
+
+def honest_audit(seed):
+    """A small published poll: three voters, eight ballots that rotate keys
+    and are signed by a random key the voter has held, so some are stale
+    or over budget, and one undecryptable message."""
+    rng = random.Random(seed)
+    poll, coordinator, voters = make_poll(rng, credits=(1, 2, 4))
+    held = [[voter] for voter in voters]
+    poll.submit_message(Ciphertext(bytes(32), bytes(12), b"junk", bytes(16)), now=0)
+    for now in range(8):
+        index = rng.randrange(len(held))
+        fresh = KeyPair.generate(rng)
+        cast(poll, rng, rng.choice(held[index]), index,
+             {rng.randrange(3): rng.randint(1, 3)}, now=now, new_key=fresh.public)
+        held[index].append(fresh)
+    finish(poll, coordinator, rng)
+    intake = message_set_digest([m.ciphertext for m in poll.messages])
+    return poll.audit_transcript(), intake, poll.commitment
+
+
+def _other_bytes(value: bytes, at: int) -> bytes:
+    at %= len(value)
+    return value[:at] + bytes([value[at] ^ 1]) + value[at + 1:]
+
+
+FAULTS = ("flip", "tally", "salt", "digest", "credits", "key", "vote", "recommit")
+
+
+def apply_fault(transcript, kind: str, pick: int, amount: int):
+    entries, states = list(transcript.entries), list(transcript.final_states)
+    entry, state = entries[pick % len(entries)], states[pick % len(states)]
+    if kind == "flip":
+        entries[pick % len(entries)] = dataclasses.replace(
+            entry, valid=not entry.valid, reason="OverBudget" if entry.valid else None
+        )
+    elif kind == "tally":
+        tally = dict(transcript.tally)
+        tally[pick % 4] = tally.get(pick % 4, 0) + amount
+        return dataclasses.replace(transcript, tally=tally)
+    elif kind == "salt":
+        return dataclasses.replace(transcript, salt=_other_bytes(transcript.salt, pick))
+    elif kind == "digest":
+        entries[pick % len(entries)] = dataclasses.replace(
+            entry, ciphertext_digest=_other_bytes(entry.ciphertext_digest, pick)
+        )
+    elif kind == "credits":
+        states[pick % len(states)] = dataclasses.replace(
+            state, voice_credits=state.voice_credits + amount
+        )
+    elif kind == "key":
+        other = states[(pick + 1) % len(states)].current_key_bytes
+        states[pick % len(states)] = dataclasses.replace(state, current_key_bytes=other)
+    else:  # "vote": drop a final vote, or put another in its place
+        vote = FinalVote((pick % 3,), (amount,), b"", pick) if amount > 0 else None
+        states[pick % len(states)] = dataclasses.replace(state, vote=vote)
+    return dataclasses.replace(
+        transcript, entries=tuple(entries), final_states=tuple(states)
+    )
+
+
+@pytest.fixture(scope="module")
+def honest_audits():
+    return [honest_audit(seed) for seed in range(3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    which=st.integers(0, 2),
+    faults=st.lists(
+        st.tuples(st.sampled_from(FAULTS), st.integers(0, 20), st.integers(-1, 2)),
+        min_size=2,
+        max_size=4,
+    ),
+)
+def test_check_order_keeps_the_accept_set(honest_audits, which, faults) -> None:
+    """Differential check of `verify_audit`, which runs its O(V) checks
+    before the replay, against the replay-first order: on honest
+    transcripts with 2-4 faults, they accept exactly the same."""
+    transcript, intake, commitment = honest_audits[which]
+    assert verify_audit(transcript, intake, commitment).ok
+    for kind, pick, amount in faults:
+        if kind == "recommit":  # a coordinator that commits to what it publishes
+            commitment = TallyCommitment(
+                commitment_digest(transcript.tally, transcript.salt)
+            )
+        else:
+            transcript = apply_fault(transcript, kind, pick, amount)
+    naive = naive_verify_audit(transcript, intake, commitment)
+    assert verify_audit(transcript, intake, commitment).ok == naive.ok
