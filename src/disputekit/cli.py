@@ -66,6 +66,7 @@ def transcript_to_jsonable(transcript: AuditTranscript) -> dict[str, Any]:
     return {
         "poll_id": transcript.poll_id,
         "cost_rule": transcript.cost_rule,
+        "options": transcript.options,
         "initial_voters": [
             [index, key.hex(), credits]
             for index, key, credits in transcript.initial_voters
@@ -196,6 +197,7 @@ def transcript_from_jsonable(doc: Any) -> AuditTranscript:
     return AuditTranscript(
         poll_id=_int(doc["poll_id"]),
         cost_rule=_str(doc["cost_rule"]),
+        options=_int(doc["options"]),
         initial_voters=tuple(
             (_int(index), _hex(key), _int(credits))
             for index, key, credits in doc["initial_voters"]

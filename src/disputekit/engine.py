@@ -17,7 +17,11 @@ Each voting phase is one MACI poll, and both take the same path: intake
 (a ``ballot`` event per message), then close, process and commit
 (``tally_commitment``), then publish tally and salt (``tally_published``) —
 Phase 1's when Phase 2 starts, Phase 2's when it closes. Phase deadlines
-live on the polls alone.
+live on the polls alone. Which ballots count is the poll's rule alone
+(``maci.replay_ballots``): a Phase-1 poll's options are the parties, a
+Phase-2 poll's the proposals, and each phase applies exactly the tally its
+poll commits to. A juror whose last valid vote spends their one credit is
+counted toward quorum and proposes that vote's memo.
 
 Fees: every party escrows the same fee f at entry; a resolved dispute
 pays the whole pool (n*f) to the judge who authored the winning proposal;
@@ -47,14 +51,8 @@ from .errors import (
 )
 from .identity import SemaphoreGroup, Signal
 from .maci import MaciPoll, VoterFinalState
-from .primitives import Ciphertext, DIGEST_SIZE, KeyPair, PublicKey
-from .voting import (
-    Phase1Tally,
-    Phase2Tally,
-    QuadraticAllocation,
-    tally_phase1,
-    tally_phase2,
-)
+from .primitives import Ciphertext, KeyPair, PublicKey
+from .voting import Phase1Tally, Phase2Tally, tally_phase1, tally_phase2
 
 Observer = Callable[[str, dict], None]
 
@@ -235,20 +233,12 @@ class Dispute:
     proposals: list[EngineProposal] = field(default_factory=list)
     phase2_poll: Optional[MaciPoll] = None
     phase2_tally: Optional[Phase2Tally] = None
-    winning_proposal_id: Optional[int] = None
-    dropped_allocations: list[str] = field(default_factory=list)
     default_winner: Optional[str] = None
     settled: bool = False
 
     @property
     def initiator(self) -> str:
         return self.parties[0]
-
-    def proposal_by_id(self, proposal_id: int) -> EngineProposal:
-        for proposal in self.proposals:
-            if proposal.proposal_id == proposal_id:
-                return proposal
-        raise KeyError(proposal_id)
 
 
 class DisputeEngine:
@@ -318,9 +308,10 @@ class DisputeEngine:
             raise ValueError("duplicate respondent")
 
         dispute_id = self._next_id
+        parties = [initiator, *respondents]
         dispute = Dispute(
             dispute_id=dispute_id,
-            parties=[initiator, *respondents],
+            parties=parties,
             fee=fee,
             config=config,
             phase1_poll=MaciPoll(
@@ -328,6 +319,7 @@ class DisputeEngine:
                 self.coordinator.public,
                 deadline=config.t2,
                 cost_rule="linear",
+                options=len(parties),
             ),
         )
         self._next_id += 1
@@ -460,12 +452,10 @@ class DisputeEngine:
         if now < poll.deadline:
             raise TooEarly(f"Phase 1 runs until {poll.deadline}")
 
-        preview = poll.preview_valid_votes(self.coordinator)
-        choices, proposals = self._extract_phase1(dispute, preview)
-
-        if len(choices) >= dispute.config.min_judges:
-            self._commit(dispute_id, poll, now)
-            dispute.phase1_tally = tally_phase1(choices, dispute.parties)
+        proposals = _proposals(poll.preview_valid_votes(self.coordinator))
+        if len(proposals) >= dispute.config.min_judges:
+            tally = self._commit(dispute_id, poll, now)
+            dispute.phase1_tally = tally_phase1(tally, dispute.parties)
             dispute.proposals = proposals
             self._transition(dispute, DisputeState.PHASE1_TALLIED, now)
             return "tallied"
@@ -484,40 +474,6 @@ class DisputeEngine:
         self._transition(dispute, DisputeState.ABORTED, now)
         return "aborted"
 
-    def _extract_phase1(
-        self, dispute: Dispute, final_states: Sequence[VoterFinalState]
-    ) -> tuple[list[str], list[EngineProposal]]:
-        """Interpret final juror votes: the party each counted ballot names,
-        and the proposals in arrival order. A well-formed ballot names
-        exactly one party, spends exactly one credit, and carries a proposal
-        hash; anything else counts as not having voted."""
-        choices: list[str] = []
-        raw: list[tuple[int, int, bytes]] = []  # (arrival, author, text_hash)
-        for state in final_states:
-            vote = state.vote
-            if vote is None:
-                continue
-            if len(vote.vote_option) != 1 or vote.vote_amount != (1,):
-                continue
-            option = vote.vote_option[0]
-            if not 0 <= option < len(dispute.parties):
-                continue
-            if len(vote.memo) != DIGEST_SIZE:
-                continue
-            choices.append(dispute.parties[option])
-            raw.append((vote.arrival_index, state.registration_index, vote.memo))
-        raw.sort()
-        proposals = [
-            EngineProposal(
-                proposal_id=position,
-                text_hash=text_hash,
-                author_registration_index=author,
-                arrival_index=arrival,
-            )
-            for position, (arrival, author, text_hash) in enumerate(raw)
-        ]
-        return choices, proposals
-
     # -- phase 2 -----------------------------------------------------------
 
     def start_phase2(self, dispute_id: int, now: int) -> MaciPoll:
@@ -533,6 +489,7 @@ class DisputeEngine:
             self.coordinator.public,
             deadline=now + dispute.config.phase2_window_value,
             cost_rule="quadratic",
+            options=len(dispute.proposals),
         )
         for party in dispute.parties:
             poll.register_voter(
@@ -560,34 +517,12 @@ class DisputeEngine:
         assert poll is not None
         if now < poll.deadline:
             raise TooEarly(f"Phase 2 runs until {poll.deadline}")
-        final_states = self._commit(dispute_id, poll, now)
-        allocations = self._extract_phase2(dispute, final_states)
+        tally = self._commit(dispute_id, poll, now)
         order = [p.proposal_id for p in dispute.proposals]
-        dispute.phase2_tally = tally_phase2(allocations, order)
-        dispute.winning_proposal_id = dispute.phase2_tally.winner
+        dispute.phase2_tally = tally_phase2(tally, order)
         self._publish(dispute_id, poll)
         self._transition(dispute, DisputeState.RESOLVED, now)
         return dispute.phase2_tally
-
-    def _extract_phase2(
-        self, dispute: Dispute, final_states: Sequence[VoterFinalState]
-    ) -> list[QuadraticAllocation]:
-        known = {p.proposal_id for p in dispute.proposals}
-        allocations = []
-        for state in final_states:
-            vote = state.vote
-            if vote is None:
-                continue
-            party = dispute.parties[state.registration_index]
-            if any(option not in known for option in vote.vote_option):
-                dispute.dropped_allocations.append(party)
-                continue
-            allocations.append(
-                QuadraticAllocation(
-                    party, dict(zip(vote.vote_option, vote.vote_amount))
-                )
-            )
-        return allocations
 
     # -- one poll lifecycle, shared by both phases -------------------------------
 
@@ -606,14 +541,13 @@ class DisputeEngine:
         )
         return index
 
-    def _commit(
-        self, dispute_id: int, poll: MaciPoll, now: int
-    ) -> tuple[VoterFinalState, ...]:
-        """Close and process the poll, commit to its tally; returns the
-        final voter states."""
+    def _commit(self, dispute_id: int, poll: MaciPoll, now: int) -> dict[int, int]:
+        """Close and process the poll, commit to its tally; returns that
+        tally."""
         poll.close(now)
-        final_states, _ = poll.process_messages(self.coordinator)
-        commitment = poll.commit_tally(poll.tally, self.rng)
+        poll.process_messages(self.coordinator)
+        tally = poll.tally
+        commitment = poll.commit_tally(tally, self.rng)
         self.observe(
             "tally_commitment",
             {
@@ -622,7 +556,7 @@ class DisputeEngine:
                 "digest": commitment.digest,
             },
         )
-        return final_states
+        return tally
 
     def _publish(self, dispute_id: int, poll: MaciPoll) -> None:
         tally, salt = poll.publish_tally()
@@ -656,6 +590,20 @@ class DisputeEngine:
             if party in dispute.joined:
                 entry = self.escrow.refund(dispute.dispute_id, party, dispute.fee)
                 self.observe("escrow", _escrow_event(entry))
+
+
+def _proposals(final_states: Sequence[VoterFinalState]) -> list[EngineProposal]:
+    """The counted Phase-1 votes, those that spend the juror's one credit,
+    as proposals in arrival order; each vote's memo is the text hash."""
+    counted = sorted(
+        (state.vote.arrival_index, state.registration_index, state.vote.memo)
+        for state in final_states
+        if state.vote is not None and sum(state.vote.vote_amount) == 1
+    )
+    return [
+        EngineProposal(position, memo, author, arrival)
+        for position, (arrival, author, memo) in enumerate(counted)
+    ]
 
 
 def _escrow_event(entry: EscrowEntry) -> dict:

@@ -122,16 +122,6 @@ class TooEarly(ProtocolError):
     """Deadline-gated operation attempted before its deadline."""
 
 
-# ---- vote tallying ----------------------------------------------------------
-
-class UnknownParty(ProtocolError):
-    """Ballot names a party that is not in the dispute."""
-
-
-class UnknownProposal(ProtocolError):
-    """Allocation names a proposal id that was never submitted."""
-
-
 # ---- strategy oracle --------------------------------------------------------
 
 class InvalidResponse(ProtocolError):
@@ -164,6 +154,7 @@ REASON_AUTH_FAILURE = "AuthFailure"
 REASON_DECODE_ERROR = "DecodeError"
 REASON_UNKNOWN_VOTER = "UnknownVoter"
 REASON_BAD_SIGNATURE = "BadSignature"
+REASON_BAD_OPTION = "BadOption"
 REASON_BAD_AMOUNT = "BadAmount"
 REASON_OVER_BUDGET = "OverBudget"
 REASON_MESSAGE_SET_MISMATCH = "MessageSetMismatch"

@@ -20,7 +20,7 @@ stays anonymous all the way through payout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .canonical import encode_uint32
@@ -35,6 +35,10 @@ PARTY_COMPLIANT = "PartyCompliant"
 PARTY_NON_COMPLIANT = "PartyNonCompliant"
 
 _KINDS = {JUDGE_TRUSTED, JUDGE_BANNED, PARTY_COMPLIANT, PARTY_NON_COMPLIANT}
+
+# Reputation thresholds: ban strictly below, trust strictly above.
+BAN_BELOW = -10
+TRUST_ABOVE = 25
 
 
 # ---- reputation ---------------------------------------------------------------
@@ -91,18 +95,6 @@ def apply_phase2_scores(
 
 
 @dataclass(frozen=True)
-class Thresholds:
-    """Ban strictly below, trust strictly above. Zero is always neutral."""
-
-    ban_below: int = -10
-    trust_above: int = 25
-
-    def __post_init__(self) -> None:
-        if not self.ban_below < 0 < self.trust_above:
-            raise ValueError("need ban_below < 0 < trust_above")
-
-
-@dataclass(frozen=True)
 class SbtToken:
     kind: str
     subject: str
@@ -145,10 +137,7 @@ def governance_set(sbts: SbtRegistry) -> set[str]:
 
 
 def enforce_thresholds(
-    ledger: ReputationLedger,
-    thresholds: Thresholds,
-    sbts: SbtRegistry,
-    group: SemaphoreGroup,
+    ledger: ReputationLedger, sbts: SbtRegistry, group: SemaphoreGroup
 ) -> list[tuple[str, str]]:
     """Apply both one-way status changes; safe to call repeatedly.
 
@@ -157,14 +146,14 @@ def enforce_thresholds(
     actions: list[tuple[str, str]] = []
     for judge in sorted(ledger.scores):
         score = ledger.scores[judge]
-        if score < thresholds.ban_below and not sbts.has(JUDGE_BANNED, judge):
+        if score < BAN_BELOW and not sbts.has(JUDGE_BANNED, judge):
             leaf = group.member_bindings.get(judge)
             if leaf is not None:
                 group.remove(leaf)
             sbts.issue(JUDGE_BANNED, judge)
             actions.append(("ban", judge))
         elif (
-            score > thresholds.trust_above
+            score > TRUST_ABOVE
             and not sbts.has(JUDGE_TRUSTED, judge)
             and not sbts.has(JUDGE_BANNED, judge)
         ):
@@ -221,10 +210,10 @@ def distribute_fee(
     if (
         dispute is None
         or dispute.state != DisputeState.RESOLVED
-        or dispute.winning_proposal_id is None
+        or dispute.phase2_tally is None
     ):
         raise WrongState("fee distribution follows a resolved dispute")
-    proposal = dispute.proposal_by_id(dispute.winning_proposal_id)
+    proposal = dispute.proposals[dispute.phase2_tally.winner]
     author_key = dispute.phase1_poll.voters[proposal.author_registration_index].current_key
     if not verify_sig(author_key, claim_bytes(dispute_id, wallet), claim_signature):
         raise NotTheAuthor("claim not signed by the winning proposal's key")

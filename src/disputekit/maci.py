@@ -9,7 +9,12 @@ at processing time:
 * a command may rotate the voter's key, and every later command must be
   signed with the rotated key (stale-key messages are discarded), which
   is what makes coerced ballots cheaply revocable;
+* a command that names an option outside the poll's ``0 .. options-1``
+  (MACI's ``maxVoteOptions``) is invalid (BadOption);
 * spending above the voter's budget invalidates the command.
+
+The tally aggregated from the last valid votes is the poll's outcome: it is
+what the coordinator commits to and publishes, and what callers apply.
 
 Each ballot travels in MACI's envelope: the client seals it for the
 coordinator under a fresh one-time agreement key, and the ciphertext carries
@@ -45,6 +50,7 @@ from .errors import (
     PollClosed,
     REASON_AUTH_FAILURE,
     REASON_BAD_AMOUNT,
+    REASON_BAD_OPTION,
     REASON_BAD_SIGNATURE,
     REASON_COMMITMENT_MISMATCH,
     REASON_DECODE_ERROR,
@@ -198,6 +204,7 @@ class TallyCommitment:
 class AuditTranscript:
     poll_id: int
     cost_rule: str
+    options: int  # vote options 0 .. options-1
     initial_voters: tuple[tuple[int, bytes, int], ...]  # (index, key, credits)
     entries: tuple[TranscriptEntry, ...]
     final_states: tuple[VoterFinalState, ...]
@@ -233,6 +240,7 @@ class MaciPoll:
         coordinator_public: PublicKey,
         deadline: int,
         cost_rule: str,
+        options: int,
     ):
         if cost_rule not in COST_RULES:
             raise ValueError(f"unknown cost rule {cost_rule!r}")
@@ -240,6 +248,7 @@ class MaciPoll:
         self.coordinator_public = coordinator_public
         self.deadline = deadline
         self.cost_rule = cost_rule
+        self.options = options
         self.voters: list[RegisteredVoter] = []
         self.messages: list[MaciMessage] = []
         self.closed = False
@@ -325,11 +334,12 @@ class MaciPoll:
             for v in self.voters
         )
         verdicts, final_states = replay_ballots(
-            self.cost_rule, initial_voters, plaintexts
+            self.cost_rule, self.options, initial_voters, plaintexts
         )
         transcript = AuditTranscript(
             poll_id=self.poll_id,
             cost_rule=self.cost_rule,
+            options=self.options,
             initial_voters=initial_voters,
             entries=tuple(
                 TranscriptEntry(message.arrival_index, digest, plaintext, valid, reason)
@@ -389,6 +399,7 @@ def _judge_plaintext(
     plaintext: bytes,
     current_keys: list[PublicKey],
     credits: list[int],
+    options: int,
     cost: Callable[[Sequence[int]], int],
     negatives_ok: bool,
 ) -> tuple[bool, Optional[str], Optional[Command]]:
@@ -408,6 +419,8 @@ def _judge_plaintext(
         return False, REASON_UNKNOWN_VOTER, None
     if not verify_sig(current_keys[idx], SIGNING_LABEL + body, signature):
         return False, REASON_BAD_SIGNATURE, None
+    if any(not 0 <= option < options for option in command.vote_option):
+        return False, REASON_BAD_OPTION, None
     if not negatives_ok and any(a < 0 for a in command.vote_amount):
         return False, REASON_BAD_AMOUNT, None
     if cost(command.vote_amount) > credits[idx]:
@@ -417,6 +430,7 @@ def _judge_plaintext(
 
 def replay_ballots(
     cost_rule: str,
+    options: int,
     initial_voters: Sequence[tuple[int, bytes, int]],
     plaintexts: Sequence[Optional[bytes]],
 ) -> tuple[list[tuple[bool, Optional[str]]], tuple[VoterFinalState, ...]]:
@@ -424,7 +438,8 @@ def replay_ballots(
 
     Judges the plaintexts in arrival order against the keys as they stand;
     each valid command becomes its voter's vote and sets the voter's key. A
-    ``None`` plaintext (undecryptable) is an AuthFailure. ``initial_voters``
+    ``None`` plaintext (undecryptable) is an AuthFailure; a command naming
+    an option outside ``0 .. options-1`` is a BadOption. ``initial_voters``
     holds (index, key bytes, credits); a malformed key raises InvalidKey.
     Returns each plaintext's (valid, reason) and the final voter states.
     """
@@ -439,7 +454,7 @@ def replay_ballots(
             verdicts.append((False, REASON_AUTH_FAILURE))
             continue
         valid, reason, command = _judge_plaintext(
-            plaintext, current_keys, credits, cost, negatives_ok
+            plaintext, current_keys, credits, options, cost, negatives_ok
         )
         verdicts.append((valid, reason))
         if valid:
@@ -517,6 +532,7 @@ def verify_audit(
     try:
         verdicts, derived_states = replay_ballots(
             transcript.cost_rule,
+            transcript.options,
             transcript.initial_voters,
             [entry.plaintext for entry in transcript.entries],
         )

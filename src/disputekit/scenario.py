@@ -29,7 +29,6 @@ from .identity import Identity, PohRegistry, SemaphoreGroup, create_signal
 from .incentives import (
     ReputationLedger,
     SbtRegistry,
-    Thresholds,
     apply_phase2_scores,
     distribute_fee,
     enforce_thresholds,
@@ -362,9 +361,7 @@ class World:
     def enforce_thresholds(self) -> list[tuple[str, str]]:
         before = {judge: self.group.member_bindings.get(judge) for judge in
                   self.reputation.scores}
-        actions = enforce_thresholds(
-            self.reputation, Thresholds(), self.sbts, self.group
-        )
+        actions = enforce_thresholds(self.reputation, self.sbts, self.group)
         for action, judge in actions:
             if action == "ban" and before.get(judge) is not None:
                 self.view.append(
@@ -416,7 +413,9 @@ class World:
                     if dispute.phase2_tally
                     else None
                 ),
-                "winner": dispute.winning_proposal_id,
+                "winner": (
+                    dispute.phase2_tally.winner if dispute.phase2_tally else None
+                ),
                 "default_winner": dispute.default_winner,
                 "settled": dispute.settled,
             }

@@ -5,18 +5,18 @@ juror's proposed resolution. Phase 2 is quadratic voting by the parties
 over those proposals: casting v votes on a proposal costs v² credits,
 negative votes allowed, ties broken toward the earliest-submitted
 proposal.
+
+Which ballots count, and what each may spend, is decided once, by the
+poll's replay (``maci.replay_ballots``) under the cost rules below. The
+tallies here only map a poll's committed tally, keyed by vote option,
+onto the parties or the proposals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import (
-    REASON_OVER_BUDGET,
-    UnknownParty,
-    UnknownProposal,
-    Verdict,
-)
+from .errors import REASON_OVER_BUDGET, Verdict
 
 # Spending rules, keyed by name so ballot transcripts can say which one
 # applied. "linear": unit-priced votes, negatives forbidden (juror phase).
@@ -33,14 +33,10 @@ class Phase1Tally:
     scores: Mapping[str, int]
 
 
-def tally_phase1(choices: Iterable[str], parties: Sequence[str]) -> Phase1Tally:
-    """Count one vote per chosen party; every party appears in scores, even at 0."""
-    scores = {party: 0 for party in parties}
-    for choice in choices:
-        if choice not in scores:
-            raise UnknownParty(choice)
-        scores[choice] += 1
-    return Phase1Tally(scores)
+def tally_phase1(tally: Mapping[int, int], parties: Sequence[str]) -> Phase1Tally:
+    """Map a Phase-1 poll's tally (option i is party i) onto the parties;
+    every party appears in scores, even at 0."""
+    return Phase1Tally({party: tally.get(i, 0) for i, party in enumerate(parties)})
 
 
 # ---- quadratic phase -----------------------------------------------------------
@@ -75,22 +71,17 @@ class Phase2Tally:
 
 
 def tally_phase2(
-    allocations: Iterable[QuadraticAllocation],
-    proposals_in_submission_order: Sequence[int],
+    tally: Mapping[int, int], proposals_in_submission_order: Sequence[int]
 ) -> Phase2Tally:
-    """Sum signed votes per proposal; highest score wins, earliest-submitted
-    proposal wins ties. Works with zero allocations (all scores 0)."""
+    """Map a Phase-2 poll's tally (option = proposal id) onto the proposals;
+    highest score wins, earliest-submitted proposal wins ties. A proposal
+    no ballot named scores 0."""
     order = list(proposals_in_submission_order)
     if not order:
         raise ValueError("cannot tally without proposals")
     if len(set(order)) != len(order):
         raise ValueError("duplicate proposal id in submission order")
-    scores = {proposal_id: 0 for proposal_id in order}
-    for allocation in allocations:
-        for proposal_id, votes in allocation.votes.items():
-            if proposal_id not in scores:
-                raise UnknownProposal(str(proposal_id))
-            scores[proposal_id] += votes
+    scores = {proposal_id: tally.get(proposal_id, 0) for proposal_id in order}
     # max keeps the first maximal item: the earliest-submitted proposal
     winner = max(order, key=scores.__getitem__)
     return Phase2Tally(scores, winner)

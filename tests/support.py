@@ -106,9 +106,12 @@ def _naive_verify(key: bytes, signed: bytes, signature: bytes) -> bool:
         return False
 
 
-def naive_process(coordinator_seed: bytes, cost_rule: str, voters, ciphertexts):
+def naive_process(
+    coordinator_seed: bytes, cost_rule: str, option_count: int, voters, ciphertexts
+):
     """Process a poll anew from its inputs. `voters` holds (key bytes,
-    credits) in registration order. Returns the plaintexts, each message's
+    credits) in registration order; a command may name only the options
+    0 .. option_count-1. Returns the plaintexts, each message's
     (valid, reason), each voter's final (index, key bytes, credits, vote)
     with vote = (options, amounts, memo, arrival) or None, and the tally."""
     keys = [key for key, _ in voters]
@@ -132,6 +135,8 @@ def naive_process(coordinator_seed: bytes, cost_rule: str, voters, ciphertexts):
                 verdict = "UnknownVoter"
             elif not _naive_verify(keys[index], signed, signature):
                 verdict = "BadSignature"
+            elif options and (options[0] < 0 or options[-1] >= option_count):
+                verdict = "BadOption"  # options ascend, so the ends bound them
             elif cost_rule == "linear" and min(amounts, default=0) < 0:
                 verdict = "BadAmount"
             elif sum(a * a if cost_rule == "quadratic" else a for a in amounts) > credits[index]:

@@ -115,7 +115,9 @@ def test_quadratic_cost_law() -> None:
         for credits, should_count in ((n * n, True), (n * n - 1, False)):
             coordinator = KeyPair.generate(rng)
             voter = KeyPair.generate(rng)
-            poll = MaciPoll(0, coordinator.public, deadline=10, cost_rule="quadratic")
+            poll = MaciPoll(
+                0, coordinator.public, deadline=10, cost_rule="quadratic", options=1
+            )
             poll.register_voter(voter.public, credits)
             poll.submit_message(
                 build_message(
@@ -147,19 +149,21 @@ def test_quadratic_cost_law() -> None:
 # ---- full-pipeline naive recount ---------------------------------------------------
 
 
-def _naive_final_votes(poll: MaciPoll, coordinator: KeyPair) -> list:
+def _naive_recount(poll: MaciPoll, coordinator: KeyPair) -> tuple[list, list]:
     """Decrypt-everything recount, written from the wire format up by the
     independent route in `support.naive_process` (the curve and AEAD library
-    called directly, its own command parser and rules): each voter's last
-    command whose signature matches their then-current key and whose spend
-    fits the budget, as (options, amounts, memo, arrival) or None."""
-    _, _, finals, _ = naive_process(
+    called directly, its own command parser and rules). Returns each
+    message's (valid, reason) and each voter's last command whose signature
+    matches their then-current key, whose options are the poll's and whose
+    spend fits the budget, as (options, amounts, memo, arrival) or None."""
+    _, verdicts, finals, _ = naive_process(
         coordinator.seed,
         poll.cost_rule,
+        poll.options,
         [(voter.registered_key.encode(), voter.voice_credits) for voter in poll.voters],
         [message.ciphertext for message in poll.messages],
     )
-    return [vote for _, _, _, vote in finals]
+    return verdicts, [vote for _, _, _, vote in finals]
 
 
 def _random_pipeline(seed: int, rng: random.Random) -> dict:
@@ -202,6 +206,26 @@ def _random_pipeline(seed: int, rng: random.Random) -> dict:
                 rotate_key=True,
             )
             now += 1
+    for i in voters:
+        roll = rng.random()
+        if roll < 0.3:  # a last ballot that is no one-party, hash-memo vote
+            party = rng.randrange(len(parties))
+            other = (party + 1) % len(parties)
+            votes, memo = [
+                ({party: 1}, b""),  # counts, with an empty memo
+                ({other: 0, party: 1}, hash_bytes(b"split")),  # counts for `party`
+                ({len(parties) + party: 1}, hash_bytes(b"stray")),  # BadOption
+            ][int(roll * 10)]
+            ciphertext = build_message(
+                signer=world.signer_keys[(dispute_id, f"j{i}")],
+                coordinator_public=world.coordinator.public,
+                voter_registration_index=world.reg_index[(dispute_id, f"j{i}")],
+                votes=votes,
+                memo=memo,
+                rng=rng,
+            )
+            world.engine.submit_phase1_ballot(dispute_id, ciphertext, now)
+            now += 1
 
     world.close_phase1(dispute_id, now=200)
     scores = world.start_phase2(dispute_id, now=210)
@@ -234,8 +258,9 @@ def _random_pipeline(seed: int, rng: random.Random) -> dict:
 
 def test_pipeline_matches_naive_recount() -> None:
     """500 randomized small disputes; an independent decrypt-all recount
-    must reproduce the coordinator's scores, proposals, runoff tally, and
-    winner on every single run."""
+    must reproduce the coordinator's verdicts, scores, proposals, runoff
+    tally, and winner on every single run, and each phase must apply the
+    tally it published."""
     started = time.perf_counter()
     rng = random.Random(99)
     runs, mismatches = 500, []
@@ -246,19 +271,17 @@ def test_pipeline_matches_naive_recount() -> None:
         coordinator = world.coordinator
 
         # phase 1, from the ciphertexts up
-        last = _naive_final_votes(dispute.phase1_poll, coordinator)
+        verdicts1, last = _naive_recount(dispute.phase1_poll, coordinator)
         counts = {party: 0 for party in parties}
         drafts = []
         for index, vote in enumerate(last):
             if vote is None:
                 continue
             options, amounts, memo, arrival = vote
-            if len(options) != 1 or amounts != (1,):
-                continue
-            if not 0 <= options[0] < len(parties) or len(memo) != 32:
-                continue
-            counts[parties[options[0]]] += 1
-            drafts.append((arrival, index, memo))
+            for option, amount in zip(options, amounts):
+                counts[parties[option]] += amount
+            if sum(amounts) == 1:  # spent the juror's one credit
+                drafts.append((arrival, index, memo))
         drafts.sort()
         naive_proposals = [
             (position, memo.hex(), author, arrival)
@@ -270,33 +293,46 @@ def test_pipeline_matches_naive_recount() -> None:
         ]
 
         # phase 2, same treatment
-        final2 = _naive_final_votes(dispute.phase2_poll, coordinator)
+        verdicts2, final2 = _naive_recount(dispute.phase2_poll, coordinator)
         scores2 = {proposal_id: 0 for proposal_id in known}
-        dropped = []
-        for index, vote in enumerate(final2):
-            if vote is None:
-                continue
-            options, amounts, _, _ = vote
-            if any(option not in scores2 for option in options):
-                dropped.append(parties[index])
-                continue
-            for option, amount in zip(options, amounts):
-                scores2[option] += amount
+        for vote in final2:
+            if vote is not None:
+                for option, amount in zip(vote[0], vote[1]):
+                    scores2[option] += amount
         naive_winner = min(known, key=lambda pid: (-scores2[pid], pid))
 
+        published = {
+            event.payload["poll_id"]: event.payload["tally"]
+            for event in world.view.of_kind("tally_published")
+        }
+        tally1 = published[dispute.phase1_poll.poll_id]
+        tally2 = published[dispute.phase2_poll.poll_id]
+
         problems = []
+        for poll, naive_verdicts in (
+            (dispute.phase1_poll, verdicts1), (dispute.phase2_poll, verdicts2)
+        ):
+            entries = poll.audit_transcript().entries
+            if [(entry.valid, entry.reason) for entry in entries] != naive_verdicts:
+                problems.append(f"poll {poll.poll_id} verdicts")
         if dict(dispute.phase1_tally.scores) != counts:
             problems.append("phase1 scores")
+        if not set(tally1) <= set(range(len(parties))) or dict(
+            dispute.phase1_tally.scores
+        ) != {party: tally1.get(i, 0) for i, party in enumerate(parties)}:
+            problems.append("phase1 published != applied")
         if engine_proposals != naive_proposals:
             problems.append("proposals")
         if len(known) > 4:
             problems.append("proposal cap")
         if dict(dispute.phase2_tally.proposal_scores) != scores2:
             problems.append("phase2 scores")
-        if dispute.winning_proposal_id != naive_winner:
+        if not set(tally2) <= set(known) or dict(
+            dispute.phase2_tally.proposal_scores
+        ) != {proposal_id: tally2.get(proposal_id, 0) for proposal_id in known}:
+            problems.append("phase2 published != applied")
+        if dispute.phase2_tally.winner != naive_winner:
             problems.append("winner")
-        if sorted(dispute.dropped_allocations) != sorted(dropped):
-            problems.append("dropped allocations")
         if not world.engine.escrow.conserved():
             problems.append("escrow")
         if problems:
@@ -307,7 +343,8 @@ def test_pipeline_matches_naive_recount() -> None:
         "pipeline vs naive recount",
         not mismatches,
         f"{runs - len(mismatches)}/{runs} runs reproduced exactly "
-        f"(scores, proposals, runoff, winner); {elapsed:.1f}s"
+        f"(verdicts, scores, proposals, runoff, winner, published = applied); "
+        f"{elapsed:.1f}s"
         + (f"; first mismatch {mismatches[0]}" if mismatches else ""),
     )
 
@@ -330,7 +367,9 @@ def test_ballot_processing_semantics() -> None:
         voter_count = rng.randint(1, 4)
         registered = [KeyPair.generate(rng) for _ in range(voter_count)]
         budgets = [rng.randint(0, 16) for _ in range(voter_count)]
-        poll = MaciPoll(0, coordinator.public, deadline=1000, cost_rule=cost_rule)
+        poll = MaciPoll(
+            0, coordinator.public, deadline=1000, cost_rule=cost_rule, options=3
+        )
         for key, budget in zip(registered, budgets):
             poll.register_voter(key.public, budget)
 
@@ -795,9 +834,9 @@ def _random_lifecycle(seed: int, rng: random.Random) -> tuple[str, int]:
     step(world.close_phase2, dispute_id, now=310)
     if path == "resolved":
         dispute = world.engine.disputes[dispute_id]
-        winner_index = dispute.proposal_by_id(
-            dispute.winning_proposal_id
-        ).author_registration_index
+        winner_index = dispute.proposals[
+            dispute.phase2_tally.winner
+        ].author_registration_index
         judge = world.judge_by_index[dispute_id][winner_index]
         step(world.claim_fee, dispute_id, judge, f"wallet-{judge}")
         if world.engine.escrow.balance(dispute_id) != 0:

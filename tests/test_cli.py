@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import hashlib
 import io
 import json
 import random
@@ -91,6 +92,21 @@ def test_run_writes_one_line_of_sorted_compact_json(tmp_path) -> None:
     assert out.read_text() == (
         json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     )
+
+
+# SHA-256 of `disputekit run` stdout for each bundled scenario. A change
+# that alters report bytes on purpose updates these and says why.
+GOLDEN_REPORT_DIGESTS = {
+    "happy_path.json": "532aaab67845d5ce1fe7eb6a33befff3605700b53ab697e9a5360d925a303cd7",
+    "stalled_court.json": "cbbc9a0dd8fb734488aff7a11ee46472010ccca9b1e9525054acad070040dff7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORT_DIGESTS))
+def test_run_report_bytes_are_pinned(capsys, name) -> None:
+    assert main(["run", str(REPO / "scenarios" / name)]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN_REPORT_DIGESTS[name]
 
 
 def test_run_seed_override_changes_bytes(tmp_path, capsys) -> None:
@@ -748,6 +764,8 @@ def test_verify_honest_transcript(tmp_path, capsys, audit_artifacts) -> None:
             lambda d: d["final_states"][0].__setitem__("voice_credits", 10 ** 6),
             "ReplayMismatch",
         ),
+        # the vote for option 1 replays as a BadOption, not as claimed
+        (lambda d: d.__setitem__("options", 1), "ReplayMismatch"),
         # one edit, two failing checks: the claimed votes no longer sum to
         # the tally, and the replay no longer gives the claimed states; the
         # tally check runs first
@@ -790,6 +808,9 @@ def test_verify_swapped_commitment_exits_one(tmp_path, capsys, audit_artifacts) 
         lambda d: d.__setitem__("tally", list(d["tally"].items())),
         lambda d: d.__setitem__("cost_rule", 7),
         lambda d: d.__setitem__("cost_rule", None),
+        lambda d: d.pop("options"),
+        lambda d: d.__setitem__("options", "2"),
+        lambda d: d.__setitem__("options", True),
         *[
             lambda d, spell=spell: d.__setitem__(
                 "tally", {spell(k): v for k, v in d["tally"].items()}
@@ -836,7 +857,7 @@ def test_verify_rejects_a_tally_past_int64(tmp_path, capsys) -> None:
     for index, voter in enumerate(voters):
         command = Command(voter.public, (0,), (2**62,), b"", index)
         plaintexts.append(command.encode_signed(sign(voter, command.signing_bytes())))
-    verdicts, states = replay_ballots("linear", initial, plaintexts)
+    verdicts, states = replay_ballots("linear", 1, initial, plaintexts)
     assert verdicts == [(True, None)] * 3
     # the audit reads the message set off the entries' digests alone
     digests = [hash_bytes(plaintext) for plaintext in plaintexts]
@@ -844,6 +865,7 @@ def test_verify_rejects_a_tally_past_int64(tmp_path, capsys) -> None:
     transcript = AuditTranscript(
         poll_id=0,
         cost_rule="linear",
+        options=1,
         initial_voters=initial,
         entries=tuple(
             TranscriptEntry(i, digest, plaintext, True, None)

@@ -27,7 +27,7 @@ from disputekit.errors import (
     ZeroFee,
 )
 from disputekit.identity import create_signal
-from disputekit.maci import build_message
+from disputekit.maci import build_message, message_set_digest, verify_audit
 from disputekit.primitives import KeyPair
 from support import CFG, Court, proposal_hash, resolved_court
 
@@ -393,16 +393,19 @@ def test_second_close_after_extension_can_still_tally() -> None:
 
 
 def test_malformed_ballots_do_not_count_toward_quorum() -> None:
+    """Only the poll's verdicts decide what counts: an invalid ballot is no
+    vote, and a valid one that spends the juror's credit counts, whatever
+    its memo."""
     court = Court()
     dispute = court.open()
     good_memo = proposal_hash("fine")
 
     shapes = [
         {"votes": {0: 2}, "memo": good_memo},          # spends two credits
-        {"votes": {0: 1}, "memo": b"short"},            # memo is no digest
+        {"votes": {0: 1}, "memo": b"short"},            # counts: any memo will do
         {"votes": {5: 1}, "memo": good_memo},          # names a non-party
         {"votes": {0: 1, 1: 1}, "memo": good_memo},    # names two parties
-        {"votes": {0: 1}, "memo": good_memo},           # the only sound one
+        {"votes": {0: 1}, "memo": good_memo},           # counts
     ]
     enrolled = [court.enroll(dispute.dispute_id, identity) for identity in court.judges]
     for (index, key), shape in zip(enrolled, shapes):
@@ -417,6 +420,66 @@ def test_malformed_ballots_do_not_count_toward_quorum() -> None:
         court.engine.submit_phase1_ballot(dispute.dispute_id, ct, now=150)
 
     assert court.engine.close_phase1(dispute.dispute_id, now=CFG.t2) == "extended"
+
+    # a third sound ballot in the extension makes quorum
+    index, key = enrolled[2]
+    court.phase1_vote(dispute.dispute_id, index, key, 1, memo=good_memo, now=CFG.t2 + 1)
+    deadline = CFG.t2 + CFG.extension_value
+    assert court.engine.close_phase1(dispute.dispute_id, now=deadline) == "tallied"
+    _, transcript = dispute.phase1_poll.process_messages(court.coordinator)
+    assert [entry.reason for entry in transcript.entries] == [
+        "OverBudget", None, "BadOption", "OverBudget", None, None
+    ]
+    assert dispute.phase1_tally.scores == {"alice": 2, "bob": 1}
+    assert [(p.author_registration_index, p.text_hash) for p in dispute.proposals] == [
+        (1, b"short"), (4, good_memo), (2, good_memo)
+    ]
+
+
+# every probe is juror 3's last ballot, after four sound ones for alice,
+# alice, bob, bob: (votes, memo, verdict)
+PROBES = {
+    "empty memo": ({1: 1}, b"", None),
+    "unknown option": ({7: 1}, proposal_hash("stray"), "BadOption"),
+    "split credit": ({0: 0, 1: 1}, proposal_hash("split"), None),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_phase1_scores_are_the_published_tally(probe) -> None:
+    """Which ballots count is decided once, by the poll's replay: the scores
+    Phase 2 grants are the tally the poll committed to and published, and
+    the audit accepts the transcript behind it."""
+    votes, memo, verdict = PROBES[probe]
+    court = Court()
+    dispute = court.open()
+    memos = [proposal_hash(f"p{i}") for i in range(4)]
+    enrolled = [court.enroll(dispute.dispute_id, judge) for judge in court.judges[:4]]
+    for (index, key), party, memo_i in zip(enrolled, (0, 0, 1, 1), memos):
+        court.phase1_vote(dispute.dispute_id, index, key, party, memo=memo_i)
+    index, key = enrolled[3]
+    ct = build_message(
+        signer=key,
+        coordinator_public=court.coordinator.public,
+        voter_registration_index=index,
+        votes=votes,
+        memo=memo,
+        rng=court.rng,
+    )
+    court.engine.submit_phase1_ballot(dispute.dispute_id, ct, now=160)
+    assert court.engine.close_phase1(dispute.dispute_id, now=CFG.t2) == "tallied"
+    poll = court.engine.start_phase2(dispute.dispute_id, now=210)
+
+    (published,) = [p["tally"] for kind, p in court.events if kind == "tally_published"]
+    scores = {party: published.get(i, 0) for i, party in enumerate(dispute.parties)}
+    assert dispute.phase1_tally.scores == scores == {"alice": 2, "bob": 2}
+    assert [voter.voice_credits for voter in poll.voters] == [2, 2]
+    transcript = dispute.phase1_poll.audit_transcript()
+    assert transcript.entries[-1].reason == verdict
+    intake = message_set_digest([m.ciphertext for m in dispute.phase1_poll.messages])
+    assert verify_audit(transcript, intake, dispute.phase1_poll.commitment).ok
+    # juror 3's proposal is their last valid vote's memo
+    assert dispute.proposals[-1].text_hash == (memos[3] if verdict else memo)
 
 
 # ---- phase 2 -------------------------------------------------------------------
@@ -445,7 +508,7 @@ def test_phase2_resolves_with_quadratic_scores() -> None:
     )
     assert dispute.state == DisputeState.RESOLVED
     assert dispute.phase2_tally.proposal_scores == {0: 1, 1: 1, 2: 1}
-    assert dispute.winning_proposal_id == 0  # tie broken by earliest proposal
+    assert dispute.phase2_tally.winner == 0  # tie broken by earliest proposal
 
 
 def test_phase2_negative_votes_can_sink_a_proposal() -> None:
@@ -453,7 +516,7 @@ def test_phase2_negative_votes_can_sink_a_proposal() -> None:
         allocations={"alice": {0: 1, 1: -1}, "bob": {1: 1}}
     )
     assert dispute.phase2_tally.proposal_scores == {0: 1, 1: 0, 2: 0}
-    assert dispute.winning_proposal_id == 0
+    assert dispute.phase2_tally.winner == 0
 
 
 def test_phase2_overbudget_ballot_is_void() -> None:
@@ -462,15 +525,28 @@ def test_phase2_overbudget_ballot_is_void() -> None:
         allocations={"alice": {0: 2}, "bob": {1: 1}}
     )
     assert dispute.phase2_tally.proposal_scores == {0: 0, 1: 1, 2: 0}
-    assert dispute.winning_proposal_id == 1
+    assert dispute.phase2_tally.winner == 1
 
 
 def test_phase2_allocation_naming_unknown_proposal_is_dropped() -> None:
-    court, dispute = resolved_court(
-        allocations={"alice": {7: 1}, "bob": {1: 1}}
+    """An allocation naming a proposal that does not exist is a BadOption,
+    so the party's earlier valid allocation still counts."""
+    court = Court()
+    dispute = court.open()
+    memos = [proposal_hash(f"p{i}") for i in range(3)]
+    court.run_phase1(
+        dispute.dispute_id, [(0, memos[0]), (1, memos[1]), (0, memos[2])]
     )
-    assert dispute.dropped_allocations == ["alice"]
-    assert dispute.winning_proposal_id == 1
+    court.engine.start_phase2(dispute.dispute_id, now=210)
+    deadline = dispute.phase2_poll.deadline
+    court.phase2_vote(dispute.dispute_id, "alice", {0: 1}, now=deadline - 3)
+    court.phase2_vote(dispute.dispute_id, "bob", {1: 1}, now=deadline - 2)
+    court.phase2_vote(dispute.dispute_id, "alice", {3: 1}, now=deadline - 1)
+    court.engine.close_phase2(dispute.dispute_id, now=deadline)
+    transcript = dispute.phase2_poll.audit_transcript()
+    assert [entry.reason for entry in transcript.entries] == [None, None, "BadOption"]
+    assert dispute.phase2_tally.proposal_scores == {0: 1, 1: 1, 2: 0}
+    assert dispute.phase2_tally.winner == 0
 
 
 def test_phase2_close_respects_its_own_deadline() -> None:

@@ -13,13 +13,14 @@ from disputekit.errors import (
 )
 from disputekit.identity import create_signal
 from disputekit.incentives import (
+    BAN_BELOW,
     JUDGE_BANNED,
     JUDGE_TRUSTED,
     PARTY_COMPLIANT,
     PARTY_NON_COMPLIANT,
+    TRUST_ABOVE,
     ReputationLedger,
     SbtRegistry,
-    Thresholds,
     apply_phase2_scores,
     distribute_fee,
     enforce_thresholds,
@@ -80,15 +81,6 @@ def test_reputation_accumulates_across_disputes() -> None:
 # ---- thresholds and tokens ------------------------------------------------------
 
 
-def test_threshold_validation() -> None:
-    with pytest.raises(ValueError):
-        Thresholds(ban_below=0, trust_above=25)
-    with pytest.raises(ValueError):
-        Thresholds(ban_below=-10, trust_above=0)
-    assert Thresholds().ban_below == -10
-    assert Thresholds().trust_above == 25
-
-
 def test_tokens_are_unique_per_kind_subject_and_dispute() -> None:
     sbts = SbtRegistry()
     sbts.issue(JUDGE_TRUSTED, "judge0")
@@ -114,23 +106,22 @@ def test_governance_set_excludes_banned_judges() -> None:
 
 
 def test_thresholds_are_strict_boundaries() -> None:
+    assert (BAN_BELOW, TRUST_ABOVE) == (-10, 25)
     court = Court()
-    thresholds = Thresholds(ban_below=-10, trust_above=25)
     ledger = ReputationLedger()
     sbts = SbtRegistry()
     ledger.add("judge0", -10)  # exactly at the line: stays
     ledger.add("judge1", 25)  # exactly at the line: not yet trusted
-    assert enforce_thresholds(ledger, thresholds, sbts, court.group) == []
+    assert enforce_thresholds(ledger, sbts, court.group) == []
     ledger.add("judge0", -1)
     ledger.add("judge1", 1)
-    actions = enforce_thresholds(ledger, thresholds, sbts, court.group)
+    actions = enforce_thresholds(ledger, sbts, court.group)
     assert actions == [("ban", "judge0"), ("trust", "judge1")]
 
 
 def test_ban_removes_the_juror_and_sticks() -> None:
     court = Court()
     dispute = court.open()
-    thresholds = Thresholds()
     ledger = ReputationLedger()
     sbts = SbtRegistry()
     # capture a membership signal while still in good standing
@@ -142,7 +133,7 @@ def test_ban_removes_the_juror_and_sticks() -> None:
         enrollment_scope(dispute.dispute_id),
     )
     ledger.add("judge0", -11)
-    actions = enforce_thresholds(ledger, thresholds, sbts, court.group)
+    actions = enforce_thresholds(ledger, sbts, court.group)
     assert actions == [("ban", "judge0")]
     assert sbts.has(JUDGE_BANNED, "judge0")
 
@@ -160,9 +151,9 @@ def test_ban_removes_the_juror_and_sticks() -> None:
         )
 
     # repeat calls are no-ops, and later glory cannot undo the ban
-    assert enforce_thresholds(ledger, thresholds, sbts, court.group) == []
+    assert enforce_thresholds(ledger, sbts, court.group) == []
     ledger.add("judge0", 100)
-    assert enforce_thresholds(ledger, thresholds, sbts, court.group) == []
+    assert enforce_thresholds(ledger, sbts, court.group) == []
     assert governance_set(sbts) == set()
 
 
@@ -171,7 +162,7 @@ def test_other_jurors_survive_a_ban() -> None:
     dispute = court.open()
     ledger = ReputationLedger()
     ledger.add("judge0", -11)
-    enforce_thresholds(ledger, Thresholds(), SbtRegistry(), court.group)
+    enforce_thresholds(ledger, SbtRegistry(), court.group)
     index, _ = court.enroll(dispute.dispute_id, court.judges[1], now=10)
     assert index == 0
 
@@ -213,7 +204,7 @@ def test_winning_author_collects_with_a_signed_claim() -> None:
     court, dispute = resolved_court(
         allocations={"alice": {0: 1, 2: 1}, "bob": {1: 1}}
     )
-    assert dispute.winning_proposal_id == 0
+    assert dispute.phase2_tally.winner == 0
     winner_key = court.ballot_keys[(dispute.dispute_id, 0)]
     signature = sign_claim(winner_key, dispute.dispute_id, "fresh-wallet")
     entry = distribute_fee(court.engine, dispute.dispute_id, "fresh-wallet", signature)
@@ -289,7 +280,7 @@ def test_claim_follows_a_key_switch() -> None:
         now=dispute.phase2_poll.deadline - 1,
     )
     court.engine.close_phase2(dispute.dispute_id, now=dispute.phase2_poll.deadline)
-    assert dispute.winning_proposal_id == rotated_proposal
+    assert dispute.phase2_tally.winner == rotated_proposal
 
     stale = sign_claim(enrolled[0][1], dispute.dispute_id, "wallet")
     with pytest.raises(NotTheAuthor):

@@ -47,9 +47,9 @@ def rng() -> random.Random:
     return random.Random(2024)
 
 
-def make_poll(rng, *, cost_rule="linear", credits=(1, 1, 1), deadline=100):
+def make_poll(rng, *, cost_rule="linear", credits=(1, 1, 1), deadline=100, options=3):
     coordinator = KeyPair.generate(rng)
-    poll = MaciPoll(0, coordinator.public, deadline, cost_rule)
+    poll = MaciPoll(0, coordinator.public, deadline, cost_rule, options)
     voters = [KeyPair.generate(rng) for _ in credits]
     for pair, credit in zip(voters, credits):
         poll.register_voter(pair.public, credit)
@@ -198,6 +198,40 @@ def test_unknown_registration_index(rng) -> None:
     assert poll.audit_transcript().entries[0].reason == "UnknownVoter"
 
 
+@pytest.mark.parametrize("option", [-1, 3, 2**40])
+def test_an_option_outside_the_poll_is_a_bad_option(rng, option) -> None:
+    """A command naming an option outside 0 .. options-1 is invalid, so the
+    voter's earlier valid vote stands and the tally never names it."""
+    poll, coordinator, voters = make_poll(rng, cost_rule="quadratic", credits=(9, 9))
+    cast(poll, rng, voters[0], 0, {0: 2}, now=0)
+    cast(poll, rng, voters[0], 0, {1: 1, option: 1}, now=1)
+    final_states, tally, _ = finish(poll, coordinator, rng)
+    assert tally == {0: 2}
+    assert final_states[0].vote.arrival_index == 0
+    transcript = poll.audit_transcript()
+    assert [(e.valid, e.reason) for e in transcript.entries] == [
+        (True, None), (False, "BadOption")
+    ]
+    intake = message_set_digest([m.ciphertext for m in poll.messages])
+    assert verify_audit(transcript, intake, poll.commitment).ok
+    if option > 0:  # the bound is part of the rule the audit replays
+        wider = dataclasses.replace(transcript, options=option + 1)
+        assert verify_audit(wider, intake, poll.commitment).reason == "ReplayMismatch"
+
+
+def test_bad_option_is_judged_after_the_signature_and_before_the_spend(rng) -> None:
+    poll, coordinator, voters = make_poll(rng)
+    fresh = KeyPair.generate(rng)
+    cast(poll, rng, voters[0], 0, {5: 1}, new_key=fresh.public)  # BadOption: no rotation
+    cast(poll, rng, fresh, 0, {5: 1})  # signed by a key never taken up
+    cast(poll, rng, voters[1], 1, {7: -1})  # negative on a linear poll, too
+    cast(poll, rng, voters[2], 2, {7: 9})  # over budget, too
+    finish(poll, coordinator, rng)
+    assert [e.reason for e in poll.audit_transcript().entries] == [
+        "BadOption", "BadSignature", "BadOption", "BadOption"
+    ]
+
+
 def test_undecryptable_message_marked_auth_failure(rng) -> None:
     poll, coordinator, voters = make_poll(rng)
     poll.submit_message(Ciphertext(bytes(32), bytes(12), b"junk", bytes(16)), now=0)
@@ -335,25 +369,29 @@ _MOVES = [
 @given(
     seed=st.integers(0, 2**32 - 1),
     cost_rule=st.sampled_from(sorted(COST_RULES)),
+    options=st.integers(1, 3),
     credits=st.lists(st.integers(0, 12), min_size=1, max_size=3),
     moves=st.lists(
         st.tuples(
             st.sampled_from(_MOVES), st.integers(0, 40), st.integers(-3, 4),
-            st.integers(0, 2),
+            st.integers(-1, 3),
         ),
         max_size=12,
     ),
 )
-def test_processing_matches_an_independent_reference(seed, cost_rule, credits, moves) -> None:
+def test_processing_matches_an_independent_reference(
+    seed, cost_rule, options, credits, moves
+) -> None:
     """Differential check of processing against `support.naive_process`,
     which opens each envelope with the curve and AEAD library directly and
     applies the rules with its own parser: the plaintexts, verdicts, final
     voter states and tally must all agree, on polls with late voters, key
     rotations, stale and stranger signers, junk, undecodable plaintexts,
-    envelopes for another coordinator, and bad envelope points."""
+    options outside the poll, envelopes for another coordinator, and bad
+    envelope points."""
     rng = random.Random(seed)
     coordinator, stranger = KeyPair.generate(rng), KeyPair.generate(rng)
-    poll = MaciPoll(0, coordinator.public, 100, cost_rule)
+    poll = MaciPoll(0, coordinator.public, 100, cost_rule, options)
     signers: list[KeyPair] = []
 
     def register(credit: int) -> None:
@@ -375,7 +413,10 @@ def test_processing_matches_an_independent_reference(seed, cost_rule, credits, m
         elif move == "garbled":
             ct = encrypt(coordinator.public, rng.randbytes(pick), rng)
         elif move == "unsorted":
-            command = Command(signer.public, (2, option), (1, 1), b"", index)
+            # descending, or a repeat: never strictly ascending
+            command = Command(
+                signer.public, (option, option - pick % 2), (1, 1), b"", index
+            )
             plaintext = command.encode_signed(sign(signer, command.signing_bytes()))
             ct = encrypt(coordinator.public, plaintext, rng)
         else:
@@ -388,7 +429,7 @@ def test_processing_matches_an_independent_reference(seed, cost_rule, credits, m
                 voter_registration_index=index + 9 * (move == "unknown_index"),
                 votes={option: amount},
                 new_public_key=fresh.public if fresh else None,
-                memo=rng.randbytes(option * 16),
+                memo=rng.randbytes(abs(option) * 16),
                 rng=rng,
             )
             if move == "low_order":
@@ -405,6 +446,7 @@ def test_processing_matches_an_independent_reference(seed, cost_rule, credits, m
     plaintexts, verdicts, finals, tally = naive_process(
         coordinator.seed,
         cost_rule,
+        options,
         [(voter.registered_key.encode(), voter.voice_credits) for voter in poll.voters],
         [message.ciphertext for message in poll.messages],
     )
@@ -600,6 +642,7 @@ def naive_verify_audit(transcript, intake_digest, commitment) -> Verdict:
     try:
         verdicts, states = replay_ballots(
             transcript.cost_rule,
+            transcript.options,
             transcript.initial_voters,
             [entry.plaintext for entry in transcript.entries],
         )
