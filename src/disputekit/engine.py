@@ -51,7 +51,7 @@ from .errors import (
 )
 from .identity import SemaphoreGroup, Signal
 from .maci import MaciPoll, VoterFinalState
-from .primitives import Ciphertext, KeyPair, PublicKey
+from .primitives import Ciphertext, DecryptionKey, PublicKey
 from .voting import Phase1Tally, Phase2Tally, tally_phase1, tally_phase2
 
 Observer = Callable[[str, dict], None]
@@ -246,7 +246,7 @@ class DisputeEngine:
 
     def __init__(
         self,
-        coordinator: KeyPair,
+        coordinator: DecryptionKey,
         group: SemaphoreGroup,
         rng: random.Random,
         observer: Observer,

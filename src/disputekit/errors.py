@@ -138,6 +138,10 @@ class NotTheAuthor(ProtocolError):
     """Fee claim by a judge who did not author the winning proposal."""
 
 
+class AlreadyRecorded(ProtocolError):
+    """A one-time record (a dispute's reputation, a status token) exists."""
+
+
 # ---- scenario harness -------------------------------------------------------
 
 class MalformedScript(ProtocolError):

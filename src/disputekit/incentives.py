@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .canonical import encode_uint32
-from .engine import Dispute, DisputeEngine, DisputeState, EscrowEntry
-from .errors import NotAParty, NotTheAuthor, WrongState
+from .engine import Dispute, DisputeEngine, DisputeState, EscrowEntry, Observer
+from .errors import AlreadyRecorded, NotAParty, NotTheAuthor, TooEarly, WrongState
 from .identity import SemaphoreGroup
 from .primitives import KeyPair, hash_fields, sign, verify_sig
 
@@ -73,7 +73,7 @@ def apply_phase2_scores(
     if dispute.state != DisputeState.RESOLVED or dispute.phase2_tally is None:
         raise WrongState("reputation settles after resolution")
     if dispute.dispute_id in ledger.applied_disputes:
-        raise ValueError(f"dispute {dispute.dispute_id} already applied")
+        raise AlreadyRecorded(f"dispute {dispute.dispute_id} already applied")
     deltas: dict[str, int] = {}
     for proposal in dispute.proposals:
         try:
@@ -115,7 +115,7 @@ class SbtRegistry:
             raise ValueError(f"unknown token kind {kind!r}")
         key = (kind, subject, dispute_id)
         if key in self._index:
-            raise ValueError(f"{kind} already issued to {subject!r}")
+            raise AlreadyRecorded(f"{kind} already issued to {subject!r}")
         token = SbtToken(kind, subject, dispute_id)
         self._index.add(key)
         self.tokens.append(token)
@@ -137,10 +137,10 @@ def governance_set(sbts: SbtRegistry) -> set[str]:
 
 
 def enforce_thresholds(
-    ledger: ReputationLedger, sbts: SbtRegistry, group: SemaphoreGroup
+    ledger: ReputationLedger, sbts: SbtRegistry, group: SemaphoreGroup, observe: Observer
 ) -> list[tuple[str, str]]:
-    """Apply both one-way status changes; safe to call repeatedly.
-
+    """Apply both one-way status changes; safe to call repeatedly. Each ban
+    observes a ``group_remove`` with the root right after its removal.
     Returns the actions taken this call as ("ban" | "trust", judge) pairs.
     """
     actions: list[tuple[str, str]] = []
@@ -149,7 +149,8 @@ def enforce_thresholds(
         if score < BAN_BELOW and not sbts.has(JUDGE_BANNED, judge):
             leaf = group.member_bindings.get(judge)
             if leaf is not None:
-                group.remove(leaf)
+                root = group.remove(leaf)
+                observe("group_remove", {"leaf_index": leaf, "root": root})
             sbts.issue(JUDGE_BANNED, judge)
             actions.append(("ban", judge))
         elif (
@@ -184,7 +185,7 @@ def issue_party_sbt(
     elif deadline_passed:
         kind = PARTY_NON_COMPLIANT
     else:
-        raise ValueError("compliance window still open; nothing to record")
+        raise TooEarly("compliance window still open; nothing to record")
     return sbts.issue(kind, party, dispute.dispute_id)
 
 

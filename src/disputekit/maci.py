@@ -65,6 +65,7 @@ from .errors import (
 )
 from .primitives import (
     Ciphertext,
+    DecryptionKey,
     KeyPair,
     PublicKey,
     decrypt,
@@ -131,7 +132,7 @@ def decode_signed_command(plaintext: bytes) -> tuple[Command, bytes, bytes]:
 def build_message(
     *,
     signer: KeyPair,
-    coordinator_public: PublicKey,
+    coordinator_public: bytes,
     voter_registration_index: int,
     votes: Mapping[int, int],
     new_public_key: Optional[PublicKey] = None,
@@ -227,8 +228,14 @@ def digest_over_entries(entry_digests) -> bytes:
     return hash_fields(b"message-set", *entry_digests)
 
 
-def commitment_digest(tally: Mapping[int, int], salt: bytes) -> bytes:
-    return hash_fields(b"tally-commitment", canonical.encode_int_map(tally), salt)
+def commitment_digest(poll_id: int, tally: Mapping[int, int], salt: bytes) -> bytes:
+    """Binds the tally to its poll, so it opens under no other poll's id."""
+    return hash_fields(
+        b"tally-commitment",
+        canonical.encode_int64(poll_id),
+        canonical.encode_int_map(tally),
+        salt,
+    )
 
 
 class MaciPoll:
@@ -237,7 +244,7 @@ class MaciPoll:
     def __init__(
         self,
         poll_id: int,
-        coordinator_public: PublicKey,
+        coordinator_public: bytes,
         deadline: int,
         cost_rule: str,
         options: int,
@@ -255,7 +262,7 @@ class MaciPoll:
         self._keys_seen: set[bytes] = set()
         self._processed: Optional[tuple[tuple[VoterFinalState, ...], AuditTranscript]] = None
         # (coordinator, result) of the last preview; dropped on any intake
-        self._preview: Optional[tuple[KeyPair, tuple]] = None
+        self._preview: Optional[tuple[DecryptionKey, tuple]] = None
         self._committed_tally: Optional[dict[int, int]] = None
         self._salt: Optional[bytes] = None
         self.commitment: Optional[TallyCommitment] = None
@@ -302,7 +309,9 @@ class MaciPoll:
 
     # -- processing ----------------------------------------------------------
 
-    def preview_valid_votes(self, coordinator_secret: KeyPair) -> tuple[VoterFinalState, ...]:
+    def preview_valid_votes(
+        self, coordinator_secret: DecryptionKey
+    ) -> tuple[VoterFinalState, ...]:
         """Dry run over the current message list, used to test quorum before
         deciding whether to extend. It is not a processing result; it is kept
         for ``process_messages`` to reuse until the next intake."""
@@ -311,7 +320,7 @@ class MaciPoll:
         return result[0]
 
     def process_messages(
-        self, coordinator_secret: KeyPair
+        self, coordinator_secret: DecryptionKey
     ) -> tuple[tuple[VoterFinalState, ...], AuditTranscript]:
         if not self.closed:
             raise WrongState("process requires a closed poll")
@@ -324,7 +333,7 @@ class MaciPoll:
         return self._processed
 
     def _run(
-        self, coordinator_secret: KeyPair
+        self, coordinator_secret: DecryptionKey
     ) -> tuple[tuple[VoterFinalState, ...], AuditTranscript]:
         ciphertexts = [message.ciphertext for message in self.messages]
         digests = [ciphertext_digest(ct) for ct in ciphertexts]
@@ -369,7 +378,9 @@ class MaciPoll:
             raise AlreadyCommitted("a tally commitment already exists")
         self._salt = random_bytes(32, rng)
         self._committed_tally = dict(tally)
-        self.commitment = TallyCommitment(commitment_digest(tally, self._salt))
+        self.commitment = TallyCommitment(
+            commitment_digest(self.poll_id, tally, self._salt)
+        )
         return self.commitment
 
     def publish_tally(self) -> tuple[dict[int, int], bytes]:
@@ -386,7 +397,7 @@ class MaciPoll:
         return dataclasses.replace(self._processed[1], salt=self._salt)
 
 
-def _open(coordinator_secret: KeyPair, ct: Ciphertext) -> Optional[bytes]:
+def _open(coordinator_secret: DecryptionKey, ct: Ciphertext) -> Optional[bytes]:
     """One key agreement with the message's own point, one decryption; None
     when the point is malformed or of low order, or the tag fails."""
     try:
@@ -494,7 +505,8 @@ def verify_audit(
 
     1. the transcript covers exactly the observed message set;
     2. aggregating the claimed final votes reproduces the tally;
-    3. the published commitment opens to (tally, salt);
+    3. the published commitment opens to (poll id, tally, salt), so a
+       transcript relabelled to another poll opens nothing;
     4. ``replay_ballots``, the rule processing ran, reproduces every
        verdict and the claimed final voter states from the published
        plaintexts — the O(M) signature replay.
@@ -517,9 +529,12 @@ def verify_audit(
         return Verdict.reject(REASON_TALLY_MISMATCH)
 
     try:
-        opened = commitment_digest(transcript.tally, transcript.salt) == commitment.digest
+        opened = commitment.digest == commitment_digest(
+            transcript.poll_id, transcript.tally, transcript.salt
+        )
     except DecodeError:
-        # a tally past int64 has no canonical encoding, so it opens nothing
+        # a poll id or tally past int64 has no canonical encoding, so it
+        # opens nothing
         opened = False
     if not opened:
         return Verdict.reject(REASON_COMMITMENT_MISMATCH)

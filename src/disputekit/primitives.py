@@ -2,12 +2,11 @@
 
 Concrete algorithm choices (SHA-256, Ed25519, X25519, ChaCha20-Poly1305)
 live behind this module's functions; nothing above it names an algorithm.
-One seed yields one participant keypair that can both sign and derive
-shared encryption keys — the two underlying curve keys are derived from
-the seed with domain-separated hashing, so the public half is a pure
-function of the seed. A message is sealed for one recipient under a fresh
-one-time agreement key whose public point travels with the ciphertext, so
-the recipient opens it with one key agreement and one decryption.
+Each key has one job: a participant's keypair only signs, and the
+coordinator's decryption key only opens what is sealed for it; each is
+derived from its seed by domain-separated hashing. A message is sealed for
+one recipient under a fresh one-time key whose point travels with the
+ciphertext, so the recipient opens it with one agreement and one decryption.
 
 All randomness is drawn through ``random_bytes`` from a generator every
 caller must pass, so a seeded one replays byte-identical protocol runs.
@@ -58,51 +57,58 @@ def random_bytes(count: int, rng: random.Random) -> bytes:
     return rng.randbytes(count)
 
 
-# ---- keypairs: one seed, signing + key agreement ----------------------------
+# ---- keys: participants sign, the coordinator decrypts ---------------------
 
 @dataclass(frozen=True)
 class PublicKey:
-    """Public half of a participant keypair: signing and agreement points."""
+    """A participant's public signing key: one 32-byte Ed25519 point."""
 
-    sign_bytes: bytes
-    agree_bytes: bytes
+    point: bytes
 
     def encode(self) -> bytes:
-        return self.sign_bytes + self.agree_bytes
+        return self.point
 
     @staticmethod
     def decode(data: bytes) -> "PublicKey":
-        if len(data) != 64:
-            raise InvalidKey(f"public key must be 64 bytes, got {len(data)}")
-        return PublicKey(data[:32], data[32:])
+        if len(data) != 32:
+            raise InvalidKey(f"public key must be 32 bytes, got {len(data)}")
+        return PublicKey(data)
 
 
 @dataclass(frozen=True)
 class KeyPair:
-    """Participant keypair; ``seed`` is the only secret material. The two
-    private curve keys derived from it are kept, so signing and key
-    agreement do not rebuild them on every call."""
+    """Participant signing keypair; ``seed`` is the only secret material.
+    Its private key is kept, so signing does not rebuild it on every call."""
 
     seed: bytes
     public: PublicKey = field(compare=False)
     signing: Ed25519PrivateKey = field(compare=False, repr=False)
-    agreement: X25519PrivateKey = field(compare=False, repr=False)
 
     @staticmethod
     def from_seed(seed: bytes) -> "KeyPair":
         if len(seed) != SEED_SIZE:
             raise InvalidKey(f"seed must be {SEED_SIZE} bytes")
         signing = Ed25519PrivateKey.from_private_bytes(hash_fields(b"sign", seed))
-        agreement = X25519PrivateKey.from_private_bytes(hash_fields(b"agree", seed))
-        public = PublicKey(
-            signing.public_key().public_bytes_raw(),
-            agreement.public_key().public_bytes_raw(),
-        )
-        return KeyPair(seed, public, signing, agreement)
+        return KeyPair(seed, PublicKey(signing.public_key().public_bytes_raw()), signing)
 
     @staticmethod
     def generate(rng: random.Random) -> "KeyPair":
         return KeyPair.from_seed(random_bytes(SEED_SIZE, rng))
+
+
+@dataclass(frozen=True)
+class DecryptionKey:
+    """The coordinator's key: it only opens what is sealed for ``public``."""
+
+    seed: bytes
+    public: bytes = field(compare=False)
+    agreement: X25519PrivateKey = field(compare=False, repr=False)
+
+    @staticmethod
+    def generate(rng: random.Random) -> "DecryptionKey":
+        seed = random_bytes(SEED_SIZE, rng)
+        agreement = X25519PrivateKey.from_private_bytes(hash_fields(b"agree", seed))
+        return DecryptionKey(seed, agreement.public_key().public_bytes_raw(), agreement)
 
 
 def _shared_key(secret: X25519PrivateKey, peer_point: bytes) -> bytes:
@@ -113,10 +119,9 @@ def _shared_key(secret: X25519PrivateKey, peer_point: bytes) -> bytes:
     return hash_fields(b"shared", raw)
 
 
-def key_agree(secret: KeyPair, peer_point: bytes) -> bytes:
-    """Symmetric 32-byte shared key with the holder of the 32-byte agreement
-    point `peer_point`: agree(a, B.agree_bytes) == agree(b, A.agree_bytes).
-    A point of the wrong length or of low order raises InvalidKey."""
+def key_agree(secret: DecryptionKey, peer_point: bytes) -> bytes:
+    """The 32-byte key ``encrypt`` sealed a message under, from the message's
+    one-time point `peer_point`. A malformed or low-order point raises InvalidKey."""
     return _shared_key(secret.agreement, peer_point)
 
 
@@ -126,9 +131,7 @@ def sign(secret: KeyPair, message: bytes) -> bytes:
 
 def verify_sig(public: PublicKey, message: bytes, signature: bytes) -> bool:
     try:
-        Ed25519PublicKey.from_public_bytes(public.sign_bytes).verify(
-            signature, message
-        )
+        Ed25519PublicKey.from_public_bytes(public.point).verify(signature, message)
         return True
     except (InvalidSignature, ValueError):
         return False
@@ -150,12 +153,12 @@ class Ciphertext:
         return self.ephemeral + self.nonce + self.payload + self.tag
 
 
-def encrypt(recipient: PublicKey, plaintext: bytes, rng: random.Random) -> Ciphertext:
-    """Seal `plaintext` for `recipient` under a one-time agreement key drawn
-    from `rng` (32 bytes, then the 12-byte nonce). The recipient opens it
-    with ``decrypt(key_agree(secret, ciphertext.ephemeral), ciphertext)``."""
+def encrypt(recipient: bytes, plaintext: bytes, rng: random.Random) -> Ciphertext:
+    """Seal `plaintext` for the holder of agreement point `recipient` under a
+    one-time agreement key drawn from `rng` (32 bytes, then the 12-byte nonce).
+    The recipient opens it with ``decrypt(key_agree(secret, ct.ephemeral), ct)``."""
     ephemeral = X25519PrivateKey.from_private_bytes(random_bytes(SEED_SIZE, rng))
-    key = _shared_key(ephemeral, recipient.agree_bytes)
+    key = _shared_key(ephemeral, recipient)
     nonce = random_bytes(NONCE_SIZE, rng)
     sealed = ChaCha20Poly1305(key).encrypt(nonce, plaintext, None)
     return Ciphertext(

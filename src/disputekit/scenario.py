@@ -36,7 +36,7 @@ from .incentives import (
     sign_claim,
 )
 from .maci import build_message
-from .primitives import KeyPair, hash_bytes
+from .primitives import DecryptionKey, KeyPair, hash_bytes
 
 # ---- the public record ---------------------------------------------------------
 
@@ -156,7 +156,7 @@ class World:
         self.view = AdversaryView()
         self.registry = PohRegistry(challenge_window=challenge_window)
         self.group = SemaphoreGroup(self.registry, tree_depth=tree_depth)
-        self.coordinator = KeyPair.generate(self.rng)
+        self.coordinator = DecryptionKey.generate(self.rng)
         self.engine = DisputeEngine(
             self.coordinator, self.group, rng=self.rng, observer=self.view.append
         )
@@ -359,16 +359,9 @@ class World:
         )
 
     def enforce_thresholds(self) -> list[tuple[str, str]]:
-        before = {judge: self.group.member_bindings.get(judge) for judge in
-                  self.reputation.scores}
-        actions = enforce_thresholds(self.reputation, self.sbts, self.group)
-        for action, judge in actions:
-            if action == "ban" and before.get(judge) is not None:
-                self.view.append(
-                    "group_remove",
-                    {"leaf_index": before[judge], "root": self.group.root},
-                )
-        return actions
+        return enforce_thresholds(
+            self.reputation, self.sbts, self.group, self.view.append
+        )
 
     def issue_party_sbt(
         self, dispute_id: int, party: str, *, complied: bool, deadline_passed: bool

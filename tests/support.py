@@ -16,7 +16,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from disputekit.engine import DisputeConfig, DisputeEngine, Escrow, enrollment_scope
 from disputekit.identity import Identity, PohRegistry, SemaphoreGroup, create_signal
 from disputekit.maci import build_message
-from disputekit.primitives import KeyPair, hash_bytes
+from disputekit.primitives import DecryptionKey, KeyPair, hash_bytes
 
 CFG = DisputeConfig(t1=100, t2=200, min_judges=3)
 
@@ -45,7 +45,7 @@ def plant_double_booked_payouts(monkeypatch) -> None:
 # scalar and the shared key are SHA-256 over 4-byte length-prefixed fields,
 # a sealed ballot is (one-time point, nonce, payload, tag), and a command is
 # key | options | amounts | memo | index | signature in u32-prefixed,
-# big-endian int64 fields.
+# big-endian int64 fields, whose key is the voter's 32-byte Ed25519 point.
 
 
 def _digest(*fields: bytes) -> bytes:
@@ -93,14 +93,14 @@ def _naive_command(plaintext: bytes):
         signature = prefixed()
     except ValueError:
         return None
-    if position != len(plaintext) or len(key) != 64:
+    if position != len(plaintext) or len(key) != 32:
         return None
     return key, options, amounts, memo, index, signed, signature
 
 
 def _naive_verify(key: bytes, signed: bytes, signature: bytes) -> bool:
     try:
-        Ed25519PublicKey.from_public_bytes(key[:32]).verify(signature, signed)
+        Ed25519PublicKey.from_public_bytes(key).verify(signature, signed)
         return True
     except (InvalidSignature, ValueError):
         return False
@@ -260,7 +260,7 @@ class Court:
         self.rng = random.Random(seed)
         self.registry = PohRegistry(challenge_window=10)
         self.group = SemaphoreGroup(registry=self.registry, tree_depth=8)
-        self.coordinator = KeyPair.generate(self.rng)
+        self.coordinator = DecryptionKey.generate(self.rng)
         self.events: list[tuple[str, dict]] = []
         self.engine = DisputeEngine(
             self.coordinator,

@@ -35,7 +35,7 @@ from disputekit.maci import (
     verify_audit,
 )
 from disputekit.oracle import brute_force_defeat, region_nonempty
-from disputekit.primitives import KeyPair, hash_bytes
+from disputekit.primitives import DecryptionKey, KeyPair, hash_bytes
 from disputekit.scenario import World, run_scenario
 from support import naive_process
 
@@ -113,7 +113,7 @@ def test_quadratic_cost_law() -> None:
     rng = random.Random(41)
     for n in (1, 7, 100):
         for credits, should_count in ((n * n, True), (n * n - 1, False)):
-            coordinator = KeyPair.generate(rng)
+            coordinator = DecryptionKey.generate(rng)
             voter = KeyPair.generate(rng)
             poll = MaciPoll(
                 0, coordinator.public, deadline=10, cost_rule="quadratic", options=1
@@ -149,7 +149,7 @@ def test_quadratic_cost_law() -> None:
 # ---- full-pipeline naive recount ---------------------------------------------------
 
 
-def _naive_recount(poll: MaciPoll, coordinator: KeyPair) -> tuple[list, list]:
+def _naive_recount(poll: MaciPoll, coordinator: DecryptionKey) -> tuple[list, list]:
     """Decrypt-everything recount, written from the wire format up by the
     independent route in `support.naive_process` (the curve and AEAD library
     called directly, its own command parser and rules). Returns each
@@ -362,7 +362,7 @@ def test_ballot_processing_semantics() -> None:
     sequences, violations = 1000, []
     overspends_checked = audits_accepted = 0
     for sequence in range(sequences):
-        coordinator = KeyPair.generate(rng)
+        coordinator = DecryptionKey.generate(rng)
         cost_rule = rng.choice(["linear", "quadratic"])
         voter_count = rng.randint(1, 4)
         registered = [KeyPair.generate(rng) for _ in range(voter_count)]

@@ -70,6 +70,29 @@ def test_run_happy_path_exits_zero(capsys) -> None:
     assert all("invariant" not in entry for entry in (report, *report["steps"]))
 
 
+@pytest.mark.parametrize(
+    "step",
+    [
+        {"op": "apply_reputation", "t": 400, "dispute": 0,
+         "expect": "error:AlreadyRecorded"},
+        {"op": "issue_party_sbt", "t": 400, "dispute": 0, "party": "bob",
+         "complied": True, "deadline_passed": False,
+         "expect": "error:AlreadyRecorded"},
+        {"op": "issue_party_sbt", "t": 400, "dispute": 0, "party": "alice",
+         "complied": False, "deadline_passed": False, "expect": "error:TooEarly"},
+    ],
+    ids=["reputation-twice", "token-twice", "window-open"],
+)
+def test_protocol_refusals_are_step_errors(tmp_path, capsys, step) -> None:
+    """A refusal by the protocol is a step error a script can expect, not
+    a malformed script (exit 2)."""
+    script = json.loads(HAPPY.read_text())
+    script["timeline"].append(step)
+    assert main(["run", write_json(tmp_path / "s.json", script)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["steps"][-1]["error"] == step["expect"].split(":")[1]
+
+
 def test_run_stalled_court_exits_zero(capsys) -> None:
     assert main(["run", str(STALLED)]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
@@ -97,8 +120,8 @@ def test_run_writes_one_line_of_sorted_compact_json(tmp_path) -> None:
 # SHA-256 of `disputekit run` stdout for each bundled scenario. A change
 # that alters report bytes on purpose updates these and says why.
 GOLDEN_REPORT_DIGESTS = {
-    "happy_path.json": "532aaab67845d5ce1fe7eb6a33befff3605700b53ab697e9a5360d925a303cd7",
-    "stalled_court.json": "cbbc9a0dd8fb734488aff7a11ee46472010ccca9b1e9525054acad070040dff7",
+    "happy_path.json": "02cca7d29445d3e793b908fdcd800927df27df735fceafc72ac00ed23fda61d6",
+    "stalled_court.json": "5d62ace72b57a22e53597f547bb85a49e4ba0e67f540ab3c11f17d2cb47c1ead",
 }
 
 
@@ -766,6 +789,18 @@ def test_verify_honest_transcript(tmp_path, capsys, audit_artifacts) -> None:
         ),
         # the vote for option 1 replays as a BadOption, not as claimed
         (lambda d: d.__setitem__("options", 1), "ReplayMismatch"),
+        # the commitment binds its poll: relabelled to the same dispute's
+        # Phase-2 poll, or to an id past int64, the transcript opens nothing
+        pytest.param(
+            lambda d: d.__setitem__("poll_id", d["poll_id"] + 1),
+            "CommitmentMismatch",
+            id="relabelled-to-phase2-CommitmentMismatch",
+        ),
+        pytest.param(
+            lambda d: d.__setitem__("poll_id", 2**70),
+            "CommitmentMismatch",
+            id="relabelled-past-int64-CommitmentMismatch",
+        ),
         # one edit, two failing checks: the claimed votes no longer sum to
         # the tally, and the replay no longer gives the claimed states; the
         # tally check runs first

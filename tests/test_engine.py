@@ -297,6 +297,25 @@ def test_duplicate_ballot_key_refused_without_burning_the_nullifier() -> None:
     assert index == 1
 
 
+def test_an_old_format_ballot_key_is_refused_without_burning_the_nullifier() -> None:
+    """A ballot key is one 32-byte signing point; the 64-byte form that also
+    carried an agreement point is a BadKey and spends nothing."""
+    court = Court()
+    dispute = court.open()
+    key = KeyPair.generate(court.rng).public.encode()
+    old_format = create_signal(
+        court.judges[0],
+        court.group,
+        key + bytes(32),
+        enrollment_scope(dispute.dispute_id),
+    )
+    with pytest.raises(InvalidSignal) as excinfo:
+        court.engine.enroll_judge(dispute.dispute_id, old_format, now=10)
+    assert excinfo.value.reason == "BadKey"
+    assert court.group.seen_nullifier_hashes == set()
+    assert court.enroll(dispute.dispute_id, court.judges[0], now=11)[0] == 0
+
+
 def test_enrollment_needs_an_active_dispute() -> None:
     court = Court()
     key = KeyPair.generate(court.rng)

@@ -1,6 +1,7 @@
 """Simulation world, public-record schema, scripted runs, attack probes."""
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -119,6 +120,60 @@ def test_world_claim_fee_pays_the_author() -> None:
     amount = world.claim_fee(dispute_id, "j0", "payout-wallet")
     assert amount == 20
     assert world.engine.escrow.net_position("payout-wallet") == 20
+
+
+def _replayed_roots(view: list, depth: int) -> list[tuple[str, str, str]]:
+    """Rebuild the member tree from the public record alone (hashlib, no
+    disputekit code): each group_join fills its leaf, each group_remove
+    zeroes one. Returns (kind, root the event carries, rebuilt root)."""
+    leaves: dict[int, bytes] = {}
+    checked = []
+    for _, kind, payload in view:
+        if kind == "group_join":
+            leaves[payload["leaf_index"]] = bytes.fromhex(payload["commitment"])
+        elif kind == "group_remove":
+            leaves[payload["leaf_index"]] = bytes(32)
+        else:
+            continue
+        zero = bytes(32)
+        level = [leaves.get(i, zero) for i in range(max(leaves) + 1)]
+        for _ in range(depth):
+            level += [zero] * (len(level) % 2)
+            level = [
+                hashlib.sha256(level[i] + level[i + 1]).digest()
+                for i in range(0, len(level), 2)
+            ]
+            zero = hashlib.sha256(zero + zero).digest()
+        checked.append((kind, payload["root"], level[0].hex()))
+    return checked
+
+
+@pytest.mark.parametrize("name", ["happy_path.json", "stalled_court.json"])
+def test_each_member_event_carries_its_own_root_in_scenarios(name) -> None:
+    script = json.loads((SCENARIOS / name).read_text())
+    report = run_scenario(script)
+    checked = _replayed_roots(report["view"], script["config"]["tree_depth"])
+    assert checked
+    assert [(kind, root) for kind, root, _ in checked] == [
+        (kind, rebuilt) for kind, _, rebuilt in checked
+    ]
+
+
+def test_each_ban_in_one_call_carries_the_root_after_it() -> None:
+    """Two bans in one `enforce_thresholds` call: each group_remove event
+    carries the root right after its own removal, not the final root."""
+    world = World(9, genesis_humans=["j0", "j1", "j2"], tree_depth=4)
+    for judge in ("j0", "j1", "j2"):
+        world.group_join(judge)
+    world.reputation.add("j0", -11)
+    world.reputation.add("j2", -11)
+    assert world.enforce_thresholds() == [("ban", "j0"), ("ban", "j2")]
+    checked = _replayed_roots(world.view.as_jsonable(), 4)
+    assert [kind for kind, _, _ in checked].count("group_remove") == 2
+    assert [(kind, root) for kind, root, _ in checked] == [
+        (kind, rebuilt) for kind, _, rebuilt in checked
+    ]
+    assert checked[-1][1] == world.group.root.hex()
 
 
 def test_snapshot_is_json_round_trippable() -> None:

@@ -5,10 +5,12 @@ from __future__ import annotations
 import pytest
 
 from disputekit.errors import (
+    AlreadyRecorded,
     InvalidSignal,
     NotAMember,
     NotAParty,
     NotTheAuthor,
+    TooEarly,
     WrongState,
 )
 from disputekit.identity import create_signal
@@ -57,7 +59,7 @@ def test_scores_apply_once_per_dispute() -> None:
     ledger = ReputationLedger()
     mapping = court.judge_by_index[dispute.dispute_id]
     apply_phase2_scores(ledger, dispute, mapping)
-    with pytest.raises(ValueError):
+    with pytest.raises(AlreadyRecorded):
         apply_phase2_scores(ledger, dispute, mapping)
 
 
@@ -84,11 +86,11 @@ def test_reputation_accumulates_across_disputes() -> None:
 def test_tokens_are_unique_per_kind_subject_and_dispute() -> None:
     sbts = SbtRegistry()
     sbts.issue(JUDGE_TRUSTED, "judge0")
-    with pytest.raises(ValueError):
+    with pytest.raises(AlreadyRecorded):
         sbts.issue(JUDGE_TRUSTED, "judge0")
     sbts.issue(PARTY_COMPLIANT, "alice", dispute_id=0)
     sbts.issue(PARTY_COMPLIANT, "alice", dispute_id=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(AlreadyRecorded):
         sbts.issue(PARTY_COMPLIANT, "alice", dispute_id=1)
     with pytest.raises(ValueError):
         sbts.issue("Medal", "judge0")
@@ -112,10 +114,10 @@ def test_thresholds_are_strict_boundaries() -> None:
     sbts = SbtRegistry()
     ledger.add("judge0", -10)  # exactly at the line: stays
     ledger.add("judge1", 25)  # exactly at the line: not yet trusted
-    assert enforce_thresholds(ledger, sbts, court.group) == []
+    assert enforce_thresholds(ledger, sbts, court.group, court.engine.observe) == []
     ledger.add("judge0", -1)
     ledger.add("judge1", 1)
-    actions = enforce_thresholds(ledger, sbts, court.group)
+    actions = enforce_thresholds(ledger, sbts, court.group, court.engine.observe)
     assert actions == [("ban", "judge0"), ("trust", "judge1")]
 
 
@@ -133,9 +135,12 @@ def test_ban_removes_the_juror_and_sticks() -> None:
         enrollment_scope(dispute.dispute_id),
     )
     ledger.add("judge0", -11)
-    actions = enforce_thresholds(ledger, sbts, court.group)
+    actions = enforce_thresholds(ledger, sbts, court.group, court.engine.observe)
     assert actions == [("ban", "judge0")]
     assert sbts.has(JUDGE_BANNED, "judge0")
+    assert court.events[-1] == (
+        "group_remove", {"leaf_index": 0, "root": court.group.root}
+    )
 
     # the pre-ban signal dies against the new root, and a fresh one
     # cannot even be built: the juror's leaf is gone
@@ -151,9 +156,9 @@ def test_ban_removes_the_juror_and_sticks() -> None:
         )
 
     # repeat calls are no-ops, and later glory cannot undo the ban
-    assert enforce_thresholds(ledger, sbts, court.group) == []
+    assert enforce_thresholds(ledger, sbts, court.group, court.engine.observe) == []
     ledger.add("judge0", 100)
-    assert enforce_thresholds(ledger, sbts, court.group) == []
+    assert enforce_thresholds(ledger, sbts, court.group, court.engine.observe) == []
     assert governance_set(sbts) == set()
 
 
@@ -162,7 +167,7 @@ def test_other_jurors_survive_a_ban() -> None:
     dispute = court.open()
     ledger = ReputationLedger()
     ledger.add("judge0", -11)
-    enforce_thresholds(ledger, SbtRegistry(), court.group)
+    enforce_thresholds(ledger, SbtRegistry(), court.group, court.engine.observe)
     index, _ = court.enroll(dispute.dispute_id, court.judges[1], now=10)
     assert index == 0
 
@@ -182,7 +187,7 @@ def test_party_compliance_tokens() -> None:
         sbts, dispute, "alice", complied=False, deadline_passed=True
     )
     assert late.kind == PARTY_NON_COMPLIANT
-    with pytest.raises(ValueError):
+    with pytest.raises(TooEarly):
         issue_party_sbt(sbts, dispute, "bob", complied=False, deadline_passed=False)
     with pytest.raises(NotAParty):
         issue_party_sbt(sbts, dispute, "mallory", complied=True, deadline_passed=False)

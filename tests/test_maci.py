@@ -38,7 +38,14 @@ from disputekit.maci import (
     replay_ballots,
     verify_audit,
 )
-from disputekit.primitives import Ciphertext, KeyPair, PublicKey, encrypt, sign
+from disputekit.primitives import (
+    Ciphertext,
+    DecryptionKey,
+    KeyPair,
+    PublicKey,
+    encrypt,
+    sign,
+)
 from disputekit.scenario import World
 
 
@@ -48,7 +55,7 @@ def rng() -> random.Random:
 
 
 def make_poll(rng, *, cost_rule="linear", credits=(1, 1, 1), deadline=100, options=3):
-    coordinator = KeyPair.generate(rng)
+    coordinator = DecryptionKey.generate(rng)
     poll = MaciPoll(0, coordinator.public, deadline, cost_rule, options)
     voters = [KeyPair.generate(rng) for _ in credits]
     for pair, credit in zip(voters, credits):
@@ -314,8 +321,8 @@ def test_envelopes_are_one_time_and_one_size() -> None:
     assert [ballot[:32] for ballot in ballots] == points  # the public record has them
     assert len(set(points)) == len(points) == 6
     keys = [voter.registered_key for voter in poll.voters]
-    keys += [pair.public for pair in (*world.signer_keys.values(), world.coordinator)]
-    known = {part for key in keys for part in (key.sign_bytes, key.agree_bytes)}
+    keys += [pair.public for pair in world.signer_keys.values()]
+    known = {key.encode() for key in keys} | {world.coordinator.public}
     assert not known & set(points)
     assert len({len(ballot) for ballot in ballots}) == 1
     # the point is part of what the intake digest commits to
@@ -326,8 +333,7 @@ def test_envelopes_are_one_time_and_one_size() -> None:
 
 _BODY = st.builds(
     Command,
-    new_public_key=st.builds(PublicKey, st.binary(min_size=32, max_size=32),
-                             st.binary(min_size=32, max_size=32)),
+    new_public_key=st.builds(PublicKey, st.binary(min_size=32, max_size=32)),
     vote_option=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4).map(tuple),
     vote_amount=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4).map(tuple),
     memo=st.binary(max_size=40),
@@ -390,7 +396,7 @@ def test_processing_matches_an_independent_reference(
     options outside the poll, envelopes for another coordinator, and bad
     envelope points."""
     rng = random.Random(seed)
-    coordinator, stranger = KeyPair.generate(rng), KeyPair.generate(rng)
+    coordinator, stranger = DecryptionKey.generate(rng), DecryptionKey.generate(rng)
     poll = MaciPoll(0, coordinator.public, 100, cost_rule, options)
     signers: list[KeyPair] = []
 
@@ -490,7 +496,7 @@ def test_processing_after_a_preview_equals_a_fresh_poll(preview_by, late_intake)
     def processed(preview: bool):
         r = random.Random(31)
         poll, coordinator, voters = make_poll(r)
-        keys = {"coordinator": coordinator, "stranger": KeyPair.generate(r)}
+        keys = {"coordinator": coordinator, "stranger": DecryptionKey.generate(r)}
         cast(poll, r, voters[0], 0, {0: 1})
         cast(poll, r, voters[2], 2, {2: 1}, now=1)
         if preview:
@@ -543,11 +549,12 @@ def test_publish_opens_commitment(rng) -> None:
     cast(poll, rng, voters[0], 0, {1: 1})
     finish(poll, coordinator, rng)
     tally, salt = poll.publish_tally()
-    assert commitment_digest(tally, salt) == poll.commitment.digest
-    # an altered tally does not open the commitment
+    assert commitment_digest(poll.poll_id, tally, salt) == poll.commitment.digest
+    # an altered tally does not open the commitment, nor does another poll's id
     altered = dict(tally)
     altered[1] = altered.get(1, 0) + 1
-    assert commitment_digest(altered, salt) != poll.commitment.digest
+    assert commitment_digest(poll.poll_id, altered, salt) != poll.commitment.digest
+    assert commitment_digest(poll.poll_id + 1, tally, salt) != poll.commitment.digest
 
 
 # ---- audit -----------------------------------------------------------------------
@@ -621,6 +628,15 @@ def test_commitment_to_different_tally_detected(rng) -> None:
     assert verify_audit(transcript, intake, commitment).reason == "CommitmentMismatch"
 
 
+@pytest.mark.parametrize("poll_id", [1, 2**63 - 1, 2**70])
+def test_relabelled_transcript_detected(rng, poll_id) -> None:
+    """The commitment binds its poll: the same transcript under another
+    poll's id opens nothing, and an id past int64 has no encoding."""
+    transcript, intake, commitment = audited_poll(rng)
+    mutated = dataclasses.replace(transcript, poll_id=poll_id)
+    assert verify_audit(mutated, intake, commitment).reason == "CommitmentMismatch"
+
+
 def test_dropped_entry_detected(rng) -> None:
     transcript, intake, commitment = audited_poll(rng)
     mutated = dataclasses.replace(transcript, entries=transcript.entries[:-1])
@@ -659,7 +675,9 @@ def naive_verify_audit(transcript, intake_digest, commitment) -> Verdict:
     if tally != dict(transcript.tally):
         return Verdict.reject("TallyMismatch")
     try:
-        opened = commitment_digest(transcript.tally, transcript.salt) == commitment.digest
+        opened = commitment.digest == commitment_digest(
+            transcript.poll_id, transcript.tally, transcript.salt
+        )
     except DecodeError:
         opened = False
     return Verdict.accept() if opened else Verdict.reject("CommitmentMismatch")
@@ -689,7 +707,9 @@ def _other_bytes(value: bytes, at: int) -> bytes:
     return value[:at] + bytes([value[at] ^ 1]) + value[at + 1:]
 
 
-FAULTS = ("flip", "tally", "salt", "digest", "credits", "key", "vote", "recommit")
+FAULTS = (
+    "flip", "tally", "salt", "digest", "credits", "key", "vote", "relabel", "recommit",
+)
 
 
 def apply_fault(transcript, kind: str, pick: int, amount: int):
@@ -705,6 +725,8 @@ def apply_fault(transcript, kind: str, pick: int, amount: int):
         return dataclasses.replace(transcript, tally=tally)
     elif kind == "salt":
         return dataclasses.replace(transcript, salt=_other_bytes(transcript.salt, pick))
+    elif kind == "relabel":
+        return dataclasses.replace(transcript, poll_id=transcript.poll_id + pick + 1)
     elif kind == "digest":
         entries[pick % len(entries)] = dataclasses.replace(
             entry, ciphertext_digest=_other_bytes(entry.ciphertext_digest, pick)
@@ -747,7 +769,7 @@ def test_check_order_keeps_the_accept_set(honest_audits, which, faults) -> None:
     for kind, pick, amount in faults:
         if kind == "recommit":  # a coordinator that commits to what it publishes
             commitment = TallyCommitment(
-                commitment_digest(transcript.tally, transcript.salt)
+                commitment_digest(transcript.poll_id, transcript.tally, transcript.salt)
             )
         else:
             transcript = apply_fault(transcript, kind, pick, amount)

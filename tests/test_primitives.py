@@ -5,9 +5,14 @@ import hashlib
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import (
+    X25519PrivateKey,
+    X25519PublicKey,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from disputekit import primitives
 from disputekit.errors import (
     AuthFailure,
     IndexOutOfRange,
@@ -16,6 +21,7 @@ from disputekit.errors import (
 )
 from disputekit.primitives import (
     Ciphertext,
+    DecryptionKey,
     KeyPair,
     MerkleTree,
     PublicKey,
@@ -23,6 +29,7 @@ from disputekit.primitives import (
     decrypt,
     encrypt,
     hash_bytes,
+    hash_fields,
     key_agree,
     merkle_verify,
     sign,
@@ -52,33 +59,71 @@ def test_keypair_bad_seed_length() -> None:
         KeyPair.from_seed(b"short")
 
 
+def test_a_participant_key_only_signs(monkeypatch) -> None:
+    """A participant's keypair is one Ed25519 key: building it builds no
+    agreement key, and its public key is the 32-byte signing point."""
+
+    class NoAgreementKeys:
+        @staticmethod
+        def from_private_bytes(data: bytes):
+            raise AssertionError("a participant key built an agreement key")
+
+    monkeypatch.setattr(primitives, "X25519PrivateKey", NoAgreementKeys)
+    pair = KeyPair.from_seed(bytes(range(32)))
+    assert pair.public.encode() == pair.signing.public_key().public_bytes_raw()
+    assert len(pair.public.encode()) == 32
+
+
 def test_public_key_round_trip_and_length_check() -> None:
     pair = KeyPair.generate(random.Random(1))
     assert PublicKey.decode(pair.public.encode()) == pair.public
-    with pytest.raises(InvalidKey):
-        PublicKey.decode(b"\x00" * 63)
+    for length in (31, 33, 64):  # 64: a signing point and an agreement point
+        with pytest.raises(InvalidKey):
+            PublicKey.decode(b"\x00" * length)
+
+
+def test_decryption_key_derived_from_its_seed() -> None:
+    """The coordinator's key draws one 32-byte seed and derives its scalar
+    as hash_fields("agree", seed); its public half is that scalar's point."""
+    key = DecryptionKey.generate(random.Random(7))
+    assert key.seed == random.Random(7).randbytes(32)
+    scalar = X25519PrivateKey.from_private_bytes(hash_fields(b"agree", key.seed))
+    assert key.public == scalar.public_key().public_bytes_raw()
 
 
 def test_key_agreement_is_symmetric() -> None:
+    """The coordinator's key agreement with a ballot's one-time point gives
+    the key the sender derived from the one-time scalar and the
+    coordinator's point: ``encrypt`` draws that scalar first from its
+    generator, so a copy of the generator replays it."""
     rng = random.Random(2)
-    alice, bob = KeyPair.generate(rng), KeyPair.generate(rng)
-    assert key_agree(alice, bob.public.agree_bytes) == key_agree(
-        bob, alice.public.agree_bytes
+    coordinator = DecryptionKey.generate(rng)
+    sender_rng = random.Random()
+    sender_rng.setstate(rng.getstate())
+    ct = encrypt(coordinator.public, b"the vote", rng)
+    one_time = X25519PrivateKey.from_private_bytes(sender_rng.randbytes(32))
+    assert ct.ephemeral == one_time.public_key().public_bytes_raw()
+    sender_side = hash_fields(
+        b"shared",
+        one_time.exchange(X25519PublicKey.from_public_bytes(coordinator.public)),
     )
-    assert len(key_agree(alice, bob.public.agree_bytes)) == 32
+    assert key_agree(coordinator, ct.ephemeral) == sender_side
+    assert len(sender_side) == 32
 
 
 def test_key_agreement_differs_per_peer() -> None:
     rng = random.Random(3)
-    alice, bob, carol = (KeyPair.generate(rng) for _ in range(3))
-    assert key_agree(alice, bob.public.agree_bytes) != key_agree(
-        alice, carol.public.agree_bytes
+    coordinator, other = DecryptionKey.generate(rng), DecryptionKey.generate(rng)
+    first, second = (encrypt(coordinator.public, b"", rng) for _ in range(2))
+    assert key_agree(coordinator, first.ephemeral) != key_agree(
+        coordinator, second.ephemeral
     )
+    assert key_agree(coordinator, first.ephemeral) != key_agree(other, first.ephemeral)
 
 
 def test_encrypt_decrypt_round_trip() -> None:
     rng = random.Random(4)
-    b = KeyPair.generate(rng)
+    b = DecryptionKey.generate(rng)
     ct = encrypt(b.public, b"the vote", rng)
     key = key_agree(b, ct.ephemeral)
     assert decrypt(key, ct) == b"the vote"
@@ -86,7 +131,7 @@ def test_encrypt_decrypt_round_trip() -> None:
 
 def test_decrypt_rejects_single_bit_flip() -> None:
     rng = random.Random(5)
-    b = KeyPair.generate(rng)
+    b = DecryptionKey.generate(rng)
     ct = encrypt(b.public, b"the vote", rng)
     key = key_agree(b, ct.ephemeral)
     flipped_payload = bytes([ct.payload[0] ^ 1]) + ct.payload[1:]
@@ -99,7 +144,7 @@ def test_decrypt_rejects_single_bit_flip() -> None:
 
 def test_decrypt_rejects_wrong_key() -> None:
     rng = random.Random(6)
-    b, c = (KeyPair.generate(rng) for _ in range(2))
+    b, c = (DecryptionKey.generate(rng) for _ in range(2))
     ct = encrypt(b.public, b"secret", rng)
     with pytest.raises(AuthFailure):
         decrypt(key_agree(c, ct.ephemeral), ct)
