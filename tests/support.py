@@ -106,18 +106,16 @@ def _naive_verify(key: bytes, signed: bytes, signature: bytes) -> bool:
         return False
 
 
-def naive_process(
-    coordinator_seed: bytes, cost_rule: str, option_count: int, voters, ciphertexts
-):
-    """Process a poll anew from its inputs. `voters` holds (key bytes,
-    credits) in registration order; a command may name only the options
-    0 .. option_count-1. Returns the plaintexts, each message's
-    (valid, reason), each voter's final (index, key bytes, credits, vote)
-    with vote = (options, amounts, memo, arrival) or None, and the tally."""
+def naive_replay(cost_rule: str, option_count: int, voters, plaintexts):
+    """Replay opened ballots anew, in arrival order with every voter's state
+    at hand. `voters` holds (key bytes, credits) in registration order; a
+    `None` plaintext did not open; a command may name only the options
+    0 .. option_count-1. Returns each message's (valid, reason), each
+    voter's final (index, key bytes, credits, vote) with vote = (options,
+    amounts, memo, arrival) or None, and the tally."""
     keys = [key for key, _ in voters]
     credits = [credit for _, credit in voters]
     votes: list = [None] * len(voters)
-    plaintexts = [naive_open(coordinator_seed, ct) for ct in ciphertexts]
     verdicts = []
     for arrival, plaintext in enumerate(plaintexts):
         command = None if plaintext is None else _naive_command(plaintext)
@@ -154,7 +152,16 @@ def naive_process(
     finals = [
         (index, keys[index], credits[index], votes[index]) for index in range(len(voters))
     ]
-    return plaintexts, verdicts, finals, tally
+    return verdicts, finals, tally
+
+
+def naive_process(
+    coordinator_seed: bytes, cost_rule: str, option_count: int, voters, ciphertexts
+):
+    """Process a poll anew from its inputs: open each ballot, then
+    `naive_replay`. Returns the plaintexts and what `naive_replay` does."""
+    plaintexts = [naive_open(coordinator_seed, ct) for ct in ciphertexts]
+    return (plaintexts, *naive_replay(cost_rule, option_count, voters, plaintexts))
 
 
 def naming(mutate, *names):

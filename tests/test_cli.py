@@ -768,6 +768,13 @@ def test_verify_honest_transcript(tmp_path, capsys, audit_artifacts) -> None:
     assert capsys.readouterr().out == "accepted\n"
 
 
+def relabel_voters(doc, label) -> None:
+    for voter in doc["initial_voters"]:
+        voter[0] = label(voter[0])
+    for state in doc["final_states"]:
+        state["registration_index"] = label(state["registration_index"])
+
+
 @pytest.mark.parametrize(
     "mutate, reason",
     [
@@ -800,6 +807,19 @@ def test_verify_honest_transcript(tmp_path, capsys, audit_artifacts) -> None:
             lambda d: d.__setitem__("poll_id", 2**70),
             "CommitmentMismatch",
             id="relabelled-past-int64-CommitmentMismatch",
+        ),
+        # the replay finds each voter's key by position, so voters labelled
+        # other than 0 .. V-1 (in the starting voters and the final states
+        # alike) fail it
+        pytest.param(
+            lambda d: relabel_voters(d, lambda index: index + 1000),
+            "ReplayMismatch",
+            id="voters-shifted-by-1000-ReplayMismatch",
+        ),
+        pytest.param(
+            lambda d: relabel_voters(d, lambda index: 7),
+            "ReplayMismatch",
+            id="voters-all-labelled-7-ReplayMismatch",
         ),
         # one edit, two failing checks: the claimed votes no longer sum to
         # the tally, and the replay no longer gives the claimed states; the

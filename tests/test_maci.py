@@ -3,13 +3,19 @@ switching, budgets, commitments, and the transparent audit."""
 from __future__ import annotations
 
 import dataclasses
+import marshal
+import os
 import random
+import threading
+import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from support import naive_process
+from support import naive_process, naive_replay
+
+from disputekit import maci
 
 from disputekit.errors import (
     AlreadyCommitted,
@@ -477,6 +483,227 @@ def test_processing_matches_an_independent_reference(
     assert poll.tally == tally
 
 
+# ---- the per-voter fold, split across cores ----------------------------------------
+
+
+def long_replay(seed: int, cost_rule: str, options: int, voter_count: int, commands: int):
+    """Replay inputs (cost rule, options, initial voters, plaintexts) of
+    `commands` plaintexts over a handful of voters, so each voter has a long
+    chain: votes, rotations, stale-key and stranger signers, options outside
+    the poll, negative amounts, overspends, garbage, unknown indices and
+    messages that did not open. Only a rotation changes a voter's key."""
+    rng = random.Random(seed)
+    current = [KeyPair.generate(rng) for _ in range(voter_count)]
+    held = [[pair] for pair in current]
+    credits = [rng.randint(1, 9) for _ in current]
+    moves = ["vote"] * 4 + ["rotate"] * 2 + [
+        "stale", "bad_option", "bad_amount", "over_budget", "garbage", "unknown", "unopened"
+    ]
+    plaintexts: list = []
+    for _ in range(commands):
+        move, index = rng.choice(moves), rng.randrange(voter_count)
+        if move == "unopened":
+            plaintexts.append(None)
+            continue
+        if move == "garbage":
+            plaintexts.append(rng.randbytes(rng.randrange(120)))
+            continue
+        signer, new_key, option, amount = current[index], current[index], 0, 1
+        if move == "rotate":
+            new_key = KeyPair.generate(rng)
+        elif move == "stale":  # a stale signature outranks every other fault
+            stale = [pair for pair in held[index] if pair is not signer]
+            signer = rng.choice(stale) if stale else KeyPair.generate(rng)
+            option, amount = rng.choice(
+                ((0, 1), (options, 1), (0, -1), (0, credits[index] + 1))
+            )
+        elif move == "bad_option":  # and a bad option outranks the amount
+            option, amount = rng.choice((-1, options)), rng.choice((1, -1, 99))
+        elif move == "bad_amount":
+            amount = -1
+        elif move == "over_budget":
+            amount = credits[index] + 1
+        option = rng.randrange(options) if move in ("vote", "rotate") else option
+        command = Command(
+            new_key.public, (option,), (amount,), rng.randbytes(rng.randrange(3)),
+            index + voter_count * (move == "unknown"),
+        )
+        plaintexts.append(command.encode_signed(sign(signer, command.signing_bytes())))
+        if move == "rotate":
+            current[index] = new_key
+            held[index].append(new_key)
+    initial = tuple((i, pair.public.encode(), c) for i, (pair, c) in enumerate(zip(
+        [held_keys[0] for held_keys in held], credits
+    )))
+    return cost_rule, options, initial, plaintexts
+
+
+def as_naive(verdicts, states):
+    """A replay's result in `support.naive_replay`'s terms."""
+    finals = [
+        (
+            state.registration_index,
+            state.current_key_bytes,
+            state.voice_credits,
+            None if state.vote is None else (
+                state.vote.vote_option,
+                state.vote.vote_amount,
+                state.vote.memo,
+                state.vote.arrival_index,
+            ),
+        )
+        for state in states
+    ]
+    tally: dict[int, int] = {}
+    for state in states:
+        if state.vote is not None:
+            for option, amount in zip(state.vote.vote_option, state.vote.vote_amount):
+                tally[option] = tally.get(option, 0) + amount
+    return verdicts, finals, tally
+
+
+def naive_result(cost_rule, options, initial, plaintexts):
+    voters = [(key, credit) for _, key, credit in initial]
+    return naive_replay(cost_rule, options, voters, plaintexts)
+
+
+def fork_spy(monkeypatch, child=None):
+    """Count calls of `os.fork`, which delegates to the real one; `child`,
+    when given, runs in the child in place of the rest of the fold."""
+    real_fork, calls = os.fork, []
+
+    def spy() -> int:
+        calls.append(1)
+        pid = real_fork()
+        if pid == 0 and child is not None:
+            child()
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return calls
+
+
+@settings(max_examples=12, deadline=None)
+@example(seed=0, cost_rule="quadratic", options=2, voter_count=5, commands=600)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cost_rule=st.sampled_from(sorted(COST_RULES)),
+    options=st.integers(1, 3),
+    voter_count=st.integers(2, 6),
+    commands=st.integers(200, 600),
+)
+def test_the_split_replay_matches_a_serial_reference(
+    seed, cost_rule, options, voter_count, commands
+) -> None:
+    """Differential check of `replay_ballots`, which folds each voter's
+    chain separately and folds voter ranges in forked children, against
+    `support.naive_replay`, one serial pass in arrival order with its own
+    parser and curve calls. A child folds a range whenever two or more
+    cores are usable and the poll holds enough commands to split."""
+    inputs = long_replay(seed, cost_rule, options, voter_count, commands)
+    expected = naive_result(*inputs)
+    with pytest.MonkeyPatch.context() as patch:
+        forks = fork_spy(patch)
+        result = as_naive(*replay_ballots(*inputs))
+    assert result == expected
+    reasons = [reason for _, reason in expected[0]]
+    folded = sum(r not in ("AuthFailure", "DecodeError", "UnknownVoter") for r in reasons)
+    splits = (
+        folded >= 2 * maci.MIN_FORKED_COMMANDS
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+    assert bool(forks) == splits
+
+
+@pytest.mark.parametrize(
+    "lengths, cores, expected",
+    [
+        ([], 2, [range(0)]),
+        ([100] * 3 + [99], 2, [range(4)]),  # 399 commands: too few for two
+        ([100] * 8, 2, [range(4), range(4, 8)]),
+        ([100] * 8, 1, [range(8)]),
+        # a voter goes to the range holding the middle of its chain
+        ([50, 300, 60], 2, [range(2), range(2, 3)]),
+        ([60, 300, 50], 2, [range(1), range(1, 3)]),
+        ([1000], 2, [range(1)]),  # one voter's chain is never split
+        ([250] * 4, 4, [range(1), range(1, 2), range(2, 3), range(3, 4)]),
+        ([100] * 8, 8, [range(2), range(2, 4), range(4, 6), range(6, 8)]),  # 800 / 200
+    ],
+)
+def test_voters_split_into_ranges_of_about_equal_command_counts(
+    monkeypatch, lengths, cores, expected
+) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    chains = [[None] * length for length in lengths]
+    assert maci._split(chains) == expected
+
+
+@pytest.fixture(scope="module")
+def split_replay():
+    """Replay inputs above the split size, and the serial reference's result."""
+    inputs = long_replay(7, "linear", 2, 4, 3 * maci.MIN_FORKED_COMMANDS)
+    return inputs, naive_result(*inputs)
+
+
+def _raise_os_error() -> int:
+    raise OSError("no more processes")
+
+
+def _fail_to_send(value) -> bytes:
+    raise MemoryError("cannot marshal the range")
+
+
+@pytest.mark.parametrize("failure", ["fork raises", "child raises", "child is silent"])
+def test_a_range_whose_child_fails_is_folded_here(
+    monkeypatch, split_replay, failure
+) -> None:
+    """Two usable cores, and the fork raises, or the child's fold raises (so
+    it exits non-zero, never returning into the caller), or the child exits
+    0 having written nothing: the verdicts and states are those of the serial
+    reference, and no exception escapes."""
+    inputs, expected = split_replay
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    if failure == "fork raises":
+        calls = []
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or _raise_os_error())
+    elif failure == "child raises":
+        monkeypatch.setattr(
+            maci, "marshal", types.SimpleNamespace(dumps=_fail_to_send, loads=marshal.loads)
+        )
+        calls = fork_spy(monkeypatch)
+    else:
+        calls = fork_spy(monkeypatch, child=lambda: os._exit(0))
+    assert as_naive(*replay_ballots(*inputs)) == expected
+    assert calls
+
+
+def test_one_usable_core_forks_nothing(monkeypatch, split_replay) -> None:
+    inputs, expected = split_replay
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    forks = fork_spy(monkeypatch)
+    assert as_naive(*replay_ballots(*inputs)) == expected
+    assert forks == []
+
+
+def test_no_fork_while_another_thread_runs(monkeypatch, split_replay) -> None:
+    """A forked child would inherit a copy of every lock another thread
+    holds, so with a second thread running the replay folds every range here."""
+    inputs, expected = split_replay
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = fork_spy(monkeypatch)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30,))
+    waiter.start()
+    try:
+        assert as_naive(*replay_ballots(*inputs)) == expected
+    finally:
+        release.set()
+        waiter.join(timeout=30)
+    assert not waiter.is_alive()
+    assert forks == []
+
+
 # ---- the quorum preview and processing ----------------------------------------------
 
 
@@ -653,7 +880,12 @@ def naive_verify_audit(transcript, intake_digest, commitment) -> Verdict:
     if intake_digest != transcript.message_set_digest or intake_digest != derived_set:
         return Verdict.reject("MessageSetMismatch")
     arrivals = [entry.arrival_index for entry in transcript.entries]
-    if transcript.cost_rule not in COST_RULES or arrivals != list(range(len(arrivals))):
+    labels = [index for index, _, _ in transcript.initial_voters]
+    if (
+        transcript.cost_rule not in COST_RULES
+        or arrivals != list(range(len(arrivals)))
+        or labels != list(range(len(labels)))
+    ):
         return Verdict.reject("ReplayMismatch")
     try:
         verdicts, states = replay_ballots(
@@ -709,6 +941,7 @@ def _other_bytes(value: bytes, at: int) -> bytes:
 
 FAULTS = (
     "flip", "tally", "salt", "digest", "credits", "key", "vote", "relabel", "recommit",
+    "voter_label",
 )
 
 
@@ -730,6 +963,14 @@ def apply_fault(transcript, kind: str, pick: int, amount: int):
     elif kind == "digest":
         entries[pick % len(entries)] = dataclasses.replace(
             entry, ciphertext_digest=_other_bytes(entry.ciphertext_digest, pick)
+        )
+    elif kind == "voter_label":  # one voter, in the starting voters and final states
+        at, label = pick % len(states), state.registration_index + amount
+        voters = list(transcript.initial_voters)
+        voters[at] = (label, *voters[at][1:])
+        states[at] = dataclasses.replace(state, registration_index=label)
+        return dataclasses.replace(
+            transcript, initial_voters=tuple(voters), final_states=tuple(states)
         )
     elif kind == "credits":
         states[pick % len(states)] = dataclasses.replace(
