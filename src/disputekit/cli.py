@@ -68,12 +68,10 @@ def transcript_to_jsonable(transcript: AuditTranscript) -> dict[str, Any]:
         "cost_rule": transcript.cost_rule,
         "options": transcript.options,
         "initial_voters": [
-            [index, key.hex(), credits]
-            for index, key, credits in transcript.initial_voters
+            [key.hex(), credits] for key, credits in transcript.initial_voters
         ],
         "entries": [
             {
-                "arrival_index": entry.arrival_index,
                 "ciphertext_digest": entry.ciphertext_digest.hex(),
                 "plaintext": (
                     None if entry.plaintext is None else entry.plaintext.hex()
@@ -85,7 +83,6 @@ def transcript_to_jsonable(transcript: AuditTranscript) -> dict[str, Any]:
         ],
         "final_states": [
             {
-                "registration_index": state.registration_index,
                 "current_key": state.current_key_bytes.hex(),
                 "voice_credits": state.voice_credits,
                 "vote": (
@@ -101,7 +98,6 @@ def transcript_to_jsonable(transcript: AuditTranscript) -> dict[str, Any]:
             }
             for state in transcript.final_states
         ],
-        "message_set_digest": transcript.message_set_digest.hex(),
         "tally": {str(option): value for option, value in transcript.tally.items()},
         "salt": transcript.salt.hex(),
     }
@@ -166,7 +162,6 @@ def transcript_from_jsonable(doc: Any) -> AuditTranscript:
         raise ValueError("transcript document must be an object")
     entries = tuple(
         TranscriptEntry(
-            arrival_index=_int(entry["arrival_index"]),
             ciphertext_digest=_hex(entry["ciphertext_digest"]),
             plaintext=(
                 None if entry["plaintext"] is None else _hex(entry["plaintext"])
@@ -178,7 +173,6 @@ def transcript_from_jsonable(doc: Any) -> AuditTranscript:
     )
     final_states = tuple(
         VoterFinalState(
-            registration_index=_int(state["registration_index"]),
             current_key_bytes=_hex(state["current_key"]),
             voice_credits=_int(state["voice_credits"]),
             vote=(
@@ -199,12 +193,10 @@ def transcript_from_jsonable(doc: Any) -> AuditTranscript:
         cost_rule=_str(doc["cost_rule"]),
         options=_int(doc["options"]),
         initial_voters=tuple(
-            (_int(index), _hex(key), _int(credits))
-            for index, key, credits in doc["initial_voters"]
+            (_hex(key), _int(credits)) for key, credits in doc["initial_voters"]
         ),
         entries=entries,
         final_states=final_states,
-        message_set_digest=_hex(doc["message_set_digest"]),
         tally={
             _decimal(option): _int(value)
             for option, value in _object(doc["tally"]).items()

@@ -141,7 +141,6 @@ class EngineProposal:
     proposal_id: int
     text_hash: bytes
     author_registration_index: int
-    arrival_index: int  # of the message that established it; the tie-break order
 
 
 # ---- escrow -------------------------------------------------------------------
@@ -418,17 +417,17 @@ class DisputeEngine:
         verdict = self.group.verify_signal(signal)
         if not verdict.ok:
             raise InvalidSignal(verdict.reason or "BadMembership")
-        voter = poll.register_voter(ballot_key, credits=1)
+        index = poll.register_voter(ballot_key, credits=1)
         self.observe(
             "judge_enrolled",
             {
                 "dispute_id": dispute_id,
-                "registration_index": voter.registration_index,
+                "registration_index": index,
                 "nullifier_hash": signal.nullifier_hash,
                 "root": signal.claimed_root,
             },
         )
-        return voter.registration_index
+        return index
 
     def submit_phase1_ballot(
         self, dispute_id: int, ciphertext: Ciphertext, now: int
@@ -542,12 +541,10 @@ class DisputeEngine:
         return index
 
     def _commit(self, dispute_id: int, poll: MaciPoll, now: int) -> dict[int, int]:
-        """Close and process the poll, commit to its tally; returns that
-        tally."""
+        """Close, process and commit the poll; returns its tally."""
         poll.close(now)
         poll.process_messages(self.coordinator)
-        tally = poll.tally
-        commitment = poll.commit_tally(tally, self.rng)
+        commitment = poll.commit_tally(self.rng)
         self.observe(
             "tally_commitment",
             {
@@ -556,7 +553,7 @@ class DisputeEngine:
                 "digest": commitment.digest,
             },
         )
-        return tally
+        return poll.tally
 
     def _publish(self, dispute_id: int, poll: MaciPoll) -> None:
         tally, salt = poll.publish_tally()
@@ -596,13 +593,13 @@ def _proposals(final_states: Sequence[VoterFinalState]) -> list[EngineProposal]:
     """The counted Phase-1 votes, those that spend the juror's one credit,
     as proposals in arrival order; each vote's memo is the text hash."""
     counted = sorted(
-        (state.vote.arrival_index, state.registration_index, state.vote.memo)
-        for state in final_states
+        (state.vote.arrival_index, author, state.vote.memo)
+        for author, state in enumerate(final_states)
         if state.vote is not None and sum(state.vote.vote_amount) == 1
     )
     return [
-        EngineProposal(position, memo, author, arrival)
-        for position, (arrival, author, memo) in enumerate(counted)
+        EngineProposal(position, memo, author)
+        for position, (_, author, memo) in enumerate(counted)
     ]
 
 

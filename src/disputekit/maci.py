@@ -36,6 +36,10 @@ contiguous ranges of about equal command counts, one per usable core, and
 each range after the first is folded in a forked child. A poll too small to
 be worth a fork is one range, folded in the calling process.
 
+Every poll record is positional, as a leaf is in MACI's state and message
+trees: voter *i* is ``voters[i]``, and message *j* is ``messages[j]``. No
+record carries its own index.
+
 Processing emits an ``AuditTranscript``:
 decrypted commands, per-message verdicts, final voter states, the tally, and
 the commitment salt. The transcript replaces succinct proofs at simulation
@@ -173,7 +177,6 @@ def build_message(
 
 @dataclass
 class RegisteredVoter:
-    registration_index: int
     registered_key: PublicKey  # fixed; the replay starts from it
     current_key: PublicKey  # rotates via commands
     voice_credits: int
@@ -181,7 +184,6 @@ class RegisteredVoter:
 
 @dataclass(frozen=True)
 class MaciMessage:
-    arrival_index: int
     ciphertext: Ciphertext
 
 
@@ -195,7 +197,6 @@ class FinalVote:
 
 @dataclass(frozen=True)
 class VoterFinalState:
-    registration_index: int
     current_key_bytes: bytes
     voice_credits: int
     vote: Optional[FinalVote]
@@ -203,7 +204,6 @@ class VoterFinalState:
 
 @dataclass(frozen=True)
 class TranscriptEntry:
-    arrival_index: int
     ciphertext_digest: bytes
     plaintext: Optional[bytes]  # None when the coordinator could not decrypt
     valid: bool
@@ -220,10 +220,11 @@ class AuditTranscript:
     poll_id: int
     cost_rule: str
     options: int  # vote options 0 .. options-1
-    initial_voters: tuple[tuple[int, bytes, int], ...]  # (index, key, credits)
+    # voter i, as (key, credits); final_states[i] is where its replay ends
+    initial_voters: tuple[tuple[bytes, int], ...]
+    # message j in arrival order; the intake digest is derived from these
     entries: tuple[TranscriptEntry, ...]
     final_states: tuple[VoterFinalState, ...]
-    message_set_digest: bytes
     tally: Mapping[int, int]
     salt: bytes
 
@@ -274,10 +275,9 @@ class MaciPoll:
         self.messages: list[MaciMessage] = []
         self.closed = False
         self._keys_seen: set[bytes] = set()
-        self._processed: Optional[tuple[tuple[VoterFinalState, ...], AuditTranscript]] = None
-        # (coordinator, result) of the last preview; dropped on any intake
-        self._preview: Optional[tuple[DecryptionKey, tuple]] = None
-        self._committed_tally: Optional[dict[int, int]] = None
+        self._processed: Optional[AuditTranscript] = None
+        # (coordinator, transcript) of the last preview; dropped on any intake
+        self._preview: Optional[tuple[DecryptionKey, AuditTranscript]] = None
         self._salt: Optional[bytes] = None
         self.commitment: Optional[TallyCommitment] = None
 
@@ -286,7 +286,8 @@ class MaciPoll:
     def has_key(self, public_key: PublicKey) -> bool:
         return public_key.encode() in self._keys_seen
 
-    def register_voter(self, public_key: PublicKey, credits: int) -> RegisteredVoter:
+    def register_voter(self, public_key: PublicKey, credits: int) -> int:
+        """Registers the key; returns its voter index."""
         if self.closed:
             raise PollClosed("registration after close")
         if credits < 0:
@@ -296,18 +297,16 @@ class MaciPoll:
             raise DuplicateKey("public key already registered")
         self._keys_seen.add(encoded)
         self._preview = None
-        voter = RegisteredVoter(len(self.voters), public_key, public_key, credits)
-        self.voters.append(voter)
-        return voter
+        self.voters.append(RegisteredVoter(public_key, public_key, credits))
+        return len(self.voters) - 1
 
     def submit_message(self, ciphertext: Ciphertext, now: int) -> int:
         """Content-blind intake; only the clock can refuse a message."""
         if self.closed or now >= self.deadline:
             raise PollClosed(f"deadline {self.deadline}, now {now}")
-        index = len(self.messages)
-        self.messages.append(MaciMessage(index, ciphertext))
+        self.messages.append(MaciMessage(ciphertext))
         self._preview = None
-        return index
+        return len(self.messages) - 1
 
     def extend_deadline(self, new_deadline: int) -> None:
         if self.closed:
@@ -329,78 +328,71 @@ class MaciPoll:
         """Dry run over the current message list, used to test quorum before
         deciding whether to extend. It is not a processing result; it is kept
         for ``process_messages`` to reuse until the next intake."""
-        result = self._run(coordinator_secret)
-        self._preview = (coordinator_secret, result)
-        return result[0]
+        transcript = self._run(coordinator_secret)
+        self._preview = (coordinator_secret, transcript)
+        return transcript.final_states
 
-    def process_messages(
-        self, coordinator_secret: DecryptionKey
-    ) -> tuple[tuple[VoterFinalState, ...], AuditTranscript]:
+    def process_messages(self, coordinator_secret: DecryptionKey) -> AuditTranscript:
         if not self.closed:
             raise WrongState("process requires a closed poll")
         if self._processed is None:
             preview = self._preview
             reusable = preview is not None and preview[0] == coordinator_secret
             self._processed = preview[1] if reusable else self._run(coordinator_secret)
-            for voter, state in zip(self.voters, self._processed[0]):
+            for voter, state in zip(self.voters, self._processed.final_states):
                 voter.current_key = PublicKey.decode(state.current_key_bytes)
         return self._processed
 
-    def _run(
-        self, coordinator_secret: DecryptionKey
-    ) -> tuple[tuple[VoterFinalState, ...], AuditTranscript]:
+    def _run(self, coordinator_secret: DecryptionKey) -> AuditTranscript:
         ciphertexts = [message.ciphertext for message in self.messages]
-        digests = [ciphertext_digest(ct) for ct in ciphertexts]
         plaintexts = [_open(coordinator_secret, ct) for ct in ciphertexts]
         initial_voters = tuple(
-            (v.registration_index, v.registered_key.encode(), v.voice_credits)
-            for v in self.voters
+            (v.registered_key.encode(), v.voice_credits) for v in self.voters
         )
         verdicts, final_states = replay_ballots(
             self.cost_rule, self.options, initial_voters, plaintexts
         )
-        transcript = AuditTranscript(
+        return AuditTranscript(
             poll_id=self.poll_id,
             cost_rule=self.cost_rule,
             options=self.options,
             initial_voters=initial_voters,
             entries=tuple(
-                TranscriptEntry(message.arrival_index, digest, plaintext, valid, reason)
-                for message, digest, plaintext, (valid, reason) in zip(
-                    self.messages, digests, plaintexts, verdicts
+                TranscriptEntry(ciphertext_digest(ct), plaintext, valid, reason)
+                for ct, plaintext, (valid, reason) in zip(
+                    ciphertexts, plaintexts, verdicts
                 )
             ),
             final_states=final_states,
-            message_set_digest=digest_over_entries(digests),
             tally=_aggregate(final_states),
             salt=b"",  # filled at publish time; commitments carry their own salt
         )
-        return final_states, transcript
 
     @property
     def tally(self) -> dict[int, int]:
         if self._processed is None:
             raise CommitBeforeProcessing("no processing result yet")
-        return dict(self._processed[1].tally)
+        return dict(self._processed.tally)
 
     # -- commitment ----------------------------------------------------------
 
-    def commit_tally(self, tally: Mapping[int, int], rng: random.Random) -> TallyCommitment:
+    def commit_tally(self, rng: random.Random) -> TallyCommitment:
+        """Commit to the tally this poll processed, under a salt drawn from
+        `rng`; ``publish_tally`` later reveals both."""
         if self._processed is None:
             raise CommitBeforeProcessing("commit requires processed messages")
         if self.commitment is not None:
             raise AlreadyCommitted("a tally commitment already exists")
         self._salt = random_bytes(32, rng)
-        self._committed_tally = dict(tally)
         self.commitment = TallyCommitment(
-            commitment_digest(self.poll_id, tally, self._salt)
+            commitment_digest(self.poll_id, self._processed.tally, self._salt)
         )
         return self.commitment
 
     def publish_tally(self) -> tuple[dict[int, int], bytes]:
-        if self.commitment is None or self._committed_tally is None or self._salt is None:
+        if self.commitment is None or self._salt is None:
             raise WrongState("publish requires a commitment")
-        return dict(self._committed_tally), self._salt
+        return self.tally, self._salt
 
     def audit_transcript(self) -> AuditTranscript:
         """Transcript with the commitment salt attached (post-publication)."""
@@ -408,7 +400,7 @@ class MaciPoll:
             raise CommitBeforeProcessing("no processing result yet")
         if self._salt is None:
             raise WrongState("transcript is published together with the salt")
-        return dataclasses.replace(self._processed[1], salt=self._salt)
+        return dataclasses.replace(self._processed, salt=self._salt)
 
 
 def _open(coordinator_secret: DecryptionKey, ct: Ciphertext) -> Optional[bytes]:
@@ -585,7 +577,7 @@ def _fold_ranges(
 def replay_ballots(
     cost_rule: str,
     options: int,
-    initial_voters: Sequence[tuple[int, bytes, int]],
+    initial_voters: Sequence[tuple[bytes, int]],
     plaintexts: Sequence[Optional[bytes]],
 ) -> tuple[list[tuple[bool, Optional[str]]], tuple[VoterFinalState, ...]]:
     """The ballot-replay rule, run by processing and by the audit alike.
@@ -609,14 +601,14 @@ def replay_ballots(
     range after the first is folded in a forked child. One range is the
     same fold, run here.
 
-    ``initial_voters`` holds (index, key bytes, credits); a malformed key
-    raises InvalidKey. Returns each plaintext's (valid, reason) and the
-    final voter states.
+    Voter *i* is ``initial_voters[i]``, as (key bytes, credits); a malformed
+    key raises InvalidKey. Returns each plaintext's (valid, reason) and the
+    final voter states, in the same orders as the plaintexts and voters.
     """
     cost = COST_RULES[cost_rule]
     negatives_ok = NEGATIVES_ALLOWED[cost_rule]
-    keys = [PublicKey.decode(key) for _, key, _ in initial_voters]
-    credits = [credit for _, _, credit in initial_voters]
+    keys = [PublicKey.decode(key) for key, _ in initial_voters]
+    credits = [credit for _, credit in initial_voters]
     verdicts: list[tuple[bool, Optional[str]]] = []
     chains: list[list[_Signed]] = [[] for _ in keys]
     for arrival, plaintext in enumerate(plaintexts):
@@ -634,13 +626,11 @@ def replay_ballots(
 
     folded = _fold_ranges(fold, _split(chains))
     final_states = []
-    for (index, _, credit), chain, (key, reasons, vote) in zip(
-        initial_voters, chains, folded
-    ):
+    for credit, chain, (key, reasons, vote) in zip(credits, chains, folded):
         for (arrival, _, _, _), reason in zip(chain, reasons):
             verdicts[arrival] = (reason is None, reason)
         vote = None if vote is None else FinalVote(*vote)
-        final_states.append(VoterFinalState(index, key, credit, vote))
+        final_states.append(VoterFinalState(key, credit, vote))
     return verdicts, tuple(final_states)
 
 
@@ -665,15 +655,17 @@ def verify_audit(
     """Re-derive everything the coordinator claimed; reject on the first
     check that fails. The checks run cheapest first:
 
-    1. the transcript covers exactly the observed message set;
+    1. the digest derived from the entries' ciphertext digests, in order,
+       is the observed intake digest, so the entries are exactly the
+       observed messages in arrival order;
     2. aggregating the claimed final votes reproduces the tally;
     3. the published commitment opens to (poll id, tally, salt), so a
        transcript relabelled to another poll opens nothing;
-    4. the entries and the voters are labelled by position (arrival
-       indices and voter indices ``0 .. V-1``), and ``replay_ballots``, the
-       rule processing ran, reproduces every verdict and the claimed final
-       voter states from the published plaintexts — the O(M) signature
-       replay.
+    4. the cost rule is known, and ``replay_ballots``, the rule processing
+       ran, reproduces every verdict and the claimed final voter states
+       from the published plaintexts — the O(M) signature replay. The
+       voters and entries are positional, so the replay reads them as
+       listed.
 
     Checks 2 and 3 read only the claims, so they cost O(V). The accept set
     is that of any order: 4 pins the claimed states to the replayed ones,
@@ -681,12 +673,8 @@ def verify_audit(
     fails more than one check can be named by a different check than in
     another order (an edited final vote fails 2 and 4, and reads 2).
     """
-    if transcript.message_set_digest != intake_digest:
-        return Verdict.reject(REASON_MESSAGE_SET_MISMATCH)
-    derived_set = digest_over_entries(
-        entry.ciphertext_digest for entry in transcript.entries
-    )
-    if derived_set != intake_digest:
+    entry_digests = (entry.ciphertext_digest for entry in transcript.entries)
+    if digest_over_entries(entry_digests) != intake_digest:
         return Verdict.reject(REASON_MESSAGE_SET_MISMATCH)
 
     if _aggregate(transcript.final_states) != dict(transcript.tally):
@@ -703,19 +691,7 @@ def verify_audit(
     if not opened:
         return Verdict.reject(REASON_COMMITMENT_MISMATCH)
 
-    if (
-        transcript.cost_rule not in COST_RULES
-        or any(
-            entry.arrival_index != position
-            for position, entry in enumerate(transcript.entries)
-        )
-        # the replay finds each voter's key by position, so its label must
-        # be that position
-        or any(
-            voter[0] != position
-            for position, voter in enumerate(transcript.initial_voters)
-        )
-    ):
+    if transcript.cost_rule not in COST_RULES:
         return Verdict.reject(REASON_REPLAY_MISMATCH)
     try:
         verdicts, derived_states = replay_ballots(

@@ -510,7 +510,9 @@ _FIELD_SCHEMAS: dict[str, dict[str, Any]] = {
     "rotate_key": {"type": "boolean"},
     "allocations": {
         "type": "object",
-        "propertyNames": {"pattern": "^-?[0-9]+$"},
+        # canonical decimal, so no two spellings (`"0"`, `"00"`, `"-0"`) name
+        # one option; `(?!\n)` as in EXPECT_PATTERN
+        "propertyNames": {"pattern": r"^(0|-?[1-9][0-9]*)(?!\n)$"},
         "additionalProperties": {"type": "integer"},
     },
     "wallet": {"type": "string"},

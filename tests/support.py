@@ -111,8 +111,8 @@ def naive_replay(cost_rule: str, option_count: int, voters, plaintexts):
     at hand. `voters` holds (key bytes, credits) in registration order; a
     `None` plaintext did not open; a command may name only the options
     0 .. option_count-1. Returns each message's (valid, reason), each
-    voter's final (index, key bytes, credits, vote) with vote = (options,
-    amounts, memo, arrival) or None, and the tally."""
+    voter's final (key bytes, credits, vote) with vote = (options, amounts,
+    memo, arrival) or None, in registration order, and the tally."""
     keys = [key for key, _ in voters]
     credits = [credit for _, credit in voters]
     votes: list = [None] * len(voters)
@@ -149,10 +149,7 @@ def naive_replay(cost_rule: str, option_count: int, voters, plaintexts):
         if vote is not None:
             for option, amount in zip(vote[0], vote[1]):
                 tally[option] = tally.get(option, 0) + amount
-    finals = [
-        (index, keys[index], credits[index], votes[index]) for index in range(len(voters))
-    ]
-    return verdicts, finals, tally
+    return verdicts, list(zip(keys, credits, votes)), tally
 
 
 def naive_process(
@@ -253,6 +250,15 @@ STRUCTURAL_FAULTS = [
         "timeline[1].t: 0 follows 1000000",
         "non-decreasing",
     ),
+    # an option has one spelling, so no two keys of one allocation name it;
+    # Python's `$` alone would also match before the newline
+    *[
+        schema_fault(
+            lambda s, key=key: s["timeline"][22]["allocations"].update({key: 5}),
+            f"timeline[22].allocations: {key!r} does not match",
+        )
+        for key in ("00", "-0", "0\n")
+    ],
 ]
 
 

@@ -130,8 +130,8 @@ def test_quadratic_cost_law() -> None:
                 now=0,
             )
             poll.close(10)
-            final_states, transcript = poll.process_messages(coordinator)
-            counted = final_states[0].vote is not None
+            transcript = poll.process_messages(coordinator)
+            counted = transcript.final_states[0].vote is not None
             if counted != should_count:
                 boundary_failures.append((n, credits, counted))
             if not should_count and transcript.entries[0].reason != REASON_OVER_BUDGET:
@@ -163,7 +163,7 @@ def _naive_recount(poll: MaciPoll, coordinator: DecryptionKey) -> tuple[list, li
         [(voter.registered_key.encode(), voter.voice_credits) for voter in poll.voters],
         [message.ciphertext for message in poll.messages],
     )
-    return verdicts, [vote for _, _, _, vote in finals]
+    return verdicts, [vote for _, _, vote in finals]
 
 
 def _random_pipeline(seed: int, rng: random.Random) -> dict:
@@ -284,11 +284,11 @@ def test_pipeline_matches_naive_recount() -> None:
                 drafts.append((arrival, index, memo))
         drafts.sort()
         naive_proposals = [
-            (position, memo.hex(), author, arrival)
-            for position, (arrival, author, memo) in enumerate(drafts)
+            (position, memo.hex(), author)
+            for position, (_, author, memo) in enumerate(drafts)
         ]
         engine_proposals = [
-            (p.proposal_id, p.text_hash.hex(), p.author_registration_index, p.arrival_index)
+            (p.proposal_id, p.text_hash.hex(), p.author_registration_index)
             for p in dispute.proposals
         ]
 
@@ -416,15 +416,17 @@ def test_ballot_processing_semantics() -> None:
                 model_last[index] = ((option,), (amount,), arrival)
 
         poll.close(1000)
-        final_states, transcript = poll.process_messages(coordinator)
-        for entry, (valid, pure_overspend) in zip(transcript.entries, expectations):
+        transcript = poll.process_messages(coordinator)
+        for arrival, (entry, (valid, pure_overspend)) in enumerate(
+            zip(transcript.entries, expectations)
+        ):
             if entry.valid != valid:
-                violations.append((sequence, "validity", entry.arrival_index))
+                violations.append((sequence, "validity", arrival))
             if pure_overspend:
                 overspends_checked += 1
                 if entry.reason != REASON_OVER_BUDGET:
                     violations.append((sequence, "overspend reason", entry.reason))
-        for index, state in enumerate(final_states):
+        for index, state in enumerate(transcript.final_states):
             got = (
                 None
                 if state.vote is None
@@ -436,7 +438,7 @@ def test_ballot_processing_semantics() -> None:
                 violations.append((sequence, "final key", index))
 
         # salts come from their own generator so the sequences stay as they were
-        poll.commit_tally(poll.tally, random.Random(sequence))
+        poll.commit_tally(random.Random(sequence))
         poll.publish_tally()
         intake = message_set_digest([m.ciphertext for m in poll.messages])
         if verify_audit(poll.audit_transcript(), intake, poll.commitment).ok:
@@ -479,8 +481,8 @@ def _resolved_world(seed: int) -> World:
 
 
 def test_audit_rejects_every_tampered_transcript() -> None:
-    """Honest transcripts all verify; 200 single-field tamperings (verdict
-    flips, tally bumps, message-set substitutions) all get caught."""
+    """Honest transcripts all verify; 200 single tamperings (verdict flips,
+    tally bumps, message-set substitutions) all get caught."""
     pool = []
     for seed in (301, 302, 303):
         world = _resolved_world(seed)
@@ -513,10 +515,15 @@ def test_audit_rejects_every_tampered_transcript() -> None:
             else:
                 doc["tally"]["9"] = 1
         else:  # message-set substitution
-            if rng.random() < 0.5:
-                doc["message_set_digest"] = rng.randbytes(32).hex()
+            entries = doc["entries"]
+            draw = rng.random()
+            if draw < 0.25:  # two entries exchanged
+                i, j = rng.sample(range(len(entries)), 2)
+                entries[i], entries[j] = entries[j], entries[i]
+            elif draw < 0.5:  # an entry dropped
+                entries.pop(rng.randrange(len(entries)))
             else:
-                rng.choice(doc["entries"])["ciphertext_digest"] = rng.randbytes(32).hex()
+                rng.choice(entries)["ciphertext_digest"] = rng.randbytes(32).hex()
         verdict = verify_audit(transcript_from_jsonable(doc), intake, commitment)
         if verdict.ok:
             survivors.append((round_, kind))

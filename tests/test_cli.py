@@ -348,6 +348,7 @@ REVALUES = [
     ("expect", "maybe"),
     ("respondents", []),
     ("allocations", {"x": 1}),
+    ("allocations", {"00": 1}),
     ("allocations", {"1": 1.5}),
     *[(field, value) for field in INTEGER_FIELDS for value in (2.0, 2.5, True)],
 ]
@@ -768,11 +769,36 @@ def test_verify_honest_transcript(tmp_path, capsys, audit_artifacts) -> None:
     assert capsys.readouterr().out == "accepted\n"
 
 
-def relabel_voters(doc, label) -> None:
-    for voter in doc["initial_voters"]:
-        voter[0] = label(voter[0])
-    for state in doc["final_states"]:
-        state["registration_index"] = label(state["registration_index"])
+def test_transcript_json_holds_no_position_or_digest_copies(audit_artifacts) -> None:
+    """Voter i and entry j are known by their positions alone, and the
+    intake digest is derived from the entries, so the document states none
+    of them."""
+    doc, _, _ = audit_artifacts
+    assert set(doc) == {
+        "poll_id", "cost_rule", "options", "initial_voters", "entries",
+        "final_states", "tally", "salt",
+    }
+    assert all(len(voter) == 2 for voter in doc["initial_voters"])
+    assert {frozenset(entry) for entry in doc["entries"]} == {
+        frozenset({"ciphertext_digest", "plaintext", "valid", "reason"})
+    }
+    assert {frozenset(state) for state in doc["final_states"]} == {
+        frozenset({"current_key", "voice_credits", "vote"})
+    }
+    votes = [state["vote"] for state in doc["final_states"] if state["vote"]]
+    assert votes
+    assert {frozenset(vote) for vote in votes} == {
+        frozenset({"options", "amounts", "memo", "arrival_index"})
+    }
+
+
+def swap(items, i: int, j: int) -> None:
+    items[i], items[j] = items[j], items[i]
+
+
+def swap_voters(doc, i: int, j: int) -> None:
+    swap(doc["initial_voters"], i, j)
+    swap(doc["final_states"], i, j)
 
 
 @pytest.mark.parametrize(
@@ -808,18 +834,18 @@ def relabel_voters(doc, label) -> None:
             "CommitmentMismatch",
             id="relabelled-past-int64-CommitmentMismatch",
         ),
-        # the replay finds each voter's key by position, so voters labelled
-        # other than 0 .. V-1 (in the starting voters and the final states
-        # alike) fail it
+        # positions bind: the intake digest is derived from the entries in
+        # order, and the replay finds each command's voter by its position
+        # (swapped in the starting voters and the final states alike)
         pytest.param(
-            lambda d: relabel_voters(d, lambda index: index + 1000),
-            "ReplayMismatch",
-            id="voters-shifted-by-1000-ReplayMismatch",
+            lambda d: swap(d["entries"], 0, 1),
+            "MessageSetMismatch",
+            id="entries-swapped-MessageSetMismatch",
         ),
         pytest.param(
-            lambda d: relabel_voters(d, lambda index: 7),
+            lambda d: swap_voters(d, 0, 1),
             "ReplayMismatch",
-            id="voters-all-labelled-7-ReplayMismatch",
+            id="voters-swapped-ReplayMismatch",
         ),
         # one edit, two failing checks: the claimed votes no longer sum to
         # the tally, and the replay no longer gives the claimed states; the
@@ -873,6 +899,11 @@ def test_verify_swapped_commitment_exits_one(tmp_path, capsys, audit_artifacts) 
             for spell in (lambda k: "0" + k, lambda k: " " + k, lambda k: "+" + k)
         ],
         lambda d: d.__setitem__("tally", {"0" + min(d["tally"]): 999999, **d["tally"]}),
+        # voters written with their index, as `[index, key, credits]`
+        lambda d: d.__setitem__(
+            "initial_voters",
+            [[index, *voter[-2:]] for index, voter in enumerate(d["initial_voters"])],
+        ),
     ],
 )
 def test_verify_malformed_transcript_exits_two(
@@ -907,7 +938,7 @@ def test_verify_rejects_a_tally_past_int64(tmp_path, capsys) -> None:
     so it opens no commitment."""
     rng = random.Random(3)
     voters = [KeyPair.generate(rng) for _ in range(3)]
-    initial = tuple((i, v.public.encode(), 2**62) for i, v in enumerate(voters))
+    initial = tuple((v.public.encode(), 2**62) for v in voters)
     plaintexts = []
     for index, voter in enumerate(voters):
         command = Command(voter.public, (0,), (2**62,), b"", index)
@@ -923,11 +954,10 @@ def test_verify_rejects_a_tally_past_int64(tmp_path, capsys) -> None:
         options=1,
         initial_voters=initial,
         entries=tuple(
-            TranscriptEntry(i, digest, plaintext, True, None)
-            for i, (digest, plaintext) in enumerate(zip(digests, plaintexts))
+            TranscriptEntry(digest, plaintext, True, None)
+            for digest, plaintext in zip(digests, plaintexts)
         ),
         final_states=states,
-        message_set_digest=intake,
         tally={0: 3 * 2**62},
         salt=bytes(32),
     )

@@ -445,7 +445,7 @@ def test_malformed_ballots_do_not_count_toward_quorum() -> None:
     court.phase1_vote(dispute.dispute_id, index, key, 1, memo=good_memo, now=CFG.t2 + 1)
     deadline = CFG.t2 + CFG.extension_value
     assert court.engine.close_phase1(dispute.dispute_id, now=deadline) == "tallied"
-    _, transcript = dispute.phase1_poll.process_messages(court.coordinator)
+    transcript = dispute.phase1_poll.process_messages(court.coordinator)
     assert [entry.reason for entry in transcript.entries] == [
         "OverBudget", None, "BadOption", "OverBudget", None, None
     ]

@@ -84,18 +84,23 @@ def cast(poll, rng, signer, index, votes, *, now=0, new_key=None, memo=b""):
 
 def finish(poll, coordinator, rng, *, now=100):
     poll.close(now)
-    final_states, _ = poll.process_messages(coordinator)
-    poll.commit_tally(poll.tally, rng)
+    transcript = poll.process_messages(coordinator)
+    poll.commit_tally(rng)
     tally, salt = poll.publish_tally()
-    return final_states, tally, salt
+    return transcript.final_states, tally, salt
 
 
 # ---- registration and intake -----------------------------------------------------
 
 
 def test_registration_indices_are_dense(rng) -> None:
-    poll, _, _ = make_poll(rng)
-    assert [v.registration_index for v in poll.voters] == [0, 1, 2]
+    """A voter's index is its position in the poll's voters."""
+    poll, _, voters = make_poll(rng)
+    late = KeyPair.generate(rng)
+    assert poll.register_voter(late.public, 1) == 3
+    assert [v.registered_key for v in poll.voters] == [
+        pair.public for pair in (*voters, late)
+    ]
 
 
 def test_duplicate_key_rejected(rng) -> None:
@@ -453,7 +458,7 @@ def test_processing_matches_an_independent_reference(
                 signers[index] = fresh
         poll.submit_message(ct, now=0)
     poll.close(100)
-    final_states, transcript = poll.process_messages(coordinator)
+    transcript = poll.process_messages(coordinator)
 
     plaintexts, verdicts, finals, tally = naive_process(
         coordinator.seed,
@@ -464,22 +469,7 @@ def test_processing_matches_an_independent_reference(
     )
     assert [entry.plaintext for entry in transcript.entries] == plaintexts
     assert [(entry.valid, entry.reason) for entry in transcript.entries] == verdicts
-    assert [
-        (
-            state.registration_index,
-            state.current_key_bytes,
-            state.voice_credits,
-            None
-            if state.vote is None
-            else (
-                state.vote.vote_option,
-                state.vote.vote_amount,
-                state.vote.memo,
-                state.vote.arrival_index,
-            ),
-        )
-        for state in final_states
-    ] == finals
+    assert as_naive(verdicts, transcript.final_states) == (verdicts, finals, tally)
     assert poll.tally == tally
 
 
@@ -532,9 +522,7 @@ def long_replay(seed: int, cost_rule: str, options: int, voter_count: int, comma
         if move == "rotate":
             current[index] = new_key
             held[index].append(new_key)
-    initial = tuple((i, pair.public.encode(), c) for i, (pair, c) in enumerate(zip(
-        [held_keys[0] for held_keys in held], credits
-    )))
+    initial = tuple((keys[0].public.encode(), c) for keys, c in zip(held, credits))
     return cost_rule, options, initial, plaintexts
 
 
@@ -542,7 +530,6 @@ def as_naive(verdicts, states):
     """A replay's result in `support.naive_replay`'s terms."""
     finals = [
         (
-            state.registration_index,
             state.current_key_bytes,
             state.voice_credits,
             None if state.vote is None else (
@@ -560,11 +547,6 @@ def as_naive(verdicts, states):
             for option, amount in zip(state.vote.vote_option, state.vote.vote_amount):
                 tally[option] = tally.get(option, 0) + amount
     return verdicts, finals, tally
-
-
-def naive_result(cost_rule, options, initial, plaintexts):
-    voters = [(key, credit) for _, key, credit in initial]
-    return naive_replay(cost_rule, options, voters, plaintexts)
 
 
 def fork_spy(monkeypatch, child=None):
@@ -601,7 +583,7 @@ def test_the_split_replay_matches_a_serial_reference(
     parser and curve calls. A child folds a range whenever two or more
     cores are usable and the poll holds enough commands to split."""
     inputs = long_replay(seed, cost_rule, options, voter_count, commands)
-    expected = naive_result(*inputs)
+    expected = naive_replay(*inputs)
     with pytest.MonkeyPatch.context() as patch:
         forks = fork_spy(patch)
         result = as_naive(*replay_ballots(*inputs))
@@ -643,7 +625,7 @@ def test_voters_split_into_ranges_of_about_equal_command_counts(
 def split_replay():
     """Replay inputs above the split size, and the serial reference's result."""
     inputs = long_replay(7, "linear", 2, 4, 3 * maci.MIN_FORKED_COMMANDS)
-    return inputs, naive_result(*inputs)
+    return inputs, naive_replay(*inputs)
 
 
 def _raise_os_error() -> int:
@@ -733,8 +715,8 @@ def test_processing_after_a_preview_equals_a_fresh_poll(preview_by, late_intake)
         elif late_intake == "voter":
             poll.register_voter(KeyPair.generate(r).public, 1)
         poll.close(100)
-        final_states, transcript = poll.process_messages(coordinator)
-        return poll.tally, transcript, final_states
+        transcript = poll.process_messages(coordinator)
+        return poll.tally, transcript
 
     assert processed(preview=True) == processed(preview=False)
 
@@ -747,7 +729,7 @@ def test_a_preview_alone_is_not_processing(rng) -> None:
     with pytest.raises(CommitBeforeProcessing):
         poll.tally
     with pytest.raises(CommitBeforeProcessing):
-        poll.commit_tally({0: 1}, rng)
+        poll.commit_tally(rng)
     with pytest.raises(CommitBeforeProcessing):
         poll.audit_transcript()
 
@@ -759,16 +741,16 @@ def test_commit_before_processing_rejected(rng) -> None:
     poll, coordinator, _ = make_poll(rng)
     poll.close(100)
     with pytest.raises(CommitBeforeProcessing):
-        poll.commit_tally({}, rng)
+        poll.commit_tally(rng)
 
 
 def test_single_commitment_rule(rng) -> None:
     poll, coordinator, _ = make_poll(rng)
     poll.close(100)
     poll.process_messages(coordinator)
-    poll.commit_tally(poll.tally, rng)
+    poll.commit_tally(rng)
     with pytest.raises(AlreadyCommitted):
-        poll.commit_tally(poll.tally, rng)
+        poll.commit_tally(rng)
 
 
 def test_publish_opens_commitment(rng) -> None:
@@ -794,13 +776,14 @@ def audited_poll(rng, *, tamper_commit=False):
     cast(poll, rng, voters[2], 2, {1: 2}, now=2)  # over budget
     poll.close(100)
     poll.process_messages(coordinator)
-    committed = dict(poll.tally)
-    if tamper_commit:
+    poll.commit_tally(rng)
+    committed, salt = poll.publish_tally()
+    commitment = poll.commitment
+    if tamper_commit:  # a commitment to another tally under the same salt
         committed[0] = committed.get(0, 0) + 1
-    poll.commit_tally(committed, rng)
-    poll.publish_tally()
+        commitment = TallyCommitment(commitment_digest(poll.poll_id, committed, salt))
     intake = message_set_digest([m.ciphertext for m in poll.messages])
-    return poll.audit_transcript(), intake, poll.commitment
+    return poll.audit_transcript(), intake, commitment
 
 
 def test_honest_transcript_accepted(rng) -> None:
@@ -837,8 +820,11 @@ def test_message_set_substitution_detected(rng) -> None:
     transcript, intake, commitment = audited_poll(rng)
     other = message_set_digest([Ciphertext(bytes(32), bytes(12), b"x", bytes(16))])
     assert verify_audit(transcript, other, commitment).reason == "MessageSetMismatch"
-    # or the transcript's own claimed digest is doctored
-    mutated = dataclasses.replace(transcript, message_set_digest=other)
+    # or an entry's digest is substituted: the digest derived from the
+    # entries no longer matches the intake
+    entries = list(transcript.entries)
+    entries[1] = dataclasses.replace(entries[1], ciphertext_digest=other)
+    mutated = dataclasses.replace(transcript, entries=tuple(entries))
     assert verify_audit(mutated, intake, commitment).reason == "MessageSetMismatch"
 
 
@@ -877,15 +863,9 @@ def naive_verify_audit(transcript, intake_digest, commitment) -> Verdict:
     """`verify_audit` with the replay first: message set, then the full
     replay, then the tally of the *replayed* states, then the commitment."""
     derived_set = digest_over_entries(e.ciphertext_digest for e in transcript.entries)
-    if intake_digest != transcript.message_set_digest or intake_digest != derived_set:
+    if intake_digest != derived_set:
         return Verdict.reject("MessageSetMismatch")
-    arrivals = [entry.arrival_index for entry in transcript.entries]
-    labels = [index for index, _, _ in transcript.initial_voters]
-    if (
-        transcript.cost_rule not in COST_RULES
-        or arrivals != list(range(len(arrivals)))
-        or labels != list(range(len(labels)))
-    ):
+    if transcript.cost_rule not in COST_RULES:
         return Verdict.reject("ReplayMismatch")
     try:
         verdicts, states = replay_ballots(
@@ -941,7 +921,7 @@ def _other_bytes(value: bytes, at: int) -> bytes:
 
 FAULTS = (
     "flip", "tally", "salt", "digest", "credits", "key", "vote", "relabel", "recommit",
-    "voter_label",
+    "voter_swap",
 )
 
 
@@ -964,11 +944,11 @@ def apply_fault(transcript, kind: str, pick: int, amount: int):
         entries[pick % len(entries)] = dataclasses.replace(
             entry, ciphertext_digest=_other_bytes(entry.ciphertext_digest, pick)
         )
-    elif kind == "voter_label":  # one voter, in the starting voters and final states
-        at, label = pick % len(states), state.registration_index + amount
+    elif kind == "voter_swap":  # two voters, in the starting voters and final states
+        at, to = pick % len(states), (pick + 1) % len(states)
         voters = list(transcript.initial_voters)
-        voters[at] = (label, *voters[at][1:])
-        states[at] = dataclasses.replace(state, registration_index=label)
+        voters[at], voters[to] = voters[to], voters[at]
+        states[at], states[to] = states[to], states[at]
         return dataclasses.replace(
             transcript, initial_voters=tuple(voters), final_states=tuple(states)
         )
