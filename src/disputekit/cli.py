@@ -10,20 +10,21 @@ Three subcommands, three artifact formats:
       before anything runs. Exit 0 when every step met its expectation
       and every invariant held, 1 when one did not (each failed step,
       and any broken invariant, named on stderr), 2 on a parse or schema
-      error or a step that refers to nothing.
+      error, a step that refers to nothing, or an --out it cannot write.
 
   sweep <v_max> <grid_step> [--out PATH]
       Brute-force both runoff pricing rules over every integer budget
       pair in {1..v_max}^2 and cross-check witness existence against the
-      closed-form winnable region. Emits CSV. Exit 1 iff the two routes
-      disagree anywhere other than within quantization reach of the
-      region boundary.
+      closed-form winnable region. Emits CSV. grid_step must be finite,
+      positive and at most v_max. Exit 1 iff the two routes disagree
+      anywhere other than within quantization reach of the region
+      boundary.
 
   verify <transcript> <commitment>
       Re-run a coordinator's published audit transcript (JSON) against
       the observed intake digest and tally commitment (JSON). Exit 0 on
       accept, 1 on reject (first failing check named), 2 on malformed
-      input.
+      input, which includes a missing or unknown key at any level.
 
 Exit codes are uniform across subcommands: 0 success, 1 assertion or
 verification failure, 2 usage or parse error. All output is
@@ -35,10 +36,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Optional
 
 # not used here: benchmarks/tracing.py reaches jsonschema as `cli.jsonschema`
 import jsonschema  # noqa: F401
@@ -84,7 +86,6 @@ def transcript_to_jsonable(transcript: AuditTranscript) -> dict[str, Any]:
         "final_states": [
             {
                 "current_key": state.current_key_bytes.hex(),
-                "voice_credits": state.voice_credits,
                 "vote": (
                     None
                     if state.vote is None
@@ -151,55 +152,81 @@ def _decimal(key: Any) -> int:
     return value
 
 
-def _object(value: Any) -> Mapping[str, Any]:
-    if not isinstance(value, Mapping):
-        raise ValueError(f"expected an object, got {type(value).__name__}")
+def _object(value: Any, where: str) -> dict[str, Any]:
+    if not isinstance(value, dict):  # what json reads an object as
+        raise ValueError(f"{where}: expected an object, got {type(value).__name__}")
     return value
 
 
+def _exact(value: Any, keys: frozenset[str], where: str) -> dict[str, Any]:
+    """`value` as an object with exactly `keys`, so that no field passes
+    unread; names the first unknown or missing key and where it is."""
+    if isinstance(value, dict) and value.keys() == keys:
+        return value
+    obj = _object(value, where)
+    unknown, missing = sorted(obj.keys() - keys), sorted(keys - obj.keys())
+    what = f"unknown key {unknown[0]!r}" if unknown else f"missing key {missing[0]!r}"
+    raise ValueError(f"{where}: {what}")
+
+
+def _items(value: Any, where: str, read: Callable[[Any, str], Any]) -> tuple:
+    """`read(item, location)` for each item of the list `value`, where an
+    item's location is its list and position, e.g. `entries[3]`."""
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: expected a list, got {type(value).__name__}")
+    return tuple([read(item, f"{where}[{i}]") for i, item in enumerate(value)])
+
+
+_TRANSCRIPT_KEYS = frozenset({"poll_id", "cost_rule", "options", "initial_voters",
+                              "entries", "final_states", "tally", "salt"})
+_ENTRY_KEYS = frozenset({"ciphertext_digest", "plaintext", "valid", "reason"})
+_STATE_KEYS = frozenset({"current_key", "vote"})
+_VOTE_KEYS = frozenset({"options", "amounts", "memo", "arrival_index"})
+_RECORD_KEYS = frozenset({"intake_digest", "commitment_digest"})
+
+
+def _voter(value: Any, where: str) -> tuple[bytes, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{where}: expected [key, credits], got {value!r:.60}")
+    return _hex(value[0]), _int(value[1])
+
+
+def _entry(value: Any, where: str) -> TranscriptEntry:
+    entry = _exact(value, _ENTRY_KEYS, where)
+    return TranscriptEntry(
+        ciphertext_digest=_hex(entry["ciphertext_digest"]),
+        plaintext=None if entry["plaintext"] is None else _hex(entry["plaintext"]),
+        valid=_bool(entry["valid"]),
+        reason=_opt_str(entry["reason"]),
+    )
+
+
+def _final_state(value: Any, where: str) -> VoterFinalState:
+    state = _exact(value, _STATE_KEYS, where)
+    if (vote := state["vote"]) is not None:
+        vote = _exact(vote, _VOTE_KEYS, f"{where}.vote")
+        vote = FinalVote(
+            vote_option=tuple(_int(v) for v in vote["options"]),
+            vote_amount=tuple(_int(v) for v in vote["amounts"]),
+            memo=_hex(vote["memo"]),
+            arrival_index=_int(vote["arrival_index"]),
+        )
+    return VoterFinalState(current_key_bytes=_hex(state["current_key"]), vote=vote)
+
+
 def transcript_from_jsonable(doc: Any) -> AuditTranscript:
-    if not isinstance(doc, Mapping):
-        raise ValueError("transcript document must be an object")
-    entries = tuple(
-        TranscriptEntry(
-            ciphertext_digest=_hex(entry["ciphertext_digest"]),
-            plaintext=(
-                None if entry["plaintext"] is None else _hex(entry["plaintext"])
-            ),
-            valid=_bool(entry["valid"]),
-            reason=_opt_str(entry["reason"]),
-        )
-        for entry in doc["entries"]
-    )
-    final_states = tuple(
-        VoterFinalState(
-            current_key_bytes=_hex(state["current_key"]),
-            voice_credits=_int(state["voice_credits"]),
-            vote=(
-                None
-                if state["vote"] is None
-                else FinalVote(
-                    vote_option=tuple(_int(v) for v in state["vote"]["options"]),
-                    vote_amount=tuple(_int(v) for v in state["vote"]["amounts"]),
-                    memo=_hex(state["vote"]["memo"]),
-                    arrival_index=_int(state["vote"]["arrival_index"]),
-                )
-            ),
-        )
-        for state in doc["final_states"]
-    )
+    """The transcript in `doc`, which has exactly the keys the writer writes."""
+    doc = _exact(doc, _TRANSCRIPT_KEYS, "transcript")
     return AuditTranscript(
         poll_id=_int(doc["poll_id"]),
         cost_rule=_str(doc["cost_rule"]),
         options=_int(doc["options"]),
-        initial_voters=tuple(
-            (_hex(key), _int(credits)) for key, credits in doc["initial_voters"]
-        ),
-        entries=entries,
-        final_states=final_states,
+        initial_voters=_items(doc["initial_voters"], "initial_voters", _voter),
+        entries=_items(doc["entries"], "entries", _entry),
+        final_states=_items(doc["final_states"], "final_states", _final_state),
         tally={
             _decimal(option): _int(value)
-            for option, value in _object(doc["tally"]).items()
+            for option, value in _object(doc["tally"], "tally").items()
         },
         salt=_hex(doc["salt"]),
     )
@@ -208,11 +235,17 @@ def transcript_from_jsonable(doc: Any) -> AuditTranscript:
 # ---- subcommands ----------------------------------------------------------------
 
 
-def _emit(payload: str, out: Optional[str]) -> None:
+def _emit(payload: str, out: Optional[str]) -> bool:
+    """Write `payload` to `out`, or stdout when None; False if `out` cannot be."""
     if out is None:
         sys.stdout.write(payload)
-    else:
+        return True
+    try:
         Path(out).write_text(payload)
+        return True
+    except OSError as exc:
+        print(f"cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return False
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -244,7 +277,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     # without `indent`, json.dumps takes the C encoder
-    _emit(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n", args.out)
+    if not _emit(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n", args.out):
+        return EXIT_USAGE
     if not report["ok"]:
         failed = [
             f"step {step['position']} ({step['op']})"
@@ -296,7 +330,8 @@ def sweep_csv(report: SweepReport) -> str:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     report = consistency_sweep(square_grid_pairs(args.v_max), args.grid_step)
-    _emit(sweep_csv(report), args.out)
+    if not _emit(sweep_csv(report), args.out):
+        return EXIT_USAGE
     hard = report.hard_disagreements
     print(
         f"{len(report.rows)} rows, "
@@ -319,12 +354,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         transcript = transcript_from_jsonable(_load_json(args.transcript))
-        record = _load_json(args.commitment)
+        record = _exact(_load_json(args.commitment), _RECORD_KEYS, "commitment")
         intake_digest = _hex(record["intake_digest"])
         commitment = TallyCommitment(_hex(record["commitment_digest"]))
-    except (
-        OSError, json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError
-    ) as exc:
+    # ValueError covers a JSONDecodeError
+    except (OSError, RecursionError, TypeError, ValueError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -348,8 +382,8 @@ def _v_max_arg(text: str) -> int:
 
 def _grid_step_arg(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("grid_step must be positive")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("grid_step must be positive and finite")
     return value
 
 
@@ -384,7 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # a coarser grid samples only the zero response
+    if args.command == "sweep" and args.grid_step > args.v_max:
+        parser.error("sweep: grid_step must be at most v_max")
     return args.func(args)
 
 

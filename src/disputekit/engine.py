@@ -95,36 +95,23 @@ _ALLOWED_TRANSITIONS: dict[DisputeState, set[DisputeState]] = {
 @dataclass(frozen=True)
 class DisputeConfig:
     """Per-dispute timing and quorum. Deadlines are absolute logical times:
-    judges enroll before t1, Phase-1 votes land before t2. The quorum
-    extension and the Phase-2 window both default to the voting span
-    t2 - t1 when not set explicitly."""
+    judges enroll before t1, Phase-1 votes land before t2. A missed quorum
+    extends Phase 1 by one voting span, and Phase 2 runs for one span."""
 
     t1: int
     t2: int
     min_judges: int
-    extension: Optional[int] = None
-    phase2_window: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not 0 < self.t1 < self.t2:
             raise ValueError("need 0 < t1 < t2")
         if self.min_judges < 1:
             raise ValueError("quorum must be at least one judge")
-        for window in (self.extension, self.phase2_window):
-            if window is not None and window < 1:
-                raise ValueError("windows must be positive")
 
     @property
-    def extension_value(self) -> int:
-        return self.extension if self.extension is not None else self.t2 - self.t1
-
-    @property
-    def phase2_window_value(self) -> int:
-        return (
-            self.phase2_window
-            if self.phase2_window is not None
-            else self.t2 - self.t1
-        )
+    def span(self) -> int:
+        """t2 - t1: both the quorum extension and the Phase-2 window."""
+        return self.t2 - self.t1
 
 
 @dataclass(frozen=True)
@@ -136,9 +123,8 @@ class EvidenceRef:
 
 @dataclass(frozen=True)
 class EngineProposal:
-    """Proposal as the engine sees it after Phase-1 processing."""
+    """Proposal k after Phase-1 processing, and Phase-2 option k."""
 
-    proposal_id: int
     text_hash: bytes
     author_registration_index: int
 
@@ -225,8 +211,7 @@ class Dispute:
     config: DisputeConfig
     phase1_poll: MaciPoll  # its deadline is t2, moved once by an extension
     state: DisputeState = DisputeState.OPENED
-    party_keys: dict[str, PublicKey] = field(default_factory=dict)
-    joined: set[str] = field(default_factory=set)
+    party_keys: dict[str, PublicKey] = field(default_factory=dict)  # who joined
     evidence: list[EvidenceRef] = field(default_factory=list)
     phase1_tally: Optional[Phase1Tally] = None
     proposals: list[EngineProposal] = field(default_factory=list)
@@ -255,8 +240,7 @@ class DisputeEngine:
         self.escrow = Escrow()
         self.rng = rng
         self.observe = observer
-        self.disputes: dict[int, Dispute] = {}
-        self._next_id = 0
+        self.disputes: dict[int, Dispute] = {}  # dispute i is the i-th opened
 
     # -- helpers ---------------------------------------------------------
 
@@ -306,7 +290,7 @@ class DisputeEngine:
         if len(set(respondents)) != len(respondents):
             raise ValueError("duplicate respondent")
 
-        dispute_id = self._next_id
+        dispute_id = len(self.disputes)
         parties = [initiator, *respondents]
         dispute = Dispute(
             dispute_id=dispute_id,
@@ -321,13 +305,11 @@ class DisputeEngine:
                 options=len(parties),
             ),
         )
-        self._next_id += 1
         self.disputes[dispute_id] = dispute
         dispute.party_keys[initiator] = initiator_key
         entry = self.escrow.deposit(dispute_id, initiator, fee)
         self.observe("escrow", _escrow_event(entry))
         self._transition(dispute, DisputeState.AWAITING_JOIN, now)
-        dispute.joined.add(initiator)
         return dispute
 
     def join_dispute(
@@ -343,7 +325,7 @@ class DisputeEngine:
             raise WrongState(f"cannot join in {dispute.state.value}")
         if party not in dispute.parties:
             raise NotAParty(party)
-        if party in dispute.joined:
+        if party in dispute.party_keys:
             raise AlreadyJoined(party)
         if now >= dispute.config.t1:
             raise JoinAfterDeadline(f"joining closed at t1={dispute.config.t1}")
@@ -352,8 +334,7 @@ class DisputeEngine:
         entry = self.escrow.deposit(dispute_id, party, fee)
         self.observe("escrow", _escrow_event(entry))
         dispute.party_keys[party] = party_key
-        dispute.joined.add(party)
-        if dispute.joined == set(dispute.parties):
+        if dispute.party_keys.keys() == set(dispute.parties):
             self._transition(dispute, DisputeState.EVIDENCE_OPEN, now)
 
     def default_if_absent(self, dispute_id: int, now: int) -> str:
@@ -461,7 +442,7 @@ class DisputeEngine:
 
         # the deadline only moves forward, so it still reads t2 until extended
         if poll.deadline == dispute.config.t2:
-            new_deadline = poll.deadline + dispute.config.extension_value
+            new_deadline = poll.deadline + dispute.config.span
             poll.extend_deadline(new_deadline)
             self.observe(
                 "deadline_extended",
@@ -486,7 +467,7 @@ class DisputeEngine:
         poll = MaciPoll(
             dispute_id * 2 + 1,
             self.coordinator.public,
-            deadline=now + dispute.config.phase2_window_value,
+            deadline=now + dispute.config.span,
             cost_rule="quadratic",
             options=len(dispute.proposals),
         )
@@ -517,8 +498,7 @@ class DisputeEngine:
         if now < poll.deadline:
             raise TooEarly(f"Phase 2 runs until {poll.deadline}")
         tally = self._commit(dispute_id, poll, now)
-        order = [p.proposal_id for p in dispute.proposals]
-        dispute.phase2_tally = tally_phase2(tally, order)
+        dispute.phase2_tally = tally_phase2(tally, len(dispute.proposals))
         self._publish(dispute_id, poll)
         self._transition(dispute, DisputeState.RESOLVED, now)
         return dispute.phase2_tally
@@ -584,7 +564,7 @@ class DisputeEngine:
 
     def _refund_joined(self, dispute: Dispute) -> None:
         for party in dispute.parties:
-            if party in dispute.joined:
+            if party in dispute.party_keys:
                 entry = self.escrow.refund(dispute.dispute_id, party, dispute.fee)
                 self.observe("escrow", _escrow_event(entry))
 
@@ -597,10 +577,7 @@ def _proposals(final_states: Sequence[VoterFinalState]) -> list[EngineProposal]:
         for author, state in enumerate(final_states)
         if state.vote is not None and sum(state.vote.vote_amount) == 1
     )
-    return [
-        EngineProposal(position, memo, author)
-        for position, (_, author, memo) in enumerate(counted)
-    ]
+    return [EngineProposal(memo, author) for _, author, memo in counted]
 
 
 def _escrow_event(entry: EscrowEntry) -> dict:

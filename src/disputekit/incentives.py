@@ -27,7 +27,7 @@ from .canonical import encode_uint32
 from .engine import Dispute, DisputeEngine, DisputeState, EscrowEntry, Observer
 from .errors import AlreadyRecorded, NotAParty, NotTheAuthor, TooEarly, WrongState
 from .identity import SemaphoreGroup
-from .primitives import KeyPair, hash_fields, sign, verify_sig
+from .primitives import KeyPair, PublicKey, hash_fields, sign, verify_sig
 
 JUDGE_TRUSTED = "JudgeTrusted"
 JUDGE_BANNED = "JudgeBanned"
@@ -75,7 +75,7 @@ def apply_phase2_scores(
     if dispute.dispute_id in ledger.applied_disputes:
         raise AlreadyRecorded(f"dispute {dispute.dispute_id} already applied")
     deltas: dict[str, int] = {}
-    for proposal in dispute.proposals:
+    for k, proposal in enumerate(dispute.proposals):
         try:
             judge = judges_by_registration[proposal.author_registration_index]
         except KeyError:
@@ -83,7 +83,7 @@ def apply_phase2_scores(
                 f"no judge known for registration index "
                 f"{proposal.author_registration_index}"
             ) from None
-        score = dispute.phase2_tally.proposal_scores.get(proposal.proposal_id, 0)
+        score = dispute.phase2_tally.proposal_scores[k]
         deltas[judge] = deltas.get(judge, 0) + score
     for judge, delta in deltas.items():
         ledger.add(judge, delta)
@@ -215,7 +215,10 @@ def distribute_fee(
     ):
         raise WrongState("fee distribution follows a resolved dispute")
     proposal = dispute.proposals[dispute.phase2_tally.winner]
-    author_key = dispute.phase1_poll.voters[proposal.author_registration_index].current_key
+    # the published Phase-1 transcript says where the author's key ended
+    final_states = dispute.phase1_poll.audit_transcript().final_states
+    author = final_states[proposal.author_registration_index]
+    author_key = PublicKey.decode(author.current_key_bytes)
     if not verify_sig(author_key, claim_bytes(dispute_id, wallet), claim_signature):
         raise NotTheAuthor("claim not signed by the winning proposal's key")
     return engine.settle(dispute_id, wallet)

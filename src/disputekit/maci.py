@@ -175,13 +175,6 @@ def build_message(
 # ---- poll state -----------------------------------------------------------------
 
 
-@dataclass
-class RegisteredVoter:
-    registered_key: PublicKey  # fixed; the replay starts from it
-    current_key: PublicKey  # rotates via commands
-    voice_credits: int
-
-
 @dataclass(frozen=True)
 class MaciMessage:
     ciphertext: Ciphertext
@@ -196,9 +189,8 @@ class FinalVote:
 
 
 @dataclass(frozen=True)
-class VoterFinalState:
+class VoterFinalState:  # credits never change: initial_voters[i] holds them
     current_key_bytes: bytes
-    voice_credits: int
     vote: Optional[FinalVote]
 
 
@@ -271,7 +263,8 @@ class MaciPoll:
         self.deadline = deadline
         self.cost_rule = cost_rule
         self.options = options
-        self.voters: list[RegisteredVoter] = []
+        # voter i, as (registered key bytes, credits): initial_voters[i]
+        self.voters: list[tuple[bytes, int]] = []
         self.messages: list[MaciMessage] = []
         self.closed = False
         self._keys_seen: set[bytes] = set()
@@ -297,7 +290,7 @@ class MaciPoll:
             raise DuplicateKey("public key already registered")
         self._keys_seen.add(encoded)
         self._preview = None
-        self.voters.append(RegisteredVoter(public_key, public_key, credits))
+        self.voters.append((encoded, credits))
         return len(self.voters) - 1
 
     def submit_message(self, ciphertext: Ciphertext, now: int) -> int:
@@ -339,16 +332,12 @@ class MaciPoll:
             preview = self._preview
             reusable = preview is not None and preview[0] == coordinator_secret
             self._processed = preview[1] if reusable else self._run(coordinator_secret)
-            for voter, state in zip(self.voters, self._processed.final_states):
-                voter.current_key = PublicKey.decode(state.current_key_bytes)
         return self._processed
 
     def _run(self, coordinator_secret: DecryptionKey) -> AuditTranscript:
         ciphertexts = [message.ciphertext for message in self.messages]
         plaintexts = [_open(coordinator_secret, ct) for ct in ciphertexts]
-        initial_voters = tuple(
-            (v.registered_key.encode(), v.voice_credits) for v in self.voters
-        )
+        initial_voters = tuple(self.voters)
         verdicts, final_states = replay_ballots(
             self.cost_rule, self.options, initial_voters, plaintexts
         )
@@ -626,11 +615,11 @@ def replay_ballots(
 
     folded = _fold_ranges(fold, _split(chains))
     final_states = []
-    for credit, chain, (key, reasons, vote) in zip(credits, chains, folded):
+    for chain, (key, reasons, vote) in zip(chains, folded):
         for (arrival, _, _, _), reason in zip(chain, reasons):
             verdicts[arrival] = (reason is None, reason)
         vote = None if vote is None else FinalVote(*vote)
-        final_states.append(VoterFinalState(key, credit, vote))
+        final_states.append(VoterFinalState(key, vote))
     return verdicts, tuple(final_states)
 
 

@@ -73,8 +73,7 @@ EVENT_SCHEMAS: dict[str, dict[str, type]] = {
 
 
 @dataclass(frozen=True)
-class PublicEvent:
-    seq: int
+class PublicEvent:  # event i is AdversaryView.events[i]
     kind: str
     payload: Mapping[str, Any]
 
@@ -106,7 +105,7 @@ class AdversaryView:
                     f"{kind}.{name} must be {expected.__name__}, "
                     f"got {type(value).__name__}"
                 )
-        self.events.append(PublicEvent(len(self.events), kind, dict(payload)))
+        self.events.append(PublicEvent(kind, dict(payload)))
 
     def of_kind(self, kind: str) -> list[PublicEvent]:
         return [event for event in self.events if event.kind == kind]
@@ -116,8 +115,8 @@ class AdversaryView:
 
     def as_jsonable(self) -> list[list[Any]]:
         return [
-            [event.seq, event.kind, _jsonable(event.payload)]
-            for event in self.events
+            [seq, event.kind, _jsonable(event.payload)]
+            for seq, event in enumerate(self.events)
         ]
 
 
@@ -228,17 +227,9 @@ class World:
         t1: int,
         t2: int,
         min_judges: int,
-        extension: Optional[int] = None,
-        phase2_window: Optional[int] = None,
         now: int,
     ) -> int:
-        config = DisputeConfig(
-            t1=t1,
-            t2=t2,
-            min_judges=min_judges,
-            extension=extension,
-            phase2_window=phase2_window,
-        )
+        config = DisputeConfig(t1=t1, t2=t2, min_judges=min_judges)
         dispute = self.engine.open_dispute(
             initiator,
             list(respondents),
@@ -398,8 +389,8 @@ class World:
                     else None
                 ),
                 "proposals": [
-                    [p.proposal_id, p.text_hash.hex(), p.author_registration_index]
-                    for p in dispute.proposals
+                    [k, p.text_hash.hex(), p.author_registration_index]
+                    for k, p in enumerate(dispute.proposals)
                 ],
                 "phase2_scores": (
                     {str(k): v for k, v in dispute.phase2_tally.proposal_scores.items()}
@@ -449,8 +440,7 @@ _OPS: dict[str, tuple[set[str], set[str]]] = {
     "poh_finalize": (set(), set()),
     "group_join": ({"human"}, set()),
     "open_dispute": (
-        {"initiator", "respondents", "fee", "t1", "t2", "min_judges"},
-        {"extension", "phase2_window"},
+        {"initiator", "respondents", "fee", "t1", "t2", "min_judges"}, set()
     ),
     "join_dispute": ({"dispute", "party", "fee"}, set()),
     "submit_evidence": ({"dispute", "party", "label", "text"}, set()),
@@ -499,8 +489,6 @@ _FIELD_SCHEMAS: dict[str, dict[str, Any]] = {
     "t1": {"type": "integer"},
     "t2": {"type": "integer"},
     "min_judges": {"type": "integer"},
-    "extension": {"type": "integer"},
-    "phase2_window": {"type": "integer"},
     "dispute": {"type": "integer"},
     "party": {"type": "string"},
     "label": {"type": "string"},

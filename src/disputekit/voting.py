@@ -44,7 +44,7 @@ def tally_phase1(tally: Mapping[int, int], parties: Sequence[str]) -> Phase1Tall
 
 @dataclass(frozen=True)
 class QuadraticAllocation:
-    """One party's Phase-2 ballot: signed votes per proposal id."""
+    """One party's Phase-2 ballot: signed votes per proposal index."""
 
     voter: str
     votes: Mapping[int, int]
@@ -70,18 +70,12 @@ class Phase2Tally:
     winner: int
 
 
-def tally_phase2(
-    tally: Mapping[int, int], proposals_in_submission_order: Sequence[int]
-) -> Phase2Tally:
-    """Map a Phase-2 poll's tally (option = proposal id) onto the proposals;
-    highest score wins, earliest-submitted proposal wins ties. A proposal
-    no ballot named scores 0."""
-    order = list(proposals_in_submission_order)
-    if not order:
-        raise ValueError("cannot tally without proposals")
-    if len(set(order)) != len(order):
-        raise ValueError("duplicate proposal id in submission order")
-    scores = {proposal_id: tally.get(proposal_id, 0) for proposal_id in order}
+def tally_phase2(tally: Mapping[int, int], proposals: int) -> Phase2Tally:
+    """Map a Phase-2 poll's tally onto proposals 0 .. proposals-1 (option k
+    is proposal k, in submission order); highest score wins, the
+    earliest-submitted proposal wins ties. A proposal no ballot named
+    scores 0."""
+    scores = {k: tally.get(k, 0) for k in range(proposals)}
     # max keeps the first maximal item: the earliest-submitted proposal
-    winner = max(order, key=scores.__getitem__)
+    winner = max(scores, key=scores.__getitem__)
     return Phase2Tally(scores, winner)

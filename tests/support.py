@@ -111,8 +111,8 @@ def naive_replay(cost_rule: str, option_count: int, voters, plaintexts):
     at hand. `voters` holds (key bytes, credits) in registration order; a
     `None` plaintext did not open; a command may name only the options
     0 .. option_count-1. Returns each message's (valid, reason), each
-    voter's final (key bytes, credits, vote) with vote = (options, amounts,
-    memo, arrival) or None, in registration order, and the tally."""
+    voter's final (key bytes, vote) with vote = (options, amounts, memo,
+    arrival) or None, in registration order, and the tally."""
     keys = [key for key, _ in voters]
     credits = [credit for _, credit in voters]
     votes: list = [None] * len(voters)
@@ -149,7 +149,7 @@ def naive_replay(cost_rule: str, option_count: int, voters, plaintexts):
         if vote is not None:
             for option, amount in zip(vote[0], vote[1]):
                 tally[option] = tally.get(option, 0) + amount
-    return verdicts, list(zip(keys, credits, votes)), tally
+    return verdicts, list(zip(keys, votes)), tally
 
 
 def naive_process(
@@ -258,6 +258,15 @@ STRUCTURAL_FAULTS = [
             f"timeline[22].allocations: {key!r} does not match",
         )
         for key in ("00", "-0", "0\n")
+    ],
+    # both voting windows are the span t2 - t1, so neither is set
+    *[
+        schema_fault(
+            lambda s, field=field: s["timeline"][5].update({field: 50}),
+            "timeline[5]: ",
+            f"'{field}' was unexpected",
+        )
+        for field in ("extension", "phase2_window")
     ],
 ]
 

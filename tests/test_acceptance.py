@@ -160,10 +160,10 @@ def _naive_recount(poll: MaciPoll, coordinator: DecryptionKey) -> tuple[list, li
         coordinator.seed,
         poll.cost_rule,
         poll.options,
-        [(voter.registered_key.encode(), voter.voice_credits) for voter in poll.voters],
+        poll.voters,
         [message.ciphertext for message in poll.messages],
     )
-    return verdicts, [vote for _, _, vote in finals]
+    return verdicts, [vote for _, vote in finals]
 
 
 def _random_pipeline(seed: int, rng: random.Random) -> dict:
@@ -230,7 +230,7 @@ def _random_pipeline(seed: int, rng: random.Random) -> dict:
     world.close_phase1(dispute_id, now=200)
     scores = world.start_phase2(dispute_id, now=210)
     dispute = world.engine.disputes[dispute_id]
-    known = [p.proposal_id for p in dispute.proposals]
+    known = list(range(len(dispute.proposals)))
 
     for party in parties:
         credits = scores[party]
@@ -288,8 +288,8 @@ def test_pipeline_matches_naive_recount() -> None:
             for position, (_, author, memo) in enumerate(drafts)
         ]
         engine_proposals = [
-            (p.proposal_id, p.text_hash.hex(), p.author_registration_index)
-            for p in dispute.proposals
+            (k, p.text_hash.hex(), p.author_registration_index)
+            for k, p in enumerate(dispute.proposals)
         ]
 
         # phase 2, same treatment

@@ -117,6 +117,25 @@ def test_run_writes_one_line_of_sorted_compact_json(tmp_path) -> None:
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", str(HAPPY)],
+        ["sweep", "4", "0.5"],
+    ],
+)
+@pytest.mark.parametrize("where", ["missing/out.txt", "."])
+def test_unwritable_out_exits_two(tmp_path, capsys, argv, where) -> None:
+    """A file that cannot be written is a usage error: one line, no
+    traceback."""
+    out = tmp_path / where
+    assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"cannot write {out}: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 # SHA-256 of `disputekit run` stdout for each bundled scenario. A change
 # that alters report bytes on purpose updates these and says why.
 GOLDEN_REPORT_DIGESTS = {
@@ -338,9 +357,7 @@ def value_at(doc, path):
     return doc
 
 
-INTEGER_FIELDS = [
-    "t", "fee", "t1", "t2", "min_judges", "extension", "phase2_window", "dispute"
-]
+INTEGER_FIELDS = ["t", "fee", "t1", "t2", "min_judges", "dispute"]
 # step field values of the field's own type, or of none, at a keyword's edge
 REVALUES = [
     ("t", -1),
@@ -731,6 +748,10 @@ def test_sweep_negative_control_exits_one(tmp_path, monkeypatch, capsys) -> None
         ["run"],
         ["unknown-command"],
         [],
+        # a step must be finite and no coarser than the budget grid
+        ["sweep", "5", "inf"],
+        ["sweep", "12", "1e300"],
+        ["sweep", "12", "40"],
     ],
 )
 def test_usage_errors_exit_two(argv) -> None:
@@ -783,7 +804,7 @@ def test_transcript_json_holds_no_position_or_digest_copies(audit_artifacts) -> 
         frozenset({"ciphertext_digest", "plaintext", "valid", "reason"})
     }
     assert {frozenset(state) for state in doc["final_states"]} == {
-        frozenset({"current_key", "voice_credits", "vote"})
+        frozenset({"current_key", "vote"})
     }
     votes = [state["vote"] for state in doc["final_states"] if state["vote"]]
     assert votes
@@ -816,8 +837,9 @@ def swap_voters(doc, i: int, j: int) -> None:
             lambda d: d["entries"][0].__setitem__("ciphertext_digest", "11" * 32),
             "MessageSetMismatch",
         ),
+        # voter 0's vote costs its one credit; with none, it is OverBudget
         (
-            lambda d: d["final_states"][0].__setitem__("voice_credits", 10 ** 6),
+            lambda d: d["initial_voters"][0].__setitem__(1, 0),
             "ReplayMismatch",
         ),
         # the vote for option 1 replays as a BadOption, not as claimed
@@ -904,6 +926,12 @@ def test_verify_swapped_commitment_exits_one(tmp_path, capsys, audit_artifacts) 
             "initial_voters",
             [[index, *voter[-2:]] for index, voter in enumerate(d["initial_voters"])],
         ),
+        # a key no reader reads, at each level
+        lambda d: d.__setitem__("junk", 1),
+        lambda d: d["entries"][0].__setitem__("arrival_index", 0),
+        lambda d: d["final_states"][0]["vote"].__setitem__("extra", 1),
+        # credits are the starting voters' alone
+        lambda d: d["final_states"][0].__setitem__("voice_credits", 1),
     ],
 )
 def test_verify_malformed_transcript_exits_two(
@@ -916,6 +944,46 @@ def test_verify_malformed_transcript_exits_two(
     c = write_json(tmp_path / "c.json", record)
     assert main(["verify", t, c]) == EXIT_USAGE
     assert "malformed input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            lambda d, r: d.__setitem__(
+                "initial_voters", [[0, *voter] for voter in d["initial_voters"]]
+            ),
+            "initial_voters[0]: expected [key, credits], got [0, ",
+        ),
+        (lambda d, r: d.__setitem__("junk", 1), "transcript: unknown key 'junk'"),
+        (
+            lambda d, r: d["entries"][0].__setitem__("arrival_index", 0),
+            "entries[0]: unknown key 'arrival_index'",
+        ),
+        (
+            lambda d, r: d["final_states"][0]["vote"].__setitem__("extra", 1),
+            "final_states[0].vote: unknown key 'extra'",
+        ),
+        (
+            lambda d, r: d["final_states"][1].pop("current_key"),
+            "final_states[1]: missing key 'current_key'",
+        ),
+        (lambda d, r: d.__setitem__("entries", {}), "entries: expected a list, got dict"),
+        (lambda d, r: r.__setitem__("junk", 1), "commitment: unknown key 'junk'"),
+    ],
+)
+def test_verify_names_what_is_malformed_and_where(
+    tmp_path, capsys, audit_artifacts, mutate, message
+) -> None:
+    doc, record, _ = audit_artifacts
+    doc, record = json.loads(json.dumps(doc)), dict(record)
+    mutate(doc, record)
+    t = write_json(tmp_path / "t.json", doc)
+    c = write_json(tmp_path / "c.json", record)
+    assert main(["verify", t, c]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"malformed input: {message}")
 
 
 def test_verify_duplicate_key_exits_two(tmp_path, capsys, audit_artifacts) -> None:

@@ -65,7 +65,7 @@ def test_view_sequence_numbers_are_dense() -> None:
     view = AdversaryView()
     view.append("poh_status", {"human": "a", "status": "Pending"})
     view.append("poh_status", {"human": "a", "status": "Approved"})
-    assert [event.seq for event in view.events] == [0, 1]
+    assert [seq for seq, _, _ in view.as_jsonable()] == [0, 1]
 
 
 # ---- the world -------------------------------------------------------------------

@@ -274,8 +274,8 @@ def test_claim_follows_a_key_switch() -> None:
     # the rotated juror's proposal ranks last (their final ballot arrived
     # last); alice funds exactly that one
     rotated_proposal = next(
-        p.proposal_id
-        for p in dispute.proposals
+        k
+        for k, p in enumerate(dispute.proposals)
         if p.author_registration_index == 0
     )
     court.phase2_vote(

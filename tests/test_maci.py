@@ -98,8 +98,8 @@ def test_registration_indices_are_dense(rng) -> None:
     poll, _, voters = make_poll(rng)
     late = KeyPair.generate(rng)
     assert poll.register_voter(late.public, 1) == 3
-    assert [v.registered_key for v in poll.voters] == [
-        pair.public for pair in (*voters, late)
+    assert [key for key, _ in poll.voters] == [
+        pair.public.encode() for pair in (*voters, late)
     ]
 
 
@@ -331,9 +331,9 @@ def test_envelopes_are_one_time_and_one_size() -> None:
     points = [message.ciphertext.ephemeral for message in poll.messages]
     assert [ballot[:32] for ballot in ballots] == points  # the public record has them
     assert len(set(points)) == len(points) == 6
-    keys = [voter.registered_key for voter in poll.voters]
-    keys += [pair.public for pair in world.signer_keys.values()]
-    known = {key.encode() for key in keys} | {world.coordinator.public}
+    keys = [key for key, _ in poll.voters]
+    keys += [pair.public.encode() for pair in world.signer_keys.values()]
+    known = set(keys) | {world.coordinator.public}
     assert not known & set(points)
     assert len({len(ballot) for ballot in ballots}) == 1
     # the point is part of what the intake digest commits to
@@ -464,7 +464,7 @@ def test_processing_matches_an_independent_reference(
         coordinator.seed,
         cost_rule,
         options,
-        [(voter.registered_key.encode(), voter.voice_credits) for voter in poll.voters],
+        poll.voters,
         [message.ciphertext for message in poll.messages],
     )
     assert [entry.plaintext for entry in transcript.entries] == plaintexts
@@ -531,7 +531,6 @@ def as_naive(verdicts, states):
     finals = [
         (
             state.current_key_bytes,
-            state.voice_credits,
             None if state.vote is None else (
                 state.vote.vote_option,
                 state.vote.vote_amount,
@@ -829,10 +828,12 @@ def test_message_set_substitution_detected(rng) -> None:
 
 
 def test_final_state_mutation_detected(rng) -> None:
+    """A voter's credits are stated once, in the starting voters: voter 0's
+    vote costs its one credit, so with none the replay refuses it."""
     transcript, intake, commitment = audited_poll(rng)
-    states = list(transcript.final_states)
-    states[0] = dataclasses.replace(states[0], voice_credits=99)
-    mutated = dataclasses.replace(transcript, final_states=tuple(states))
+    (key, credits), *others = transcript.initial_voters
+    assert credits == 1 and transcript.final_states[0].vote is not None
+    mutated = dataclasses.replace(transcript, initial_voters=((key, 0), *others))
     assert verify_audit(mutated, intake, commitment).reason == "ReplayMismatch"
 
 
@@ -952,10 +953,11 @@ def apply_fault(transcript, kind: str, pick: int, amount: int):
         return dataclasses.replace(
             transcript, initial_voters=tuple(voters), final_states=tuple(states)
         )
-    elif kind == "credits":
-        states[pick % len(states)] = dataclasses.replace(
-            state, voice_credits=state.voice_credits + amount
-        )
+    elif kind == "credits":  # a starting voter's budget
+        voters = list(transcript.initial_voters)
+        key, credits = voters[pick % len(voters)]
+        voters[pick % len(voters)] = (key, credits + amount)
+        return dataclasses.replace(transcript, initial_voters=tuple(voters))
     elif kind == "key":
         other = states[(pick + 1) % len(states)].current_key_bytes
         states[pick % len(states)] = dataclasses.replace(state, current_key_bytes=other)
