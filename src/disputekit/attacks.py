@@ -106,7 +106,7 @@ def _adversary_ballot(
     ciphertext = build_message(
         signer=signer,
         coordinator_public=world.coordinator.public,
-        voter_registration_index=world.reg_index[(dispute_id, judge)],
+        voter_registration_index=world.jurors[dispute_id][judge],
         votes=votes,
         new_public_key=new_key.public if new_key else None,
         memo=memo,

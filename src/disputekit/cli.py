@@ -24,7 +24,8 @@ Three subcommands, three artifact formats:
       Re-run a coordinator's published audit transcript (JSON) against
       the observed intake digest and tally commitment (JSON). Exit 0 on
       accept, 1 on reject (first failing check named), 2 on malformed
-      input, which includes a missing or unknown key at any level.
+      input: a missing or unknown key, or a value that does not read, at
+      any level, named by where it is (e.g. `entries[3].plaintext`).
 
 Exit codes are uniform across subcommands: 0 success, 1 assertion or
 verification failure, 2 usage or parse error. All output is
@@ -116,31 +117,30 @@ def commitment_to_jsonable(
 
 
 def _hex(value: Any) -> bytes:
-    if not isinstance(value, str):
-        raise ValueError(f"expected a hex string, got {type(value).__name__}")
-    return bytes.fromhex(value)
+    try:
+        return bytes.fromhex(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a hex string, got {value!r:.60}") from None
 
 
-def _int(value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
+def _exactly(kind: type, name: str) -> Callable[[Any], Any]:
+    """A reader of a JSON value of type `kind` (so a boolean is no integer)."""
+
+    def read(value: Any) -> Any:
+        if type(value) is not kind:
+            raise ValueError(f"expected {name}, got {value!r:.60}")
+        return value
+
+    return read
 
 
-def _bool(value: Any) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"expected a boolean, got {value!r}")
-    return value
+_int = _exactly(int, "an integer")
+_bool = _exactly(bool, "a boolean")
+_str = _exactly(str, "a string")
 
 
-def _str(value: Any) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {value!r}")
-    return value
-
-
-def _opt_str(value: Any) -> Optional[str]:
-    return None if value is None else _str(value)
+def _opt(read: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    return lambda value: None if value is None else read(value)
 
 
 def _decimal(key: Any) -> int:
@@ -152,84 +152,94 @@ def _decimal(key: Any) -> int:
     return value
 
 
-def _object(value: Any, where: str) -> dict[str, Any]:
+def _object(value: Any) -> dict[str, Any]:
     if not isinstance(value, dict):  # what json reads an object as
-        raise ValueError(f"{where}: expected an object, got {type(value).__name__}")
+        raise ValueError(f"expected an object, got {type(value).__name__}")
     return value
 
 
-def _exact(value: Any, keys: frozenset[str], where: str) -> dict[str, Any]:
-    """`value` as an object with exactly `keys`, so that no field passes
-    unread; names the first unknown or missing key and where it is."""
-    if isinstance(value, dict) and value.keys() == keys:
-        return value
-    obj = _object(value, where)
-    unknown, missing = sorted(obj.keys() - keys), sorted(keys - obj.keys())
-    what = f"unknown key {unknown[0]!r}" if unknown else f"missing key {missing[0]!r}"
-    raise ValueError(f"{where}: {what}")
+def _below(step: str, exc: ValueError) -> ValueError:
+    """`exc` with its `path` grown by `step`, a `.key` or an `[index]`."""
+    exc.path = step + getattr(exc, "path", "")  # type: ignore[attr-defined]
+    return exc
 
 
-def _items(value: Any, where: str, read: Callable[[Any, str], Any]) -> tuple:
-    """`read(item, location)` for each item of the list `value`, where an
-    item's location is its list and position, e.g. `entries[3]`."""
-    if not isinstance(value, list):
-        raise ValueError(f"{where}: expected a list, got {type(value).__name__}")
-    return tuple([read(item, f"{where}[{i}]") for i, item in enumerate(value)])
+def _fields(value: Any, readers: dict[str, Callable[[Any], Any]]) -> list:
+    """The object `value`'s values, each read by its key's reader, in the
+    readers' order; `value` must have exactly their keys, so that no field
+    passes unread. The location of a failure is built only then."""
+    if not (isinstance(value, dict) and value.keys() == readers.keys()):
+        obj = _object(value)
+        unknown = sorted(obj.keys() - readers.keys())
+        missing = sorted(readers.keys() - obj.keys())
+        raise ValueError(
+            f"unknown key {unknown[0]!r}" if unknown else f"missing key {missing[0]!r}"
+        )
+    values = []
+    try:
+        for key, read in readers.items():
+            values.append(read(value[key]))
+    except ValueError as exc:
+        raise _below(f".{key}", exc)
+    return values
 
 
-_TRANSCRIPT_KEYS = frozenset({"poll_id", "cost_rule", "options", "initial_voters",
-                              "entries", "final_states", "tally", "salt"})
-_ENTRY_KEYS = frozenset({"ciphertext_digest", "plaintext", "valid", "reason"})
-_STATE_KEYS = frozenset({"current_key", "vote"})
-_VOTE_KEYS = frozenset({"options", "amounts", "memo", "arrival_index"})
-_RECORD_KEYS = frozenset({"intake_digest", "commitment_digest"})
+def _items(read: Callable[[Any], Any]) -> Callable[[Any], tuple]:
+    """A reader of a list whose every item `read` reads."""
+
+    def read_items(value: Any) -> tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"expected a list, got {type(value).__name__}")
+        items = []
+        try:
+            for item in value:
+                items.append(read(item))
+        except ValueError as exc:
+            raise _below(f"[{len(items)}]", exc)
+        return tuple(items)
+
+    return read_items
 
 
-def _voter(value: Any, where: str) -> tuple[bytes, int]:
+def _document(doc: Any, readers: dict[str, Callable[[Any], Any]], name: str) -> list:
+    """`_fields` of a whole document; a failure names where it is, e.g.
+    `entries[3].plaintext`, or `name` for the top level itself."""
+    try:
+        return _fields(doc, readers)
+    except ValueError as exc:
+        where = getattr(exc, "path", "").lstrip(".") or name
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _voter(value: Any) -> tuple[bytes, int]:
     if not isinstance(value, list) or len(value) != 2:
-        raise ValueError(f"{where}: expected [key, credits], got {value!r:.60}")
+        raise ValueError(f"expected [key, credits], got {value!r:.60}")
     return _hex(value[0]), _int(value[1])
 
 
-def _entry(value: Any, where: str) -> TranscriptEntry:
-    entry = _exact(value, _ENTRY_KEYS, where)
-    return TranscriptEntry(
-        ciphertext_digest=_hex(entry["ciphertext_digest"]),
-        plaintext=None if entry["plaintext"] is None else _hex(entry["plaintext"]),
-        valid=_bool(entry["valid"]),
-        reason=_opt_str(entry["reason"]),
-    )
-
-
-def _final_state(value: Any, where: str) -> VoterFinalState:
-    state = _exact(value, _STATE_KEYS, where)
-    if (vote := state["vote"]) is not None:
-        vote = _exact(vote, _VOTE_KEYS, f"{where}.vote")
-        vote = FinalVote(
-            vote_option=tuple(_int(v) for v in vote["options"]),
-            vote_amount=tuple(_int(v) for v in vote["amounts"]),
-            memo=_hex(vote["memo"]),
-            arrival_index=_int(vote["arrival_index"]),
-        )
-    return VoterFinalState(current_key_bytes=_hex(state["current_key"]), vote=vote)
+# each in its dataclass's field order
+_ENTRY = {"ciphertext_digest": _hex, "plaintext": _opt(_hex), "valid": _bool,
+          "reason": _opt(_str)}
+_VOTE = {"options": _items(_int), "amounts": _items(_int), "memo": _hex,
+         "arrival_index": _int}
+_STATE = {"current_key": _hex,
+          "vote": _opt(lambda vote: FinalVote(*_fields(vote, _VOTE)))}
+_TRANSCRIPT = {
+    "poll_id": _int,
+    "cost_rule": _str,
+    "options": _int,
+    "initial_voters": _items(_voter),
+    "entries": _items(lambda entry: TranscriptEntry(*_fields(entry, _ENTRY))),
+    "final_states": _items(lambda state: VoterFinalState(*_fields(state, _STATE))),
+    "tally": lambda tally: {_decimal(k): _int(v) for k, v in _object(tally).items()},
+    "salt": _hex,
+}
+_RECORD = {"intake_digest": _hex, "commitment_digest": _hex}
 
 
 def transcript_from_jsonable(doc: Any) -> AuditTranscript:
     """The transcript in `doc`, which has exactly the keys the writer writes."""
-    doc = _exact(doc, _TRANSCRIPT_KEYS, "transcript")
-    return AuditTranscript(
-        poll_id=_int(doc["poll_id"]),
-        cost_rule=_str(doc["cost_rule"]),
-        options=_int(doc["options"]),
-        initial_voters=_items(doc["initial_voters"], "initial_voters", _voter),
-        entries=_items(doc["entries"], "entries", _entry),
-        final_states=_items(doc["final_states"], "final_states", _final_state),
-        tally={
-            _decimal(option): _int(value)
-            for option, value in _object(doc["tally"], "tally").items()
-        },
-        salt=_hex(doc["salt"]),
-    )
+    return AuditTranscript(*_document(doc, _TRANSCRIPT, "transcript"))
 
 
 # ---- subcommands ----------------------------------------------------------------
@@ -314,21 +324,25 @@ def sweep_csv(report: SweepReport) -> str:
         ]
     )
     for row in report.rows:
+        witness = row.witness
         writer.writerow(
             [
                 _csv_number(row.v_a),
                 _csv_number(row.v_b),
                 row.mechanism,
-                str(row.always_wins).lower(),
+                str(row.a_all_in_always_wins).lower(),
                 str(row.region_nonempty).lower(),
-                "" if row.witness_y1 is None else _csv_number(row.witness_y1),
-                "" if row.witness_y2 is None else _csv_number(row.witness_y2),
+                "" if witness is None else _csv_number(witness.y1),
+                "" if witness is None else _csv_number(witness.y2),
             ]
         )
     return buffer.getvalue()
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    # learn that --out cannot be written before the sweep, not after it
+    if args.out is not None and not _emit("", args.out):
+        return EXIT_USAGE
     report = consistency_sweep(square_grid_pairs(args.v_max), args.grid_step)
     if not _emit(sweep_csv(report), args.out):
         return EXIT_USAGE
@@ -339,12 +353,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"{len(hard)} hard disagreements",
         file=sys.stderr,
     )
-    for disagreement in hard:
-        row = disagreement.row
+    for row in hard:
         print(
             f"disagreement at V_A={_csv_number(row.v_a)} "
             f"V_B={_csv_number(row.v_b)} mechanism={row.mechanism}: "
-            f"witness {'found' if row.witness_y1 is not None else 'missing'} "
+            f"witness {'found' if row.witness is not None else 'missing'} "
             f"but region_nonempty={row.region_nonempty}",
             file=sys.stderr,
         )
@@ -354,9 +367,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         transcript = transcript_from_jsonable(_load_json(args.transcript))
-        record = _exact(_load_json(args.commitment), _RECORD_KEYS, "commitment")
-        intake_digest = _hex(record["intake_digest"])
-        commitment = TallyCommitment(_hex(record["commitment_digest"]))
+        intake_digest, digest = _document(
+            _load_json(args.commitment), _RECORD, "commitment"
+        )
+        commitment = TallyCommitment(digest)
     # ValueError covers a JSONDecodeError
     except (OSError, RecursionError, TypeError, ValueError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)

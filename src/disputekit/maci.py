@@ -25,7 +25,9 @@ Processing is "decrypt, then the auditor's replay": open each message with
 one key agreement against its own point and one decryption, so processing is
 linear in the messages; then run ``replay_ballots``, the one definition of
 these rules. A message that does not open (a malformed or low-order point, a
-failed tag) is an AuthFailure.
+failed tag) is an AuthFailure. The quorum preview and processing read one
+memoised run per intake and coordinator key, so a poll that closes twice
+with no intake in between is opened and replayed once.
 
 As in MACI, a voter's state changes only through that voter's own commands,
 so the replay is one stateless pass over the plaintexts in arrival order
@@ -40,12 +42,12 @@ Every poll record is positional, as a leaf is in MACI's state and message
 trees: voter *i* is ``voters[i]``, and message *j* is ``messages[j]``. No
 record carries its own index.
 
-Processing emits an ``AuditTranscript``:
-decrypted commands, per-message verdicts, final voter states, the tally, and
-the commitment salt. The transcript replaces succinct proofs at simulation
-fidelity — ``verify_audit`` runs the same replay over it. What it cannot
-prove is honest decryption of messages the coordinator *claims* are garbage;
-that residual trust in the coordinator is the modeled boundary.
+Processing emits an ``AuditTranscript``: decrypted commands, per-message
+verdicts, final voter states, the tally, and the commitment salt, which
+``commit_tally`` draws into it. The transcript replaces succinct proofs at
+simulation fidelity — ``verify_audit`` runs the same replay over it. What it
+cannot prove is honest decryption of messages the coordinator *claims* are
+garbage; that residual trust in the coordinator is the modeled boundary.
 """
 from __future__ import annotations
 
@@ -269,9 +271,8 @@ class MaciPoll:
         self.closed = False
         self._keys_seen: set[bytes] = set()
         self._processed: Optional[AuditTranscript] = None
-        # (coordinator, transcript) of the last preview; dropped on any intake
-        self._preview: Optional[tuple[DecryptionKey, AuditTranscript]] = None
-        self._salt: Optional[bytes] = None
+        # (coordinator, `_run` of the intake so far); dropped on any intake
+        self._memo: Optional[tuple[DecryptionKey, AuditTranscript]] = None
         self.commitment: Optional[TallyCommitment] = None
 
     # -- intake ------------------------------------------------------------
@@ -289,7 +290,7 @@ class MaciPoll:
         if encoded in self._keys_seen:
             raise DuplicateKey("public key already registered")
         self._keys_seen.add(encoded)
-        self._preview = None
+        self._memo = None
         self.voters.append((encoded, credits))
         return len(self.voters) - 1
 
@@ -298,7 +299,7 @@ class MaciPoll:
         if self.closed or now >= self.deadline:
             raise PollClosed(f"deadline {self.deadline}, now {now}")
         self.messages.append(MaciMessage(ciphertext))
-        self._preview = None
+        self._memo = None
         return len(self.messages) - 1
 
     def extend_deadline(self, new_deadline: int) -> None:
@@ -319,20 +320,22 @@ class MaciPoll:
         self, coordinator_secret: DecryptionKey
     ) -> tuple[VoterFinalState, ...]:
         """Dry run over the current message list, used to test quorum before
-        deciding whether to extend. It is not a processing result; it is kept
-        for ``process_messages`` to reuse until the next intake."""
-        transcript = self._run(coordinator_secret)
-        self._preview = (coordinator_secret, transcript)
-        return transcript.final_states
+        deciding whether to extend. Not a processing result, though it reads
+        the one memoised run of this intake that ``process_messages`` reads."""
+        return self._result(coordinator_secret).final_states
 
     def process_messages(self, coordinator_secret: DecryptionKey) -> AuditTranscript:
         if not self.closed:
             raise WrongState("process requires a closed poll")
         if self._processed is None:
-            preview = self._preview
-            reusable = preview is not None and preview[0] == coordinator_secret
-            self._processed = preview[1] if reusable else self._run(coordinator_secret)
+            self._processed = self._result(coordinator_secret)
         return self._processed
+
+    def _result(self, coordinator_secret: DecryptionKey) -> AuditTranscript:
+        """``_run`` of the intake so far, once per intake and coordinator key."""
+        if self._memo is None or self._memo[0] != coordinator_secret:
+            self._memo = (coordinator_secret, self._run(coordinator_secret))
+        return self._memo[1]
 
     def _run(self, coordinator_secret: DecryptionKey) -> AuditTranscript:
         ciphertexts = [message.ciphertext for message in self.messages]
@@ -354,7 +357,7 @@ class MaciPoll:
             ),
             final_states=final_states,
             tally=_aggregate(final_states),
-            salt=b"",  # filled at publish time; commitments carry their own salt
+            salt=b"",  # drawn by commit_tally
         )
 
     @property
@@ -367,29 +370,30 @@ class MaciPoll:
 
     def commit_tally(self, rng: random.Random) -> TallyCommitment:
         """Commit to the tally this poll processed, under a salt drawn from
-        `rng`; ``publish_tally`` later reveals both."""
+        `rng` and kept in its transcript; ``publish_tally`` reveals both."""
         if self._processed is None:
             raise CommitBeforeProcessing("commit requires processed messages")
         if self.commitment is not None:
             raise AlreadyCommitted("a tally commitment already exists")
-        self._salt = random_bytes(32, rng)
+        salt = random_bytes(32, rng)
+        self._processed = dataclasses.replace(self._processed, salt=salt)
         self.commitment = TallyCommitment(
-            commitment_digest(self.poll_id, self._processed.tally, self._salt)
+            commitment_digest(self.poll_id, self._processed.tally, salt)
         )
         return self.commitment
 
     def publish_tally(self) -> tuple[dict[int, int], bytes]:
-        if self.commitment is None or self._salt is None:
+        if self.commitment is None or self._processed is None:
             raise WrongState("publish requires a commitment")
-        return self.tally, self._salt
+        return self.tally, self._processed.salt
 
     def audit_transcript(self) -> AuditTranscript:
-        """Transcript with the commitment salt attached (post-publication)."""
+        """The processed transcript with its commitment salt (post-publication)."""
         if self._processed is None:
             raise CommitBeforeProcessing("no processing result yet")
-        if self._salt is None:
+        if self.commitment is None:
             raise WrongState("transcript is published together with the salt")
-        return dataclasses.replace(self._processed, salt=self._salt)
+        return self._processed
 
 
 def _open(coordinator_secret: DecryptionKey, ct: Ciphertext) -> Optional[bytes]:

@@ -15,8 +15,9 @@ Two independent routes answer "can B ever win?":
 * ``brute_force_defeat`` — grid search over B's responses, returning the
   first winning response in (y1, y2)-lexicographic order.
 
-``consistency_sweep`` runs both routes over a grid of budget pairs and
-reports where they disagree; disagreements are only tolerated within
+``consistency_sweep`` runs both routes over a grid of budget pairs; its
+report holds one ``OracleResult`` per pair and mechanism, and derives where
+the routes disagree from them. Disagreements are only tolerated within
 2 * grid_step of the region boundary, where grid quantization is allowed
 to miss (or float ties to fabricate) a witness.
 """
@@ -99,12 +100,18 @@ def _always_win_region_nonempty(v_a: float, v_b: float, mechanism: str) -> bool:
 
 @dataclass(frozen=True)
 class OracleResult:
+    """Both routes for one budget pair and mechanism; ``witness`` is the
+    brute force's first winning response for B, None when there is none."""
+
     v_a: float
     v_b: float
     mechanism: str
-    a_all_in_always_wins: bool
     witness: Optional[BResponse]
     region_nonempty: bool
+
+    @property
+    def a_all_in_always_wins(self) -> bool:
+        return self.witness is None
 
 
 def brute_force_defeat(
@@ -152,7 +159,6 @@ def brute_force_defeat(
         v_a=v_a,
         v_b=v_b,
         mechanism=mechanism,
-        a_all_in_always_wins=witness is None,
         witness=witness,
         region_nonempty=_always_win_region_nonempty(v_a, v_b, mechanism),
     )
@@ -167,31 +173,28 @@ def _wins(scorer, v_a: float, y1: float, j: int, grid_step: float, v_b: float) -
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    v_a: float
-    v_b: float
-    mechanism: str
-    always_wins: bool
-    region_nonempty: bool
-    witness_y1: Optional[float]
-    witness_y2: Optional[float]
-
-
-@dataclass(frozen=True)
-class Disagreement:
-    row: SweepRow
-    near_boundary: bool
-
-
-@dataclass(frozen=True)
 class SweepReport:
+    """The ``OracleResult`` of each pair and mechanism; what disagrees is
+    derived from them."""
+
     grid_step: float
-    rows: tuple[SweepRow, ...]
-    disagreements: tuple[Disagreement, ...]
+    rows: tuple[OracleResult, ...]
 
     @property
-    def hard_disagreements(self) -> tuple[Disagreement, ...]:
-        return tuple(d for d in self.disagreements if not d.near_boundary)
+    def disagreements(self) -> tuple[OracleResult, ...]:
+        """Rows whose witness existence differs from the closed form's."""
+        return tuple(
+            r for r in self.rows if (r.witness is not None) != r.region_nonempty
+        )
+
+    @property
+    def hard_disagreements(self) -> tuple[OracleResult, ...]:
+        """Disagreements beyond quantization reach of the region boundary."""
+        band = 2.0 * self.grid_step
+        return tuple(
+            r for r in self.disagreements
+            if not _near_region_boundary(r.v_a, r.v_b, r.mechanism, band)
+        )
 
 
 def _near_region_boundary(
@@ -216,33 +219,13 @@ def consistency_sweep(
     no witness), and under quadratic pricing witness existence must match
     the analytic band except within 2*grid_step of its boundary.
     """
-    epsilon_band = 2.0 * grid_step
-    rows: list[SweepRow] = []
-    disagreements: list[Disagreement] = []
-    for v_a, v_b in pairs:
-        if not v_a > v_b:
-            continue
-        for mechanism in MECHANISMS:
-            result = brute_force_defeat(v_a, v_b, mechanism, grid_step)
-            witness_found = result.witness is not None
-            row = SweepRow(
-                v_a=v_a,
-                v_b=v_b,
-                mechanism=mechanism,
-                always_wins=result.a_all_in_always_wins,
-                region_nonempty=result.region_nonempty,
-                witness_y1=result.witness.y1 if result.witness else None,
-                witness_y2=result.witness.y2 if result.witness else None,
-            )
-            rows.append(row)
-            if witness_found != result.region_nonempty:
-                disagreements.append(
-                    Disagreement(
-                        row,
-                        _near_region_boundary(v_a, v_b, mechanism, epsilon_band),
-                    )
-                )
-    return SweepReport(grid_step, tuple(rows), tuple(disagreements))
+    rows = tuple(
+        brute_force_defeat(v_a, v_b, mechanism, grid_step)
+        for v_a, v_b in pairs
+        if v_a > v_b
+        for mechanism in MECHANISMS
+    )
+    return SweepReport(grid_step, rows)
 
 
 def square_grid_pairs(v_max: int) -> list[tuple[float, float]]:

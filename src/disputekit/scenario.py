@@ -165,8 +165,8 @@ class World:
         self.party_keys: dict[str, KeyPair] = {}
         # per (dispute, judge): the ballot key, replaced when a vote rotates it
         self.signer_keys: dict[tuple[int, str], KeyPair] = {}
-        self.reg_index: dict[tuple[int, str], int] = {}
-        self.judge_by_index: dict[int, dict[int, str]] = {}
+        # per dispute: each enrolled juror's voter index in the Phase-1 poll
+        self.jurors: dict[int, dict[str, int]] = {}
         for human in genesis_humans:
             self.registry.seed_approved(human)
             self.view.append("poh_status", {"human": human, "status": "Approved"})
@@ -269,8 +269,7 @@ class World:
         )
         index = self.engine.enroll_judge(dispute_id, signal, now)
         self.signer_keys[(dispute_id, human)] = ballot_key
-        self.reg_index[(dispute_id, human)] = index
-        self.judge_by_index.setdefault(dispute_id, {})[index] = human
+        self.jurors.setdefault(dispute_id, {})[human] = index
         return index
 
     def phase1_vote(
@@ -290,7 +289,7 @@ class World:
         ciphertext = build_message(
             signer=signer,
             coordinator_public=self.coordinator.public,
-            voter_registration_index=self.reg_index[(dispute_id, human)],
+            voter_registration_index=self.jurors[dispute_id][human],
             votes={option: 1},
             new_public_key=fresh.public if fresh else None,
             memo=hash_bytes(proposal_text.encode()),
@@ -345,9 +344,8 @@ class World:
 
     def apply_reputation(self, dispute_id: int) -> dict[str, int]:
         dispute = self.engine.disputes[dispute_id]
-        return apply_phase2_scores(
-            self.reputation, dispute, self.judge_by_index.get(dispute_id, {})
-        )
+        by_index = {i: human for human, i in self.jurors.get(dispute_id, {}).items()}
+        return apply_phase2_scores(self.reputation, dispute, by_index)
 
     def enforce_thresholds(self) -> list[tuple[str, str]]:
         return enforce_thresholds(

@@ -219,7 +219,7 @@ def _random_pipeline(seed: int, rng: random.Random) -> dict:
             ciphertext = build_message(
                 signer=world.signer_keys[(dispute_id, f"j{i}")],
                 coordinator_public=world.coordinator.public,
-                voter_registration_index=world.reg_index[(dispute_id, f"j{i}")],
+                voter_registration_index=world.jurors[dispute_id][f"j{i}"],
                 votes=votes,
                 memo=memo,
                 rng=rng,
@@ -593,7 +593,7 @@ def _double_vote_states(seed: int) -> tuple[dict, dict]:
     stuffed = build_message(
         signer=attacked.signer_keys[(dispute_id, "judge0")],
         coordinator_public=attacked.coordinator.public,
-        voter_registration_index=attacked.reg_index[(dispute_id, "judge0")],
+        voter_registration_index=attacked.jurors[dispute_id]["judge0"],
         votes={0: 1},
         memo=hash_bytes(b"stuffed"),
         rng=attacked.adversary_rng,
@@ -844,7 +844,10 @@ def _random_lifecycle(seed: int, rng: random.Random) -> tuple[str, int]:
         winner_index = dispute.proposals[
             dispute.phase2_tally.winner
         ].author_registration_index
-        judge = world.judge_by_index[dispute_id][winner_index]
+        judge = next(
+            human for human, index in world.jurors[dispute_id].items()
+            if index == winner_index
+        )
         step(world.claim_fee, dispute_id, judge, f"wallet-{judge}")
         if world.engine.escrow.balance(dispute_id) != 0:
             violations += 1

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from support import STRUCTURAL_FAULTS, plant_double_booked_payouts, resolved_court
 
+import disputekit.cli as cli
 import disputekit.oracle as oracle
 import disputekit.scenario as scenario
 from disputekit.cli import (
@@ -125,13 +126,18 @@ def test_run_writes_one_line_of_sorted_compact_json(tmp_path) -> None:
     ],
 )
 @pytest.mark.parametrize("where", ["missing/out.txt", "."])
-def test_unwritable_out_exits_two(tmp_path, capsys, argv, where) -> None:
+def test_unwritable_out_exits_two(tmp_path, capsys, monkeypatch, argv, where) -> None:
     """A file that cannot be written is a usage error: one line, no
-    traceback."""
+    traceback. `sweep` learns it before any sweep work."""
+
+    def sweep(*args):
+        raise AssertionError("swept before checking --out")
+
+    monkeypatch.setattr(cli, "consistency_sweep", sweep)
     out = tmp_path / where
     assert main([*argv, "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert f"cannot write {out}: " in err
+    assert err.startswith(f"cannot write {out}: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "missing").exists()
 
@@ -717,6 +723,28 @@ def test_sweep_csv_shape_and_exit(tmp_path) -> None:
             assert always_wins == "true"  # richer party cannot lose here
 
 
+def test_sweep_names_each_hard_disagreement_and_exits_one(capsys, monkeypatch) -> None:
+    """A row far from the region boundary whose witness existence differs
+    from the closed form's is a hard disagreement: named on stderr, exit 1."""
+    rows = (
+        oracle.OracleResult(6.0, 2.0, "quadratic", None, True),
+        oracle.OracleResult(6.0, 2.0, "1d1v", None, False),
+    )
+    monkeypatch.setattr(
+        cli, "consistency_sweep", lambda pairs, step: oracle.SweepReport(step, rows)
+    )
+    assert main(["sweep", "6", "0.5"]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == [
+        "6,2,quadratic,true,true,,", "6,2,1d1v,true,false,,"
+    ]
+    assert captured.err == (
+        "2 rows, 0 boundary disagreements, 1 hard disagreements\n"
+        "disagreement at V_A=6 V_B=2 mechanism=quadratic: "
+        "witness missing but region_nonempty=True\n"
+    )
+
+
 def test_sweep_is_deterministic(tmp_path) -> None:
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["sweep", "5", "0.1", "--out", str(first)]) == EXIT_OK
@@ -970,6 +998,31 @@ def test_verify_malformed_transcript_exits_two(
         ),
         (lambda d, r: d.__setitem__("entries", {}), "entries: expected a list, got dict"),
         (lambda d, r: r.__setitem__("junk", 1), "commitment: unknown key 'junk'"),
+        # a value that does not read, named by its list, position and key
+        (
+            lambda d, r: d["entries"][2].__setitem__("plaintext", "zz"),
+            "entries[2].plaintext: expected a hex string, got 'zz'",
+        ),
+        (
+            lambda d, r: d["entries"][1].__setitem__("ciphertext_digest", 7),
+            "entries[1].ciphertext_digest: expected a hex string, got 7",
+        ),
+        (
+            lambda d, r: d["entries"][0].__setitem__("valid", "true"),
+            "entries[0].valid: expected a boolean, got 'true'",
+        ),
+        (
+            lambda d, r: d["final_states"][0]["vote"]["options"].__setitem__(0, "x"),
+            "final_states[0].vote.options[0]: expected an integer, got 'x'",
+        ),
+        (
+            lambda d, r: d.__setitem__("salt", "not hex"),
+            "salt: expected a hex string, got 'not hex'",
+        ),
+        (
+            lambda d, r: r.__setitem__("commitment_digest", "zz"),
+            "commitment_digest: expected a hex string, got 'zz'",
+        ),
     ],
 )
 def test_verify_names_what_is_malformed_and_where(

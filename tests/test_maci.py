@@ -733,6 +733,65 @@ def test_a_preview_alone_is_not_processing(rng) -> None:
         poll.audit_transcript()
 
 
+def test_an_unchanged_intake_is_opened_once(monkeypatch, rng) -> None:
+    """The preview and processing read one memoised run per intake and
+    coordinator key: a poll that closes twice with no intake in between is
+    opened once. Any intake, or another key, opens every message again."""
+    poll, coordinator, voters = make_poll(rng)
+    cast(poll, rng, voters[0], 0, {0: 1})
+    cast(poll, rng, voters[1], 1, {1: 1}, now=1)
+    opened = []
+    real_open = maci._open
+    monkeypatch.setattr(
+        maci, "_open", lambda key, ct: opened.append(key) or real_open(key, ct)
+    )
+
+    first = poll.preview_valid_votes(coordinator)
+    assert len(opened) == 2
+    assert poll.preview_valid_votes(coordinator) == first
+    assert len(opened) == 2
+
+    stranger = DecryptionKey.generate(rng)
+    assert all(state.vote is None for state in poll.preview_valid_votes(stranger))
+    assert opened[2:] == [stranger, stranger]
+    assert poll.preview_valid_votes(coordinator) == first
+    assert len(opened) == 6
+
+    poll.register_voter(KeyPair.generate(rng).public, 1)
+    poll.preview_valid_votes(coordinator)
+    assert len(opened) == 8
+    cast(poll, rng, voters[2], 2, {2: 1}, now=2)
+    previewed = poll.preview_valid_votes(coordinator)
+    assert len(opened) == 11
+
+    poll.close(100)
+    transcript = poll.process_messages(coordinator)
+    assert transcript.final_states == previewed
+    assert poll.process_messages(coordinator) is transcript
+    assert len(opened) == 11
+
+
+def test_the_published_salt_is_the_transcripts(rng) -> None:
+    """The salt is drawn once, kept in the processed transcript, and is what
+    ``publish_tally`` reveals; the transcript is not copied per call."""
+    poll, coordinator, voters = make_poll(rng)
+    cast(poll, rng, voters[0], 0, {1: 1})
+    poll.close(100)
+    processed = poll.process_messages(coordinator)
+    with pytest.raises(WrongState):
+        poll.audit_transcript()
+    with pytest.raises(WrongState):
+        poll.publish_tally()
+    commitment = poll.commit_tally(rng)
+    transcript = poll.audit_transcript()
+    tally, salt = poll.publish_tally()
+    assert processed.salt == b"" and len(salt) == 32
+    assert transcript.salt == salt
+    assert transcript.tally == tally == {1: 1}
+    assert commitment_digest(poll.poll_id, tally, transcript.salt) == commitment.digest
+    assert poll.audit_transcript() is transcript
+
+
 # ---- commitments -------------------------------------------------------------------
 
 

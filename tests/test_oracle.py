@@ -163,13 +163,26 @@ def test_sweep_small_grid_no_hard_disagreements() -> None:
     assert len(report.rows) == 2 * sum(range(10))  # 2 * C(10,2)
 
 
+def test_sweep_disagreements_are_derived_from_the_rows() -> None:
+    """At a grid step of 4 the brute force misses 24 quadratic witnesses,
+    every one within quantization reach of the region boundary."""
+    report = consistency_sweep(square_grid_pairs(16), 4.0)
+    assert len(report.rows) == 240
+    assert len(report.disagreements) == 24
+    assert report.hard_disagreements == ()
+    for row in report.disagreements:
+        assert row.mechanism == "quadratic"
+        assert row.witness is None and row.region_nonempty
+
+
 def test_sweep_rows_carry_witness_coordinates() -> None:
     report = consistency_sweep([(12.0, 10.0)], 0.01)
     quad_rows = [r for r in report.rows if r.mechanism == "quadratic"]
     assert len(quad_rows) == 1
-    assert quad_rows[0].witness_y1 is not None
+    assert quad_rows[0].witness is not None
+    assert quad_rows[0].witness.y1 >= 0 and quad_rows[0].witness.y2 > 0
     linear_rows = [r for r in report.rows if r.mechanism == "1d1v"]
-    assert linear_rows[0].always_wins and linear_rows[0].witness_y1 is None
+    assert linear_rows[0].a_all_in_always_wins and linear_rows[0].witness is None
 
 
 def test_sweep_skips_pairs_without_budget_gap() -> None:
