@@ -146,7 +146,7 @@ def attack_double_vote(seed: int = 2029) -> AttackReport:
     signal = create_signal(
         attacked.identities["judge0"],
         attacked.group,
-        fresh.public.encode(),
+        fresh.public,
         enrollment_scope(dispute_id),
     )
     try:

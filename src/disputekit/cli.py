@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -50,13 +51,12 @@ from .errors import MalformedScript
 from .maci import (
     AuditTranscript,
     FinalVote,
-    TallyCommitment,
     TranscriptEntry,
     VoterFinalState,
     verify_audit,
 )
 from .oracle import SweepReport, consistency_sweep, square_grid_pairs
-from .scenario import run_scenario
+from .scenario import jsonable, run_scenario
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -66,54 +66,14 @@ EXIT_USAGE = 2
 
 
 def transcript_to_jsonable(transcript: AuditTranscript) -> dict[str, Any]:
-    return {
-        "poll_id": transcript.poll_id,
-        "cost_rule": transcript.cost_rule,
-        "options": transcript.options,
-        "initial_voters": [
-            [key.hex(), credits] for key, credits in transcript.initial_voters
-        ],
-        "entries": [
-            {
-                "ciphertext_digest": entry.ciphertext_digest.hex(),
-                "plaintext": (
-                    None if entry.plaintext is None else entry.plaintext.hex()
-                ),
-                "valid": entry.valid,
-                "reason": entry.reason,
-            }
-            for entry in transcript.entries
-        ],
-        "final_states": [
-            {
-                "current_key": state.current_key_bytes.hex(),
-                "vote": (
-                    None
-                    if state.vote is None
-                    else {
-                        "options": list(state.vote.vote_option),
-                        "amounts": list(state.vote.vote_amount),
-                        "memo": state.vote.memo.hex(),
-                        "arrival_index": state.vote.arrival_index,
-                    }
-                ),
-            }
-            for state in transcript.final_states
-        ],
-        "tally": {str(option): value for option, value in transcript.tally.items()},
-        "salt": transcript.salt.hex(),
-    }
+    """The transcript's JSON form: each record's fields are its keys."""
+    return jsonable(dataclasses.asdict(transcript))
 
 
-def commitment_to_jsonable(
-    intake_digest: bytes, commitment: TallyCommitment
-) -> dict[str, str]:
+def commitment_to_jsonable(intake_digest: bytes, commitment: bytes) -> dict[str, str]:
     """The observer's side of a verification: what the public record
     pinned down before the coordinator revealed anything."""
-    return {
-        "intake_digest": intake_digest.hex(),
-        "commitment_digest": commitment.digest.hex(),
-    }
+    return {"intake_digest": intake_digest.hex(), "commitment_digest": commitment.hex()}
 
 
 def _hex(value: Any) -> bytes:
@@ -217,7 +177,7 @@ def _voter(value: Any) -> tuple[bytes, int]:
     return _hex(value[0]), _int(value[1])
 
 
-# each in its dataclass's field order
+# each its record's fields, in order: the keys `transcript_to_jsonable` writes
 _ENTRY = {"ciphertext_digest": _hex, "plaintext": _opt(_hex), "valid": _bool,
           "reason": _opt(_str)}
 _VOTE = {"options": _items(_int), "amounts": _items(_int), "memo": _hex,
@@ -367,10 +327,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         transcript = transcript_from_jsonable(_load_json(args.transcript))
-        intake_digest, digest = _document(
+        intake_digest, commitment = _document(
             _load_json(args.commitment), _RECORD, "commitment"
         )
-        commitment = TallyCommitment(digest)
     # ValueError covers a JSONDecodeError
     except (OSError, RecursionError, TypeError, ValueError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)

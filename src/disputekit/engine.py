@@ -51,8 +51,8 @@ from .errors import (
 )
 from .identity import SemaphoreGroup, Signal
 from .maci import MaciPoll, VoterFinalState
-from .primitives import Ciphertext, DecryptionKey, PublicKey
-from .voting import Phase1Tally, Phase2Tally, tally_phase1, tally_phase2
+from .primitives import Ciphertext, DecryptionKey, public_key
+from .voting import Phase2Tally, tally_phase1, tally_phase2
 
 Observer = Callable[[str, dict], None]
 
@@ -211,9 +211,9 @@ class Dispute:
     config: DisputeConfig
     phase1_poll: MaciPoll  # its deadline is t2, moved once by an extension
     state: DisputeState = DisputeState.OPENED
-    party_keys: dict[str, PublicKey] = field(default_factory=dict)  # who joined
+    party_keys: dict[str, bytes] = field(default_factory=dict)  # who joined
     evidence: list[EvidenceRef] = field(default_factory=list)
-    phase1_tally: Optional[Phase1Tally] = None
+    phase1_scores: Optional[dict[str, int]] = None
     proposals: list[EngineProposal] = field(default_factory=list)
     phase2_poll: Optional[MaciPoll] = None
     phase2_tally: Optional[Phase2Tally] = None
@@ -278,7 +278,7 @@ class DisputeEngine:
         respondents: Sequence[str],
         fee: int,
         config: DisputeConfig,
-        initiator_key: PublicKey,
+        initiator_key: bytes,
         now: int,
     ) -> Dispute:
         if fee <= 0:
@@ -317,7 +317,7 @@ class DisputeEngine:
         dispute_id: int,
         party: str,
         fee: int,
-        party_key: PublicKey,
+        party_key: bytes,
         now: int,
     ) -> None:
         dispute = self._get(dispute_id)
@@ -388,7 +388,7 @@ class DisputeEngine:
         if signal.external_nullifier != enrollment_scope(dispute_id):
             raise InvalidSignal("BadScope")
         try:
-            ballot_key = PublicKey.decode(signal.data)
+            ballot_key = public_key(signal.data)
         except InvalidKey:
             raise InvalidSignal("BadKey") from None
         poll = dispute.phase1_poll
@@ -435,7 +435,7 @@ class DisputeEngine:
         proposals = _proposals(poll.preview_valid_votes(self.coordinator))
         if len(proposals) >= dispute.config.min_judges:
             tally = self._commit(dispute_id, poll, now)
-            dispute.phase1_tally = tally_phase1(tally, dispute.parties)
+            dispute.phase1_scores = tally_phase1(tally, dispute.parties)
             dispute.proposals = proposals
             self._transition(dispute, DisputeState.PHASE1_TALLIED, now)
             return "tallied"
@@ -462,7 +462,7 @@ class DisputeEngine:
         dispute = self._get(dispute_id)
         if dispute.state != DisputeState.PHASE1_TALLIED:
             raise WrongState(f"cannot start Phase 2 from {dispute.state.value}")
-        assert dispute.phase1_tally is not None
+        assert dispute.phase1_scores is not None
         self._publish(dispute_id, dispute.phase1_poll)
         poll = MaciPoll(
             dispute_id * 2 + 1,
@@ -474,7 +474,7 @@ class DisputeEngine:
         for party in dispute.parties:
             poll.register_voter(
                 dispute.party_keys[party],
-                credits=dispute.phase1_tally.scores[party],
+                credits=dispute.phase1_scores[party],
             )
         dispute.phase2_poll = poll
         self._transition(dispute, DisputeState.PHASE2_VOTING, now)
@@ -524,13 +524,12 @@ class DisputeEngine:
         """Close, process and commit the poll; returns its tally."""
         poll.close(now)
         poll.process_messages(self.coordinator)
-        commitment = poll.commit_tally(self.rng)
         self.observe(
             "tally_commitment",
             {
                 "dispute_id": dispute_id,
                 "poll_id": poll.poll_id,
-                "digest": commitment.digest,
+                "digest": poll.commit_tally(self.rng),
             },
         )
         return poll.tally
@@ -575,7 +574,7 @@ def _proposals(final_states: Sequence[VoterFinalState]) -> list[EngineProposal]:
     counted = sorted(
         (state.vote.arrival_index, author, state.vote.memo)
         for author, state in enumerate(final_states)
-        if state.vote is not None and sum(state.vote.vote_amount) == 1
+        if state.vote is not None and sum(state.vote.amounts) == 1
     )
     return [EngineProposal(memo, author) for _, author, memo in counted]
 

@@ -27,7 +27,7 @@ from .canonical import encode_uint32
 from .engine import Dispute, DisputeEngine, DisputeState, EscrowEntry, Observer
 from .errors import AlreadyRecorded, NotAParty, NotTheAuthor, TooEarly, WrongState
 from .identity import SemaphoreGroup
-from .primitives import KeyPair, PublicKey, hash_fields, sign, verify_sig
+from .primitives import KeyPair, hash_fields, sign, verify_sig
 
 JUDGE_TRUSTED = "JudgeTrusted"
 JUDGE_BANNED = "JudgeBanned"
@@ -217,8 +217,7 @@ def distribute_fee(
     proposal = dispute.proposals[dispute.phase2_tally.winner]
     # the published Phase-1 transcript says where the author's key ended
     final_states = dispute.phase1_poll.audit_transcript().final_states
-    author = final_states[proposal.author_registration_index]
-    author_key = PublicKey.decode(author.current_key_bytes)
+    author_key = final_states[proposal.author_registration_index].current_key
     if not verify_sig(author_key, claim_bytes(dispute_id, wallet), claim_signature):
         raise NotTheAuthor("claim not signed by the winning proposal's key")
     return engine.settle(dispute_id, wallet)

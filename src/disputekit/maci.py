@@ -45,9 +45,21 @@ record carries its own index.
 Processing emits an ``AuditTranscript``: decrypted commands, per-message
 verdicts, final voter states, the tally, and the commitment salt, which
 ``commit_tally`` draws into it. The transcript replaces succinct proofs at
-simulation fidelity — ``verify_audit`` runs the same replay over it. What it
-cannot prove is honest decryption of messages the coordinator *claims* are
-garbage; that residual trust in the coordinator is the modeled boundary.
+simulation fidelity — ``verify_audit`` runs the same replay over it.
+
+Known limitations. The audit trusts the coordinator for more than honest
+decryption of the messages it claims are garbage:
+
+* no entry's plaintext is bound to its ciphertext (the entry holds only the
+  ciphertext's digest), so a coordinator that substitutes one command for
+  another and re-derives verdicts, final states and tally to match passes
+  the audit;
+* a command's signature does not cover its poll, so a command published in
+  one poll's transcript, sealed again, replays as a valid vote in another
+  poll where its voter index holds the same key;
+* ``options`` and ``cost_rule`` are read from the transcript itself, not
+  from the public record, so a transcript may restate them wherever no
+  verdict changes.
 """
 from __future__ import annotations
 
@@ -87,11 +99,11 @@ from .primitives import (
     Ciphertext,
     DecryptionKey,
     KeyPair,
-    PublicKey,
     decrypt,
     encrypt,
     hash_fields,
     key_agree,
+    public_key,
     random_bytes,
     sign,
     verify_sig,
@@ -110,7 +122,7 @@ class Command:
     payload (the juror phase puts the proposal hash there).
     """
 
-    new_public_key: PublicKey
+    new_public_key: bytes
     vote_option: tuple[int, ...]
     vote_amount: tuple[int, ...]
     memo: bytes
@@ -122,7 +134,7 @@ class Command:
     def _body(self) -> bytes:
         return b"".join(
             (
-                canonical.encode_bytes(self.new_public_key.encode()),
+                canonical.encode_bytes(self.new_public_key),
                 canonical.encode_int_list(self.vote_option),
                 canonical.encode_int_list(self.vote_amount),
                 canonical.encode_bytes(self.memo),
@@ -138,7 +150,7 @@ def decode_signed_command(plaintext: bytes) -> tuple[Command, bytes, bytes]:
     """The command, its body (the slice of `plaintext` that SIGNING_LABEL
     prefixes to form the signed bytes) and its signature."""
     reader = canonical.Reader(plaintext)
-    key = PublicKey.decode(reader.read_bytes())
+    key = public_key(reader.read_bytes())
     options = tuple(reader.read_int_list())
     amounts = tuple(reader.read_int_list())
     memo = reader.read_bytes()
@@ -155,7 +167,7 @@ def build_message(
     coordinator_public: bytes,
     voter_registration_index: int,
     votes: Mapping[int, int],
-    new_public_key: Optional[PublicKey] = None,
+    new_public_key: Optional[bytes] = None,
     memo: bytes = b"",
     rng: random.Random,
 ) -> Ciphertext:
@@ -164,7 +176,7 @@ def build_message(
     Options are sorted so equal commands encode alike."""
     options = tuple(sorted(votes))
     command = Command(
-        new_public_key=new_public_key or signer.public,
+        new_public_key=signer.public if new_public_key is None else new_public_key,
         vote_option=options,
         vote_amount=tuple(votes[o] for o in options),
         memo=memo,
@@ -182,17 +194,18 @@ class MaciMessage:
     ciphertext: Ciphertext
 
 
+# A transcript record's fields are its JSON keys, in order (`cli` reads them)
 @dataclass(frozen=True)
 class FinalVote:
-    vote_option: tuple[int, ...]
-    vote_amount: tuple[int, ...]
+    options: tuple[int, ...]
+    amounts: tuple[int, ...]
     memo: bytes
     arrival_index: int
 
 
 @dataclass(frozen=True)
 class VoterFinalState:  # credits never change: initial_voters[i] holds them
-    current_key_bytes: bytes
+    current_key: bytes
     vote: Optional[FinalVote]
 
 
@@ -202,11 +215,6 @@ class TranscriptEntry:
     plaintext: Optional[bytes]  # None when the coordinator could not decrypt
     valid: bool
     reason: Optional[str]
-
-
-@dataclass(frozen=True)
-class TallyCommitment:
-    digest: bytes
 
 
 @dataclass(frozen=True)
@@ -265,7 +273,7 @@ class MaciPoll:
         self.deadline = deadline
         self.cost_rule = cost_rule
         self.options = options
-        # voter i, as (registered key bytes, credits): initial_voters[i]
+        # voter i, as (registered key, credits): initial_voters[i]
         self.voters: list[tuple[bytes, int]] = []
         self.messages: list[MaciMessage] = []
         self.closed = False
@@ -273,25 +281,24 @@ class MaciPoll:
         self._processed: Optional[AuditTranscript] = None
         # (coordinator, `_run` of the intake so far); dropped on any intake
         self._memo: Optional[tuple[DecryptionKey, AuditTranscript]] = None
-        self.commitment: Optional[TallyCommitment] = None
+        self.commitment: Optional[bytes] = None  # the tally commitment digest
 
     # -- intake ------------------------------------------------------------
 
-    def has_key(self, public_key: PublicKey) -> bool:
-        return public_key.encode() in self._keys_seen
+    def has_key(self, key: bytes) -> bool:
+        return key in self._keys_seen
 
-    def register_voter(self, public_key: PublicKey, credits: int) -> int:
+    def register_voter(self, key: bytes, credits: int) -> int:
         """Registers the key; returns its voter index."""
         if self.closed:
             raise PollClosed("registration after close")
         if credits < 0:
             raise ValueError("credits must be non-negative")
-        encoded = public_key.encode()
-        if encoded in self._keys_seen:
+        if key in self._keys_seen:
             raise DuplicateKey("public key already registered")
-        self._keys_seen.add(encoded)
+        self._keys_seen.add(key)
         self._memo = None
-        self.voters.append((encoded, credits))
+        self.voters.append((key, credits))
         return len(self.voters) - 1
 
     def submit_message(self, ciphertext: Ciphertext, now: int) -> int:
@@ -368,7 +375,7 @@ class MaciPoll:
 
     # -- commitment ----------------------------------------------------------
 
-    def commit_tally(self, rng: random.Random) -> TallyCommitment:
+    def commit_tally(self, rng: random.Random) -> bytes:
         """Commit to the tally this poll processed, under a salt drawn from
         `rng` and kept in its transcript; ``publish_tally`` reveals both."""
         if self._processed is None:
@@ -377,9 +384,7 @@ class MaciPoll:
             raise AlreadyCommitted("a tally commitment already exists")
         salt = random_bytes(32, rng)
         self._processed = dataclasses.replace(self._processed, salt=salt)
-        self.commitment = TallyCommitment(
-            commitment_digest(self.poll_id, self._processed.tally, salt)
-        )
+        self.commitment = commitment_digest(self.poll_id, self._processed.tally, salt)
         return self.commitment
 
     def publish_tally(self) -> tuple[dict[int, int], bytes]:
@@ -415,7 +420,7 @@ MIN_FORKED_COMMANDS = 200
 
 # (arrival index, command, signed bytes, signature)
 _Signed = tuple[int, Command, bytes, bytes]
-# (final key bytes, each command's reason or None when valid,
+# (final key, each command's reason or None when valid,
 #  last valid vote as (options, amounts, memo, arrival) or None)
 _Folded = tuple[bytes, list, Optional[tuple]]
 
@@ -443,7 +448,7 @@ def _stateless_verdict(
 
 
 def _fold_voter(
-    key: PublicKey,
+    key: bytes,
     credits: int,
     chain: Sequence[_Signed],
     options: int,
@@ -471,7 +476,7 @@ def _fold_voter(
             key = command.new_public_key
             vote = (command.vote_option, command.vote_amount, command.memo, arrival)
         reasons.append(reason)
-    return key.encode(), reasons, vote
+    return key, reasons, vote
 
 
 def _usable_cores() -> int:
@@ -594,13 +599,14 @@ def replay_ballots(
     range after the first is folded in a forked child. One range is the
     same fold, run here.
 
-    Voter *i* is ``initial_voters[i]``, as (key bytes, credits); a malformed
-    key raises InvalidKey. Returns each plaintext's (valid, reason) and the
-    final voter states, in the same orders as the plaintexts and voters.
+    Voter *i* is ``initial_voters[i]``, as (key, credits); a key that is
+    not 32 bytes raises InvalidKey. Returns each plaintext's (valid, reason)
+    and the final voter states, in the same orders as the plaintexts and
+    voters.
     """
     cost = COST_RULES[cost_rule]
     negatives_ok = NEGATIVES_ALLOWED[cost_rule]
-    keys = [PublicKey.decode(key) for key, _ in initial_voters]
+    keys = [public_key(key) for key, _ in initial_voters]
     credits = [credit for _, credit in initial_voters]
     verdicts: list[tuple[bool, Optional[str]]] = []
     chains: list[list[_Signed]] = [[] for _ in keys]
@@ -632,7 +638,7 @@ def _aggregate(final_states: Sequence[VoterFinalState]) -> dict[int, int]:
     for state in final_states:
         if state.vote is None:
             continue
-        for option, amount in zip(state.vote.vote_option, state.vote.vote_amount):
+        for option, amount in zip(state.vote.options, state.vote.amounts):
             tally[option] = tally.get(option, 0) + amount
     return tally
 
@@ -643,7 +649,7 @@ def _aggregate(final_states: Sequence[VoterFinalState]) -> dict[int, int]:
 def verify_audit(
     transcript: AuditTranscript,
     intake_digest: bytes,
-    commitment: TallyCommitment,
+    commitment: bytes,
 ) -> Verdict:
     """Re-derive everything the coordinator claimed; reject on the first
     check that fails. The checks run cheapest first:
@@ -674,7 +680,7 @@ def verify_audit(
         return Verdict.reject(REASON_TALLY_MISMATCH)
 
     try:
-        opened = commitment.digest == commitment_digest(
+        opened = commitment == commitment_digest(
             transcript.poll_id, transcript.tally, transcript.salt
         )
     except DecodeError:

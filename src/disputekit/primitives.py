@@ -59,20 +59,12 @@ def random_bytes(count: int, rng: random.Random) -> bytes:
 
 # ---- keys: participants sign, the coordinator decrypts ---------------------
 
-@dataclass(frozen=True)
-class PublicKey:
-    """A participant's public signing key: one 32-byte Ed25519 point."""
-
-    point: bytes
-
-    def encode(self) -> bytes:
-        return self.point
-
-    @staticmethod
-    def decode(data: bytes) -> "PublicKey":
-        if len(data) != 32:
-            raise InvalidKey(f"public key must be 32 bytes, got {len(data)}")
-        return PublicKey(data)
+def public_key(data: bytes) -> bytes:
+    """`data`, read from outside as a participant's public signing key: one
+    32-byte Ed25519 point. Any other length raises InvalidKey."""
+    if len(data) != 32:
+        raise InvalidKey(f"public key must be 32 bytes, got {len(data)}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -81,7 +73,7 @@ class KeyPair:
     Its private key is kept, so signing does not rebuild it on every call."""
 
     seed: bytes
-    public: PublicKey = field(compare=False)
+    public: bytes = field(compare=False)
     signing: Ed25519PrivateKey = field(compare=False, repr=False)
 
     @staticmethod
@@ -89,7 +81,7 @@ class KeyPair:
         if len(seed) != SEED_SIZE:
             raise InvalidKey(f"seed must be {SEED_SIZE} bytes")
         signing = Ed25519PrivateKey.from_private_bytes(hash_fields(b"sign", seed))
-        return KeyPair(seed, PublicKey(signing.public_key().public_bytes_raw()), signing)
+        return KeyPair(seed, signing.public_key().public_bytes_raw(), signing)
 
     @staticmethod
     def generate(rng: random.Random) -> "KeyPair":
@@ -129,9 +121,9 @@ def sign(secret: KeyPair, message: bytes) -> bytes:
     return secret.signing.sign(message)
 
 
-def verify_sig(public: PublicKey, message: bytes, signature: bytes) -> bool:
+def verify_sig(public: bytes, message: bytes, signature: bytes) -> bool:
     try:
-        Ed25519PublicKey.from_public_bytes(public.point).verify(signature, message)
+        Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
         return True
     except (InvalidSignature, ValueError):
         return False

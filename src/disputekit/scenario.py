@@ -115,18 +115,20 @@ class AdversaryView:
 
     def as_jsonable(self) -> list[list[Any]]:
         return [
-            [seq, event.kind, _jsonable(event.payload)]
+            [seq, event.kind, jsonable(event.payload)]
             for seq, event in enumerate(self.events)
         ]
 
 
-def _jsonable(value: Any) -> Any:
+def jsonable(value: Any) -> Any:
+    """`value` as JSON writes it: bytes as hex, map keys as strings, tuples
+    as lists."""
     if isinstance(value, bytes):
         return value.hex()
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [jsonable(v) for v in value]
     return value
 
 
@@ -264,7 +266,7 @@ class World:
         signal = create_signal(
             identity,
             self.group,
-            ballot_key.public.encode(),
+            ballot_key.public,
             enrollment_scope(dispute_id),
         )
         index = self.engine.enroll_judge(dispute_id, signal, now)
@@ -306,8 +308,8 @@ class World:
     def start_phase2(self, dispute_id: int, now: int) -> dict[str, int]:
         self.engine.start_phase2(dispute_id, now)
         dispute = self.engine.disputes[dispute_id]
-        assert dispute.phase1_tally is not None
-        return dict(dispute.phase1_tally.scores)
+        assert dispute.phase1_scores is not None
+        return dict(dispute.phase1_scores)
 
     def phase2_vote(
         self,
@@ -382,9 +384,7 @@ class World:
                     for ref in dispute.evidence
                 ],
                 "phase1_scores": (
-                    dict(dispute.phase1_tally.scores)
-                    if dispute.phase1_tally
-                    else None
+                    None if dispute.phase1_scores is None else dict(dispute.phase1_scores)
                 ),
                 "proposals": [
                     [k, p.text_hash.hex(), p.author_registration_index]
@@ -484,9 +484,9 @@ _FIELD_SCHEMAS: dict[str, dict[str, Any]] = {
     "initiator": {"type": "string"},
     "respondents": {"type": "array", "items": {"type": "string"}, "minItems": 1},
     "fee": {"type": "integer"},
-    "t1": {"type": "integer"},
+    "t1": {"type": "integer", "minimum": 1},  # and t1 < t2, which DisputeConfig checks
     "t2": {"type": "integer"},
-    "min_judges": {"type": "integer"},
+    "min_judges": {"type": "integer", "minimum": 1},
     "dispute": {"type": "integer"},
     "party": {"type": "string"},
     "label": {"type": "string"},
@@ -844,7 +844,7 @@ def run_scenario(script: Mapping[str, Any], *, seed: Optional[int] = None) -> di
         try:
             result = _call_op(world, op, step)
             entry["status"] = "ok"
-            entry["result"] = _jsonable(result)
+            entry["result"] = jsonable(result)
         except ProtocolError as exc:
             entry["status"] = "error"
             entry["error"] = type(exc).__name__

@@ -28,15 +28,10 @@ COST_RULES: dict[str, Callable[[Iterable[int]], int]] = {
 NEGATIVES_ALLOWED = {"linear": False, "quadratic": True}
 
 
-@dataclass(frozen=True)
-class Phase1Tally:
-    scores: Mapping[str, int]
-
-
-def tally_phase1(tally: Mapping[int, int], parties: Sequence[str]) -> Phase1Tally:
-    """Map a Phase-1 poll's tally (option i is party i) onto the parties;
-    every party appears in scores, even at 0."""
-    return Phase1Tally({party: tally.get(i, 0) for i, party in enumerate(parties)})
+def tally_phase1(tally: Mapping[int, int], parties: Sequence[str]) -> dict[str, int]:
+    """Map a Phase-1 poll's tally (option i is party i) onto the parties'
+    scores; every party appears, even at 0."""
+    return {party: tally.get(i, 0) for i, party in enumerate(parties)}
 
 
 # ---- quadratic phase -----------------------------------------------------------

@@ -268,6 +268,14 @@ STRUCTURAL_FAULTS = [
         )
         for field in ("extension", "phase2_window")
     ],
+    # the engine's single-field bounds: a quorum of at least one judge, t1 >= 1
+    *[
+        schema_fault(
+            lambda s, field=field: s["timeline"][5].update({field: 0}),
+            f"timeline[5].{field}: 0 is less than the minimum of 1",
+        )
+        for field in ("min_judges", "t1")
+    ],
 ]
 
 
@@ -323,7 +331,7 @@ class Court:
         signal = create_signal(
             identity,
             self.group,
-            ballot_key.public.encode(),
+            ballot_key.public,
             enrollment_scope(dispute_id),
         )
         index = self.engine.enroll_judge(dispute_id, signal, now)

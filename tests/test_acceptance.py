@@ -315,10 +315,10 @@ def test_pipeline_matches_naive_recount() -> None:
             entries = poll.audit_transcript().entries
             if [(entry.valid, entry.reason) for entry in entries] != naive_verdicts:
                 problems.append(f"poll {poll.poll_id} verdicts")
-        if dict(dispute.phase1_tally.scores) != counts:
+        if dict(dispute.phase1_scores) != counts:
             problems.append("phase1 scores")
         if not set(tally1) <= set(range(len(parties))) or dict(
-            dispute.phase1_tally.scores
+            dispute.phase1_scores
         ) != {party: tally1.get(i, 0) for i, party in enumerate(parties)}:
             problems.append("phase1 published != applied")
         if engine_proposals != naive_proposals:
@@ -399,7 +399,7 @@ def test_ballot_processing_semantics() -> None:
             )
             poll.submit_message(ciphertext, now=arrival)
 
-            signature_ok = signer.public.encode() == model_keys[index].public.encode()
+            signature_ok = signer.public == model_keys[index].public
             if cost_rule == "linear":
                 spend_ok = amount >= 0 and amount <= budgets[index]
             else:
@@ -430,11 +430,11 @@ def test_ballot_processing_semantics() -> None:
             got = (
                 None
                 if state.vote is None
-                else (state.vote.vote_option, state.vote.vote_amount, state.vote.arrival_index)
+                else (state.vote.options, state.vote.amounts, state.vote.arrival_index)
             )
             if got != model_last[index]:
                 violations.append((sequence, "final vote", index))
-            if state.current_key_bytes != model_keys[index].public.encode():
+            if state.current_key != model_keys[index].public:
                 violations.append((sequence, "final key", index))
 
         # salts come from their own generator so the sequences stay as they were
@@ -582,7 +582,7 @@ def _double_vote_states(seed: int) -> tuple[dict, dict]:
     signal = create_signal(
         attacked.identities["judge0"],
         attacked.group,
-        fresh.public.encode(),
+        fresh.public,
         enrollment_scope(dispute_id),
     )
     try:

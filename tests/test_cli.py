@@ -33,7 +33,9 @@ from disputekit.engine import Escrow
 from disputekit.maci import (
     AuditTranscript,
     Command,
+    FinalVote,
     TranscriptEntry,
+    VoterFinalState,
     digest_over_entries,
     message_set_digest,
     replay_ballots,
@@ -480,17 +482,18 @@ def test_scenario_check_agrees_with_the_reference_validator(tmp_path, doc) -> No
         assert code == EXIT_USAGE and out.getvalue() == ""
 
 
-# the least of each JSON type a step field takes
+# the least of each JSON type a step field takes, unless it states a minimum
 MINIMAL = {"string": "x", "integer": 0, "boolean": False, "array": ["x"], "object": {}}
 
 
 def minimal_step(op):
     branch = _step_schema(op)
+    fields = {field: branch["properties"][field] for field in branch["required"]}
     return {
         "op": op,
         **{
-            field: MINIMAL[branch["properties"][field]["type"]]
-            for field in branch["required"]
+            field: schema.get("minimum", MINIMAL[schema["type"]])
+            for field, schema in fields.items()
             if field != "op"
         },
     }
@@ -810,6 +813,70 @@ def test_transcript_round_trips(audit_artifacts) -> None:
     assert transcript_from_jsonable(json.loads(json.dumps(doc))) == transcript
 
 
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_INTS = st.lists(_INT64, max_size=3).map(tuple)
+_VOTES = st.builds(FinalVote, _INTS, _INTS, st.binary(max_size=8), _INT64)
+_TRANSCRIPTS = st.builds(
+    AuditTranscript,
+    poll_id=_INT64,
+    cost_rule=st.text(max_size=10),
+    options=_INT64,
+    initial_voters=st.lists(
+        st.tuples(st.binary(max_size=33), _INT64), max_size=3
+    ).map(tuple),
+    entries=st.lists(
+        st.builds(
+            TranscriptEntry,
+            st.binary(max_size=32),
+            st.none() | st.binary(max_size=40),
+            st.booleans(),
+            st.none() | st.text(max_size=12),
+        ),
+        max_size=3,
+    ).map(tuple),
+    final_states=st.lists(
+        st.builds(
+            VoterFinalState,
+            st.binary(max_size=33),
+            st.none() | _VOTES,
+        ),
+        max_size=3,
+    ).map(tuple),
+    tally=st.dictionaries(_INT64, _INT64, max_size=3),
+    salt=st.binary(max_size=32),
+)
+_EDGES = AuditTranscript(
+    poll_id=2**63 - 1,
+    cost_rule="",
+    options=-(2**63),
+    initial_voters=((b"", -(2**63)),),
+    entries=(TranscriptEntry(b"", None, False, None),),
+    final_states=(
+        VoterFinalState(b"", None),
+        VoterFinalState(b"", FinalVote((), (), b"", 2**63 - 1)),
+    ),
+    tally={},
+    salt=b"",
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(transcript=_TRANSCRIPTS)
+@example(transcript=_EDGES)
+def test_every_transcript_round_trips(transcript) -> None:
+    """The writer is the records' fields, so a transcript of any shape reads
+    back equal through JSON, and the writer's keys are the reader tables'
+    keys, in order, at every level."""
+    doc = transcript_to_jsonable(transcript)
+    assert transcript_from_jsonable(json.loads(json.dumps(doc))) == transcript
+    assert list(doc) == list(cli._TRANSCRIPT)
+    assert all(list(entry) == list(cli._ENTRY) for entry in doc["entries"])
+    assert all(list(state) == list(cli._STATE) for state in doc["final_states"])
+    votes = [state["vote"] for state in doc["final_states"] if state["vote"]]
+    assert all(list(vote) == list(cli._VOTE) for vote in votes)
+    assert list(commitment_to_jsonable(b"", b"")) == list(cli._RECORD)
+
+
 def test_verify_honest_transcript(tmp_path, capsys, audit_artifacts) -> None:
     doc, record, _ = audit_artifacts
     t = write_json(tmp_path / "t.json", doc)
@@ -897,6 +964,15 @@ def swap_voters(doc, i: int, j: int) -> None:
             "ReplayMismatch",
             id="voters-swapped-ReplayMismatch",
         ),
+        # a starting voter's key is read as a 32-byte point; 31 bytes replay
+        # nothing, and the audit says so rather than raise
+        pytest.param(
+            lambda d: d["initial_voters"][0].__setitem__(
+                0, d["initial_voters"][0][0][2:]
+            ),
+            "ReplayMismatch",
+            id="31-byte-voter-key-ReplayMismatch",
+        ),
         # one edit, two failing checks: the claimed votes no longer sum to
         # the tally, and the replay no longer gives the claimed states; the
         # tally check runs first
@@ -916,7 +992,8 @@ def test_verify_tampering_exits_one(
     t = write_json(tmp_path / "t.json", doc)
     c = write_json(tmp_path / "c.json", record)
     assert main(["verify", t, c]) == EXIT_FAIL
-    assert capsys.readouterr().out == f"rejected: {reason}\n"
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (f"rejected: {reason}\n", "")
 
 
 def test_verify_swapped_commitment_exits_one(tmp_path, capsys, audit_artifacts) -> None:
@@ -1059,7 +1136,7 @@ def test_verify_rejects_a_tally_past_int64(tmp_path, capsys) -> None:
     so it opens no commitment."""
     rng = random.Random(3)
     voters = [KeyPair.generate(rng) for _ in range(3)]
-    initial = tuple((v.public.encode(), 2**62) for v in voters)
+    initial = tuple((v.public, 2**62) for v in voters)
     plaintexts = []
     for index, voter in enumerate(voters):
         command = Command(voter.public, (0,), (2**62,), b"", index)

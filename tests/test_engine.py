@@ -257,7 +257,7 @@ def test_enrollment_rejects_foreign_scope_and_double_enrollment() -> None:
     wrong_scope = create_signal(
         court.judges[0],
         court.group,
-        key.public.encode(),
+        key.public,
         enrollment_scope(other.dispute_id),
     )
     with pytest.raises(InvalidSignal) as excinfo:
@@ -279,7 +279,7 @@ def test_duplicate_ballot_key_refused_without_burning_the_nullifier() -> None:
     reused = create_signal(
         court.judges[1],
         court.group,
-        key.public.encode(),
+        key.public,
         enrollment_scope(dispute.dispute_id),
     )
     with pytest.raises(InvalidSignal) as excinfo:
@@ -295,7 +295,7 @@ def test_an_old_format_ballot_key_is_refused_without_burning_the_nullifier() -> 
     carried an agreement point is a BadKey and spends nothing."""
     court = Court()
     dispute = court.open()
-    key = KeyPair.generate(court.rng).public.encode()
+    key = KeyPair.generate(court.rng).public
     old_format = create_signal(
         court.judges[0],
         court.group,
@@ -316,7 +316,7 @@ def test_enrollment_needs_an_active_dispute() -> None:
     signal = create_signal(
         court.judges[0],
         court.group,
-        KeyPair.generate(court.rng).public.encode(),
+        KeyPair.generate(court.rng).public,
         enrollment_scope(dispute.dispute_id),
     )
     with pytest.raises(WrongState):
@@ -334,8 +334,8 @@ def test_phase1_happy_path_tallies_and_orders_proposals() -> None:
     outcome, _ = court.run_phase1(dispute.dispute_id, choices)
     assert outcome == "tallied"
     assert dispute.state == DisputeState.PHASE1_TALLIED
-    assert dispute.phase1_tally is not None
-    assert dispute.phase1_tally.scores == {"alice": 2, "bob": 1}
+    assert dispute.phase1_scores is not None
+    assert dispute.phase1_scores == {"alice": 2, "bob": 1}
     assert [p.text_hash for p in dispute.proposals] == memos
     assert [p.author_registration_index for p in dispute.proposals] == [0, 1, 2]
 
@@ -400,7 +400,7 @@ def test_second_close_after_extension_can_still_tally() -> None:
         dispute.dispute_id, now=CFG.t2 + CFG.span
     )
     assert outcome == "tallied"
-    assert dispute.phase1_tally.scores == {"alice": 3, "bob": 0}
+    assert dispute.phase1_scores == {"alice": 3, "bob": 0}
 
 
 def test_malformed_ballots_do_not_count_toward_quorum() -> None:
@@ -441,7 +441,7 @@ def test_malformed_ballots_do_not_count_toward_quorum() -> None:
     assert [entry.reason for entry in transcript.entries] == [
         "OverBudget", None, "BadOption", "OverBudget", None, None
     ]
-    assert dispute.phase1_tally.scores == {"alice": 2, "bob": 1}
+    assert dispute.phase1_scores == {"alice": 2, "bob": 1}
     assert [(p.author_registration_index, p.text_hash) for p in dispute.proposals] == [
         (1, b"short"), (4, good_memo), (2, good_memo)
     ]
@@ -483,7 +483,7 @@ def test_phase1_scores_are_the_published_tally(probe) -> None:
 
     (published,) = [p["tally"] for kind, p in court.events if kind == "tally_published"]
     scores = {party: published.get(i, 0) for i, party in enumerate(dispute.parties)}
-    assert dispute.phase1_tally.scores == scores == {"alice": 2, "bob": 2}
+    assert dispute.phase1_scores == scores == {"alice": 2, "bob": 2}
     assert [credits for _, credits in poll.voters] == [2, 2]
     transcript = dispute.phase1_poll.audit_transcript()
     assert transcript.entries[-1].reason == verdict
@@ -510,8 +510,8 @@ def test_phase2_registers_parties_with_phase1_scores() -> None:
     assert poll.cost_rule == "quadratic"
     assert poll.deadline == 210 + CFG.span
     assert poll.voters == [
-        (court.party_keys["alice"].public.encode(), 2),
-        (court.party_keys["bob"].public.encode(), 1),
+        (court.party_keys["alice"].public, 2),
+        (court.party_keys["bob"].public, 1),
     ]
 
 

@@ -131,7 +131,7 @@ def test_ban_removes_the_juror_and_sticks() -> None:
     stale_signal = create_signal(
         court.judges[0],
         court.group,
-        key.public.encode(),
+        key.public,
         enrollment_scope(dispute.dispute_id),
     )
     ledger.add("judge0", -11)
@@ -151,7 +151,7 @@ def test_ban_removes_the_juror_and_sticks() -> None:
         create_signal(
             court.judges[0],
             court.group,
-            key.public.encode(),
+            key.public,
             enrollment_scope(dispute.dispute_id),
         )
 

@@ -33,7 +33,6 @@ from disputekit.maci import (
     Command,
     FinalVote,
     MaciPoll,
-    TallyCommitment,
     TranscriptEntry,
     build_message,
     ciphertext_digest,
@@ -48,7 +47,6 @@ from disputekit.primitives import (
     Ciphertext,
     DecryptionKey,
     KeyPair,
-    PublicKey,
     encrypt,
     sign,
 )
@@ -99,7 +97,7 @@ def test_registration_indices_are_dense(rng) -> None:
     late = KeyPair.generate(rng)
     assert poll.register_voter(late.public, 1) == 3
     assert [key for key, _ in poll.voters] == [
-        pair.public.encode() for pair in (*voters, late)
+        pair.public for pair in (*voters, late)
     ]
 
 
@@ -167,7 +165,7 @@ def test_key_switch_invalidates_stale_key(rng) -> None:
     assert [e.valid for e in transcript.entries] == [True, False]
     assert transcript.entries[1].reason == "BadSignature"
     # and a message signed with the fresh key would have counted
-    assert final_states[0].current_key_bytes == fresh.public.encode()
+    assert final_states[0].current_key == fresh.public
 
 
 def test_key_switch_then_new_key_message_counts(rng) -> None:
@@ -311,6 +309,29 @@ def test_a_bad_envelope_point_is_an_auth_failure(rng, point) -> None:
     assert verify_audit(transcript, intake, poll.commitment).ok
 
 
+@pytest.mark.parametrize("length", [31, 33])
+def test_a_new_key_of_another_length_is_a_decode_error(rng, length) -> None:
+    """A command's new key is read as a 32-byte point, so a plaintext whose
+    key has another length does not decode, in processing and in the
+    audit's replay alike."""
+    poll, coordinator, voters = make_poll(rng)
+    cast(poll, rng, voters[0], 0, {0: 1}, now=0)
+    cast(poll, rng, voters[0], 0, {1: 1}, now=1, new_key=b"\x01" * length)
+    final_states, tally, _ = finish(poll, coordinator, rng)
+    assert tally == {0: 1}
+    assert final_states[0].current_key == voters[0].public
+    transcript = poll.audit_transcript()
+    assert [(e.valid, e.reason) for e in transcript.entries] == [
+        (True, None), (False, "DecodeError")
+    ]
+    intake = message_set_digest([m.ciphertext for m in poll.messages])
+    assert verify_audit(transcript, intake, poll.commitment).ok
+    first, second = transcript.entries
+    claimed = dataclasses.replace(second, reason="BadSignature")
+    mutated = dataclasses.replace(transcript, entries=(first, claimed))
+    assert verify_audit(mutated, intake, poll.commitment).reason == "ReplayMismatch"
+
+
 def test_envelopes_are_one_time_and_one_size() -> None:
     """Every Phase-1 ballot carries its own point, which is no participant's
     key, and every ballot of one shape has the same public size."""
@@ -332,7 +353,7 @@ def test_envelopes_are_one_time_and_one_size() -> None:
     assert [ballot[:32] for ballot in ballots] == points  # the public record has them
     assert len(set(points)) == len(points) == 6
     keys = [key for key, _ in poll.voters]
-    keys += [pair.public.encode() for pair in world.signer_keys.values()]
+    keys += [pair.public for pair in world.signer_keys.values()]
     known = set(keys) | {world.coordinator.public}
     assert not known & set(points)
     assert len({len(ballot) for ballot in ballots}) == 1
@@ -344,7 +365,7 @@ def test_envelopes_are_one_time_and_one_size() -> None:
 
 _BODY = st.builds(
     Command,
-    new_public_key=st.builds(PublicKey, st.binary(min_size=32, max_size=32)),
+    new_public_key=st.binary(min_size=32, max_size=32),
     vote_option=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4).map(tuple),
     vote_amount=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4).map(tuple),
     memo=st.binary(max_size=40),
@@ -522,7 +543,7 @@ def long_replay(seed: int, cost_rule: str, options: int, voter_count: int, comma
         if move == "rotate":
             current[index] = new_key
             held[index].append(new_key)
-    initial = tuple((keys[0].public.encode(), c) for keys, c in zip(held, credits))
+    initial = tuple((keys[0].public, c) for keys, c in zip(held, credits))
     return cost_rule, options, initial, plaintexts
 
 
@@ -530,10 +551,10 @@ def as_naive(verdicts, states):
     """A replay's result in `support.naive_replay`'s terms."""
     finals = [
         (
-            state.current_key_bytes,
+            state.current_key,
             None if state.vote is None else (
-                state.vote.vote_option,
-                state.vote.vote_amount,
+                state.vote.options,
+                state.vote.amounts,
                 state.vote.memo,
                 state.vote.arrival_index,
             ),
@@ -543,7 +564,7 @@ def as_naive(verdicts, states):
     tally: dict[int, int] = {}
     for state in states:
         if state.vote is not None:
-            for option, amount in zip(state.vote.vote_option, state.vote.vote_amount):
+            for option, amount in zip(state.vote.options, state.vote.amounts):
                 tally[option] = tally.get(option, 0) + amount
     return verdicts, finals, tally
 
@@ -788,7 +809,7 @@ def test_the_published_salt_is_the_transcripts(rng) -> None:
     assert processed.salt == b"" and len(salt) == 32
     assert transcript.salt == salt
     assert transcript.tally == tally == {1: 1}
-    assert commitment_digest(poll.poll_id, tally, transcript.salt) == commitment.digest
+    assert commitment_digest(poll.poll_id, tally, transcript.salt) == commitment
     assert poll.audit_transcript() is transcript
 
 
@@ -816,12 +837,12 @@ def test_publish_opens_commitment(rng) -> None:
     cast(poll, rng, voters[0], 0, {1: 1})
     finish(poll, coordinator, rng)
     tally, salt = poll.publish_tally()
-    assert commitment_digest(poll.poll_id, tally, salt) == poll.commitment.digest
+    assert commitment_digest(poll.poll_id, tally, salt) == poll.commitment
     # an altered tally does not open the commitment, nor does another poll's id
     altered = dict(tally)
     altered[1] = altered.get(1, 0) + 1
-    assert commitment_digest(poll.poll_id, altered, salt) != poll.commitment.digest
-    assert commitment_digest(poll.poll_id + 1, tally, salt) != poll.commitment.digest
+    assert commitment_digest(poll.poll_id, altered, salt) != poll.commitment
+    assert commitment_digest(poll.poll_id + 1, tally, salt) != poll.commitment
 
 
 # ---- audit -----------------------------------------------------------------------
@@ -839,7 +860,7 @@ def audited_poll(rng, *, tamper_commit=False):
     commitment = poll.commitment
     if tamper_commit:  # a commitment to another tally under the same salt
         committed[0] = committed.get(0, 0) + 1
-        commitment = TallyCommitment(commitment_digest(poll.poll_id, committed, salt))
+        commitment = commitment_digest(poll.poll_id, committed, salt)
     intake = message_set_digest([m.ciphertext for m in poll.messages])
     return poll.audit_transcript(), intake, commitment
 
@@ -942,12 +963,12 @@ def naive_verify_audit(transcript, intake_digest, commitment) -> Verdict:
     tally: dict[int, int] = {}
     for state in states:
         if state.vote is not None:
-            for option, amount in zip(state.vote.vote_option, state.vote.vote_amount):
+            for option, amount in zip(state.vote.options, state.vote.amounts):
                 tally[option] = tally.get(option, 0) + amount
     if tally != dict(transcript.tally):
         return Verdict.reject("TallyMismatch")
     try:
-        opened = commitment.digest == commitment_digest(
+        opened = commitment == commitment_digest(
             transcript.poll_id, transcript.tally, transcript.salt
         )
     except DecodeError:
@@ -1018,8 +1039,8 @@ def apply_fault(transcript, kind: str, pick: int, amount: int):
         voters[pick % len(voters)] = (key, credits + amount)
         return dataclasses.replace(transcript, initial_voters=tuple(voters))
     elif kind == "key":
-        other = states[(pick + 1) % len(states)].current_key_bytes
-        states[pick % len(states)] = dataclasses.replace(state, current_key_bytes=other)
+        other = states[(pick + 1) % len(states)].current_key
+        states[pick % len(states)] = dataclasses.replace(state, current_key=other)
     else:  # "vote": drop a final vote, or put another in its place
         vote = FinalVote((pick % 3,), (amount,), b"", pick) if amount > 0 else None
         states[pick % len(states)] = dataclasses.replace(state, vote=vote)
@@ -1050,8 +1071,8 @@ def test_check_order_keeps_the_accept_set(honest_audits, which, faults) -> None:
     assert verify_audit(transcript, intake, commitment).ok
     for kind, pick, amount in faults:
         if kind == "recommit":  # a coordinator that commits to what it publishes
-            commitment = TallyCommitment(
-                commitment_digest(transcript.poll_id, transcript.tally, transcript.salt)
+            commitment = commitment_digest(
+                transcript.poll_id, transcript.tally, transcript.salt
             )
         else:
             transcript = apply_fault(transcript, kind, pick, amount)

@@ -24,7 +24,6 @@ from disputekit.primitives import (
     DecryptionKey,
     KeyPair,
     MerkleTree,
-    PublicKey,
     ZERO_DIGEST,
     decrypt,
     encrypt,
@@ -32,6 +31,7 @@ from disputekit.primitives import (
     hash_fields,
     key_agree,
     merkle_verify,
+    public_key,
     sign,
     verify_sig,
 )
@@ -70,16 +70,16 @@ def test_a_participant_key_only_signs(monkeypatch) -> None:
 
     monkeypatch.setattr(primitives, "X25519PrivateKey", NoAgreementKeys)
     pair = KeyPair.from_seed(bytes(range(32)))
-    assert pair.public.encode() == pair.signing.public_key().public_bytes_raw()
-    assert len(pair.public.encode()) == 32
+    assert pair.public == pair.signing.public_key().public_bytes_raw()
+    assert len(pair.public) == 32
 
 
 def test_public_key_round_trip_and_length_check() -> None:
     pair = KeyPair.generate(random.Random(1))
-    assert PublicKey.decode(pair.public.encode()) == pair.public
+    assert public_key(pair.public) == pair.public
     for length in (31, 33, 64):  # 64: a signing point and an agreement point
         with pytest.raises(InvalidKey):
-            PublicKey.decode(b"\x00" * length)
+            public_key(b"\x00" * length)
 
 
 def test_decryption_key_derived_from_its_seed() -> None:

@@ -17,12 +17,12 @@ from disputekit.voting import (
 
 def test_phase1_counts_per_party() -> None:
     tally = tally_phase1({0: 3, 1: 1}, ["A", "B"])  # option i is party i
-    assert tally.scores == {"A": 3, "B": 1}
+    assert tally == {"A": 3, "B": 1}
 
 
 def test_phase1_zero_ballots_all_zero() -> None:
     tally = tally_phase1({}, ["A", "B"])
-    assert tally.scores == {"A": 0, "B": 0}
+    assert tally == {"A": 0, "B": 0}
 
 
 @settings(max_examples=100, deadline=None)
@@ -32,7 +32,7 @@ def test_phase1_conservation(choices: list[int]) -> None:
     for option in choices:
         poll_tally[option] = poll_tally.get(option, 0) + 1
     tally = tally_phase1(poll_tally, ["A", "B", "C"])
-    assert sum(tally.scores.values()) == len(choices)
+    assert sum(tally.values()) == len(choices)
 
 
 # ---- quadratic costs -------------------------------------------------------------
