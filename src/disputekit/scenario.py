@@ -7,7 +7,9 @@ generator so a run can be replayed bit-for-bit. The scenario runner drives
 a `World` from a plain-dict script (usually parsed from JSON) and produces
 a JSON-able report. The published scenario schema, `SCENARIO_SCHEMA`, is
 built here from the runner's own operation table, and the runner applies
-it to every script, whoever calls it.
+it to every script, whoever calls it. The schema is compiled at import into
+a check that needs no `jsonschema`; that library is imported only when the
+check refuses a script, to judge the script and word the refusal.
 
 Everything a chain observer could see goes through the `AdversaryView`:
 an append-only log of schema-checked public events. Ballot plaintexts,
@@ -16,12 +18,11 @@ and attack probes read the view to confirm exactly that.
 """
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
-
-import jsonschema
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from .engine import DisputeConfig, DisputeEngine, enrollment_scope
 from .errors import MalformedScript, ProtocolError
@@ -37,6 +38,9 @@ from .incentives import (
 )
 from .maci import build_message
 from .primitives import DecryptionKey, KeyPair, hash_bytes
+
+if TYPE_CHECKING:
+    import jsonschema
 
 # ---- the public record ---------------------------------------------------------
 
@@ -606,13 +610,17 @@ def _minimum(minimum: Any) -> Predicate:
     return lambda value: not _is_number(value) or not value < minimum
 
 
+def _maximum(maximum: Any) -> Predicate:
+    return lambda value: not _is_number(value) or not value > maximum
+
+
 def _pattern(pattern: str) -> Predicate:
     search = re.compile(pattern).search
     return lambda value: not isinstance(value, str) or search(value) is not None
 
 
-def _items(items: dict) -> Predicate:
-    accept = _field_accepts(items)
+def _items(items: dict | bool) -> Predicate:
+    accept = _accepts(items)
     return lambda value: not isinstance(value, list) or all(map(accept, value))
 
 
@@ -620,37 +628,90 @@ def _min_items(minimum: int) -> Predicate:
     return lambda value: not isinstance(value, list) or len(value) >= minimum
 
 
+def _unique_items(unique: bool) -> Predicate:
+    # read only beside `items: {"type": "string"}`, and checked after it, so
+    # it sees only lists of strings, where JSON equality is Python's
+    return lambda value: (
+        not unique or not isinstance(value, list) or len(set(value)) == len(value)
+    )
+
+
 def _property_names(names: dict) -> Predicate:
-    accept = _field_accepts(names)
+    accept = _accepts(names)
     return lambda value: not isinstance(value, dict) or all(map(accept, value))
 
 
-def _additional_properties(additional: dict) -> Predicate:
+def _additional_properties(additional: dict | bool) -> Predicate:
     # with no `properties` beside it, every member is an additional one
-    accept = _field_accepts(additional)
+    accept = _accepts(additional)
     return lambda value: not isinstance(value, dict) or all(map(accept, value.values()))
 
 
+# in the order a schema's checks run
 _KEYWORDS: dict[str, Callable[[Any], Predicate]] = {
     "type": _TYPES.__getitem__,
     "const": _const,
     "minimum": _minimum,
+    "maximum": _maximum,
     "pattern": _pattern,
     "items": _items,
     "minItems": _min_items,
+    "uniqueItems": _unique_items,
     "propertyNames": _property_names,
     "additionalProperties": _additional_properties,
 }
+# keywords that only annotate, so they accept every value
+_ANNOTATIONS = {"$schema", "title"}
 
 
-def _field_accepts(schema: dict) -> Predicate:
-    """A predicate true exactly of the values a field's schema accepts under
-    Draft 2020-12. Raises ValueError on a keyword it does not read."""
-    checks = []
-    for keyword, argument in schema.items():
-        if keyword not in _KEYWORDS:
-            raise ValueError(f"the step check does not read {keyword!r}")
-        checks.append(_KEYWORDS[keyword](argument))
+def _object_shape(properties: dict, required: list) -> Predicate:
+    """`properties` beside `additionalProperties: false`, and `required`:
+    every required key present, no other key, and each value accepted by
+    its property's schema."""
+    fields = {name: _accepts(schema) for name, schema in properties.items()}
+
+    def accept(value: Any) -> bool:
+        if not isinstance(value, dict):
+            return True
+        for name in required:
+            if name not in value:
+                return False
+        for name, item in value.items():
+            check = fields.get(name)
+            if check is None or not check(item):
+                return False
+        return True
+
+    return accept
+
+
+def _accepts(schema: dict | bool) -> Predicate:
+    """A predicate true exactly of the values `schema` accepts under Draft
+    2020-12. Raises ValueError on a keyword it does not read, or reads only
+    beside others: `properties` needs `additionalProperties: false` (and
+    then takes `required`), `uniqueItems` needs `items: {"type": "string"}`."""
+    if isinstance(schema, bool):
+        return lambda value: schema
+    keywords = schema.keys() - _ANNOTATIONS
+    shape = None
+    if "properties" in keywords:
+        if schema.get("additionalProperties") is not False:
+            raise ValueError(
+                "the scenario check does not read 'properties' without "
+                "'additionalProperties: false'"
+            )
+        shape = _object_shape(schema["properties"], schema.get("required", []))
+        keywords -= {"properties", "required", "additionalProperties"}
+    if "uniqueItems" in keywords and schema.get("items") != {"type": "string"}:
+        raise ValueError(
+            "the scenario check does not read 'uniqueItems' beside other items than strings"
+        )
+    unread = keywords - _KEYWORDS.keys()
+    if unread:
+        raise ValueError(f"the scenario check does not read {min(unread)!r}")
+    checks = [compile(schema[k]) for k, compile in _KEYWORDS.items() if k in keywords]
+    if shape is not None:
+        checks.append(shape)
     if len(checks) == 1:
         return checks[0]
 
@@ -663,65 +724,60 @@ def _field_accepts(schema: dict) -> Predicate:
     return accept
 
 
-def _step_accepts(op: str) -> Predicate:
-    """A predicate true exactly of the steps `_step_schema(op)` accepts: a
-    dict with every required key, no other key, and each value accepted by
-    its field's schema. Raises ValueError on a branch of any other shape."""
-    branch = dict(_step_schema(op))
-    properties, required = branch.pop("properties"), branch.pop("required")
-    if branch != {"type": "object", "additionalProperties": False}:
-        raise ValueError(f"the step check does not read the {op} branch {branch}")
-    fields = {name: _field_accepts(schema) for name, schema in properties.items()}
+# Every branch of SCENARIO_SCHEMA's `oneOf` pins `op` with `const`, so at most
+# one branch can match a step: the document apart from its steps, then each
+# step against its own op's branch, accepts exactly what SCENARIO_SCHEMA does.
+_ENVELOPE_ACCEPTS = _accepts(_document_schema(True))
+_STEP_ACCEPTS = {op: _accepts(_step_schema(op)) for op in _OPS}
 
-    def accept(step: Any) -> bool:
-        if not isinstance(step, dict):
+
+def _op(step: Any) -> Optional[str]:
+    """The op a step names, if it names one by a string."""
+    op = step.get("op") if isinstance(step, dict) else None
+    return op if isinstance(op, str) else None
+
+
+def _accepted(script: Any) -> bool:
+    """Whether SCENARIO_SCHEMA accepts `script`, without jsonschema."""
+    if not _ENVELOPE_ACCEPTS(script):
+        return False
+    for step in script["timeline"]:
+        accept = _STEP_ACCEPTS.get(_op(step))
+        if accept is None or not accept(step):
             return False
-        for name in required:
-            if name not in step:
-                return False
-        for name, value in step.items():
-            check = fields.get(name)
-            if check is None or not check(value):
-                return False
-        return True
-
-    return accept
+    return True
 
 
-# ScenarioValidator's checks, built once at import: the document with its
-# steps left unchecked; per op, its branch compiled to a fast accept and its
-# jsonschema validator for every step the accept does not take; and a
-# validator for a step that names no known op.
-_ENVELOPE = jsonschema.Draft202012Validator(_document_schema(True))
-_STEP_CHECKS = {
-    op: (_step_accepts(op), jsonschema.Draft202012Validator(_step_schema(op)))
-    for op in _OPS
-}
-_KNOWN_OP = jsonschema.Draft202012Validator(
-    {
+# ---- the judge of a refused script -------------------------------------------------
+
+
+@functools.cache
+def _judges() -> tuple[Any, dict[str, Any], Any]:
+    """ScenarioValidator's jsonschema validators, built on first use: the
+    document with its steps left unchecked; each op's branch; and a step that
+    names no known op."""
+    import jsonschema
+
+    draft = jsonschema.Draft202012Validator
+    known_op = {
         "type": "object",
         "properties": {"op": {"enum": sorted(_OPS)}},
         "required": ["op"],
     }
-)
+    return (
+        draft(_document_schema(True)),
+        {op: draft(_step_schema(op)) for op in _OPS},
+        draft(known_op),
+    )
 
 
 class ScenarioValidator:
     """A validator for SCENARIO_SCHEMA, in the form `jsonschema.validate`
-    takes as `cls`. Every branch of the schema's `oneOf` pins `op` with
-    `const`, so at most one branch can match a step: checking the document
-    apart from its steps, then each step against its own op's branch,
-    accepts exactly the documents SCENARIO_SCHEMA accepts, without trying
-    every branch on every step.
-
-    Each branch is also compiled once, at import, into a predicate true
-    exactly of the steps jsonschema accepts (`_step_accepts`). It reads the
-    branch's `properties` and `required`, and each field's own keywords
-    (`_field_accepts`); a branch or field using anything else fails the
-    import, so no step is ever judged by a keyword the predicate skipped. A
-    step the predicate takes is done; every other step goes to its branch's
-    jsonschema validator, which stays the judge: it decides each rejection
-    and writes each message."""
+    takes as `cls`, used only on a script the compiled check (`_accepted`)
+    refuses: jsonschema stays the judge, deciding each rejection and writing
+    each message. Like the compiled check, it takes the document apart from
+    its steps, then each step against its own op's branch, without trying
+    every branch on every step; a step the compiled branch accepts is done."""
 
     def __init__(self, schema: Any) -> None:
         self.check_schema(schema)
@@ -731,23 +787,26 @@ class ScenarioValidator:
         """SCENARIO_SCHEMA is built at import and checked against its
         metaschema by the test suite, not on every run."""
         if schema is not SCENARIO_SCHEMA:
+            import jsonschema
+
             raise jsonschema.SchemaError("ScenarioValidator checks SCENARIO_SCHEMA only")
 
     def iter_errors(self, script: Any) -> Iterator[jsonschema.ValidationError]:
         """The errors of the document apart from its steps or, when there are
         none, those of the first step that fails, with paths from the
         document root."""
-        errors = list(_ENVELOPE.iter_errors(script))
+        envelope, branches, known_op = _judges()
+        errors = list(envelope.iter_errors(script))
         if errors:
             return iter(errors)
         for position, step in enumerate(script["timeline"]):
-            op = step.get("op") if isinstance(step, dict) else None
-            if isinstance(op, str) and op in _STEP_CHECKS:
-                accept, validator = _STEP_CHECKS[op]
-                if accept(step):
+            op = _op(step)
+            if op in _STEP_ACCEPTS:
+                if _STEP_ACCEPTS[op](step):
                     continue
+                validator = branches[op]
             else:
-                validator = _KNOWN_OP
+                validator = known_op
             errors = list(validator.iter_errors(step))
             if errors:
                 for error in errors:
@@ -817,11 +876,15 @@ def run_scenario(script: Mapping[str, Any], *, seed: Optional[int] = None) -> di
     script's own seed.
     """
     try:
-        # benchmarks/tracing.py times this call as the `cli.schema` span
-        jsonschema.validate(script, SCENARIO_SCHEMA, cls=ScenarioValidator)
+        if not _accepted(script):
+            import jsonschema
+
+            try:
+                # benchmarks/tracing.py times this call as the `cli.schema` span
+                jsonschema.validate(script, SCENARIO_SCHEMA, cls=ScenarioValidator)
+            except jsonschema.ValidationError as exc:
+                raise MalformedScript(f"fails the schema: {_located(exc)}") from None
         script = _integral(script)
-    except jsonschema.ValidationError as exc:
-        raise MalformedScript(f"fails the schema: {_located(exc)}") from None
     except RecursionError:
         raise MalformedScript("nested too deeply to read") from None
     timeline = script["timeline"]

@@ -5,6 +5,7 @@ import hashlib
 import random
 import struct
 
+import pytest
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
@@ -161,15 +162,16 @@ def naive_process(
     return (plaintexts, *naive_replay(cost_rule, option_count, voters, plaintexts))
 
 
-def naming(mutate, *names):
+def naming(case_id, mutate, *names):
     """A corruption that applies `mutate` and returns the words the error
-    must contain: where the fault is, and what it is."""
-    return lambda script: (mutate(script), names)[1]
+    must contain (where the fault is, and what it is), as a test case named
+    `case_id`."""
+    return pytest.param(lambda script: (mutate(script), names)[1], id=case_id)
 
 
-def schema_fault(mutate, *names):
+def schema_fault(case_id, mutate, *names):
     """A corruption the published schema rejects, naming `names`."""
-    return naming(mutate, "fails the schema", *names)
+    return naming(case_id, mutate, "fails the schema", *names)
 
 
 def appended(step):
@@ -180,72 +182,103 @@ def appended(step):
 # Every structural fault of a scenario file: a corruption of
 # `scenarios/happy_path.json` (29 steps) and the words its error must
 # contain. The run harness checks each through `run_scenario`, the CLI
-# tests through `disputekit run`.
+# tests through `disputekit run`. Each case's test id is written beside it,
+# so inserting a case renames no other. The ids `<lambda>N` are the names
+# these cases first ran under, by position, kept so that their results read
+# across; a new case takes an id from its words.
 STRUCTURAL_FAULTS = [
-    schema_fault(lambda s: s.pop("seed"), "'seed' is a required property"),
-    schema_fault(lambda s: s.__setitem__("seed", "7"), "seed: '7'"),
-    schema_fault(lambda s: s.__setitem__("unknown_key", 1), "'unknown_key'"),
+    schema_fault("<lambda>0", lambda s: s.pop("seed"), "'seed' is a required property"),
+    schema_fault("<lambda>1", lambda s: s.__setitem__("seed", "7"), "seed: '7'"),
     schema_fault(
-        lambda s: s.__setitem__("config", {"bad_knob": 2}), "config: ", "'bad_knob'"
+        "<lambda>2", lambda s: s.__setitem__("unknown_key", 1), "'unknown_key'"
     ),
     schema_fault(
-        appended({"op": "fly_to_moon", "t": 999}), "timeline[29].op: 'fly_to_moon'"
+        "<lambda>3",
+        lambda s: s.__setitem__("config", {"bad_knob": 2}),
+        "config: ",
+        "'bad_knob'",
     ),
     schema_fault(
+        "<lambda>4",
+        appended({"op": "fly_to_moon", "t": 999}),
+        "timeline[29].op: 'fly_to_moon'",
+    ),
+    schema_fault(
+        "<lambda>5",
         appended({"op": "group_join", "t": 999, "human": "x", "extra": 1}),
         "timeline[29]: ",
         "'extra'",
     ),
     schema_fault(
+        "<lambda>6",
         appended({"op": "close_phase1", "t": 999}),
         "timeline[29]: 'dispute' is a required property",
     ),
     schema_fault(
+        "<lambda>7",
         lambda s: s["timeline"][0].update(expect="maybe"),
         "timeline[0].expect: 'maybe'",
     ),
-    schema_fault(lambda s: s["config"].update(tree_depth=0), "config.tree_depth: 0"),
     schema_fault(
-        lambda s: s["config"].update(challenge_window=0), "config.challenge_window: 0"
+        "<lambda>8",
+        lambda s: s["config"].update(tree_depth=0),
+        "config.tree_depth: 0",
     ),
     schema_fault(
+        "<lambda>9",
+        lambda s: s["config"].update(challenge_window=0),
+        "config.challenge_window: 0",
+    ),
+    schema_fault(
+        "<lambda>10",
         lambda s: s["config"]["genesis_humans"].append("judge0"),
         "config.genesis_humans: ",
         "non-unique",
     ),
     # Python's `$` alone would also match before this trailing newline
     schema_fault(
+        "<lambda>11",
         lambda s: s["timeline"][0].update(expect="ok\n"),
         "timeline[0].expect: 'ok\\n'",
     ),
-    schema_fault(lambda s: s.pop("timeline"), "'timeline' is a required property"),
     schema_fault(
-        appended({"op": "poh_finalize"}), "timeline[29]: 't' is a required property"
+        "<lambda>12", lambda s: s.pop("timeline"), "'timeline' is a required property"
     ),
     schema_fault(
+        "<lambda>13",
+        appended({"op": "poh_finalize"}),
+        "timeline[29]: 't' is a required property",
+    ),
+    schema_fault(
+        "<lambda>14",
         appended({"op": "enroll_judge", "t": 999}),
         "timeline[29]: ",
         "is a required property",
     ),
     schema_fault(
+        "<lambda>15",
         appended({"op": "poh_finalize", "t": 999, "expect": "error:"}),
         "timeline[29].expect: 'error:' does not match",
     ),
     schema_fault(
+        "<lambda>16",
         appended({"op": "poh_finalize", "t": 999, "expect": "error:Bad Name"}),
         "timeline[29].expect: 'error:Bad Name' does not match",
     ),
     # 32 is Semaphore's MAX_DEPTH
     schema_fault(
+        "<lambda>17",
         lambda s: s["config"].update(tree_depth=33),
         "config.tree_depth: 33 is greater than the maximum of 32",
     ),
     schema_fault(
+        "<lambda>18",
         lambda s: s["timeline"][0].update(t=-1),
         "timeline[0].t: -1 is less than the minimum of 0",
     ),
     # the one structural rule the schema cannot state
     naming(
+        "<lambda>19",
         lambda s: s["timeline"].insert(0, {"op": "poh_finalize", "t": 10**6}),
         "timeline[1].t: 0 follows 1000000",
         "non-decreasing",
@@ -254,28 +287,38 @@ STRUCTURAL_FAULTS = [
     # Python's `$` alone would also match before the newline
     *[
         schema_fault(
+            case_id,
             lambda s, key=key: s["timeline"][22]["allocations"].update({key: 5}),
             f"timeline[22].allocations: {key!r} does not match",
         )
-        for key in ("00", "-0", "0\n")
+        for case_id, key in (("<lambda>20", "00"), ("<lambda>21", "-0"),
+                             ("<lambda>22", "0\n"))
     ],
     # both voting windows are the span t2 - t1, so neither is set
     *[
         schema_fault(
+            case_id,
             lambda s, field=field: s["timeline"][5].update({field: 50}),
             "timeline[5]: ",
             f"'{field}' was unexpected",
         )
-        for field in ("extension", "phase2_window")
+        for case_id, field in (("<lambda>23", "extension"),
+                               ("<lambda>24", "phase2_window"))
     ],
     # the engine's single-field bounds: a quorum of at least one judge, t1 >= 1
     *[
         schema_fault(
+            case_id,
             lambda s, field=field: s["timeline"][5].update({field: 0}),
             f"timeline[5].{field}: 0 is less than the minimum of 1",
         )
-        for field in ("min_judges", "t1")
+        for case_id, field in (("<lambda>25", "min_judges"), ("<lambda>26", "t1"))
     ],
+    schema_fault(
+        "genesis_humans-member-not-a-string",
+        lambda s: s["config"]["genesis_humans"].insert(1, 3),
+        "config.genesis_humans[1]: 3 is not of type 'string'",
+    ),
 ]
 
 

@@ -6,7 +6,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -19,7 +22,6 @@ from support import STRUCTURAL_FAULTS, plant_double_booked_payouts, resolved_cou
 
 import disputekit.cli as cli
 import disputekit.oracle as oracle
-import disputekit.scenario as scenario
 from disputekit.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -44,10 +46,12 @@ from disputekit.primitives import KeyPair, hash_bytes, sign
 from disputekit.scenario import (
     _FIELD_SCHEMAS,
     _OPS,
-    _STEP_CHECKS,
+    _STEP_ACCEPTS,
     SCENARIO_SCHEMA,
     ScenarioValidator,
-    _step_accepts,
+    _accepted,
+    _accepts,
+    _document_schema,
     _step_schema,
     run_scenario,
     scenario_schema,
@@ -452,6 +456,32 @@ def rejects(doc, cls=None) -> bool:
     return False
 
 
+# document values at a keyword's edge, or of a type its key does not take
+ENVELOPE_EDGES = [
+    *[(("config", "tree_depth"), value) for value in (0, 1, 32, 33, 32.0, True)],
+    *[(("config", "challenge_window"), value) for value in (0, 1.0)],
+    *[
+        (("config", "genesis_humans"), value)
+        for value in (["judge0", "judge0"], ["judge0", 3], [])
+    ],
+    *[(("seed",), value) for value in (2.0, True, "7")],
+    (("unknown",), 1),
+    (("config", "unknown"), 1),
+    (("expected",), []),
+    (("timeline",), {}),
+]
+
+
+def with_each_envelope_edge(test):
+    """`test` with one explicit example per `ENVELOPE_EDGES` entry, set on
+    the first bundled scenario."""
+    for (*parent, key), value in ENVELOPE_EDGES:
+        doc = copy.deepcopy(BUNDLED[0])
+        value_at(doc, parent)[key] = copy.deepcopy(value)
+        test = example(doc=doc)(test)
+    return test
+
+
 def with_each_revalue(test):
     """`test` with one explicit example per `REVALUES` entry, on the first
     bundled step that takes its field, so each edge value runs every time
@@ -468,9 +498,11 @@ def with_each_revalue(test):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @with_each_revalue
+@with_each_envelope_edge
 @given(doc=one_field_mutations())
 def test_scenario_check_agrees_with_the_reference_validator(tmp_path, doc) -> None:
     rejected = rejects(doc)
+    assert _accepted(doc) == (not rejected)
     assert rejects(doc, ScenarioValidator) == rejected
     path = write_json(tmp_path / "mutated.json", doc)
     out, err = io.StringIO(), io.StringIO()
@@ -503,7 +535,7 @@ def minimal_step(op):
 def test_each_compiled_branch_accepts_a_minimal_step(op) -> None:
     step = minimal_step(op)
     jsonschema.validate(step, _step_schema(op))
-    accept, _ = _STEP_CHECKS[op]
+    accept = _STEP_ACCEPTS[op]
     assert accept(step)
     assert not accept({**step, "op": f"not_{op}"})
 
@@ -522,7 +554,7 @@ def step_keys(op):
 
 
 def assert_step_check_agrees(op, step) -> None:
-    accept, _ = _STEP_CHECKS[op]
+    accept = _STEP_ACCEPTS[op]
     reference = jsonschema.Draft202012Validator(_step_schema(op)).is_valid(step)
     assert accept(step) == reference, step
 
@@ -556,23 +588,25 @@ def test_each_step_check_agrees_with_its_branch(op, data) -> None:
 
 
 @pytest.mark.parametrize(
-    "extend",
+    "envelope, extend",
     [
-        lambda branch: branch.update(maxProperties=99),
-        lambda branch: branch.update(additionalProperties=True),
-        lambda branch: branch["properties"]["t"].update(maximum=10**9),
+        (False, lambda branch: branch.update(maxProperties=99)),
+        (False, lambda branch: branch.update(additionalProperties=True)),
+        (False, lambda branch: branch["properties"]["t"].update(exclusiveMaximum=99)),
+        # set distinctness is JSON equality only among strings
+        (False, lambda branch: branch["properties"]["t"].update(uniqueItems=True)),
+        (True, lambda doc: doc["properties"]["config"]["properties"]["genesis_humans"]
+         .update(maxItems=99)),
     ],
-    ids=["on_the_branch", "open_branch", "on_a_field"],
+    ids=["on_the_branch", "open_branch", "on_a_field", "unique_but_strings",
+         "on_the_envelope"],
 )
-def test_a_keyword_the_step_check_does_not_read_fails_to_compile(
-    monkeypatch, extend
-) -> None:
-    branch = _step_schema("group_join")
-    extend(branch)
-    jsonschema.validate(minimal_step("group_join"), branch)
-    monkeypatch.setattr(scenario, "_step_schema", lambda op: branch)
+def test_a_keyword_the_step_check_does_not_read_fails_to_compile(envelope, extend) -> None:
+    schema = _document_schema(True) if envelope else _step_schema("group_join")
+    extend(schema)
+    jsonschema.validate(BUNDLED[0] if envelope else minimal_step("group_join"), schema)
     with pytest.raises(ValueError, match="does not read"):
-        _step_accepts("group_join")
+        _accepts(schema)
 
 
 # ---- any document given to `run` keeps the exit contract ------------------------
@@ -883,6 +917,35 @@ def test_verify_honest_transcript(tmp_path, capsys, audit_artifacts) -> None:
     c = write_json(tmp_path / "c.json", record)
     assert main(["verify", t, c]) == EXIT_OK
     assert capsys.readouterr().out == "accepted\n"
+
+
+def test_a_valid_run_and_a_verify_never_import_jsonschema(tmp_path, audit_artifacts) -> None:
+    """Only a refused scenario needs jsonschema, to judge and word the
+    refusal, so a fresh interpreter that runs and verifies never loads it."""
+    doc, record, _ = audit_artifacts
+    transcript = write_json(tmp_path / "t.json", doc)
+    commitment = write_json(tmp_path / "c.json", record)
+    calls = [
+        ["run", str(HAPPY), "--out", str(tmp_path / "report.json")],
+        ["verify", transcript, commitment],
+    ]
+    program = (
+        "import contextlib, io, sys\n"
+        "from disputekit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {calls!r}]\n"
+        "print(codes, 'jsonschema' in sys.modules)\n"
+    )
+    # the interpreter finds disputekit where this one did
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, "-c", program],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[0, 0] False\n", "")
 
 
 def test_transcript_json_holds_no_position_or_digest_copies(audit_artifacts) -> None:
