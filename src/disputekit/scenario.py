@@ -777,7 +777,7 @@ class ScenarioValidator:
     refuses: jsonschema stays the judge, deciding each rejection and writing
     each message. Like the compiled check, it takes the document apart from
     its steps, then each step against its own op's branch, without trying
-    every branch on every step; a step the compiled branch accepts is done."""
+    every branch on every step."""
 
     def __init__(self, schema: Any) -> None:
         self.check_schema(schema)
@@ -800,13 +800,7 @@ class ScenarioValidator:
         if errors:
             return iter(errors)
         for position, step in enumerate(script["timeline"]):
-            op = _op(step)
-            if op in _STEP_ACCEPTS:
-                if _STEP_ACCEPTS[op](step):
-                    continue
-                validator = branches[op]
-            else:
-                validator = known_op
+            validator = branches.get(_op(step), known_op)
             errors = list(validator.iter_errors(step))
             if errors:
                 for error in errors:
@@ -822,6 +816,20 @@ def _located(error: jsonschema.ValidationError) -> str:
     for key in error.absolute_path:
         where += f"[{key}]" if isinstance(key, int) else f".{key}"
     return f"{where.lstrip('.')}: {error.message}" if where else error.message
+
+
+def validate(script: Any) -> None:
+    """Raise MalformedScript, naming the value at fault, unless
+    SCENARIO_SCHEMA accepts `script`. The compiled check passes a valid
+    script alone; jsonschema is imported only to judge and word a refusal."""
+    if _accepted(script):
+        return
+    import jsonschema
+
+    try:
+        jsonschema.validate(script, SCENARIO_SCHEMA, cls=ScenarioValidator)
+    except jsonschema.ValidationError as exc:
+        raise MalformedScript(f"fails the schema: {_located(exc)}") from None
 
 
 def _integral(value: Any) -> Any:
@@ -876,14 +884,7 @@ def run_scenario(script: Mapping[str, Any], *, seed: Optional[int] = None) -> di
     script's own seed.
     """
     try:
-        if not _accepted(script):
-            import jsonschema
-
-            try:
-                # benchmarks/tracing.py times this call as the `cli.schema` span
-                jsonschema.validate(script, SCENARIO_SCHEMA, cls=ScenarioValidator)
-            except jsonschema.ValidationError as exc:
-                raise MalformedScript(f"fails the schema: {_located(exc)}") from None
+        validate(script)
         script = _integral(script)
     except RecursionError:
         raise MalformedScript("nested too deeply to read") from None
