@@ -5,15 +5,13 @@ Three subcommands, three artifact formats:
   run <file> [--seed N] [--out PATH]
       Execute a JSON scenario file end-to-end and emit the run report
       (compact JSON on one line, keys sorted; pretty-print it with
-      `python -m json.tool`). The runner checks the file against the
-      published document schema (`scenario.SCENARIO_SCHEMA`) before
-      anything runs, with a check compiled from it; `jsonschema` is
-      imported only to judge and word a refusal, so a valid file, like
-      every `verify`, runs without it. Exit 0 when every step met its
-      expectation and every invariant held, 1 when one did not (each
-      failed step, and any broken invariant, named on stderr), 2 on a
-      parse or schema error, a step that refers to nothing, or an --out
-      it cannot write.
+      `python -m json.tool`). Before anything runs, a check compiled
+      from the published document schema (`scenario.SCENARIO_SCHEMA`)
+      decides the file and words any refusal, with no JSON Schema
+      library. Exit 0 when every step met its expectation and every
+      invariant held, 1 when one did not (each failed step, and any
+      broken invariant, named on stderr), 2 on a parse or schema error,
+      a step that refers to nothing, or an --out it cannot write.
 
   sweep <v_max> <grid_step> [--out PATH]
       Brute-force both runoff pricing rules over every integer budget
@@ -39,6 +37,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -64,9 +63,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-# benchmarks/tracing.py times `cli.jsonschema.validate` as the `cli.schema`
-# span: that is the scenario document check, `scenario.validate`, which
-# imports jsonschema itself only to judge a refused script.
+# the name benchmarks/tracing.py times as the `cli.schema` span: the scenario
+# document check, `scenario.validate` (no JSON Schema library is imported)
 jsonschema = scenario
 
 
@@ -368,6 +366,8 @@ def _grid_step_arg(text: str) -> float:
     return value
 
 
+# built on the first `main` call, not at import: building imports `locale`
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="disputekit",

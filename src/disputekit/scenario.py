@@ -8,8 +8,8 @@ a `World` from a plain-dict script (usually parsed from JSON) and produces
 a JSON-able report. The published scenario schema, `SCENARIO_SCHEMA`, is
 built here from the runner's own operation table, and the runner applies
 it to every script, whoever calls it. The schema is compiled at import into
-a check that needs no `jsonschema`; that library is imported only when the
-check refuses a script, to judge the script and word the refusal.
+the one check that decides every script and words every refusal, as a
+Draft 2020-12 validator would; no JSON Schema library is needed to run.
 
 Everything a chain observer could see goes through the `AdversaryView`:
 an append-only log of schema-checked public events. Ballot plaintexts,
@@ -18,11 +18,11 @@ and attack probes read the view to confirm exactly that.
 """
 from __future__ import annotations
 
-import functools
+import operator
 import random
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .engine import DisputeConfig, DisputeEngine, enrollment_scope
 from .errors import MalformedScript, ProtocolError
@@ -38,9 +38,6 @@ from .incentives import (
 )
 from .maci import build_message
 from .primitives import DecryptionKey, KeyPair, hash_bytes
-
-if TYPE_CHECKING:
-    import jsonschema
 
 # ---- the public record ---------------------------------------------------------
 
@@ -471,7 +468,7 @@ _TIMELESS = {
 _STEP_META = {"op", "t", "expect", "expect_result"}
 
 # What a step may expect: success, or a rejection naming its error class.
-# `(?!\n)` keeps Python's `re.search`, which jsonschema's `pattern` uses and
+# `(?!\n)` keeps Python's `re.search`, which the check's `pattern` uses and
 # whose `$` also matches before a final newline, to the ECMA-262 meaning of
 # the published schema.
 EXPECT_PATTERN = r"^(ok|error:[A-Za-z]+)(?!\n)$"
@@ -571,127 +568,186 @@ def scenario_schema() -> dict[str, Any]:
 
 SCENARIO_SCHEMA = scenario_schema()
 
-# ---- the compiled accept path ----------------------------------------------------
+# ---- the compiled check ------------------------------------------------------------
 
-Predicate = Callable[[Any], bool]
+# A fault is where a value breaks the schema, as a path of keys below the value
+# checked, and jsonschema's Draft 2020-12 message for the keyword it breaks,
+# e.g. `(("config", "tree_depth"), "33 is greater than the maximum of 32")`.
+Fault = tuple[tuple, str]
+Check = Callable[[Any], Optional[Fault]]
 
 
-def _is_integer(value: Any) -> bool:
+# JSON type name -> the Python type of its values, as read from JSON
+_TYPES = {"array": list, "boolean": bool, "object": dict, "string": str}
+
+
+def _json_key(value: Any) -> Any:
+    """A hashable stand-in for `value`, equal to another's exactly when the
+    two values are equal as JSON: a bool is no number, and `1 == 1.0`."""
     if isinstance(value, bool):
-        return False
-    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+        return (bool, value)
+    if isinstance(value, list):
+        return tuple(map(_json_key, value))
+    if isinstance(value, dict):
+        return frozenset((key, _json_key(item)) for key, item in value.items())
+    return value
 
 
-def _is_number(value: Any) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float))
+def _better(found: Optional[Fault], fault: Fault) -> Fault:
+    """The one of `found` and the later `fault` that jsonschema's
+    `best_match` names: the shallower; of equal depth, the greater path (so
+    the last failing item, or the alphabetically greatest key); else `found`."""
+    if found is None or (-len(fault[0]), fault[0]) > (-len(found[0]), found[0]):
+        return fault
+    return found
 
 
-# JSON type name -> membership, as jsonschema's Draft 2020-12 type checker
-# has it: an integral float is an integer, a bool is not
-_TYPES: dict[str, Predicate] = {
-    "array": lambda value: isinstance(value, list),
-    "boolean": lambda value: isinstance(value, bool),
-    "integer": _is_integer,
-    "object": lambda value: isinstance(value, dict),
-    "string": lambda value: isinstance(value, str),
-}
+def _members_fault(check: Check, members: Any) -> Optional[Fault]:
+    """The fault `best_match` names among the `(key, value)` pairs `members`."""
+    found = None
+    for key, item in members:
+        fault = check(item)
+        if fault is not None:
+            found = _better(found, ((key, *fault[0]), fault[1]))
+    return found
 
 
-# Each keyword compiler takes the keyword's argument and returns its check.
+# Each keyword compiler takes the keyword's argument and returns its check:
+# None for a value it accepts, without allocating, else the value's fault.
 # As in JSON Schema, a keyword about one JSON type passes every value of
 # another.
 
 
-def _const(const: Any) -> Predicate:
-    return lambda value: type(value) is type(const) and value == const
+def _type(name: str) -> Check:
+    words = f"is not of type {name!r}"
+    if name == "integer":
+        # as jsonschema's Draft 2020-12 type checker has it: an integral
+        # float is an integer, a bool is not
+        return lambda value: (
+            None if isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()
+            else ((), f"{value!r} {words}")
+        )
+    kind = _TYPES[name]
+    return lambda value: None if isinstance(value, kind) else ((), f"{value!r} {words}")
 
 
-def _minimum(minimum: Any) -> Predicate:
-    return lambda value: not _is_number(value) or not value < minimum
-
-
-def _maximum(maximum: Any) -> Predicate:
-    return lambda value: not _is_number(value) or not value > maximum
-
-
-def _pattern(pattern: str) -> Predicate:
-    search = re.compile(pattern).search
-    return lambda value: not isinstance(value, str) or search(value) is not None
-
-
-def _items(items: dict | bool) -> Predicate:
-    accept = _accepts(items)
-    return lambda value: not isinstance(value, list) or all(map(accept, value))
-
-
-def _min_items(minimum: int) -> Predicate:
-    return lambda value: not isinstance(value, list) or len(value) >= minimum
-
-
-def _unique_items(unique: bool) -> Predicate:
-    # read only beside `items: {"type": "string"}`, and checked after it, so
-    # it sees only lists of strings, where JSON equality is Python's
+def _const(const: Any) -> Check:
     return lambda value: (
-        not unique or not isinstance(value, list) or len(set(value)) == len(value)
+        None if type(value) is type(const) and value == const
+        else ((), f"{const!r} was expected")
     )
 
 
-def _property_names(names: dict) -> Predicate:
-    accept = _accepts(names)
-    return lambda value: not isinstance(value, dict) or all(map(accept, value))
+def _bound(beyond: Callable[[Any, Any], bool], words: str) -> Callable[[Any], Check]:
+    """The compiler of `minimum` (`beyond` is `<`) or `maximum` (`>`), which
+    read numbers only: a bool is none."""
+    return lambda bound: lambda value: (
+        ((), f"{value!r} is {words} {bound!r}")
+        if isinstance(value, (int, float)) and not isinstance(value, bool)
+        and beyond(value, bound) else None
+    )
 
 
-def _additional_properties(additional: dict | bool) -> Predicate:
-    # with no `properties` beside it, every member is an additional one
-    accept = _accepts(additional)
-    return lambda value: not isinstance(value, dict) or all(map(accept, value.values()))
+def _pattern(pattern: str) -> Check:
+    search = re.compile(pattern).search
+    return lambda value: (
+        ((), f"{value!r} does not match {pattern!r}")
+        if isinstance(value, str) and search(value) is None else None
+    )
 
 
-# in the order a schema's checks run
-_KEYWORDS: dict[str, Callable[[Any], Predicate]] = {
-    "type": _TYPES.__getitem__,
+def _min_items(minimum: int) -> Check:
+    words = "should be non-empty" if minimum == 1 else "is too short"
+    return lambda value: (
+        ((), f"{value!r} {words}")
+        if isinstance(value, list) and len(value) < minimum else None
+    )
+
+
+def _unique_items(unique: bool) -> Check:
+    return lambda value: (
+        ((), f"{value!r} has non-unique elements")
+        if unique and isinstance(value, list)
+        and len(set(map(_json_key, value))) < len(value) else None
+    )
+
+
+def _property_names(names: dict) -> Check:
+    # a name's fault is the object's own, found in the object's order
+    check = _check(names)
+    return lambda value: (
+        next(filter(None, map(check, value)), None) if isinstance(value, dict) else None
+    )
+
+
+def _each(container: type, members: Callable[[Any], Any]) -> Callable[[Any], Check]:
+    """The compiler of `items` (each item of a list, `members` is
+    `enumerate`) or, with no `properties` beside it, `additionalProperties`
+    (each member of an object, `dict.items`)."""
+
+    def compile_each(schema: dict | bool) -> Check:
+        check = _check(schema)
+        return lambda value: (
+            _members_fault(check, members(value)) if isinstance(value, container) else None
+        )
+
+    return compile_each
+
+
+_KEYWORDS: dict[str, Callable[[Any], Check]] = {
+    "type": _type,
     "const": _const,
-    "minimum": _minimum,
-    "maximum": _maximum,
+    "minimum": _bound(operator.lt, "less than the minimum of"),
+    "maximum": _bound(operator.gt, "greater than the maximum of"),
     "pattern": _pattern,
-    "items": _items,
+    "items": _each(list, enumerate),
     "minItems": _min_items,
     "uniqueItems": _unique_items,
     "propertyNames": _property_names,
-    "additionalProperties": _additional_properties,
+    "additionalProperties": _each(dict, dict.items),
 }
 # keywords that only annotate, so they accept every value
 _ANNOTATIONS = {"$schema", "title"}
 
 
-def _object_shape(properties: dict, required: list) -> Predicate:
+def _object_shape(properties: dict, required: list) -> Check:
     """`properties` beside `additionalProperties: false`, and `required`:
     every required key present, no other key, and each value accepted by
-    its property's schema."""
-    fields = {name: _accepts(schema) for name, schema in properties.items()}
+    its property's schema. The object's own faults win, in the order
+    jsonschema finds them: the first missing key, then every extra one."""
+    fields = {name: _check(schema) for name, schema in properties.items()}
 
-    def accept(value: Any) -> bool:
+    def shape_fault(value: Any) -> Optional[Fault]:
         if not isinstance(value, dict):
-            return True
+            return None
         for name in required:
             if name not in value:
-                return False
+                return (), f"{name!r} is a required property"
+        found = None
         for name, item in value.items():
             check = fields.get(name)
-            if check is None or not check(item):
-                return False
-        return True
+            if check is None:
+                extras = sorted(value.keys() - fields.keys())
+                verb = "was" if len(extras) == 1 else "were"
+                return (), (f"Additional properties are not allowed "
+                            f"({', '.join(map(repr, extras))} {verb} unexpected)")
+            fault = check(item)
+            if fault is not None:
+                found = _better(found, ((name, *fault[0]), fault[1]))
+        return found
 
-    return accept
+    return shape_fault
 
 
-def _accepts(schema: dict | bool) -> Predicate:
-    """A predicate true exactly of the values `schema` accepts under Draft
-    2020-12. Raises ValueError on a keyword it does not read, or reads only
-    beside others: `properties` needs `additionalProperties: false` (and
-    then takes `required`), `uniqueItems` needs `items: {"type": "string"}`."""
-    if isinstance(schema, bool):
-        return lambda value: schema
+def _check(schema: dict | bool) -> Check:
+    """The check of `schema` under Draft 2020-12: None for a value the
+    schema accepts, else the fault jsonschema's `best_match` names. Raises
+    ValueError on a keyword it does not read, or reads only beside others:
+    `properties` needs `additionalProperties: false` (and then takes
+    `required`)."""
+    if schema is True:
+        return lambda value: None
     keywords = schema.keys() - _ANNOTATIONS
     shape = None
     if "properties" in keywords:
@@ -702,134 +758,67 @@ def _accepts(schema: dict | bool) -> Predicate:
             )
         shape = _object_shape(schema["properties"], schema.get("required", []))
         keywords -= {"properties", "required", "additionalProperties"}
-    if "uniqueItems" in keywords and schema.get("items") != {"type": "string"}:
-        raise ValueError(
-            "the scenario check does not read 'uniqueItems' beside other items than strings"
-        )
     unread = keywords - _KEYWORDS.keys()
     if unread:
         raise ValueError(f"the scenario check does not read {min(unread)!r}")
-    checks = [compile(schema[k]) for k, compile in _KEYWORDS.items() if k in keywords]
+    # in the schema's order, which is the order jsonschema finds faults in
+    checks = [_KEYWORDS[key](argument) for key, argument in schema.items() if key in keywords]
     if shape is not None:
         checks.append(shape)
     if len(checks) == 1:
         return checks[0]
 
-    def accept(value: Any) -> bool:
+    def schema_fault(value: Any) -> Optional[Fault]:
+        found = None
         for check in checks:
-            if not check(value):
-                return False
-        return True
+            fault = check(value)
+            if fault is not None:
+                found = _better(found, fault)
+        return found
 
-    return accept
+    return schema_fault
 
 
 # Every branch of SCENARIO_SCHEMA's `oneOf` pins `op` with `const`, so at most
 # one branch can match a step: the document apart from its steps, then each
 # step against its own op's branch, accepts exactly what SCENARIO_SCHEMA does.
-_ENVELOPE_ACCEPTS = _accepts(_document_schema(True))
-_STEP_ACCEPTS = {op: _accepts(_step_schema(op)) for op in _OPS}
+_ENVELOPE_CHECK = _check(_document_schema(True))
+_STEP_CHECKS = {op: _check(_step_schema(op)) for op in _OPS}
 
 
-def _op(step: Any) -> Optional[str]:
-    """The op a step names, if it names one by a string."""
+def _step_fault(step: Any) -> Optional[Fault]:
+    """A step's fault against its op's branch; one that names no known op
+    is worded as jsonschema words `{"type": "object", "required": ["op"],
+    "properties": {"op": {"enum": sorted(_OPS)}}}`."""
     op = step.get("op") if isinstance(step, dict) else None
-    return op if isinstance(op, str) else None
-
-
-def _accepted(script: Any) -> bool:
-    """Whether SCENARIO_SCHEMA accepts `script`, without jsonschema."""
-    if not _ENVELOPE_ACCEPTS(script):
-        return False
-    for step in script["timeline"]:
-        accept = _STEP_ACCEPTS.get(_op(step))
-        if accept is None or not accept(step):
-            return False
-    return True
-
-
-# ---- the judge of a refused script -------------------------------------------------
-
-
-@functools.cache
-def _judges() -> tuple[Any, dict[str, Any], Any]:
-    """ScenarioValidator's jsonschema validators, built on first use: the
-    document with its steps left unchecked; each op's branch; and a step that
-    names no known op."""
-    import jsonschema
-
-    draft = jsonschema.Draft202012Validator
-    known_op = {
-        "type": "object",
-        "properties": {"op": {"enum": sorted(_OPS)}},
-        "required": ["op"],
-    }
-    return (
-        draft(_document_schema(True)),
-        {op: draft(_step_schema(op)) for op in _OPS},
-        draft(known_op),
-    )
-
-
-class ScenarioValidator:
-    """A validator for SCENARIO_SCHEMA, in the form `jsonschema.validate`
-    takes as `cls`, used only on a script the compiled check (`_accepted`)
-    refuses: jsonschema stays the judge, deciding each rejection and writing
-    each message. Like the compiled check, it takes the document apart from
-    its steps, then each step against its own op's branch, without trying
-    every branch on every step."""
-
-    def __init__(self, schema: Any) -> None:
-        self.check_schema(schema)
-
-    @staticmethod
-    def check_schema(schema: Any) -> None:
-        """SCENARIO_SCHEMA is built at import and checked against its
-        metaschema by the test suite, not on every run."""
-        if schema is not SCENARIO_SCHEMA:
-            import jsonschema
-
-            raise jsonschema.SchemaError("ScenarioValidator checks SCENARIO_SCHEMA only")
-
-    def iter_errors(self, script: Any) -> Iterator[jsonschema.ValidationError]:
-        """The errors of the document apart from its steps or, when there are
-        none, those of the first step that fails, with paths from the
-        document root."""
-        envelope, branches, known_op = _judges()
-        errors = list(envelope.iter_errors(script))
-        if errors:
-            return iter(errors)
-        for position, step in enumerate(script["timeline"]):
-            validator = branches.get(_op(step), known_op)
-            errors = list(validator.iter_errors(step))
-            if errors:
-                for error in errors:
-                    error.path.extendleft((position, "timeline"))
-                return iter(errors)
-        return iter(())
-
-
-def _located(error: jsonschema.ValidationError) -> str:
-    """`error`'s message, led by the path of the value it is about, e.g.
-    `timeline[17].expect: 'maybe' does not match ...`."""
-    where = ""
-    for key in error.absolute_path:
-        where += f"[{key}]" if isinstance(key, int) else f".{key}"
-    return f"{where.lstrip('.')}: {error.message}" if where else error.message
+    check = _STEP_CHECKS.get(op) if isinstance(op, str) else None
+    if check is not None:
+        return check(step)
+    if not isinstance(step, dict):
+        return (), f"{step!r} is not of type 'object'"
+    if "op" not in step:
+        return (), "'op' is a required property"
+    return ("op",), f"{op!r} is not one of {sorted(_OPS)!r}"
 
 
 def validate(script: Any) -> None:
-    """Raise MalformedScript, naming the value at fault, unless
-    SCENARIO_SCHEMA accepts `script`. The compiled check passes a valid
-    script alone; jsonschema is imported only to judge and word a refusal."""
-    if _accepted(script):
-        return
-    import jsonschema
-
-    try:
-        jsonschema.validate(script, SCENARIO_SCHEMA, cls=ScenarioValidator)
-    except jsonschema.ValidationError as exc:
-        raise MalformedScript(f"fails the schema: {_located(exc)}") from None
+    """Raise MalformedScript unless SCENARIO_SCHEMA accepts `script`, with
+    the fault of the document apart from its steps, else of its first
+    failing step, led by the path of the value at fault, e.g.
+    `timeline[17].expect: 'maybe' does not match ...`."""
+    fault = _ENVELOPE_CHECK(script)
+    if fault is None:
+        for position, step in enumerate(script["timeline"]):
+            fault = _step_fault(step)
+            if fault is not None:
+                fault = ("timeline", position, *fault[0]), fault[1]
+                break
+        else:
+            return
+    path, message = fault
+    where = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+    located = f"{where.lstrip('.')}: {message}" if where else message
+    raise MalformedScript(f"fails the schema: {located}")
 
 
 def _integral(value: Any) -> Any:

@@ -5,6 +5,7 @@ import hashlib
 import random
 import struct
 
+import jsonschema
 import pytest
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
@@ -18,6 +19,7 @@ from disputekit.engine import DisputeConfig, DisputeEngine, Escrow, enrollment_s
 from disputekit.identity import Identity, PohRegistry, SemaphoreGroup, create_signal
 from disputekit.maci import build_message
 from disputekit.primitives import DecryptionKey, KeyPair, hash_bytes
+from disputekit.scenario import _OPS, _document_schema, _step_schema
 
 CFG = DisputeConfig(t1=100, t2=200, min_judges=3)
 
@@ -160,6 +162,51 @@ def naive_process(
     `naive_replay`. Returns the plaintexts and what `naive_replay` does."""
     plaintexts = [naive_open(coordinator_seed, ct) for ct in ciphertexts]
     return (plaintexts, *naive_replay(cost_rule, option_count, voters, plaintexts))
+
+
+# ---- the scenario check by an independent route ------------------------------
+#
+# jsonschema's Draft 2020-12 validators, a test-only dependency, and its
+# `best_match`: the check `disputekit run` applies, decided and worded
+# anew. Each step is judged against its own op's branch, or, when it names
+# no known op, against the schema below.
+
+_DRAFT = jsonschema.Draft202012Validator
+REFERENCE_ENVELOPE = _DRAFT(_document_schema(True))
+REFERENCE_STEPS = {op: _DRAFT(_step_schema(op)) for op in _OPS}
+REFERENCE_KNOWN_OP = _DRAFT(
+    {"type": "object", "properties": {"op": {"enum": sorted(_OPS)}}, "required": ["op"]}
+)
+
+
+def reference_fault(validator, value):
+    """`(path, message)` of the error jsonschema's `best_match` picks among
+    `validator`'s errors on `value`, or None when it finds none."""
+    error = jsonschema.exceptions.best_match(validator.iter_errors(value))
+    return None if error is None else (tuple(error.path), error.message)
+
+
+def reference_refusal(doc):
+    """Where and how jsonschema refuses the scenario `doc`, as `path:
+    message` (e.g. `timeline[17].expect: 'maybe' does not match ...`): the
+    best match among the errors of the document apart from its steps or,
+    when there are none, among those of its first failing step. None when
+    it accepts `doc`."""
+    fault = reference_fault(REFERENCE_ENVELOPE, doc)
+    if fault is None:
+        for position, step in enumerate(doc["timeline"]):
+            op = step.get("op") if isinstance(step, dict) else None
+            if not isinstance(op, str):
+                op = None  # a list or an object is no key
+            fault = reference_fault(REFERENCE_STEPS.get(op, REFERENCE_KNOWN_OP), step)
+            if fault is not None:
+                fault = (("timeline", position, *fault[0]), fault[1])
+                break
+        else:
+            return None
+    path, message = fault
+    where = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+    return f"{where.lstrip('.')}: {message}" if where else message
 
 
 def naming(case_id, mutate, *names):
@@ -318,6 +365,39 @@ STRUCTURAL_FAULTS = [
         "genesis_humans-member-not-a-string",
         lambda s: s["config"]["genesis_humans"].insert(1, 3),
         "config.genesis_humans[1]: 3 is not of type 'string'",
+    ),
+    # which fault is named, of several: the list's own before its items'
+    schema_fault(
+        "genesis_humans-non-unique-beside-a-non-string",
+        lambda s: s["config"].update(genesis_humans=["judge0", "judge0", 3]),
+        "config.genesis_humans: ['judge0', 'judge0', 3] has non-unique elements",
+    ),
+    # of two fields at one depth, the alphabetically greater key
+    schema_fault(
+        "t1-named-before-fee",
+        lambda s: s["timeline"][5].update(t1=0, fee="x"),
+        "timeline[5].t1: 0 is less than the minimum of 1",
+    ),
+    # of two at one path, the one found first: `type` before `minimum`
+    schema_fault(
+        "tree_depth-not-an-integer-before-below-the-minimum",
+        lambda s: s["config"].update(tree_depth=0.5),
+        "config.tree_depth: 0.5 is not of type 'integer'",
+    ),
+    schema_fault(
+        "respondents-should-be-non-empty",
+        lambda s: s["timeline"][5].update(respondents=[]),
+        "timeline[5].respondents: [] should be non-empty",
+    ),
+    schema_fault(
+        "op-is-not-one-of-the-ops",
+        appended({"op": "fly_to_moon", "t": 999}),
+        f"timeline[29].op: 'fly_to_moon' is not one of {sorted(_OPS)!r}",
+    ),
+    schema_fault(
+        "step-is-not-of-type-object",
+        appended(7),
+        "timeline[29]: 7 is not of type 'object'",
     ),
 ]
 

@@ -18,7 +18,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from support import STRUCTURAL_FAULTS, plant_double_booked_payouts, resolved_court
+from support import (
+    REFERENCE_STEPS,
+    STRUCTURAL_FAULTS,
+    plant_double_booked_payouts,
+    reference_fault,
+    reference_refusal,
+    resolved_court,
+)
 
 import disputekit.cli as cli
 import disputekit.oracle as oracle
@@ -32,6 +39,7 @@ from disputekit.cli import (
     transcript_to_jsonable,
 )
 from disputekit.engine import Escrow
+from disputekit.errors import MalformedScript
 from disputekit.maci import (
     AuditTranscript,
     Command,
@@ -46,15 +54,14 @@ from disputekit.primitives import KeyPair, hash_bytes, sign
 from disputekit.scenario import (
     _FIELD_SCHEMAS,
     _OPS,
-    _STEP_ACCEPTS,
+    _STEP_CHECKS,
     SCENARIO_SCHEMA,
-    ScenarioValidator,
-    _accepted,
-    _accepts,
+    _check,
     _document_schema,
     _step_schema,
     run_scenario,
     scenario_schema,
+    validate,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -380,6 +387,8 @@ REVALUES = [
     ("allocations", {"00": 1}),
     ("allocations", {"1": 1.5}),
     *[(field, value) for field in INTEGER_FIELDS for value in (2.0, 2.5, True)],
+    ("t", -0.5),
+    ("t1", 0.5),
 ]
 
 
@@ -440,25 +449,24 @@ def one_field_mutations(draw):
 
 
 # the class `jsonschema.validate` picks for the schema, built once: the call
-# form re-checks the schema against its meta-schema every time
+# form re-checks the schema against its meta-schema every time; it tries
+# every branch of the `oneOf`
 REFERENCE = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
 
 
-def rejects(doc, cls=None) -> bool:
-    """Whether `cls` finds `doc` invalid; by default jsonschema's own
-    validator for the schema, which tries every branch of the `oneOf`."""
-    if cls is None:
-        return not REFERENCE.is_valid(doc)
+def refusal(doc):
+    """The words `scenario.validate` refuses `doc` with, or None."""
     try:
-        jsonschema.validate(doc, SCENARIO_SCHEMA, cls=cls)
-    except jsonschema.ValidationError:
-        return True
-    return False
+        validate(doc)
+    except MalformedScript as exc:
+        return str(exc).removeprefix("fails the schema: ")
+    return None
 
 
 # document values at a keyword's edge, or of a type its key does not take
 ENVELOPE_EDGES = [
-    *[(("config", "tree_depth"), value) for value in (0, 1, 32, 33, 32.0, True)],
+    # 0.5 and 32.5 break two keywords at one path: `type` is named, found first
+    *[(("config", "tree_depth"), value) for value in (0, 1, 32, 33, 32.0, True, 0.5, 32.5)],
     *[(("config", "challenge_window"), value) for value in (0, 1.0)],
     *[
         (("config", "genesis_humans"), value)
@@ -501,17 +509,19 @@ def with_each_revalue(test):
 @with_each_envelope_edge
 @given(doc=one_field_mutations())
 def test_scenario_check_agrees_with_the_reference_validator(tmp_path, doc) -> None:
-    rejected = rejects(doc)
-    assert _accepted(doc) == (not rejected)
-    assert rejects(doc, ScenarioValidator) == rejected
+    """The check refuses what jsonschema refuses, in jsonschema's words."""
+    words = refusal(doc)
+    assert (words is None) == REFERENCE.is_valid(doc)
+    assert words == reference_refusal(doc)
     path = write_json(tmp_path / "mutated.json", doc)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["run", path])
     assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
     assert "Traceback" not in err.getvalue()
-    if rejected:
-        assert code == EXIT_USAGE and out.getvalue() == ""
+    if words is not None:
+        assert (code, out.getvalue()) == (EXIT_USAGE, "")
+        assert err.getvalue() == f"malformed scenario: fails the schema: {words}\n"
 
 
 # the least of each JSON type a step field takes, unless it states a minimum
@@ -535,9 +545,9 @@ def minimal_step(op):
 def test_each_compiled_branch_accepts_a_minimal_step(op) -> None:
     step = minimal_step(op)
     jsonschema.validate(step, _step_schema(op))
-    accept = _STEP_ACCEPTS[op]
-    assert accept(step)
-    assert not accept({**step, "op": f"not_{op}"})
+    check = _STEP_CHECKS[op]
+    assert check(step) is None
+    assert check({**step, "op": f"not_{op}"}) == (("op",), f"{op!r} was expected")
 
 
 # values at a keyword's edge, of a type no field takes, or of a field's own type
@@ -554,9 +564,8 @@ def step_keys(op):
 
 
 def assert_step_check_agrees(op, step) -> None:
-    accept = _STEP_ACCEPTS[op]
-    reference = jsonschema.Draft202012Validator(_step_schema(op)).is_valid(step)
-    assert accept(step) == reference, step
+    """The compiled branch names the fault jsonschema's names, if any."""
+    assert _STEP_CHECKS[op](step) == reference_fault(REFERENCE_STEPS[op], step), step
 
 
 @pytest.mark.parametrize("op", sorted(_OPS))
@@ -593,20 +602,33 @@ def test_each_step_check_agrees_with_its_branch(op, data) -> None:
         (False, lambda branch: branch.update(maxProperties=99)),
         (False, lambda branch: branch.update(additionalProperties=True)),
         (False, lambda branch: branch["properties"]["t"].update(exclusiveMaximum=99)),
-        # set distinctness is JSON equality only among strings
-        (False, lambda branch: branch["properties"]["t"].update(uniqueItems=True)),
         (True, lambda doc: doc["properties"]["config"]["properties"]["genesis_humans"]
          .update(maxItems=99)),
     ],
-    ids=["on_the_branch", "open_branch", "on_a_field", "unique_but_strings",
-         "on_the_envelope"],
+    ids=["on_the_branch", "open_branch", "on_a_field", "on_the_envelope"],
 )
 def test_a_keyword_the_step_check_does_not_read_fails_to_compile(envelope, extend) -> None:
     schema = _document_schema(True) if envelope else _step_schema("group_join")
     extend(schema)
     jsonschema.validate(BUNDLED[0] if envelope else minimal_step("group_join"), schema)
     with pytest.raises(ValueError, match="does not read"):
-        _accepts(schema)
+        _check(schema)
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        [], ["a", "b"], ["a", "a"], [1, "1"], [1, 1.0], [1, True], [0, False],
+        [True, True], [None, None], [{}, {}], [[], {}], [[1], [1.0]], [[1], [True]],
+        [{"a": 1}, {"a": 1.0}], [{"a": 1}, {"a": True}], [{"a": [1]}, {"a": [1]}],
+    ],
+)
+def test_unique_items_is_json_equality(items) -> None:
+    """`uniqueItems` reads any array: a bool is no number, `1 == 1.0`, and
+    lists and objects compare by their members."""
+    schema = {"uniqueItems": True}
+    validator = jsonschema.Draft202012Validator(schema)
+    assert _check(schema)(items) == reference_fault(validator, items)
 
 
 # ---- any document given to `run` keeps the exit contract ------------------------
@@ -920,21 +942,26 @@ def test_verify_honest_transcript(tmp_path, capsys, audit_artifacts) -> None:
 
 
 def test_a_valid_run_and_a_verify_never_import_jsonschema(tmp_path, audit_artifacts) -> None:
-    """Only a refused scenario needs jsonschema, to judge and word the
-    refusal, so a fresh interpreter that runs and verifies never loads it."""
+    """No path needs jsonschema: with its import blocked, a fresh
+    interpreter runs a valid scenario, refuses a malformed one in the
+    check's own words, and verifies a transcript."""
     doc, record, _ = audit_artifacts
     transcript = write_json(tmp_path / "t.json", doc)
     commitment = write_json(tmp_path / "c.json", record)
+    deep = json.loads(HAPPY.read_text())
+    deep["config"]["tree_depth"] = 33
     calls = [
         ["run", str(HAPPY), "--out", str(tmp_path / "report.json")],
+        ["run", write_json(tmp_path / "deep.json", deep)],
         ["verify", transcript, commitment],
     ]
     program = (
         "import contextlib, io, sys\n"
+        "sys.modules['jsonschema'] = None  # so that importing it fails\n"
         "from disputekit.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [main(argv) for argv in {calls!r}]\n"
-        "print(codes, 'jsonschema' in sys.modules)\n"
+        "print(codes)\n"
     )
     # the interpreter finds disputekit where this one did
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
@@ -945,7 +972,11 @@ def test_a_valid_run_and_a_verify_never_import_jsonschema(tmp_path, audit_artifa
         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
         timeout=120,
     )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[0, 0] False\n", "")
+    refused = (
+        "malformed scenario: fails the schema: "
+        "config.tree_depth: 33 is greater than the maximum of 32\n"
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[0, 2, 0]\n", refused)
 
 
 def test_transcript_json_holds_no_position_or_digest_copies(audit_artifacts) -> None:
@@ -983,25 +1014,40 @@ def swap_voters(doc, i: int, j: int) -> None:
 @pytest.mark.parametrize(
     "mutate, reason",
     [
-        (lambda d: d["tally"].__setitem__("0", d["tally"]["0"] + 1), "TallyMismatch"),
-        (lambda d: d.__setitem__("salt", "00" * 32), "CommitmentMismatch"),
-        (
+        pytest.param(
+            lambda d: d["tally"].__setitem__("0", d["tally"]["0"] + 1),
+            "TallyMismatch",
+            id="<lambda>-TallyMismatch",
+        ),
+        pytest.param(
+            lambda d: d.__setitem__("salt", "00" * 32),
+            "CommitmentMismatch",
+            id="<lambda>-CommitmentMismatch",
+        ),
+        pytest.param(
             lambda d: d["entries"][0].__setitem__(
                 "valid", not d["entries"][0]["valid"]
             ),
             "ReplayMismatch",
+            id="<lambda>-ReplayMismatch0",
         ),
-        (
+        pytest.param(
             lambda d: d["entries"][0].__setitem__("ciphertext_digest", "11" * 32),
             "MessageSetMismatch",
+            id="<lambda>-MessageSetMismatch",
         ),
         # voter 0's vote costs its one credit; with none, it is OverBudget
-        (
+        pytest.param(
             lambda d: d["initial_voters"][0].__setitem__(1, 0),
             "ReplayMismatch",
+            id="<lambda>-ReplayMismatch1",
         ),
         # the vote for option 1 replays as a BadOption, not as claimed
-        (lambda d: d.__setitem__("options", 1), "ReplayMismatch"),
+        pytest.param(
+            lambda d: d.__setitem__("options", 1),
+            "ReplayMismatch",
+            id="<lambda>-ReplayMismatch2",
+        ),
         # the commitment binds its poll: relabelled to the same dispute's
         # Phase-2 poll, or to an id past int64, the transcript opens nothing
         pytest.param(
@@ -1068,38 +1114,59 @@ def test_verify_swapped_commitment_exits_one(tmp_path, capsys, audit_artifacts) 
     assert "MessageSetMismatch" in capsys.readouterr().out
 
 
+# Each case's test id is written beside it, so inserting a case renames no
+# other; the ids `<lambda>N` are the names these cases first ran under.
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda d: d.pop("salt"),
-        lambda d: d.__setitem__("salt", "not hex"),
-        lambda d: d.__setitem__("poll_id", "zero"),
-        lambda d: d["entries"][0].__setitem__("valid", "yes"),
-        lambda d: d.__setitem__("final_states", None),
-        lambda d: d.__setitem__("tally", list(d["tally"].items())),
-        lambda d: d.__setitem__("cost_rule", 7),
-        lambda d: d.__setitem__("cost_rule", None),
-        lambda d: d.pop("options"),
-        lambda d: d.__setitem__("options", "2"),
-        lambda d: d.__setitem__("options", True),
+        pytest.param(lambda d: d.pop("salt"), id="<lambda>0"),
+        pytest.param(lambda d: d.__setitem__("salt", "not hex"), id="<lambda>1"),
+        pytest.param(lambda d: d.__setitem__("poll_id", "zero"), id="<lambda>2"),
+        pytest.param(lambda d: d["entries"][0].__setitem__("valid", "yes"), id="<lambda>3"),
+        pytest.param(lambda d: d.__setitem__("final_states", None), id="<lambda>4"),
+        pytest.param(
+            lambda d: d.__setitem__("tally", list(d["tally"].items())), id="<lambda>5"
+        ),
+        pytest.param(lambda d: d.__setitem__("cost_rule", 7), id="<lambda>6"),
+        pytest.param(lambda d: d.__setitem__("cost_rule", None), id="<lambda>7"),
+        pytest.param(lambda d: d.pop("options"), id="<lambda>8"),
+        pytest.param(lambda d: d.__setitem__("options", "2"), id="<lambda>9"),
+        pytest.param(lambda d: d.__setitem__("options", True), id="<lambda>10"),
         *[
-            lambda d, spell=spell: d.__setitem__(
-                "tally", {spell(k): v for k, v in d["tally"].items()}
+            pytest.param(
+                lambda d, spell=spell: d.__setitem__(
+                    "tally", {spell(k): v for k, v in d["tally"].items()}
+                ),
+                id=case_id,
             )
-            for spell in (lambda k: "0" + k, lambda k: " " + k, lambda k: "+" + k)
+            for case_id, spell in (("<lambda>11", lambda k: "0" + k),
+                                   ("<lambda>12", lambda k: " " + k),
+                                   ("<lambda>13", lambda k: "+" + k))
         ],
-        lambda d: d.__setitem__("tally", {"0" + min(d["tally"]): 999999, **d["tally"]}),
+        pytest.param(
+            lambda d: d.__setitem__("tally", {"0" + min(d["tally"]): 999999, **d["tally"]}),
+            id="<lambda>14",
+        ),
         # voters written with their index, as `[index, key, credits]`
-        lambda d: d.__setitem__(
-            "initial_voters",
-            [[index, *voter[-2:]] for index, voter in enumerate(d["initial_voters"])],
+        pytest.param(
+            lambda d: d.__setitem__(
+                "initial_voters",
+                [[index, *voter[-2:]] for index, voter in enumerate(d["initial_voters"])],
+            ),
+            id="<lambda>15",
         ),
         # a key no reader reads, at each level
-        lambda d: d.__setitem__("junk", 1),
-        lambda d: d["entries"][0].__setitem__("arrival_index", 0),
-        lambda d: d["final_states"][0]["vote"].__setitem__("extra", 1),
+        pytest.param(lambda d: d.__setitem__("junk", 1), id="<lambda>16"),
+        pytest.param(
+            lambda d: d["entries"][0].__setitem__("arrival_index", 0), id="<lambda>17"
+        ),
+        pytest.param(
+            lambda d: d["final_states"][0]["vote"].__setitem__("extra", 1), id="<lambda>18"
+        ),
         # credits are the starting voters' alone
-        lambda d: d["final_states"][0].__setitem__("voice_credits", 1),
+        pytest.param(
+            lambda d: d["final_states"][0].__setitem__("voice_credits", 1), id="<lambda>19"
+        ),
     ],
 )
 def test_verify_malformed_transcript_exits_two(
