@@ -24,8 +24,9 @@ the sender; the signed command inside does.
 Processing is "decrypt, then the auditor's replay": open each message with
 one key agreement against its own point and one decryption, so processing is
 linear in the messages; then run ``replay_ballots``, the one definition of
-these rules. A message that does not open (a malformed or low-order point, a
-failed tag) is an AuthFailure. The quorum preview and processing read one
+these rules, whose two steps (below) processing runs back to back. A message
+that does not open (a malformed or low-order point, a failed tag) is an
+AuthFailure. The quorum preview and processing read one
 memoised run per intake and coordinator key, so a poll that closes twice
 with no intake in between is opened and replayed once.
 
@@ -45,7 +46,14 @@ record carries its own index.
 Processing emits an ``AuditTranscript``: decrypted commands, per-message
 verdicts, final voter states, the tally, and the commitment salt, which
 ``commit_tally`` draws into it. The transcript replaces succinct proofs at
-simulation fidelity — ``verify_audit`` runs the same replay over it.
+simulation fidelity — ``verify_audit`` runs the same replay over it, in the
+same two steps with its check 4 split between them. After the stateless
+pass, 4a requires the claimed verdicts and final states to agree with each
+other and with that pass, which needs no signature check; then 4b runs the
+folds and compares. A replay's own result always passes 4a, so a transcript
+that fails 4a fails 4b too: the accept set and every reason are those of the
+replay run whole, and a transcript whose claims contradict each other is
+rejected before its first signature check.
 
 Known limitations. The audit trusts the coordinator for more than honest
 decryption of the messages it claims are garbage:
@@ -479,6 +487,16 @@ def _fold_voter(
     return key, reasons, vote
 
 
+# every (valid, reason) that ``_fold_voter`` can give a command
+_FOLD_VERDICTS = (
+    (True, None),
+    (False, REASON_BAD_SIGNATURE),
+    (False, REASON_BAD_OPTION),
+    (False, REASON_BAD_AMOUNT),
+    (False, REASON_OVER_BUDGET),
+)
+
+
 def _usable_cores() -> int:
     """Cores this process may run on; one while another thread runs, since
     a forked child would hold a copy of every lock that thread holds."""
@@ -572,6 +590,55 @@ def _fold_ranges(
     return folded
 
 
+def _stateless_pass(
+    plaintexts: Sequence[Optional[bytes]], voter_count: int
+) -> tuple[list[Optional[str]], list[list[_Signed]]]:
+    """Step 1 of the replay, in arrival order: each plaintext's stateless
+    reason (``_stateless_verdict``), None for a command that survives, and
+    the surviving commands grouped by voter, each voter's in arrival order."""
+    reasons: list[Optional[str]] = []
+    chains: list[list[_Signed]] = [[] for _ in range(voter_count)]
+    for arrival, plaintext in enumerate(plaintexts):
+        reason, signed = _stateless_verdict(plaintext, voter_count)
+        reasons.append(reason)
+        if signed is not None:
+            chains[signed[0].voter_registration_index].append((arrival, *signed))
+    return reasons, chains
+
+
+def _fold_voters(
+    cost_rule: str,
+    options: int,
+    initial_voters: Sequence[tuple[bytes, int]],
+    stateless: Sequence[Optional[str]],
+    chains: Sequence[Sequence[_Signed]],
+) -> tuple[list[tuple[bool, Optional[str]]], tuple[VoterFinalState, ...]]:
+    """Step 2 of the replay: ``_fold_voter`` over each voter's chain, the
+    voters split into ranges as ``_split`` says, each range after the first
+    folded in a forked child. Returns each plaintext's (valid, reason), its
+    stateless reason where it has one, and the final voter states."""
+    cost = COST_RULES[cost_rule]
+    negatives_ok = NEGATIVES_ALLOWED[cost_rule]
+    keys = [public_key(key) for key, _ in initial_voters]
+    credits = [credit for _, credit in initial_voters]
+
+    def fold(voters: range) -> list[_Folded]:
+        return [
+            _fold_voter(keys[i], credits[i], chains[i], options, cost, negatives_ok)
+            for i in voters
+        ]
+
+    folded = _fold_ranges(fold, _split(chains))
+    verdicts = [(False, reason) for reason in stateless]
+    final_states = []
+    for chain, (key, reasons, vote) in zip(chains, folded):
+        for (arrival, _, _, _), reason in zip(chain, reasons):
+            verdicts[arrival] = (reason is None, reason)
+        vote = None if vote is None else FinalVote(*vote)
+        final_states.append(VoterFinalState(key, vote))
+    return verdicts, tuple(final_states)
+
+
 def replay_ballots(
     cost_rule: str,
     options: int,
@@ -584,13 +651,14 @@ def replay_ballots(
     arrival; each valid command becomes its voter's vote and sets the
     voter's key. The replay runs in two steps:
 
-    1. a stateless pass in arrival order: a ``None`` plaintext
+    1. ``_stateless_pass``, in arrival order: a ``None`` plaintext
        (undecryptable) is an AuthFailure; a plaintext that is not one
        canonical command is a DecodeError; an index outside the voters is an
        UnknownVoter. The rest are grouped by voter;
-    2. one fold per voter (``_fold_voter``): signature, then an option
-       outside ``0 .. options-1`` (BadOption), then a negative amount where
-       the cost rule forbids it (BadAmount), then the budget (OverBudget).
+    2. ``_fold_voters``, one fold per voter (``_fold_voter``): signature,
+       then an option outside ``0 .. options-1`` (BadOption), then a
+       negative amount where the cost rule forbids it (BadAmount), then the
+       budget (OverBudget).
 
     Nothing in the rule crosses voters (keys and votes are per voter, and
     credits never change), so the folds are independent. The voters are
@@ -604,33 +672,8 @@ def replay_ballots(
     and the final voter states, in the same orders as the plaintexts and
     voters.
     """
-    cost = COST_RULES[cost_rule]
-    negatives_ok = NEGATIVES_ALLOWED[cost_rule]
-    keys = [public_key(key) for key, _ in initial_voters]
-    credits = [credit for _, credit in initial_voters]
-    verdicts: list[tuple[bool, Optional[str]]] = []
-    chains: list[list[_Signed]] = [[] for _ in keys]
-    for arrival, plaintext in enumerate(plaintexts):
-        reason, signed = _stateless_verdict(plaintext, len(keys))
-        verdicts.append((False, reason))
-        if signed is not None:
-            command = signed[0]
-            chains[command.voter_registration_index].append((arrival, *signed))
-
-    def fold(voters: range) -> list[_Folded]:
-        return [
-            _fold_voter(keys[i], credits[i], chains[i], options, cost, negatives_ok)
-            for i in voters
-        ]
-
-    folded = _fold_ranges(fold, _split(chains))
-    final_states = []
-    for chain, (key, reasons, vote) in zip(chains, folded):
-        for (arrival, _, _, _), reason in zip(chain, reasons):
-            verdicts[arrival] = (reason is None, reason)
-        vote = None if vote is None else FinalVote(*vote)
-        final_states.append(VoterFinalState(key, vote))
-    return verdicts, tuple(final_states)
+    stateless, chains = _stateless_pass(plaintexts, len(initial_voters))
+    return _fold_voters(cost_rule, options, initial_voters, stateless, chains)
 
 
 def _aggregate(final_states: Sequence[VoterFinalState]) -> dict[int, int]:
@@ -644,6 +687,42 @@ def _aggregate(final_states: Sequence[VoterFinalState]) -> dict[int, int]:
 
 
 # ---- transparent audit -------------------------------------------------------
+
+
+def _claims_agree(
+    transcript: AuditTranscript,
+    stateless: Sequence[Optional[str]],
+    chains: Sequence[Sequence[_Signed]],
+) -> bool:
+    """Check 4a: whether the claimed verdicts and final states agree with
+    each other and with the replay's stateless pass, with no signature
+    check. Every replay's result agrees:
+
+    * an entry the stateless pass judged is claimed with that reason;
+    * any other entry is claimed with a verdict a fold can give: valid with
+      no reason, or invalid with a fold's reason;
+    * voter *i*'s claimed final state is what its claimed-valid commands
+      give: the last one's new key and (options, amounts, memo, arrival),
+      or the registered key and no vote when there is none.
+    """
+    entries = transcript.entries
+    for entry, reason in zip(entries, stateless):
+        claim = (entry.valid, entry.reason)
+        if reason is None and claim not in _FOLD_VERDICTS:
+            return False
+        if reason is not None and claim != (False, reason):
+            return False
+    derived = []
+    for (key, _), chain in zip(transcript.initial_voters, chains):
+        vote = None
+        for arrival, command, _, _ in chain:
+            if entries[arrival].valid:
+                key = command.new_public_key
+                vote = FinalVote(
+                    command.vote_option, command.vote_amount, command.memo, arrival
+                )
+        derived.append(VoterFinalState(key, vote))
+    return tuple(derived) == transcript.final_states
 
 
 def verify_audit(
@@ -662,15 +741,23 @@ def verify_audit(
        transcript relabelled to another poll opens nothing;
     4. the cost rule is known, and ``replay_ballots``, the rule processing
        ran, reproduces every verdict and the claimed final voter states
-       from the published plaintexts — the O(M) signature replay. The
-       voters and entries are positional, so the replay reads them as
-       listed.
+       from the published plaintexts. The voters and entries are
+       positional, so the replay reads them as listed. The replay's
+       stateless pass runs once, then:
 
-    Checks 2 and 3 read only the claims, so they cost O(V). The accept set
-    is that of any order: 4 pins the claimed states to the replayed ones,
-    so 2 then holds of the replayed states too. Only a transcript that
-    fails more than one check can be named by a different check than in
-    another order (an edited final vote fails 2 and 4, and reads 2).
+       a. the claims agree with each other and with that pass
+          (``_claims_agree``): decoding only, no signature check;
+       b. the per-voter folds, the O(M) signature replay, give exactly the
+          claimed verdicts and final states.
+
+    Checks 2, 3 and 4a read only the claims and the decoded plaintexts.
+    The accept set is that of any order: 4b pins the claimed states to the
+    replayed ones, so 2 then holds of the replayed states too, and every
+    replay's result passes 4a, so 4a rejects only what 4b would. 4a and 4b
+    both read ReplayMismatch, so every reason is that of check 4 run
+    whole. Only a transcript that fails more than one of checks 1-4 can be
+    named by a different check than in another order (an edited final vote
+    fails 2 and 4a, and reads 2).
     """
     entry_digests = (entry.ciphertext_digest for entry in transcript.entries)
     if digest_over_entries(entry_digests) != intake_digest:
@@ -692,12 +779,19 @@ def verify_audit(
 
     if transcript.cost_rule not in COST_RULES:
         return Verdict.reject(REASON_REPLAY_MISMATCH)
+    stateless, chains = _stateless_pass(
+        [entry.plaintext for entry in transcript.entries],
+        len(transcript.initial_voters),
+    )
+    if not _claims_agree(transcript, stateless, chains):
+        return Verdict.reject(REASON_REPLAY_MISMATCH)
     try:
-        verdicts, derived_states = replay_ballots(
+        verdicts, derived_states = _fold_voters(
             transcript.cost_rule,
             transcript.options,
             transcript.initial_voters,
-            [entry.plaintext for entry in transcript.entries],
+            stateless,
+            chains,
         )
     except InvalidKey:
         return Verdict.reject(REASON_REPLAY_MISMATCH)

@@ -1090,6 +1090,24 @@ def swap_voters(doc, i: int, j: int) -> None:
             "TallyMismatch",
             id="final-vote-TallyMismatch",
         ),
+        # claims that contradict each other, rejected before any signature
+        # check: an invalid verdict with no reason, a valid one with a
+        # reason, and a final vote that points at another entry
+        pytest.param(
+            lambda d: d["entries"][0].__setitem__("valid", False),
+            "ReplayMismatch",
+            id="bare-flip-ReplayMismatch",
+        ),
+        pytest.param(
+            lambda d: d["entries"][0].__setitem__("reason", "BadSignature"),
+            "ReplayMismatch",
+            id="reason-on-valid-ReplayMismatch",
+        ),
+        pytest.param(
+            lambda d: d["final_states"][0]["vote"].__setitem__("arrival_index", 1),
+            "ReplayMismatch",
+            id="final-vote-elsewhere-ReplayMismatch",
+        ),
     ],
 )
 def test_verify_tampering_exits_one(
@@ -1181,54 +1199,78 @@ def test_verify_malformed_transcript_exits_two(
     assert "malformed input" in capsys.readouterr().err
 
 
+# Each case's test id is written beside it, so editing or inserting a case
+# renames no other; the ids are the names these cases first ran under.
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        (
+        pytest.param(
             lambda d, r: d.__setitem__(
                 "initial_voters", [[0, *voter] for voter in d["initial_voters"]]
             ),
             "initial_voters[0]: expected [key, credits], got [0, ",
+            id="<lambda>-initial_voters[0]: expected [key, credits], got [0, ",
         ),
-        (lambda d, r: d.__setitem__("junk", 1), "transcript: unknown key 'junk'"),
-        (
+        pytest.param(
+            lambda d, r: d.__setitem__("junk", 1),
+            "transcript: unknown key 'junk'",
+            id="<lambda>-transcript: unknown key 'junk'",
+        ),
+        pytest.param(
             lambda d, r: d["entries"][0].__setitem__("arrival_index", 0),
             "entries[0]: unknown key 'arrival_index'",
+            id="<lambda>-entries[0]: unknown key 'arrival_index'",
         ),
-        (
+        pytest.param(
             lambda d, r: d["final_states"][0]["vote"].__setitem__("extra", 1),
             "final_states[0].vote: unknown key 'extra'",
+            id="<lambda>-final_states[0].vote: unknown key 'extra'",
         ),
-        (
+        pytest.param(
             lambda d, r: d["final_states"][1].pop("current_key"),
             "final_states[1]: missing key 'current_key'",
+            id="<lambda>-final_states[1]: missing key 'current_key'",
         ),
-        (lambda d, r: d.__setitem__("entries", {}), "entries: expected a list, got dict"),
-        (lambda d, r: r.__setitem__("junk", 1), "commitment: unknown key 'junk'"),
+        pytest.param(
+            lambda d, r: d.__setitem__("entries", {}),
+            "entries: expected a list, got dict",
+            id="<lambda>-entries: expected a list, got dict",
+        ),
+        pytest.param(
+            lambda d, r: r.__setitem__("junk", 1),
+            "commitment: unknown key 'junk'",
+            id="<lambda>-commitment: unknown key 'junk'",
+        ),
         # a value that does not read, named by its list, position and key
-        (
+        pytest.param(
             lambda d, r: d["entries"][2].__setitem__("plaintext", "zz"),
             "entries[2].plaintext: expected a hex string, got 'zz'",
+            id="<lambda>-entries[2].plaintext: expected a hex string, got 'zz'",
         ),
-        (
+        pytest.param(
             lambda d, r: d["entries"][1].__setitem__("ciphertext_digest", 7),
             "entries[1].ciphertext_digest: expected a hex string, got 7",
+            id="<lambda>-entries[1].ciphertext_digest: expected a hex string, got 7",
         ),
-        (
+        pytest.param(
             lambda d, r: d["entries"][0].__setitem__("valid", "true"),
             "entries[0].valid: expected a boolean, got 'true'",
+            id="<lambda>-entries[0].valid: expected a boolean, got 'true'",
         ),
-        (
+        pytest.param(
             lambda d, r: d["final_states"][0]["vote"]["options"].__setitem__(0, "x"),
             "final_states[0].vote.options[0]: expected an integer, got 'x'",
+            id="<lambda>-final_states[0].vote.options[0]: expected an integer, got 'x'",
         ),
-        (
+        pytest.param(
             lambda d, r: d.__setitem__("salt", "not hex"),
             "salt: expected a hex string, got 'not hex'",
+            id="<lambda>-salt: expected a hex string, got 'not hex'",
         ),
-        (
+        pytest.param(
             lambda d, r: r.__setitem__("commitment_digest", "zz"),
             "commitment_digest: expected a hex string, got 'zz'",
+            id="<lambda>-commitment_digest: expected a hex string, got 'zz'",
         ),
     ],
 )

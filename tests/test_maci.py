@@ -940,14 +940,11 @@ def test_dropped_entry_detected(rng) -> None:
 # ---- the audit's check order against a naive reference ---------------------------
 
 
-def naive_verify_audit(transcript, intake_digest, commitment) -> Verdict:
-    """`verify_audit` with the replay first: message set, then the full
-    replay, then the tally of the *replayed* states, then the commitment."""
-    derived_set = digest_over_entries(e.ciphertext_digest for e in transcript.entries)
-    if intake_digest != derived_set:
-        return Verdict.reject("MessageSetMismatch")
+def _replay_agrees(transcript) -> bool:
+    """Check 4 run whole: the cost rule is known, and the full replay gives
+    every claimed verdict and final state."""
     if transcript.cost_rule not in COST_RULES:
-        return Verdict.reject("ReplayMismatch")
+        return False
     try:
         verdicts, states = replay_ballots(
             transcript.cost_rule,
@@ -956,24 +953,62 @@ def naive_verify_audit(transcript, intake_digest, commitment) -> Verdict:
             [entry.plaintext for entry in transcript.entries],
         )
     except InvalidKey:
-        return Verdict.reject("ReplayMismatch")
+        return False
     claimed = [(entry.valid, entry.reason) for entry in transcript.entries]
-    if verdicts != claimed or states != transcript.final_states:
-        return Verdict.reject("ReplayMismatch")
-    tally: dict[int, int] = {}
+    return verdicts == claimed and states == transcript.final_states
+
+
+def _sums_to_tally(states, tally) -> bool:
+    summed: dict[int, int] = {}
     for state in states:
         if state.vote is not None:
             for option, amount in zip(state.vote.options, state.vote.amounts):
-                tally[option] = tally.get(option, 0) + amount
-    if tally != dict(transcript.tally):
-        return Verdict.reject("TallyMismatch")
+                summed[option] = summed.get(option, 0) + amount
+    return summed == dict(tally)
+
+
+def _opens(transcript, commitment) -> bool:
     try:
-        opened = commitment == commitment_digest(
+        return commitment == commitment_digest(
             transcript.poll_id, transcript.tally, transcript.salt
         )
     except DecodeError:
-        opened = False
-    return Verdict.accept() if opened else Verdict.reject("CommitmentMismatch")
+        return False
+
+
+def _entries_match(transcript, intake_digest) -> bool:
+    return intake_digest == digest_over_entries(
+        e.ciphertext_digest for e in transcript.entries
+    )
+
+
+def naive_verify_audit(transcript, intake_digest, commitment) -> Verdict:
+    """`verify_audit` with the replay first: message set, then the full
+    replay, then the tally of the replayed states (which the replay has
+    just found equal to the claimed ones), then the commitment."""
+    if not _entries_match(transcript, intake_digest):
+        return Verdict.reject("MessageSetMismatch")
+    if not _replay_agrees(transcript):
+        return Verdict.reject("ReplayMismatch")
+    if not _sums_to_tally(transcript.final_states, transcript.tally):
+        return Verdict.reject("TallyMismatch")
+    if not _opens(transcript, commitment):
+        return Verdict.reject("CommitmentMismatch")
+    return Verdict.accept()
+
+
+def whole_replay_verify_audit(transcript, intake_digest, commitment) -> Verdict:
+    """`verify_audit` with check 4 run whole: checks 1-3 on the claims, then
+    the full replay, with no check of the claims against each other first."""
+    if not _entries_match(transcript, intake_digest):
+        return Verdict.reject("MessageSetMismatch")
+    if not _sums_to_tally(transcript.final_states, transcript.tally):
+        return Verdict.reject("TallyMismatch")
+    if not _opens(transcript, commitment):
+        return Verdict.reject("CommitmentMismatch")
+    if not _replay_agrees(transcript):
+        return Verdict.reject("ReplayMismatch")
+    return Verdict.accept()
 
 
 def honest_audit(seed):
@@ -1002,8 +1037,18 @@ def _other_bytes(value: bytes, at: int) -> bytes:
 
 FAULTS = (
     "flip", "tally", "salt", "digest", "credits", "key", "vote", "relabel", "recommit",
-    "voter_swap",
+    "voter_swap", "bare_flip", "reason_on_valid", "stateless_lie", "vote_elsewhere",
 )
+
+
+def _voter_of(entry):
+    """The voter index an entry's command names, or None when it has none."""
+    if entry.plaintext is None:
+        return None
+    try:
+        return decode_signed_command(entry.plaintext)[0].voter_registration_index
+    except (DecodeError, InvalidKey):
+        return None
 
 
 def apply_fault(transcript, kind: str, pick: int, amount: int):
@@ -1013,6 +1058,26 @@ def apply_fault(transcript, kind: str, pick: int, amount: int):
         entries[pick % len(entries)] = dataclasses.replace(
             entry, valid=not entry.valid, reason="OverBudget" if entry.valid else None
         )
+    elif kind == "bare_flip":  # invalid, with no reason
+        entries[pick % len(entries)] = dataclasses.replace(entry, valid=False, reason=None)
+    elif kind == "reason_on_valid":
+        entries[pick % len(entries)] = dataclasses.replace(
+            entry, valid=True, reason="BadSignature"
+        )
+    elif kind == "stateless_lie":  # an entry with a plaintext claimed undecryptable
+        opened = [j for j, e in enumerate(entries) if e.plaintext is not None]
+        if opened:
+            at = opened[pick % len(opened)]
+            entries[at] = dataclasses.replace(entries[at], valid=False, reason="AuthFailure")
+    elif kind == "vote_elsewhere":  # a final vote moved to another of its voter's entries
+        at = pick % len(states)
+        others = [] if state.vote is None else [
+            j for j, e in enumerate(entries)
+            if _voter_of(e) == at and j != state.vote.arrival_index
+        ]
+        if others:
+            vote = dataclasses.replace(state.vote, arrival_index=others[pick % len(others)])
+            states[at] = dataclasses.replace(state, vote=vote)
     elif kind == "tally":
         tally = dict(transcript.tally)
         tally[pick % 4] = tally.get(pick % 4, 0) + amount
@@ -1049,6 +1114,18 @@ def apply_fault(transcript, kind: str, pick: int, amount: int):
     )
 
 
+def with_faults(audit, faults):
+    transcript, intake, commitment = audit
+    for kind, pick, amount in faults:
+        if kind == "recommit":  # a coordinator that commits to what it publishes
+            commitment = commitment_digest(
+                transcript.poll_id, transcript.tally, transcript.salt
+            )
+        else:
+            transcript = apply_fault(transcript, kind, pick, amount)
+    return transcript, intake, commitment
+
+
 @pytest.fixture(scope="module")
 def honest_audits():
     return [honest_audit(seed) for seed in range(3)]
@@ -1067,14 +1144,68 @@ def test_check_order_keeps_the_accept_set(honest_audits, which, faults) -> None:
     """Differential check of `verify_audit`, which runs its O(V) checks
     before the replay, against the replay-first order: on honest
     transcripts with 2-4 faults, they accept exactly the same."""
-    transcript, intake, commitment = honest_audits[which]
-    assert verify_audit(transcript, intake, commitment).ok
-    for kind, pick, amount in faults:
-        if kind == "recommit":  # a coordinator that commits to what it publishes
-            commitment = commitment_digest(
-                transcript.poll_id, transcript.tally, transcript.salt
-            )
-        else:
-            transcript = apply_fault(transcript, kind, pick, amount)
-    naive = naive_verify_audit(transcript, intake, commitment)
-    assert verify_audit(transcript, intake, commitment).ok == naive.ok
+    assert verify_audit(*honest_audits[which]).ok
+    faulted = with_faults(honest_audits[which], faults)
+    assert verify_audit(*faulted).ok == naive_verify_audit(*faulted).ok
+
+
+@pytest.mark.parametrize("kind", FAULTS)
+def test_every_single_fault_reads_as_with_check_4_whole(honest_audits, kind) -> None:
+    """Differential check of the claims check 4a: on every honest
+    transcript, each single fault of this kind at every pick reads the same
+    verdict, reason included, as checks 1-3 followed by the whole replay."""
+    for audit in honest_audits:
+        for pick in range(len(audit[0].entries)):
+            for amount in (-1, 0, 2):
+                faulted = with_faults(audit, [(kind, pick, amount)])
+                assert verify_audit(*faulted) == whole_replay_verify_audit(*faulted)
+
+
+def signature_checks(monkeypatch) -> list:
+    """Count calls of `verify_sig` made by the replay's folds in this
+    process. A forked child's calls are not seen, so the replay is kept
+    to one range."""
+    real, calls = maci.verify_sig, []
+
+    def spy(*args) -> bool:
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(maci, "verify_sig", spy)
+    monkeypatch.setattr(maci, "_usable_cores", lambda: 1)
+    return calls
+
+
+def test_an_honest_audit_checks_each_surviving_command_once(
+    monkeypatch, honest_audits
+) -> None:
+    calls = signature_checks(monkeypatch)
+    for transcript, intake, commitment in honest_audits:
+        stateless = ("AuthFailure", "DecodeError", "UnknownVoter")
+        survivors = sum(entry.reason not in stateless for entry in transcript.entries)
+        calls.clear()
+        assert verify_audit(transcript, intake, commitment).ok
+        assert len(calls) == survivors
+
+
+@pytest.mark.parametrize(
+    "kind", ["bare_flip", "reason_on_valid", "stateless_lie", "vote_elsewhere"]
+)
+def test_contradicting_claims_are_rejected_before_a_signature_check(
+    monkeypatch, honest_audits, kind
+) -> None:
+    """A fault that leaves the claims at odds with each other or with the
+    decoded plaintexts is rejected after zero signature checks, with the
+    reason the whole replay gives."""
+    calls = signature_checks(monkeypatch)
+    applied = 0
+    for audit in honest_audits:
+        for pick in range(len(audit[0].entries)):
+            faulted = with_faults(audit, [(kind, pick, 1)])
+            if faulted[0] == audit[0]:
+                continue  # nothing to fault at this pick
+            applied += 1
+            calls.clear()
+            verdict = verify_audit(*faulted)
+            assert (verdict.ok, verdict.reason, calls) == (False, "ReplayMismatch", [])
+    assert applied
