@@ -51,7 +51,7 @@ from .errors import (
 )
 from .identity import SemaphoreGroup, Signal
 from .maci import MaciPoll, VoterFinalState
-from .primitives import Ciphertext, DecryptionKey, public_key
+from .primitives import DecryptionKey, public_key
 from .voting import Phase2Tally, tally_phase1, tally_phase2
 
 Observer = Callable[[str, dict], None]
@@ -410,9 +410,7 @@ class DisputeEngine:
         )
         return index
 
-    def submit_phase1_ballot(
-        self, dispute_id: int, ciphertext: Ciphertext, now: int
-    ) -> int:
+    def submit_phase1_ballot(self, dispute_id: int, ciphertext: bytes, now: int) -> int:
         dispute = self._get(dispute_id)
         self._sync(dispute, now)
         if dispute.state not in (
@@ -480,9 +478,7 @@ class DisputeEngine:
         self._transition(dispute, DisputeState.PHASE2_VOTING, now)
         return poll
 
-    def submit_phase2_ballot(
-        self, dispute_id: int, ciphertext: Ciphertext, now: int
-    ) -> int:
+    def submit_phase2_ballot(self, dispute_id: int, ciphertext: bytes, now: int) -> int:
         dispute = self._get(dispute_id)
         if dispute.state != DisputeState.PHASE2_VOTING:
             raise WrongState(f"no Phase-2 intake in {dispute.state.value}")
@@ -506,7 +502,7 @@ class DisputeEngine:
     # -- one poll lifecycle, shared by both phases -------------------------------
 
     def _intake(
-        self, dispute_id: int, poll: MaciPoll, ciphertext: Ciphertext, now: int
+        self, dispute_id: int, poll: MaciPoll, ciphertext: bytes, now: int
     ) -> int:
         index = poll.submit_message(ciphertext, now)
         self.observe(
@@ -515,7 +511,7 @@ class DisputeEngine:
                 "dispute_id": dispute_id,
                 "poll_id": poll.poll_id,
                 "arrival_index": index,
-                "ciphertext": ciphertext.encode(),
+                "ciphertext": ciphertext,
             },
         )
         return index

@@ -6,9 +6,13 @@ Two layers keep jurors simultaneously unique and anonymous:
   hash and a voucher, survive a challenge window, come out Approved.
 * ``SemaphoreGroup`` — a Merkle tree of identity commitments. Approved
   humans insert a commitment once; afterwards they act by emitting
-  *signals* that prove membership (path to a known root) without naming
-  the leaf owner, and a nullifier hash burns one action per identity per
-  scope.
+  *signals* that carry a membership path to a known root, and a nullifier
+  hash burns one action per identity per scope.
+
+Known limitation: a signal is not anonymous. Its path's leaf index names
+its sender, since the public ``group_join`` event maps each human to a leaf
+index, and its nullifier hash is not bound to that leaf. ROADMAP item 1
+replaces the path with a circuit-style proof bound to the nullifier hash.
 
 The registry binds human ids to leaves forever: a removed (banned) member
 cannot re-enter with a fresh commitment.

@@ -17,16 +17,17 @@ The tally aggregated from the last valid votes is the poll's outcome: it is
 what the coordinator commits to and publishes, and what callers apply.
 
 Each ballot travels in MACI's envelope: the client seals it for the
-coordinator under a fresh one-time agreement key, and the ciphertext carries
-that key's public point (MACI's ``encPubKey``). Nothing in the envelope names
-the sender; the signed command inside does.
+coordinator under a fresh one-time agreement key, and the ciphertext, plain
+bytes whose layout only ``primitives`` reads, carries that key's public point
+(MACI's ``encPubKey``). Nothing in the envelope names the sender; the signed
+command inside does, and ``decode_signed_command`` alone holds its wire rule.
 
 Processing is "decrypt, then the auditor's replay": open each message with
 one key agreement against its own point and one decryption, so processing is
 linear in the messages; then run ``replay_ballots``, the one definition of
 these rules, whose two steps (below) processing runs back to back. A message
-that does not open (a malformed or low-order point, a failed tag) is an
-AuthFailure. The quorum preview and processing read one
+that does not open (a short, malformed or low-order point, a short nonce, a
+failed tag) is an AuthFailure. The quorum preview and processing read one
 memoised run per intake and coordinator key, so a poll that closes twice
 with no intake in between is opened and replayed once.
 
@@ -104,7 +105,6 @@ from .errors import (
     WrongState,
 )
 from .primitives import (
-    Ciphertext,
     DecryptionKey,
     KeyPair,
     decrypt,
@@ -137,7 +137,7 @@ class Command:
     voter_registration_index: int
 
     def signing_bytes(self) -> bytes:
-        return SIGNING_LABEL + self._body()
+        return _signed_bytes(self._body())
 
     def _body(self) -> bytes:
         return b"".join(
@@ -154,19 +154,30 @@ class Command:
         return self._body() + canonical.encode_bytes(signature)
 
 
+def _signed_bytes(body: bytes) -> bytes:
+    """What a command's signature covers: the label, then the command body."""
+    return SIGNING_LABEL + body
+
+
 def decode_signed_command(plaintext: bytes) -> tuple[Command, bytes, bytes]:
-    """The command, its body (the slice of `plaintext` that SIGNING_LABEL
-    prefixes to form the signed bytes) and its signature."""
+    """The command, the bytes its signature covers and its signature: the
+    whole wire rule. A plaintext that is not exactly one canonical command,
+    with as many amounts as options and options strictly increasing, raises
+    DecodeError; a new key that is not 32 bytes raises InvalidKey."""
     reader = canonical.Reader(plaintext)
     key = public_key(reader.read_bytes())
     options = tuple(reader.read_int_list())
     amounts = tuple(reader.read_int_list())
     memo = reader.read_bytes()
     index = reader.read_int64()
-    body = plaintext[: reader.offset]
+    signed = _signed_bytes(plaintext[: reader.offset])
     signature = reader.read_bytes()
     reader.expect_end()
-    return Command(key, options, amounts, memo, index), body, signature
+    if len(options) != len(amounts):
+        raise DecodeError(f"{len(options)} options but {len(amounts)} amounts")
+    if any(b <= a for a, b in zip(options, options[1:])):
+        raise DecodeError("options are not strictly increasing")
+    return Command(key, options, amounts, memo, index), signed, signature
 
 
 def build_message(
@@ -178,7 +189,7 @@ def build_message(
     new_public_key: Optional[bytes] = None,
     memo: bytes = b"",
     rng: random.Random,
-) -> Ciphertext:
+) -> bytes:
     """Client-side helper: canonical command, signed, sealed for the
     coordinator under a fresh one-time agreement key drawn from `rng`.
     Options are sorted so equal commands encode alike."""
@@ -199,7 +210,7 @@ def build_message(
 
 @dataclass(frozen=True)
 class MaciMessage:
-    ciphertext: Ciphertext
+    ciphertext: bytes
 
 
 # A transcript record's fields are its JSON keys, in order (`cli` reads them)
@@ -239,11 +250,11 @@ class AuditTranscript:
     salt: bytes
 
 
-def ciphertext_digest(ciphertext: Ciphertext) -> bytes:
-    return hash_fields(b"ballot-ct", ciphertext.encode())
+def ciphertext_digest(ciphertext: bytes) -> bytes:
+    return hash_fields(b"ballot-ct", ciphertext)
 
 
-def message_set_digest(ciphertexts: Sequence[Ciphertext]) -> bytes:
+def message_set_digest(ciphertexts: Sequence[bytes]) -> bytes:
     """Order-sensitive digest over the intake, chained through per-message
     digests so an audit can re-derive it from transcript entries alone."""
     return digest_over_entries(ciphertext_digest(ct) for ct in ciphertexts)
@@ -309,7 +320,7 @@ class MaciPoll:
         self.voters.append((key, credits))
         return len(self.voters) - 1
 
-    def submit_message(self, ciphertext: Ciphertext, now: int) -> int:
+    def submit_message(self, ciphertext: bytes, now: int) -> int:
         """Content-blind intake; only the clock can refuse a message."""
         if self.closed or now >= self.deadline:
             raise PollClosed(f"deadline {self.deadline}, now {now}")
@@ -409,11 +420,11 @@ class MaciPoll:
         return self._processed
 
 
-def _open(coordinator_secret: DecryptionKey, ct: Ciphertext) -> Optional[bytes]:
+def _open(coordinator_secret: DecryptionKey, ct: bytes) -> Optional[bytes]:
     """One key agreement with the message's own point, one decryption; None
-    when the point is malformed or of low order, or the tag fails."""
+    for any bytes that do not open."""
     try:
-        return decrypt(key_agree(coordinator_secret, ct.ephemeral), ct)
+        return decrypt(key_agree(coordinator_secret, ct), ct)
     except (InvalidKey, AuthFailure):
         return None
 
@@ -441,18 +452,12 @@ def _stateless_verdict(
     if plaintext is None:
         return REASON_AUTH_FAILURE, None
     try:
-        command, body, signature = decode_signed_command(plaintext)
+        command, signed, signature = decode_signed_command(plaintext)
     except (DecodeError, InvalidKey):
         return REASON_DECODE_ERROR, None
-    if len(command.vote_option) != len(command.vote_amount):
-        return REASON_DECODE_ERROR, None
-    if any(
-        b <= a for a, b in zip(command.vote_option, command.vote_option[1:])
-    ):
-        return REASON_DECODE_ERROR, None  # non-canonical option order
     if not 0 <= command.voter_registration_index < voter_count:
         return REASON_UNKNOWN_VOTER, None
-    return None, (command, SIGNING_LABEL + body, signature)
+    return None, (command, signed, signature)
 
 
 def _fold_voter(

@@ -125,8 +125,10 @@ def brute_force_defeat(
     all-in score.
 
     Within each y1 row the defender's score is constant and B's own score
-    is strictly increasing in y2, so the smallest winning y2 is found by
-    binary search; results are identical to scanning every grid point.
+    is strictly increasing in y2, so a row holds a winner exactly when
+    all-in on y2 wins. Rows that cannot win are skipped, and the first one
+    that can is scanned for its smallest winning y2; results are identical
+    to scanning every grid point.
     """
     if v_a <= 0 or v_b < 0:
         raise NonPositiveBudget(f"V_A must be > 0 and V_B >= 0, got {v_a}, {v_b}")
@@ -143,16 +145,10 @@ def brute_force_defeat(
         budget_left = n - i
         if not _wins(scorer, v_a, y1, budget_left, grid_step, v_b):
             continue  # even all-in on y2 cannot win this row
-        # smallest winning j; the winning set is upward-closed in j because
-        # the defender's score is fixed and B's grows strictly with y2
-        lo, hi = 0, budget_left
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _wins(scorer, v_a, y1, mid, grid_step, v_b):
-                hi = mid
-            else:
-                lo = mid + 1
-        witness = BResponse(y1, hi * grid_step, v_b)
+        j = 0  # the row's first winner; at the latest j = budget_left, all-in
+        while not _wins(scorer, v_a, y1, j, grid_step, v_b):
+            j += 1
+        witness = BResponse(y1, j * grid_step, v_b)
         break
 
     return OracleResult(

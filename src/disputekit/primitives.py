@@ -5,8 +5,9 @@ live behind this module's functions; nothing above it names an algorithm.
 Each key has one job: a participant's keypair only signs, and the
 coordinator's decryption key only opens what is sealed for it; each is
 derived from its seed by domain-separated hashing. A message is sealed for
-one recipient under a fresh one-time key whose point travels with the
-ciphertext, so the recipient opens it with one agreement and one decryption.
+one recipient under a fresh one-time key: the ciphertext is plain bytes, that
+key's point, then the nonce, then the AEAD output, so the recipient opens it
+with one agreement and one decryption. Only this module reads that layout.
 
 All randomness is drawn through ``random_bytes`` from a generator every
 caller must pass, so a seeded one replays byte-identical protocol runs.
@@ -33,7 +34,7 @@ from .errors import AuthFailure, IndexOutOfRange, InvalidKey, TreeFull
 DIGEST_SIZE = 32
 SEED_SIZE = 32
 NONCE_SIZE = 12
-TAG_SIZE = 16
+POINT_SIZE = 32
 ZERO_DIGEST = bytes(DIGEST_SIZE)
 
 
@@ -111,10 +112,11 @@ def _shared_key(secret: X25519PrivateKey, peer_point: bytes) -> bytes:
     return hash_fields(b"shared", raw)
 
 
-def key_agree(secret: DecryptionKey, peer_point: bytes) -> bytes:
-    """The 32-byte key ``encrypt`` sealed a message under, from the message's
-    one-time point `peer_point`. A malformed or low-order point raises InvalidKey."""
-    return _shared_key(secret.agreement, peer_point)
+def key_agree(secret: DecryptionKey, ciphertext: bytes) -> bytes:
+    """The 32-byte key ``encrypt`` sealed `ciphertext` under, from the
+    one-time point it starts with. A short, malformed or low-order point
+    raises InvalidKey."""
+    return _shared_key(secret.agreement, ciphertext[:POINT_SIZE])
 
 
 def sign(secret: KeyPair, message: bytes) -> bytes:
@@ -131,42 +133,26 @@ def verify_sig(public: bytes, message: bytes, signature: bytes) -> bool:
 
 # ---- authenticated encryption ------------------------------------------------
 
-@dataclass(frozen=True)
-class Ciphertext:
-    """A message sealed for one recipient: the sender's one-time public
-    agreement point, then the AEAD nonce, payload and tag."""
-
-    ephemeral: bytes
-    nonce: bytes
-    payload: bytes
-    tag: bytes
-
-    def encode(self) -> bytes:
-        return self.ephemeral + self.nonce + self.payload + self.tag
-
-
-def encrypt(recipient: bytes, plaintext: bytes, rng: random.Random) -> Ciphertext:
+def encrypt(recipient: bytes, plaintext: bytes, rng: random.Random) -> bytes:
     """Seal `plaintext` for the holder of agreement point `recipient` under a
-    one-time agreement key drawn from `rng` (32 bytes, then the 12-byte nonce).
-    The recipient opens it with ``decrypt(key_agree(secret, ct.ephemeral), ct)``."""
+    one-time agreement key drawn from `rng` (32 bytes, then the 12-byte nonce):
+    that key's 32-byte point, then the nonce, then the AEAD output. The
+    recipient opens it with ``decrypt(key_agree(secret, ct), ct)``."""
     ephemeral = X25519PrivateKey.from_private_bytes(random_bytes(SEED_SIZE, rng))
     key = _shared_key(ephemeral, recipient)
     nonce = random_bytes(NONCE_SIZE, rng)
     sealed = ChaCha20Poly1305(key).encrypt(nonce, plaintext, None)
-    return Ciphertext(
-        ephemeral.public_key().public_bytes_raw(),
-        nonce,
-        sealed[:-TAG_SIZE],
-        sealed[-TAG_SIZE:],
-    )
+    return ephemeral.public_key().public_bytes_raw() + nonce + sealed
 
 
-def decrypt(key: bytes, ciphertext: Ciphertext) -> bytes:
+def decrypt(key: bytes, ciphertext: bytes) -> bytes:
+    """What `ciphertext` seals under `key`, past its point. Any other bytes,
+    one too short to hold a nonce included, raise AuthFailure."""
+    aead = ChaCha20Poly1305(key)
+    nonce = ciphertext[POINT_SIZE:POINT_SIZE + NONCE_SIZE]
     try:
-        return ChaCha20Poly1305(key).decrypt(
-            ciphertext.nonce, ciphertext.payload + ciphertext.tag, None
-        )
-    except InvalidTag as exc:
+        return aead.decrypt(nonce, ciphertext[POINT_SIZE + NONCE_SIZE:], None)
+    except (InvalidTag, ValueError) as exc:  # ValueError: a short nonce
         raise AuthFailure("ciphertext failed authentication") from exc
 
 

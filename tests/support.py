@@ -46,7 +46,8 @@ def plant_double_booked_payouts(monkeypatch) -> None:
 # Written from the wire format and the curve library up, sharing no code
 # with disputekit's primitives, codec or replay: the coordinator's agreement
 # scalar and the shared key are SHA-256 over 4-byte length-prefixed fields,
-# a sealed ballot is (one-time point, nonce, payload, tag), and a command is
+# a sealed ballot is the 32-byte one-time point, the 12-byte nonce, then the
+# AEAD output (payload and tag), and a command is
 # key | options | amounts | memo | index | signature in u32-prefixed,
 # big-endian int64 fields, whose key is the voter's 32-byte Ed25519 point.
 
@@ -57,15 +58,14 @@ def _digest(*fields: bytes) -> bytes:
     ).digest()
 
 
-def naive_open(coordinator_seed: bytes, ciphertext) -> bytes | None:
+def naive_open(coordinator_seed: bytes, ciphertext: bytes) -> bytes | None:
     """One X25519 exchange with the ballot's own point, one
     ChaCha20-Poly1305 open; None when either fails."""
     scalar = X25519PrivateKey.from_private_bytes(_digest(b"agree", coordinator_seed))
+    point, nonce, sealed = ciphertext[:32], ciphertext[32:44], ciphertext[44:]
     try:
-        shared = scalar.exchange(X25519PublicKey.from_public_bytes(ciphertext.ephemeral))
-        return ChaCha20Poly1305(_digest(b"shared", shared)).decrypt(
-            ciphertext.nonce, ciphertext.payload + ciphertext.tag, None
-        )
+        shared = scalar.exchange(X25519PublicKey.from_public_bytes(point))
+        return ChaCha20Poly1305(_digest(b"shared", shared)).decrypt(nonce, sealed, None)
     except (ValueError, InvalidTag):
         return None
 

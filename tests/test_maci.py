@@ -44,7 +44,6 @@ from disputekit.maci import (
     verify_audit,
 )
 from disputekit.primitives import (
-    Ciphertext,
     DecryptionKey,
     KeyPair,
     encrypt,
@@ -114,10 +113,20 @@ def test_submit_at_deadline_is_closed(rng) -> None:
         cast(poll, rng, voters[0], 0, {0: 1}, now=10)
 
 
+def not_ballots(ballot: bytes) -> list[bytes]:
+    """Byte strings that open for no coordinator: every prefix of the real
+    `ballot` up to 60 bytes (a short point, then a point with a short nonce,
+    then a short AEAD output), and `ballot` one byte short or one byte long."""
+    return [ballot[:length] for length in range(61)] + [ballot[:-1], ballot + b"\x00"]
+
+
 def test_intake_is_content_blind(rng) -> None:
-    poll, _, _ = make_poll(rng)
-    garbage = Ciphertext(bytes(32), bytes(12), b"not a ballot", bytes(16))
+    poll, _, voters = make_poll(rng)
+    garbage = bytes(32) + bytes(12) + b"not a ballot" + bytes(16)
     assert poll.submit_message(garbage, now=0) == 0
+    assert cast(poll, rng, voters[0], 0, {0: 1}) == 1
+    for index, junk in enumerate(not_ballots(poll.messages[1].ciphertext), start=2):
+        assert poll.submit_message(junk, now=0) == index
 
 
 def test_close_before_deadline_too_early(rng) -> None:
@@ -250,13 +259,18 @@ def test_bad_option_is_judged_after_the_signature_and_before_the_spend(rng) -> N
 
 def test_undecryptable_message_marked_auth_failure(rng) -> None:
     poll, coordinator, voters = make_poll(rng)
-    poll.submit_message(Ciphertext(bytes(32), bytes(12), b"junk", bytes(16)), now=0)
+    poll.submit_message(bytes(32) + bytes(12) + b"junk" + bytes(16), now=0)
     cast(poll, rng, voters[1], 1, {0: 1})
+    for junk in not_ballots(poll.messages[1].ciphertext):
+        poll.submit_message(junk, now=0)
     _, tally, _ = finish(poll, coordinator, rng)
     assert tally == {0: 1}
     transcript = poll.audit_transcript()
     entry = transcript.entries[0]
     assert (entry.valid, entry.reason, entry.plaintext) == (False, "AuthFailure", None)
+    assert [(e.valid, e.reason, e.plaintext) for e in transcript.entries[2:]] == [
+        (False, "AuthFailure", None)
+    ] * 63
     intake = message_set_digest([m.ciphertext for m in poll.messages])
     assert verify_audit(transcript, intake, poll.commitment).ok
     for valid, reason in [(True, None), (True, "AuthFailure"), (False, "DecodeError")]:
@@ -297,7 +311,7 @@ LOW_ORDER_POINTS = [
 def test_a_bad_envelope_point_is_an_auth_failure(rng, point) -> None:
     poll, coordinator, voters = make_poll(rng)
     cast(poll, rng, voters[0], 0, {0: 1})
-    bad = dataclasses.replace(poll.messages[0].ciphertext, ephemeral=point)
+    bad = point + poll.messages[0].ciphertext[32:]
     poll.submit_message(bad, now=1)
     poll.preview_valid_votes(coordinator)
     _, tally, _ = finish(poll, coordinator, rng)
@@ -349,8 +363,8 @@ def test_envelopes_are_one_time_and_one_size() -> None:
         world.phase1_vote(d, f"j{i}", ("alice", "bob")[i % 2], "x" * 100 * i, 153 + i)
     poll = world.engine.disputes[d].phase1_poll
     ballots = [event.payload["ciphertext"] for event in world.view.of_kind("ballot")]
-    points = [message.ciphertext.ephemeral for message in poll.messages]
-    assert [ballot[:32] for ballot in ballots] == points  # the public record has them
+    assert ballots == [message.ciphertext for message in poll.messages]
+    points = [ballot[:32] for ballot in ballots]  # the public record has them
     assert len(set(points)) == len(points) == 6
     keys = [key for key, _ in poll.voters]
     keys += [pair.public for pair in world.signer_keys.values()]
@@ -359,17 +373,25 @@ def test_envelopes_are_one_time_and_one_size() -> None:
     assert len({len(ballot) for ballot in ballots}) == 1
     # the point is part of what the intake digest commits to
     first = poll.messages[0].ciphertext
-    moved = dataclasses.replace(first, ephemeral=points[1])
+    moved = points[1] + first[32:]
     assert ciphertext_digest(moved) != ciphertext_digest(first)
 
 
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_INT64S = st.lists(_INT64, max_size=4).map(tuple)
+# (options, amounts): a canonical vote, or both lists drawn freely
+_VOTES = st.one_of(
+    st.dictionaries(_INT64, _INT64, max_size=4).map(
+        lambda votes: (tuple(sorted(votes)), tuple(votes[o] for o in sorted(votes)))
+    ),
+    st.tuples(_INT64S, _INT64S),
+)
 _BODY = st.builds(
-    Command,
-    new_public_key=st.binary(min_size=32, max_size=32),
-    vote_option=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4).map(tuple),
-    vote_amount=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4).map(tuple),
-    memo=st.binary(max_size=40),
-    voter_registration_index=st.integers(-(2**63), 2**63 - 1),
+    lambda key, votes, memo, index: Command(key, *votes, memo, index),
+    st.binary(min_size=32, max_size=32),
+    _VOTES,
+    st.binary(max_size=40),
+    _INT64,
 )
 
 
@@ -381,20 +403,41 @@ _BODY = st.builds(
     tail=st.binary(max_size=4),
 )
 def test_the_signed_slice_is_the_command_body(command, signature, cut, tail) -> None:
-    """The replay verifies a signature over the label plus a slice of the
-    plaintext; for every plaintext that decodes, that slice is the body the
-    client signed. Truncated or extended plaintexts must not decode."""
+    """The replay verifies a signature over the bytes the decoder returns;
+    for every plaintext that decodes, they are the bytes the client signed.
+    A command decodes only with one amount per option and its options
+    strictly increasing, and truncated or extended plaintexts must not
+    decode."""
     plaintext = command.encode_signed(signature)
-    decoded, body, got_signature = decode_signed_command(plaintext)
-    assert (decoded, body, got_signature) == (command, command._body(), signature)
-    for variant in (plaintext[: len(plaintext) - cut - 1], plaintext + tail):
-        if variant == plaintext:
-            continue
+    options = command.vote_option
+    canonical = len(options) == len(command.vote_amount) and all(
+        a < b for a, b in zip(options, options[1:])
+    )
+    for variant in (plaintext, plaintext[: len(plaintext) - cut - 1], plaintext + tail):
         try:
-            decoded, body, _ = decode_signed_command(variant)
+            decoded, signed, got_signature = decode_signed_command(variant)
         except (DecodeError, InvalidKey):
+            assert variant != plaintext or not canonical
             continue
-        assert body == decoded._body()
+        assert signed == decoded.signing_bytes()
+        if variant == plaintext:
+            assert canonical and (decoded, got_signature) == (command, signature)
+
+
+@pytest.mark.parametrize(
+    "options, amounts",
+    [((2, 1), (1, 1)), ((1, 1), (1, 1)), ((0, 1), (1,))],
+    ids=["unsorted", "repeated", "fewer_amounts"],
+)
+def test_the_decoder_refuses_a_non_canonical_command(options, amounts) -> None:
+    """The decoder alone holds the command's wire rule: a plaintext whose
+    options do not strictly increase, or that has fewer amounts than
+    options, does not decode, however well its fields parse."""
+    signer = KeyPair.generate(random.Random(7))
+    command = Command(signer.public, options, amounts, b"", 0)
+    plaintext = command.encode_signed(sign(signer, command.signing_bytes()))
+    with pytest.raises(DecodeError):
+        decode_signed_command(plaintext)
 
 
 _MOVES = [
@@ -447,7 +490,7 @@ def test_processing_matches_an_independent_reference(
         if move == "replay" and poll.messages:
             ct = poll.messages[pick % len(poll.messages)].ciphertext
         elif move == "junk":
-            ct = Ciphertext(*(rng.randbytes(n) for n in (32, 12, pick, 16)))
+            ct = b"".join(rng.randbytes(n) for n in (32, 12, pick, 16))
         elif move == "garbled":
             ct = encrypt(coordinator.public, rng.randbytes(pick), rng)
         elif move == "unsorted":
@@ -472,9 +515,9 @@ def test_processing_matches_an_independent_reference(
             )
             if move == "low_order":
                 point = LOW_ORDER_POINTS[pick % len(LOW_ORDER_POINTS)]
-                ct = dataclasses.replace(ct, ephemeral=point)
-            elif move == "truncated":
-                ct = dataclasses.replace(ct, ephemeral=ct.ephemeral[: pick % 32])
+                ct = point + ct[32:]
+            elif move == "truncated":  # the point cut short
+                ct = ct[: pick % 32] + ct[32:]
             if fresh is not None:
                 signers[index] = fresh
         poll.submit_message(ct, now=0)
@@ -897,7 +940,7 @@ def test_tally_increment_detected(rng) -> None:
 
 def test_message_set_substitution_detected(rng) -> None:
     transcript, intake, commitment = audited_poll(rng)
-    other = message_set_digest([Ciphertext(bytes(32), bytes(12), b"x", bytes(16))])
+    other = message_set_digest([bytes(32) + bytes(12) + b"x" + bytes(16)])
     assert verify_audit(transcript, other, commitment).reason == "MessageSetMismatch"
     # or an entry's digest is substituted: the digest derived from the
     # entries no longer matches the intake
@@ -1018,7 +1061,7 @@ def honest_audit(seed):
     rng = random.Random(seed)
     poll, coordinator, voters = make_poll(rng, credits=(1, 2, 4))
     held = [[voter] for voter in voters]
-    poll.submit_message(Ciphertext(bytes(32), bytes(12), b"junk", bytes(16)), now=0)
+    poll.submit_message(bytes(32) + bytes(12) + b"junk" + bytes(16), now=0)
     for now in range(8):
         index = rng.randrange(len(held))
         fresh = KeyPair.generate(rng)

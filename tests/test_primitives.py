@@ -20,7 +20,6 @@ from disputekit.errors import (
     TreeFull,
 )
 from disputekit.primitives import (
-    Ciphertext,
     DecryptionKey,
     KeyPair,
     MerkleTree,
@@ -102,12 +101,12 @@ def test_key_agreement_is_symmetric() -> None:
     sender_rng.setstate(rng.getstate())
     ct = encrypt(coordinator.public, b"the vote", rng)
     one_time = X25519PrivateKey.from_private_bytes(sender_rng.randbytes(32))
-    assert ct.ephemeral == one_time.public_key().public_bytes_raw()
+    assert ct[:32] == one_time.public_key().public_bytes_raw()
     sender_side = hash_fields(
         b"shared",
         one_time.exchange(X25519PublicKey.from_public_bytes(coordinator.public)),
     )
-    assert key_agree(coordinator, ct.ephemeral) == sender_side
+    assert key_agree(coordinator, ct) == sender_side
     assert len(sender_side) == 32
 
 
@@ -115,17 +114,15 @@ def test_key_agreement_differs_per_peer() -> None:
     rng = random.Random(3)
     coordinator, other = DecryptionKey.generate(rng), DecryptionKey.generate(rng)
     first, second = (encrypt(coordinator.public, b"", rng) for _ in range(2))
-    assert key_agree(coordinator, first.ephemeral) != key_agree(
-        coordinator, second.ephemeral
-    )
-    assert key_agree(coordinator, first.ephemeral) != key_agree(other, first.ephemeral)
+    assert key_agree(coordinator, first) != key_agree(coordinator, second)
+    assert key_agree(coordinator, first) != key_agree(other, first)
 
 
 def test_encrypt_decrypt_round_trip() -> None:
     rng = random.Random(4)
     b = DecryptionKey.generate(rng)
     ct = encrypt(b.public, b"the vote", rng)
-    key = key_agree(b, ct.ephemeral)
+    key = key_agree(b, ct)
     assert decrypt(key, ct) == b"the vote"
 
 
@@ -133,13 +130,13 @@ def test_decrypt_rejects_single_bit_flip() -> None:
     rng = random.Random(5)
     b = DecryptionKey.generate(rng)
     ct = encrypt(b.public, b"the vote", rng)
-    key = key_agree(b, ct.ephemeral)
-    flipped_payload = bytes([ct.payload[0] ^ 1]) + ct.payload[1:]
+    key = key_agree(b, ct)
+    flipped_payload = ct[:44] + bytes([ct[44] ^ 1]) + ct[45:]
     with pytest.raises(AuthFailure):
-        decrypt(key, Ciphertext(ct.ephemeral, ct.nonce, flipped_payload, ct.tag))
-    flipped_tag = ct.tag[:-1] + bytes([ct.tag[-1] ^ 1])
+        decrypt(key, flipped_payload)
+    flipped_tag = ct[:-1] + bytes([ct[-1] ^ 1])
     with pytest.raises(AuthFailure):
-        decrypt(key, Ciphertext(ct.ephemeral, ct.nonce, ct.payload, flipped_tag))
+        decrypt(key, flipped_tag)
 
 
 def test_decrypt_rejects_wrong_key() -> None:
@@ -147,7 +144,7 @@ def test_decrypt_rejects_wrong_key() -> None:
     b, c = (DecryptionKey.generate(rng) for _ in range(2))
     ct = encrypt(b.public, b"secret", rng)
     with pytest.raises(AuthFailure):
-        decrypt(key_agree(c, ct.ephemeral), ct)
+        decrypt(key_agree(c, ct), ct)
 
 
 def test_sign_verify_and_tamper() -> None:
