@@ -47,14 +47,14 @@ record carries its own index.
 Processing emits an ``AuditTranscript``: decrypted commands, per-message
 verdicts, final voter states, the tally, and the commitment salt, which
 ``commit_tally`` draws into it. The transcript replaces succinct proofs at
-simulation fidelity — ``verify_audit`` runs the same replay over it, in the
-same two steps with its check 4 split between them. After the stateless
-pass, 4a requires the claimed verdicts and final states to agree with each
-other and with that pass, which needs no signature check; then 4b runs the
-folds and compares. A replay's own result always passes 4a, so a transcript
-that fails 4a fails 4b too: the accept set and every reason are those of the
-replay run whole, and a transcript whose claims contradict each other is
-rejected before its first signature check.
+simulation fidelity — ``verify_audit`` runs the same replay over it, with its
+check 4 split around the folds. After the stateless pass, 4a derives the
+final states from the claimed verdicts, as processing derives them from its
+own, which needs no signature check; then 4b runs the folds and compares the
+verdicts. A replay's own result always passes 4a, so a transcript that fails
+4a fails 4b too: the accept set and every reason are those of the replay run
+whole, and a transcript whose claims contradict each other is rejected
+before its first signature check.
 
 Known limitations. The audit trusts the coordinator for more than honest
 decryption of the messages it claims are garbage:
@@ -116,7 +116,7 @@ from .primitives import (
     sign,
     verify_sig,
 )
-from .voting import COST_RULES, NEGATIVES_ALLOWED
+from .voting import COST_RULES
 
 SIGNING_LABEL = b"ballot-command-v1"
 
@@ -439,9 +439,7 @@ MIN_FORKED_COMMANDS = 200
 
 # (arrival index, command, signed bytes, signature)
 _Signed = tuple[int, Command, bytes, bytes]
-# (final key, each command's reason or None when valid,
-#  last valid vote as (options, amounts, memo, arrival) or None)
-_Folded = tuple[bytes, list, Optional[tuple]]
+_Reasons = list[Optional[str]]  # each command's reason, or None when valid
 
 
 def _stateless_verdict(
@@ -465,31 +463,28 @@ def _fold_voter(
     credits: int,
     chain: Sequence[_Signed],
     options: int,
-    cost: Callable[[Sequence[int]], int],
-    negatives_ok: bool,
-) -> _Folded:
+    cost: Callable[[Sequence[int]], Optional[int]],
+) -> _Reasons:
     """One voter's commands in arrival order, from the registered key: each
     must be signed with the key as it stands, then name only the poll's
-    options, then hold no negative amount the cost rule forbids, then spend
-    within the budget. A valid command sets the key and becomes the vote.
-    Returns plain values only, so a forked child can send them."""
-    reasons: list[Optional[str]] = []
-    vote = None
-    for arrival, command, signed, signature in chain:
+    options, then hold amounts the cost rule prices (not None), then spend
+    within the budget. A valid command sets the key. Returns plain values
+    only, so a forked child can send them."""
+    reasons: _Reasons = []
+    for _, command, signed, signature in chain:
         if not verify_sig(key, signed, signature):
             reason = REASON_BAD_SIGNATURE
         elif any(not 0 <= option < options for option in command.vote_option):
             reason = REASON_BAD_OPTION
-        elif not negatives_ok and any(a < 0 for a in command.vote_amount):
+        elif (spent := cost(command.vote_amount)) is None:
             reason = REASON_BAD_AMOUNT
-        elif cost(command.vote_amount) > credits:
+        elif spent > credits:
             reason = REASON_OVER_BUDGET
         else:
             reason = None
             key = command.new_public_key
-            vote = (command.vote_option, command.vote_amount, command.memo, arrival)
         reasons.append(reason)
-    return key, reasons, vote
+    return reasons
 
 
 # every (valid, reason) that ``_fold_voter`` can give a command
@@ -532,7 +527,7 @@ def _split(chains: Sequence[Sequence[_Signed]]) -> list[range]:
 
 
 def _fork(
-    fold: Callable[[range], list[_Folded]], voters: range
+    fold: Callable[[range], list[_Reasons]], voters: range
 ) -> Optional[tuple[int, int]]:
     """(pid, pipe read end) of a child that writes ``fold(voters)`` to the
     pipe with marshal and exits; None when no child could be made."""
@@ -560,7 +555,7 @@ def _fork(
     return pid, read_fd
 
 
-def _collect(pid: int, read_fd: int) -> Optional[list[_Folded]]:
+def _collect(pid: int, read_fd: int) -> Optional[list[_Reasons]]:
     """A child's folded range, or None when it exited non-zero or wrote
     nothing. A child exits 0 only after writing its whole range."""
     chunks = []
@@ -576,8 +571,8 @@ def _collect(pid: int, read_fd: int) -> Optional[list[_Folded]]:
 
 
 def _fold_ranges(
-    fold: Callable[[range], list[_Folded]], ranges: Sequence[range]
-) -> list[_Folded]:
+    fold: Callable[[range], list[_Reasons]], ranges: Sequence[range]
+) -> list[_Reasons]:
     """``fold`` over every range, concatenated in order. The first range is
     folded here, each other one in a forked child; a range whose child could
     not be made or failed is folded here too."""
@@ -617,31 +612,44 @@ def _fold_voters(
     initial_voters: Sequence[tuple[bytes, int]],
     stateless: Sequence[Optional[str]],
     chains: Sequence[Sequence[_Signed]],
-) -> tuple[list[tuple[bool, Optional[str]]], tuple[VoterFinalState, ...]]:
+) -> list[tuple[bool, Optional[str]]]:
     """Step 2 of the replay: ``_fold_voter`` over each voter's chain, the
     voters split into ranges as ``_split`` says, each range after the first
     folded in a forked child. Returns each plaintext's (valid, reason), its
-    stateless reason where it has one, and the final voter states."""
+    stateless reason where it has one."""
     cost = COST_RULES[cost_rule]
-    negatives_ok = NEGATIVES_ALLOWED[cost_rule]
-    keys = [public_key(key) for key, _ in initial_voters]
-    credits = [credit for _, credit in initial_voters]
+    registered = [(public_key(key), credits) for key, credits in initial_voters]
 
-    def fold(voters: range) -> list[_Folded]:
-        return [
-            _fold_voter(keys[i], credits[i], chains[i], options, cost, negatives_ok)
-            for i in voters
-        ]
+    def fold(voters: range) -> list[_Reasons]:
+        return [_fold_voter(*registered[i], chains[i], options, cost) for i in voters]
 
-    folded = _fold_ranges(fold, _split(chains))
     verdicts = [(False, reason) for reason in stateless]
-    final_states = []
-    for chain, (key, reasons, vote) in zip(chains, folded):
+    for chain, reasons in zip(chains, _fold_ranges(fold, _split(chains))):
         for (arrival, _, _, _), reason in zip(chain, reasons):
             verdicts[arrival] = (reason is None, reason)
-        vote = None if vote is None else FinalVote(*vote)
-        final_states.append(VoterFinalState(key, vote))
-    return verdicts, tuple(final_states)
+    return verdicts
+
+
+def _final_states(
+    initial_voters: Sequence[tuple[bytes, int]],
+    chains: Sequence[Sequence[_Signed]],
+    verdicts: Sequence[tuple[bool, Optional[str]]],
+) -> tuple[VoterFinalState, ...]:
+    """Where each voter's replay ends, given each plaintext's verdict: the
+    last valid command's new key and vote, else the registered key and no
+    vote. Processing reads the replayed verdicts, the audit the claimed."""
+    states = []
+    for (key, _), chain in zip(initial_voters, chains):
+        vote = None
+        for arrival, command, _, _ in reversed(chain):
+            if verdicts[arrival][0]:
+                key = command.new_public_key
+                vote = FinalVote(
+                    command.vote_option, command.vote_amount, command.memo, arrival
+                )
+                break
+        states.append(VoterFinalState(key, vote))
+    return tuple(states)
 
 
 def replay_ballots(
@@ -654,16 +662,16 @@ def replay_ballots(
 
     Each plaintext is judged against its voter's key as it stands at that
     arrival; each valid command becomes its voter's vote and sets the
-    voter's key. The replay runs in two steps:
+    voter's key. The replay runs in three steps:
 
     1. ``_stateless_pass``, in arrival order: a ``None`` plaintext
        (undecryptable) is an AuthFailure; a plaintext that is not one
        canonical command is a DecodeError; an index outside the voters is an
        UnknownVoter. The rest are grouped by voter;
     2. ``_fold_voters``, one fold per voter (``_fold_voter``): signature,
-       then an option outside ``0 .. options-1`` (BadOption), then a
-       negative amount where the cost rule forbids it (BadAmount), then the
-       budget (OverBudget).
+       then an option outside ``0 .. options-1`` (BadOption), then amounts
+       the cost rule forbids (BadAmount), then the budget (OverBudget);
+    3. ``_final_states`` reads each voter's final state off the verdicts.
 
     Nothing in the rule crosses voters (keys and votes are per voter, and
     credits never change), so the folds are independent. The voters are
@@ -678,7 +686,8 @@ def replay_ballots(
     voters.
     """
     stateless, chains = _stateless_pass(plaintexts, len(initial_voters))
-    return _fold_voters(cost_rule, options, initial_voters, stateless, chains)
+    verdicts = _fold_voters(cost_rule, options, initial_voters, stateless, chains)
+    return verdicts, _final_states(initial_voters, chains, verdicts)
 
 
 def _aggregate(final_states: Sequence[VoterFinalState]) -> dict[int, int]:
@@ -696,6 +705,7 @@ def _aggregate(final_states: Sequence[VoterFinalState]) -> dict[int, int]:
 
 def _claims_agree(
     transcript: AuditTranscript,
+    claimed: Sequence[tuple[bool, Optional[str]]],
     stateless: Sequence[Optional[str]],
     chains: Sequence[Sequence[_Signed]],
 ) -> bool:
@@ -706,28 +716,16 @@ def _claims_agree(
     * an entry the stateless pass judged is claimed with that reason;
     * any other entry is claimed with a verdict a fold can give: valid with
       no reason, or invalid with a fold's reason;
-    * voter *i*'s claimed final state is what its claimed-valid commands
-      give: the last one's new key and (options, amounts, memo, arrival),
-      or the registered key and no vote when there is none.
+    * the claimed final states are ``_final_states`` of the claimed
+      verdicts, as processing derives them from its own.
     """
-    entries = transcript.entries
-    for entry, reason in zip(entries, stateless):
-        claim = (entry.valid, entry.reason)
+    for claim, reason in zip(claimed, stateless):
         if reason is None and claim not in _FOLD_VERDICTS:
             return False
         if reason is not None and claim != (False, reason):
             return False
-    derived = []
-    for (key, _), chain in zip(transcript.initial_voters, chains):
-        vote = None
-        for arrival, command, _, _ in chain:
-            if entries[arrival].valid:
-                key = command.new_public_key
-                vote = FinalVote(
-                    command.vote_option, command.vote_amount, command.memo, arrival
-                )
-        derived.append(VoterFinalState(key, vote))
-    return tuple(derived) == transcript.final_states
+    derived = _final_states(transcript.initial_voters, chains, claimed)
+    return derived == transcript.final_states
 
 
 def verify_audit(
@@ -753,16 +751,17 @@ def verify_audit(
        a. the claims agree with each other and with that pass
           (``_claims_agree``): decoding only, no signature check;
        b. the per-voter folds, the O(M) signature replay, give exactly the
-          claimed verdicts and final states.
+          claimed verdicts.
 
     Checks 2, 3 and 4a read only the claims and the decoded plaintexts.
-    The accept set is that of any order: 4b pins the claimed states to the
-    replayed ones, so 2 then holds of the replayed states too, and every
-    replay's result passes 4a, so 4a rejects only what 4b would. 4a and 4b
-    both read ReplayMismatch, so every reason is that of check 4 run
-    whole. Only a transcript that fails more than one of checks 1-4 can be
-    named by a different check than in another order (an edited final vote
-    fails 2 and 4a, and reads 2).
+    The accept set is that of any order: 4a derives the claimed states
+    from the claimed verdicts as processing derives its own, so once 4b
+    pins the verdicts the claimed states are the replayed ones, and 2
+    holds of them too; every replay's result passes 4a, so 4a rejects only
+    what 4b would. 4a and 4b both read ReplayMismatch, so every reason is
+    that of check 4 run whole. Only a transcript that fails more than one
+    of checks 1-4 can be named by a different check than in another order
+    (an edited final vote fails 2 and 4a, and reads 2).
     """
     entry_digests = (entry.ciphertext_digest for entry in transcript.entries)
     if digest_over_entries(entry_digests) != intake_digest:
@@ -788,10 +787,11 @@ def verify_audit(
         [entry.plaintext for entry in transcript.entries],
         len(transcript.initial_voters),
     )
-    if not _claims_agree(transcript, stateless, chains):
+    claimed = [(entry.valid, entry.reason) for entry in transcript.entries]
+    if not _claims_agree(transcript, claimed, stateless, chains):
         return Verdict.reject(REASON_REPLAY_MISMATCH)
     try:
-        verdicts, derived_states = _fold_voters(
+        verdicts = _fold_voters(
             transcript.cost_rule,
             transcript.options,
             transcript.initial_voters,
@@ -800,7 +800,6 @@ def verify_audit(
         )
     except InvalidKey:
         return Verdict.reject(REASON_REPLAY_MISMATCH)
-    claimed = [(entry.valid, entry.reason) for entry in transcript.entries]
-    if verdicts != claimed or derived_states != transcript.final_states:
+    if verdicts != claimed:
         return Verdict.reject(REASON_REPLAY_MISMATCH)
     return Verdict.accept()

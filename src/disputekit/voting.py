@@ -14,18 +14,18 @@ onto the parties or the proposals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import REASON_OVER_BUDGET, Verdict
 
 # Spending rules, keyed by name so ballot transcripts can say which one
-# applied. "linear": unit-priced votes, negatives forbidden (juror phase).
+# applied: the credits an allocation spends, or None when the rule forbids
+# its amounts. "linear": unit-priced, no negatives (juror phase).
 # "quadratic": v votes cost v*v, negatives allowed (party runoff phase).
-COST_RULES: dict[str, Callable[[Iterable[int]], int]] = {
-    "linear": lambda amounts: sum(abs(a) for a in amounts),
+COST_RULES: dict[str, Callable[[Sequence[int]], Optional[int]]] = {
+    "linear": lambda amounts: None if any(a < 0 for a in amounts) else sum(amounts),
     "quadratic": lambda amounts: sum(a * a for a in amounts),
 }
-NEGATIVES_ALLOWED = {"linear": False, "quadratic": True}
 
 
 def tally_phase1(tally: Mapping[int, int], parties: Sequence[str]) -> dict[str, int]:

@@ -22,7 +22,8 @@ from disputekit.identity import (
     create_signal,
     nullifier_hash,
 )
-from disputekit.primitives import hash_bytes
+from disputekit import primitives
+from disputekit.primitives import ZERO_DIGEST, MerkleTree, hash_bytes
 
 
 def make_registry(*approved: str, window: int = 10) -> PohRegistry:
@@ -210,3 +211,40 @@ def test_remaining_member_fresh_path_survives_removal() -> None:
     group.remove(group.member_bindings["a"])
     signal = create_signal(identities["b"], group, b"still here", 4)
     assert group.verify_signal(signal).ok
+
+
+# ---- write cost ------------------------------------------------------------------
+
+
+def hash_calls(write) -> int:
+    """How many times `write()` calls the protocol hash."""
+    real, calls = primitives.hash_bytes, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(primitives, "hash_bytes", lambda data: calls.append(1) or real(data))
+        write()
+    return len(calls)
+
+
+@pytest.mark.parametrize("depth", [1, 4, 12, 32])
+def test_a_tree_write_hashes_once_per_level(depth: int) -> None:
+    """A write's cost is exact: an insert or an update rehashes the one path
+    from its leaf to the root, `depth` hashes, however full the tree is."""
+    tree = MerkleTree(depth)
+    leaves = [bytes([i]) * 32 for i in range(1, min(tree.capacity, 5) + 1)]
+    for leaf in leaves:
+        assert hash_calls(lambda: tree.insert(leaf)) == depth
+    for index in range(len(leaves)):
+        assert hash_calls(lambda: tree.update(index, ZERO_DIGEST)) == depth
+
+
+@pytest.mark.parametrize("depth", [1, 4, 12, 32])
+def test_a_join_or_ban_hashes_once_per_level(depth: int) -> None:
+    """Joining and banning are one tree write each: `depth` hashes."""
+    humans = ["a", "b", "c", "d", "e"][: 1 << depth]
+    group = SemaphoreGroup(make_registry(*humans), tree_depth=depth)
+    rng = random.Random(depth)
+    commitments = [Identity.generate(rng).commitment for _ in humans]
+    for human, commitment in zip(humans, commitments):
+        assert hash_calls(lambda: group.join(human, commitment)) == depth
+    for index in range(len(humans)):
+        assert hash_calls(lambda: group.remove(index)) == depth

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disputekit.voting import (
+    COST_RULES,
     QuadraticAllocation,
     quadratic_cost,
     tally_phase1,
@@ -46,6 +47,28 @@ def test_quadratic_cost_square_law() -> None:
     for n in range(0, 101):
         assert quadratic_cost({1: n}) == n * n
         assert quadratic_cost({1: -n}) == n * n
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.lists(INT64, max_size=8),
+        st.lists(st.integers(0, 2**63 - 1), max_size=8),
+    )
+)
+def test_cost_rules_price_amounts_or_forbid_them(amounts: list[int]) -> None:
+    """Each cost rule gives the credits an allocation spends, or None when it
+    forbids the amounts: linear forbids exactly the lists with a negative
+    amount and otherwise charges their sum; quadratic forbids none."""
+    linear = COST_RULES["linear"](amounts)
+    if any(a < 0 for a in amounts):
+        assert linear is None
+    else:
+        assert linear == sum(amounts)
+    assert COST_RULES["quadratic"](amounts) == sum(a * a for a in amounts)
 
 
 def test_validate_allocation_budget_boundary() -> None:
