@@ -9,6 +9,7 @@ which is exactly the property a commitment needs.
 """
 from __future__ import annotations
 
+import functools
 import struct
 from typing import Iterable, Mapping
 
@@ -60,19 +61,29 @@ def encode_int_map(mapping: Mapping[int, int]) -> bytes:
 
 
 class Reader:
-    """Cursor over a canonical byte string; raises DecodeError on any slip."""
+    """Cursor over a canonical byte string; raises DecodeError on any slip.
+    Numbers are unpacked in place at the cursor (`unpack_from`), with no
+    slice copied to unpack them."""
 
     def __init__(self, data: bytes):
         self._data = data
         self._pos = 0
 
-    def _take(self, count: int) -> bytes:
-        end = self._pos + count
-        if end > len(self._data):
-            raise DecodeError("truncated input")
-        chunk = self._data[self._pos:end]
-        self._pos = end
-        return chunk
+    def _unpack(self, layout: struct.Struct) -> tuple:
+        """`layout` unpacked at the cursor, which then moves past it."""
+        try:
+            values = layout.unpack_from(self._data, self._pos)
+        except struct.error:
+            raise DecodeError("truncated input") from None
+        self._pos += layout.size
+        return values
+
+    def _count(self, what: str) -> int:
+        """A u32 prefix, refused above MAX_FIELD_LEN."""
+        count = self._unpack(_U32)[0]
+        if count > MAX_FIELD_LEN:
+            raise DecodeError(f"{what} prefix too large: {count}")
+        return count
 
     @property
     def offset(self) -> int:
@@ -80,16 +91,19 @@ class Reader:
         return self._pos
 
     def read_uint32(self) -> int:
-        return _U32.unpack(self._take(4))[0]
+        return self._unpack(_U32)[0]
 
     def read_int64(self) -> int:
-        return _I64.unpack(self._take(8))[0]
+        return self._unpack(_I64)[0]
 
     def read_bytes(self) -> bytes:
-        length = self.read_uint32()
-        if length > MAX_FIELD_LEN:
-            raise DecodeError(f"length prefix too large: {length}")
-        return self._take(length)
+        length = self._count("length")
+        start = self._pos
+        end = start + length
+        if end > len(self._data):
+            raise DecodeError("truncated input")
+        self._pos = end
+        return self._data[start:end]
 
     def read_str(self) -> str:
         try:
@@ -98,25 +112,23 @@ class Reader:
             raise DecodeError("invalid utf-8") from exc
 
     def read_int_list(self) -> list[int]:
-        count = self.read_uint32()
-        if count > MAX_FIELD_LEN:
-            raise DecodeError(f"count prefix too large: {count}")
-        return [self.read_int64() for _ in range(count)]
+        """A counted int64 list, unpacked in one call."""
+        count = self._count("count")
+        return list(self._unpack(_int64s(count)))
 
     def read_int_map(self) -> dict[int, int]:
-        count = self.read_uint32()
-        if count > MAX_FIELD_LEN:
-            raise DecodeError(f"count prefix too large: {count}")
-        out: dict[int, int] = {}
-        last_key: int | None = None
-        for _ in range(count):
-            key = self.read_int64()
-            if last_key is not None and key <= last_key:
-                raise DecodeError("map keys not strictly increasing")
-            last_key = key
-            out[key] = self.read_int64()
-        return out
+        flat = self._unpack(_int64s(2 * self._count("count")))
+        keys = flat[0::2]
+        if any(b <= a for a, b in zip(keys, keys[1:])):
+            raise DecodeError("map keys not strictly increasing")
+        return dict(zip(keys, flat[1::2]))
 
     def expect_end(self) -> None:
         if self._pos != len(self._data):
             raise DecodeError("trailing bytes after structure")
+
+
+@functools.lru_cache(maxsize=64)
+def _int64s(count: int) -> struct.Struct:
+    """The layout of `count` big-endian int64s."""
+    return struct.Struct(f">{count}q")

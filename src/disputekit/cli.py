@@ -23,10 +23,15 @@ Three subcommands, three artifact formats:
 
   verify <transcript> <commitment>
       Re-run a coordinator's published audit transcript (JSON) against
-      the observed intake digest and tally commitment (JSON). Exit 0 on
-      accept, 1 on reject (first failing check named), 2 on malformed
-      input: a missing or unknown key, or a value that does not read, at
-      any level, named by where it is (e.g. `entries[3].plaintext`).
+      the observed intake digest and tally commitment (JSON). The
+      transcript states the poll's parameters and starting voters and the
+      coordinator's claims: each entry's verdict, the tally and the salt;
+      each voter's final state is derived from the claimed verdicts, not
+      read. Exit 0 on accept, 1 on reject (first failing check named), 2
+      on malformed input: a missing or unknown key, or a value that does
+      not read, at any level, named by where it is (e.g.
+      `entries[3].plaintext`). A transcript that still states
+      `final_states` is malformed (`unknown key 'final_states'`).
 
 Exit codes are uniform across subcommands: 0 success, 1 assertion or
 verification failure, 2 usage or parse error. All output is
@@ -48,13 +53,7 @@ from typing import Any, Callable, Optional
 
 from . import scenario
 from .errors import MalformedScript
-from .maci import (
-    AuditTranscript,
-    FinalVote,
-    TranscriptEntry,
-    VoterFinalState,
-    verify_audit,
-)
+from .maci import AuditTranscript, TranscriptEntry, verify_audit
 from .oracle import SweepReport, consistency_sweep, square_grid_pairs
 from .scenario import jsonable, run_scenario
 
@@ -186,17 +185,12 @@ def _voter(value: Any) -> tuple[bytes, int]:
 # each its record's fields, in order: the keys `transcript_to_jsonable` writes
 _ENTRY = {"ciphertext_digest": _hex, "plaintext": _opt(_hex), "valid": _bool,
           "reason": _opt(_str)}
-_VOTE = {"options": _items(_int), "amounts": _items(_int), "memo": _hex,
-         "arrival_index": _int}
-_STATE = {"current_key": _hex,
-          "vote": _opt(lambda vote: FinalVote(*_fields(vote, _VOTE)))}
 _TRANSCRIPT = {
     "poll_id": _int,
     "cost_rule": _str,
     "options": _int,
     "initial_voters": _items(_voter),
     "entries": _items(lambda entry: TranscriptEntry(*_fields(entry, _ENTRY))),
-    "final_states": _items(lambda state: VoterFinalState(*_fields(state, _STATE))),
     "tally": lambda tally: {_decimal(k): _int(v) for k, v in _object(tally).items()},
     "salt": _hex,
 }

@@ -215,8 +215,9 @@ def distribute_fee(
     ):
         raise WrongState("fee distribution follows a resolved dispute")
     proposal = dispute.proposals[dispute.phase2_tally.winner]
-    # the published Phase-1 transcript says where the author's key ended
-    final_states = dispute.phase1_poll.audit_transcript().final_states
+    # where the author's key ended: Phase-1 processing derived it from the
+    # verdicts that its published transcript holds
+    final_states = dispute.phase1_poll.final_states
     author_key = final_states[proposal.author_registration_index].current_key
     if not verify_sig(author_key, claim_bytes(dispute_id, wallet), claim_signature):
         raise NotTheAuthor("claim not signed by the winning proposal's key")

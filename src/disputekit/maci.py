@@ -45,24 +45,20 @@ trees: voter *i* is ``voters[i]``, and message *j* is ``messages[j]``. No
 record carries its own index.
 
 Processing emits an ``AuditTranscript``: decrypted commands, per-message
-verdicts, final voter states, the tally, and the commitment salt, which
-``commit_tally`` draws into it. The transcript replaces succinct proofs at
-simulation fidelity — ``verify_audit`` runs the same replay over it, with its
-check 4 split around the folds. After the stateless pass, 4a derives the
-final states from the claimed verdicts, as processing derives them from its
-own, which needs no signature check; then 4b runs the folds and compares the
-verdicts. A replay's own result always passes 4a, so a transcript that fails
-4a fails 4b too: the accept set and every reason are those of the replay run
-whole, and a transcript whose claims contradict each other is rejected
-before its first signature check.
+verdicts, the tally, and the commitment salt, which ``commit_tally`` draws
+into it. Each voter's final state is kept beside it, not in it:
+``_final_states`` derives it from the verdicts, the replayed ones in
+processing and the claimed ones in the audit. The transcript replaces
+succinct proofs at simulation fidelity — ``verify_audit`` runs the same
+replay over it, the checks that read only the claims first and the
+signature folds last.
 
 Known limitations. The audit trusts the coordinator for more than honest
 decryption of the messages it claims are garbage:
 
 * no entry's plaintext is bound to its ciphertext (the entry holds only the
   ciphertext's digest), so a coordinator that substitutes one command for
-  another and re-derives verdicts, final states and tally to match passes
-  the audit;
+  another and re-derives verdicts and tally to match passes the audit;
 * a command's signature does not cover its poll, so a command published in
   one poll's transcript, sealed again, replays as a valid vote in another
   poll where its voter index holds the same key;
@@ -78,7 +74,7 @@ import os
 import random
 import threading
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import canonical
 from .errors import (
@@ -238,14 +234,17 @@ class TranscriptEntry:
 
 @dataclass(frozen=True)
 class AuditTranscript:
+    """The coordinator's claims (each entry's verdict, the tally and the
+    salt) beside the poll's parameters and starting voters. Each voter's
+    final state is not stated: ``_final_states`` derives it from the
+    claimed verdicts."""
+
     poll_id: int
     cost_rule: str
     options: int  # vote options 0 .. options-1
-    # voter i, as (key, credits); final_states[i] is where its replay ends
-    initial_voters: tuple[tuple[bytes, int], ...]
+    initial_voters: tuple[tuple[bytes, int], ...]  # voter i, as (key, credits)
     # message j in arrival order; the intake digest is derived from these
     entries: tuple[TranscriptEntry, ...]
-    final_states: tuple[VoterFinalState, ...]
     tally: Mapping[int, int]
     salt: bytes
 
@@ -274,6 +273,14 @@ def commitment_digest(poll_id: int, tally: Mapping[int, int], salt: bytes) -> by
     )
 
 
+class _Run(NamedTuple):
+    """One processing of an intake: the transcript it publishes, and where
+    each voter's replay ended."""
+
+    transcript: AuditTranscript
+    final_states: tuple[VoterFinalState, ...]
+
+
 class MaciPoll:
     """One poll: intake before the deadline, then process/commit/publish."""
 
@@ -298,8 +305,9 @@ class MaciPoll:
         self.closed = False
         self._keys_seen: set[bytes] = set()
         self._processed: Optional[AuditTranscript] = None
+        self._final_states: tuple[VoterFinalState, ...] = ()  # beside _processed
         # (coordinator, `_run` of the intake so far); dropped on any intake
-        self._memo: Optional[tuple[DecryptionKey, AuditTranscript]] = None
+        self._memo: Optional[tuple[DecryptionKey, _Run]] = None
         self.commitment: Optional[bytes] = None  # the tally commitment digest
 
     # -- intake ------------------------------------------------------------
@@ -354,23 +362,31 @@ class MaciPoll:
         if not self.closed:
             raise WrongState("process requires a closed poll")
         if self._processed is None:
-            self._processed = self._result(coordinator_secret)
+            self._processed, self._final_states = self._result(coordinator_secret)
         return self._processed
 
-    def _result(self, coordinator_secret: DecryptionKey) -> AuditTranscript:
+    @property
+    def final_states(self) -> tuple[VoterFinalState, ...]:
+        """Where each voter's replay ended in processing: voter *i*'s is
+        ``final_states[i]``. The transcript does not state them."""
+        if self._processed is None:
+            raise CommitBeforeProcessing("no processing result yet")
+        return self._final_states
+
+    def _result(self, coordinator_secret: DecryptionKey) -> _Run:
         """``_run`` of the intake so far, once per intake and coordinator key."""
         if self._memo is None or self._memo[0] != coordinator_secret:
             self._memo = (coordinator_secret, self._run(coordinator_secret))
         return self._memo[1]
 
-    def _run(self, coordinator_secret: DecryptionKey) -> AuditTranscript:
+    def _run(self, coordinator_secret: DecryptionKey) -> _Run:
         ciphertexts = [message.ciphertext for message in self.messages]
         plaintexts = [_open(coordinator_secret, ct) for ct in ciphertexts]
         initial_voters = tuple(self.voters)
         verdicts, final_states = replay_ballots(
             self.cost_rule, self.options, initial_voters, plaintexts
         )
-        return AuditTranscript(
+        transcript = AuditTranscript(
             poll_id=self.poll_id,
             cost_rule=self.cost_rule,
             options=self.options,
@@ -381,10 +397,10 @@ class MaciPoll:
                     ciphertexts, plaintexts, verdicts
                 )
             ),
-            final_states=final_states,
             tally=_aggregate(final_states),
             salt=b"",  # drawn by commit_tally
         )
+        return _Run(transcript, final_states)
 
     @property
     def tally(self) -> dict[int, int]:
@@ -703,29 +719,32 @@ def _aggregate(final_states: Sequence[VoterFinalState]) -> dict[int, int]:
 # ---- transparent audit -------------------------------------------------------
 
 
+# every (valid, reason) a claim may take: valid with no reason, or invalid
+# with a reason the replay gives
+_CLAIM_SHAPES = frozenset(
+    (
+        *_FOLD_VERDICTS,
+        (False, REASON_AUTH_FAILURE),
+        (False, REASON_DECODE_ERROR),
+        (False, REASON_UNKNOWN_VOTER),
+    )
+)
+
+
 def _claims_agree(
-    transcript: AuditTranscript,
     claimed: Sequence[tuple[bool, Optional[str]]],
     stateless: Sequence[Optional[str]],
-    chains: Sequence[Sequence[_Signed]],
 ) -> bool:
-    """Check 4a: whether the claimed verdicts and final states agree with
-    each other and with the replay's stateless pass, with no signature
-    check. Every replay's result agrees:
-
-    * an entry the stateless pass judged is claimed with that reason;
-    * any other entry is claimed with a verdict a fold can give: valid with
-      no reason, or invalid with a fold's reason;
-    * the claimed final states are ``_final_states`` of the claimed
-      verdicts, as processing derives them from its own.
-    """
+    """The rest of check 4a: whether the claimed verdicts agree with the
+    replay's stateless pass, with no signature check. Every replay's result
+    agrees: an entry the stateless pass judged is claimed with that reason,
+    and any other with a verdict a fold can give."""
     for claim, reason in zip(claimed, stateless):
         if reason is None and claim not in _FOLD_VERDICTS:
             return False
         if reason is not None and claim != (False, reason):
             return False
-    derived = _final_states(transcript.initial_voters, chains, claimed)
-    return derived == transcript.final_states
+    return True
 
 
 def verify_audit(
@@ -734,40 +753,55 @@ def verify_audit(
     commitment: bytes,
 ) -> Verdict:
     """Re-derive everything the coordinator claimed; reject on the first
-    check that fails. The checks run cheapest first:
+    check that fails. The transcript states only the claims (each entry's
+    verdict, the tally and the salt) beside the poll's parameters and
+    starting voters. The four checks are:
 
     1. the digest derived from the entries' ciphertext digests, in order,
        is the observed intake digest, so the entries are exactly the
        observed messages in arrival order;
-    2. aggregating the claimed final votes reproduces the tally;
+    2. the votes of the final states that ``_final_states`` derives from
+       the claimed verdicts, as processing derives them from its own, sum
+       to the tally;
     3. the published commitment opens to (poll id, tally, salt), so a
        transcript relabelled to another poll opens nothing;
     4. the cost rule is known, and ``replay_ballots``, the rule processing
-       ran, reproduces every verdict and the claimed final voter states
-       from the published plaintexts. The voters and entries are
-       positional, so the replay reads them as listed. The replay's
-       stateless pass runs once, then:
+       ran, reproduces every claimed verdict from the published plaintexts.
+       The voters and entries are positional, so the replay reads them as
+       listed.
 
-       a. the claims agree with each other and with that pass
-          (``_claims_agree``): decoding only, no signature check;
-       b. the per-voter folds, the O(M) signature replay, give exactly the
-          claimed verdicts.
+    They run in this order, each step reading no more than it needs:
 
-    Checks 2, 3 and 4a read only the claims and the decoded plaintexts.
-    The accept set is that of any order: 4a derives the claimed states
-    from the claimed verdicts as processing derives its own, so once 4b
-    pins the verdicts the claimed states are the replayed ones, and 2
-    holds of them too; every replay's result passes 4a, so 4a rejects only
-    what 4b would. 4a and 4b both read ReplayMismatch, so every reason is
-    that of check 4 run whole. Only a transcript that fails more than one
-    of checks 1-4 can be named by a different check than in another order
-    (an edited final vote fails 2 and 4a, and reads 2).
+    * check 1, on the entries' digests;
+    * check 4a's first half, on the claims alone: each is ``(True, None)``
+      or False with a reason the replay gives;
+    * the replay's stateless pass, which decodes each plaintext once;
+    * checks 2 and 3;
+    * the rest of check 4a: the claims agree with the stateless pass
+      (``_claims_agree``), with no signature check;
+    * check 4b: the per-voter folds, the O(M) signature replay, give
+      exactly the claimed verdicts.
+
+    The accept set is that of any order: every replay's verdicts pass 4a,
+    so 4a rejects only what 4b would, and 4a and 4b both read
+    ReplayMismatch. Only a transcript that fails more than one check can be
+    named by another check than in another order: a claimed verdict that
+    moves a counted vote fails 2 and 4, and reads TallyMismatch.
     """
     entry_digests = (entry.ciphertext_digest for entry in transcript.entries)
     if digest_over_entries(entry_digests) != intake_digest:
         return Verdict.reject(REASON_MESSAGE_SET_MISMATCH)
 
-    if _aggregate(transcript.final_states) != dict(transcript.tally):
+    claimed = [(entry.valid, entry.reason) for entry in transcript.entries]
+    if not _CLAIM_SHAPES.issuperset(claimed):
+        return Verdict.reject(REASON_REPLAY_MISMATCH)
+    stateless, chains = _stateless_pass(
+        [entry.plaintext for entry in transcript.entries],
+        len(transcript.initial_voters),
+    )
+
+    final_states = _final_states(transcript.initial_voters, chains, claimed)
+    if _aggregate(final_states) != dict(transcript.tally):
         return Verdict.reject(REASON_TALLY_MISMATCH)
 
     try:
@@ -781,14 +815,7 @@ def verify_audit(
     if not opened:
         return Verdict.reject(REASON_COMMITMENT_MISMATCH)
 
-    if transcript.cost_rule not in COST_RULES:
-        return Verdict.reject(REASON_REPLAY_MISMATCH)
-    stateless, chains = _stateless_pass(
-        [entry.plaintext for entry in transcript.entries],
-        len(transcript.initial_voters),
-    )
-    claimed = [(entry.valid, entry.reason) for entry in transcript.entries]
-    if not _claims_agree(transcript, claimed, stateless, chains):
+    if transcript.cost_rule not in COST_RULES or not _claims_agree(claimed, stateless):
         return Verdict.reject(REASON_REPLAY_MISMATCH)
     try:
         verdicts = _fold_voters(

@@ -16,6 +16,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from disputekit.engine import DisputeConfig, DisputeEngine, Escrow, enrollment_scope
+from disputekit.errors import Verdict
 from disputekit.identity import Identity, PohRegistry, SemaphoreGroup, create_signal
 from disputekit.maci import build_message
 from disputekit.primitives import DecryptionKey, KeyPair, hash_bytes
@@ -70,9 +71,13 @@ def naive_open(coordinator_seed: bytes, ciphertext: bytes) -> bytes | None:
         return None
 
 
-def _naive_command(plaintext: bytes):
-    """(key, options, amounts, memo, index, signed bytes, signature), or
-    None when the plaintext is not exactly one well-formed command."""
+def naive_command(plaintext: bytes):
+    """(key, options, amounts, memo, index, signed bytes, signature) when
+    the plaintext is exactly one canonical command: a 32-byte key, as many
+    amounts as options, options strictly increasing. Otherwise the name of
+    the error the wire rule refuses it with: "InvalidKey" for a key field
+    that reads but is not 32 bytes (the key is read first), "DecodeError"
+    for anything else."""
     position = 0
 
     def take(count: int) -> bytes:
@@ -90,14 +95,19 @@ def _naive_command(plaintext: bytes):
         return tuple(struct.unpack(">q", take(8))[0] for _ in range(count))
 
     try:
-        key, options, amounts, memo = prefixed(), int64s(), int64s(), prefixed()
+        key = prefixed()
+        if len(key) != 32:
+            return "InvalidKey"
+        options, amounts, memo = int64s(), int64s(), prefixed()
         index = struct.unpack(">q", take(8))[0]
         signed = b"ballot-command-v1" + plaintext[:position]
         signature = prefixed()
     except ValueError:
-        return None
-    if position != len(plaintext) or len(key) != 32:
-        return None
+        return "DecodeError"
+    if position != len(plaintext) or len(options) != len(amounts):
+        return "DecodeError"
+    if any(b <= a for a, b in zip(options, options[1:])):
+        return "DecodeError"
     return key, options, amounts, memo, index, signed, signature
 
 
@@ -107,6 +117,15 @@ def _naive_verify(key: bytes, signed: bytes, signature: bytes) -> bool:
         return True
     except (InvalidSignature, ValueError):
         return False
+
+
+def _sum_votes(votes) -> dict[int, int]:
+    tally: dict[int, int] = {}
+    for vote in votes:
+        if vote is not None:
+            for option, amount in zip(vote[0], vote[1]):
+                tally[option] = tally.get(option, 0) + amount
+    return tally
 
 
 def naive_replay(cost_rule: str, option_count: int, voters, plaintexts):
@@ -121,18 +140,14 @@ def naive_replay(cost_rule: str, option_count: int, voters, plaintexts):
     votes: list = [None] * len(voters)
     verdicts = []
     for arrival, plaintext in enumerate(plaintexts):
-        command = None if plaintext is None else _naive_command(plaintext)
+        command = None if plaintext is None else naive_command(plaintext)
         if plaintext is None:
             verdict = "AuthFailure"
-        elif command is None:
+        elif isinstance(command, str):
             verdict = "DecodeError"
         else:
             key, options, amounts, memo, index, signed, signature = command
-            if len(options) != len(amounts) or any(
-                b <= a for a, b in zip(options, options[1:])
-            ):
-                verdict = "DecodeError"
-            elif not 0 <= index < len(keys):
+            if not 0 <= index < len(keys):
                 verdict = "UnknownVoter"
             elif not _naive_verify(keys[index], signed, signature):
                 verdict = "BadSignature"
@@ -147,12 +162,7 @@ def naive_replay(cost_rule: str, option_count: int, voters, plaintexts):
                 keys[index] = key
                 votes[index] = (options, amounts, memo, arrival)
         verdicts.append((verdict is None, verdict))
-    tally: dict[int, int] = {}
-    for vote in votes:
-        if vote is not None:
-            for option, amount in zip(vote[0], vote[1]):
-                tally[option] = tally.get(option, 0) + amount
-    return verdicts, list(zip(keys, votes)), tally
+    return verdicts, list(zip(keys, votes)), _sum_votes(votes)
 
 
 def naive_process(
@@ -162,6 +172,80 @@ def naive_process(
     `naive_replay`. Returns the plaintexts and what `naive_replay` does."""
     plaintexts = [naive_open(coordinator_seed, ct) for ct in ciphertexts]
     return (plaintexts, *naive_replay(cost_rule, option_count, voters, plaintexts))
+
+
+# ---- the audit by an independent route ------------------------------------
+#
+# The same wire rules, with digests written out as in the codec: a digest
+# is `_digest` over its fields, integers are big-endian int64s and a map is
+# its u32 count, then its key-sorted (key, value) pairs.
+
+# every reason the replay gives a command
+REPLAY_REASONS = (
+    "AuthFailure", "DecodeError", "UnknownVoter",
+    "BadSignature", "BadOption", "BadAmount", "OverBudget",
+)
+
+
+def naive_entries_match(entries, intake_digest: bytes) -> bool:
+    """The intake digest is the chain of the entries' ciphertext digests."""
+    return intake_digest == _digest(
+        b"message-set", *(entry.ciphertext_digest for entry in entries)
+    )
+
+
+def naive_opens(poll_id: int, tally, salt: bytes, commitment: bytes) -> bool:
+    """The commitment is the digest of (poll id, tally, salt); a number
+    past int64 has no encoding, so it opens nothing."""
+    items = sorted(tally.items())
+    try:
+        fields = (
+            struct.pack(">q", poll_id),
+            struct.pack(">I", len(items))
+            + b"".join(struct.pack(">qq", key, value) for key, value in items),
+        )
+    except struct.error:
+        return False
+    return commitment == _digest(b"tally-commitment", *fields, salt)
+
+
+def naive_claimed_tally(voter_count: int, entries) -> dict[int, int]:
+    """The tally of the final votes the claimed verdicts leave: each voter's
+    vote is its last command claimed valid, among the plaintexts that are
+    one canonical command naming a voter of the poll."""
+    votes: dict[int, tuple] = {}
+    for entry in entries:
+        command = None if entry.plaintext is None else naive_command(entry.plaintext)
+        if entry.valid and isinstance(command, tuple) and 0 <= command[4] < voter_count:
+            votes[command[4]] = command[1:3]
+    return _sum_votes(votes.values())
+
+
+def naive_verify_audit(transcript, intake_digest: bytes, commitment: bytes) -> Verdict:
+    """The audit with the replay first, and with every check its own:
+    the message set, then `naive_replay` must give every claimed verdict
+    (under a known cost rule, from 32-byte starting keys), then its tally
+    must be the claimed one, then the commitment must open."""
+    if not naive_entries_match(transcript.entries, intake_digest):
+        return Verdict.reject("MessageSetMismatch")
+    voters = transcript.initial_voters
+    if transcript.cost_rule not in ("linear", "quadratic") or any(
+        len(key) != 32 for key, _ in voters
+    ):
+        return Verdict.reject("ReplayMismatch")
+    verdicts, _, tally = naive_replay(
+        transcript.cost_rule,
+        transcript.options,
+        voters,
+        [entry.plaintext for entry in transcript.entries],
+    )
+    if verdicts != [(entry.valid, entry.reason) for entry in transcript.entries]:
+        return Verdict.reject("ReplayMismatch")
+    if tally != dict(transcript.tally):
+        return Verdict.reject("TallyMismatch")
+    if not naive_opens(transcript.poll_id, transcript.tally, transcript.salt, commitment):
+        return Verdict.reject("CommitmentMismatch")
+    return Verdict.accept()
 
 
 # ---- the scenario check by an independent route ------------------------------

@@ -131,7 +131,7 @@ def test_quadratic_cost_law() -> None:
             )
             poll.close(10)
             transcript = poll.process_messages(coordinator)
-            counted = transcript.final_states[0].vote is not None
+            counted = poll.final_states[0].vote is not None
             if counted != should_count:
                 boundary_failures.append((n, credits, counted))
             if not should_count and transcript.entries[0].reason != REASON_OVER_BUDGET:
@@ -426,7 +426,7 @@ def test_ballot_processing_semantics() -> None:
                 overspends_checked += 1
                 if entry.reason != REASON_OVER_BUDGET:
                     violations.append((sequence, "overspend reason", entry.reason))
-        for index, state in enumerate(transcript.final_states):
+        for index, state in enumerate(poll.final_states):
             got = (
                 None
                 if state.vote is None

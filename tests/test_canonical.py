@@ -2,9 +2,13 @@
 the determinism that commitments lean on."""
 from __future__ import annotations
 
+import struct
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from support import naive_command
 
 from disputekit.canonical import (
     MAX_FIELD_LEN,
@@ -16,7 +20,8 @@ from disputekit.canonical import (
     encode_str,
     encode_uint32,
 )
-from disputekit.errors import DecodeError
+from disputekit.errors import DecodeError, InvalidKey
+from disputekit.maci import Command, decode_signed_command
 
 int64s = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
 
@@ -94,3 +99,115 @@ def test_map_round_trip(mapping: dict[int, int]) -> None:
     reader = Reader(encode_int_map(mapping))
     assert reader.read_int_map() == mapping
     reader.expect_end()
+
+
+# ---- the command rule against an independent parser -------------------------
+
+
+def _fields(key, options, amounts, memo, index, signature) -> list[bytes]:
+    """A command's wire fields, each prefix its own item: the key's length
+    is item 0, the option and amount counts items 2 and 4, the memo's length
+    item 6 and the signature's item 9."""
+    def u32(n: int) -> bytes:
+        return struct.pack(">I", n)
+
+    def int64s(values) -> bytes:
+        return b"".join(struct.pack(">q", v) for v in values)
+
+    return [
+        u32(len(key)), key, u32(len(options)), int64s(options),
+        u32(len(amounts)), int64s(amounts), u32(len(memo)), memo,
+        struct.pack(">q", index), u32(len(signature)), signature,
+    ]
+
+
+_PREFIXES = (0, 2, 4, 6, 9)
+EDITS = ("none", "truncated", "trailing", "huge_prefix", "key31", "key33",
+         "uneven", "unsorted")
+
+
+@st.composite
+def commands(draw):
+    """The fields of a canonical command: options strictly increasing, one
+    amount each, a 32-byte key."""
+    options = sorted(draw(st.sets(int64s, max_size=4)))
+    return (
+        draw(st.binary(min_size=32, max_size=32)),
+        options,
+        draw(st.lists(int64s, min_size=len(options), max_size=len(options))),
+        draw(st.binary(max_size=40)),
+        draw(int64s),
+        draw(st.binary(max_size=70)),
+    )
+
+
+def edited(command, edit: str, at: int) -> list[bytes]:
+    """Plaintexts made from `command` by `edit`; `at` picks where."""
+    key, options, amounts, memo, index, signature = command
+    if edit == "key31":
+        key = key[:31]
+    elif edit == "key33":
+        key = key + b"\x00"
+    elif edit == "uneven":  # one amount fewer or one more
+        amounts = amounts[:-1] if amounts and at % 2 else [*amounts, at]
+    elif edit == "unsorted":  # a repeated option, or two in descending order
+        high = max(options[0] if options else 0, 1 - 2**63)
+        options, amounts = ([high, high] if at % 2 else [high, high - 1]), [1, 1]
+    fields = _fields(key, options, amounts, memo, index, signature)
+    if edit == "huge_prefix":
+        fields[_PREFIXES[at % len(_PREFIXES)]] = struct.pack(
+            ">I", MAX_FIELD_LEN + 1 + at % (2**32 - MAX_FIELD_LEN - 1)
+        )
+    plaintext = b"".join(fields)
+    if edit == "truncated":  # every truncation
+        return [plaintext[:n] for n in range(len(plaintext))]
+    if edit == "trailing":
+        return [plaintext + bytes([at % 256])]
+    return [plaintext]
+
+
+def assert_routes_agree(plaintext: bytes) -> None:
+    """`decode_signed_command` and `support.naive_command` return the same
+    (command, signed bytes, signature), or refuse with the same error."""
+    expected = naive_command(plaintext)
+    try:
+        command, signed, signature = decode_signed_command(plaintext)
+    except (DecodeError, InvalidKey) as exc:
+        assert type(exc).__name__ == expected
+        return
+    assert not isinstance(expected, str), f"decoded what the parser refuses: {expected}"
+    key, options, amounts, memo, index, naive_signed, naive_signature = expected
+    assert command == Command(key, options, amounts, memo, index)
+    assert (signed, signature) == (naive_signed, naive_signature)
+
+
+@settings(max_examples=300)
+@given(command=commands(), edit=st.sampled_from(EDITS), at=st.integers(0, 2**40))
+def test_the_command_decoder_agrees_with_an_independent_parser(command, edit, at) -> None:
+    """Differential check of the codec's `Reader`, under
+    `decode_signed_command`, against `support.naive_command`, which reads
+    the same wire format with its own offsets: valid commands, every
+    truncation, a trailing byte, a length or count prefix above
+    MAX_FIELD_LEN, 31- and 33-byte keys, unequal option and amount counts,
+    and options that are not strictly increasing."""
+    for plaintext in edited(command, edit, at):
+        assert_routes_agree(plaintext)
+
+
+@pytest.mark.parametrize("edit", EDITS)
+def test_each_edit_is_refused_as_the_rule_says(edit) -> None:
+    """What each edit of one command decodes to or is refused with."""
+    command = (bytes(range(32)), [0, 5], [1, 2], b"memo", 3, bytes(64))
+    expected = {
+        "none": None, "truncated": DecodeError, "trailing": DecodeError,
+        "huge_prefix": DecodeError, "key31": InvalidKey, "key33": InvalidKey,
+        "uneven": DecodeError, "unsorted": DecodeError,
+    }[edit]
+    for at in range(len(_PREFIXES)):
+        for plaintext in edited(command, edit, at):
+            assert_routes_agree(plaintext)
+            if expected is None:
+                decode_signed_command(plaintext)
+            else:
+                with pytest.raises(expected):
+                    decode_signed_command(plaintext)

@@ -43,9 +43,7 @@ from disputekit.errors import MalformedScript
 from disputekit.maci import (
     AuditTranscript,
     Command,
-    FinalVote,
     TranscriptEntry,
-    VoterFinalState,
     digest_over_entries,
     message_set_digest,
     replay_ballots,
@@ -870,8 +868,6 @@ def test_transcript_round_trips(audit_artifacts) -> None:
 
 
 _INT64 = st.integers(-(2**63), 2**63 - 1)
-_INTS = st.lists(_INT64, max_size=3).map(tuple)
-_VOTES = st.builds(FinalVote, _INTS, _INTS, st.binary(max_size=8), _INT64)
 _TRANSCRIPTS = st.builds(
     AuditTranscript,
     poll_id=_INT64,
@@ -890,14 +886,6 @@ _TRANSCRIPTS = st.builds(
         ),
         max_size=3,
     ).map(tuple),
-    final_states=st.lists(
-        st.builds(
-            VoterFinalState,
-            st.binary(max_size=33),
-            st.none() | _VOTES,
-        ),
-        max_size=3,
-    ).map(tuple),
     tally=st.dictionaries(_INT64, _INT64, max_size=3),
     salt=st.binary(max_size=32),
 )
@@ -907,10 +895,6 @@ _EDGES = AuditTranscript(
     options=-(2**63),
     initial_voters=((b"", -(2**63)),),
     entries=(TranscriptEntry(b"", None, False, None),),
-    final_states=(
-        VoterFinalState(b"", None),
-        VoterFinalState(b"", FinalVote((), (), b"", 2**63 - 1)),
-    ),
     tally={},
     salt=b"",
 )
@@ -927,9 +911,6 @@ def test_every_transcript_round_trips(transcript) -> None:
     assert transcript_from_jsonable(json.loads(json.dumps(doc))) == transcript
     assert list(doc) == list(cli._TRANSCRIPT)
     assert all(list(entry) == list(cli._ENTRY) for entry in doc["entries"])
-    assert all(list(state) == list(cli._STATE) for state in doc["final_states"])
-    votes = [state["vote"] for state in doc["final_states"] if state["vote"]]
-    assert all(list(vote) == list(cli._VOTE) for vote in votes)
     assert list(commitment_to_jsonable(b"", b"")) == list(cli._RECORD)
 
 
@@ -980,25 +961,16 @@ def test_a_valid_run_and_a_verify_never_import_jsonschema(tmp_path, audit_artifa
 
 
 def test_transcript_json_holds_no_position_or_digest_copies(audit_artifacts) -> None:
-    """Voter i and entry j are known by their positions alone, and the
-    intake digest is derived from the entries, so the document states none
-    of them."""
+    """Voter i and entry j are known by their positions alone, the intake
+    digest is derived from the entries, and each voter's final state from
+    the claimed verdicts, so the document states none of them."""
     doc, _, _ = audit_artifacts
     assert set(doc) == {
-        "poll_id", "cost_rule", "options", "initial_voters", "entries",
-        "final_states", "tally", "salt",
+        "poll_id", "cost_rule", "options", "initial_voters", "entries", "tally", "salt",
     }
     assert all(len(voter) == 2 for voter in doc["initial_voters"])
     assert {frozenset(entry) for entry in doc["entries"]} == {
         frozenset({"ciphertext_digest", "plaintext", "valid", "reason"})
-    }
-    assert {frozenset(state) for state in doc["final_states"]} == {
-        frozenset({"current_key", "vote"})
-    }
-    votes = [state["vote"] for state in doc["final_states"] if state["vote"]]
-    assert votes
-    assert {frozenset(vote) for vote in votes} == {
-        frozenset({"options", "amounts", "memo", "arrival_index"})
     }
 
 
@@ -1006,9 +978,12 @@ def swap(items, i: int, j: int) -> None:
     items[i], items[j] = items[j], items[i]
 
 
-def swap_voters(doc, i: int, j: int) -> None:
-    swap(doc["initial_voters"], i, j)
-    swap(doc["final_states"], i, j)
+def in_the_earlier_format(doc) -> None:
+    """Add what the earlier transcript format also stated: each voter's
+    final state (here its starting key and no vote)."""
+    doc["final_states"] = [
+        {"current_key": key, "vote": None} for key, _ in doc["initial_voters"]
+    ]
 
 
 @pytest.mark.parametrize(
@@ -1062,14 +1037,13 @@ def swap_voters(doc, i: int, j: int) -> None:
         ),
         # positions bind: the intake digest is derived from the entries in
         # order, and the replay finds each command's voter by its position
-        # (swapped in the starting voters and the final states alike)
         pytest.param(
             lambda d: swap(d["entries"], 0, 1),
             "MessageSetMismatch",
             id="entries-swapped-MessageSetMismatch",
         ),
         pytest.param(
-            lambda d: swap_voters(d, 0, 1),
+            lambda d: swap(d["initial_voters"], 0, 1),
             "ReplayMismatch",
             id="voters-swapped-ReplayMismatch",
         ),
@@ -1082,17 +1056,19 @@ def swap_voters(doc, i: int, j: int) -> None:
             "ReplayMismatch",
             id="31-byte-voter-key-ReplayMismatch",
         ),
-        # one edit, two failing checks: the claimed votes no longer sum to
-        # the tally, and the replay no longer gives the claimed states; the
-        # tally check runs first
+        # one edit, two failing checks: voter 0's counted vote claimed
+        # invalid leaves final votes that no longer sum to the tally, and
+        # the replay no longer gives the claimed verdict; the tally check
+        # runs first
         pytest.param(
-            lambda d: d["final_states"][0]["vote"].__setitem__("options", [1]),
+            lambda d: d["entries"][0].update(valid=False, reason="BadSignature"),
             "TallyMismatch",
             id="final-vote-TallyMismatch",
         ),
-        # claims that contradict each other, rejected before any signature
-        # check: an invalid verdict with no reason, a valid one with a
-        # reason, and a final vote that points at another entry
+        # claims of no shape the replay gives, rejected from the claims
+        # alone, before any plaintext is decoded: an invalid verdict with
+        # no reason, a valid one with a reason, and a reason the replay
+        # never gives
         pytest.param(
             lambda d: d["entries"][0].__setitem__("valid", False),
             "ReplayMismatch",
@@ -1104,9 +1080,9 @@ def swap_voters(doc, i: int, j: int) -> None:
             id="reason-on-valid-ReplayMismatch",
         ),
         pytest.param(
-            lambda d: d["final_states"][0]["vote"].__setitem__("arrival_index", 1),
+            lambda d: d["entries"][0].update(valid=False, reason="Coerced"),
             "ReplayMismatch",
-            id="final-vote-elsewhere-ReplayMismatch",
+            id="unknown-reason-ReplayMismatch",
         ),
     ],
 )
@@ -1141,6 +1117,7 @@ def test_verify_swapped_commitment_exits_one(tmp_path, capsys, audit_artifacts) 
         pytest.param(lambda d: d.__setitem__("salt", "not hex"), id="<lambda>1"),
         pytest.param(lambda d: d.__setitem__("poll_id", "zero"), id="<lambda>2"),
         pytest.param(lambda d: d["entries"][0].__setitem__("valid", "yes"), id="<lambda>3"),
+        # a transcript in the earlier format, which stated final states
         pytest.param(lambda d: d.__setitem__("final_states", None), id="<lambda>4"),
         pytest.param(
             lambda d: d.__setitem__("tally", list(d["tally"].items())), id="<lambda>5"
@@ -1178,12 +1155,10 @@ def test_verify_swapped_commitment_exits_one(tmp_path, capsys, audit_artifacts) 
         pytest.param(
             lambda d: d["entries"][0].__setitem__("arrival_index", 0), id="<lambda>17"
         ),
-        pytest.param(
-            lambda d: d["final_states"][0]["vote"].__setitem__("extra", 1), id="<lambda>18"
-        ),
+        pytest.param(in_the_earlier_format, id="<lambda>18"),
         # credits are the starting voters' alone
         pytest.param(
-            lambda d: d["final_states"][0].__setitem__("voice_credits", 1), id="<lambda>19"
+            lambda d: d["entries"][0].__setitem__("voice_credits", 1), id="<lambda>19"
         ),
     ],
 )
@@ -1221,15 +1196,16 @@ def test_verify_malformed_transcript_exits_two(
             "entries[0]: unknown key 'arrival_index'",
             id="<lambda>-entries[0]: unknown key 'arrival_index'",
         ),
+        # a transcript in the earlier format, with each voter's final state
         pytest.param(
-            lambda d, r: d["final_states"][0]["vote"].__setitem__("extra", 1),
-            "final_states[0].vote: unknown key 'extra'",
-            id="<lambda>-final_states[0].vote: unknown key 'extra'",
+            lambda d, r: in_the_earlier_format(d),
+            "transcript: unknown key 'final_states'",
+            id="earlier-format-final_states",
         ),
         pytest.param(
-            lambda d, r: d["final_states"][1].pop("current_key"),
-            "final_states[1]: missing key 'current_key'",
-            id="<lambda>-final_states[1]: missing key 'current_key'",
+            lambda d, r: d["entries"][1].pop("reason"),
+            "entries[1]: missing key 'reason'",
+            id="entry-missing-reason",
         ),
         pytest.param(
             lambda d, r: d.__setitem__("entries", {}),
@@ -1258,9 +1234,9 @@ def test_verify_malformed_transcript_exits_two(
             id="<lambda>-entries[0].valid: expected a boolean, got 'true'",
         ),
         pytest.param(
-            lambda d, r: d["final_states"][0]["vote"]["options"].__setitem__(0, "x"),
-            "final_states[0].vote.options[0]: expected an integer, got 'x'",
-            id="<lambda>-final_states[0].vote.options[0]: expected an integer, got 'x'",
+            lambda d, r: d["initial_voters"][1].__setitem__(1, "x"),
+            "initial_voters[1]: expected an integer, got 'x'",
+            id="voter-credits-not-an-integer",
         ),
         pytest.param(
             lambda d, r: d.__setitem__("salt", "not hex"),
@@ -1313,7 +1289,7 @@ def test_verify_rejects_a_tally_past_int64(tmp_path, capsys) -> None:
     for index, voter in enumerate(voters):
         command = Command(voter.public, (0,), (2**62,), b"", index)
         plaintexts.append(command.encode_signed(sign(voter, command.signing_bytes())))
-    verdicts, states = replay_ballots("linear", 1, initial, plaintexts)
+    verdicts, _ = replay_ballots("linear", 1, initial, plaintexts)
     assert verdicts == [(True, None)] * 3
     # the audit reads the message set off the entries' digests alone
     digests = [hash_bytes(plaintext) for plaintext in plaintexts]
@@ -1327,7 +1303,6 @@ def test_verify_rejects_a_tally_past_int64(tmp_path, capsys) -> None:
             TranscriptEntry(digest, plaintext, True, None)
             for digest, plaintext in zip(digests, plaintexts)
         ),
-        final_states=states,
         tally={0: 3 * 2**62},
         salt=bytes(32),
     )

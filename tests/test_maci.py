@@ -13,7 +13,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from support import naive_process, naive_replay
+from support import (
+    REPLAY_REASONS,
+    naive_claimed_tally,
+    naive_entries_match,
+    naive_opens,
+    naive_process,
+    naive_replay,
+    naive_verify_audit,
+)
 
 from disputekit import maci
 
@@ -31,14 +39,12 @@ from disputekit.errors import (
 from disputekit.maci import (
     COST_RULES,
     Command,
-    FinalVote,
     MaciPoll,
     TranscriptEntry,
     build_message,
     ciphertext_digest,
     commitment_digest,
     decode_signed_command,
-    digest_over_entries,
     message_set_digest,
     replay_ballots,
     verify_audit,
@@ -81,10 +87,10 @@ def cast(poll, rng, signer, index, votes, *, now=0, new_key=None, memo=b""):
 
 def finish(poll, coordinator, rng, *, now=100):
     poll.close(now)
-    transcript = poll.process_messages(coordinator)
+    poll.process_messages(coordinator)
     poll.commit_tally(rng)
     tally, salt = poll.publish_tally()
-    return transcript.final_states, tally, salt
+    return poll.final_states, tally, salt
 
 
 # ---- registration and intake -----------------------------------------------------
@@ -533,7 +539,7 @@ def test_processing_matches_an_independent_reference(
     )
     assert [entry.plaintext for entry in transcript.entries] == plaintexts
     assert [(entry.valid, entry.reason) for entry in transcript.entries] == verdicts
-    assert as_naive(verdicts, transcript.final_states) == (verdicts, finals, tally)
+    assert as_naive(verdicts, poll.final_states) == (verdicts, finals, tally)
     assert poll.tally == tally
 
 
@@ -779,7 +785,7 @@ def test_processing_after_a_preview_equals_a_fresh_poll(preview_by, late_intake)
             poll.register_voter(KeyPair.generate(r).public, 1)
         poll.close(100)
         transcript = poll.process_messages(coordinator)
-        return poll.tally, transcript
+        return poll.tally, transcript, poll.final_states
 
     assert processed(preview=True) == processed(preview=False)
 
@@ -795,6 +801,8 @@ def test_a_preview_alone_is_not_processing(rng) -> None:
         poll.commit_tally(rng)
     with pytest.raises(CommitBeforeProcessing):
         poll.audit_transcript()
+    with pytest.raises(CommitBeforeProcessing):
+        poll.final_states
 
 
 def test_an_unchanged_intake_is_opened_once(monkeypatch, rng) -> None:
@@ -830,7 +838,7 @@ def test_an_unchanged_intake_is_opened_once(monkeypatch, rng) -> None:
 
     poll.close(100)
     transcript = poll.process_messages(coordinator)
-    assert transcript.final_states == previewed
+    assert poll.final_states == previewed
     assert poll.process_messages(coordinator) is transcript
     assert len(opened) == 11
 
@@ -914,20 +922,30 @@ def test_honest_transcript_accepted(rng) -> None:
 
 
 def test_verdict_flip_detected(rng) -> None:
+    """A flip of a counted vote moves the tally the claims derive, so the
+    tally check names it; a reason swapped for another the folds give moves
+    nothing and only the replay names it."""
     transcript, intake, commitment = audited_poll(rng)
     entries = list(transcript.entries)
     entries[0] = dataclasses.replace(entries[0], valid=False, reason="OverBudget")
+    mutated = dataclasses.replace(transcript, entries=tuple(entries))
+    verdict = verify_audit(mutated, intake, commitment)
+    assert (verdict.ok, verdict.reason) == (False, "TallyMismatch")
+    entries = list(transcript.entries)
+    entries[2] = dataclasses.replace(entries[2], reason="BadAmount")
     mutated = dataclasses.replace(transcript, entries=tuple(entries))
     verdict = verify_audit(mutated, intake, commitment)
     assert (verdict.ok, verdict.reason) == (False, "ReplayMismatch")
 
 
 def test_invalid_to_valid_flip_detected(rng) -> None:
+    """Voter 2's over-budget vote, claimed valid, would be counted: the
+    claimed verdicts no longer derive the tally."""
     transcript, intake, commitment = audited_poll(rng)
     entries = list(transcript.entries)
     entries[2] = dataclasses.replace(entries[2], valid=True, reason=None)
     mutated = dataclasses.replace(transcript, entries=tuple(entries))
-    assert verify_audit(mutated, intake, commitment).reason == "ReplayMismatch"
+    assert verify_audit(mutated, intake, commitment).reason == "TallyMismatch"
 
 
 def test_tally_increment_detected(rng) -> None:
@@ -955,7 +973,7 @@ def test_final_state_mutation_detected(rng) -> None:
     vote costs its one credit, so with none the replay refuses it."""
     transcript, intake, commitment = audited_poll(rng)
     (key, credits), *others = transcript.initial_voters
-    assert credits == 1 and transcript.final_states[0].vote is not None
+    assert credits == 1 and transcript.entries[0].valid
     mutated = dataclasses.replace(transcript, initial_voters=((key, 0), *others))
     assert verify_audit(mutated, intake, commitment).reason == "ReplayMismatch"
 
@@ -985,11 +1003,11 @@ def test_dropped_entry_detected(rng) -> None:
 
 def _replay_agrees(transcript) -> bool:
     """Check 4 run whole: the cost rule is known, and the full replay gives
-    every claimed verdict and final state."""
+    every claimed verdict."""
     if transcript.cost_rule not in COST_RULES:
         return False
     try:
-        verdicts, states = replay_ballots(
+        verdicts, _ = replay_ballots(
             transcript.cost_rule,
             transcript.options,
             transcript.initial_voters,
@@ -997,78 +1015,45 @@ def _replay_agrees(transcript) -> bool:
         )
     except InvalidKey:
         return False
-    claimed = [(entry.valid, entry.reason) for entry in transcript.entries]
-    return verdicts == claimed and states == transcript.final_states
-
-
-def _sums_to_tally(states, tally) -> bool:
-    summed: dict[int, int] = {}
-    for state in states:
-        if state.vote is not None:
-            for option, amount in zip(state.vote.options, state.vote.amounts):
-                summed[option] = summed.get(option, 0) + amount
-    return summed == dict(tally)
-
-
-def _opens(transcript, commitment) -> bool:
-    try:
-        return commitment == commitment_digest(
-            transcript.poll_id, transcript.tally, transcript.salt
-        )
-    except DecodeError:
-        return False
-
-
-def _entries_match(transcript, intake_digest) -> bool:
-    return intake_digest == digest_over_entries(
-        e.ciphertext_digest for e in transcript.entries
-    )
-
-
-def naive_verify_audit(transcript, intake_digest, commitment) -> Verdict:
-    """`verify_audit` with the replay first: message set, then the full
-    replay, then the tally of the replayed states (which the replay has
-    just found equal to the claimed ones), then the commitment."""
-    if not _entries_match(transcript, intake_digest):
-        return Verdict.reject("MessageSetMismatch")
-    if not _replay_agrees(transcript):
-        return Verdict.reject("ReplayMismatch")
-    if not _sums_to_tally(transcript.final_states, transcript.tally):
-        return Verdict.reject("TallyMismatch")
-    if not _opens(transcript, commitment):
-        return Verdict.reject("CommitmentMismatch")
-    return Verdict.accept()
+    return verdicts == [(entry.valid, entry.reason) for entry in transcript.entries]
 
 
 def whole_replay_verify_audit(transcript, intake_digest, commitment) -> Verdict:
-    """`verify_audit` with check 4 run whole: checks 1-3 on the claims, then
-    the full replay, with no check of the claims against each other first."""
-    if not _entries_match(transcript, intake_digest):
+    """`verify_audit` with check 4 run whole: the message set, the claims'
+    shapes, the tally of the votes the claimed verdicts leave, the
+    commitment, then the full replay, with no check of the claims against
+    the stateless pass first. Checks 1-3 are `support`'s own."""
+    if not naive_entries_match(transcript.entries, intake_digest):
         return Verdict.reject("MessageSetMismatch")
-    if not _sums_to_tally(transcript.final_states, transcript.tally):
+    shapes = {(True, None)} | {(False, reason) for reason in REPLAY_REASONS}
+    if any((entry.valid, entry.reason) not in shapes for entry in transcript.entries):
+        return Verdict.reject("ReplayMismatch")
+    voters = len(transcript.initial_voters)
+    if naive_claimed_tally(voters, transcript.entries) != dict(transcript.tally):
         return Verdict.reject("TallyMismatch")
-    if not _opens(transcript, commitment):
+    if not naive_opens(transcript.poll_id, transcript.tally, transcript.salt, commitment):
         return Verdict.reject("CommitmentMismatch")
     if not _replay_agrees(transcript):
         return Verdict.reject("ReplayMismatch")
     return Verdict.accept()
 
 
-def honest_audit(seed):
-    """A small published poll: three voters, eight ballots that rotate keys
-    and are signed by a random key the voter has held, so some are stale
-    or over budget, and one undecryptable message."""
+def honest_audit(seed, ballots=8):
+    """A small published poll: three voters, `ballots` ballots that rotate
+    keys and are signed by a random key the voter has held, so some are
+    stale or over budget, and one undecryptable message."""
     rng = random.Random(seed)
-    poll, coordinator, voters = make_poll(rng, credits=(1, 2, 4))
+    deadline = ballots + 100
+    poll, coordinator, voters = make_poll(rng, credits=(1, 2, 4), deadline=deadline)
     held = [[voter] for voter in voters]
     poll.submit_message(bytes(32) + bytes(12) + b"junk" + bytes(16), now=0)
-    for now in range(8):
+    for now in range(ballots):
         index = rng.randrange(len(held))
         fresh = KeyPair.generate(rng)
         cast(poll, rng, rng.choice(held[index]), index,
              {rng.randrange(3): rng.randint(1, 3)}, now=now, new_key=fresh.public)
         held[index].append(fresh)
-    finish(poll, coordinator, rng)
+    finish(poll, coordinator, rng, now=deadline)
     intake = message_set_digest([m.ciphertext for m in poll.messages])
     return poll.audit_transcript(), intake, poll.commitment
 
@@ -1094,9 +1079,17 @@ def _voter_of(entry):
         return None
 
 
+def _vote_of(entry):
+    command = decode_signed_command(entry.plaintext)[0]
+    return command.vote_option, command.vote_amount
+
+
 def apply_fault(transcript, kind: str, pick: int, amount: int):
-    entries, states = list(transcript.entries), list(transcript.final_states)
-    entry, state = entries[pick % len(entries)], states[pick % len(states)]
+    entries, voters = list(transcript.entries), list(transcript.initial_voters)
+    entry, voter = entries[pick % len(entries)], pick % len(voters)
+    # the entries of this voter's commands, and which of them is counted
+    mine = [j for j, e in enumerate(entries) if _voter_of(e) == voter]
+    counted = max((j for j in mine if entries[j].valid), default=None)
     if kind == "flip":
         entries[pick % len(entries)] = dataclasses.replace(
             entry, valid=not entry.valid, reason="OverBudget" if entry.valid else None
@@ -1112,15 +1105,28 @@ def apply_fault(transcript, kind: str, pick: int, amount: int):
         if opened:
             at = opened[pick % len(opened)]
             entries[at] = dataclasses.replace(entries[at], valid=False, reason="AuthFailure")
-    elif kind == "vote_elsewhere":  # a final vote moved to another of its voter's entries
-        at = pick % len(states)
-        others = [] if state.vote is None else [
-            j for j, e in enumerate(entries)
-            if _voter_of(e) == at and j != state.vote.arrival_index
+    elif kind == "vote_elsewhere":
+        # the counted vote moved to a later command of its voter that votes
+        # otherwise: the two exchange their verdicts
+        later = [] if counted is None else [
+            j for j in mine if j > counted and _vote_of(entries[j]) != _vote_of(entries[counted])
         ]
-        if others:
-            vote = dataclasses.replace(state.vote, arrival_index=others[pick % len(others)])
-            states[at] = dataclasses.replace(state, vote=vote)
+        if later:
+            at = later[pick % len(later)]
+            entries[at], entries[counted] = (
+                dataclasses.replace(entries[at], valid=True, reason=None),
+                dataclasses.replace(entries[counted], valid=False, reason=entries[at].reason),
+            )
+    elif kind == "vote":  # drop a voter's counted vote, or count another
+        if amount > 0:
+            invalid = [j for j in mine if not entries[j].valid]
+            if invalid:
+                at = invalid[-1]
+                entries[at] = dataclasses.replace(entries[at], valid=True, reason=None)
+        else:
+            for j in mine:
+                if entries[j].valid:
+                    entries[j] = dataclasses.replace(entries[j], valid=False, reason="OverBudget")
     elif kind == "tally":
         tally = dict(transcript.tally)
         tally[pick % 4] = tally.get(pick % 4, 0) + amount
@@ -1133,27 +1139,16 @@ def apply_fault(transcript, kind: str, pick: int, amount: int):
         entries[pick % len(entries)] = dataclasses.replace(
             entry, ciphertext_digest=_other_bytes(entry.ciphertext_digest, pick)
         )
-    elif kind == "voter_swap":  # two voters, in the starting voters and final states
-        at, to = pick % len(states), (pick + 1) % len(states)
-        voters = list(transcript.initial_voters)
-        voters[at], voters[to] = voters[to], voters[at]
-        states[at], states[to] = states[to], states[at]
-        return dataclasses.replace(
-            transcript, initial_voters=tuple(voters), final_states=tuple(states)
-        )
+    elif kind == "voter_swap":  # two starting voters
+        to = (voter + 1) % len(voters)
+        voters[voter], voters[to] = voters[to], voters[voter]
     elif kind == "credits":  # a starting voter's budget
-        voters = list(transcript.initial_voters)
-        key, credits = voters[pick % len(voters)]
-        voters[pick % len(voters)] = (key, credits + amount)
-        return dataclasses.replace(transcript, initial_voters=tuple(voters))
-    elif kind == "key":
-        other = states[(pick + 1) % len(states)].current_key
-        states[pick % len(states)] = dataclasses.replace(state, current_key=other)
-    else:  # "vote": drop a final vote, or put another in its place
-        vote = FinalVote((pick % 3,), (amount,), b"", pick) if amount > 0 else None
-        states[pick % len(states)] = dataclasses.replace(state, vote=vote)
+        key, credits = voters[voter]
+        voters[voter] = (key, credits + amount)
+    else:  # "key": a starting voter registered under the next voter's key
+        voters[voter] = (voters[(voter + 1) % len(voters)][0], voters[voter][1])
     return dataclasses.replace(
-        transcript, entries=tuple(entries), final_states=tuple(states)
+        transcript, initial_voters=tuple(voters), entries=tuple(entries)
     )
 
 
@@ -1184,19 +1179,21 @@ def honest_audits():
     ),
 )
 def test_check_order_keeps_the_accept_set(honest_audits, which, faults) -> None:
-    """Differential check of `verify_audit`, which runs its O(V) checks
-    before the replay, against the replay-first order: on honest
-    transcripts with 2-4 faults, they accept exactly the same."""
+    """Differential check of `verify_audit`, which runs its claim-only
+    checks before the replay, against `support.naive_verify_audit`, which
+    replays first with its own parser, signature checks and tally: on
+    honest transcripts with 2-4 faults, they accept exactly the same."""
     assert verify_audit(*honest_audits[which]).ok
+    assert naive_verify_audit(*honest_audits[which]).ok
     faulted = with_faults(honest_audits[which], faults)
     assert verify_audit(*faulted).ok == naive_verify_audit(*faulted).ok
 
 
 @pytest.mark.parametrize("kind", FAULTS)
 def test_every_single_fault_reads_as_with_check_4_whole(honest_audits, kind) -> None:
-    """Differential check of the claims check 4a: on every honest
-    transcript, each single fault of this kind at every pick reads the same
-    verdict, reason included, as checks 1-3 followed by the whole replay."""
+    """Differential check of the split check 4: on every honest transcript,
+    each single fault of this kind at every pick reads the same verdict,
+    reason included, as checks 1-3 followed by the whole replay."""
     for audit in honest_audits:
         for pick in range(len(audit[0].entries)):
             for amount in (-1, 0, 2):
@@ -1219,6 +1216,18 @@ def signature_checks(monkeypatch) -> list:
     return calls
 
 
+def decodes(monkeypatch) -> list:
+    """Count calls of `decode_signed_command` made by the audit."""
+    real, calls = maci.decode_signed_command, []
+
+    def spy(plaintext: bytes):
+        calls.append(1)
+        return real(plaintext)
+
+    monkeypatch.setattr(maci, "decode_signed_command", spy)
+    return calls
+
+
 def test_an_honest_audit_checks_each_surviving_command_once(
     monkeypatch, honest_audits
 ) -> None:
@@ -1231,15 +1240,51 @@ def test_an_honest_audit_checks_each_surviving_command_once(
         assert len(calls) == survivors
 
 
+@pytest.mark.parametrize("ballots", [8, 60, 240])
+def test_the_audit_decodes_and_checks_only_what_each_check_needs(
+    monkeypatch, ballots
+) -> None:
+    """Exact counts of decodes and signature checks, at three poll sizes: a
+    claim of no known shape is rejected from the claims alone; a tampered
+    tally or salt after one decode per plaintext and no signature check; an
+    honest transcript after one signature check per command that survives
+    the stateless pass."""
+    transcript, intake, commitment = honest_audit(ballots, ballots)
+    checked, decoded = signature_checks(monkeypatch), decodes(monkeypatch)
+    plaintexts = sum(entry.plaintext is not None for entry in transcript.entries)
+    stateless = ("AuthFailure", "DecodeError", "UnknownVoter")
+    survivors = sum(entry.reason not in stateless for entry in transcript.entries)
+
+    def audit(faulted, commitment=commitment):
+        checked.clear()
+        decoded.clear()
+        return verify_audit(faulted, intake, commitment).reason, len(decoded), len(checked)
+
+    last = len(transcript.entries) - 1
+    for valid, reason in ((False, None), (True, "BadSignature"), (False, "Coerced")):
+        entries = list(transcript.entries)
+        entries[last] = dataclasses.replace(entries[last], valid=valid, reason=reason)
+        misshaped = dataclasses.replace(transcript, entries=tuple(entries))
+        assert audit(misshaped) == ("ReplayMismatch", 0, 0)
+    tally = dict(transcript.tally)
+    tally[0] = tally.get(0, 0) + 1
+    tampered = dataclasses.replace(transcript, tally=tally)
+    assert audit(tampered) == ("TallyMismatch", plaintexts, 0)
+    resalted = dataclasses.replace(transcript, salt=_other_bytes(transcript.salt, 0))
+    assert audit(resalted) == ("CommitmentMismatch", plaintexts, 0)
+    assert audit(transcript) == (None, plaintexts, survivors)
+
+
 @pytest.mark.parametrize(
     "kind", ["bare_flip", "reason_on_valid", "stateless_lie", "vote_elsewhere"]
 )
 def test_contradicting_claims_are_rejected_before_a_signature_check(
     monkeypatch, honest_audits, kind
 ) -> None:
-    """A fault that leaves the claims at odds with each other or with the
-    decoded plaintexts is rejected after zero signature checks, with the
-    reason the whole replay gives."""
+    """A fault that leaves the claims at odds with each other, with the
+    decoded plaintexts or with the tally is rejected after zero signature
+    checks, with the reason the whole replay gives: ReplayMismatch, or
+    TallyMismatch where it moves a counted vote."""
     calls = signature_checks(monkeypatch)
     applied = 0
     for audit in honest_audits:
@@ -1250,5 +1295,7 @@ def test_contradicting_claims_are_rejected_before_a_signature_check(
             applied += 1
             calls.clear()
             verdict = verify_audit(*faulted)
-            assert (verdict.ok, verdict.reason, calls) == (False, "ReplayMismatch", [])
+            assert (verdict.ok, calls) == (False, [])
+            assert verdict.reason in ("ReplayMismatch", "TallyMismatch")
+            assert verdict == whole_replay_verify_audit(*faulted)
     assert applied
