@@ -5,7 +5,8 @@ Three subcommands, three artifact formats:
   run <file> [--seed N] [--out PATH]
       Execute a JSON scenario file end-to-end and emit the run report
       (compact JSON on one line, keys sorted; pretty-print it with
-      `python -m json.tool`). Before anything runs, a check compiled
+      `python -m json.tool`), written in pieces so that the whole text is
+      never held (`report_pieces`). Before anything runs, a check compiled
       from the published document schema (`scenario.SCENARIO_SCHEMA`)
       decides the file and words any refusal, with no JSON Schema
       library. Exit 0 when every step met its expectation and every
@@ -49,7 +50,7 @@ import math
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import scenario
 from .errors import MalformedScript
@@ -205,13 +206,44 @@ def transcript_from_jsonable(doc: Any) -> AuditTranscript:
 # ---- subcommands ----------------------------------------------------------------
 
 
-def _emit(payload: str, out: Optional[str]) -> bool:
-    """Write `payload` to `out`, or stdout when None; False if `out` cannot be."""
+# rows of a top-level report list that one call of the encoder turns to text
+REPORT_SLICE_ROWS = 256
+
+# the report's encoder: compact, keys sorted; without `indent` it is json's C
+# encoder, where `json.dump` would take the pure-Python one
+_encode_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def report_pieces(report: dict[str, Any]) -> Iterator[str]:
+    """The text of `json.dumps(report, sort_keys=True, separators=(",", ":"))
+    + "\n"`, in order, in pieces: each top-level key with its value, and each
+    top-level list `REPORT_SLICE_ROWS` rows at a time. No piece is larger
+    than a slice or a non-list value, so the whole text is never held."""
+    yield "{"
+    for position, key in enumerate(sorted(report)):
+        value = report[key]
+        yield ("," if position else "") + _encode_json(key) + ":"
+        if not isinstance(value, list):
+            yield _encode_json(value)
+            continue
+        yield "["
+        for start in range(0, len(value), REPORT_SLICE_ROWS):
+            rows = _encode_json(value[start:start + REPORT_SLICE_ROWS])
+            yield ("," if start else "") + rows[1:-1]
+        yield "]"
+    yield "}\n"
+
+
+def _emit(payload: str | Iterable[str], out: Optional[str]) -> bool:
+    """Write `payload`, a string or its pieces in order, to `out`, or stdout
+    when None; False if `out` cannot be written."""
+    pieces = [payload] if isinstance(payload, str) else payload
     if out is None:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(pieces)
         return True
     try:
-        Path(out).write_text(payload)
+        with open(out, "w") as file:
+            file.writelines(pieces)
         return True
     except OSError as exc:
         print(f"cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
@@ -234,6 +266,8 @@ def _load_json(path: str) -> Any:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    """Run the scenario and write its report, as `report_pieces`, to
+    `--out` or stdout; the exit code says whether the run held."""
     try:
         script = _load_json(args.file)
     # ValueError covers a JSONDecodeError and a key `_unique_keys` refuses
@@ -246,8 +280,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"malformed scenario: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    # without `indent`, json.dumps takes the C encoder
-    if not _emit(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n", args.out):
+    if not _emit(report_pieces(report), args.out):
         return EXIT_USAGE
     if not report["ok"]:
         failed = [

@@ -19,6 +19,7 @@ cannot re-enter with a fresh commitment.
 """
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -72,6 +73,24 @@ class PohRegistry:
             raise ValueError("challenge window must be positive")
         self.challenge_window = challenge_window
         self.records: dict[str, HumanRecord] = {}
+        # what `finalize` may settle, so that it never scans `records`: each
+        # human's place in `records`, kept when they register again; pending
+        # records as a heap of (deadline, registrations before it, record),
+        # where a record no longer pending is dropped when it comes due; and
+        # challenged records with their places
+        self._places: dict[str, int] = {}
+        self._due: list[tuple[int, int, HumanRecord]] = []
+        self._registrations = 0
+        self._challenged: list[tuple[int, HumanRecord]] = []
+
+    def _add(self, record: HumanRecord) -> HumanRecord:
+        self.records[record.human_id] = record
+        self._places.setdefault(record.human_id, len(self._places))
+        if record.status == RegistryStatus.PENDING:
+            entry = (record.challenge_deadline, self._registrations, record)
+            heapq.heappush(self._due, entry)
+            self._registrations += 1
+        return record
 
     def seed_approved(self, human_id: str) -> HumanRecord:
         """Bootstrap a genesis human (someone has to vouch first)."""
@@ -80,8 +99,7 @@ class PohRegistry:
         record = HumanRecord(
             human_id, ZERO_DIGEST, None, RegistryStatus.APPROVED, 0
         )
-        self.records[human_id] = record
-        return record
+        return self._add(record)
 
     def _active(self, human_id: str) -> Optional[HumanRecord]:
         record = self.records.get(human_id)
@@ -107,8 +125,7 @@ class PohRegistry:
             RegistryStatus.PENDING,
             now + self.challenge_window,
         )
-        self.records[human_id] = record
-        return record
+        return self._add(record)
 
     def challenge(self, human_id: str, reason: str, now: int) -> HumanRecord:
         record = self.records.get(human_id)
@@ -120,24 +137,24 @@ class PohRegistry:
             )
         record.status = RegistryStatus.CHALLENGED
         record.challenge_reason = reason
+        self._challenged.append((self._places[human_id], record))
         return record
 
     def finalize(self, now: int) -> list[HumanRecord]:
         """Settle every record whose window has run: challenged ones are
         rejected, unchallenged pending ones past deadline are approved.
-        Returns the records that changed."""
-        changed = []
-        for record in self.records.values():
-            if record.status == RegistryStatus.CHALLENGED:
-                record.status = RegistryStatus.REJECTED
-                changed.append(record)
-            elif (
-                record.status == RegistryStatus.PENDING
-                and now >= record.challenge_deadline
-            ):
+        Returns the records that changed, in `records` order. Touches only
+        the challenged records and those that came due."""
+        settled, self._challenged = self._challenged, []
+        for _, record in settled:
+            record.status = RegistryStatus.REJECTED
+        while self._due and self._due[0][0] <= now:
+            record = heapq.heappop(self._due)[2]
+            if record.status == RegistryStatus.PENDING:
                 record.status = RegistryStatus.APPROVED
-                changed.append(record)
-        return changed
+                settled.append((self._places[record.human_id], record))
+        settled.sort(key=lambda item: item[0])
+        return [record for _, record in settled]
 
 
 # ---- identities and signals ---------------------------------------------------

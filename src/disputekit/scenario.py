@@ -871,6 +871,9 @@ def run_scenario(script: Mapping[str, Any], *, seed: Optional[int] = None) -> di
     each step says what it expects ("ok" by default, or "error:SomeError")
     and the report records whether expectations held. `seed` overrides the
     script's own seed.
+
+    The report's `view`, its largest part, is rendered only after the
+    world that played the timeline is freed, so the two never share memory.
     """
     try:
         validate(script)
@@ -886,7 +889,19 @@ def run_scenario(script: Mapping[str, Any], *, seed: Optional[int] = None) -> di
             )
 
     effective_seed = seed if seed is not None else script["seed"]
-    world = World(effective_seed, **script.get("config", {}))
+    report, view = _play(script, effective_seed)
+    report["view"] = view.as_jsonable()
+    if "expected" in script:
+        matched = matches_expected(report["snapshot"], script["expected"])
+        report["expected_match"] = matched
+        report["ok"] = report["ok"] and matched
+    return report
+
+
+def _play(script: Mapping[str, Any], seed: int) -> tuple[dict, AdversaryView]:
+    """Play the timeline on a fresh world; returns the report without its
+    `view`, and the world's public record. The world dies on return."""
+    world = World(seed, **script.get("config", {}))
 
     steps_report: list[dict] = []
     ok = True
@@ -919,12 +934,10 @@ def run_scenario(script: Mapping[str, Any], *, seed: Optional[int] = None) -> di
         ok = ok and step_ok
         steps_report.append(entry)
 
-    snapshot = world.snapshot()
     report: dict[str, Any] = {
-        "seed": effective_seed,
+        "seed": seed,
         "steps": steps_report,
-        "snapshot": snapshot,
-        "view": world.view.as_jsonable(),
+        "snapshot": world.snapshot(),
         "ok": ok,
     }
     # the replay checks every prefix of the ledger, so once covers every step;
@@ -936,8 +949,4 @@ def run_scenario(script: Mapping[str, Any], *, seed: Optional[int] = None) -> di
             steps_report[-1].update({"pass": False, "invariant": broken})
         else:
             report["invariant"] = broken
-    if "expected" in script:
-        matched = matches_expected(snapshot, script["expected"])
-        report["expected_match"] = matched
-        report["ok"] = report["ok"] and matched
-    return report
+    return report, world.view

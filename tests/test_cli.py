@@ -4,12 +4,14 @@ from __future__ import annotations
 import copy
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -166,6 +168,136 @@ def test_run_report_bytes_are_pinned(capsys, name) -> None:
     assert main(["run", str(REPO / "scenarios" / name)]) == EXIT_OK
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == GOLDEN_REPORT_DIGESTS[name]
+
+
+# SHA-256 of the `--out` report of each benchmark workload, at full size, at
+# the default seed and the held-out one. Pinned with the bundled scenarios'
+# digests above; a change to the workload generator updates these too.
+GOLDEN_WORKLOAD_DIGESTS = {
+    ("jury", 1): "cb3aceb97fe285fe4414cac9b594867cb550c097040d4d34d31647d9b23c4a9a",
+    ("jury", 7919): "41d9e7c756ca7ae938ae2d8ca648699294cc9ecbb5dd4850ed87c49f53dcb2f6",
+    ("docket", 1): "cd34676b26c7c98e79b59a66ec4880b3aded9c382968c3f88897d09350e00c22",
+    ("docket", 7919): "877bd23ac7aae934c4aad2e4a9b0333abe54361b02180c21f4438b3163203649",
+    ("registry", 1): "03fb5b0f4181774d5feaf5524d5bdcd0c976d22e60a09154ed8eb2c7eb9c409e",
+    ("registry", 7919): "55016771cbfe675c6e4075c37f11ef89a64318e1a438dcc0d1b025e0ef4e029d",
+}
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", REPO / "benchmarks" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload, seed", sorted(GOLDEN_WORKLOAD_DIGESTS))
+def test_workload_report_bytes_are_pinned(tmp_path, workload, seed) -> None:
+    script, _ = load_workloads().GENERATORS[workload](seed)
+    out = tmp_path / "report.json"
+    assert main(["run", write_json(tmp_path / "s.json", script), "--out", str(out)]) == EXIT_OK
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN_WORKLOAD_DIGESTS[(workload, seed)]
+
+
+@pytest.mark.parametrize("scenario", [HAPPY, STALLED], ids=["happy", "stalled"])
+def test_the_stdout_report_is_the_out_report(tmp_path, capsys, scenario) -> None:
+    out = tmp_path / "report.json"
+    assert main(["run", str(scenario), "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert main(["run", str(scenario)]) == EXIT_OK
+    assert capsys.readouterr().out == out.read_text()
+
+
+def naive_report_text(report: dict) -> str:
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["honest", "ledger-fault"])
+def test_an_empty_timeline_reports_as_the_naive_writer_writes(
+    tmp_path, monkeypatch, capsys, fault
+) -> None:
+    """No steps: the `steps` list is empty, and a broken invariant is named
+    on the report itself."""
+    if fault:
+        monkeypatch.setattr(Escrow, "conserved", lambda self: False)
+    script = {"seed": 4, "config": {"genesis_humans": ["ana"]}, "timeline": [],
+              "expected": {"poh": {"ana": "Approved"}}}
+    path = write_json(tmp_path / "empty.json", script)
+    assert main(["run", path]) == (EXIT_FAIL if fault else EXIT_OK)
+    report = run_scenario(script)
+    assert ("invariant" in report) == fault and report["expected_match"]
+    assert capsys.readouterr().out == naive_report_text(report)
+
+
+_ROWS = cli.REPORT_SLICE_ROWS
+_TEXT = st.text(max_size=6)  # any code point, so non-ASCII ones too
+_SCALARS = st.none() | st.booleans() | st.integers(-(2**70), 2**70) | _TEXT
+# int keys sort as numbers before JSON writes them as strings: a tally with
+# ten or more options sorts "10" after "9"
+_TALLIES = st.dictionaries(st.integers(0, 14), st.integers(0, 99), max_size=15) | st.builds(
+    lambda options: {option: 7 * option for option in range(options)},
+    st.integers(10, 13),
+)
+_VALUES = st.recursive(
+    _SCALARS | _TALLIES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _rows(draw) -> list:
+    """A top-level list of 0, 1, N-1, N, N+1 or 2N+1 rows, N rows a slice."""
+    count = draw(st.sampled_from([0, 1, _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 1]))
+    shapes = draw(st.lists(_VALUES, min_size=1, max_size=4))
+    return [[seq, "event", shapes[seq % len(shapes)]] for seq in range(count)]
+
+
+@st.composite
+def _reports(draw) -> dict:
+    report = {
+        "seed": draw(st.integers(-(2**63), 2**63)),
+        "steps": draw(_rows()),
+        "snapshot": draw(st.dictionaries(_TEXT, _VALUES, max_size=4)),
+        "view": draw(_rows()),
+        "ok": draw(st.booleans()),
+    }
+    if draw(st.booleans()):
+        report["invariant"] = draw(_TEXT)
+    if draw(st.booleans()):
+        report["expected_match"] = draw(st.booleans())
+    return report
+
+
+@settings(max_examples=50, deadline=None)
+@given(report=_reports())
+def test_report_pieces_are_the_naive_text(report) -> None:
+    """Differential check of the piecewise writer against one `json.dumps`
+    of the whole report."""
+    assert "".join(cli.report_pieces(report)) == naive_report_text(report)
+
+
+def test_writing_a_report_holds_a_slice_not_the_text(tmp_path, monkeypatch) -> None:
+    """`run` writes a report of 4 MB or more while holding under a quarter
+    of its text: never the whole text, its newline copy or its bytes."""
+    view = [[seq, "ballot", {"ciphertext": f"{seq:08x}" * 50, "dispute_id": seq}]
+            for seq in range(10_000)]
+    report = {"seed": 1, "steps": [], "snapshot": {}, "view": view, "ok": True}
+    length = len(naive_report_text(report))
+    assert length >= 4 * 2**20
+    monkeypatch.setattr(cli, "run_scenario", lambda script, seed: report)
+    out = tmp_path / "report.json"
+    cli.build_parser()
+    tracemalloc.start()
+    try:
+        assert main(["run", str(HAPPY), "--out", str(out)]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size == length
+    assert peak < length / 4
 
 
 def test_run_seed_override_changes_bytes(tmp_path, capsys) -> None:

@@ -2,6 +2,8 @@
 enrollment, both voting phases, and settlement."""
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,8 @@ from disputekit.errors import (
     ZeroFee,
 )
 from disputekit.identity import create_signal
-from disputekit.maci import build_message, message_set_digest, verify_audit
+from disputekit import maci
+from disputekit.maci import MaciPoll, build_message, message_set_digest, verify_audit
 from disputekit.primitives import KeyPair
 from support import CFG, Court, proposal_hash, resolved_court
 
@@ -491,6 +494,36 @@ def test_phase1_scores_are_the_published_tally(probe) -> None:
     assert verify_audit(transcript, intake, dispute.phase1_poll.commitment).ok
     # juror 3's proposal is their last valid vote's memo
     assert dispute.proposals[-1].text_hash == (memos[3] if verdict else memo)
+
+
+@pytest.mark.parametrize("ballots", [8, 60, 240])
+def test_a_phase1_close_opens_each_ballot_once(monkeypatch, ballots) -> None:
+    """Exact counts of one tallying close through the engine, at three poll
+    sizes (ROADMAP item 10): one key agreement and one decryption per
+    ballot, in the one run of the intake that the quorum preview and the
+    processing share."""
+    court = Court(seed=ballots)
+    dispute = court.open()
+    enrolled = [court.enroll(dispute.dispute_id, judge) for judge in court.judges[:3]]
+    for n in range(ballots):
+        index, key = enrolled[n % 3]
+        court.phase1_vote(
+            dispute.dispute_id, index, key, n % 2, memo=proposal_hash(f"p{n}")
+        )
+    counts = Counter()
+
+    def counted(name, real):
+        def spy(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return spy
+
+    monkeypatch.setattr(maci, "key_agree", counted("key_agree", maci.key_agree))
+    monkeypatch.setattr(maci, "decrypt", counted("decrypt", maci.decrypt))
+    monkeypatch.setattr(MaciPoll, "_run", counted("_run", MaciPoll._run))
+    assert court.engine.close_phase1(dispute.dispute_id, now=CFG.t2) == "tallied"
+    assert counts == {"key_agree": ballots, "decrypt": ballots, "_run": 1}
 
 
 # ---- phase 2 -------------------------------------------------------------------

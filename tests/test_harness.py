@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from disputekit.attacks import (
     attack_takeover,
     run_all_attacks,
 )
+from disputekit import scenario
 from disputekit.engine import Escrow
 from disputekit.errors import MalformedScript
 from disputekit.scenario import (
@@ -319,6 +321,41 @@ def test_a_ledger_fault_fails_an_empty_timeline(monkeypatch) -> None:
     report = run_scenario({"seed": 1, "timeline": []})
     assert report["ok"] is False and report["steps"] == []
     assert report["invariant"] == "escrow conservation violated"
+
+
+@pytest.mark.parametrize("name", ["happy_path.json", "stalled_court.json"])
+def test_a_run_replays_the_ledger_once(monkeypatch, name) -> None:
+    """One full ledger replay per run (ROADMAP item 10)."""
+    replays = []
+    conserved = Escrow.conserved
+    monkeypatch.setattr(
+        Escrow, "conserved", lambda self: replays.append(1) or conserved(self)
+    )
+    assert run_scenario(json.loads((SCENARIOS / name).read_text()))["ok"]
+    assert replays == [1]
+
+
+def test_the_view_is_rendered_once_the_world_is_freed(monkeypatch) -> None:
+    """The report's `view` never shares memory with the world that played
+    the timeline: the world is dead when the view is rendered."""
+    worlds, rendered = [], []
+
+    class Tracked(World):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            worlds.append(weakref.ref(self))
+
+    as_jsonable = AdversaryView.as_jsonable
+
+    def render(view):
+        rendered.append([world() is None for world in worlds])
+        return as_jsonable(view)
+
+    monkeypatch.setattr(scenario, "World", Tracked)
+    monkeypatch.setattr(AdversaryView, "as_jsonable", render)
+    report = run_scenario(happy_path_script())
+    assert rendered == [[True]]
+    assert report["ok"] and report["view"]
 
 
 def test_matches_expected_is_a_subset_check() -> None:

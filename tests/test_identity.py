@@ -5,6 +5,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disputekit.errors import (
     AlreadyJoined,
@@ -12,9 +14,11 @@ from disputekit.errors import (
     DuplicateHuman,
     NotAMember,
     NotApproved,
+    ProtocolError,
     VoucherNotApproved,
 )
 from disputekit.identity import (
+    HumanRecord,
     Identity,
     PohRegistry,
     RegistryStatus,
@@ -95,6 +99,77 @@ def test_voucher_must_be_approved() -> None:
         registry.register("bob", hash_bytes(b"v"), "alice", now=1)  # pending
     with pytest.raises(VoucherNotApproved):
         registry.register("carol", hash_bytes(b"v"), "nobody", now=1)
+
+
+def test_a_returning_human_keeps_their_first_place() -> None:
+    registry = make_registry("genesis")
+    registry.register("alice", hash_bytes(b"v"), "genesis", now=0)
+    registry.register("bob", hash_bytes(b"v"), "genesis", now=0)
+    registry.challenge("alice", "bad video", now=1)
+    assert [r.human_id for r in registry.finalize(now=2)] == ["alice"]
+    registry.register("alice", hash_bytes(b"v2"), "genesis", now=3)
+    changed = registry.finalize(now=13)
+    assert [(r.human_id, r.status) for r in changed] == [
+        ("alice", RegistryStatus.APPROVED),
+        ("bob", RegistryStatus.APPROVED),
+    ]
+
+
+class NaiveRegistry(PohRegistry):
+    """`finalize` as a scan of every record, in `records` order."""
+
+    def finalize(self, now: int) -> list[HumanRecord]:
+        changed = []
+        for record in self.records.values():
+            if record.status == RegistryStatus.CHALLENGED:
+                record.status = RegistryStatus.REJECTED
+                changed.append(record)
+            elif (
+                record.status == RegistryStatus.PENDING
+                and now >= record.challenge_deadline
+            ):
+                record.status = RegistryStatus.APPROVED
+                changed.append(record)
+        return changed
+
+
+def _registry_outcome(registry: PohRegistry, op: str, human: str, now: int):
+    try:
+        if op == "register":
+            result = registry.register(human, hash_bytes(human.encode()), "h0", now)
+        elif op == "challenge":
+            result = registry.challenge(human, "duplicate face", now)
+        else:
+            result = [(r.human_id, r.status) for r in registry.finalize(now)]
+    except ProtocolError as exc:
+        return type(exc).__name__
+    return result if op == "finalize" else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["register", "challenge", "finalize"]),
+            st.sampled_from(["h1", "h2", "h3", "h4"]),
+            st.integers(0, 40),  # any order, so `now` may decrease
+        ),
+        max_size=40,
+    )
+)
+def test_finalize_settles_as_the_naive_scan(ops) -> None:
+    """Differential check of `finalize`, which touches only challenged and
+    due records, against a scan of every record: the same records change,
+    in the same order, under re-registration and a `now` that goes back."""
+    fast, naive = PohRegistry(challenge_window=5), NaiveRegistry(challenge_window=5)
+    for registry in (fast, naive):
+        registry.seed_approved("h0")
+    for op, human, now in ops:
+        assert _registry_outcome(fast, op, human, now) == _registry_outcome(
+            naive, op, human, now
+        )
+        assert fast.records == naive.records
+        assert list(fast.records) == list(naive.records)
 
 
 # ---- identities ----------------------------------------------------------------
