@@ -41,8 +41,6 @@ deterministic: the same inputs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import functools
 import io
 import json
@@ -50,13 +48,15 @@ import math
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
 from . import scenario
 from .errors import MalformedScript
 from .maci import AuditTranscript, TranscriptEntry, verify_audit
-from .oracle import SweepReport, consistency_sweep, square_grid_pairs
 from .scenario import jsonable, run_scenario
+
+if TYPE_CHECKING:
+    from .oracle import SweepReport
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -73,7 +73,9 @@ jsonschema = scenario
 
 def transcript_to_jsonable(transcript: AuditTranscript) -> dict[str, Any]:
     """The transcript's JSON form: each record's fields are its keys."""
-    return jsonable(dataclasses.asdict(transcript))
+    doc = transcript._asdict()
+    doc["entries"] = [entry._asdict() for entry in transcript.entries]
+    return jsonable(doc)
 
 
 def commitment_to_jsonable(intake_digest: bytes, commitment: bytes) -> dict[str, str]:
@@ -303,6 +305,8 @@ def _csv_number(value: float) -> str:
 
 
 def sweep_csv(report: SweepReport) -> str:
+    import csv  # imported here: no other command writes CSV
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(
@@ -333,6 +337,9 @@ def sweep_csv(report: SweepReport) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    # imported here, not at import: no other command uses the oracle
+    from .oracle import consistency_sweep, square_grid_pairs
+
     # learn that --out cannot be written before the sweep, not after it
     if args.out is not None and not _emit("", args.out):
         return EXIT_USAGE

@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
     AlreadyJoined,
@@ -114,15 +114,13 @@ class DisputeConfig:
         return self.t2 - self.t1
 
 
-@dataclass(frozen=True)
-class EvidenceRef:
+class EvidenceRef(NamedTuple):
     party: str
     content_hash: bytes
     label: str
 
 
-@dataclass(frozen=True)
-class EngineProposal:
+class EngineProposal(NamedTuple):
     """Proposal k after Phase-1 processing, and Phase-2 option k."""
 
     text_hash: bytes
@@ -132,8 +130,7 @@ class EngineProposal:
 # ---- escrow -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EscrowEntry:
+class EscrowEntry(NamedTuple):
     kind: str  # deposit | refund | payout
     dispute_id: int
     actor: str

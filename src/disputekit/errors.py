@@ -7,7 +7,7 @@ e.g. signal verification and audit replay).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ProtocolError(Exception):
@@ -167,8 +167,7 @@ REASON_TALLY_MISMATCH = "TallyMismatch"
 REASON_COMMITMENT_MISMATCH = "CommitmentMismatch"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a check: accepted, or rejected with a named reason."""
 
     ok: bool

@@ -23,7 +23,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     AlreadyJoined,
@@ -159,8 +159,7 @@ class PohRegistry:
 
 # ---- identities and signals ---------------------------------------------------
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """Juror identity: two secrets and their public commitment.
 
     secret = hash(trapdoor || nullifier); commitment = hash(secret). Only
@@ -188,8 +187,7 @@ def nullifier_hash(identity: Identity, external_nullifier: int) -> bytes:
     return hash_bytes(identity.nullifier + external_nullifier.to_bytes(8, "big"))
 
 
-@dataclass(frozen=True)
-class Signal:
+class Signal(NamedTuple):
     """Group action: payload plus a membership path and the double-signal
     tag. Not anonymous: the path's leaf index names its sender, because the
     public `group_join` event maps each human to a leaf index. Nor is the tag

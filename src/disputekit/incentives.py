@@ -20,8 +20,7 @@ stays anonymous all the way through payout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .canonical import encode_uint32
 from .engine import Dispute, DisputeEngine, DisputeState, EscrowEntry, Observer
@@ -94,8 +93,7 @@ def apply_phase2_scores(
 # ---- status tokens ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SbtToken:
+class SbtToken(NamedTuple):
     kind: str
     subject: str
     dispute_id: Optional[int] = None  # set on per-dispute compliance tokens

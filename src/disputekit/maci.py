@@ -68,12 +68,10 @@ decryption of the messages it claims are garbage:
 """
 from __future__ import annotations
 
-import dataclasses
 import marshal
 import os
 import random
 import threading
-from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import canonical
@@ -117,8 +115,7 @@ from .voting import COST_RULES
 SIGNING_LABEL = b"ballot-command-v1"
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One decrypted ballot instruction.
 
     ``new_public_key`` is the key later commands must be signed with
@@ -204,36 +201,31 @@ def build_message(
 # ---- poll state -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MaciMessage:
+class MaciMessage(NamedTuple):
     ciphertext: bytes
 
 
 # A transcript record's fields are its JSON keys, in order (`cli` reads them)
-@dataclass(frozen=True)
-class FinalVote:
+class FinalVote(NamedTuple):
     options: tuple[int, ...]
     amounts: tuple[int, ...]
     memo: bytes
     arrival_index: int
 
 
-@dataclass(frozen=True)
-class VoterFinalState:  # credits never change: initial_voters[i] holds them
+class VoterFinalState(NamedTuple):  # credits never change: initial_voters[i] holds them
     current_key: bytes
     vote: Optional[FinalVote]
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
+class TranscriptEntry(NamedTuple):
     ciphertext_digest: bytes
     plaintext: Optional[bytes]  # None when the coordinator could not decrypt
     valid: bool
     reason: Optional[str]
 
 
-@dataclass(frozen=True)
-class AuditTranscript:
+class AuditTranscript(NamedTuple):
     """The coordinator's claims (each entry's verdict, the tally and the
     salt) beside the poll's parameters and starting voters. Each voter's
     final state is not stated: ``_final_states`` derives it from the
@@ -418,7 +410,7 @@ class MaciPoll:
         if self.commitment is not None:
             raise AlreadyCommitted("a tally commitment already exists")
         salt = random_bytes(32, rng)
-        self._processed = dataclasses.replace(self._processed, salt=salt)
+        self._processed = self._processed._replace(salt=salt)
         self.commitment = commitment_digest(self.poll_id, self._processed.tally, salt)
         return self.commitment
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Optional, Sequence
+from typing import Callable, Iterable, Literal, NamedTuple, Optional, Sequence
 
 from .errors import InvalidResponse, NonPositiveBudget
 
@@ -98,8 +98,7 @@ def _always_win_region_nonempty(v_a: float, v_b: float, mechanism: str) -> bool:
     return v_b > v_a
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Both routes for one budget pair and mechanism; ``witness`` is the
     brute force's first winning response for B, None when there is none."""
 
@@ -168,8 +167,7 @@ def _wins(scorer, v_a: float, y1: float, j: int, grid_step: float, v_b: float) -
 # ---- two-route consistency ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """The ``OracleResult`` of each pair and mechanism; what disagrees is
     derived from them."""
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -158,8 +159,7 @@ def decrypt(key: bytes, ciphertext: bytes) -> bytes:
 
 # ---- fixed-depth Merkle tree --------------------------------------------------
 
-@dataclass(frozen=True)
-class MerklePath:
+class MerklePath(NamedTuple):
     """Bottom-up sibling digests for one leaf; index selects left/right."""
 
     leaf_index: int

@@ -21,8 +21,7 @@ from __future__ import annotations
 import operator
 import random
 import re
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .engine import DisputeConfig, DisputeEngine, enrollment_scope
 from .errors import MalformedScript, ProtocolError
@@ -73,8 +72,7 @@ EVENT_SCHEMAS: dict[str, dict[str, type]] = {
 }
 
 
-@dataclass(frozen=True)
-class PublicEvent:  # event i is AdversaryView.events[i]
+class PublicEvent(NamedTuple):  # event i is AdversaryView.events[i]
     kind: str
     payload: Mapping[str, Any]
 
@@ -821,15 +819,43 @@ def validate(script: Any) -> None:
     raise MalformedScript(f"fails the schema: {located}")
 
 
-def _integral(value: Any) -> Any:
-    """`value` with every integral float made an int: JSON Schema counts
-    `25.0` as an integer, so the runner must too."""
+# The deepest a script may nest, the script itself being level 1. The
+# runner's recursive walks take up to two frames a level, so a deeper
+# script could run them out of Python's default limit of 1,000 frames.
+MAX_NESTING = 400
+_TOO_DEEP = "nested too deeply to read"
+
+
+def _integral(script: dict) -> dict:
+    """`script` with every integral float made an int: JSON Schema counts
+    `25.0` as an integer, so the runner must too. A script that holds none,
+    the usual case, is returned itself, not copied. A script nested deeper
+    than MAX_NESTING raises MalformedScript."""
+    return _as_integers(script) if _holds_integral_float(script, 1) else script
+
+
+def _holds_integral_float(node: dict | list, level: int) -> bool:
+    """Whether an integral float sits anywhere under `node`, at `level`,
+    found by a walk that builds nothing. It walks all of `node` even once
+    a float is found, so that every script too deep is refused."""
+    if level > MAX_NESTING:
+        raise MalformedScript(_TOO_DEEP)
+    found = False
+    for value in node.values() if isinstance(node, dict) else node:
+        if isinstance(value, (dict, list)):
+            found = _holds_integral_float(value, level + 1) or found
+        elif isinstance(value, float) and value.is_integer():
+            found = True
+    return found
+
+
+def _as_integers(value: Any) -> Any:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, dict):
-        return {key: _integral(item) for key, item in value.items()}
+        return {key: _as_integers(item) for key, item in value.items()}
     if isinstance(value, list):
-        return [_integral(item) for item in value]
+        return [_as_integers(item) for item in value]
     return value
 
 
@@ -867,7 +893,7 @@ def run_scenario(script: Mapping[str, Any], *, seed: Optional[int] = None) -> di
     A script that fails SCENARIO_SCHEMA, or whose timestamps decrease,
     raises MalformedScript naming the value at fault; so does a step that
     refers to an actor or dispute that does not exist, and a script nested
-    too deeply for the runner to walk. Protocol rejections do not raise —
+    more than MAX_NESTING levels deep. Protocol rejections do not raise —
     each step says what it expects ("ok" by default, or "error:SomeError")
     and the report records whether expectations held. `seed` overrides the
     script's own seed.
@@ -879,7 +905,7 @@ def run_scenario(script: Mapping[str, Any], *, seed: Optional[int] = None) -> di
         validate(script)
         script = _integral(script)
     except RecursionError:
-        raise MalformedScript("nested too deeply to read") from None
+        raise MalformedScript(_TOO_DEEP) from None
     timeline = script["timeline"]
     for position, (before, step) in enumerate(zip(timeline, timeline[1:]), 1):
         if step["t"] < before["t"]:

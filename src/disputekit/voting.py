@@ -13,8 +13,7 @@ onto the parties or the proposals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import REASON_OVER_BUDGET, Verdict
 
@@ -37,8 +36,7 @@ def tally_phase1(tally: Mapping[int, int], parties: Sequence[str]) -> dict[str, 
 # ---- quadratic phase -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadraticAllocation:
+class QuadraticAllocation(NamedTuple):
     """One party's Phase-2 ballot: signed votes per proposal index."""
 
     voter: str
@@ -59,8 +57,7 @@ def validate_allocation(
     return Verdict.accept()
 
 
-@dataclass(frozen=True)
-class Phase2Tally:
+class Phase2Tally(NamedTuple):
     proposal_scores: Mapping[int, int]
     winner: int
 

@@ -56,8 +56,11 @@ from disputekit.scenario import (
     _OPS,
     _STEP_CHECKS,
     SCENARIO_SCHEMA,
+    World,
+    _call_op,
     _check,
     _document_schema,
+    _integral,
     _step_schema,
     run_scenario,
     scenario_schema,
@@ -146,7 +149,7 @@ def test_unwritable_out_exits_two(tmp_path, capsys, monkeypatch, argv, where) ->
     def sweep(*args):
         raise AssertionError("swept before checking --out")
 
-    monkeypatch.setattr(cli, "consistency_sweep", sweep)
+    monkeypatch.setattr(oracle, "consistency_sweep", sweep)
     out = tmp_path / where
     assert main([*argv, "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -415,16 +418,21 @@ def at_depth_two(script):
 )
 def test_integral_floats_run_as_integers(tmp_path, script) -> None:
     """JSON Schema counts `25.0` as an integer, so the runner must too: a
-    scenario with every integer written as a float reports the same bytes."""
+    scenario with every integer written as a float, or with one deep in
+    its timeline, reports the same bytes. A script with no float is not
+    copied."""
+    assert _integral(script) is script
     twin = as_floats(script)
     assert isinstance(twin["config"]["tree_depth"], float)
+    nested = copy.deepcopy(script)
+    nested["timeline"][-1]["t"] = float(nested["timeline"][-1]["t"])
     reports = []
-    for name, doc in (("original", script), ("twin", twin)):
+    for name, doc in (("original", script), ("twin", twin), ("nested", nested)):
         out = tmp_path / f"{name}.report.json"
         path = write_json(tmp_path / f"{name}.json", doc)
         assert main(["run", path, "--out", str(out)]) == EXIT_OK
         reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_run_accepts_the_deepest_tree(tmp_path, capsys) -> None:
@@ -920,7 +928,7 @@ def test_sweep_names_each_hard_disagreement_and_exits_one(capsys, monkeypatch) -
         oracle.OracleResult(6.0, 2.0, "1d1v", None, False),
     )
     monkeypatch.setattr(
-        cli, "consistency_sweep", lambda pairs, step: oracle.SweepReport(step, rows)
+        oracle, "consistency_sweep", lambda pairs, step: oracle.SweepReport(step, rows)
     )
     assert main(["sweep", "6", "0.5"]) == EXIT_FAIL
     captured = capsys.readouterr()
@@ -1054,6 +1062,19 @@ def test_verify_honest_transcript(tmp_path, capsys, audit_artifacts) -> None:
     assert capsys.readouterr().out == "accepted\n"
 
 
+def fresh_python(program: str) -> subprocess.CompletedProcess:
+    """`program` run by a new interpreter, which finds disputekit where this
+    one did."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, "-c", program],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        timeout=120,
+    )
+
+
 def test_a_valid_run_and_a_verify_never_import_jsonschema(tmp_path, audit_artifacts) -> None:
     """No path needs jsonschema: with its import blocked, a fresh
     interpreter runs a valid scenario, refuses a malformed one in the
@@ -1068,7 +1089,7 @@ def test_a_valid_run_and_a_verify_never_import_jsonschema(tmp_path, audit_artifa
         ["run", write_json(tmp_path / "deep.json", deep)],
         ["verify", transcript, commitment],
     ]
-    program = (
+    done = fresh_python(
         "import contextlib, io, sys\n"
         "sys.modules['jsonschema'] = None  # so that importing it fails\n"
         "from disputekit.cli import main\n"
@@ -1076,20 +1097,52 @@ def test_a_valid_run_and_a_verify_never_import_jsonschema(tmp_path, audit_artifa
         f"    codes = [main(argv) for argv in {calls!r}]\n"
         "print(codes)\n"
     )
-    # the interpreter finds disputekit where this one did
-    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    done = subprocess.run(
-        [sys.executable, "-c", program],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
-        timeout=120,
-    )
     refused = (
         "malformed scenario: fails the schema: "
         "config.tree_depth: 33 is greater than the maximum of 32\n"
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "[0, 2, 0]\n", refused)
+
+
+def test_only_sweep_loads_the_oracle() -> None:
+    """Importing the CLI loads neither the oracle nor `csv`, which only
+    `sweep` uses, and still loads the scenario layer, so that no import
+    moves into the timed run; `sweep` then imports them and succeeds."""
+    done = fresh_python(
+        "import contextlib, io, sys\n"
+        "import disputekit.cli\n"
+        "print(sorted(name for name in ('csv', 'disputekit.oracle', 'disputekit.scenario')\n"
+        "             if name in sys.modules))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = disputekit.cli.main(['sweep', '12', '0.5'])\n"
+        "print(code)\n"
+    )
+    assert (done.returncode, done.stdout) == (0, "['disputekit.scenario']\n0\n")
+
+
+# SHA-256 of the bundled happy path's two transcripts, as
+# `transcript_to_jsonable` and `json.dumps` write them: their keys, in
+# order, and their bytes
+GOLDEN_TRANSCRIPT_DIGESTS = {
+    "phase1": "c9a42fd4b7ebf93fc80e64e4bc6fa1b9a2923d5e735de8a64061c53eceb850cb",
+    "phase2": "826c8a50dc4eb84b4c00ba56a1358f29546f26198e65d8adb0012e8ec0d42cd8",
+}
+
+
+def test_transcript_bytes_are_pinned() -> None:
+    script = json.loads(HAPPY.read_text())
+    world = World(script["seed"], **script["config"])
+    for step in script["timeline"]:
+        _call_op(world, step["op"], step)
+    dispute = world.engine.disputes[0]
+    polls = {"phase1": dispute.phase1_poll, "phase2": dispute.phase2_poll}
+    digests = {
+        phase: hashlib.sha256(
+            json.dumps(transcript_to_jsonable(poll.audit_transcript())).encode()
+        ).hexdigest()
+        for phase, poll in polls.items()
+    }
+    assert digests == GOLDEN_TRANSCRIPT_DIGESTS
 
 
 def test_transcript_json_holds_no_position_or_digest_copies(audit_artifacts) -> None:

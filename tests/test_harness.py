@@ -260,6 +260,22 @@ def test_a_block_too_deep_to_walk_is_malformed(script) -> None:
         run_scenario(script)
 
 
+@pytest.mark.parametrize("bottom", [{}, {"a": 1.0}], ids=["no_float", "a_float"])
+def test_a_script_may_nest_max_nesting_levels(bottom) -> None:
+    """One limit, whether or not the script holds a float to convert. The
+    script is level 1 and its `expected` block level 2."""
+
+    def script(levels: int) -> dict:
+        block = bottom
+        for _ in range(levels - 2):
+            block = {"a": block}
+        return {"seed": 1, "timeline": [], "expected": block}
+
+    assert run_scenario(script(scenario.MAX_NESTING))["expected_match"] is False
+    with pytest.raises(MalformedScript, match="nested too deeply"):
+        run_scenario(script(scenario.MAX_NESTING + 1))
+
+
 def test_expected_protocol_errors_pass_steps() -> None:
     script = {
         "seed": 3,
@@ -333,6 +349,51 @@ def test_a_run_replays_the_ledger_once(monkeypatch, name) -> None:
     )
     assert run_scenario(json.loads((SCENARIOS / name).read_text()))["ok"]
     assert replays == [1]
+
+
+@pytest.mark.parametrize("steps", [10, 100, 1000])
+def test_the_scenario_check_is_linear_in_the_steps(monkeypatch, steps) -> None:
+    """Exact counts (ROADMAP item 10): checking a script calls the keyword
+    checks as often as checking the document without its steps, plus what
+    checking each step alone takes, so the calls grow linearly with the
+    steps."""
+    calls = [0]
+
+    def counting(compile_check):
+        def compile_counted(*arguments):
+            check = compile_check(*arguments)
+
+            def counted(value):
+                calls[0] += 1
+                return check(value)
+
+            return counted
+
+        return compile_counted
+
+    for keyword, compile_check in scenario._KEYWORDS.items():
+        monkeypatch.setitem(scenario._KEYWORDS, keyword, counting(compile_check))
+    # `properties` with `required` and `additionalProperties: false`
+    monkeypatch.setattr(scenario, "_object_shape", counting(scenario._object_shape))
+    monkeypatch.setattr(
+        scenario, "_ENVELOPE_CHECK", scenario._check(scenario._document_schema(True))
+    )
+    monkeypatch.setattr(scenario, "_STEP_CHECKS", {
+        op: scenario._check(scenario._step_schema(op)) for op in scenario._OPS
+    })
+    script = happy_path_script()
+
+    def calls_for(timeline: list) -> int:
+        before = calls[0]
+        scenario.validate(dict(script, timeline=timeline))
+        return calls[0] - before
+
+    mix = script["timeline"]
+    envelope = calls_for([])
+    each = [calls_for([step]) - envelope for step in mix]
+    assert envelope > 0 and min(each) > 0
+    timeline = [mix[n % len(mix)] for n in range(steps)]
+    assert calls_for(timeline) == envelope + sum(each[n % len(mix)] for n in range(steps))
 
 
 def test_the_view_is_rendered_once_the_world_is_freed(monkeypatch) -> None:

@@ -2,7 +2,6 @@
 switching, budgets, commitments, and the transparent audit."""
 from __future__ import annotations
 
-import dataclasses
 import marshal
 import os
 import random
@@ -246,7 +245,7 @@ def test_an_option_outside_the_poll_is_a_bad_option(rng, option) -> None:
     intake = message_set_digest([m.ciphertext for m in poll.messages])
     assert verify_audit(transcript, intake, poll.commitment).ok
     if option > 0:  # the bound is part of the rule the audit replays
-        wider = dataclasses.replace(transcript, options=option + 1)
+        wider = transcript._replace(options=option + 1)
         assert verify_audit(wider, intake, poll.commitment).reason == "ReplayMismatch"
 
 
@@ -280,10 +279,8 @@ def test_undecryptable_message_marked_auth_failure(rng) -> None:
     intake = message_set_digest([m.ciphertext for m in poll.messages])
     assert verify_audit(transcript, intake, poll.commitment).ok
     for valid, reason in [(True, None), (True, "AuthFailure"), (False, "DecodeError")]:
-        junk = dataclasses.replace(entry, valid=valid, reason=reason)
-        mutated = dataclasses.replace(
-            transcript, entries=(junk, *transcript.entries[1:])
-        )
+        junk = entry._replace(valid=valid, reason=reason)
+        mutated = transcript._replace(entries=(junk, *transcript.entries[1:]))
         verdict = verify_audit(mutated, intake, poll.commitment)
         assert (verdict.ok, verdict.reason) == (False, "ReplayMismatch")
 
@@ -347,8 +344,8 @@ def test_a_new_key_of_another_length_is_a_decode_error(rng, length) -> None:
     intake = message_set_digest([m.ciphertext for m in poll.messages])
     assert verify_audit(transcript, intake, poll.commitment).ok
     first, second = transcript.entries
-    claimed = dataclasses.replace(second, reason="BadSignature")
-    mutated = dataclasses.replace(transcript, entries=(first, claimed))
+    claimed = second._replace(reason="BadSignature")
+    mutated = transcript._replace(entries=(first, claimed))
     assert verify_audit(mutated, intake, poll.commitment).reason == "ReplayMismatch"
 
 
@@ -927,13 +924,13 @@ def test_verdict_flip_detected(rng) -> None:
     nothing and only the replay names it."""
     transcript, intake, commitment = audited_poll(rng)
     entries = list(transcript.entries)
-    entries[0] = dataclasses.replace(entries[0], valid=False, reason="OverBudget")
-    mutated = dataclasses.replace(transcript, entries=tuple(entries))
+    entries[0] = entries[0]._replace(valid=False, reason="OverBudget")
+    mutated = transcript._replace(entries=tuple(entries))
     verdict = verify_audit(mutated, intake, commitment)
     assert (verdict.ok, verdict.reason) == (False, "TallyMismatch")
     entries = list(transcript.entries)
-    entries[2] = dataclasses.replace(entries[2], reason="BadAmount")
-    mutated = dataclasses.replace(transcript, entries=tuple(entries))
+    entries[2] = entries[2]._replace(reason="BadAmount")
+    mutated = transcript._replace(entries=tuple(entries))
     verdict = verify_audit(mutated, intake, commitment)
     assert (verdict.ok, verdict.reason) == (False, "ReplayMismatch")
 
@@ -943,8 +940,8 @@ def test_invalid_to_valid_flip_detected(rng) -> None:
     claimed verdicts no longer derive the tally."""
     transcript, intake, commitment = audited_poll(rng)
     entries = list(transcript.entries)
-    entries[2] = dataclasses.replace(entries[2], valid=True, reason=None)
-    mutated = dataclasses.replace(transcript, entries=tuple(entries))
+    entries[2] = entries[2]._replace(valid=True, reason=None)
+    mutated = transcript._replace(entries=tuple(entries))
     assert verify_audit(mutated, intake, commitment).reason == "TallyMismatch"
 
 
@@ -952,7 +949,7 @@ def test_tally_increment_detected(rng) -> None:
     transcript, intake, commitment = audited_poll(rng)
     tally = dict(transcript.tally)
     tally[0] = tally.get(0, 0) + 1
-    mutated = dataclasses.replace(transcript, tally=tally)
+    mutated = transcript._replace(tally=tally)
     assert verify_audit(mutated, intake, commitment).reason == "TallyMismatch"
 
 
@@ -963,8 +960,8 @@ def test_message_set_substitution_detected(rng) -> None:
     # or an entry's digest is substituted: the digest derived from the
     # entries no longer matches the intake
     entries = list(transcript.entries)
-    entries[1] = dataclasses.replace(entries[1], ciphertext_digest=other)
-    mutated = dataclasses.replace(transcript, entries=tuple(entries))
+    entries[1] = entries[1]._replace(ciphertext_digest=other)
+    mutated = transcript._replace(entries=tuple(entries))
     assert verify_audit(mutated, intake, commitment).reason == "MessageSetMismatch"
 
 
@@ -974,7 +971,7 @@ def test_final_state_mutation_detected(rng) -> None:
     transcript, intake, commitment = audited_poll(rng)
     (key, credits), *others = transcript.initial_voters
     assert credits == 1 and transcript.entries[0].valid
-    mutated = dataclasses.replace(transcript, initial_voters=((key, 0), *others))
+    mutated = transcript._replace(initial_voters=((key, 0), *others))
     assert verify_audit(mutated, intake, commitment).reason == "ReplayMismatch"
 
 
@@ -988,13 +985,13 @@ def test_relabelled_transcript_detected(rng, poll_id) -> None:
     """The commitment binds its poll: the same transcript under another
     poll's id opens nothing, and an id past int64 has no encoding."""
     transcript, intake, commitment = audited_poll(rng)
-    mutated = dataclasses.replace(transcript, poll_id=poll_id)
+    mutated = transcript._replace(poll_id=poll_id)
     assert verify_audit(mutated, intake, commitment).reason == "CommitmentMismatch"
 
 
 def test_dropped_entry_detected(rng) -> None:
     transcript, intake, commitment = audited_poll(rng)
-    mutated = dataclasses.replace(transcript, entries=transcript.entries[:-1])
+    mutated = transcript._replace(entries=transcript.entries[:-1])
     assert not verify_audit(mutated, intake, commitment).ok
 
 
@@ -1091,20 +1088,18 @@ def apply_fault(transcript, kind: str, pick: int, amount: int):
     mine = [j for j, e in enumerate(entries) if _voter_of(e) == voter]
     counted = max((j for j in mine if entries[j].valid), default=None)
     if kind == "flip":
-        entries[pick % len(entries)] = dataclasses.replace(
-            entry, valid=not entry.valid, reason="OverBudget" if entry.valid else None
+        entries[pick % len(entries)] = entry._replace(
+            valid=not entry.valid, reason="OverBudget" if entry.valid else None
         )
     elif kind == "bare_flip":  # invalid, with no reason
-        entries[pick % len(entries)] = dataclasses.replace(entry, valid=False, reason=None)
+        entries[pick % len(entries)] = entry._replace(valid=False, reason=None)
     elif kind == "reason_on_valid":
-        entries[pick % len(entries)] = dataclasses.replace(
-            entry, valid=True, reason="BadSignature"
-        )
+        entries[pick % len(entries)] = entry._replace(valid=True, reason="BadSignature")
     elif kind == "stateless_lie":  # an entry with a plaintext claimed undecryptable
         opened = [j for j, e in enumerate(entries) if e.plaintext is not None]
         if opened:
             at = opened[pick % len(opened)]
-            entries[at] = dataclasses.replace(entries[at], valid=False, reason="AuthFailure")
+            entries[at] = entries[at]._replace(valid=False, reason="AuthFailure")
     elif kind == "vote_elsewhere":
         # the counted vote moved to a later command of its voter that votes
         # otherwise: the two exchange their verdicts
@@ -1114,30 +1109,30 @@ def apply_fault(transcript, kind: str, pick: int, amount: int):
         if later:
             at = later[pick % len(later)]
             entries[at], entries[counted] = (
-                dataclasses.replace(entries[at], valid=True, reason=None),
-                dataclasses.replace(entries[counted], valid=False, reason=entries[at].reason),
+                entries[at]._replace(valid=True, reason=None),
+                entries[counted]._replace(valid=False, reason=entries[at].reason),
             )
     elif kind == "vote":  # drop a voter's counted vote, or count another
         if amount > 0:
             invalid = [j for j in mine if not entries[j].valid]
             if invalid:
                 at = invalid[-1]
-                entries[at] = dataclasses.replace(entries[at], valid=True, reason=None)
+                entries[at] = entries[at]._replace(valid=True, reason=None)
         else:
             for j in mine:
                 if entries[j].valid:
-                    entries[j] = dataclasses.replace(entries[j], valid=False, reason="OverBudget")
+                    entries[j] = entries[j]._replace(valid=False, reason="OverBudget")
     elif kind == "tally":
         tally = dict(transcript.tally)
         tally[pick % 4] = tally.get(pick % 4, 0) + amount
-        return dataclasses.replace(transcript, tally=tally)
+        return transcript._replace(tally=tally)
     elif kind == "salt":
-        return dataclasses.replace(transcript, salt=_other_bytes(transcript.salt, pick))
+        return transcript._replace(salt=_other_bytes(transcript.salt, pick))
     elif kind == "relabel":
-        return dataclasses.replace(transcript, poll_id=transcript.poll_id + pick + 1)
+        return transcript._replace(poll_id=transcript.poll_id + pick + 1)
     elif kind == "digest":
-        entries[pick % len(entries)] = dataclasses.replace(
-            entry, ciphertext_digest=_other_bytes(entry.ciphertext_digest, pick)
+        entries[pick % len(entries)] = entry._replace(
+            ciphertext_digest=_other_bytes(entry.ciphertext_digest, pick)
         )
     elif kind == "voter_swap":  # two starting voters
         to = (voter + 1) % len(voters)
@@ -1147,9 +1142,7 @@ def apply_fault(transcript, kind: str, pick: int, amount: int):
         voters[voter] = (key, credits + amount)
     else:  # "key": a starting voter registered under the next voter's key
         voters[voter] = (voters[(voter + 1) % len(voters)][0], voters[voter][1])
-    return dataclasses.replace(
-        transcript, initial_voters=tuple(voters), entries=tuple(entries)
-    )
+    return transcript._replace(initial_voters=tuple(voters), entries=tuple(entries))
 
 
 def with_faults(audit, faults):
@@ -1263,14 +1256,14 @@ def test_the_audit_decodes_and_checks_only_what_each_check_needs(
     last = len(transcript.entries) - 1
     for valid, reason in ((False, None), (True, "BadSignature"), (False, "Coerced")):
         entries = list(transcript.entries)
-        entries[last] = dataclasses.replace(entries[last], valid=valid, reason=reason)
-        misshaped = dataclasses.replace(transcript, entries=tuple(entries))
+        entries[last] = entries[last]._replace(valid=valid, reason=reason)
+        misshaped = transcript._replace(entries=tuple(entries))
         assert audit(misshaped) == ("ReplayMismatch", 0, 0)
     tally = dict(transcript.tally)
     tally[0] = tally.get(0, 0) + 1
-    tampered = dataclasses.replace(transcript, tally=tally)
+    tampered = transcript._replace(tally=tally)
     assert audit(tampered) == ("TallyMismatch", plaintexts, 0)
-    resalted = dataclasses.replace(transcript, salt=_other_bytes(transcript.salt, 0))
+    resalted = transcript._replace(salt=_other_bytes(transcript.salt, 0))
     assert audit(resalted) == ("CommitmentMismatch", plaintexts, 0)
     assert audit(transcript) == (None, plaintexts, survivors)
 
