@@ -19,8 +19,7 @@ The probes:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .engine import enrollment_scope
 from .errors import (
@@ -40,13 +39,12 @@ BLOCKED = "Blocked"
 SUCCEEDED = "Succeeded"
 
 
-@dataclass(frozen=True)
-class AttackReport:
+class AttackReport(NamedTuple):
     name: str
     attempted: str
     defense: str
     outcome: str
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
     @property
     def blocked(self) -> bool:

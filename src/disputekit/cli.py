@@ -35,8 +35,10 @@ Three subcommands, three artifact formats:
       `final_states` is malformed (`unknown key 'final_states'`).
 
 Exit codes are uniform across subcommands: 0 success, 1 assertion or
-verification failure, 2 usage or parse error. All output is
-deterministic: the same inputs produce byte-identical reports.
+verification failure, 2 usage or parse error, or a stdout that cannot be
+written (a pipe with no reader, a full disk), named on stderr in one line
+(`cannot write stdout: Broken pipe`). All output is deterministic: the
+same inputs produce byte-identical reports.
 """
 from __future__ import annotations
 
@@ -45,6 +47,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -238,17 +241,24 @@ def report_pieces(report: dict[str, Any]) -> Iterator[str]:
 
 def _emit(payload: str | Iterable[str], out: Optional[str]) -> bool:
     """Write `payload`, a string or its pieces in order, to `out`, or stdout
-    when None; False if `out` cannot be written."""
+    when None; False, said on stderr in one line, if it cannot be written
+    (for stdout: a pipe with no reader, a full disk)."""
     pieces = [payload] if isinstance(payload, str) else payload
-    if out is None:
-        sys.stdout.writelines(pieces)
-        return True
     try:
-        with open(out, "w") as file:
-            file.writelines(pieces)
+        if out is None:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        else:
+            with open(out, "w") as file:
+                file.writelines(pieces)
         return True
     except OSError as exc:
-        print(f"cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        where = "stdout" if out is None else out
+        print(f"cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+        if out is None:
+            # what stdout still buffers goes nowhere, so that the flush at
+            # exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return False
 
 
@@ -376,11 +386,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     verdict = verify_audit(transcript, intake_digest, commitment)
-    if verdict:
-        print("accepted")
-        return EXIT_OK
-    print(f"rejected: {verdict.reason}")
-    return EXIT_FAIL
+    if not _emit("accepted\n" if verdict else f"rejected: {verdict.reason}\n", None):
+        return EXIT_USAGE
+    return EXIT_OK if verdict else EXIT_FAIL
 
 
 # ---- argument parsing -------------------------------------------------------------

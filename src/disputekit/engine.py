@@ -32,7 +32,6 @@ lookups, and replaying the ledger is the audit that conservation held.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -42,6 +41,7 @@ from .errors import (
     InvalidKey,
     InvalidSignal,
     JoinAfterDeadline,
+    MutableRecord,
     NotAParty,
     SelfDispute,
     TooEarly,
@@ -92,21 +92,21 @@ _ALLOWED_TRANSITIONS: dict[DisputeState, set[DisputeState]] = {
     DisputeState.ABORTED: set(),
 }
 
-@dataclass(frozen=True)
-class DisputeConfig:
+class DisputeConfig(NamedTuple("DisputeConfig", [("t1", int), ("t2", int),
+                                                  ("min_judges", int)])):
     """Per-dispute timing and quorum. Deadlines are absolute logical times:
     judges enroll before t1, Phase-1 votes land before t2. A missed quorum
-    extends Phase 1 by one voting span, and Phase 2 runs for one span."""
+    extends Phase 1 by one voting span, and Phase 2 runs for one span.
+    Built positionally or by keyword, it refuses bad values either way."""
 
-    t1: int
-    t2: int
-    min_judges: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 < self.t1 < self.t2:
+    def __new__(cls, t1: int, t2: int, min_judges: int) -> "DisputeConfig":
+        if not 0 < t1 < t2:
             raise ValueError("need 0 < t1 < t2")
-        if self.min_judges < 1:
+        if min_judges < 1:
             raise ValueError("quorum must be at least one judge")
+        return tuple.__new__(cls, (t1, t2, min_judges))
 
     @property
     def span(self) -> int:
@@ -200,22 +200,44 @@ class Escrow:
 # ---- dispute record --------------------------------------------------------------
 
 
-@dataclass
-class Dispute:
-    dispute_id: int
-    parties: list[str]  # initiator first
-    fee: int
-    config: DisputeConfig
-    phase1_poll: MaciPoll  # its deadline is t2, moved once by an extension
-    state: DisputeState = DisputeState.OPENED
-    party_keys: dict[str, bytes] = field(default_factory=dict)  # who joined
-    evidence: list[EvidenceRef] = field(default_factory=list)
-    phase1_scores: Optional[dict[str, int]] = None
-    proposals: list[EngineProposal] = field(default_factory=list)
-    phase2_poll: Optional[MaciPoll] = None
-    phase2_tally: Optional[Phase2Tally] = None
-    default_winner: Optional[str] = None
-    settled: bool = False
+class Dispute(MutableRecord):
+    """One dispute, changed in place as it moves through its states."""
+
+    __slots__ = ("dispute_id", "parties", "fee", "config", "phase1_poll", "state",
+                 "party_keys", "evidence", "phase1_scores", "proposals",
+                 "phase2_poll", "phase2_tally", "default_winner", "settled")
+
+    def __init__(
+        self,
+        dispute_id: int,
+        parties: list[str],  # initiator first
+        fee: int,
+        config: DisputeConfig,
+        phase1_poll: MaciPoll,  # its deadline is t2, moved once by an extension
+        state: DisputeState = DisputeState.OPENED,
+        party_keys: Optional[dict[str, bytes]] = None,  # who joined
+        evidence: Optional[list[EvidenceRef]] = None,
+        phase1_scores: Optional[dict[str, int]] = None,
+        proposals: Optional[list[EngineProposal]] = None,
+        phase2_poll: Optional[MaciPoll] = None,
+        phase2_tally: Optional[Phase2Tally] = None,
+        default_winner: Optional[str] = None,
+        settled: bool = False,
+    ) -> None:
+        self.dispute_id = dispute_id
+        self.parties = parties
+        self.fee = fee
+        self.config = config
+        self.phase1_poll = phase1_poll
+        self.state = state
+        self.party_keys = {} if party_keys is None else party_keys
+        self.evidence = [] if evidence is None else evidence
+        self.phase1_scores = phase1_scores
+        self.proposals = [] if proposals is None else proposals
+        self.phase2_poll = phase2_poll
+        self.phase2_tally = phase2_tally
+        self.default_winner = default_winner
+        self.settled = settled
 
     @property
     def initiator(self) -> str:

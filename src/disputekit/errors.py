@@ -1,4 +1,5 @@
-"""Shared exception hierarchy and the accept/reject verdict type.
+"""Shared exception hierarchy, the accept/reject verdict type, and the base
+of the records that change in place.
 
 Every rule violation in the protocol surfaces either as a ProtocolError
 subclass (for operations that must not proceed) or as a rejecting Verdict
@@ -183,3 +184,25 @@ class Verdict(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+class MutableRecord:
+    """Base of the records that change in place (every other record is a
+    named tuple). A subclass names its fields in ``__slots__``; records
+    compare by those fields, in order, so they are unhashable, and their
+    repr shows each field."""
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"

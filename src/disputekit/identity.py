@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -30,6 +29,7 @@ from .errors import (
     ChallengeTooLate,
     DuplicateHuman,
     IndexOutOfRange,
+    MutableRecord,
     NotAMember,
     NotApproved,
     REASON_BAD_MEMBERSHIP,
@@ -54,14 +54,27 @@ class RegistryStatus(Enum):
     REJECTED = "Rejected"
 
 
-@dataclass
-class HumanRecord:
-    human_id: str
-    video_hash: bytes
-    voucher: Optional[str]
-    status: RegistryStatus
-    challenge_deadline: int
-    challenge_reason: Optional[str] = None
+class HumanRecord(MutableRecord):
+    """One registration, changed in place as its challenge window runs."""
+
+    __slots__ = ("human_id", "video_hash", "voucher", "status",
+                 "challenge_deadline", "challenge_reason")
+
+    def __init__(
+        self,
+        human_id: str,
+        video_hash: bytes,
+        voucher: Optional[str],
+        status: RegistryStatus,
+        challenge_deadline: int,
+        challenge_reason: Optional[str] = None,
+    ) -> None:
+        self.human_id = human_id
+        self.video_hash = video_hash
+        self.voucher = voucher
+        self.status = status
+        self.challenge_deadline = challenge_deadline
+        self.challenge_reason = challenge_reason
 
 
 class PohRegistry:

@@ -24,7 +24,6 @@ to miss (or float ties to fabricate) a witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Literal, NamedTuple, Optional, Sequence
 
 from .errors import InvalidResponse, NonPositiveBudget
@@ -36,21 +35,19 @@ MECHANISMS: tuple[Mechanism, ...] = ("1d1v", "quadratic")
 _GRID_SLACK = 1e-6
 
 
-@dataclass(frozen=True)
-class BResponse:
-    """B's counter-allocation: y1 against A's proposal, y2 for B's own."""
+class BResponse(NamedTuple("BResponse", [("y1", float), ("y2", float),
+                                          ("budget", float)])):
+    """B's counter-allocation: y1 against A's proposal, y2 for B's own.
+    Built positionally or by keyword, it refuses bad values either way."""
 
-    y1: float
-    y2: float
-    budget: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.y1 < 0 or self.y2 < 0:
+    def __new__(cls, y1: float, y2: float, budget: float) -> "BResponse":
+        if y1 < 0 or y2 < 0:
             raise InvalidResponse("vote amounts must be non-negative")
-        if self.y1 + self.y2 > self.budget + _GRID_SLACK:
-            raise InvalidResponse(
-                f"y1+y2 = {self.y1 + self.y2} exceeds budget {self.budget}"
-            )
+        if y1 + y2 > budget + _GRID_SLACK:
+            raise InvalidResponse(f"y1+y2 = {y1 + y2} exceeds budget {budget}")
+        return tuple.__new__(cls, (y1, y2, budget))
 
 
 def score_1d1v(v_a: float, response: BResponse) -> tuple[float, float]:

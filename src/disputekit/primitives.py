@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -69,14 +68,29 @@ def public_key(data: bytes) -> bytes:
     return data
 
 
-@dataclass(frozen=True)
-class KeyPair:
+class KeyPair(NamedTuple):
     """Participant signing keypair; ``seed`` is the only secret material.
-    Its private key is kept, so signing does not rebuild it on every call."""
+    Its private key is kept, so signing does not rebuild it on every call.
+    Two keypairs are equal when their seeds are, and the repr leaves the
+    private key out."""
 
     seed: bytes
-    public: bytes = field(compare=False)
-    signing: Ed25519PrivateKey = field(compare=False, repr=False)
+    public: bytes
+    signing: Ed25519PrivateKey
+
+    # a tuple's own comparisons would read the private key, and would equal
+    # a plain tuple of the same fields
+    def __eq__(self, other: Any) -> bool:
+        return other.__class__ is self.__class__ and self.seed == other.seed
+
+    def __ne__(self, other: Any) -> bool:
+        return not self.__eq__(other)
+
+    def __hash__(self) -> int:
+        return hash(self.seed)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(seed={self.seed!r}, public={self.public!r})"
 
     @staticmethod
     def from_seed(seed: bytes) -> "KeyPair":
@@ -90,13 +104,18 @@ class KeyPair:
         return KeyPair.from_seed(random_bytes(SEED_SIZE, rng))
 
 
-@dataclass(frozen=True)
-class DecryptionKey:
-    """The coordinator's key: it only opens what is sealed for ``public``."""
+class DecryptionKey(NamedTuple):
+    """The coordinator's key: it only opens what is sealed for ``public``.
+    Compared, hashed and shown as a ``KeyPair`` is: by seed, without the
+    private key."""
 
     seed: bytes
-    public: bytes = field(compare=False)
-    agreement: X25519PrivateKey = field(compare=False, repr=False)
+    public: bytes
+    agreement: X25519PrivateKey
+
+    __eq__, __ne__, __hash__, __repr__ = (
+        KeyPair.__eq__, KeyPair.__ne__, KeyPair.__hash__, KeyPair.__repr__
+    )
 
     @staticmethod
     def generate(rng: random.Random) -> "DecryptionKey":

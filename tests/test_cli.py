@@ -1062,13 +1062,16 @@ def test_verify_honest_transcript(tmp_path, capsys, audit_artifacts) -> None:
     assert capsys.readouterr().out == "accepted\n"
 
 
-def fresh_python(program: str) -> subprocess.CompletedProcess:
-    """`program` run by a new interpreter, which finds disputekit where this
-    one did."""
+def fresh_python(
+    program: str, *args: str, stdout: int = subprocess.PIPE
+) -> subprocess.CompletedProcess:
+    """`program` run with `args` by a new interpreter, which finds disputekit
+    where this one did; its stdout goes to `stdout`, captured by default."""
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
-        [sys.executable, "-c", program],
-        capture_output=True,
+        [sys.executable, "-c", program, *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
         timeout=120,
@@ -1118,6 +1121,57 @@ def test_only_sweep_loads_the_oracle() -> None:
         "print(code)\n"
     )
     assert (done.returncode, done.stdout) == (0, "['disputekit.scenario']\n0\n")
+
+
+def test_no_module_loads_dataclasses() -> None:
+    """Importing the CLI loads neither `dataclasses` nor the `inspect` it
+    imports, and no package module, the attacks and the oracle included,
+    loads `dataclasses`: no record is a dataclass."""
+    modules = sorted(
+        path.stem for path in Path(cli.__file__).parent.glob("*.py")
+        if path.stem != "__init__"
+    )
+    done = fresh_python(
+        "import importlib, sys\n"
+        "import disputekit.cli\n"
+        "print(sorted(name for name in ('dataclasses', 'inspect') if name in sys.modules))\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module('disputekit.' + name)\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    assert "attacks" in modules and "oracle" in modules
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\nFalse\n", "")
+
+
+_MAIN = "import sys\nfrom disputekit.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "verify"])
+def test_a_stdout_with_no_reader_exits_two(tmp_path, audit_artifacts, command) -> None:
+    """Each command that writes stdout, given a pipe whose reader is gone,
+    exits 2 with one line on stderr and no traceback, as an unwritable
+    --out does; exit 1 would read as a rejection."""
+    doc, record, _ = audit_artifacts
+    argv = {
+        "run": ["run", str(HAPPY)],
+        "sweep": ["sweep", "12", "0.5"],
+        "verify": ["verify", write_json(tmp_path / "t.json", doc),
+                   write_json(tmp_path / "c.json", record)],
+    }[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = fresh_python(_MAIN, *argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, "cannot write stdout: Broken pipe\n")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_a_full_stdout_exits_two() -> None:
+    with open("/dev/full", "w") as full:
+        done = fresh_python(_MAIN, "run", str(HAPPY), stdout=full.fileno())
+    assert (done.returncode, done.stderr) == (2, "cannot write stdout: No space left on device\n")
 
 
 # SHA-256 of the bundled happy path's two transcripts, as
