@@ -37,21 +37,21 @@ Three subcommands, three artifact formats:
 Exit codes are uniform across subcommands: 0 success, 1 assertion or
 verification failure, 2 usage or parse error, or a stdout that cannot be
 written (a pipe with no reader, a full disk), named on stderr in one line
-(`cannot write stdout: Broken pipe`). All output is deterministic: the
+(`cannot write stdout: Broken pipe`). A stderr that cannot be written
+changes no exit code. All output is deterministic: the
 same inputs produce byte-identical reports.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, TextIO
 
 from . import scenario
 from .errors import MalformedScript
@@ -239,6 +239,22 @@ def report_pieces(report: dict[str, Any]) -> Iterator[str]:
     yield "}\n"
 
 
+def _silence(stream: TextIO) -> None:
+    """Point `stream` at the null device: what it still buffers goes
+    nowhere, so that the flush at exit cannot fail again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _say(line: str) -> None:
+    """Write `line` to stderr; if stderr cannot be written, silence it, so
+    that the command's own exit code stands."""
+    try:
+        sys.stderr.write(line + "\n")
+        sys.stderr.flush()
+    except OSError:
+        _silence(sys.stderr)
+
+
 def _emit(payload: str | Iterable[str], out: Optional[str]) -> bool:
     """Write `payload`, a string or its pieces in order, to `out`, or stdout
     when None; False, said on stderr in one line, if it cannot be written
@@ -254,11 +270,9 @@ def _emit(payload: str | Iterable[str], out: Optional[str]) -> bool:
         return True
     except OSError as exc:
         where = "stdout" if out is None else out
-        print(f"cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+        _say(f"cannot write {where}: {exc.strerror or exc}")
         if out is None:
-            # what stdout still buffers goes nowhere, so that the flush at
-            # exit cannot fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _silence(sys.stdout)
         return False
 
 
@@ -284,12 +298,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         script = _load_json(args.file)
     # ValueError covers a JSONDecodeError and a key `_unique_keys` refuses
     except (OSError, ValueError, RecursionError) as exc:
-        print(f"cannot read scenario: {exc}", file=sys.stderr)
+        _say(f"cannot read scenario: {exc}")
         return EXIT_USAGE
     try:
         report = run_scenario(script, seed=args.seed)
     except MalformedScript as exc:
-        print(f"malformed scenario: {exc}", file=sys.stderr)
+        _say(f"malformed scenario: {exc}")
         return EXIT_USAGE
 
     if not _emit(report_pieces(report), args.out):
@@ -305,7 +319,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             failed.append(report["invariant"])
         if not report.get("expected_match", True):
             failed.append("final-state expectation")
-        print("failed: " + "; ".join(failed), file=sys.stderr)
+        _say("failed: " + "; ".join(failed))
         return EXIT_FAIL
     return EXIT_OK
 
@@ -315,35 +329,22 @@ def _csv_number(value: float) -> str:
 
 
 def sweep_csv(report: SweepReport) -> str:
-    import csv  # imported here: no other command writes CSV
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        [
-            "V_A",
-            "V_B",
-            "mechanism",
-            "always_wins",
-            "region_nonempty",
-            "witness_y1",
-            "witness_y2",
-        ]
-    )
+    """One line per row. No field holds a comma, a quote or a newline (each
+    is a number, `true`/`false`, a mechanism name or an empty witness), so
+    none is quoted."""
+    lines = ["V_A,V_B,mechanism,always_wins,region_nonempty,witness_y1,witness_y2"]
     for row in report.rows:
         witness = row.witness
-        writer.writerow(
-            [
-                _csv_number(row.v_a),
-                _csv_number(row.v_b),
-                row.mechanism,
-                str(row.a_all_in_always_wins).lower(),
-                str(row.region_nonempty).lower(),
-                "" if witness is None else _csv_number(witness.y1),
-                "" if witness is None else _csv_number(witness.y2),
-            ]
-        )
-    return buffer.getvalue()
+        lines.append(",".join([
+            _csv_number(row.v_a),
+            _csv_number(row.v_b),
+            row.mechanism,
+            str(row.a_all_in_always_wins).lower(),
+            str(row.region_nonempty).lower(),
+            "" if witness is None else _csv_number(witness.y1),
+            "" if witness is None else _csv_number(witness.y2),
+        ]))
+    return "\n".join(lines) + "\n"
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -357,19 +358,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not _emit(sweep_csv(report), args.out):
         return EXIT_USAGE
     hard = report.hard_disagreements
-    print(
+    _say(
         f"{len(report.rows)} rows, "
         f"{len(report.disagreements) - len(hard)} boundary disagreements, "
-        f"{len(hard)} hard disagreements",
-        file=sys.stderr,
+        f"{len(hard)} hard disagreements"
     )
     for row in hard:
-        print(
+        _say(
             f"disagreement at V_A={_csv_number(row.v_a)} "
             f"V_B={_csv_number(row.v_b)} mechanism={row.mechanism}: "
             f"witness {'found' if row.witness is not None else 'missing'} "
-            f"but region_nonempty={row.region_nonempty}",
-            file=sys.stderr,
+            f"but region_nonempty={row.region_nonempty}"
         )
     return EXIT_FAIL if hard else EXIT_OK
 
@@ -382,7 +381,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     # ValueError covers a JSONDecodeError
     except (OSError, RecursionError, TypeError, ValueError) as exc:
-        print(f"malformed input: {exc}", file=sys.stderr)
+        _say(f"malformed input: {exc}")
         return EXIT_USAGE
 
     verdict = verify_audit(transcript, intake_digest, commitment)

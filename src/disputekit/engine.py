@@ -13,6 +13,13 @@ Lifecycle (states in parentheses):
          quorum missed   -> one deadline extension, then Aborted + refunds
     missing party at t1  -> DefaultJudgment + refunds
 
+The state guard at the top of each operation is the lifecycle's one
+statement: every ``_transition`` follows a guard that pins its source state,
+so no table restates the edges. The paper's edges, written once as a
+reference, live in the lifecycle model test (``tests/test_engine.py``), which
+drives disputes through random operations and checks every ``dispute_state``
+event against them.
+
 Each voting phase is one MACI poll, and both take the same path: intake
 (a ``ballot`` event per message), then close, process and commit
 (``tally_commitment``), then publish tally and salt (``tally_published``) —
@@ -73,24 +80,6 @@ class DisputeState(Enum):
     DEFAULT_JUDGMENT = "DefaultJudgment"
     ABORTED = "Aborted"
 
-
-_ALLOWED_TRANSITIONS: dict[DisputeState, set[DisputeState]] = {
-    DisputeState.OPENED: {DisputeState.AWAITING_JOIN},
-    DisputeState.AWAITING_JOIN: {
-        DisputeState.EVIDENCE_OPEN,
-        DisputeState.DEFAULT_JUDGMENT,
-    },
-    DisputeState.EVIDENCE_OPEN: {DisputeState.PHASE1_VOTING},
-    DisputeState.PHASE1_VOTING: {
-        DisputeState.PHASE1_TALLIED,
-        DisputeState.ABORTED,
-    },
-    DisputeState.PHASE1_TALLIED: {DisputeState.PHASE2_VOTING},
-    DisputeState.PHASE2_VOTING: {DisputeState.RESOLVED},
-    DisputeState.RESOLVED: set(),
-    DisputeState.DEFAULT_JUDGMENT: set(),
-    DisputeState.ABORTED: set(),
-}
 
 class DisputeConfig(NamedTuple("DisputeConfig", [("t1", int), ("t2", int),
                                                   ("min_judges", int)])):
@@ -214,30 +203,21 @@ class Dispute(MutableRecord):
         fee: int,
         config: DisputeConfig,
         phase1_poll: MaciPoll,  # its deadline is t2, moved once by an extension
-        state: DisputeState = DisputeState.OPENED,
-        party_keys: Optional[dict[str, bytes]] = None,  # who joined
-        evidence: Optional[list[EvidenceRef]] = None,
-        phase1_scores: Optional[dict[str, int]] = None,
-        proposals: Optional[list[EngineProposal]] = None,
-        phase2_poll: Optional[MaciPoll] = None,
-        phase2_tally: Optional[Phase2Tally] = None,
-        default_winner: Optional[str] = None,
-        settled: bool = False,
     ) -> None:
         self.dispute_id = dispute_id
         self.parties = parties
         self.fee = fee
         self.config = config
         self.phase1_poll = phase1_poll
-        self.state = state
-        self.party_keys = {} if party_keys is None else party_keys
-        self.evidence = [] if evidence is None else evidence
-        self.phase1_scores = phase1_scores
-        self.proposals = [] if proposals is None else proposals
-        self.phase2_poll = phase2_poll
-        self.phase2_tally = phase2_tally
-        self.default_winner = default_winner
-        self.settled = settled
+        self.state = DisputeState.OPENED
+        self.party_keys: dict[str, bytes] = {}  # who joined
+        self.evidence: list[EvidenceRef] = []
+        self.phase1_scores: Optional[dict[str, int]] = None
+        self.proposals: list[EngineProposal] = []
+        self.phase2_poll: Optional[MaciPoll] = None
+        self.phase2_tally: Optional[Phase2Tally] = None
+        self.default_winner: Optional[str] = None
+        self.settled = False
 
     @property
     def initiator(self) -> str:
@@ -270,8 +250,6 @@ class DisputeEngine:
             raise WrongState(f"no dispute {dispute_id}") from None
 
     def _transition(self, dispute: Dispute, new: DisputeState, now: int) -> None:
-        if new not in _ALLOWED_TRANSITIONS[dispute.state]:
-            raise WrongState(f"{dispute.state.value} cannot become {new.value}")
         old = dispute.state
         dispute.state = new
         self.observe(
@@ -327,7 +305,7 @@ class DisputeEngine:
         self.disputes[dispute_id] = dispute
         dispute.party_keys[initiator] = initiator_key
         entry = self.escrow.deposit(dispute_id, initiator, fee)
-        self.observe("escrow", _escrow_event(entry))
+        self.observe("escrow", entry._asdict())
         self._transition(dispute, DisputeState.AWAITING_JOIN, now)
         return dispute
 
@@ -351,7 +329,7 @@ class DisputeEngine:
         if fee != dispute.fee:
             raise WrongFee(f"fee is {dispute.fee}, got {fee}")
         entry = self.escrow.deposit(dispute_id, party, fee)
-        self.observe("escrow", _escrow_event(entry))
+        self.observe("escrow", entry._asdict())
         dispute.party_keys[party] = party_key
         if dispute.party_keys.keys() == set(dispute.parties):
             self._transition(dispute, DisputeState.EVIDENCE_OPEN, now)
@@ -510,9 +488,7 @@ class DisputeEngine:
             raise WrongState(f"cannot close Phase 2 from {dispute.state.value}")
         poll = dispute.phase2_poll
         assert poll is not None
-        if now < poll.deadline:
-            raise TooEarly(f"Phase 2 runs until {poll.deadline}")
-        tally = self._commit(dispute_id, poll, now)
+        tally = self._commit(dispute_id, poll, now)  # TooEarly before its deadline
         dispute.phase2_tally = tally_phase2(tally, len(dispute.proposals))
         self._publish(dispute_id, poll)
         self._transition(dispute, DisputeState.RESOLVED, now)
@@ -573,14 +549,14 @@ class DisputeEngine:
         pool = dispute.fee * len(dispute.parties)
         entry = self.escrow.payout(dispute_id, winning_judge, pool)
         dispute.settled = True
-        self.observe("escrow", _escrow_event(entry))
+        self.observe("escrow", entry._asdict())
         return entry
 
     def _refund_joined(self, dispute: Dispute) -> None:
         for party in dispute.parties:
             if party in dispute.party_keys:
                 entry = self.escrow.refund(dispute.dispute_id, party, dispute.fee)
-                self.observe("escrow", _escrow_event(entry))
+                self.observe("escrow", entry._asdict())
 
 
 def _proposals(final_states: Sequence[VoterFinalState]) -> list[EngineProposal]:
@@ -593,11 +569,3 @@ def _proposals(final_states: Sequence[VoterFinalState]) -> list[EngineProposal]:
     )
     return [EngineProposal(memo, author) for _, author, memo in counted]
 
-
-def _escrow_event(entry: EscrowEntry) -> dict:
-    return {
-        "dispute_id": entry.dispute_id,
-        "kind": entry.kind,
-        "actor": entry.actor,
-        "amount": entry.amount,
-    }

@@ -19,7 +19,6 @@ cannot re-enter with a fresh commitment.
 """
 from __future__ import annotations
 
-import heapq
 import random
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -67,14 +66,13 @@ class HumanRecord(MutableRecord):
         voucher: Optional[str],
         status: RegistryStatus,
         challenge_deadline: int,
-        challenge_reason: Optional[str] = None,
     ) -> None:
         self.human_id = human_id
         self.video_hash = video_hash
         self.voucher = voucher
         self.status = status
         self.challenge_deadline = challenge_deadline
-        self.challenge_reason = challenge_reason
+        self.challenge_reason: Optional[str] = None  # set by a challenge
 
 
 class PohRegistry:
@@ -86,23 +84,16 @@ class PohRegistry:
             raise ValueError("challenge window must be positive")
         self.challenge_window = challenge_window
         self.records: dict[str, HumanRecord] = {}
-        # what `finalize` may settle, so that it never scans `records`: each
-        # human's place in `records`, kept when they register again; pending
-        # records as a heap of (deadline, registrations before it, record),
-        # where a record no longer pending is dropped when it comes due; and
-        # challenged records with their places
+        # each human's place in `records`, kept when they register again
         self._places: dict[str, int] = {}
-        self._due: list[tuple[int, int, HumanRecord]] = []
-        self._registrations = 0
-        self._challenged: list[tuple[int, HumanRecord]] = []
+        # what `finalize` may settle: the pending and challenged records
+        self._open: dict[str, HumanRecord] = {}
 
     def _add(self, record: HumanRecord) -> HumanRecord:
         self.records[record.human_id] = record
         self._places.setdefault(record.human_id, len(self._places))
         if record.status == RegistryStatus.PENDING:
-            entry = (record.challenge_deadline, self._registrations, record)
-            heapq.heappush(self._due, entry)
-            self._registrations += 1
+            self._open[record.human_id] = record
         return record
 
     def seed_approved(self, human_id: str) -> HumanRecord:
@@ -150,24 +141,24 @@ class PohRegistry:
             )
         record.status = RegistryStatus.CHALLENGED
         record.challenge_reason = reason
-        self._challenged.append((self._places[human_id], record))
         return record
 
     def finalize(self, now: int) -> list[HumanRecord]:
         """Settle every record whose window has run: challenged ones are
         rejected, unchallenged pending ones past deadline are approved.
-        Returns the records that changed, in `records` order. Touches only
-        the challenged records and those that came due."""
-        settled, self._challenged = self._challenged, []
-        for _, record in settled:
-            record.status = RegistryStatus.REJECTED
-        while self._due and self._due[0][0] <= now:
-            record = heapq.heappop(self._due)[2]
-            if record.status == RegistryStatus.PENDING:
-                record.status = RegistryStatus.APPROVED
-                settled.append((self._places[record.human_id], record))
-        settled.sort(key=lambda item: item[0])
-        return [record for _, record in settled]
+        Returns the records that changed, in `records` order. Reads only
+        the open records, those pending or challenged."""
+        settled = [
+            record for record in self._open.values()
+            if record.status == RegistryStatus.CHALLENGED
+            or now >= record.challenge_deadline
+        ]
+        for record in settled:
+            challenged = record.status == RegistryStatus.CHALLENGED
+            record.status = RegistryStatus.REJECTED if challenged else RegistryStatus.APPROVED
+            del self._open[record.human_id]
+        settled.sort(key=lambda record: self._places[record.human_id])
+        return settled
 
 
 # ---- identities and signals ---------------------------------------------------

@@ -1063,15 +1063,16 @@ def test_verify_honest_transcript(tmp_path, capsys, audit_artifacts) -> None:
 
 
 def fresh_python(
-    program: str, *args: str, stdout: int = subprocess.PIPE
+    program: str, *args: str, stdout: int = subprocess.PIPE, stderr: int = subprocess.PIPE
 ) -> subprocess.CompletedProcess:
     """`program` run with `args` by a new interpreter, which finds disputekit
-    where this one did; its stdout goes to `stdout`, captured by default."""
+    where this one did; its stdout and stderr go to `stdout` and `stderr`,
+    captured by default."""
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
         [sys.executable, "-c", program, *args],
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
         timeout=120,
@@ -1108,9 +1109,9 @@ def test_a_valid_run_and_a_verify_never_import_jsonschema(tmp_path, audit_artifa
 
 
 def test_only_sweep_loads_the_oracle() -> None:
-    """Importing the CLI loads neither the oracle nor `csv`, which only
-    `sweep` uses, and still loads the scenario layer, so that no import
-    moves into the timed run; `sweep` then imports them and succeeds."""
+    """Importing the CLI loads the scenario layer, so that no import moves
+    into the timed run, and not the oracle, which only `sweep` uses; `sweep`
+    then imports it and succeeds. No command loads `csv`."""
     done = fresh_python(
         "import contextlib, io, sys\n"
         "import disputekit.cli\n"
@@ -1118,9 +1119,9 @@ def test_only_sweep_loads_the_oracle() -> None:
         "             if name in sys.modules))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = disputekit.cli.main(['sweep', '12', '0.5'])\n"
-        "print(code)\n"
+        "print(code, 'csv' in sys.modules)\n"
     )
-    assert (done.returncode, done.stdout) == (0, "['disputekit.scenario']\n0\n")
+    assert (done.returncode, done.stdout) == (0, "['disputekit.scenario']\n0 False\n")
 
 
 def test_no_module_loads_dataclasses() -> None:
@@ -1172,6 +1173,26 @@ def test_a_full_stdout_exits_two() -> None:
     with open("/dev/full", "w") as full:
         done = fresh_python(_MAIN, "run", str(HAPPY), stdout=full.fileno())
     assert (done.returncode, done.stderr) == (2, "cannot write stdout: No space left on device\n")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["run", "missing.json"], EXIT_USAGE),
+        (["verify", "missing.json", "missing.json"], EXIT_USAGE),
+        (["sweep", "12", "0.5", "--out", "sweep.csv"], EXIT_OK),
+    ],
+    ids=["run", "verify", "sweep"],
+)
+def test_an_unwritable_stderr_keeps_the_exit_code(tmp_path, argv, code) -> None:
+    """A stderr that cannot be written changes no command's exit code: a
+    refused input still exits 2 and a clean sweep, whose summary line goes
+    to stderr, still exits 0; nothing spills onto stdout."""
+    argv = [str(tmp_path / arg) if arg.endswith((".json", ".csv")) else arg for arg in argv]
+    with open("/dev/full", "w") as full:
+        done = fresh_python(_MAIN, *argv, stderr=full.fileno())
+    assert (done.returncode, done.stdout) == (code, "")
 
 
 # SHA-256 of the bundled happy path's two transcripts, as

@@ -22,6 +22,7 @@ from disputekit.errors import (
     JoinAfterDeadline,
     NotAParty,
     PollClosed,
+    ProtocolError,
     SelfDispute,
     TooEarly,
     WrongFee,
@@ -737,3 +738,134 @@ def test_mixed_outcomes_keep_the_escrow_conserved() -> None:
     assert escrow.net_position("judge-wallet") == 20
     assert escrow.net_position("carol") == 0
     assert escrow.net_position("erin") == 0
+
+
+# ---- lifecycle model ------------------------------------------------------------
+
+# the paper's lifecycle, written once here as the reference: every state
+# change the engine reports must be one of these edges
+LIFECYCLE = {
+    ("Opened", "AwaitingJoin"),
+    ("AwaitingJoin", "EvidenceOpen"),
+    ("AwaitingJoin", "DefaultJudgment"),
+    ("EvidenceOpen", "Phase1Voting"),
+    ("Phase1Voting", "Phase1Tallied"),
+    ("Phase1Voting", "Aborted"),
+    ("Phase1Tallied", "Phase2Voting"),
+    ("Phase2Voting", "Resolved"),
+}
+TERMINAL = {"Resolved", "DefaultJudgment", "Aborted"}
+MODEL_CFG = DisputeConfig(t1=100, t2=200, min_judges=2)
+MODEL_PARTIES = (("alice", "bob"), ("carol", "dan"))
+MODEL_OPS = ("open", "join", "default", "evidence", "enroll", "vote1", "close1",
+             "start2", "vote2", "close2", "settle")
+# half the operations are drawn from those that can move a dispute on from
+# its state, so that runs get far; the other half from every operation
+MODEL_MOVES = {
+    "AwaitingJoin": ("join",),
+    "EvidenceOpen": ("enroll",),
+    "Phase1Voting": ("vote1", "close1"),
+    "Phase1Tallied": ("start2",),
+    "Phase2Voting": ("vote2", "close2"),
+}
+MODEL_RUNS, MODEL_STEPS = 100, 80
+
+
+def _model_times(court: Court, dispute_id: int) -> list[int]:
+    """Times just before, at and just after each deadline the dispute has."""
+    deadlines = [MODEL_CFG.t1, MODEL_CFG.t2, MODEL_CFG.t2 + MODEL_CFG.span]
+    if dispute_id in court.engine.disputes:
+        dispute = court.engine.disputes[dispute_id]
+        deadlines.append(dispute.phase1_poll.deadline)
+        if dispute.phase2_poll is not None:
+            deadlines.append(dispute.phase2_poll.deadline)
+    return [0, *(t + d for t in deadlines for d in (-1, 0, 1))]
+
+
+def _model_step(court: Court, jurors: dict, op: str, dispute_id: int, now: int) -> None:
+    """One engine operation on dispute `dispute_id`, legal or not."""
+    engine, rng = court.engine, court.rng
+    parties = MODEL_PARTIES[dispute_id]
+    if op == "open":
+        if dispute_id == len(engine.disputes):  # the id the engine assigns next
+            engine.open_dispute(parties[0], parties[1:], 10, MODEL_CFG,
+                                court.party_keys[parties[0]].public, now)
+    elif op == "join":
+        party = rng.choice(parties)
+        engine.join_dispute(dispute_id, party, 10, court.party_keys[party].public, now)
+    elif op == "default":
+        engine.default_if_absent(dispute_id, now)
+    elif op == "evidence":
+        engine.submit_evidence(dispute_id, rng.choice(parties), b"e" * 32, "doc", now)
+    elif op == "enroll":
+        jurors.setdefault(dispute_id, []).append(
+            court.enroll(dispute_id, rng.choice(court.judges), now=now))
+    elif op == "vote1":
+        if not jurors.get(dispute_id):
+            engine.submit_phase1_ballot(dispute_id, b"junk", now)
+        else:
+            index, key = rng.choice(jurors[dispute_id])
+            court.phase1_vote(dispute_id, index, key, rng.randrange(2),
+                              memo=proposal_hash(f"p{index}"), now=now)
+    elif op == "close1":
+        engine.close_phase1(dispute_id, now)
+    elif op == "start2":
+        engine.start_phase2(dispute_id, now)
+    elif op == "vote2":
+        dispute = engine.disputes.get(dispute_id)
+        if dispute is None or not dispute.proposals:
+            engine.submit_phase2_ballot(dispute_id, b"junk", now)
+        else:
+            votes = {rng.randrange(len(dispute.proposals)): 1}
+            court.phase2_vote(dispute_id, rng.choice(parties), votes, now=now)
+    elif op == "close2":
+        engine.close_phase2(dispute_id, now)
+    else:
+        engine.settle(dispute_id, "judge-wallet")
+
+
+def test_the_lifecycle_model_holds() -> None:
+    """Seeded random sequences of every engine operation, legal or not, on
+    one or two disputes at times around their deadlines: every call returns
+    or raises a ProtocolError, every state change is an edge of the paper's
+    lifecycle from the state the dispute was in, and a terminal state never
+    changes. Across the runs every edge is taken."""
+    taken = set()
+    for run in range(MODEL_RUNS):
+        court = Court(seed=run, judges=3)
+        for party in (party for parties in MODEL_PARTIES for party in parties):
+            court.party_keys[party] = KeyPair.generate(court.rng)
+        jurors: dict[int, list] = {}
+        states: dict[int, str] = {}
+        now = 0
+        for step in range(MODEL_STEPS):
+            dispute_id = 0 if step == 0 else court.rng.randrange(2)
+            moves = MODEL_MOVES.get(states.get(dispute_id), MODEL_OPS)
+            op = "open" if step == 0 else court.rng.choice(
+                moves if court.rng.random() < 0.5 else MODEL_OPS)
+            times = _model_times(court, dispute_id)
+            # the clock holds or steps to the next deadline-adjacent time; the
+            # caller supplies it, so it also jumps to any of them, back too
+            if court.rng.random() < 0.1:
+                now = court.rng.choice(times)
+            elif court.rng.random() < 0.1:
+                now = min((t for t in times if t > now), default=now)
+            seen = len(court.events)
+            ended = {d: s for d, s in states.items() if s in TERMINAL}
+            try:
+                _model_step(court, jurors, op, dispute_id, now)
+            except ProtocolError:
+                pass
+            for kind, payload in court.events[seen:]:
+                if kind != "dispute_state":
+                    continue
+                edge = (payload["old"], payload["new"])
+                where = f"run {run}, step {step}: {op} at {now}"
+                assert edge in LIFECYCLE, f"{where}: {edge} is not a lifecycle edge"
+                assert states.get(payload["dispute_id"], "Opened") == edge[0], where
+                states[payload["dispute_id"]] = edge[1]
+                taken.add(edge)
+            for known, dispute in court.engine.disputes.items():
+                assert dispute.state.value == states[known]
+            assert ended.items() <= states.items(), f"run {run}, step {step}: {op}"
+    assert taken == LIFECYCLE

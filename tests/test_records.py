@@ -188,12 +188,13 @@ def test_mutable_records_compare_by_value(build) -> None:
 
 
 def test_mutable_records_keep_their_defaults() -> None:
-    human = _human()
+    human, challenged = _human(), _human()
     assert human.challenge_reason is None
-    assert _human(challenge_reason="fake") != human
+    challenged.challenge_reason = "fake"
+    assert challenged != human
     first, second = _dispute(), _dispute()
     assert (first.party_keys, first.evidence, first.proposals) == ({}, [], [])
-    # each dispute has its own containers, as a default factory gave it
+    # each dispute starts with containers of its own
     first.party_keys["alice"] = b"k" * 32
     first.evidence.append(EvidenceRef("alice", b"h" * 32, "invoice"))
     assert second.party_keys == {} and second.evidence == []
