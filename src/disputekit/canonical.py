@@ -15,8 +15,9 @@ from typing import Iterable, Mapping
 
 from .errors import DecodeError
 
-_U32 = struct.Struct(">I")
-_I64 = struct.Struct(">q")
+# the layouts of a u32 prefix and of one int64
+U32 = struct.Struct(">I")
+I64 = struct.Struct(">q")
 
 # Hard cap on any length prefix we are willing to follow; stops a corrupt
 # or hostile length field from triggering a giant allocation.
@@ -26,19 +27,19 @@ MAX_FIELD_LEN = 1 << 24
 def encode_uint32(value: int) -> bytes:
     if not 0 <= value < 1 << 32:
         raise DecodeError(f"uint32 out of range: {value}")
-    return _U32.pack(value)
+    return U32.pack(value)
 
 
 def encode_int64(value: int) -> bytes:
     if not -(1 << 63) <= value < 1 << 63:
         raise DecodeError(f"int64 out of range: {value}")
-    return _I64.pack(value)
+    return I64.pack(value)
 
 
 def encode_bytes(data: bytes) -> bytes:
     if len(data) > MAX_FIELD_LEN:
         raise DecodeError(f"field too long: {len(data)} bytes")
-    return _U32.pack(len(data)) + data
+    return U32.pack(len(data)) + data
 
 
 def encode_str(text: str) -> bytes:
@@ -47,13 +48,13 @@ def encode_str(text: str) -> bytes:
 
 def encode_int_list(values: Iterable[int]) -> bytes:
     items = list(values)
-    return _U32.pack(len(items)) + b"".join(encode_int64(v) for v in items)
+    return U32.pack(len(items)) + b"".join(encode_int64(v) for v in items)
 
 
 def encode_int_map(mapping: Mapping[int, int]) -> bytes:
     """Key-sorted (int -> int) map; the canonical form of a tally."""
     items = sorted(mapping.items())
-    out = [_U32.pack(len(items))]
+    out = [U32.pack(len(items))]
     for key, value in items:
         out.append(encode_int64(key))
         out.append(encode_int64(value))
@@ -80,7 +81,7 @@ class Reader:
 
     def _count(self, what: str) -> int:
         """A u32 prefix, refused above MAX_FIELD_LEN."""
-        count = self._unpack(_U32)[0]
+        count = self._unpack(U32)[0]
         if count > MAX_FIELD_LEN:
             raise DecodeError(f"{what} prefix too large: {count}")
         return count
@@ -91,10 +92,10 @@ class Reader:
         return self._pos
 
     def read_uint32(self) -> int:
-        return self._unpack(_U32)[0]
+        return self._unpack(U32)[0]
 
     def read_int64(self) -> int:
-        return self._unpack(_I64)[0]
+        return self._unpack(I64)[0]
 
     def read_bytes(self) -> bytes:
         length = self._count("length")
@@ -114,10 +115,10 @@ class Reader:
     def read_int_list(self) -> list[int]:
         """A counted int64 list, unpacked in one call."""
         count = self._count("count")
-        return list(self._unpack(_int64s(count)))
+        return list(self._unpack(int64_layout(count)))
 
     def read_int_map(self) -> dict[int, int]:
-        flat = self._unpack(_int64s(2 * self._count("count")))
+        flat = self._unpack(int64_layout(2 * self._count("count")))
         keys = flat[0::2]
         if any(b <= a for a, b in zip(keys, keys[1:])):
             raise DecodeError("map keys not strictly increasing")
@@ -129,6 +130,6 @@ class Reader:
 
 
 @functools.lru_cache(maxsize=64)
-def _int64s(count: int) -> struct.Struct:
+def int64_layout(count: int) -> struct.Struct:
     """The layout of `count` big-endian int64s."""
     return struct.Struct(f">{count}q")

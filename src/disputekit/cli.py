@@ -49,6 +49,7 @@ import json
 import math
 import os
 import sys
+from binascii import a2b_hex
 from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, TextIO
@@ -182,7 +183,23 @@ def _document(doc: Any, readers: dict[str, Callable[[Any], Any]], name: str) -> 
         raise ValueError(f"{where}: {exc}") from None
 
 
+# The two readers below take each item of a long list in one step: one
+# type check per field and one `binascii.a2b_hex` per hex field, with no
+# reader called per field. `a2b_hex` reads what `bytes.fromhex` reads but
+# no whitespace, so a field it refuses may still read: the per-field
+# readers (`_hex`, `_int`, `_ENTRY`) then read the item again, and word
+# the refusal if there is one.
+
+
 def _voter(value: Any) -> tuple[bytes, int]:
+    """A starting voter, `[key, credits]`."""
+    if type(value) is list and len(value) == 2:
+        key, credits = value
+        if type(key) is str and type(credits) is int:
+            try:
+                return a2b_hex(key), credits
+            except ValueError:
+                pass
     if not isinstance(value, list) or len(value) != 2:
         raise ValueError(f"expected [key, credits], got {value!r:.60}")
     return _hex(value[0]), _int(value[1])
@@ -191,12 +208,38 @@ def _voter(value: Any) -> tuple[bytes, int]:
 # each its record's fields, in order: the keys `transcript_to_jsonable` writes
 _ENTRY = {"ciphertext_digest": _hex, "plaintext": _opt(_hex), "valid": _bool,
           "reason": _opt(_str)}
+_ENTRY_KEYS = _ENTRY.keys()
+
+
+def _entry(value: Any) -> TranscriptEntry:
+    """A transcript entry: an object with exactly the keys of `_ENTRY`."""
+    if type(value) is dict and value.keys() == _ENTRY_KEYS:
+        digest, plaintext = value["ciphertext_digest"], value["plaintext"]
+        valid, reason = value["valid"], value["reason"]
+        if (
+            type(digest) is str
+            and (plaintext is None or type(plaintext) is str)
+            and type(valid) is bool
+            and (reason is None or type(reason) is str)
+        ):
+            try:
+                return TranscriptEntry._make((
+                    a2b_hex(digest),
+                    None if plaintext is None else a2b_hex(plaintext),
+                    valid,
+                    reason,
+                ))
+            except ValueError:
+                pass
+    return TranscriptEntry(*_fields(value, _ENTRY))
+
+
 _TRANSCRIPT = {
     "poll_id": _int,
     "cost_rule": _str,
     "options": _int,
     "initial_voters": _items(_voter),
-    "entries": _items(lambda entry: TranscriptEntry(*_fields(entry, _ENTRY))),
+    "entries": _items(_entry),
     "tally": lambda tally: {_decimal(k): _int(v) for k, v in _object(tally).items()},
     "salt": _hex,
 }

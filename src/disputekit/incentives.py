@@ -105,6 +105,7 @@ class SbtRegistry:
     def __init__(self) -> None:
         self.tokens: list[SbtToken] = []
         self._index: set[tuple[str, str, Optional[int]]] = set()
+        self._held: set[tuple[str, str]] = set()  # (kind, subject) of every token
 
     def issue(
         self, kind: str, subject: str, dispute_id: Optional[int] = None
@@ -116,11 +117,12 @@ class SbtRegistry:
             raise AlreadyRecorded(f"{kind} already issued to {subject!r}")
         token = SbtToken(kind, subject, dispute_id)
         self._index.add(key)
+        self._held.add((kind, subject))
         self.tokens.append(token)
         return token
 
     def has(self, kind: str, subject: str) -> bool:
-        return any(t.kind == kind and t.subject == subject for t in self.tokens)
+        return (kind, subject) in self._held
 
     def holders(self, kind: str) -> set[str]:
         return {t.subject for t in self.tokens if t.kind == kind}

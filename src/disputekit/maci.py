@@ -47,8 +47,10 @@ record carries its own index.
 Processing emits an ``AuditTranscript``: decrypted commands, per-message
 verdicts, the tally, and the commitment salt, which ``commit_tally`` draws
 into it. Each voter's final state is kept beside it, not in it:
-``_final_states`` derives it from the verdicts, the replayed ones in
-processing and the claimed ones in the audit. The transcript replaces
+``_final_states`` derives it from the replayed verdicts. Where a voter's
+replay ends is its last valid command (``_last_valid``): processing reads
+it off its own verdicts, and the audit off the claimed ones, summing the
+votes without building a final state. The transcript replaces
 succinct proofs at simulation fidelity — ``verify_audit`` runs the same
 replay over it, the checks that read only the claims first and the
 signature folds last.
@@ -71,8 +73,9 @@ from __future__ import annotations
 import marshal
 import os
 import random
+import struct
 import threading
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import canonical
 from .errors import (
@@ -129,48 +132,77 @@ class Command(NamedTuple):
     memo: bytes
     voter_registration_index: int
 
-    def signing_bytes(self) -> bytes:
-        return _signed_bytes(self._body())
-
-    def _body(self) -> bytes:
-        return b"".join(
-            (
-                canonical.encode_bytes(self.new_public_key),
-                canonical.encode_int_list(self.vote_option),
-                canonical.encode_int_list(self.vote_amount),
-                canonical.encode_bytes(self.memo),
-                canonical.encode_int64(self.voter_registration_index),
-            )
-        )
-
-    def encode_signed(self, signature: bytes) -> bytes:
-        return self._body() + canonical.encode_bytes(signature)
-
 
 def _signed_bytes(body: bytes) -> bytes:
     """What a command's signature covers: the label, then the command body."""
     return SIGNING_LABEL + body
 
 
+def _command_body(command: Command) -> bytes:
+    """The command's fields as its plaintext starts with them."""
+    return b"".join(
+        (
+            canonical.encode_bytes(command.new_public_key),
+            canonical.encode_int_list(command.vote_option),
+            canonical.encode_int_list(command.vote_amount),
+            canonical.encode_bytes(command.memo),
+            canonical.encode_int64(command.voter_registration_index),
+        )
+    )
+
+
+def sign_command(signer: KeyPair, command: Command) -> bytes:
+    """The plaintext of `command` signed by `signer`: the body, built once,
+    then the signature over ``_signed_bytes`` of it."""
+    body = _command_body(command)
+    return body + canonical.encode_bytes(sign(signer, _signed_bytes(body)))
+
+
+_u32_at = canonical.U32.unpack_from
+_int64_at = canonical.I64.unpack_from
+
+
 def decode_signed_command(plaintext: bytes) -> tuple[Command, bytes, bytes]:
     """The command, the bytes its signature covers and its signature: the
     whole wire rule. A plaintext that is not exactly one canonical command,
     with as many amounts as options and options strictly increasing, raises
-    DecodeError; a new key that is not 32 bytes raises InvalidKey."""
-    reader = canonical.Reader(plaintext)
-    key = public_key(reader.read_bytes())
-    options = tuple(reader.read_int_list())
-    amounts = tuple(reader.read_int_list())
-    memo = reader.read_bytes()
-    index = reader.read_int64()
-    signed = _signed_bytes(plaintext[: reader.offset])
-    signature = reader.read_bytes()
-    reader.expect_end()
-    if len(options) != len(amounts):
-        raise DecodeError(f"{len(options)} options but {len(amounts)} amounts")
+    DecodeError; a new key that is not 32 bytes raises InvalidKey.
+
+    Each field is unpacked in place at a local cursor, `at`; a prefix above
+    ``canonical.MAX_FIELD_LEN`` is refused before anything under it is read."""
+    size = len(plaintext)
+    try:
+        (length,) = _u32_at(plaintext, 0)
+        at = 4 + length
+        if length > canonical.MAX_FIELD_LEN or at > size:
+            raise DecodeError("truncated key")
+        key = public_key(plaintext[4:at])
+        (count,) = _u32_at(plaintext, at)
+        if count > canonical.MAX_FIELD_LEN:
+            raise DecodeError(f"count prefix too large: {count}")
+        options = canonical.int64_layout(count).unpack_from(plaintext, at + 4)
+        at += 4 + 8 * count
+        (count,) = _u32_at(plaintext, at)
+        if count != len(options):
+            raise DecodeError(f"{len(options)} options but {count} amounts")
+        amounts = canonical.int64_layout(count).unpack_from(plaintext, at + 4)
+        at += 4 + 8 * count
+        (length,) = _u32_at(plaintext, at)
+        start, at = at + 4, at + 4 + length
+        if length > canonical.MAX_FIELD_LEN or at > size:
+            raise DecodeError("truncated memo")
+        memo = plaintext[start:at]
+        (index,) = _int64_at(plaintext, at)
+        at += 8
+        (length,) = _u32_at(plaintext, at)
+        if length > canonical.MAX_FIELD_LEN or at + 4 + length != size:
+            raise DecodeError("the signature does not end the plaintext")
+    except struct.error:
+        raise DecodeError("truncated input") from None
     if any(b <= a for a, b in zip(options, options[1:])):
         raise DecodeError("options are not strictly increasing")
-    return Command(key, options, amounts, memo, index), signed, signature
+    command = Command(key, options, amounts, memo, index)
+    return command, _signed_bytes(plaintext[:at]), plaintext[at + 4:]
 
 
 def build_message(
@@ -194,8 +226,7 @@ def build_message(
         memo=memo,
         voter_registration_index=voter_registration_index,
     )
-    signature = sign(signer, command.signing_bytes())
-    return encrypt(coordinator_public, command.encode_signed(signature), rng)
+    return encrypt(coordinator_public, sign_command(signer, command), rng)
 
 
 # ---- poll state -----------------------------------------------------------------
@@ -228,8 +259,7 @@ class TranscriptEntry(NamedTuple):
 class AuditTranscript(NamedTuple):
     """The coordinator's claims (each entry's verdict, the tally and the
     salt) beside the poll's parameters and starting voters. Each voter's
-    final state is not stated: ``_final_states`` derives it from the
-    claimed verdicts."""
+    final state is not stated: it follows from the claimed verdicts."""
 
     poll_id: int
     cost_rule: str
@@ -389,7 +419,11 @@ class MaciPoll:
                     ciphertexts, plaintexts, verdicts
                 )
             ),
-            tally=_aggregate(final_states),
+            tally=_aggregate(
+                (state.vote.options, state.vote.amounts)
+                for state in final_states
+                if state.vote is not None
+            ),
             salt=b"",  # drawn by commit_tally
         )
         return _Run(transcript, final_states)
@@ -638,25 +672,39 @@ def _fold_voters(
     return verdicts
 
 
+def _last_valid(
+    chains: Sequence[Sequence[_Signed]],
+    verdicts: Sequence[tuple[bool, Optional[str]]],
+) -> Iterator[Optional[_Signed]]:
+    """Each voter's last command whose verdict is valid, or None: where the
+    voter's replay ends. Processing reads the replayed verdicts, the audit
+    the claimed."""
+    for chain in chains:
+        last = None
+        for signed in reversed(chain):
+            if verdicts[signed[0]][0]:
+                last = signed
+                break
+        yield last
+
+
 def _final_states(
     initial_voters: Sequence[tuple[bytes, int]],
     chains: Sequence[Sequence[_Signed]],
     verdicts: Sequence[tuple[bool, Optional[str]]],
 ) -> tuple[VoterFinalState, ...]:
-    """Where each voter's replay ends, given each plaintext's verdict: the
-    last valid command's new key and vote, else the registered key and no
-    vote. Processing reads the replayed verdicts, the audit the claimed."""
+    """Each voter's final state, given each plaintext's verdict: the last
+    valid command's new key and vote, else the registered key and no vote."""
     states = []
-    for (key, _), chain in zip(initial_voters, chains):
-        vote = None
-        for arrival, command, _, _ in reversed(chain):
-            if verdicts[arrival][0]:
-                key = command.new_public_key
-                vote = FinalVote(
-                    command.vote_option, command.vote_amount, command.memo, arrival
-                )
-                break
-        states.append(VoterFinalState(key, vote))
+    for (key, _), last in zip(initial_voters, _last_valid(chains, verdicts)):
+        if last is None:
+            states.append(VoterFinalState(key, None))
+        else:
+            arrival, command, _, _ = last
+            vote = FinalVote(
+                command.vote_option, command.vote_amount, command.memo, arrival
+            )
+            states.append(VoterFinalState(command.new_public_key, vote))
     return tuple(states)
 
 
@@ -698,12 +746,11 @@ def replay_ballots(
     return verdicts, _final_states(initial_voters, chains, verdicts)
 
 
-def _aggregate(final_states: Sequence[VoterFinalState]) -> dict[int, int]:
+def _aggregate(votes: Iterable[tuple[Sequence[int], Sequence[int]]]) -> dict[int, int]:
+    """The tally of the counted votes, each as (options, amounts)."""
     tally: dict[int, int] = {}
-    for state in final_states:
-        if state.vote is None:
-            continue
-        for option, amount in zip(state.vote.options, state.vote.amounts):
+    for options, amounts in votes:
+        for option, amount in zip(options, amounts):
             tally[option] = tally.get(option, 0) + amount
     return tally
 
@@ -752,9 +799,9 @@ def verify_audit(
     1. the digest derived from the entries' ciphertext digests, in order,
        is the observed intake digest, so the entries are exactly the
        observed messages in arrival order;
-    2. the votes of the final states that ``_final_states`` derives from
-       the claimed verdicts, as processing derives them from its own, sum
-       to the tally;
+    2. the votes of each voter's last command claimed valid
+       (``_last_valid``, where processing reads its own verdicts) sum to
+       the tally;
     3. the published commitment opens to (poll id, tally, salt), so a
        transcript relabelled to another poll opens nothing;
     4. the cost rule is known, and ``replay_ballots``, the rule processing
@@ -792,8 +839,12 @@ def verify_audit(
         len(transcript.initial_voters),
     )
 
-    final_states = _final_states(transcript.initial_voters, chains, claimed)
-    if _aggregate(final_states) != dict(transcript.tally):
+    counted = (
+        (signed[1].vote_option, signed[1].vote_amount)
+        for signed in _last_valid(chains, claimed)
+        if signed is not None
+    )
+    if _aggregate(counted) != dict(transcript.tally):
         return Verdict.reject(REASON_TALLY_MISMATCH)
 
     try:

@@ -18,7 +18,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from disputekit.engine import DisputeConfig, DisputeEngine, Escrow, enrollment_scope
 from disputekit.errors import Verdict
 from disputekit.identity import Identity, PohRegistry, SemaphoreGroup, create_signal
-from disputekit.maci import build_message
+from disputekit.maci import AuditTranscript, TranscriptEntry, build_message
 from disputekit.primitives import DecryptionKey, KeyPair, hash_bytes
 from disputekit.scenario import _OPS, _document_schema, _step_schema
 
@@ -40,6 +40,32 @@ def plant_double_booked_payouts(monkeypatch) -> None:
         return entry
 
     monkeypatch.setattr(Escrow, "payout", double_booked)
+
+
+class CountingList(list):
+    """A list that counts the items read from it and appended to it."""
+
+    reads = 0
+    appends = 0
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+    def __reversed__(self):
+        for item in super().__reversed__():
+            self.reads += 1
+            yield item
+
+    def __getitem__(self, index):
+        found = super().__getitem__(index)
+        self.reads += len(found) if isinstance(index, slice) else 1
+        return found
+
+    def append(self, item) -> None:
+        self.appends += 1
+        super().append(item)
 
 
 # ---- ballot processing by an independent route ----------------------------
@@ -246,6 +272,127 @@ def naive_verify_audit(transcript, intake_digest: bytes, commitment: bytes) -> V
     if not naive_opens(transcript.poll_id, transcript.tally, transcript.salt, commitment):
         return Verdict.reject("CommitmentMismatch")
     return Verdict.accept()
+
+
+# ---- the transcript reader, field by field ------------------------------------
+#
+# `disputekit verify`'s transcript reader as it was written first: every
+# field of every entry and voter through its own reader. The reference that
+# the one-step entry and voter readers are checked against, refusal
+# wording included.
+
+
+def _read_hex(value):
+    try:
+        return bytes.fromhex(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a hex string, got {value!r:.60}") from None
+
+
+def _read_exactly(kind, name):
+    def read(value):
+        if type(value) is not kind:
+            raise ValueError(f"expected {name}, got {value!r:.60}")
+        return value
+
+    return read
+
+
+_read_int = _read_exactly(int, "an integer")
+_read_bool = _read_exactly(bool, "a boolean")
+_read_str = _read_exactly(str, "a string")
+
+
+def _read_opt(read):
+    return lambda value: None if value is None else read(value)
+
+
+def _read_object(value):
+    if not isinstance(value, dict):
+        raise ValueError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _read_decimal(key):
+    value = int(_read_str(key))
+    if str(value) != key:
+        raise ValueError(f"expected a canonical decimal key, got {key!r}")
+    return value
+
+
+def _read_below(step, exc):
+    exc.path = step + getattr(exc, "path", "")
+    return exc
+
+
+def _read_fields(value, readers):
+    if not (isinstance(value, dict) and value.keys() == readers.keys()):
+        obj = _read_object(value)
+        unknown = sorted(obj.keys() - readers.keys())
+        missing = sorted(readers.keys() - obj.keys())
+        raise ValueError(
+            f"unknown key {unknown[0]!r}" if unknown else f"missing key {missing[0]!r}"
+        )
+    values = []
+    try:
+        for key, read in readers.items():
+            values.append(read(value[key]))
+    except ValueError as exc:
+        raise _read_below(f".{key}", exc)
+    return values
+
+
+def _read_items(read):
+    def read_items(value):
+        if not isinstance(value, list):
+            raise ValueError(f"expected a list, got {type(value).__name__}")
+        items = []
+        try:
+            for item in value:
+                items.append(read(item))
+        except ValueError as exc:
+            raise _read_below(f"[{len(items)}]", exc)
+        return tuple(items)
+
+    return read_items
+
+
+def _read_voter(value):
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"expected [key, credits], got {value!r:.60}")
+    return _read_hex(value[0]), _read_int(value[1])
+
+
+_READ_ENTRY = {
+    "ciphertext_digest": _read_hex,
+    "plaintext": _read_opt(_read_hex),
+    "valid": _read_bool,
+    "reason": _read_opt(_read_str),
+}
+_READ_TRANSCRIPT = {
+    "poll_id": _read_int,
+    "cost_rule": _read_str,
+    "options": _read_int,
+    "initial_voters": _read_items(_read_voter),
+    "entries": _read_items(
+        lambda entry: TranscriptEntry(*_read_fields(entry, _READ_ENTRY))
+    ),
+    "tally": lambda tally: {
+        _read_decimal(k): _read_int(v) for k, v in _read_object(tally).items()
+    },
+    "salt": _read_hex,
+}
+
+
+def reference_transcript(doc) -> AuditTranscript:
+    """The transcript in `doc`, read field by field; a ValueError names
+    where the first field that does not read is, e.g. `entries[3].plaintext`,
+    or `transcript` for the document itself."""
+    try:
+        return AuditTranscript(*_read_fields(doc, _READ_TRANSCRIPT))
+    except ValueError as exc:
+        where = getattr(exc, "path", "").lstrip(".") or "transcript"
+        raise ValueError(f"{where}: {exc}") from None
 
 
 # ---- the scenario check by an independent route ------------------------------

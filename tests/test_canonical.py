@@ -2,6 +2,7 @@
 the determinism that commitments lean on."""
 from __future__ import annotations
 
+import random
 import struct
 
 import pytest
@@ -21,7 +22,8 @@ from disputekit.canonical import (
     encode_uint32,
 )
 from disputekit.errors import DecodeError, InvalidKey
-from disputekit.maci import Command, decode_signed_command
+from disputekit.maci import Command, decode_signed_command, sign_command
+from disputekit.primitives import KeyPair
 
 int64s = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
 
@@ -181,11 +183,58 @@ def assert_routes_agree(plaintext: bytes) -> None:
     assert (signed, signature) == (naive_signed, naive_signature)
 
 
+def client_plaintexts() -> list[bytes]:
+    """Commands as the client signs them (`sign_command`, which
+    `build_message` seals): a plain vote, a key rotation with a memo, a
+    vote over several options and a vote over none."""
+    rng = random.Random(11)
+    signer, fresh = KeyPair.generate(rng), KeyPair.generate(rng)
+    return [
+        sign_command(signer, Command(signer.public, (0,), (1,), b"", 0)),
+        sign_command(signer, Command(fresh.public, (1,), (3,), b"proposal", 7)),
+        sign_command(signer, Command(signer.public, (0, 2, 5), (1, 0, 2), b"m", 2)),
+        sign_command(signer, Command(signer.public, (), (), b"", 1)),
+    ]
+
+
+def prefix_offsets(plaintext: bytes) -> list[int]:
+    """Where a command's five prefixes sit: the key's length, the option
+    and amount counts, the memo's length and the signature's length."""
+    offsets, at = [], 0
+    for kind in ("bytes", "ints", "ints", "bytes", "index", "bytes"):
+        if kind == "index":
+            at += 8
+            continue
+        offsets.append(at)
+        (size,) = struct.unpack_from(">I", plaintext, at)
+        at += 4 + (8 * size if kind == "ints" else size)
+    assert at == len(plaintext)
+    return offsets
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_a_client_command_and_each_of_its_faults_decode_as_the_parser_says(which) -> None:
+    """A command the client built decodes to its fields; every truncation
+    of it, each of its prefixes set past MAX_FIELD_LEN and one trailing byte
+    are refused, each with the error class `support.naive_command` names."""
+    plaintext = client_plaintexts()[which]
+    assert_routes_agree(plaintext)
+    decode_signed_command(plaintext)
+    faulted = [plaintext[:n] for n in range(len(plaintext))] + [plaintext + b"\x00"]
+    for at in prefix_offsets(plaintext):
+        for prefix in (MAX_FIELD_LEN + 1, 2**32 - 1):
+            faulted.append(plaintext[:at] + struct.pack(">I", prefix) + plaintext[at + 4:])
+    for variant in faulted:
+        assert_routes_agree(variant)
+        with pytest.raises(DecodeError):
+            decode_signed_command(variant)
+
+
 @settings(max_examples=300)
 @given(command=commands(), edit=st.sampled_from(EDITS), at=st.integers(0, 2**40))
 def test_the_command_decoder_agrees_with_an_independent_parser(command, edit, at) -> None:
-    """Differential check of the codec's `Reader`, under
-    `decode_signed_command`, against `support.naive_command`, which reads
+    """Differential check of `decode_signed_command`, which unpacks each
+    field at its own cursor, against `support.naive_command`, which reads
     the same wire format with its own offsets: valid commands, every
     truncation, a trailing byte, a length or count prefix above
     MAX_FIELD_LEN, 31- and 33-byte keys, unequal option and amount counts,

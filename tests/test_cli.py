@@ -26,6 +26,7 @@ from support import (
     plant_double_booked_payouts,
     reference_fault,
     reference_refusal,
+    reference_transcript,
     resolved_court,
 )
 
@@ -49,8 +50,9 @@ from disputekit.maci import (
     digest_over_entries,
     message_set_digest,
     replay_ballots,
+    sign_command,
 )
-from disputekit.primitives import KeyPair, hash_bytes, sign
+from disputekit.primitives import KeyPair, hash_bytes
 from disputekit.scenario import (
     _FIELD_SCHEMAS,
     _OPS,
@@ -1054,6 +1056,94 @@ def test_every_transcript_round_trips(transcript) -> None:
     assert list(commitment_to_jsonable(b"", b"")) == list(cli._RECORD)
 
 
+# what a one-field mutation of a transcript's JSON form does
+TRANSCRIPT_MUTATIONS = ("none", "drop", "add", "rename", "retype", "hex", "one")
+# strings a hex field may hold instead: not hex, odd length, not ASCII,
+# spaced between bytes (`bytes.fromhex` reads that) and upper case
+HEX_SWAPS = ["zz", "abc", "\u00e9\u00e9", "ab cd", " ab", "AB0F", ""]
+
+
+@st.composite
+def mutated_transcripts(draw):
+    """A transcript's JSON form as written, or with one field mutated: a
+    key dropped, added or renamed; a value of another JSON type; a string
+    that is not plain hex; `1` for `true` (or `0` for `false`)."""
+    doc = json.loads(json.dumps(transcript_to_jsonable(draw(_TRANSCRIPTS))))
+    mutation = draw(st.sampled_from(TRANSCRIPT_MUTATIONS))
+    where = [path for path in paths(doc) if path]
+    # a field of an entry or a voter, the items read in one step, when any
+    items = [path for path in where if len(path) == 3]
+    if items and draw(st.booleans()):
+        where = items
+    objects = [path for path in paths(doc) if isinstance(value_at(doc, path), dict)]
+    if mutation in ("drop", "add", "rename"):
+        container = value_at(doc, draw(st.sampled_from(objects)))
+        if mutation == "add" or not container:
+            container[draw(st.sampled_from(["junk", "valid", "0"]))] = 1
+        else:
+            key = draw(st.sampled_from(sorted(container)))
+            value = container.pop(key)
+            if mutation == "rename":
+                container[key + "s"] = value
+    elif mutation in ("retype", "hex"):
+        *parent, key = draw(st.sampled_from(where))
+        swaps = OTHER_TYPES if mutation == "retype" else HEX_SWAPS
+        value_at(doc, parent)[key] = draw(st.sampled_from(swaps))
+    elif mutation == "one":
+        flags = [path for path in where if type(value_at(doc, path)) is bool]
+        if flags:
+            *parent, key = draw(st.sampled_from(flags))
+            value_at(doc, parent)[key] = int(value_at(doc, parent)[key])
+    return doc
+
+
+def read_or_refusal(read, doc):
+    try:
+        return read(doc)
+    except ValueError as exc:
+        return f"refused: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=mutated_transcripts())
+def test_the_transcript_reader_reads_as_the_field_by_field_reference(doc) -> None:
+    """Differential check of `transcript_from_jsonable`, which reads each
+    entry and voter in one step, against `support.reference_transcript`,
+    which reads every field through its own reader: on written transcripts
+    and on each one-field mutation, the same transcript or the same
+    refusal, word for word."""
+    expected = read_or_refusal(reference_transcript, doc)
+    assert read_or_refusal(transcript_from_jsonable, doc) == expected
+
+
+def test_each_field_swap_reads_as_the_field_by_field_reference(audit_artifacts) -> None:
+    """Every field of an entry (one with a plaintext and no reason, one
+    with a reason and no plaintext), at the first and the last place, and
+    of a voter, swapped for every other JSON type and every `HEX_SWAPS`
+    string, reads as `support.reference_transcript` reads it."""
+    doc = audit_artifacts[0]
+    unopened = dict(doc["entries"][0], plaintext=None, valid=False, reason="AuthFailure")
+    for at in (0, -1):
+        for key in cli._ENTRY:
+            for swap in [*OTHER_TYPES, *HEX_SWAPS, 1, 0]:
+                for entry in (doc["entries"][at], unopened):
+                    entries = list(doc["entries"])
+                    entries[at] = dict(entry, **{key: swap})
+                    mutated = dict(doc, entries=entries)
+                    assert read_or_refusal(transcript_from_jsonable, mutated) == (
+                        read_or_refusal(reference_transcript, mutated)
+                    )
+    for field in (0, 1):
+        for swap in [*OTHER_TYPES, *HEX_SWAPS, 1, 0]:
+            voters = [list(voter) for voter in doc["initial_voters"]]
+            voters[-1][field] = swap
+            for voter in (voters[-1], voters[-1][:1], [*voters[-1], 0], tuple(voters[-1])):
+                mutated = dict(doc, initial_voters=[*voters[:-1], voter])
+                assert read_or_refusal(transcript_from_jsonable, mutated) == (
+                    read_or_refusal(reference_transcript, mutated)
+                )
+
+
 def test_verify_honest_transcript(tmp_path, capsys, audit_artifacts) -> None:
     doc, record, _ = audit_artifacts
     t = write_json(tmp_path / "t.json", doc)
@@ -1548,7 +1638,7 @@ def test_verify_rejects_a_tally_past_int64(tmp_path, capsys) -> None:
     plaintexts = []
     for index, voter in enumerate(voters):
         command = Command(voter.public, (0,), (2**62,), b"", index)
-        plaintexts.append(command.encode_signed(sign(voter, command.signing_bytes())))
+        plaintexts.append(sign_command(voter, command))
     verdicts, _ = replay_ballots("linear", 1, initial, plaintexts)
     assert verdicts == [(True, None)] * 3
     # the audit reads the message set off the entries' digests alone

@@ -33,7 +33,7 @@ from disputekit.identity import create_signal
 from disputekit import maci
 from disputekit.maci import MaciPoll, build_message, message_set_digest, verify_audit
 from disputekit.primitives import KeyPair
-from support import CFG, Court, proposal_hash, resolved_court
+from support import CFG, CountingList, Court, proposal_hash, resolved_court
 
 
 # ---- escrow ledger ---------------------------------------------------------------
@@ -74,32 +74,6 @@ def test_conservation_audits_the_kept_balances() -> None:
     assert not escrow.conserved()
 
 
-class CountingLedger(list):
-    """A ledger that counts the entries read from it and written to it."""
-
-    reads = 0
-    appends = 0
-
-    def __iter__(self):
-        for entry in super().__iter__():
-            self.reads += 1
-            yield entry
-
-    def __reversed__(self):
-        for entry in super().__reversed__():
-            self.reads += 1
-            yield entry
-
-    def __getitem__(self, index):
-        found = super().__getitem__(index)
-        self.reads += len(found) if isinstance(index, slice) else 1
-        return found
-
-    def append(self, entry) -> None:
-        self.appends += 1
-        super().append(entry)
-
-
 @pytest.mark.parametrize("prior", [10, 100, 1000])
 @pytest.mark.parametrize("write", ["deposit", "refund", "payout"])
 def test_an_escrow_write_touches_one_ledger_entry(prior, write) -> None:
@@ -109,7 +83,7 @@ def test_an_escrow_write_touches_one_ledger_entry(prior, write) -> None:
     escrow = Escrow()
     for n in range(prior):
         escrow.deposit(n % 7, f"actor{n % 11}", 5)
-    escrow.entries = ledger = CountingLedger(escrow.entries)
+    escrow.entries = ledger = CountingList(escrow.entries)
     getattr(escrow, write)(3, "actor0", 5)
     assert (ledger.reads, ledger.appends) == (0, 1)
     assert escrow.balance(3) == 5 * len(range(3, prior, 7)) + (5 if write == "deposit" else -5)

@@ -33,7 +33,7 @@ from disputekit.incentives import (
 from disputekit.engine import enrollment_scope
 from disputekit.maci import build_message
 from disputekit.primitives import KeyPair
-from support import Court, proposal_hash, resolved_court
+from support import CountingList, Court, proposal_hash, resolved_court
 
 
 # ---- reputation -----------------------------------------------------------------
@@ -97,6 +97,27 @@ def test_tokens_are_unique_per_kind_subject_and_dispute() -> None:
     assert sbts.has(JUDGE_TRUSTED, "judge0")
     assert not sbts.has(JUDGE_BANNED, "judge0")
     assert len(sbts.tokens_for("alice")) == 2
+
+
+@pytest.mark.parametrize("issued", [10, 100, 1000])
+def test_has_reads_no_token(issued) -> None:
+    """Exact counts (ROADMAP item 10): whatever the registry holds, `has`
+    reads none of its tokens, for a pair it holds or not, and answers as a
+    scan of the tokens would."""
+    kinds = (JUDGE_TRUSTED, JUDGE_BANNED, PARTY_COMPLIANT, PARTY_NON_COMPLIANT)
+    sbts = SbtRegistry()
+    for n in range(issued):
+        sbts.issue(kinds[n % 4], f"subject{n}", n if n % 4 >= 2 else None)
+    issued_tokens = list(sbts.tokens)
+    sbts.tokens = tokens = CountingList(sbts.tokens)
+    step = issued // 10
+    asked = [(kind, f"subject{n}") for kind in kinds for n in range(0, 2 * issued, step)]
+    answers = [sbts.has(kind, subject) for kind, subject in asked]
+    assert (tokens.reads, tokens.appends) == (0, 0)
+    assert answers == [
+        any((t.kind, t.subject) == pair for t in issued_tokens) for pair in asked
+    ]
+    assert any(answers) and not all(answers)
 
 
 def test_governance_set_excludes_banned_judges() -> None:

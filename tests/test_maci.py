@@ -24,6 +24,7 @@ from support import (
 
 from disputekit import maci
 
+from disputekit.canonical import encode_bytes
 from disputekit.errors import (
     AlreadyCommitted,
     CommitBeforeProcessing,
@@ -37,6 +38,7 @@ from disputekit.errors import (
 )
 from disputekit.maci import (
     COST_RULES,
+    SIGNING_LABEL,
     Command,
     MaciPoll,
     TranscriptEntry,
@@ -45,14 +47,15 @@ from disputekit.maci import (
     commitment_digest,
     decode_signed_command,
     message_set_digest,
+    _command_body,
     replay_ballots,
+    sign_command,
     verify_audit,
 )
 from disputekit.primitives import (
     DecryptionKey,
     KeyPair,
     encrypt,
-    sign,
 )
 from disputekit.scenario import World
 
@@ -411,7 +414,7 @@ def test_the_signed_slice_is_the_command_body(command, signature, cut, tail) -> 
     A command decodes only with one amount per option and its options
     strictly increasing, and truncated or extended plaintexts must not
     decode."""
-    plaintext = command.encode_signed(signature)
+    plaintext = _command_body(command) + encode_bytes(signature)
     options = command.vote_option
     canonical = len(options) == len(command.vote_amount) and all(
         a < b for a, b in zip(options, options[1:])
@@ -422,7 +425,7 @@ def test_the_signed_slice_is_the_command_body(command, signature, cut, tail) -> 
         except (DecodeError, InvalidKey):
             assert variant != plaintext or not canonical
             continue
-        assert signed == decoded.signing_bytes()
+        assert signed == SIGNING_LABEL + _command_body(decoded)
         if variant == plaintext:
             assert canonical and (decoded, got_signature) == (command, signature)
 
@@ -438,7 +441,7 @@ def test_the_decoder_refuses_a_non_canonical_command(options, amounts) -> None:
     options, does not decode, however well its fields parse."""
     signer = KeyPair.generate(random.Random(7))
     command = Command(signer.public, options, amounts, b"", 0)
-    plaintext = command.encode_signed(sign(signer, command.signing_bytes()))
+    plaintext = sign_command(signer, command)
     with pytest.raises(DecodeError):
         decode_signed_command(plaintext)
 
@@ -501,7 +504,7 @@ def test_processing_matches_an_independent_reference(
             command = Command(
                 signer.public, (option, option - pick % 2), (1, 1), b"", index
             )
-            plaintext = command.encode_signed(sign(signer, command.signing_bytes()))
+            plaintext = sign_command(signer, command)
             ct = encrypt(coordinator.public, plaintext, rng)
         else:
             fresh = KeyPair.generate(rng) if move == "rotate" else None
@@ -585,7 +588,7 @@ def long_replay(seed: int, cost_rule: str, options: int, voter_count: int, comma
             new_key.public, (option,), (amount,), rng.randbytes(rng.randrange(3)),
             index + voter_count * (move == "unknown"),
         )
-        plaintexts.append(command.encode_signed(sign(signer, command.signing_bytes())))
+        plaintexts.append(sign_command(signer, command))
         if move == "rotate":
             current[index] = new_key
             held[index].append(new_key)
@@ -1266,6 +1269,51 @@ def test_the_audit_decodes_and_checks_only_what_each_check_needs(
     resalted = transcript._replace(salt=_other_bytes(transcript.salt, 0))
     assert audit(resalted) == ("CommitmentMismatch", plaintexts, 0)
     assert audit(transcript) == (None, plaintexts, survivors)
+
+
+def final_state_records(monkeypatch) -> list:
+    """Record the name of every `VoterFinalState` and `FinalVote` built."""
+    built: list = []
+    for name in ("VoterFinalState", "FinalVote"):
+        real = getattr(maci, name)
+
+        def spy(*args, _real=real, _name=name):
+            built.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(maci, name, spy)
+    return built
+
+
+@pytest.mark.parametrize("ballots", [8, 60, 240])
+def test_the_audit_sums_votes_without_final_state_records(monkeypatch, ballots) -> None:
+    """Exact counts: check 2 sums each voter's last claimed-valid vote off
+    the decoded chains, so an audit, honest or rejected at check 2 or 3,
+    builds no `VoterFinalState` and no `FinalVote`, and decodes each
+    plaintext once. Processing's replay, on the same plaintexts, builds one
+    final state per voter and one vote per voter that voted."""
+    transcript, intake, commitment = honest_audit(ballots, ballots)
+    signature_checks(monkeypatch)  # one range: nothing is built in a child
+    built, decoded = final_state_records(monkeypatch), decodes(monkeypatch)
+    plaintexts = [entry.plaintext for entry in transcript.entries]
+    opened = sum(plaintext is not None for plaintext in plaintexts)
+    tally = dict(transcript.tally)
+    tally[0] = tally.get(0, 0) + 1
+    for audit, reason in (
+        (transcript, None),
+        (transcript._replace(tally=tally), "TallyMismatch"),
+        (transcript._replace(salt=_other_bytes(transcript.salt, 0)), "CommitmentMismatch"),
+    ):
+        built.clear()
+        decoded.clear()
+        assert verify_audit(audit, intake, commitment).reason == reason
+        assert (built, len(decoded)) == ([], opened)
+    built.clear()
+    _, states = replay_ballots(
+        transcript.cost_rule, transcript.options, transcript.initial_voters, plaintexts
+    )
+    voted = sum(state.vote is not None for state in states)
+    assert sorted(built) == ["FinalVote"] * voted + ["VoterFinalState"] * len(states)
 
 
 @pytest.mark.parametrize(
