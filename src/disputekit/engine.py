@@ -30,6 +30,10 @@ Phase-2 poll's the proposals, and each phase applies exactly the tally its
 poll commits to. A juror whose last valid vote spends their one credit is
 counted toward quorum and proposes that vote's memo.
 
+The engine is the contract: it never decrypts and draws no randomness. It
+calls the coordinator (``maci.Coordinator``) after its own guards pass, and
+keeps only its public key and what it publishes.
+
 Fees: every party escrows the same fee f at entry; a resolved dispute
 pays the whole pool (n*f) to the judge who authored the winning proposal;
 aborts and defaults refund everyone in full. The escrow ledger records
@@ -38,7 +42,6 @@ lookups, and replaying the ledger is the audit that conservation held.
 """
 from __future__ import annotations
 
-import random
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -57,8 +60,8 @@ from .errors import (
     ZeroFee,
 )
 from .identity import SemaphoreGroup, Signal
-from .maci import MaciPoll, VoterFinalState
-from .primitives import DecryptionKey, public_key
+from .maci import Coordinator, MaciPoll, Proposal
+from .primitives import public_key
 from .voting import Phase2Tally, tally_phase1, tally_phase2
 
 Observer = Callable[[str, dict], None]
@@ -107,13 +110,6 @@ class EvidenceRef(NamedTuple):
     party: str
     content_hash: bytes
     label: str
-
-
-class EngineProposal(NamedTuple):
-    """Proposal k after Phase-1 processing, and Phase-2 option k."""
-
-    text_hash: bytes
-    author_registration_index: int
 
 
 # ---- escrow -------------------------------------------------------------------
@@ -213,7 +209,7 @@ class Dispute(MutableRecord):
         self.party_keys: dict[str, bytes] = {}  # who joined
         self.evidence: list[EvidenceRef] = []
         self.phase1_scores: Optional[dict[str, int]] = None
-        self.proposals: list[EngineProposal] = []
+        self.proposals: list[Proposal] = []
         self.phase2_poll: Optional[MaciPoll] = None
         self.phase2_tally: Optional[Phase2Tally] = None
         self.default_winner: Optional[str] = None
@@ -225,19 +221,14 @@ class Dispute(MutableRecord):
 
 
 class DisputeEngine:
-    """Owns every dispute plus the shared coordinator, juror group, escrow."""
+    """Owns every dispute, the juror group and the escrow; calls the coordinator."""
 
     def __init__(
-        self,
-        coordinator: DecryptionKey,
-        group: SemaphoreGroup,
-        rng: random.Random,
-        observer: Observer,
+        self, coordinator: Coordinator, group: SemaphoreGroup, observer: Observer
     ):
         self.coordinator = coordinator
         self.group = group
         self.escrow = Escrow()
-        self.rng = rng
         self.observe = observer
         self.disputes: dict[int, Dispute] = {}  # dispute i is the i-th opened
 
@@ -427,7 +418,7 @@ class DisputeEngine:
         if now < poll.deadline:
             raise TooEarly(f"Phase 1 runs until {poll.deadline}")
 
-        proposals = _proposals(poll.preview_valid_votes(self.coordinator))
+        proposals = self.coordinator.proposals(poll)
         if len(proposals) >= dispute.config.min_judges:
             tally = self._commit(dispute_id, poll, now)
             dispute.phase1_scores = tally_phase1(tally, dispute.parties)
@@ -512,21 +503,17 @@ class DisputeEngine:
         return index
 
     def _commit(self, dispute_id: int, poll: MaciPoll, now: int) -> dict[int, int]:
-        """Close, process and commit the poll; returns its tally."""
+        """Close the poll and have the coordinator commit to its tally; returns it."""
         poll.close(now)
-        poll.process_messages(self.coordinator)
+        tally, digest = self.coordinator.commit(poll)
         self.observe(
             "tally_commitment",
-            {
-                "dispute_id": dispute_id,
-                "poll_id": poll.poll_id,
-                "digest": poll.commit_tally(self.rng),
-            },
+            {"dispute_id": dispute_id, "poll_id": poll.poll_id, "digest": digest},
         )
-        return poll.tally
+        return tally
 
     def _publish(self, dispute_id: int, poll: MaciPoll) -> None:
-        tally, salt = poll.publish_tally()
+        tally, salt = self.coordinator.publish(poll)
         self.observe(
             "tally_published",
             {
@@ -557,15 +544,3 @@ class DisputeEngine:
             if party in dispute.party_keys:
                 entry = self.escrow.refund(dispute.dispute_id, party, dispute.fee)
                 self.observe("escrow", entry._asdict())
-
-
-def _proposals(final_states: Sequence[VoterFinalState]) -> list[EngineProposal]:
-    """The counted Phase-1 votes, those that spend the juror's one credit,
-    as proposals in arrival order; each vote's memo is the text hash."""
-    counted = sorted(
-        (state.vote.arrival_index, author, state.vote.memo)
-        for author, state in enumerate(final_states)
-        if state.vote is not None and sum(state.vote.amounts) == 1
-    )
-    return [EngineProposal(memo, author) for _, author, memo in counted]
-

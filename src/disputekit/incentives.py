@@ -15,8 +15,8 @@ Parties get a compliance token per dispute: PartyCompliant if they carried
 out the judgment, PartyNonCompliant once the compliance deadline lapses.
 
 The fee pool moves only to whoever can sign a claim with the winning
-proposal's ballot key — authorship is proven, not asserted, so the juror
-stays anonymous all the way through payout.
+proposal's published author key — authorship is proven, not asserted, so
+the juror stays anonymous all the way through payout.
 """
 from __future__ import annotations
 
@@ -204,9 +204,9 @@ def sign_claim(ballot_key: KeyPair, dispute_id: int, wallet: str) -> bytes:
 def distribute_fee(
     engine: DisputeEngine, dispute_id: int, wallet: str, claim_signature: bytes
 ) -> EscrowEntry:
-    """Pay the pool to `wallet` iff the claim is signed by the key behind
-    the winning proposal. The wallet is fresh and the key anonymous, so the
-    juror is paid without ever being identified."""
+    """Pay the pool to `wallet` iff the claim is signed by the winning
+    proposal's author key, as the coordinator published it. The wallet is
+    fresh and the key anonymous, so the juror is paid unidentified."""
     dispute = engine.disputes.get(dispute_id)
     if (
         dispute is None
@@ -214,11 +214,7 @@ def distribute_fee(
         or dispute.phase2_tally is None
     ):
         raise WrongState("fee distribution follows a resolved dispute")
-    proposal = dispute.proposals[dispute.phase2_tally.winner]
-    # where the author's key ended: Phase-1 processing derived it from the
-    # verdicts that its published transcript holds
-    final_states = dispute.phase1_poll.final_states
-    author_key = final_states[proposal.author_registration_index].current_key
+    author_key = dispute.proposals[dispute.phase2_tally.winner].author_key
     if not verify_sig(author_key, claim_bytes(dispute_id, wallet), claim_signature):
         raise NotTheAuthor("claim not signed by the winning proposal's key")
     return engine.settle(dispute_id, wallet)

@@ -46,14 +46,18 @@ record carries its own index.
 
 Processing emits an ``AuditTranscript``: decrypted commands, per-message
 verdicts, the tally, and the commitment salt, which ``commit_tally`` draws
-into it. Each voter's final state is kept beside it, not in it:
-``_final_states`` derives it from the replayed verdicts. Where a voter's
-replay ends is its last valid command (``_last_valid``): processing reads
-it off its own verdicts, and the audit off the claimed ones, summing the
-votes without building a final state. The transcript replaces
+into it. Each voter's final state is not in it: ``_final_states`` derives
+it from the replayed verdicts, and only the memoised run holds it. Where a
+voter's replay ends is its last valid command (``_last_valid``): processing
+reads it off its own verdicts, and the audit off the claimed ones, summing
+the votes without building a final state. The transcript replaces
 succinct proofs at simulation fidelity — ``verify_audit`` runs the same
 replay over it, the checks that read only the claims first and the
 signature folds last.
+
+The ``Coordinator`` alone holds the decryption key and the generator the
+salts come from. The contract (``engine``) holds its public key and calls it
+for what it publishes: the proposals, the tally commitment, tally and salt.
 
 Known limitations. The audit trusts the coordinator for more than honest
 decryption of the messages it claims are garbage:
@@ -327,7 +331,6 @@ class MaciPoll:
         self.closed = False
         self._keys_seen: set[bytes] = set()
         self._processed: Optional[AuditTranscript] = None
-        self._final_states: tuple[VoterFinalState, ...] = ()  # beside _processed
         # (coordinator, `_run` of the intake so far); dropped on any intake
         self._memo: Optional[tuple[DecryptionKey, _Run]] = None
         self.commitment: Optional[bytes] = None  # the tally commitment digest
@@ -384,16 +387,8 @@ class MaciPoll:
         if not self.closed:
             raise WrongState("process requires a closed poll")
         if self._processed is None:
-            self._processed, self._final_states = self._result(coordinator_secret)
+            self._processed = self._result(coordinator_secret).transcript
         return self._processed
-
-    @property
-    def final_states(self) -> tuple[VoterFinalState, ...]:
-        """Where each voter's replay ended in processing: voter *i*'s is
-        ``final_states[i]``. The transcript does not state them."""
-        if self._processed is None:
-            raise CommitBeforeProcessing("no processing result yet")
-        return self._final_states
 
     def _result(self, coordinator_secret: DecryptionKey) -> _Run:
         """``_run`` of the intake so far, once per intake and coordinator key."""
@@ -460,6 +455,43 @@ class MaciPoll:
         if self.commitment is None:
             raise WrongState("transcript is published together with the salt")
         return self._processed
+
+
+class Proposal(NamedTuple):
+    """Proposal k, a counted Phase-1 vote, and Phase-2 option k. A fee claim
+    is signed with ``author_key``, where the author's key ended."""
+
+    text_hash: bytes
+    author_registration_index: int
+    author_key: bytes
+
+
+class Coordinator:
+    """The one holder of the decryption key and of the salts' generator."""
+
+    def __init__(self, secret: DecryptionKey, rng: random.Random):
+        self._secret = secret
+        self._rng = rng
+        self.public = secret.public
+
+    def proposals(self, poll: MaciPoll) -> list[Proposal]:
+        """The counted Phase-1 votes, those that spend the juror's one credit,
+        in arrival order, each memo a text hash. The poll may still be open."""
+        counted = sorted(
+            (state.vote.arrival_index, author, state.vote.memo, state.current_key)
+            for author, state in enumerate(poll.preview_valid_votes(self._secret))
+            if state.vote is not None and sum(state.vote.amounts) == 1
+        )
+        return [Proposal(memo, author, key) for _, author, memo, key in counted]
+
+    def commit(self, poll: MaciPoll) -> tuple[dict[int, int], bytes]:
+        """Process the closed poll; its tally and the commitment digest."""
+        poll.process_messages(self._secret)
+        digest = poll.commit_tally(self._rng)
+        return poll.tally, digest
+
+    def publish(self, poll: MaciPoll) -> tuple[dict[int, int], bytes]:
+        return poll.publish_tally()  # the tally and the salt that opens it
 
 
 def _open(coordinator_secret: DecryptionKey, ct: bytes) -> Optional[bytes]:

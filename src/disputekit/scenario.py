@@ -24,7 +24,7 @@ import re
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .engine import DisputeConfig, DisputeEngine, enrollment_scope
-from .errors import MalformedScript, ProtocolError
+from .errors import MalformedScript, NotAParty, ProtocolError
 from .identity import Identity, PohRegistry, SemaphoreGroup, create_signal
 from .incentives import (
     ReputationLedger,
@@ -35,7 +35,7 @@ from .incentives import (
     issue_party_sbt,
     sign_claim,
 )
-from .maci import build_message
+from .maci import Coordinator, build_message
 from .primitives import DecryptionKey, KeyPair, hash_bytes
 
 # ---- the public record ---------------------------------------------------------
@@ -158,7 +158,7 @@ class World:
         self.group = SemaphoreGroup(self.registry, tree_depth=tree_depth)
         self.coordinator = DecryptionKey.generate(self.rng)
         self.engine = DisputeEngine(
-            self.coordinator, self.group, rng=self.rng, observer=self.view.append
+            Coordinator(self.coordinator, self.rng), self.group, self.view.append
         )
         self.reputation = ReputationLedger()
         self.sbts = SbtRegistry()
@@ -211,6 +211,13 @@ class World:
         return leaf
 
     # -- dispute lifecycle -------------------------------------------------
+
+    def _party_index(self, dispute_id: int, party: str) -> int:
+        """Phase-1 option and Phase-2 voter index; NotAParty before a draw."""
+        parties = self.engine.disputes[dispute_id].parties
+        if party not in parties:
+            raise NotAParty(party)
+        return parties.index(party)
 
     def _party_key(self, party: str) -> KeyPair:
         pair = self.party_keys.get(party)
@@ -283,8 +290,7 @@ class World:
         *,
         rotate_key: bool = False,
     ) -> int:
-        dispute = self.engine.disputes[dispute_id]
-        option = dispute.parties.index(party)
+        option = self._party_index(dispute_id, party)
         signer = self.signer_keys[(dispute_id, human)]
         fresh = KeyPair.generate(self.rng) if rotate_key else None
         ciphertext = build_message(
@@ -317,12 +323,11 @@ class World:
         allocations: Mapping[Any, int],
         now: int,
     ) -> int:
-        dispute = self.engine.disputes[dispute_id]
-        pair = self._party_key(party)
+        index = self._party_index(dispute_id, party)
         ciphertext = build_message(
-            signer=pair,
+            signer=self._party_key(party),
             coordinator_public=self.coordinator.public,
-            voter_registration_index=dispute.parties.index(party),
+            voter_registration_index=index,
             votes={int(option): int(amount) for option, amount in allocations.items()},
             rng=self.rng,
         )

@@ -18,7 +18,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from disputekit.engine import DisputeConfig, DisputeEngine, Escrow, enrollment_scope
 from disputekit.errors import Verdict
 from disputekit.identity import Identity, PohRegistry, SemaphoreGroup, create_signal
-from disputekit.maci import AuditTranscript, TranscriptEntry, build_message
+from disputekit.maci import AuditTranscript, Coordinator, TranscriptEntry, build_message
 from disputekit.primitives import DecryptionKey, KeyPair, hash_bytes
 from disputekit.scenario import _OPS, _document_schema, _step_schema
 
@@ -647,9 +647,8 @@ class Court:
         self.coordinator = DecryptionKey.generate(self.rng)
         self.events: list[tuple[str, dict]] = []
         self.engine = DisputeEngine(
-            self.coordinator,
+            Coordinator(self.coordinator, self.rng),
             self.group,
-            rng=self.rng,
             observer=lambda kind, payload: self.events.append((kind, payload)),
         )
         self.judges: list[Identity] = []

@@ -131,7 +131,8 @@ def test_quadratic_cost_law() -> None:
             )
             poll.close(10)
             transcript = poll.process_messages(coordinator)
-            counted = poll.final_states[0].vote is not None
+            # the memoised run processing read, not run again
+            counted = poll.preview_valid_votes(coordinator)[0].vote is not None
             if counted != should_count:
                 boundary_failures.append((n, credits, counted))
             if not should_count and transcript.entries[0].reason != REASON_OVER_BUDGET:
@@ -426,7 +427,8 @@ def test_ballot_processing_semantics() -> None:
                 overspends_checked += 1
                 if entry.reason != REASON_OVER_BUDGET:
                     violations.append((sequence, "overspend reason", entry.reason))
-        for index, state in enumerate(poll.final_states):
+        # the memoised run processing read, not run again
+        for index, state in enumerate(poll.preview_valid_votes(coordinator)):
             got = (
                 None
                 if state.vote is None

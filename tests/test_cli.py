@@ -112,6 +112,34 @@ def test_protocol_refusals_are_step_errors(tmp_path, capsys, step) -> None:
     assert report["steps"][-1]["error"] == step["expect"].split(":")[1]
 
 
+@pytest.mark.parametrize(
+    "position, step",
+    [
+        (16, {"op": "phase1_vote", "t": 150, "dispute": 0, "judge": "judge0",
+              "party": "mallory", "proposal": "mallory keeps the crate"}),
+        (22, {"op": "phase2_vote", "t": 220, "dispute": 0, "party": "mallory",
+              "allocations": {"0": 1}}),
+    ],
+    ids=["phase1_vote", "phase2_vote"],
+)
+def test_a_vote_naming_an_outsider_is_not_a_party(position, step) -> None:
+    """A vote for or by someone outside the dispute is the step error
+    NotAParty, as evidence and a compliance token are, not a malformed
+    script; it is refused before any draw, so every other step, the
+    snapshot and the public record read as in a run without it."""
+    script = json.loads(HAPPY.read_text())
+    plain = run_scenario(script)
+    script["timeline"].insert(position, dict(step, expect="error:NotAParty"))
+    report = run_scenario(script)
+    refused = report["steps"].pop(position)
+    assert (refused["status"], refused["error"], refused["pass"]) == (
+        "error", "NotAParty", True)
+    assert report["ok"]
+    for entry in report["steps"][position:]:
+        entry["position"] -= 1
+    assert report == plain
+
+
 def test_run_stalled_court_exits_zero(capsys) -> None:
     assert main(["run", str(STALLED)]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)

@@ -1,13 +1,20 @@
 """Dispute lifecycle: escrow conservation, strict deadlines, juror
-enrollment, both voting phases, and settlement."""
+enrollment, both voting phases, settlement, and the boundary between the
+contract and the coordinator."""
 from __future__ import annotations
 
+import random
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import disputekit.engine
+import disputekit.incentives
+from disputekit.cli import main
 from disputekit.engine import (
     DisputeConfig,
     DisputeState,
@@ -32,8 +39,11 @@ from disputekit.errors import (
 from disputekit.identity import create_signal
 from disputekit import maci
 from disputekit.maci import MaciPoll, build_message, message_set_digest, verify_audit
-from disputekit.primitives import KeyPair
+from disputekit.primitives import DecryptionKey, KeyPair
+from disputekit.scenario import World
 from support import CFG, CountingList, Court, proposal_hash, resolved_court
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 # ---- escrow ledger ---------------------------------------------------------------
@@ -712,6 +722,52 @@ def test_mixed_outcomes_keep_the_escrow_conserved() -> None:
     assert escrow.net_position("judge-wallet") == 20
     assert escrow.net_position("carol") == 0
     assert escrow.net_position("erin") == 0
+
+
+# ---- the contract's boundary -------------------------------------------------------
+
+# what a poll holds of the coordinator's processing, or reveals of it
+_PROCESSING = (
+    "preview_valid_votes", "process_messages", "commit_tally", "publish_tally",
+    "audit_transcript",
+)
+
+
+def test_only_maci_reads_a_poll_processing_state(monkeypatch, capsys) -> None:
+    """The contract reaches a poll's processing only through the
+    coordinator: with every processing call and every tally read checked to
+    come from `disputekit.maci`, both bundled scenarios report the same
+    bytes. Neither the engine nor the incentives layer holds a decryption
+    key, and the engine holds no generator."""
+    def reports() -> list[str]:
+        for name in ("happy_path", "stalled_court"):
+            assert main(["run", str(REPO / "scenarios" / f"{name}.json")]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    plain = reports()
+    called = set()
+
+    def from_maci(name, function):
+        def checked(*args, **kwargs):
+            caller = sys._getframe(1).f_globals["__name__"]
+            assert caller == "disputekit.maci", f"{name} called from {caller}"
+            called.add(name)
+            return function(*args, **kwargs)
+        return checked
+
+    for name in _PROCESSING:
+        monkeypatch.setattr(MaciPoll, name, from_maci(name, getattr(MaciPoll, name)))
+    monkeypatch.setattr(MaciPoll, "tally", property(from_maci("tally", MaciPoll.tally.fget)))
+    assert reports() == plain
+    assert called == {*_PROCESSING, "tally"} - {"audit_transcript"}
+
+    world = World(1)
+    modules = (disputekit.engine, disputekit.incentives)
+    for holder in (vars(world.engine), *map(vars, modules)):
+        assert not any(
+            value is DecryptionKey or isinstance(value, (DecryptionKey, random.Random))
+            for value in holder.values()
+        )
 
 
 # ---- lifecycle model ------------------------------------------------------------

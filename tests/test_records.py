@@ -14,7 +14,6 @@ from disputekit.attacks import AttackReport
 from disputekit.engine import (
     Dispute,
     DisputeConfig,
-    EngineProposal,
     EscrowEntry,
     EvidenceRef,
 )
@@ -26,6 +25,7 @@ from disputekit.maci import (
     Command,
     FinalVote,
     MaciMessage,
+    Proposal,
     TranscriptEntry,
     VoterFinalState,
     _Run,
@@ -45,7 +45,7 @@ _PATH = MerklePath(0, (b"z" * 32,))
 IMMUTABLE = [
     Verdict.reject("Reason"),
     EvidenceRef("alice", b"h" * 32, "invoice"),
-    EngineProposal(b"p" * 32, 0),
+    Proposal(b"p" * 32, 0, b"k" * 32),
     EscrowEntry("deposit", 0, "alice", 10),
     Identity.generate(_RNG),
     Signal(b"data", _PATH, b"r" * 32, 7, b"n" * 32),
