@@ -31,7 +31,8 @@ poll commits to. A juror whose last valid vote spends their one credit is
 counted toward quorum and proposes that vote's memo.
 
 The engine is the contract: it never decrypts and draws no randomness. It
-calls the coordinator (``maci.Coordinator``) after its own guards pass, and
+calls the coordinator (``maci.Coordinator``) after its own guards pass, tells
+it of each ballot taken and of each poll an abort leaves unprocessed, and
 keeps only its public key and what it publishes.
 
 Fees: every party escrows the same fee f at entry; a resolved dispute
@@ -436,6 +437,7 @@ class DisputeEngine:
             )
             return "extended"
 
+        self.coordinator.release(poll)
         self._refund_joined(dispute)
         self._transition(dispute, DisputeState.ABORTED, now)
         return "aborted"
@@ -500,6 +502,7 @@ class DisputeEngine:
                 "ciphertext": ciphertext,
             },
         )
+        self.coordinator.intake(poll)
         return index
 
     def _commit(self, dispute_id: int, poll: MaciPoll, now: int) -> dict[int, int]:

@@ -103,6 +103,10 @@ class NotAParty(ProtocolError):
     """Actor is not one of the dispute's named parties."""
 
 
+class NotAJuror(ProtocolError):
+    """The human never enrolled in the dispute, so holds no ballot key in it."""
+
+
 class WrongState(ProtocolError):
     """Operation is not legal in the dispute's current state."""
 

@@ -25,20 +25,32 @@ command inside does, and ``decode_signed_command`` alone holds its wire rule.
 Processing is "decrypt, then the auditor's replay": open each message with
 one key agreement against its own point and one decryption, so processing is
 linear in the messages; then run ``replay_ballots``, the one definition of
-these rules, whose two steps (below) processing runs back to back. A message
-that does not open (a short, malformed or low-order point, a short nonce, a
-failed tag) is an AuthFailure. The quorum preview and processing read one
-memoised run per intake and coordinator key, so a poll that closes twice
-with no intake in between is opened and replayed once.
+these rules. A message that does not open (a short, malformed or low-order
+point, a short nonce, a failed tag) is an AuthFailure. The quorum preview
+and processing read one memoised run per intake and coordinator key, so a
+poll that closes twice with no intake in between is opened and replayed
+once.
 
 As in MACI, a voter's state changes only through that voter's own commands,
 so the replay is one stateless pass over the plaintexts in arrival order
 (undecryptable, undecodable, unknown voter), then one fold per voter over
 that voter's commands (signature against the key as it stands, option,
-amount, budget). The folds are independent: the voters are split into
-contiguous ranges of about equal command counts, one per usable core, and
-each range after the first is folded in a forked child. A poll too small to
-be worth a fork is one range, folded in the calling process.
+amount, budget). The folds are independent, so a replay of many commands
+splits its voters into contiguous ranges of about equal command counts, one
+per usable core, and folds each range after the first in a forked child.
+
+Nothing in the replay waits for the deadline, so the coordinator processes
+a large poll while its intake is open, as MACI's coordinator reads the
+contract's message log. When a poll of MIN_FORKED_COMMANDS or more voters
+takes a ballot, the coordinator sends the voters and ciphertexts it has not
+yet sent to the poll's worker: a forked copy of the coordinator, with the
+same key, so no one new is trusted. The worker opens each ballot as it
+arrives and folds it from where its voter's fold stopped (``_Replay``), so
+the preview and processing read a finished run. A small poll stays in the
+calling process: each of its closes would wait on a round trip to a worker
+that sleeps between ballots, which costs more than opening its few ballots
+here. No worker starts while another thread runs or with one usable core,
+and a poll whose worker cannot start or dies is processed here, as before.
 
 Every poll record is positional, as a leaf is in MACI's state and message
 trees: voter *i* is ``voters[i]``, and message *j* is ``messages[j]``. No
@@ -56,8 +68,9 @@ replay over it, the checks that read only the claims first and the
 signature folds last.
 
 The ``Coordinator`` alone holds the decryption key and the generator the
-salts come from. The contract (``engine``) holds its public key and calls it
-for what it publishes: the proposals, the tally commitment, tally and salt.
+salts come from. The contract (``engine``) holds its public key, tells it of
+each ballot, and calls it for what it publishes: the proposals, the tally
+commitment, tally and salt.
 
 Known limitations. The audit trusts the coordinator for more than honest
 decryption of the messages it claims are garbage:
@@ -79,6 +92,7 @@ import os
 import random
 import struct
 import threading
+import weakref
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import canonical
@@ -397,21 +411,28 @@ class MaciPoll:
         return self._memo[1]
 
     def _run(self, coordinator_secret: DecryptionKey) -> _Run:
-        ciphertexts = [message.ciphertext for message in self.messages]
-        plaintexts = [_open(coordinator_secret, ct) for ct in ciphertexts]
-        initial_voters = tuple(self.voters)
+        plaintexts = [_open(coordinator_secret, m.ciphertext) for m in self.messages]
         verdicts, final_states = replay_ballots(
-            self.cost_rule, self.options, initial_voters, plaintexts
+            self.cost_rule, self.options, self.voters, plaintexts
         )
+        return self._transcribed(plaintexts, verdicts, final_states)
+
+    def _transcribed(
+        self,
+        plaintexts: Sequence[Optional[bytes]],
+        verdicts: Sequence[tuple[bool, Optional[str]]],
+        final_states: tuple[VoterFinalState, ...],
+    ) -> _Run:
+        """The run of the intake so far whose openings and replay gave these."""
         transcript = AuditTranscript(
             poll_id=self.poll_id,
             cost_rule=self.cost_rule,
             options=self.options,
-            initial_voters=initial_voters,
+            initial_voters=tuple(self.voters),
             entries=tuple(
-                TranscriptEntry(ciphertext_digest(ct), plaintext, valid, reason)
-                for ct, plaintext, (valid, reason) in zip(
-                    ciphertexts, plaintexts, verdicts
+                TranscriptEntry(ciphertext_digest(m.ciphertext), plaintext, valid, reason)
+                for m, plaintext, (valid, reason) in zip(
+                    self.messages, plaintexts, verdicts
                 )
             ),
             tally=_aggregate(
@@ -467,16 +488,69 @@ class Proposal(NamedTuple):
 
 
 class Coordinator:
-    """The one holder of the decryption key and of the salts' generator."""
+    """The one holder of the decryption key and of the salts' generator.
+
+    A poll of MIN_FORKED_COMMANDS or more voters is processed while its
+    intake is open, by the poll's worker: this coordinator forked, holding
+    the same key, that opens and replays each ballot as ``intake`` sends it
+    (see the module docstring). ``proposals`` and ``commit`` then read the
+    worker's finished run into the poll's memo, where the preview and
+    processing read it; every other poll is processed here when it closes.
+    A worker is stopped once its poll commits or is released, and ``close``
+    stops every worker left; it runs by itself when the coordinator is
+    dropped."""
 
     def __init__(self, secret: DecryptionKey, rng: random.Random):
         self._secret = secret
         self._rng = rng
         self.public = secret.public
+        # each large poll's worker, or None once the poll is processed here
+        self._workers: dict[MaciPoll, Optional[_Worker]] = {}
+        self.close = weakref.finalize(self, _stop_workers, self._workers)
+
+    def intake(self, poll: MaciPoll) -> None:
+        """The poll took a ballot: a large poll's worker, started at its
+        first ballot, is sent what it has not seen."""
+        if poll not in self._workers:
+            if len(poll.voters) < MIN_FORKED_COMMANDS:
+                return
+            self._workers[poll] = (
+                _start_worker(self._secret, poll) if _usable_cores() > 1 else None
+            )
+        self._exchange(poll, ask=False)
+
+    def _exchange(self, poll: MaciPoll, ask: bool) -> Optional[_Answer]:
+        """Send the poll's worker what it has not seen, and with `ask` return
+        its result; None when the poll has no worker, or when it has died,
+        from which on the poll is processed here."""
+        worker = self._workers.get(poll)
+        if worker is None:
+            return None
+        try:
+            return worker.send(poll, ask)
+        except (OSError, EOFError, ValueError):
+            worker.stop()
+            self._workers[poll] = None
+            return None
+
+    def _fill_memo(self, poll: MaciPoll) -> None:
+        """Fill the poll's memo with its worker's run of the intake so far,
+        unless the memo holds this coordinator's run or no worker runs."""
+        if poll._memo is not None and poll._memo[0] == self._secret:
+            return
+        answer = self._exchange(poll, ask=True)
+        if answer is not None:
+            plaintexts, verdicts, states = answer
+            final_states = tuple(
+                VoterFinalState(key, vote and FinalVote(*vote)) for key, vote in states
+            )
+            run = poll._transcribed(plaintexts, verdicts, final_states)
+            poll._memo = (self._secret, run)
 
     def proposals(self, poll: MaciPoll) -> list[Proposal]:
         """The counted Phase-1 votes, those that spend the juror's one credit,
         in arrival order, each memo a text hash. The poll may still be open."""
+        self._fill_memo(poll)
         counted = sorted(
             (state.vote.arrival_index, author, state.vote.memo, state.current_key)
             for author, state in enumerate(poll.preview_valid_votes(self._secret))
@@ -485,10 +559,19 @@ class Coordinator:
         return [Proposal(memo, author, key) for _, author, memo, key in counted]
 
     def commit(self, poll: MaciPoll) -> tuple[dict[int, int], bytes]:
-        """Process the closed poll; its tally and the commitment digest."""
+        """Process the closed poll; its tally and the commitment digest. The
+        poll is then released."""
+        self._fill_memo(poll)
         poll.process_messages(self._secret)
         digest = poll.commit_tally(self._rng)
+        self.release(poll)
         return poll.tally, digest
+
+    def release(self, poll: MaciPoll) -> None:
+        """The poll needs no more processing: stop its worker, if any."""
+        worker = self._workers.pop(poll, None)
+        if worker is not None:
+            worker.stop()
 
     def publish(self, poll: MaciPoll) -> tuple[dict[int, int], bytes]:
         return poll.publish_tally()  # the tally and the salt that opens it
@@ -503,12 +586,21 @@ def _open(coordinator_secret: DecryptionKey, ct: bytes) -> Optional[bytes]:
         return None
 
 
-# The replay makes no more voter ranges than one per this many commands. On
-# a 2-core host, a fork round trip (fork, pipe, marshal, wait) took about
-# 2.6 ms at 57 MB RSS, the time of about 23 Ed25519 checks at about 115 us
-# each. A range of 200 commands holds 200 checks, about 23 ms, so its fork
-# costs about a ninth of the work it moves off this process's core, and a
-# poll of fewer than 400 commands to fold forks nothing.
+# The replay makes no more voter ranges than one per this many commands, and
+# a poll takes a worker (``Coordinator.intake``) only once it holds this many
+# voters. Measured on a 2-core host whose Ed25519 check took 160 to 190 us:
+# - a fork round trip (fork, pipe, marshal, wait) took about 5.7 ms at 49 MB
+#   RSS, so a range of 200 commands, about 35 ms of checks, pays about a
+#   sixth of the work it moves off this process's core, and a replay of
+#   fewer than 400 commands to fold forks nothing;
+# - a worker took about 2.5 ms to fork at a `jury` run's 32 MB and takes
+#   about 1 ms at the close to hand its run over, and it moves about 0.35 ms
+#   a ballot (one opening, one signature check) off this process: `jury`'s
+#   Phase-1 close fell from about 170 ms to about 45 ms, most of it the wait
+#   for the last ballots' folds;
+# - a worker for every poll, panels of 3 included, made a 60-dispute
+#   `docket` run 4.7 times slower (1.17 s against 0.25 s), since each poll
+#   paid a fork, and each close a round trip, for a few ballots.
 MIN_FORKED_COMMANDS = 200
 
 # (arrival index, command, signed bytes, signature)
@@ -538,12 +630,13 @@ def _fold_voter(
     chain: Sequence[_Signed],
     options: int,
     cost: Callable[[Sequence[int]], Optional[int]],
-) -> _Reasons:
-    """One voter's commands in arrival order, from the registered key: each
-    must be signed with the key as it stands, then name only the poll's
-    options, then hold amounts the cost rule prices (not None), then spend
-    within the budget. A valid command sets the key. Returns plain values
-    only, so a forked child can send them."""
+) -> tuple[_Reasons, bytes]:
+    """One voter's commands in arrival order, from `key`: each must be
+    signed with the key as it stands, then name only the poll's options,
+    then hold amounts the cost rule prices (not None), then spend within the
+    budget. A valid command sets the key. Returns each command's reason, in
+    plain values so a forked child can send them, and the key where the
+    fold stopped."""
     reasons: _Reasons = []
     for _, command, signed, signature in chain:
         if not verify_sig(key, signed, signature):
@@ -558,7 +651,7 @@ def _fold_voter(
             reason = None
             key = command.new_public_key
         reasons.append(reason)
-    return reasons
+    return reasons, key
 
 
 # every (valid, reason) that ``_fold_voter`` can give a command
@@ -619,9 +712,7 @@ def _fork(
         status = 1
         try:
             os.close(read_fd)
-            data = memoryview(marshal.dumps(fold(voters)))
-            while data:
-                data = data[os.write(write_fd, data):]
+            _write_all(write_fd, marshal.dumps(fold(voters)))
             status = 0
         finally:
             os._exit(status)
@@ -695,7 +786,7 @@ def _fold_voters(
     registered = [(public_key(key), credits) for key, credits in initial_voters]
 
     def fold(voters: range) -> list[_Reasons]:
-        return [_fold_voter(*registered[i], chains[i], options, cost) for i in voters]
+        return [_fold_voter(*registered[i], chains[i], options, cost)[0] for i in voters]
 
     verdicts = [(False, reason) for reason in stateless]
     for chain, reasons in zip(chains, _fold_ranges(fold, _split(chains))):
@@ -785,6 +876,178 @@ def _aggregate(votes: Iterable[tuple[Sequence[int], Sequence[int]]]) -> dict[int
         for option, amount in zip(options, amounts):
             tally[option] = tally.get(option, 0) + amount
     return tally
+
+
+# ---- the coordinator's worker: a large poll processed as it arrives ----------------
+
+
+# above every voter index a command can hold, so only a negative index is
+# unknown before the voters are all registered
+_ANY_VOTER = 1 << 63
+
+
+class _Replay:
+    """``replay_ballots`` over an intake that grows. Each plaintext takes
+    the stateless step as it is added, and each command that survives is
+    folded (``_fold_voter``) from the key where its voter's fold stopped. A
+    command naming a voter not yet registered waits for that voter. At any
+    point ``result`` is ``replay_ballots`` over what was added, in plain
+    values."""
+
+    def __init__(self, cost_rule: str, options: int):
+        self._cost = COST_RULES[cost_rule]
+        self._options = options
+        self._voters: list[tuple[bytes, int]] = []
+        self._keys: list[bytes] = []  # where each voter's fold stopped
+        self._chains: list[list[_Signed]] = []
+        self._waiting: dict[int, list[_Signed]] = {}  # by the voter they name
+        self._plaintexts: list[Optional[bytes]] = []
+        self._verdicts: list[Optional[tuple[bool, Optional[str]]]] = []  # None: waiting
+
+    def add_voter(self, key: bytes, credits: int) -> None:
+        voter = len(self._voters)
+        self._keys.append(public_key(key))
+        self._voters.append((key, credits))
+        self._chains.append([])
+        self._fold(voter, self._waiting.pop(voter, []))
+
+    def add(self, plaintext: Optional[bytes]) -> None:
+        arrival = len(self._plaintexts)
+        self._plaintexts.append(plaintext)
+        reason, decoded = _stateless_verdict(plaintext, _ANY_VOTER)
+        if decoded is None:
+            self._verdicts.append((False, reason))
+            return
+        self._verdicts.append(None)
+        signed, voter = (arrival, *decoded), decoded[0].voter_registration_index
+        if voter < len(self._voters):
+            self._fold(voter, [signed])
+        else:
+            self._waiting.setdefault(voter, []).append(signed)
+
+    def _fold(self, voter: int, chain: list[_Signed]) -> None:
+        credits = self._voters[voter][1]
+        reasons, self._keys[voter] = _fold_voter(
+            self._keys[voter], credits, chain, self._options, self._cost
+        )
+        for (arrival, _, _, _), reason in zip(chain, reasons):
+            self._verdicts[arrival] = (reason is None, reason)
+        self._chains[voter].extend(chain)
+
+    def result(self) -> _Answer:
+        """(plaintexts, verdicts, final states), each state as (key, vote),
+        the vote a plain tuple of ``FinalVote``'s fields or None."""
+        count = len(self._voters)
+        verdicts = [
+            (False, _stateless_verdict(plaintext, count)[0]) if verdict is None else verdict
+            for plaintext, verdict in zip(self._plaintexts, self._verdicts)
+        ]
+        states = _final_states(self._voters, self._chains, verdicts)
+        plain = [(state.current_key, state.vote and tuple(state.vote)) for state in states]
+        return self._plaintexts, verdicts, plain
+
+
+# what a worker answers: ``_Replay.result``
+_Answer = tuple[list, list, list]
+
+# the coordinator's ends of every live worker's pipes, which a worker forked
+# later closes, so that each worker reads the end of its requests when its
+# coordinator closes them
+_WORKER_PIPES: set[int] = set()
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _serve(
+    secret: DecryptionKey, cost_rule: str, options: int, requests: int, answers: int
+) -> None:
+    """A worker's loop: each request is (new voters, new ciphertexts, ask).
+    The voters, then each ciphertext, opened, go into the replay; a request
+    that asks is answered with the result so far. Returns at the end of the
+    requests."""
+    replay = _Replay(cost_rule, options)
+    with open(requests, "rb") as stream:
+        while True:
+            try:
+                voters, ciphertexts, ask = marshal.load(stream)
+            except EOFError:
+                return
+            for key, credits in voters:
+                replay.add_voter(key, credits)
+            for ciphertext in ciphertexts:
+                replay.add(_open(secret, ciphertext))
+            if ask:
+                _write_all(answers, marshal.dumps(replay.result()))
+
+
+class _Worker:
+    """A poll's worker, as its coordinator holds it: the pid, the ends of
+    the two pipes, and how many of the poll's voters and messages it was
+    sent."""
+
+    def __init__(self, pid: int, requests: int, answers: int):
+        self.pid = pid
+        self.requests = requests
+        self.answers = open(answers, "rb")
+        self.voters = self.messages = 0
+        _WORKER_PIPES.update((requests, answers))
+
+    def send(self, poll: MaciPoll, ask: bool) -> Optional[_Answer]:
+        voters = poll.voters[self.voters:]
+        ciphertexts = [message.ciphertext for message in poll.messages[self.messages:]]
+        _write_all(self.requests, marshal.dumps((voters, ciphertexts, ask)))
+        self.voters, self.messages = len(poll.voters), len(poll.messages)
+        return marshal.load(self.answers) if ask else None
+
+    def stop(self) -> None:
+        """Close both pipes, so the worker returns at the end of its
+        requests (or fails to answer), and reap it."""
+        _WORKER_PIPES.difference_update((self.requests, self.answers.fileno()))
+        os.close(self.requests)
+        self.answers.close()
+        try:
+            os.waitpid(self.pid, 0)
+        except ChildProcessError:  # reaped by another wait
+            pass
+
+
+def _start_worker(secret: DecryptionKey, poll: MaciPoll) -> Optional[_Worker]:
+    """A worker for `poll`, sent nothing yet; None when none could be made.
+    The child serves requests until they end and never returns into the
+    caller."""
+    pipes: list[int] = []
+    try:
+        pipes.extend(os.pipe())
+        pipes.extend(os.pipe())
+        pid = os.fork()
+    except OSError:
+        for fd in pipes:
+            os.close(fd)
+        return None
+    requests_read, requests, answers, answers_write = pipes
+    if pid == 0:
+        status = 1
+        try:
+            for fd in (requests, answers, *_WORKER_PIPES):
+                os.close(fd)
+            _serve(secret, poll.cost_rule, poll.options, requests_read, answers_write)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(requests_read)
+    os.close(answers_write)
+    return _Worker(pid, requests, answers)
+
+
+def _stop_workers(workers: dict[MaciPoll, Optional[_Worker]]) -> None:
+    for worker in workers.values():
+        if worker is not None:
+            worker.stop()
+    workers.clear()
 
 
 # ---- transparent audit -------------------------------------------------------

@@ -24,7 +24,7 @@ import re
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .engine import DisputeConfig, DisputeEngine, enrollment_scope
-from .errors import MalformedScript, NotAParty, ProtocolError
+from .errors import MalformedScript, NotAJuror, NotAParty, ProtocolError
 from .identity import Identity, PohRegistry, SemaphoreGroup, create_signal
 from .incentives import (
     ReputationLedger,
@@ -219,6 +219,15 @@ class World:
             raise NotAParty(party)
         return parties.index(party)
 
+    def _ballot_key(self, dispute_id: int, human: str) -> KeyPair:
+        """The juror's ballot key as it stands; NotAJuror for a human who
+        never enrolled in the dispute."""
+        self.engine.disputes[dispute_id]  # an unknown dispute is an unknown reference
+        pair = self.signer_keys.get((dispute_id, human))
+        if pair is None:
+            raise NotAJuror(human)
+        return pair
+
     def _party_key(self, party: str) -> KeyPair:
         pair = self.party_keys.get(party)
         if pair is None:
@@ -291,7 +300,7 @@ class World:
         rotate_key: bool = False,
     ) -> int:
         option = self._party_index(dispute_id, party)
-        signer = self.signer_keys[(dispute_id, human)]
+        signer = self._ballot_key(dispute_id, human)
         fresh = KeyPair.generate(self.rng) if rotate_key else None
         ciphertext = build_message(
             signer=signer,
@@ -343,8 +352,7 @@ class World:
     # -- aftermath -----------------------------------------------------------
 
     def claim_fee(self, dispute_id: int, human: str, wallet: str) -> int:
-        signer = self.signer_keys[(dispute_id, human)]
-        signature = sign_claim(signer, dispute_id, wallet)
+        signature = sign_claim(self._ballot_key(dispute_id, human), dispute_id, wallet)
         entry = distribute_fee(self.engine, dispute_id, wallet, signature)
         return entry.amount
 
@@ -929,47 +937,52 @@ def run_scenario(script: Mapping[str, Any], *, seed: Optional[int] = None) -> di
     return report
 
 
+def _step(world: World, position: int, step: Mapping[str, Any]) -> dict[str, Any]:
+    """Apply one step; its report entry, with whether it met its expectations."""
+    op = step["op"]
+    expect = step.get("expect", "ok")
+    entry: dict[str, Any] = {"position": position, "op": op, "t": step["t"]}
+    try:
+        result = _call_op(world, op, step)
+        entry["status"] = "ok"
+        entry["result"] = jsonable(result)
+    except ProtocolError as exc:
+        entry["status"] = "error"
+        entry["error"] = type(exc).__name__
+    except KeyError as exc:
+        raise MalformedScript(f"step {position}: unknown reference {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise MalformedScript(f"step {position}: {exc}") from None
+
+    if expect == "ok":
+        step_ok = entry["status"] == "ok"
+    else:
+        wanted = expect.split(":", 1)[1]
+        step_ok = entry["status"] == "error" and entry.get("error") == wanted
+    if step_ok and "expect_result" in step:
+        step_ok = entry.get("result") == step["expect_result"]
+    entry["pass"] = step_ok
+    return entry
+
+
 def _play(script: Mapping[str, Any], seed: int) -> tuple[dict, AdversaryView]:
     """Play the timeline on a fresh world; returns the report without its
-    `view`, and the world's public record. The world dies on return."""
+    `view`, and the world's public record. The world dies on return, and
+    its coordinator's workers are stopped whichever way the timeline ends."""
     world = World(seed, **script.get("config", {}))
-
-    steps_report: list[dict] = []
-    ok = True
-    for position, step in enumerate(script["timeline"]):
-        op = step["op"]
-        expect = step.get("expect", "ok")
-        entry: dict[str, Any] = {"position": position, "op": op, "t": step["t"]}
-        try:
-            result = _call_op(world, op, step)
-            entry["status"] = "ok"
-            entry["result"] = jsonable(result)
-        except ProtocolError as exc:
-            entry["status"] = "error"
-            entry["error"] = type(exc).__name__
-        except KeyError as exc:
-            raise MalformedScript(
-                f"step {position}: unknown reference {exc}"
-            ) from None
-        except (TypeError, ValueError) as exc:
-            raise MalformedScript(f"step {position}: {exc}") from None
-
-        if expect == "ok":
-            step_ok = entry["status"] == "ok"
-        else:
-            wanted = expect.split(":", 1)[1]
-            step_ok = entry["status"] == "error" and entry.get("error") == wanted
-        if step_ok and "expect_result" in step:
-            step_ok = entry.get("result") == step["expect_result"]
-        entry["pass"] = step_ok
-        ok = ok and step_ok
-        steps_report.append(entry)
+    try:
+        steps_report = [
+            _step(world, position, step)
+            for position, step in enumerate(script["timeline"])
+        ]
+    finally:
+        world.engine.coordinator.close()
 
     report: dict[str, Any] = {
         "seed": seed,
         "steps": steps_report,
         "snapshot": world.snapshot(),
-        "ok": ok,
+        "ok": all(entry["pass"] for entry in steps_report),
     }
     # the replay checks every prefix of the ledger, so once covers every step;
     # a broken invariant is named on the last step, or on the report if none

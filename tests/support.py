@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import random
 import struct
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -23,6 +25,15 @@ from disputekit.primitives import DecryptionKey, KeyPair, hash_bytes
 from disputekit.scenario import _OPS, _document_schema, _step_schema
 
 CFG = DisputeConfig(t1=100, t2=200, min_judges=3)
+
+
+def load_workloads():
+    """The benchmark's workload generators (`benchmarks/workloads.py`)."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def proposal_hash(tag: str) -> bytes:

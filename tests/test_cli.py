@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import copy
 import csv
+import gc
 import hashlib
-import importlib.util
 import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from support import (
     REFERENCE_STEPS,
     STRUCTURAL_FAULTS,
+    load_workloads,
     plant_double_booked_payouts,
     reference_fault,
     reference_refusal,
@@ -41,6 +43,7 @@ from disputekit.cli import (
     transcript_from_jsonable,
     transcript_to_jsonable,
 )
+from disputekit import maci
 from disputekit.engine import Escrow
 from disputekit.errors import MalformedScript
 from disputekit.maci import (
@@ -127,17 +130,41 @@ def test_a_vote_naming_an_outsider_is_not_a_party(position, step) -> None:
     NotAParty, as evidence and a compliance token are, not a malformed
     script; it is refused before any draw, so every other step, the
     snapshot and the public record read as in a run without it."""
+    assert_refused_before_any_draw(position, step, "NotAParty")
+
+
+def assert_refused_before_any_draw(position: int, step: dict, error: str) -> None:
+    """`step`, inserted into the happy path at `position`, reads as the step
+    error `error`, and every other step, the snapshot and the public record
+    read as in a run without it."""
     script = json.loads(HAPPY.read_text())
     plain = run_scenario(script)
-    script["timeline"].insert(position, dict(step, expect="error:NotAParty"))
+    script["timeline"].insert(position, dict(step, expect=f"error:{error}"))
     report = run_scenario(script)
     refused = report["steps"].pop(position)
     assert (refused["status"], refused["error"], refused["pass"]) == (
-        "error", "NotAParty", True)
+        "error", error, True)
     assert report["ok"]
     for entry in report["steps"][position:]:
         entry["position"] -= 1
     assert report == plain
+
+
+@pytest.mark.parametrize(
+    "position, step",
+    [
+        (16, {"op": "phase1_vote", "t": 150, "dispute": 0, "judge": "judge3",
+              "party": "alice", "proposal": "judge3 was never drawn"}),
+        (29, {"op": "claim_fee", "t": 400, "dispute": 0, "judge": "judge3",
+              "wallet": "wallet-judge3"}),
+    ],
+    ids=["phase1_vote", "claim_fee"],
+)
+def test_a_juror_who_never_enrolled_is_not_a_juror(position, step) -> None:
+    """A Phase-1 vote or a fee claim by a group member who never enrolled in
+    the dispute (judge3) is the step error NotAJuror, not a malformed
+    script, and is refused before any draw."""
+    assert_refused_before_any_draw(position, step, "NotAJuror")
 
 
 def test_run_stalled_court_exits_zero(capsys) -> None:
@@ -216,15 +243,6 @@ GOLDEN_WORKLOAD_DIGESTS = {
 }
 
 
-def load_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "workloads", REPO / "benchmarks" / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("workload, seed", sorted(GOLDEN_WORKLOAD_DIGESTS))
 def test_workload_report_bytes_are_pinned(tmp_path, workload, seed) -> None:
     script, _ = load_workloads().GENERATORS[workload](seed)
@@ -232,6 +250,120 @@ def test_workload_report_bytes_are_pinned(tmp_path, workload, seed) -> None:
     assert main(["run", write_json(tmp_path / "s.json", script), "--out", str(out)]) == EXIT_OK
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == GOLDEN_WORKLOAD_DIGESTS[(workload, seed)]
+
+
+# ---- a large poll's worker -----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def forked_jury() -> dict:
+    """A generated jury of MIN_FORKED_COMMANDS jurors, whose Phase-1 poll
+    is processed by a worker as its ballots arrive."""
+    script, _ = load_workloads().jury(1, jurors=maci.MIN_FORKED_COMMANDS)
+    return script
+
+
+def assert_no_child_process() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def drop_a_world_with_an_open_large_poll() -> int:
+    """Votes into a poll large enough for a worker, then drops the world
+    before the poll closes; returns the number of workers started."""
+    names = [f"juror{i:03d}" for i in range(maci.MIN_FORKED_COMMANDS)]
+    world = World(5, genesis_humans=names)
+    for human in names:
+        world.group_join(human)
+    d = world.open_dispute("alice", ["bob"], 10, t1=100, t2=200, min_judges=1, now=0)
+    world.join_dispute(d, "bob", 10, now=1)
+    for human in names:
+        world.enroll_judge(d, human, now=10)
+    for human in names[:20]:
+        world.phase1_vote(d, human, "alice", "a ruling", now=100)
+    workers = [w for w in world.engine.coordinator._workers.values() if w is not None]
+    del world
+    return len(workers)
+
+
+@pytest.mark.parametrize("case", ["jury", "malformed", "unwritable-out", "dropped-world"])
+def test_no_process_outlives_a_command(tmp_path, monkeypatch, forked_jury, case) -> None:
+    """After a run whose large poll had a worker, this process has no child
+    left, running or exited: a jury run, a script that turns malformed while
+    the worker runs, a run whose `--out` cannot be written, and a world
+    dropped while its large poll is still open."""
+    gc.collect()  # finalize what earlier tests dropped
+    assert_no_child_process()
+    monkeypatch.setattr(maci, "_usable_cores", lambda: 2)
+    started = []
+    start = maci._start_worker
+    monkeypatch.setattr(
+        maci, "_start_worker", lambda *args: started.append(1) or start(*args)
+    )
+    script = copy.deepcopy(forked_jury)
+    out = tmp_path / "report.json"
+    if case == "dropped-world":
+        assert drop_a_world_with_an_open_large_poll() == 1
+    elif case == "malformed":
+        timeline = script["timeline"]
+        votes = [i for i, step in enumerate(timeline) if step["op"] == "phase1_vote"]
+        middle = votes[len(votes) // 2]
+        timeline.insert(middle, {"op": "enroll_judge", "t": timeline[middle]["t"],
+                                 "dispute": 0, "judge": "nobody"})
+        assert main(["run", write_json(tmp_path / "s.json", script)]) == EXIT_USAGE
+        assert_no_child_process()
+        # reaped even while the caller holds the traceback, and with it the world
+        with pytest.raises(MalformedScript):
+            try:
+                run_scenario(script)
+            finally:
+                assert_no_child_process()
+    else:
+        if case == "unwritable-out":
+            out = tmp_path / "missing" / "report.json"
+        code = main(["run", write_json(tmp_path / "s.json", script), "--out", str(out)])
+        assert code == (EXIT_OK if case == "jury" else EXIT_USAGE)
+    assert started  # a worker ran
+    assert_no_child_process()
+
+
+def _no_process() -> int:
+    raise OSError("no more processes")
+
+
+@pytest.mark.parametrize("failure", ["killed mid-intake", "fork fails"])
+def test_a_failed_worker_gives_the_same_report(
+    tmp_path, monkeypatch, forked_jury, failure
+) -> None:
+    """A worker killed halfway through the ballots, or one that cannot be
+    forked: the Phase-1 poll is processed here at its close, and the report
+    is byte for byte the one of a run with one usable core, where no worker
+    starts."""
+    path = write_json(tmp_path / "s.json", forked_jury)
+    monkeypatch.setattr(maci, "_usable_cores", lambda: 1)
+    assert main(["run", path, "--out", str(tmp_path / "here.json")]) == EXIT_OK
+
+    monkeypatch.setattr(maci, "_usable_cores", lambda: 2)
+    sends, runs = [], []
+    send, run = maci._Worker.send, maci.MaciPoll._run
+
+    def send_then_kill(worker, poll, ask):
+        sends.append(1)
+        if len(sends) == maci.MIN_FORKED_COMMANDS // 2:
+            os.kill(worker.pid, signal.SIGKILL)
+        return send(worker, poll, ask)
+
+    if failure == "fork fails":
+        monkeypatch.setattr(os, "fork", _no_process)
+    else:
+        monkeypatch.setattr(maci._Worker, "send", send_then_kill)
+    monkeypatch.setattr(
+        maci.MaciPoll, "_run", lambda poll, key: runs.append(poll.poll_id) or run(poll, key)
+    )
+    assert main(["run", path, "--out", str(tmp_path / "failed.json")]) == EXIT_OK
+    assert runs == [0, 1]  # both polls processed here
+    assert (tmp_path / "failed.json").read_bytes() == (tmp_path / "here.json").read_bytes()
+    assert_no_child_process()
 
 
 @pytest.mark.parametrize("scenario", [HAPPY, STALLED], ids=["happy", "stalled"])

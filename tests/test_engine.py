@@ -3,6 +3,7 @@ enrollment, both voting phases, settlement, and the boundary between the
 contract and the coordinator."""
 from __future__ import annotations
 
+import os
 import random
 import sys
 from collections import Counter
@@ -550,6 +551,59 @@ def test_a_phase1_close_opens_each_ballot_once(monkeypatch, ballots) -> None:
     monkeypatch.setattr(MaciPoll, "_run", counted("_run", MaciPoll._run))
     assert court.engine.close_phase1(dispute.dispute_id, now=CFG.t2) == "tallied"
     assert counts == {"key_agree": ballots, "decrypt": ballots, "_run": 1}
+
+
+def test_a_large_poll_is_opened_and_checked_in_its_worker(monkeypatch) -> None:
+    """A Phase-1 poll of MIN_FORKED_COMMANDS jurors, with two usable cores:
+    its worker opens and replays each ballot as it arrives, so this process
+    makes no key agreement, decryption or signature check for the poll's
+    ballots, at intake or at the close (ROADMAP item 10). The processed
+    transcript is the one a run here gives."""
+    monkeypatch.setattr(maci, "_usable_cores", lambda: 2)
+    court = Court(seed=3, judges=maci.MIN_FORKED_COMMANDS)
+    dispute = court.open()
+    enrolled = [court.enroll(dispute.dispute_id, judge) for judge in court.judges]
+    counts = Counter()
+
+    def counted(name, real):
+        def spy(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return spy
+
+    for name in ("key_agree", "decrypt", "verify_sig"):
+        monkeypatch.setattr(maci, name, counted(name, getattr(maci, name)))
+    for n, (index, key) in enumerate(enrolled):
+        court.phase1_vote(
+            dispute.dispute_id, index, key, n % 2, memo=proposal_hash(f"p{n}")
+        )
+    assert court.engine.close_phase1(dispute.dispute_id, now=CFG.t2) == "tallied"
+    assert counts == {}
+    poll = dispute.phase1_poll
+    assert poll not in court.engine.coordinator._workers  # reaped at the commit
+    monkeypatch.undo()
+    processed = poll.process_messages(court.coordinator)
+    assert processed._replace(salt=b"") == poll._run(court.coordinator).transcript
+
+
+def test_an_aborted_large_poll_releases_its_worker(monkeypatch) -> None:
+    """A poll large enough for a worker that misses quorum twice: the abort
+    releases it, so its worker is reaped then, not when the coordinator
+    goes."""
+    monkeypatch.setattr(maci, "_usable_cores", lambda: 2)
+    court = Court(seed=4, judges=maci.MIN_FORKED_COMMANDS)
+    config = DisputeConfig(t1=100, t2=200, min_judges=maci.MIN_FORKED_COMMANDS)
+    dispute = court.open(config=config)
+    enrolled = [court.enroll(dispute.dispute_id, judge) for judge in court.judges]
+    for index, key in enrolled[:10]:
+        court.phase1_vote(dispute.dispute_id, index, key, 0, memo=proposal_hash("p"))
+    (worker,) = court.engine.coordinator._workers.values()
+    assert court.engine.close_phase1(dispute.dispute_id, now=200) == "extended"
+    assert court.engine.close_phase1(dispute.dispute_id, now=300) == "aborted"
+    assert court.engine.coordinator._workers == {}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(worker.pid, os.WNOHANG)
 
 
 # ---- phase 2 -------------------------------------------------------------------

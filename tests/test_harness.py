@@ -4,9 +4,16 @@ from __future__ import annotations
 import hashlib
 import json
 import weakref
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+)
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from disputekit.attacks import (
     ATTACKS,
@@ -18,7 +25,7 @@ from disputekit.attacks import (
     attack_takeover,
     run_all_attacks,
 )
-from disputekit import scenario
+from disputekit import maci, primitives, scenario
 from disputekit.engine import Escrow
 from disputekit.errors import MalformedScript
 from disputekit.scenario import (
@@ -28,7 +35,7 @@ from disputekit.scenario import (
     run_scenario,
 )
 
-from support import STRUCTURAL_FAULTS, plant_double_booked_payouts
+from support import STRUCTURAL_FAULTS, load_workloads, plant_double_booked_payouts
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -394,6 +401,108 @@ def test_the_scenario_check_is_linear_in_the_steps(monkeypatch, steps) -> None:
     assert envelope > 0 and min(each) > 0
     timeline = [mix[n % len(mix)] for n in range(steps)]
     assert calls_for(timeline) == envelope + sum(each[n % len(mix)] for n in range(steps))
+
+
+class CountedKey:
+    """A `cryptography` key whose calls named in `kinds` are counted."""
+
+    def __init__(self, key, counts: Counter, kinds: dict[str, str]):
+        self._key, self._counts, self._kinds = key, counts, kinds
+
+    def __getattr__(self, name: str):
+        call = getattr(self._key, name)
+        if name not in self._kinds:
+            return call
+
+        def counted(*args):
+            self._counts[self._kinds[name]] += 1
+            return call(*args)
+
+        return counted
+
+
+def count_crypto(monkeypatch) -> Counter:
+    """Count every `cryptography` call `primitives` makes, by kind: Ed25519
+    key construction, sign and verify, X25519 key construction and
+    exchange. (An X25519 peer key is built only to be exchanged with.)"""
+    counts: Counter = Counter()
+
+    def loader(load, built: str | None, kinds: dict[str, str]):
+        def counted_load(data: bytes):
+            if built is not None:
+                counts[built] += 1
+            return CountedKey(load(data), counts, kinds)
+
+        return counted_load
+
+    for name, load, built, kinds in (
+        ("Ed25519PrivateKey", Ed25519PrivateKey.from_private_bytes, "ed25519 key",
+         {"sign": "ed25519 sign"}),
+        ("Ed25519PublicKey", Ed25519PublicKey.from_public_bytes, None,
+         {"verify": "ed25519 verify"}),
+        ("X25519PrivateKey", X25519PrivateKey.from_private_bytes, "x25519 key",
+         {"exchange": "x25519 exchange"}),
+    ):
+        load_name = "from_private_bytes" if built else "from_public_bytes"
+        shim = SimpleNamespace(**{load_name: loader(load, built, kinds)})
+        monkeypatch.setattr(primitives, name, shim)
+    return counts
+
+
+def steps_of(script: dict, op: str) -> list[dict]:
+    return [step for step in script["timeline"] if step["op"] == op]
+
+
+def test_a_small_docket_makes_the_crypto_calls_the_protocol_prescribes(
+    monkeypatch,
+) -> None:
+    """The whole run's crypto budget (ROADMAP item 10): each kind of call a
+    small generated docket makes equals a formula written from the
+    protocol. Every ballot is signed and sealed by its client (one one-time
+    X25519 key and one exchange) and opened once by the coordinator (one
+    exchange), where its signature is checked once; a fee claim is signed by
+    the juror and checked by the contract. Each signing key is built once:
+    a party's (the initiator's at opening, the respondent's at joining) and
+    a juror's ballot key at enrollment, plus a fresh one per rotation; the
+    coordinator's X25519 key is built once per world."""
+    script, _ = load_workloads().docket(3, disputes=12, pool=6, parties=8)
+    counts = count_crypto(monkeypatch)
+    report = run_scenario(script)
+    assert report["ok"]
+    ballots = len(steps_of(script, "phase1_vote")) + len(steps_of(script, "phase2_vote"))
+    claims = len(steps_of(script, "claim_fee"))
+    rotations = sum(step.get("rotate_key", False) for step in steps_of(script, "phase1_vote"))
+    parties = {step["initiator"] for step in steps_of(script, "open_dispute")}
+    parties |= {step["party"] for step in steps_of(script, "join_dispute")}
+    jurors = len(steps_of(script, "enroll_judge"))
+    assert ballots and claims and jurors
+    assert counts == {
+        "ed25519 key": len(parties) + jurors + rotations,
+        "ed25519 sign": ballots + claims,
+        "ed25519 verify": ballots + claims,
+        "x25519 key": 1 + ballots,
+        "x25519 exchange": 2 * ballots,
+    }
+
+
+@pytest.mark.parametrize("workload, sizes", [
+    ("docket", {"disputes": 12, "pool": 6, "parties": 8}),
+    ("registry", {"humans": 60, "batch": 12, "targets": 0}),
+])
+def test_docket_and_registry_start_no_worker(monkeypatch, workload, sizes) -> None:
+    """Their polls (panels of 3 and 5 jurors, 2 parties) are below the
+    worker rule, MIN_FORKED_COMMANDS voters, whatever the number of
+    disputes, so every poll is processed in this process at its close."""
+    script, _ = load_workloads().GENERATORS[workload](1, **sizes)
+    monkeypatch.setattr(maci, "_usable_cores", lambda: 2)
+    intakes, starts = [], []
+    intake, start = maci.Coordinator.intake, maci._start_worker
+    monkeypatch.setattr(
+        maci.Coordinator, "intake", lambda *args: intakes.append(1) or intake(*args)
+    )
+    monkeypatch.setattr(maci, "_start_worker", lambda *args: starts.append(1) or start(*args))
+    assert run_scenario(script)["ok"]
+    assert intakes and starts == []
 
 
 def test_the_view_is_rendered_once_the_world_is_freed(monkeypatch) -> None:

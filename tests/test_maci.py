@@ -5,6 +5,7 @@ from __future__ import annotations
 import marshal
 import os
 import random
+import signal
 import threading
 import types
 
@@ -453,6 +454,54 @@ _MOVES = [
 ]
 
 
+def register(rng, poll, signers: list, credit: int) -> None:
+    signers.append(KeyPair.generate(rng))
+    poll.register_voter(signers[-1].public, credit)
+
+
+def intake_move(rng, poll, coordinator, stranger, signers, move, pick, amount, option):
+    """One move of a random intake: the ciphertext it submits, or None for
+    a move that registers a voter (`late_voter`). A rotation changes the
+    voter's key in `signers`."""
+    index = pick % len(signers)
+    signer = signers[index]
+    if move == "late_voter":
+        register(rng, poll, signers, pick % 13)
+        return None
+    if move == "replay" and poll.messages:
+        return poll.messages[pick % len(poll.messages)].ciphertext
+    if move == "junk":
+        return b"".join(rng.randbytes(n) for n in (32, 12, pick, 16))
+    if move == "garbled":
+        return encrypt(coordinator.public, rng.randbytes(pick), rng)
+    if move == "unsorted":
+        # descending, or a repeat: never strictly ascending
+        command = Command(signer.public, (option, option - pick % 2), (1, 1), b"", index)
+        return encrypt(coordinator.public, sign_command(signer, command), rng)
+    fresh = KeyPair.generate(rng) if move == "rotate" else None
+    ct = build_message(
+        signer=KeyPair.generate(rng) if move == "stranger" else signer,
+        coordinator_public=(stranger if move == "wrong_coordinator" else coordinator).public,
+        voter_registration_index=(
+            -1 - pick if move == "negative_index" else index + 9 * (move == "unknown_index")
+        ),
+        votes={option: amount},
+        new_public_key=fresh.public if fresh else None,
+        memo=rng.randbytes(abs(option) * 16),
+        rng=rng,
+    )
+    if move == "low_order":
+        point = LOW_ORDER_POINTS[pick % len(LOW_ORDER_POINTS)]
+        ct = point + ct[32:]
+    elif move == "truncated":  # the point cut short
+        ct = ct[: pick % 32] + ct[32:]
+    elif move == "cut":  # the tag or more cut off
+        ct = ct[: max(0, len(ct) - 1 - pick)]
+    if fresh is not None:
+        signers[index] = fresh
+    return ct
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -481,53 +530,12 @@ def test_processing_matches_an_independent_reference(
     coordinator, stranger = DecryptionKey.generate(rng), DecryptionKey.generate(rng)
     poll = MaciPoll(0, coordinator.public, 100, cost_rule, options)
     signers: list[KeyPair] = []
-
-    def register(credit: int) -> None:
-        signers.append(KeyPair.generate(rng))
-        poll.register_voter(signers[-1].public, credit)
-
     for credit in credits:
-        register(credit)
-    for move, pick, amount, option in moves:
-        index = pick % len(signers)
-        signer = signers[index]
-        if move == "late_voter":
-            register(pick % 13)
-            continue
-        if move == "replay" and poll.messages:
-            ct = poll.messages[pick % len(poll.messages)].ciphertext
-        elif move == "junk":
-            ct = b"".join(rng.randbytes(n) for n in (32, 12, pick, 16))
-        elif move == "garbled":
-            ct = encrypt(coordinator.public, rng.randbytes(pick), rng)
-        elif move == "unsorted":
-            # descending, or a repeat: never strictly ascending
-            command = Command(
-                signer.public, (option, option - pick % 2), (1, 1), b"", index
-            )
-            plaintext = sign_command(signer, command)
-            ct = encrypt(coordinator.public, plaintext, rng)
-        else:
-            fresh = KeyPair.generate(rng) if move == "rotate" else None
-            ct = build_message(
-                signer=KeyPair.generate(rng) if move == "stranger" else signer,
-                coordinator_public=(
-                    stranger if move == "wrong_coordinator" else coordinator
-                ).public,
-                voter_registration_index=index + 9 * (move == "unknown_index"),
-                votes={option: amount},
-                new_public_key=fresh.public if fresh else None,
-                memo=rng.randbytes(abs(option) * 16),
-                rng=rng,
-            )
-            if move == "low_order":
-                point = LOW_ORDER_POINTS[pick % len(LOW_ORDER_POINTS)]
-                ct = point + ct[32:]
-            elif move == "truncated":  # the point cut short
-                ct = ct[: pick % 32] + ct[32:]
-            if fresh is not None:
-                signers[index] = fresh
-        poll.submit_message(ct, now=0)
+        register(rng, poll, signers, credit)
+    for move in moves:
+        ct = intake_move(rng, poll, coordinator, stranger, signers, *move)
+        if ct is not None:
+            poll.submit_message(ct, now=0)
     poll.close(100)
     transcript = poll.process_messages(coordinator)
 
@@ -755,6 +763,181 @@ def test_no_fork_while_another_thread_runs(monkeypatch, split_replay) -> None:
         waiter.join(timeout=30)
     assert not waiter.is_alive()
     assert forks == []
+
+
+# ---- a large poll processed as it arrives ---------------------------------------------
+
+
+def plain_replay(result):
+    """A replay's (verdicts, final states) in the worker's plain values."""
+    verdicts, states = result
+    return verdicts, [(s.current_key, s.vote and tuple(s.vote)) for s in states]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cost_rule=st.sampled_from(sorted(COST_RULES)),
+    options=st.integers(1, 3),
+    voter_count=st.integers(1, 6),
+    commands=st.integers(0, 80),
+)
+def test_the_growing_replay_is_the_replay_of_what_was_added(
+    seed, cost_rule, options, voter_count, commands
+) -> None:
+    """`maci._Replay`, which a worker runs, against `replay_ballots`: voters
+    and plaintexts are added in a random interleaving, so some voters are
+    registered after their own commands, and at random points (and at the
+    end) the result must be the replay of what was added so far. The
+    plaintexts are `long_replay`'s (rotations, stale and stranger signers,
+    bad options and amounts, overspends, garbage, unknown indexes, messages
+    that did not open), some cut short and some naming a negative index."""
+    cost_rule, options, initial, plaintexts = long_replay(
+        seed, cost_rule, options, voter_count, commands
+    )
+    rng = random.Random(seed)
+    stranger = KeyPair.generate(rng)
+    for at, plaintext in enumerate(plaintexts):
+        roll = rng.random()
+        if plaintext and roll < 0.05:
+            plaintexts[at] = plaintext[: rng.randrange(len(plaintext))]
+        elif roll < 0.1:
+            negative = Command(stranger.public, (0,), (1,), b"", -rng.randint(1, 2**63))
+            plaintexts[at] = sign_command(stranger, negative)
+    order = ["voter"] * len(initial) + ["plaintext"] * len(plaintexts)
+    rng.shuffle(order)
+    replay = maci._Replay(cost_rule, options)
+    voters, added = [], []
+    for kind in order:
+        if kind == "voter":
+            voters.append(initial[len(voters)])
+            replay.add_voter(*voters[-1])
+        else:
+            added.append(plaintexts[len(added)])
+            replay.add(added[-1])
+        if rng.random() < 0.05 or len(voters) + len(added) == len(order):
+            expected = plain_replay(replay_ballots(cost_rule, options, voters, added))
+            got_plaintexts, *got = replay.result()
+            assert got_plaintexts == added
+            assert tuple(got) == expected
+
+
+_WORKER_MOVES = [*_MOVES, "negative_index", "cut", "preview"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cost_rule=st.sampled_from(sorted(COST_RULES)),
+    options=st.integers(1, 3),
+    credits=st.lists(st.integers(0, 12), min_size=1, max_size=3),
+    moves=st.lists(
+        st.tuples(
+            st.sampled_from(_WORKER_MOVES), st.integers(0, 40), st.integers(-3, 4),
+            st.integers(-1, 3),
+        ),
+        max_size=14,
+    ),
+)
+def test_a_poll_worker_answers_the_replay_of_the_intake_so_far(
+    seed, cost_rule, options, credits, moves
+) -> None:
+    """Every poll takes a worker here (`MIN_FORKED_COMMANDS` set to 1, two
+    usable cores), sent each ballot as the engine sends it. Each preview
+    (which then extends the deadline, so more ballots follow) and the
+    processing read the run the worker streamed; it must equal the opening
+    and `replay_ballots` of the intake so far, here, over random intakes:
+    late voters, rotations, stale and stranger signers, garbage, cut and
+    truncated envelopes, negative and unknown indexes. The worker is reaped
+    when the poll commits."""
+    rng = random.Random(seed)
+    coordinator, stranger = DecryptionKey.generate(rng), DecryptionKey.generate(rng)
+    coord = maci.Coordinator(coordinator, random.Random(seed))
+    poll = MaciPoll(0, coordinator.public, 100, cost_rule, options)
+    signers: list[KeyPair] = []
+    for credit in credits:
+        register(rng, poll, signers, credit)
+
+    def replayed_here():
+        plaintexts = [maci._open(coordinator, m.ciphertext) for m in poll.messages]
+        return plaintexts, plain_replay(
+            replay_ballots(cost_rule, options, poll.voters, plaintexts)
+        )
+
+    def worker_run():
+        run = poll._result(coordinator)
+        entries = run.transcript.entries
+        return [entry.plaintext for entry in entries], plain_replay(
+            ([(entry.valid, entry.reason) for entry in entries], run.final_states)
+        )
+
+    def read(step) -> None:
+        """`step` reads the worker's run, where a worker runs, not a run here."""
+        ran, worked = len(runs), poll in coord._workers
+        step(poll)
+        assert worker_run() == replayed_here()
+        assert len(runs) == ran or not worked
+
+    now, pids, runs = 0, set(), []
+    real_run = MaciPoll._run
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maci, "MIN_FORKED_COMMANDS", 1)
+        patch.setattr(maci, "_usable_cores", lambda: 2)
+        patch.setattr(MaciPoll, "_run", lambda *args: runs.append(1) or real_run(*args))
+        for move in moves:
+            if move[0] == "preview":
+                read(coord.proposals)
+                now = poll.deadline
+                poll.extend_deadline(now + 100)
+                continue
+            ct = intake_move(rng, poll, coordinator, stranger, signers, *move)
+            if ct is not None:
+                poll.submit_message(ct, now)
+                coord.intake(poll)
+                pids.add(coord._workers[poll].pid)
+        poll.close(poll.deadline)
+        read(coord.commit)
+    assert len(pids) <= 1
+    assert coord._workers == {}
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _hung(signum, frame) -> None:
+    raise TimeoutError("stopping the earlier worker hung")
+
+
+def test_a_worker_stops_while_a_later_one_runs(monkeypatch) -> None:
+    """Two polls open at once, each with a worker. The later worker closes
+    its copies of the earlier one's pipes, so stopping the earlier worker at
+    its poll's commit does not wait on the later one (it would hang), and
+    each poll reads its own run."""
+    monkeypatch.setattr(maci, "MIN_FORKED_COMMANDS", 1)
+    monkeypatch.setattr(maci, "_usable_cores", lambda: 2)
+    rng = random.Random(5)
+    first, secret, voters = make_poll(rng)
+    coord = maci.Coordinator(secret, rng)
+    second = MaciPoll(1, secret.public, 100, "linear", 3)
+    for pair in voters:
+        second.register_voter(pair.public, 1)
+    for poll, n in ((first, 0), (second, 1), (first, 2)):
+        cast(poll, rng, voters[n], n, {n: 1})
+        coord.intake(poll)
+    later = coord._workers[second].pid
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(10)
+    try:
+        first.close(100)
+        assert coord.commit(first)[0] == {0: 1, 2: 1}
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert list(coord._workers) == [second]
+    os.kill(later, 0)  # still running
+    second.close(100)
+    assert coord.commit(second)[0] == {1: 1}
+    assert coord._workers == {}
 
 
 # ---- the quorum preview and processing ----------------------------------------------
