@@ -113,10 +113,17 @@ class AdversaryView:
         return [event.kind for event in self.events]
 
     def as_jsonable(self) -> list[list[Any]]:
-        return [
-            [seq, event.kind, jsonable(event.payload)]
-            for seq, event in enumerate(self.events)
-        ]
+        """The log as the report's `[seq, kind, payload]` rows, as JSON
+        writes them. Releases the log as it goes: each event is dropped as
+        its row is built, so the log and its rows are never both whole, and
+        the view is empty after. Render a view once, when its world is done."""
+        events = self.events
+        events.reverse()
+        rows: list[list[Any]] = []
+        while events:
+            kind, payload = events.pop()
+            rows.append([len(rows), kind, jsonable(payload)])
+        return rows
 
 
 def jsonable(value: Any) -> Any:
@@ -222,7 +229,6 @@ class World:
     def _ballot_key(self, dispute_id: int, human: str) -> KeyPair:
         """The juror's ballot key as it stands; NotAJuror for a human who
         never enrolled in the dispute."""
-        self.engine.disputes[dispute_id]  # an unknown dispute is an unknown reference
         pair = self.signer_keys.get((dispute_id, human))
         if pair is None:
             raise NotAJuror(human)
@@ -876,6 +882,10 @@ def _as_integers(value: Any) -> Any:
 
 
 def _call_op(world: World, op: str, step: Mapping[str, Any]) -> Any:
+    if "dispute" in step:
+        # an unknown dispute is an unknown reference for every op, whether
+        # the world or the engine would look it up first, and before any draw
+        world.engine.disputes[step["dispute"]]
     method = getattr(world, op)
     kwargs = {
         _RENAMES.get(key, key): value
@@ -912,7 +922,8 @@ def run_scenario(script: Mapping[str, Any], *, seed: Optional[int] = None) -> di
     script's own seed.
 
     The report's `view`, its largest part, is rendered only after the
-    world that played the timeline is freed, so the two never share memory.
+    world that played the timeline is freed, and each public event is
+    dropped as its row is built, so no event outlives its row.
     """
     try:
         validate(script)

@@ -167,6 +167,26 @@ def test_a_juror_who_never_enrolled_is_not_a_juror(position, step) -> None:
     assert_refused_before_any_draw(position, step, "NotAJuror")
 
 
+@pytest.mark.parametrize(
+    "op", sorted(op for op, (required, _) in _OPS.items() if "dispute" in required)
+)
+def test_a_step_naming_a_dispute_never_opened_is_an_unknown_reference(
+    tmp_path, capsys, op
+) -> None:
+    """Whether the world or the engine would look the dispute up first, a
+    step naming one never opened makes the script malformed (exit 2), as a
+    step naming an unknown actor does; it is not the step error WrongState."""
+    step = {**minimal_step(op), "t": 400, "dispute": 9}
+    # actors the happy path knows, so the dispute is the one unknown reference
+    step.update({k: v for k, v in (("judge", "judge0"), ("party", "alice")) if k in step})
+    script = json.loads(HAPPY.read_text())
+    script["timeline"].append(step)
+    assert main(["run", write_json(tmp_path / "s.json", script)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "malformed scenario: step 29: unknown reference 9\n"
+
+
 def test_run_stalled_court_exits_zero(capsys) -> None:
     assert main(["run", str(STALLED)]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
