@@ -24,33 +24,31 @@ command inside does, and ``decode_signed_command`` alone holds its wire rule.
 
 Processing is "decrypt, then the auditor's replay": open each message with
 one key agreement against its own point and one decryption, so processing is
-linear in the messages; then run ``replay_ballots``, the one definition of
-these rules. A message that does not open (a short, malformed or low-order
-point, a short nonce, a failed tag) is an AuthFailure. The quorum preview
-and processing read one memoised run per intake and coordinator key, so a
-poll that closes twice with no intake in between is opened and replayed
-once.
+linear in the messages; then replay it under the rules ``replay_ballots``
+defines. A message that does not open (a short, malformed or low-order
+point, a short nonce, a failed tag) is an AuthFailure.
 
 As in MACI, a voter's state changes only through that voter's own commands,
-so the replay is one stateless pass over the plaintexts in arrival order
+so the replay is one stateless step per plaintext in arrival order
 (undecryptable, undecodable, unknown voter), then one fold per voter over
 that voter's commands (signature against the key as it stands, option,
-amount, budget). The folds are independent, so a replay of many commands
-splits its voters into contiguous ranges of about equal command counts, one
-per usable core, and folds each range after the first in a forked child.
+amount, budget). ``replay_ballots`` runs it over a whole intake, as the
+audit does; the folds are independent, so a replay of many commands splits
+its voters into contiguous ranges of about equal command counts, one per
+usable core, and folds each range after the first in a forked child.
 
-Nothing in the replay waits for the deadline, so the coordinator processes
-a large poll while its intake is open, as MACI's coordinator reads the
-contract's message log. When a poll of MIN_FORKED_COMMANDS or more voters
-takes a ballot, the coordinator sends the voters and ciphertexts it has not
-yet sent to the poll's worker: a forked copy of the coordinator, with the
-same key, so no one new is trusted. The worker opens each ballot as it
-arrives and folds it from where its voter's fold stopped (``_Replay``), so
-the preview and processing read a finished run. A small poll stays in the
-calling process: each of its closes would wait on a round trip to a worker
-that sleeps between ballots, which costs more than opening its few ballots
-here. No worker starts while another thread runs or with one usable core,
-and a poll whose worker cannot start or dies is processed here, as before.
+Nothing in the replay waits for the deadline, so a poll is processed by one
+replay that grows with its intake (``_Replay``), as MACI's coordinator reads
+the contract's message log. It is sent only the voters and ciphertexts it
+has not seen, so each ballot is opened and checked once per coordinator key
+however often the poll closes. When a poll of MIN_FORKED_COMMANDS or more
+voters takes a ballot, its replay runs in the poll's worker: a forked copy
+of the coordinator, with the same key, so no one new is trusted. Any other
+poll's replay runs here from its first preview, since each close would wait
+on a round trip to a worker that sleeps between ballots. No worker starts
+while another thread runs or with one usable core; a worker that cannot
+start or fails to answer is stopped, and the replay continues here from the
+start. One helper (``_Child``) forks every child, worker or range fold.
 
 Every poll record is positional, as a leaf is in MACI's state and message
 trees: voter *i* is ``voters[i]``, and message *j* is ``messages[j]``. No
@@ -59,7 +57,7 @@ record carries its own index.
 Processing emits an ``AuditTranscript``: decrypted commands, per-message
 verdicts, the tally, and the commitment salt, which ``commit_tally`` draws
 into it. Each voter's final state is not in it: ``_final_states`` derives
-it from the replayed verdicts, and only the memoised run holds it. Where a
+it from the replayed verdicts, and only the poll's run holds it. Where a
 voter's replay ends is its last valid command (``_last_valid``): processing
 reads it off its own verdicts, and the audit off the claimed ones, summing
 the votes without building a final state. The transcript replaces
@@ -93,6 +91,7 @@ import random
 import struct
 import threading
 import weakref
+from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import canonical
@@ -345,8 +344,10 @@ class MaciPoll:
         self.closed = False
         self._keys_seen: set[bytes] = set()
         self._processed: Optional[AuditTranscript] = None
-        # (coordinator, `_run` of the intake so far); dropped on any intake
-        self._memo: Optional[tuple[DecryptionKey, _Run]] = None
+        # the intake's replay, here or in a worker; dropped once processed
+        self._replay: Optional[_Driver] = None
+        # the coordinator's run of the intake so far; dropped on any intake
+        self._memo: Optional[_Run] = None
         self.commitment: Optional[bytes] = None  # the tally commitment digest
 
     # -- intake ------------------------------------------------------------
@@ -393,8 +394,9 @@ class MaciPoll:
         self, coordinator_secret: DecryptionKey
     ) -> tuple[VoterFinalState, ...]:
         """Dry run over the current message list, used to test quorum before
-        deciding whether to extend. Not a processing result, though it reads
-        the one memoised run of this intake that ``process_messages`` reads."""
+        deciding whether to extend. Not a processing result, though while
+        the intake is unchanged it reads the run ``process_messages`` reads:
+        the poll's one replay, sent only the ballots it has not seen."""
         return self._result(coordinator_secret).final_states
 
     def process_messages(self, coordinator_secret: DecryptionKey) -> AuditTranscript:
@@ -402,28 +404,34 @@ class MaciPoll:
             raise WrongState("process requires a closed poll")
         if self._processed is None:
             self._processed = self._result(coordinator_secret).transcript
+            self._release()
         return self._processed
 
     def _result(self, coordinator_secret: DecryptionKey) -> _Run:
-        """``_run`` of the intake so far, once per intake and coordinator key."""
-        if self._memo is None or self._memo[0] != coordinator_secret:
-            self._memo = (coordinator_secret, self._run(coordinator_secret))
-        return self._memo[1]
+        """The run of the intake so far: the coordinator's from the poll's
+        replay (made here unless ``Coordinator.intake`` started a worker),
+        kept until the next intake; any other key's from a replay of its own."""
+        if coordinator_secret.public != self.coordinator_public:
+            replay = _Driver(coordinator_secret, self)
+            return self._transcribed(replay.send(self, ask=True))
+        if self._memo is None:
+            if self._replay is None:
+                self._replay = _Driver(coordinator_secret, self)
+            self._memo = self._transcribed(self._replay.send(self, ask=True))
+        return self._memo
 
-    def _run(self, coordinator_secret: DecryptionKey) -> _Run:
-        plaintexts = [_open(coordinator_secret, m.ciphertext) for m in self.messages]
-        verdicts, final_states = replay_ballots(
-            self.cost_rule, self.options, self.voters, plaintexts
+    def _release(self) -> None:
+        """Drop the replay, stopping its worker if it runs in one."""
+        if self._replay is not None:
+            self._replay.stop()
+            self._replay = None
+
+    def _transcribed(self, answer: _Answer) -> _Run:
+        """The run of the intake so far whose replay answered this."""
+        plaintexts, verdicts, states = answer
+        final_states = tuple(
+            VoterFinalState(key, vote and FinalVote(*vote)) for key, vote in states
         )
-        return self._transcribed(plaintexts, verdicts, final_states)
-
-    def _transcribed(
-        self,
-        plaintexts: Sequence[Optional[bytes]],
-        verdicts: Sequence[tuple[bool, Optional[str]]],
-        final_states: tuple[VoterFinalState, ...],
-    ) -> _Run:
-        """The run of the intake so far whose openings and replay gave these."""
         transcript = AuditTranscript(
             poll_id=self.poll_id,
             cost_rule=self.cost_rule,
@@ -490,67 +498,37 @@ class Proposal(NamedTuple):
 class Coordinator:
     """The one holder of the decryption key and of the salts' generator.
 
-    A poll of MIN_FORKED_COMMANDS or more voters is processed while its
-    intake is open, by the poll's worker: this coordinator forked, holding
-    the same key, that opens and replays each ballot as ``intake`` sends it
-    (see the module docstring). ``proposals`` and ``commit`` then read the
-    worker's finished run into the poll's memo, where the preview and
-    processing read it; every other poll is processed here when it closes.
-    A worker is stopped once its poll commits or is released, and ``close``
-    stops every worker left; it runs by itself when the coordinator is
-    dropped."""
+    A poll is processed by one replay of its intake (see the module
+    docstring). When a poll of MIN_FORKED_COMMANDS or more voters takes its
+    first ballot, ``intake`` starts the poll's worker: this coordinator
+    forked, holding the same key, whose replay opens and folds each ballot
+    as ``intake`` sends it. Any other poll's replay runs here from its first
+    preview. ``proposals`` and ``commit`` read the run through the poll's
+    preview and processing. A worker is stopped once its poll is processed
+    or released, and ``close`` stops every worker left; it runs by itself
+    when the coordinator is dropped."""
 
     def __init__(self, secret: DecryptionKey, rng: random.Random):
         self._secret = secret
         self._rng = rng
         self.public = secret.public
-        # each large poll's worker, or None once the poll is processed here
-        self._workers: dict[MaciPoll, Optional[_Worker]] = {}
-        self.close = weakref.finalize(self, _stop_workers, self._workers)
+        # each poll whose worker this coordinator started, until released
+        self._forked: set[MaciPoll] = set()
+        self.close = weakref.finalize(self, _release_all, self._forked)
 
     def intake(self, poll: MaciPoll) -> None:
-        """The poll took a ballot: a large poll's worker, started at its
-        first ballot, is sent what it has not seen."""
-        if poll not in self._workers:
-            if len(poll.voters) < MIN_FORKED_COMMANDS:
+        """The poll took a ballot: its replay, if it has one, is sent what it
+        has not seen. A large poll starts its worker at its first ballot."""
+        if poll._replay is None:
+            if len(poll.voters) < MIN_FORKED_COMMANDS or _usable_cores() < 2:
                 return
-            self._workers[poll] = (
-                _start_worker(self._secret, poll) if _usable_cores() > 1 else None
-            )
-        self._exchange(poll, ask=False)
-
-    def _exchange(self, poll: MaciPoll, ask: bool) -> Optional[_Answer]:
-        """Send the poll's worker what it has not seen, and with `ask` return
-        its result; None when the poll has no worker, or when it has died,
-        from which on the poll is processed here."""
-        worker = self._workers.get(poll)
-        if worker is None:
-            return None
-        try:
-            return worker.send(poll, ask)
-        except (OSError, EOFError, ValueError):
-            worker.stop()
-            self._workers[poll] = None
-            return None
-
-    def _fill_memo(self, poll: MaciPoll) -> None:
-        """Fill the poll's memo with its worker's run of the intake so far,
-        unless the memo holds this coordinator's run or no worker runs."""
-        if poll._memo is not None and poll._memo[0] == self._secret:
-            return
-        answer = self._exchange(poll, ask=True)
-        if answer is not None:
-            plaintexts, verdicts, states = answer
-            final_states = tuple(
-                VoterFinalState(key, vote and FinalVote(*vote)) for key, vote in states
-            )
-            run = poll._transcribed(plaintexts, verdicts, final_states)
-            poll._memo = (self._secret, run)
+            poll._replay = _start_worker(self._secret, poll)
+            self._forked.add(poll)
+        poll._replay.send(poll, ask=False)
 
     def proposals(self, poll: MaciPoll) -> list[Proposal]:
         """The counted Phase-1 votes, those that spend the juror's one credit,
         in arrival order, each memo a text hash. The poll may still be open."""
-        self._fill_memo(poll)
         counted = sorted(
             (state.vote.arrival_index, author, state.vote.memo, state.current_key)
             for author, state in enumerate(poll.preview_valid_votes(self._secret))
@@ -561,20 +539,25 @@ class Coordinator:
     def commit(self, poll: MaciPoll) -> tuple[dict[int, int], bytes]:
         """Process the closed poll; its tally and the commitment digest. The
         poll is then released."""
-        self._fill_memo(poll)
         poll.process_messages(self._secret)
         digest = poll.commit_tally(self._rng)
         self.release(poll)
         return poll.tally, digest
 
     def release(self, poll: MaciPoll) -> None:
-        """The poll needs no more processing: stop its worker, if any."""
-        worker = self._workers.pop(poll, None)
-        if worker is not None:
-            worker.stop()
+        """The poll needs no more processing: drop its replay and stop its
+        worker, if any."""
+        self._forked.discard(poll)
+        poll._release()
 
     def publish(self, poll: MaciPoll) -> tuple[dict[int, int], bytes]:
         return poll.publish_tally()  # the tally and the salt that opens it
+
+
+def _release_all(polls: set[MaciPoll]) -> None:
+    for poll in polls:
+        poll._release()
+    polls.clear()
 
 
 def _open(coordinator_secret: DecryptionKey, ct: bytes) -> Optional[bytes]:
@@ -586,9 +569,10 @@ def _open(coordinator_secret: DecryptionKey, ct: bytes) -> Optional[bytes]:
         return None
 
 
-# The replay makes no more voter ranges than one per this many commands, and
-# a poll takes a worker (``Coordinator.intake``) only once it holds this many
-# voters. Measured on a 2-core host whose Ed25519 check took 160 to 190 us:
+# The one threshold for forking: ``replay_ballots`` makes no more voter ranges
+# than one per this many commands, and a poll's replay runs in a worker
+# (``Coordinator.intake``) only once the poll holds this many voters.
+# Measured on a 2-core host whose Ed25519 check took 160 to 190 us:
 # - a fork round trip (fork, pipe, marshal, wait) took about 5.7 ms at 49 MB
 #   RSS, so a range of 200 commands, about 35 ms of checks, pays about a
 #   sixth of the work it moves off this process's core, and a replay of
@@ -693,65 +677,104 @@ def _split(chains: Sequence[Sequence[_Signed]]) -> list[range]:
     return [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
-def _fork(
-    fold: Callable[[range], list[_Reasons]], voters: range
-) -> Optional[tuple[int, int]]:
-    """(pid, pipe read end) of a child that writes ``fold(voters)`` to the
-    pipe with marshal and exits; None when no child could be made."""
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:  # the child: never returns into the caller
-        status = 1
+# this process's ends of every live child's pipes, which each child closes
+# first, so that a worker reads the end of its requests as soon as this
+# process closes them, whatever was forked after it
+_LIVE_PIPES: set[int] = set()
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+class _Child:
+    """A forked child, as this process holds it: the pid, and this
+    process's ends of its two pipes, ``requests`` to write and ``answers``
+    to read. Every child in this module is made by ``fork``."""
+
+    def __init__(self, pid: int, requests: int, answers: int):
+        self.pid = pid
+        self.requests = requests
+        self.answers = open(answers, "rb")
+        _LIVE_PIPES.update((requests, answers))
+
+    @classmethod
+    def fork(cls, body: Callable[[int, int], None]) -> Optional[_Child]:
+        """A child that runs ``body(requests, answers)`` on its ends of two
+        new pipes; None when none could be made. The child first closes
+        every live child's pipe ends, and leaves only through ``os._exit``:
+        0 once ``body`` returns, 1 if it raises."""
+        pipes: list[int] = []
         try:
-            os.close(read_fd)
-            _write_all(write_fd, marshal.dumps(fold(voters)))
-            status = 0
+            pipes.extend(os.pipe())
+            pipes.extend(os.pipe())
+            pid = os.fork()
+        except OSError:
+            for fd in pipes:
+                os.close(fd)
+            return None
+        requests_read, requests, answers, answers_write = pipes
+        if pid == 0:  # the child: never returns into the caller
+            status = 1
+            try:
+                for fd in (requests, answers, *_LIVE_PIPES):
+                    os.close(fd)
+                body(requests_read, answers_write)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(requests_read)
+        os.close(answers_write)
+        return cls(pid, requests, answers)
+
+    def stop(self) -> bool:
+        """Close this process's ends, so a child reading requests reaches
+        their end, and reap the child; whether it exited 0."""
+        _LIVE_PIPES.difference_update((self.requests, self.answers.fileno()))
+        os.close(self.requests)
+        self.answers.close()
+        try:
+            _, status = os.waitpid(self.pid, 0)
+        except ChildProcessError:  # reaped by another wait
+            return False
+        return os.waitstatus_to_exitcode(status) == 0
+
+    def last_answer(self) -> object:
+        """All the child writes, unmarshalled, once it exits; None when it
+        exited non-zero or wrote nothing. The child is stopped."""
+        try:
+            data = self.answers.read()
         finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _collect(pid: int, read_fd: int) -> Optional[list[_Reasons]]:
-    """A child's folded range, or None when it exited non-zero or wrote
-    nothing. A child exits 0 only after writing its whole range."""
-    chunks = []
-    try:
-        while chunk := os.read(read_fd, 1 << 16):
-            chunks.append(chunk)
-    finally:
-        os.close(read_fd)
-        _, status = os.waitpid(pid, 0)
-    if os.waitstatus_to_exitcode(status) != 0 or not chunks:
-        return None
-    return marshal.loads(b"".join(chunks))
+            exited = self.stop()
+        return marshal.loads(data) if exited and data else None
 
 
 def _fold_ranges(
     fold: Callable[[range], list[_Reasons]], ranges: Sequence[range]
 ) -> list[_Reasons]:
     """``fold`` over every range, concatenated in order. The first range is
-    folded here, each other one in a forked child; a range whose child could
-    not be made or failed is folded here too."""
-    children = [(voters, _fork(fold, voters)) for voters in ranges[1:]]
+    folded here, each other one by a child asked once: it writes its fold
+    and exits. A range whose child could not be made or failed is folded
+    here too."""
+
+    def write_fold(voters: range, requests: int, answers: int) -> None:
+        _write_all(answers, marshal.dumps(fold(voters)))
+
+    children: list[tuple[range, Optional[_Child]]] = []
     try:
+        for voters in ranges[1:]:
+            children.append((voters, _Child.fork(partial(write_fold, voters))))
         folded = fold(ranges[0])
         while children:
             voters, child = children.pop(0)
-            result = None if child is None else _collect(*child)
+            result = None if child is None else child.last_answer()
             folded.extend(fold(voters) if result is None else result)
     finally:
         for _, child in children:  # left by an exception: reap them
             if child is not None:
-                _collect(*child)
+                child.stop()
     return folded
 
 
@@ -837,7 +860,9 @@ def replay_ballots(
     initial_voters: Sequence[tuple[bytes, int]],
     plaintexts: Sequence[Optional[bytes]],
 ) -> tuple[list[tuple[bool, Optional[str]]], tuple[VoterFinalState, ...]]:
-    """The ballot-replay rule, run by processing and by the audit alike.
+    """The ballot-replay rule over a whole intake. The audit runs its steps
+    (``verify_audit``), and a poll's processing (``_Replay``) gives its
+    result over the intake so far.
 
     Each plaintext is judged against its voter's key as it stands at that
     arrival; each valid command becomes its voter's vote and sets the
@@ -878,7 +903,7 @@ def _aggregate(votes: Iterable[tuple[Sequence[int], Sequence[int]]]) -> dict[int
     return tally
 
 
-# ---- the coordinator's worker: a large poll processed as it arrives ----------------
+# ---- a poll's replay: processed as it arrives, here or in its worker -------------
 
 
 # above every voter index a command can hold, so only a negative index is
@@ -909,7 +934,8 @@ class _Replay:
         self._keys.append(public_key(key))
         self._voters.append((key, credits))
         self._chains.append([])
-        self._fold(voter, self._waiting.pop(voter, []))
+        if voter in self._waiting:
+            self._fold(voter, self._waiting.pop(voter))
 
     def add(self, plaintext: Optional[bytes]) -> None:
         arrival = len(self._plaintexts)
@@ -947,107 +973,73 @@ class _Replay:
         return self._plaintexts, verdicts, plain
 
 
-# what a worker answers: ``_Replay.result``
+# what a replay answers: ``_Replay.result``
 _Answer = tuple[list, list, list]
 
-# the coordinator's ends of every live worker's pipes, which a worker forked
-# later closes, so that each worker reads the end of its requests when its
-# coordinator closes them
-_WORKER_PIPES: set[int] = set()
 
+class _Driver:
+    """A poll's one ``_Replay``, run here or in the poll's worker (a child
+    of ``_start_worker``), and how many of the poll's voters and messages it
+    was sent. A worker that fails to answer is stopped, and the replay
+    continues here, from the start."""
 
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _serve(
-    secret: DecryptionKey, cost_rule: str, options: int, requests: int, answers: int
-) -> None:
-    """A worker's loop: each request is (new voters, new ciphertexts, ask).
-    The voters, then each ciphertext, opened, go into the replay; a request
-    that asks is answered with the result so far. Returns at the end of the
-    requests."""
-    replay = _Replay(cost_rule, options)
-    with open(requests, "rb") as stream:
-        while True:
-            try:
-                voters, ciphertexts, ask = marshal.load(stream)
-            except EOFError:
-                return
-            for key, credits in voters:
-                replay.add_voter(key, credits)
-            for ciphertext in ciphertexts:
-                replay.add(_open(secret, ciphertext))
-            if ask:
-                _write_all(answers, marshal.dumps(replay.result()))
-
-
-class _Worker:
-    """A poll's worker, as its coordinator holds it: the pid, the ends of
-    the two pipes, and how many of the poll's voters and messages it was
-    sent."""
-
-    def __init__(self, pid: int, requests: int, answers: int):
-        self.pid = pid
-        self.requests = requests
-        self.answers = open(answers, "rb")
+    def __init__(self, secret: DecryptionKey, poll: MaciPoll):
+        self.secret = secret
+        # in a worker, the child's copy of it runs
+        self.replay = _Replay(poll.cost_rule, poll.options)
+        self.child: Optional[_Child] = None  # the worker, while the replay runs there
         self.voters = self.messages = 0
-        _WORKER_PIPES.update((requests, answers))
 
     def send(self, poll: MaciPoll, ask: bool) -> Optional[_Answer]:
-        voters = poll.voters[self.voters:]
-        ciphertexts = [message.ciphertext for message in poll.messages[self.messages:]]
-        _write_all(self.requests, marshal.dumps((voters, ciphertexts, ask)))
+        """Send the replay the poll's voters and messages it has not seen;
+        with `ask`, return its result so far."""
+        messages = poll.messages[self.messages:]
+        request = (poll.voters[self.voters:], [m.ciphertext for m in messages], ask)
         self.voters, self.messages = len(poll.voters), len(poll.messages)
-        return marshal.load(self.answers) if ask else None
+        if self.child is None:
+            return self.take(*request)
+        try:
+            _write_all(self.child.requests, marshal.dumps(request))
+            return marshal.load(self.child.answers) if ask else None
+        except (OSError, EOFError, ValueError):
+            self.stop()
+            self.voters = self.messages = 0
+            return self.send(poll, ask)
+
+    def take(self, voters: list, ciphertexts: list, ask: bool) -> Optional[_Answer]:
+        """Add the voters, then each ciphertext, opened, to the replay; with
+        `ask`, its result so far."""
+        for key, credits in voters:
+            self.replay.add_voter(key, credits)
+        for ciphertext in ciphertexts:
+            self.replay.add(_open(self.secret, ciphertext))
+        return self.replay.result() if ask else None
+
+    def serve(self, requests: int, answers: int) -> None:
+        """A worker's loop: each request goes to ``take``, and a request
+        that asks is answered. Returns at the end of the requests."""
+        with open(requests, "rb") as stream:
+            while True:
+                try:
+                    answer = self.take(*marshal.load(stream))
+                except EOFError:
+                    return
+                if answer is not None:
+                    _write_all(answers, marshal.dumps(answer))
 
     def stop(self) -> None:
-        """Close both pipes, so the worker returns at the end of its
-        requests (or fails to answer), and reap it."""
-        _WORKER_PIPES.difference_update((self.requests, self.answers.fileno()))
-        os.close(self.requests)
-        self.answers.close()
-        try:
-            os.waitpid(self.pid, 0)
-        except ChildProcessError:  # reaped by another wait
-            pass
+        """Stop the worker, if the replay runs in one."""
+        if self.child is not None:
+            self.child.stop()
+            self.child = None
 
 
-def _start_worker(secret: DecryptionKey, poll: MaciPoll) -> Optional[_Worker]:
-    """A worker for `poll`, sent nothing yet; None when none could be made.
-    The child serves requests until they end and never returns into the
-    caller."""
-    pipes: list[int] = []
-    try:
-        pipes.extend(os.pipe())
-        pipes.extend(os.pipe())
-        pid = os.fork()
-    except OSError:
-        for fd in pipes:
-            os.close(fd)
-        return None
-    requests_read, requests, answers, answers_write = pipes
-    if pid == 0:
-        status = 1
-        try:
-            for fd in (requests, answers, *_WORKER_PIPES):
-                os.close(fd)
-            _serve(secret, poll.cost_rule, poll.options, requests_read, answers_write)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(requests_read)
-    os.close(answers_write)
-    return _Worker(pid, requests, answers)
-
-
-def _stop_workers(workers: dict[MaciPoll, Optional[_Worker]]) -> None:
-    for worker in workers.values():
-        if worker is not None:
-            worker.stop()
-    workers.clear()
+def _start_worker(secret: DecryptionKey, poll: MaciPoll) -> _Driver:
+    """A driver for `poll`, sent nothing yet, whose replay runs in a new
+    worker; here when none could be made."""
+    driver = _Driver(secret, poll)
+    driver.child = _Child.fork(driver.serve)
+    return driver
 
 
 # ---- transparent audit -------------------------------------------------------

@@ -301,9 +301,9 @@ def drop_a_world_with_an_open_large_poll() -> int:
         world.enroll_judge(d, human, now=10)
     for human in names[:20]:
         world.phase1_vote(d, human, "alice", "a ruling", now=100)
-    workers = [w for w in world.engine.coordinator._workers.values() if w is not None]
+    workers = len(world.engine.coordinator._forked)
     del world
-    return len(workers)
+    return workers
 
 
 @pytest.mark.parametrize("case", ["jury", "malformed", "unwritable-out", "dropped-world"])
@@ -356,32 +356,32 @@ def test_a_failed_worker_gives_the_same_report(
     tmp_path, monkeypatch, forked_jury, failure
 ) -> None:
     """A worker killed halfway through the ballots, or one that cannot be
-    forked: the Phase-1 poll is processed here at its close, and the report
-    is byte for byte the one of a run with one usable core, where no worker
-    starts."""
+    forked: the Phase-1 poll's replay continues here from the start, and the
+    report is byte for byte the one of a run with one usable core, where no
+    worker starts."""
     path = write_json(tmp_path / "s.json", forked_jury)
     monkeypatch.setattr(maci, "_usable_cores", lambda: 1)
     assert main(["run", path, "--out", str(tmp_path / "here.json")]) == EXIT_OK
 
     monkeypatch.setattr(maci, "_usable_cores", lambda: 2)
-    sends, runs = [], []
-    send, run = maci._Worker.send, maci.MaciPoll._run
+    sends, opened = [], []
+    send, real_open = maci._Driver.send, maci._open
 
-    def send_then_kill(worker, poll, ask):
+    def send_then_kill(driver, poll, ask):
         sends.append(1)
         if len(sends) == maci.MIN_FORKED_COMMANDS // 2:
-            os.kill(worker.pid, signal.SIGKILL)
-        return send(worker, poll, ask)
+            os.kill(driver.child.pid, signal.SIGKILL)
+        return send(driver, poll, ask)
 
     if failure == "fork fails":
         monkeypatch.setattr(os, "fork", _no_process)
     else:
-        monkeypatch.setattr(maci._Worker, "send", send_then_kill)
-    monkeypatch.setattr(
-        maci.MaciPoll, "_run", lambda poll, key: runs.append(poll.poll_id) or run(poll, key)
-    )
+        monkeypatch.setattr(maci._Driver, "send", send_then_kill)
+    monkeypatch.setattr(maci, "_open", lambda key, ct: opened.append(1) or real_open(key, ct))
     assert main(["run", path, "--out", str(tmp_path / "failed.json")]) == EXIT_OK
-    assert runs == [0, 1]  # both polls processed here
+    report = json.loads((tmp_path / "failed.json").read_text())
+    ballots = sum(kind == "ballot" for _, kind, _ in report["view"])
+    assert len(opened) == ballots  # both polls' ballots, each opened here once
     assert (tmp_path / "failed.json").read_bytes() == (tmp_path / "here.json").read_bytes()
     assert_no_child_process()
 

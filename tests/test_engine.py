@@ -523,12 +523,25 @@ def test_phase1_scores_are_the_published_tally(probe) -> None:
     assert dispute.proposals[-1].text_hash == (memos[3] if verdict else memo)
 
 
+def count_calls(monkeypatch, counts: Counter, owner, *names) -> None:
+    """Count each call of the named attributes of `owner` made in this
+    process into `counts`, by name."""
+    for name in names:
+        real = getattr(owner, name)
+
+        def spy(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+
+
 @pytest.mark.parametrize("ballots", [8, 60, 240])
 def test_a_phase1_close_opens_each_ballot_once(monkeypatch, ballots) -> None:
     """Exact counts of one tallying close through the engine, at three poll
     sizes (ROADMAP item 10): one key agreement and one decryption per
-    ballot, in the one run of the intake that the quorum preview and the
-    processing share."""
+    ballot, in the one run of the poll's replay that the quorum preview and
+    the processing share."""
     court = Court(seed=ballots)
     dispute = court.open()
     enrolled = [court.enroll(dispute.dispute_id, judge) for judge in court.judges[:3]]
@@ -538,19 +551,35 @@ def test_a_phase1_close_opens_each_ballot_once(monkeypatch, ballots) -> None:
             dispute.dispute_id, index, key, n % 2, memo=proposal_hash(f"p{n}")
         )
     counts = Counter()
-
-    def counted(name, real):
-        def spy(*args):
-            counts[name] += 1
-            return real(*args)
-
-        return spy
-
-    monkeypatch.setattr(maci, "key_agree", counted("key_agree", maci.key_agree))
-    monkeypatch.setattr(maci, "decrypt", counted("decrypt", maci.decrypt))
-    monkeypatch.setattr(MaciPoll, "_run", counted("_run", MaciPoll._run))
+    count_calls(monkeypatch, counts, maci, "key_agree", "decrypt")
+    count_calls(monkeypatch, counts, maci._Replay, "result")
     assert court.engine.close_phase1(dispute.dispute_id, now=CFG.t2) == "tallied"
-    assert counts == {"key_agree": ballots, "decrypt": ballots, "_run": 1}
+    assert counts == {"key_agree": ballots, "decrypt": ballots, "result": 1}
+
+
+def test_an_extended_poll_opens_each_ballot_once(monkeypatch) -> None:
+    """A Phase-1 poll misses quorum at t2, is extended, takes more ballots
+    and then tallies: its replay is sent only the ballots it has not seen,
+    so this process makes one key agreement and one decryption per ballot
+    the poll took, not one more for each close."""
+    court = Court(seed=6)
+    dispute = court.open()
+    enrolled = [court.enroll(dispute.dispute_id, judge) for judge in court.judges[:3]]
+    counts = Counter()
+    count_calls(monkeypatch, counts, maci, "key_agree", "decrypt")
+    first, *later = enrolled
+    court.phase1_vote(dispute.dispute_id, *first, 0, memo=proposal_hash("p0"))
+    assert court.engine.close_phase1(dispute.dispute_id, now=CFG.t2) == "extended"
+    for n, (index, key) in enumerate(later, 1):
+        court.phase1_vote(
+            dispute.dispute_id, index, key, n % 2, memo=proposal_hash(f"p{n}"),
+            now=CFG.t2 + n,
+        )
+    outcome = court.engine.close_phase1(dispute.dispute_id, now=CFG.t2 + CFG.span)
+    assert outcome == "tallied"
+    ballots = len(dispute.phase1_poll.messages)
+    assert ballots == 3
+    assert counts == {"key_agree": ballots, "decrypt": ballots}
 
 
 def test_a_large_poll_is_opened_and_checked_in_its_worker(monkeypatch) -> None:
@@ -564,16 +593,7 @@ def test_a_large_poll_is_opened_and_checked_in_its_worker(monkeypatch) -> None:
     dispute = court.open()
     enrolled = [court.enroll(dispute.dispute_id, judge) for judge in court.judges]
     counts = Counter()
-
-    def counted(name, real):
-        def spy(*args):
-            counts[name] += 1
-            return real(*args)
-
-        return spy
-
-    for name in ("key_agree", "decrypt", "verify_sig"):
-        monkeypatch.setattr(maci, name, counted(name, getattr(maci, name)))
+    count_calls(monkeypatch, counts, maci, "key_agree", "decrypt", "verify_sig")
     for n, (index, key) in enumerate(enrolled):
         court.phase1_vote(
             dispute.dispute_id, index, key, n % 2, memo=proposal_hash(f"p{n}")
@@ -581,10 +601,12 @@ def test_a_large_poll_is_opened_and_checked_in_its_worker(monkeypatch) -> None:
     assert court.engine.close_phase1(dispute.dispute_id, now=CFG.t2) == "tallied"
     assert counts == {}
     poll = dispute.phase1_poll
-    assert poll not in court.engine.coordinator._workers  # reaped at the commit
+    assert poll not in court.engine.coordinator._forked  # reaped at the commit
+    assert poll._replay is None
     monkeypatch.undo()
     processed = poll.process_messages(court.coordinator)
-    assert processed._replace(salt=b"") == poll._run(court.coordinator).transcript
+    here = maci._Driver(court.coordinator, poll).send(poll, ask=True)
+    assert processed._replace(salt=b"") == poll._transcribed(here).transcript
 
 
 def test_an_aborted_large_poll_releases_its_worker(monkeypatch) -> None:
@@ -598,12 +620,13 @@ def test_an_aborted_large_poll_releases_its_worker(monkeypatch) -> None:
     enrolled = [court.enroll(dispute.dispute_id, judge) for judge in court.judges]
     for index, key in enrolled[:10]:
         court.phase1_vote(dispute.dispute_id, index, key, 0, memo=proposal_hash("p"))
-    (worker,) = court.engine.coordinator._workers.values()
+    poll = dispute.phase1_poll
+    worker = poll._replay.child.pid
     assert court.engine.close_phase1(dispute.dispute_id, now=200) == "extended"
     assert court.engine.close_phase1(dispute.dispute_id, now=300) == "aborted"
-    assert court.engine.coordinator._workers == {}
+    assert court.engine.coordinator._forked == set() and poll._replay is None
     with pytest.raises(ChildProcessError):
-        os.waitpid(worker.pid, os.WNOHANG)
+        os.waitpid(worker, os.WNOHANG)
 
 
 # ---- phase 2 -------------------------------------------------------------------

@@ -765,6 +765,48 @@ def test_no_fork_while_another_thread_runs(monkeypatch, split_replay) -> None:
     assert forks == []
 
 
+def _is_open(fd: int) -> bool:
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
+
+
+def test_a_range_fold_child_holds_no_worker_pipe(
+    monkeypatch, split_replay, tmp_path
+) -> None:
+    """A replay forks its range folds while a poll's worker runs: each fold
+    child closes its copies of the worker's pipe ends before it folds, as a
+    worker does, so the worker reads the end of its requests whenever the
+    coordinator stops it."""
+    inputs, expected = split_replay
+    monkeypatch.setattr(maci, "_usable_cores", lambda: 2)
+    rng = random.Random(9)
+    poll, secret, voters = make_poll(rng)
+    coord = maci.Coordinator(secret, rng)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maci, "MIN_FORKED_COMMANDS", 1)
+        cast(poll, rng, voters[0], 0, {0: 1})
+        coord.intake(poll)
+    worker = poll._replay.child
+    ends = (worker.requests, worker.answers.fileno())
+    parent, held = os.getpid(), tmp_path / "held"
+    fold_voter = maci._fold_voter
+
+    def fold_noting_open_ends(*args):
+        if os.getpid() != parent and not held.exists():
+            held.write_text(repr([fd for fd in ends if _is_open(fd)]))
+        return fold_voter(*args)
+
+    monkeypatch.setattr(maci, "_fold_voter", fold_noting_open_ends)
+    forks = fork_spy(monkeypatch)
+    assert as_naive(*replay_ballots(*inputs)) == expected
+    assert forks and held.read_text() == "[]"
+    poll.close(100)
+    assert coord.commit(poll)[0] == {0: 1}
+
+
 # ---- a large poll processed as it arrives ---------------------------------------------
 
 
@@ -842,14 +884,15 @@ _WORKER_MOVES = [*_MOVES, "negative_index", "cut", "preview"]
 def test_a_poll_worker_answers_the_replay_of_the_intake_so_far(
     seed, cost_rule, options, credits, moves
 ) -> None:
-    """Every poll takes a worker here (`MIN_FORKED_COMMANDS` set to 1, two
-    usable cores), sent each ballot as the engine sends it. Each preview
-    (which then extends the deadline, so more ballots follow) and the
-    processing read the run the worker streamed; it must equal the opening
-    and `replay_ballots` of the intake so far, here, over random intakes:
-    late voters, rotations, stale and stranger signers, garbage, cut and
-    truncated envelopes, negative and unknown indexes. The worker is reaped
-    when the poll commits."""
+    """Every poll takes a worker at its first ballot here
+    (`MIN_FORKED_COMMANDS` set to 1, two usable cores), sent each ballot as
+    the engine sends it; a poll previewed before its first ballot replays
+    here instead. Each preview (which then extends the deadline, so more
+    ballots follow) and the processing read the run the replay streamed; it
+    must equal the opening and `replay_ballots` of the intake so far, here,
+    over random intakes: late voters, rotations, stale and stranger signers,
+    garbage, cut and truncated envelopes, negative and unknown indexes. The
+    worker is reaped when the poll commits."""
     rng = random.Random(seed)
     coordinator, stranger = DecryptionKey.generate(rng), DecryptionKey.generate(rng)
     coord = maci.Coordinator(coordinator, random.Random(seed))
@@ -872,18 +915,21 @@ def test_a_poll_worker_answers_the_replay_of_the_intake_so_far(
         )
 
     def read(step) -> None:
-        """`step` reads the worker's run, where a worker runs, not a run here."""
-        ran, worked = len(runs), poll in coord._workers
+        """`step` reads the worker's run, where a worker runs: this process
+        feeds no replay."""
+        ran, worked = len(runs), poll in coord._forked
         step(poll)
         assert worker_run() == replayed_here()
         assert len(runs) == ran or not worked
 
     now, pids, runs = 0, set(), []
-    real_run = MaciPoll._run
+    real_take = maci._Driver.take
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(maci, "MIN_FORKED_COMMANDS", 1)
         patch.setattr(maci, "_usable_cores", lambda: 2)
-        patch.setattr(MaciPoll, "_run", lambda *args: runs.append(1) or real_run(*args))
+        patch.setattr(
+            maci._Driver, "take", lambda *args: runs.append(1) or real_take(*args)
+        )
         for move in moves:
             if move[0] == "preview":
                 read(coord.proposals)
@@ -894,11 +940,12 @@ def test_a_poll_worker_answers_the_replay_of_the_intake_so_far(
             if ct is not None:
                 poll.submit_message(ct, now)
                 coord.intake(poll)
-                pids.add(coord._workers[poll].pid)
+                if poll._replay.child is not None:
+                    pids.add(poll._replay.child.pid)
         poll.close(poll.deadline)
         read(coord.commit)
     assert len(pids) <= 1
-    assert coord._workers == {}
+    assert coord._forked == set() and poll._replay is None
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
@@ -924,7 +971,7 @@ def test_a_worker_stops_while_a_later_one_runs(monkeypatch) -> None:
     for poll, n in ((first, 0), (second, 1), (first, 2)):
         cast(poll, rng, voters[n], n, {n: 1})
         coord.intake(poll)
-    later = coord._workers[second].pid
+    later = second._replay.child.pid
     previous = signal.signal(signal.SIGALRM, _hung)
     signal.alarm(10)
     try:
@@ -933,11 +980,11 @@ def test_a_worker_stops_while_a_later_one_runs(monkeypatch) -> None:
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert list(coord._workers) == [second]
+    assert coord._forked == {second}
     os.kill(later, 0)  # still running
     second.close(100)
     assert coord.commit(second)[0] == {1: 1}
-    assert coord._workers == {}
+    assert coord._forked == set()
 
 
 # ---- the quorum preview and processing ----------------------------------------------
@@ -989,9 +1036,11 @@ def test_a_preview_alone_is_not_processing(rng) -> None:
 
 
 def test_an_unchanged_intake_is_opened_once(monkeypatch, rng) -> None:
-    """The preview and processing read one memoised run per intake and
-    coordinator key: a poll that closes twice with no intake in between is
-    opened once. Any intake, or another key, opens every message again."""
+    """The poll's one replay is sent only what it has not seen: a preview
+    and the processing of an unchanged intake open nothing again, and an
+    intake after a preview opens only what is new. Another key's preview is
+    a replay of its own, which opens every message and leaves the
+    coordinator's replay as it was."""
     poll, coordinator, voters = make_poll(rng)
     cast(poll, rng, voters[0], 0, {0: 1})
     cast(poll, rng, voters[1], 1, {1: 1}, now=1)
@@ -1010,20 +1059,20 @@ def test_an_unchanged_intake_is_opened_once(monkeypatch, rng) -> None:
     assert all(state.vote is None for state in poll.preview_valid_votes(stranger))
     assert opened[2:] == [stranger, stranger]
     assert poll.preview_valid_votes(coordinator) == first
-    assert len(opened) == 6
+    assert len(opened) == 4
 
     poll.register_voter(KeyPair.generate(rng).public, 1)
     poll.preview_valid_votes(coordinator)
-    assert len(opened) == 8
+    assert len(opened) == 4
     cast(poll, rng, voters[2], 2, {2: 1}, now=2)
     previewed = poll.preview_valid_votes(coordinator)
-    assert len(opened) == 11
+    assert opened[4:] == [coordinator]
 
     poll.close(100)
     transcript = poll.process_messages(coordinator)
     assert poll.preview_valid_votes(coordinator) == previewed
     assert poll.process_messages(coordinator) is transcript
-    assert len(opened) == 11
+    assert len(opened) == 5
 
 
 def test_the_published_salt_is_the_transcripts(rng) -> None:
