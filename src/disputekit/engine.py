@@ -24,8 +24,8 @@ Each voting phase is one MACI poll, and both take the same path: intake
 (a ``ballot`` event per message), then close, process and commit
 (``tally_commitment``), then publish tally and salt (``tally_published``) —
 Phase 1's when Phase 2 starts, Phase 2's when it closes. Phase deadlines
-live on the polls alone. Which ballots count is the poll's rule alone
-(``maci.replay_ballots``): a Phase-1 poll's options are the parties, a
+live on the polls alone. Which ballots count is the poll's rule alone (the
+ballot-replay rule, ``maci``): a Phase-1 poll's options are the parties, a
 Phase-2 poll's the proposals, and each phase applies exactly the tally its
 poll commits to. A juror whose last valid vote spends their one credit is
 counted toward quorum and proposes that vote's memo.

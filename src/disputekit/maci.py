@@ -24,31 +24,45 @@ command inside does, and ``decode_signed_command`` alone holds its wire rule.
 
 Processing is "decrypt, then the auditor's replay": open each message with
 one key agreement against its own point and one decryption, so processing is
-linear in the messages; then replay it under the rules ``replay_ballots``
-defines. A message that does not open (a short, malformed or low-order
-point, a short nonce, a failed tag) is an AuthFailure.
+linear in the messages; then replay it under the ballot-replay rule. A
+message that does not open (a short, malformed or low-order point, a short
+nonce, a failed tag) is an AuthFailure.
 
-As in MACI, a voter's state changes only through that voter's own commands,
-so the replay is one stateless step per plaintext in arrival order
-(undecryptable, undecodable, unknown voter), then one fold per voter over
-that voter's commands (signature against the key as it stands, option,
-amount, budget). ``replay_ballots`` runs it over a whole intake, as the
-audit does; the folds are independent, so a replay of many commands splits
+The rule judges each plaintext against its voter's key as it stands at that
+arrival; each valid command becomes its voter's vote and sets the voter's
+key. As in MACI, a voter's state changes only through that voter's own
+commands, so the rule is two steps:
+
+1. one stateless step per plaintext, in arrival order
+   (``_stateless_verdict``): a plaintext that did not open is an
+   AuthFailure, one that is not one canonical command a DecodeError, and one
+   whose index names no voter an UnknownVoter;
+2. one fold per voter over that voter's surviving commands (``_fold_voter``):
+   the signature against the key as it stands, then an option outside
+   ``0 .. options-1`` (BadOption), then amounts the cost rule forbids
+   (BadAmount), then the budget (OverBudget).
+
+Each voter's final state is then read off the verdicts (``_final_states``).
+One driver runs the rule for processing and the audit alike: ``_Replay``,
+which takes voters and plaintexts in any interleaving and folds what it has
+not folded when asked. Nothing in the rule crosses voters (keys and votes
+are per voter, and credits never change), so a fold of many commands splits
 its voters into contiguous ranges of about equal command counts, one per
 usable core, and folds each range after the first in a forked child.
 
 Nothing in the replay waits for the deadline, so a poll is processed by one
-replay that grows with its intake (``_Replay``), as MACI's coordinator reads
-the contract's message log. It is sent only the voters and ciphertexts it
-has not seen, so each ballot is opened and checked once per coordinator key
-however often the poll closes. When a poll of MIN_FORKED_COMMANDS or more
-voters takes a ballot, its replay runs in the poll's worker: a forked copy
-of the coordinator, with the same key, so no one new is trusted. Any other
-poll's replay runs here from its first preview, since each close would wait
-on a round trip to a worker that sleeps between ballots. No worker starts
-while another thread runs or with one usable core; a worker that cannot
-start or fails to answer is stopped, and the replay continues here from the
-start. One helper (``_Child``) forks every child, worker or range fold.
+replay that grows with its intake, as MACI's coordinator reads the
+contract's message log. It is sent only the voters and ciphertexts it has
+not seen, and folds them as they come, so each ballot is opened and checked
+once per coordinator key however often the poll closes. When a poll of
+MIN_FORKED_COMMANDS or more voters takes a ballot, its replay runs in the
+poll's worker: a forked copy of the coordinator, with the same key, so no
+one new is trusted. Any other poll's replay runs here from its first
+preview, since each close would wait on a round trip to a worker that
+sleeps between ballots. No worker starts while another thread runs or with
+one usable core; a worker that cannot start or fails to answer is stopped,
+and the replay continues here from the start. One helper (``_Child``) forks
+every child, worker or range fold.
 
 Every poll record is positional, as a leaf is in MACI's state and message
 trees: voter *i* is ``voters[i]``, and message *j* is ``messages[j]``. No
@@ -569,14 +583,15 @@ def _open(coordinator_secret: DecryptionKey, ct: bytes) -> Optional[bytes]:
         return None
 
 
-# The one threshold for forking: ``replay_ballots`` makes no more voter ranges
-# than one per this many commands, and a poll's replay runs in a worker
-# (``Coordinator.intake``) only once the poll holds this many voters.
+# The one threshold for forking: a replay's fold (``_split``) makes no more
+# voter ranges than one per this many commands it folds, and a poll's replay
+# runs in a worker (``Coordinator.intake``) only once the poll holds this
+# many voters.
 # Measured on a 2-core host whose Ed25519 check took 160 to 190 us:
 # - a fork round trip (fork, pipe, marshal, wait) took about 5.7 ms at 49 MB
 #   RSS, so a range of 200 commands, about 35 ms of checks, pays about a
-#   sixth of the work it moves off this process's core, and a replay of
-#   fewer than 400 commands to fold forks nothing;
+#   sixth of the work it moves off this process's core, and a fold of
+#   fewer than 400 commands forks nothing;
 # - a worker took about 2.5 ms to fork at a `jury` run's 32 MB and takes
 #   about 1 ms at the close to hand its run over, and it moves about 0.35 ms
 #   a ballot (one opening, one signature check) off this process: `jury`'s
@@ -721,6 +736,7 @@ class _Child:
             try:
                 for fd in (requests, answers, *_LIVE_PIPES):
                     os.close(fd)
+                _LIVE_PIPES.clear()  # so a child of this child closes only its own
                 body(requests_read, answers_write)
                 status = 0
             finally:
@@ -751,9 +767,7 @@ class _Child:
         return marshal.loads(data) if exited and data else None
 
 
-def _fold_ranges(
-    fold: Callable[[range], list[_Reasons]], ranges: Sequence[range]
-) -> list[_Reasons]:
+def _fold_ranges(fold: Callable[[range], list], ranges: Sequence[range]) -> list:
     """``fold`` over every range, concatenated in order. The first range is
     folded here, each other one by a child asked once: it writes its fold
     and exits. A range whose child could not be made or failed is folded
@@ -776,46 +790,6 @@ def _fold_ranges(
             if child is not None:
                 child.stop()
     return folded
-
-
-def _stateless_pass(
-    plaintexts: Sequence[Optional[bytes]], voter_count: int
-) -> tuple[list[Optional[str]], list[list[_Signed]]]:
-    """Step 1 of the replay, in arrival order: each plaintext's stateless
-    reason (``_stateless_verdict``), None for a command that survives, and
-    the surviving commands grouped by voter, each voter's in arrival order."""
-    reasons: list[Optional[str]] = []
-    chains: list[list[_Signed]] = [[] for _ in range(voter_count)]
-    for arrival, plaintext in enumerate(plaintexts):
-        reason, signed = _stateless_verdict(plaintext, voter_count)
-        reasons.append(reason)
-        if signed is not None:
-            chains[signed[0].voter_registration_index].append((arrival, *signed))
-    return reasons, chains
-
-
-def _fold_voters(
-    cost_rule: str,
-    options: int,
-    initial_voters: Sequence[tuple[bytes, int]],
-    stateless: Sequence[Optional[str]],
-    chains: Sequence[Sequence[_Signed]],
-) -> list[tuple[bool, Optional[str]]]:
-    """Step 2 of the replay: ``_fold_voter`` over each voter's chain, the
-    voters split into ranges as ``_split`` says, each range after the first
-    folded in a forked child. Returns each plaintext's (valid, reason), its
-    stateless reason where it has one."""
-    cost = COST_RULES[cost_rule]
-    registered = [(public_key(key), credits) for key, credits in initial_voters]
-
-    def fold(voters: range) -> list[_Reasons]:
-        return [_fold_voter(*registered[i], chains[i], options, cost)[0] for i in voters]
-
-    verdicts = [(False, reason) for reason in stateless]
-    for chain, reasons in zip(chains, _fold_ranges(fold, _split(chains))):
-        for (arrival, _, _, _), reason in zip(chain, reasons):
-            verdicts[arrival] = (reason is None, reason)
-    return verdicts
 
 
 def _last_valid(
@@ -854,46 +828,6 @@ def _final_states(
     return tuple(states)
 
 
-def replay_ballots(
-    cost_rule: str,
-    options: int,
-    initial_voters: Sequence[tuple[bytes, int]],
-    plaintexts: Sequence[Optional[bytes]],
-) -> tuple[list[tuple[bool, Optional[str]]], tuple[VoterFinalState, ...]]:
-    """The ballot-replay rule over a whole intake. The audit runs its steps
-    (``verify_audit``), and a poll's processing (``_Replay``) gives its
-    result over the intake so far.
-
-    Each plaintext is judged against its voter's key as it stands at that
-    arrival; each valid command becomes its voter's vote and sets the
-    voter's key. The replay runs in three steps:
-
-    1. ``_stateless_pass``, in arrival order: a ``None`` plaintext
-       (undecryptable) is an AuthFailure; a plaintext that is not one
-       canonical command is a DecodeError; an index outside the voters is an
-       UnknownVoter. The rest are grouped by voter;
-    2. ``_fold_voters``, one fold per voter (``_fold_voter``): signature,
-       then an option outside ``0 .. options-1`` (BadOption), then amounts
-       the cost rule forbids (BadAmount), then the budget (OverBudget);
-    3. ``_final_states`` reads each voter's final state off the verdicts.
-
-    Nothing in the rule crosses voters (keys and votes are per voter, and
-    credits never change), so the folds are independent. The voters are
-    split into contiguous ranges of about equal command counts, one per
-    usable core but no more than one per MIN_FORKED_COMMANDS commands; each
-    range after the first is folded in a forked child. One range is the
-    same fold, run here.
-
-    Voter *i* is ``initial_voters[i]``, as (key, credits); a key that is
-    not 32 bytes raises InvalidKey. Returns each plaintext's (valid, reason)
-    and the final voter states, in the same orders as the plaintexts and
-    voters.
-    """
-    stateless, chains = _stateless_pass(plaintexts, len(initial_voters))
-    verdicts = _fold_voters(cost_rule, options, initial_voters, stateless, chains)
-    return verdicts, _final_states(initial_voters, chains, verdicts)
-
-
 def _aggregate(votes: Iterable[tuple[Sequence[int], Sequence[int]]]) -> dict[int, int]:
     """The tally of the counted votes, each as (options, amounts)."""
     tally: dict[int, int] = {}
@@ -912,65 +846,87 @@ _ANY_VOTER = 1 << 63
 
 
 class _Replay:
-    """``replay_ballots`` over an intake that grows. Each plaintext takes
-    the stateless step as it is added, and each command that survives is
-    folded (``_fold_voter``) from the key where its voter's fold stopped. A
-    command naming a voter not yet registered waits for that voter. At any
-    point ``result`` is ``replay_ballots`` over what was added, in plain
-    values."""
+    """The ballot-replay rule over an intake that may grow, as voters and
+    plaintexts are added in any interleaving.
+
+    ``add`` takes a plaintext's stateless step (``_stateless_verdict``) and
+    appends a command that survives it to its voter's chain, or, while that
+    voter is not registered, to the commands waiting for it, which read
+    UnknownVoter until a fold after the voter registers. ``fold`` first
+    checks the key of every voter added since it last ran, then folds each
+    voter's commands not yet folded (``_fold_voter``) from the key where
+    that voter's last fold stopped, so it costs what it folds: the voters
+    are split as ``_split`` says, and the ranges folded by ``_fold_ranges``.
+    ``verdicts`` holds each plaintext's (valid, reason), None for any other
+    command not yet folded."""
 
     def __init__(self, cost_rule: str, options: int):
-        self._cost = COST_RULES[cost_rule]
+        # None for a rule no poll takes, which the audit refuses before a fold
+        self._cost = COST_RULES.get(cost_rule)
         self._options = options
-        self._voters: list[tuple[bytes, int]] = []
-        self._keys: list[bytes] = []  # where each voter's fold stopped
-        self._chains: list[list[_Signed]] = []
+        self.voters: list[tuple[bytes, int]] = []  # voter i, as (key, credits)
+        self.chains: list[list[_Signed]] = []  # each voter's commands, in arrival order
+        self.plaintexts: list[Optional[bytes]] = []
+        self.verdicts: list[Optional[tuple[bool, Optional[str]]]] = []
+        self._keys: list[bytes] = []  # where each checked voter's fold stopped
+        self._unfolded: dict[int, int] = {}  # voter: its first command not folded
         self._waiting: dict[int, list[_Signed]] = {}  # by the voter they name
-        self._plaintexts: list[Optional[bytes]] = []
-        self._verdicts: list[Optional[tuple[bool, Optional[str]]]] = []  # None: waiting
 
     def add_voter(self, key: bytes, credits: int) -> None:
-        voter = len(self._voters)
-        self._keys.append(public_key(key))
-        self._voters.append((key, credits))
-        self._chains.append([])
-        if voter in self._waiting:
-            self._fold(voter, self._waiting.pop(voter))
+        voter = len(self.voters)
+        self.voters.append((key, credits))
+        self.chains.append(self._waiting.pop(voter, []))
+        if self.chains[voter]:
+            self._unfolded[voter] = 0
 
     def add(self, plaintext: Optional[bytes]) -> None:
-        arrival = len(self._plaintexts)
-        self._plaintexts.append(plaintext)
+        arrival = len(self.plaintexts)
+        self.plaintexts.append(plaintext)
         reason, decoded = _stateless_verdict(plaintext, _ANY_VOTER)
         if decoded is None:
-            self._verdicts.append((False, reason))
+            self.verdicts.append((False, reason))
             return
-        self._verdicts.append(None)
         signed, voter = (arrival, *decoded), decoded[0].voter_registration_index
-        if voter < len(self._voters):
-            self._fold(voter, [signed])
+        if voter < len(self.voters):
+            self.verdicts.append(None)
+            self._unfolded.setdefault(voter, len(self.chains[voter]))
+            self.chains[voter].append(signed)
         else:
+            self.verdicts.append((False, REASON_UNKNOWN_VOTER))
             self._waiting.setdefault(voter, []).append(signed)
 
-    def _fold(self, voter: int, chain: list[_Signed]) -> None:
-        credits = self._voters[voter][1]
-        reasons, self._keys[voter] = _fold_voter(
-            self._keys[voter], credits, chain, self._options, self._cost
-        )
-        for (arrival, _, _, _), reason in zip(chain, reasons):
-            self._verdicts[arrival] = (reason is None, reason)
-        self._chains[voter].extend(chain)
+    def fold(self) -> None:
+        """Judge every command not yet folded. A voter key that is not 32
+        bytes raises InvalidKey, whether or not the voter sent a command."""
+        self._keys.extend(public_key(key) for key, _ in self.voters[len(self._keys):])
+        if not self._unfolded:
+            return
+        voters = sorted(self._unfolded)
+        chains = [self.chains[voter][self._unfolded[voter]:] for voter in voters]
+
+        def fold(part: range) -> list[tuple[_Reasons, bytes]]:
+            return [
+                _fold_voter(
+                    self._keys[voters[i]], self.voters[voters[i]][1], chains[i],
+                    self._options, self._cost,
+                )
+                for i in part
+            ]
+
+        folded = _fold_ranges(fold, _split(chains))
+        for voter, chain, (reasons, key) in zip(voters, chains, folded):
+            self._keys[voter] = key
+            for (arrival, _, _, _), reason in zip(chain, reasons):
+                self.verdicts[arrival] = (reason is None, reason)
+        self._unfolded.clear()
 
     def result(self) -> _Answer:
-        """(plaintexts, verdicts, final states), each state as (key, vote),
-        the vote a plain tuple of ``FinalVote``'s fields or None."""
-        count = len(self._voters)
-        verdicts = [
-            (False, _stateless_verdict(plaintext, count)[0]) if verdict is None else verdict
-            for plaintext, verdict in zip(self._plaintexts, self._verdicts)
-        ]
-        states = _final_states(self._voters, self._chains, verdicts)
+        """Fold, then (plaintexts, verdicts, final states), each state as
+        (key, vote), the vote a plain tuple of ``FinalVote``'s fields or None."""
+        self.fold()
+        states = _final_states(self.voters, self.chains, self.verdicts)
         plain = [(state.current_key, state.vote and tuple(state.vote)) for state in states]
-        return self._plaintexts, verdicts, plain
+        return self.plaintexts, list(self.verdicts), plain
 
 
 # what a replay answers: ``_Replay.result``
@@ -1007,12 +963,13 @@ class _Driver:
             return self.send(poll, ask)
 
     def take(self, voters: list, ciphertexts: list, ask: bool) -> Optional[_Answer]:
-        """Add the voters, then each ciphertext, opened, to the replay; with
-        `ask`, its result so far."""
+        """Add the voters, then each ciphertext, opened, to the replay, and
+        fold them; with `ask`, its result so far."""
         for key, credits in voters:
             self.replay.add_voter(key, credits)
         for ciphertext in ciphertexts:
             self.replay.add(_open(self.secret, ciphertext))
+        self.replay.fold()
         return self.replay.result() if ask else None
 
     def serve(self, requests: int, answers: int) -> None:
@@ -1059,18 +1016,16 @@ _CLAIM_SHAPES = frozenset(
 
 def _claims_agree(
     claimed: Sequence[tuple[bool, Optional[str]]],
-    stateless: Sequence[Optional[str]],
+    unfolded: Sequence[Optional[tuple[bool, Optional[str]]]],
 ) -> bool:
     """The rest of check 4a: whether the claimed verdicts agree with the
-    replay's stateless pass, with no signature check. Every replay's result
-    agrees: an entry the stateless pass judged is claimed with that reason,
-    and any other with a verdict a fold can give."""
-    for claim, reason in zip(claimed, stateless):
-        if reason is None and claim not in _FOLD_VERDICTS:
-            return False
-        if reason is not None and claim != (False, reason):
-            return False
-    return True
+    replay's verdicts before its fold, with no signature check. Every
+    replay's result agrees: an entry the stateless step judged is claimed
+    with that verdict, and any other with a verdict a fold can give."""
+    return all(
+        claim in _FOLD_VERDICTS if verdict is None else claim == verdict
+        for claim, verdict in zip(claimed, unfolded)
+    )
 
 
 def verify_audit(
@@ -1091,22 +1046,23 @@ def verify_audit(
        the tally;
     3. the published commitment opens to (poll id, tally, salt), so a
        transcript relabelled to another poll opens nothing;
-    4. the cost rule is known, and ``replay_ballots``, the rule processing
-       ran, reproduces every claimed verdict from the published plaintexts.
-       The voters and entries are positional, so the replay reads them as
-       listed.
+    4. the cost rule is known, and the replay processing ran (``_Replay``)
+       reproduces every claimed verdict from the published plaintexts, every
+       starting key included. The voters and entries are positional, so the
+       replay reads them as listed.
 
     They run in this order, each step reading no more than it needs:
 
     * check 1, on the entries' digests;
     * check 4a's first half, on the claims alone: each is ``(True, None)``
       or False with a reason the replay gives;
-    * the replay's stateless pass, which decodes each plaintext once;
-    * checks 2 and 3;
-    * the rest of check 4a: the claims agree with the stateless pass
-      (``_claims_agree``), with no signature check;
-    * check 4b: the per-voter folds, the O(M) signature replay, give
-      exactly the claimed verdicts.
+    * the replay is sent the voters and the plaintexts, each plaintext
+      taking the stateless step, decoded once;
+    * check 2, on the replay's chains, then check 3;
+    * the rest of check 4a: the claims agree with the replay's verdicts
+      before its fold (``_claims_agree``), with no signature check;
+    * check 4b: the replay's fold, the O(M) signature replay, gives exactly
+      the claimed verdicts, with no final state built.
 
     The accept set is that of any order: every replay's verdicts pass 4a,
     so 4a rejects only what 4b would, and 4a and 4b both read
@@ -1121,14 +1077,15 @@ def verify_audit(
     claimed = [(entry.valid, entry.reason) for entry in transcript.entries]
     if not _CLAIM_SHAPES.issuperset(claimed):
         return Verdict.reject(REASON_REPLAY_MISMATCH)
-    stateless, chains = _stateless_pass(
-        [entry.plaintext for entry in transcript.entries],
-        len(transcript.initial_voters),
-    )
+    replay = _Replay(transcript.cost_rule, transcript.options)
+    for key, credits in transcript.initial_voters:
+        replay.add_voter(key, credits)
+    for entry in transcript.entries:
+        replay.add(entry.plaintext)
 
     counted = (
         (signed[1].vote_option, signed[1].vote_amount)
-        for signed in _last_valid(chains, claimed)
+        for signed in _last_valid(replay.chains, claimed)
         if signed is not None
     )
     if _aggregate(counted) != dict(transcript.tally):
@@ -1145,18 +1102,14 @@ def verify_audit(
     if not opened:
         return Verdict.reject(REASON_COMMITMENT_MISMATCH)
 
-    if transcript.cost_rule not in COST_RULES or not _claims_agree(claimed, stateless):
+    if transcript.cost_rule not in COST_RULES or not _claims_agree(
+        claimed, replay.verdicts
+    ):
         return Verdict.reject(REASON_REPLAY_MISMATCH)
     try:
-        verdicts = _fold_voters(
-            transcript.cost_rule,
-            transcript.options,
-            transcript.initial_voters,
-            stateless,
-            chains,
-        )
+        replay.fold()
     except InvalidKey:
         return Verdict.reject(REASON_REPLAY_MISMATCH)
-    if verdicts != claimed:
+    if replay.verdicts != claimed:
         return Verdict.reject(REASON_REPLAY_MISMATCH)
     return Verdict.accept()

@@ -7,9 +7,9 @@ negative votes allowed, ties broken toward the earliest-submitted
 proposal.
 
 Which ballots count, and what each may spend, is decided once, by the
-poll's replay (``maci.replay_ballots``) under the cost rules below. The
-tallies here only map a poll's committed tally, keyed by vote option,
-onto the parties or the proposals.
+ballot-replay rule of ``maci`` under the cost rules below. The tallies here
+only map a poll's committed tally, keyed by vote option, onto the parties
+or the proposals.
 """
 from __future__ import annotations
 

@@ -25,6 +25,7 @@ from support import (
     REFERENCE_STEPS,
     STRUCTURAL_FAULTS,
     load_workloads,
+    naive_replay,
     plant_double_booked_payouts,
     reference_fault,
     reference_refusal,
@@ -52,7 +53,6 @@ from disputekit.maci import (
     TranscriptEntry,
     digest_over_entries,
     message_set_digest,
-    replay_ballots,
     sign_command,
 )
 from disputekit.primitives import KeyPair, hash_bytes
@@ -1819,7 +1819,7 @@ def test_verify_rejects_a_tally_past_int64(tmp_path, capsys) -> None:
     for index, voter in enumerate(voters):
         command = Command(voter.public, (0,), (2**62,), b"", index)
         plaintexts.append(sign_command(voter, command))
-    verdicts, _ = replay_ballots("linear", 1, initial, plaintexts)
+    verdicts, _, _ = naive_replay("linear", 1, initial, plaintexts)
     assert verdicts == [(True, None)] * 3
     # the audit reads the message set off the entries' digests alone
     digests = [hash_bytes(plaintext) for plaintext in plaintexts]

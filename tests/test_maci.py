@@ -49,7 +49,6 @@ from disputekit.maci import (
     decode_signed_command,
     message_set_digest,
     _command_body,
-    replay_ballots,
     sign_command,
     verify_audit,
 )
@@ -607,25 +606,27 @@ def long_replay(seed: int, cost_rule: str, options: int, voter_count: int, comma
 
 
 def as_naive(verdicts, states):
-    """A replay's result in `support.naive_replay`'s terms."""
-    finals = [
-        (
-            state.current_key,
-            None if state.vote is None else (
-                state.vote.options,
-                state.vote.amounts,
-                state.vote.memo,
-                state.vote.arrival_index,
-            ),
-        )
-        for state in states
-    ]
+    """A replay's result in `support.naive_replay`'s terms. Each state is a
+    `VoterFinalState` or a replay's plain (key, vote)."""
+    finals = [(key, None if vote is None else tuple(vote)) for key, vote in states]
     tally: dict[int, int] = {}
-    for state in states:
-        if state.vote is not None:
-            for option, amount in zip(state.vote.options, state.vote.amounts):
+    for _, vote in finals:
+        if vote is not None:
+            for option, amount in zip(vote[0], vote[1]):
                 tally[option] = tally.get(option, 0) + amount
-    return verdicts, finals, tally
+    return list(verdicts), finals, tally
+
+
+def replay_whole(cost_rule, options, voters, plaintexts):
+    """`maci._Replay` sent the voters, then every plaintext, and folded
+    once, as the audit folds: its result in `support.naive_replay`'s terms."""
+    replay = maci._Replay(cost_rule, options)
+    for key, credits in voters:
+        replay.add_voter(key, credits)
+    for plaintext in plaintexts:
+        replay.add(plaintext)
+    _, verdicts, states = replay.result()
+    return as_naive(verdicts, states)
 
 
 def fork_spy(monkeypatch, child=None):
@@ -656,16 +657,17 @@ def fork_spy(monkeypatch, child=None):
 def test_the_split_replay_matches_a_serial_reference(
     seed, cost_rule, options, voter_count, commands
 ) -> None:
-    """Differential check of `replay_ballots`, which folds each voter's
-    chain separately and folds voter ranges in forked children, against
-    `support.naive_replay`, one serial pass in arrival order with its own
-    parser and curve calls. A child folds a range whenever two or more
-    cores are usable and the poll holds enough commands to split."""
+    """Differential check of `maci._Replay` folding a whole intake, which
+    folds each voter's chain separately and folds voter ranges in forked
+    children, against `support.naive_replay`, one serial pass in arrival
+    order with its own parser and curve calls. A child folds a range
+    whenever two or more cores are usable and the poll holds enough
+    commands to split."""
     inputs = long_replay(seed, cost_rule, options, voter_count, commands)
     expected = naive_replay(*inputs)
     with pytest.MonkeyPatch.context() as patch:
         forks = fork_spy(patch)
-        result = as_naive(*replay_ballots(*inputs))
+        result = replay_whole(*inputs)
     assert result == expected
     reasons = [reason for _, reason in expected[0]]
     folded = sum(r not in ("AuthFailure", "DecodeError", "UnknownVoter") for r in reasons)
@@ -735,7 +737,7 @@ def test_a_range_whose_child_fails_is_folded_here(
         calls = fork_spy(monkeypatch)
     else:
         calls = fork_spy(monkeypatch, child=lambda: os._exit(0))
-    assert as_naive(*replay_ballots(*inputs)) == expected
+    assert replay_whole(*inputs) == expected
     assert calls
 
 
@@ -743,7 +745,7 @@ def test_one_usable_core_forks_nothing(monkeypatch, split_replay) -> None:
     inputs, expected = split_replay
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     forks = fork_spy(monkeypatch)
-    assert as_naive(*replay_ballots(*inputs)) == expected
+    assert replay_whole(*inputs) == expected
     assert forks == []
 
 
@@ -757,7 +759,7 @@ def test_no_fork_while_another_thread_runs(monkeypatch, split_replay) -> None:
     waiter = threading.Thread(target=release.wait, args=(30,))
     waiter.start()
     try:
-        assert as_naive(*replay_ballots(*inputs)) == expected
+        assert replay_whole(*inputs) == expected
     finally:
         release.set()
         waiter.join(timeout=30)
@@ -801,10 +803,36 @@ def test_a_range_fold_child_holds_no_worker_pipe(
 
     monkeypatch.setattr(maci, "_fold_voter", fold_noting_open_ends)
     forks = fork_spy(monkeypatch)
-    assert as_naive(*replay_ballots(*inputs)) == expected
+    assert replay_whole(*inputs) == expected
     assert forks and held.read_text() == "[]"
     poll.close(100)
     assert coord.commit(poll)[0] == {0: 1}
+
+
+def test_a_poll_processed_here_folds_its_voters_in_ranges(monkeypatch, split_replay) -> None:
+    """A poll of 3 x MIN_FORKED_COMMANDS commands processed with no worker
+    (no coordinator was told of its ballots) folds them at once, in two
+    voter ranges, the second in a forked child; its verdicts and final
+    states equal `support.naive_replay`'s."""
+    (cost_rule, options, initial, plaintexts), expected = split_replay
+    rng = random.Random(11)
+    coordinator = DecryptionKey.generate(rng)
+    poll = MaciPoll(0, coordinator.public, 100, cost_rule, options)
+    for key, credits in initial:
+        poll.register_voter(key, credits)
+    for plaintext in plaintexts:
+        sealed = rng.randbytes(80) if plaintext is None else encrypt(
+            coordinator.public, plaintext, rng
+        )
+        poll.submit_message(sealed, now=0)
+    monkeypatch.setattr(maci, "_usable_cores", lambda: 2)
+    forks = fork_spy(monkeypatch)
+    poll.close(100)
+    entries = poll.process_messages(coordinator).entries
+    assert [entry.plaintext for entry in entries] == plaintexts
+    verdicts = [(entry.valid, entry.reason) for entry in entries]
+    assert as_naive(verdicts, poll.preview_valid_votes(coordinator)) == expected
+    assert len(forks) == 1
 
 
 # ---- a large poll processed as it arrives ---------------------------------------------
@@ -827,10 +855,12 @@ def plain_replay(result):
 def test_the_growing_replay_is_the_replay_of_what_was_added(
     seed, cost_rule, options, voter_count, commands
 ) -> None:
-    """`maci._Replay`, which a worker runs, against `replay_ballots`: voters
-    and plaintexts are added in a random interleaving, so some voters are
-    registered after their own commands, and at random points (and at the
-    end) the result must be the replay of what was added so far. The
+    """`maci._Replay`, which a poll's processing runs, against
+    `support.naive_replay`: voters and plaintexts are added in a random
+    interleaving, so some voters are registered after their own commands;
+    at random points the replay folds what was added, as processing does
+    after each intake, and at others (and at the end) its result must be
+    the naive replay of what was added so far. The
     plaintexts are `long_replay`'s (rotations, stale and stranger signers,
     bad options and amounts, overspends, garbage, unknown indexes, messages
     that did not open), some cut short and some naming a negative index."""
@@ -857,11 +887,14 @@ def test_the_growing_replay_is_the_replay_of_what_was_added(
         else:
             added.append(plaintexts[len(added)])
             replay.add(added[-1])
-        if rng.random() < 0.05 or len(voters) + len(added) == len(order):
-            expected = plain_replay(replay_ballots(cost_rule, options, voters, added))
+        roll = rng.random()
+        if roll < 0.05 or len(voters) + len(added) == len(order):
+            expected = naive_replay(cost_rule, options, voters, added)[:2]
             got_plaintexts, *got = replay.result()
             assert got_plaintexts == added
             assert tuple(got) == expected
+        elif roll < 0.3:
+            replay.fold()
 
 
 _WORKER_MOVES = [*_MOVES, "negative_index", "cut", "preview"]
@@ -889,10 +922,10 @@ def test_a_poll_worker_answers_the_replay_of_the_intake_so_far(
     the engine sends it; a poll previewed before its first ballot replays
     here instead. Each preview (which then extends the deadline, so more
     ballots follow) and the processing read the run the replay streamed; it
-    must equal the opening and `replay_ballots` of the intake so far, here,
-    over random intakes: late voters, rotations, stale and stranger signers,
-    garbage, cut and truncated envelopes, negative and unknown indexes. The
-    worker is reaped when the poll commits."""
+    must equal the opening and `support.naive_replay` of the intake so far,
+    here, over random intakes: late voters, rotations, stale and stranger
+    signers, garbage, cut and truncated envelopes, negative and unknown
+    indexes. The worker is reaped when the poll commits."""
     rng = random.Random(seed)
     coordinator, stranger = DecryptionKey.generate(rng), DecryptionKey.generate(rng)
     coord = maci.Coordinator(coordinator, random.Random(seed))
@@ -903,9 +936,7 @@ def test_a_poll_worker_answers_the_replay_of_the_intake_so_far(
 
     def replayed_here():
         plaintexts = [maci._open(coordinator, m.ciphertext) for m in poll.messages]
-        return plaintexts, plain_replay(
-            replay_ballots(cost_rule, options, poll.voters, plaintexts)
-        )
+        return plaintexts, naive_replay(cost_rule, options, poll.voters, plaintexts)[:2]
 
     def worker_run():
         run = poll._result(coordinator)
@@ -985,6 +1016,48 @@ def test_a_worker_stops_while_a_later_one_runs(monkeypatch) -> None:
     second.close(100)
     assert coord.commit(second)[0] == {1: 1}
     assert coord._forked == set()
+
+
+def test_a_worker_forks_its_own_range_folds_while_another_worker_runs(
+    monkeypatch, tmp_path
+) -> None:
+    """A worker forked while another runs holds that one's pipe ends closed.
+    Its fold of voters registered after their commands splits in two, and
+    the range child it forks closes only live pipe ends, so the child folds
+    its range: a fold runs in a process that is neither this one nor a
+    worker."""
+    monkeypatch.setattr(maci, "MIN_FORKED_COMMANDS", 1)
+    monkeypatch.setattr(maci, "_usable_cores", lambda: 2)
+    folds, fold_voter = tmp_path / "folds", maci._fold_voter
+
+    def fold_noting_its_process(*args):
+        with open(folds, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return fold_voter(*args)
+
+    monkeypatch.setattr(maci, "_fold_voter", fold_noting_its_process)
+    rng = random.Random(6)
+    first, secret, voters = make_poll(rng, credits=(1,))
+    coord = maci.Coordinator(secret, rng)
+    cast(first, rng, voters[0], 0, {0: 1})
+    coord.intake(first)
+    late = [KeyPair.generate(rng) for _ in range(2)]
+    second = MaciPoll(1, secret.public, 100, "linear", 3)
+    second.register_voter(voters[0].public, 1)
+    for index, pair in enumerate(late, 1):  # each names a voter not yet registered
+        cast(second, rng, pair, index, {index: 1})
+        coord.intake(second)
+    for pair in late:
+        second.register_voter(pair.public, 1)
+    cast(second, rng, voters[0], 0, {0: 1})
+    coord.intake(second)  # the worker folds three voters' commands at once
+    workers = {first._replay.child.pid, second._replay.child.pid}
+    for poll in (first, second):
+        poll.close(100)
+    assert coord.commit(second)[0] == {0: 1, 1: 1, 2: 1}
+    assert coord.commit(first)[0] == {0: 1}
+    folded_in = set(map(int, folds.read_text().split()))
+    assert folded_in - workers - {os.getpid()}
 
 
 # ---- the quorum preview and processing ----------------------------------------------
@@ -1210,6 +1283,25 @@ def test_final_state_mutation_detected(rng) -> None:
     assert verify_audit(mutated, intake, commitment).reason == "ReplayMismatch"
 
 
+@pytest.mark.parametrize("voter", [0, 2], ids=["sent_a_command", "sent_nothing"])
+def test_a_31_byte_starting_key_reads_replay_mismatch(rng, voter) -> None:
+    """Every starting key is checked when the audit folds, whether or not
+    its voter sent a command: voters 0 and 1 vote, voter 2 sends nothing,
+    and the transcript states one voter's key cut to 31 bytes."""
+    poll, coordinator, voters = make_poll(rng)
+    cast(poll, rng, voters[0], 0, {0: 1}, now=0)
+    cast(poll, rng, voters[1], 1, {1: 1}, now=1)
+    finish(poll, coordinator, rng)
+    transcript = poll.audit_transcript()
+    intake = message_set_digest([m.ciphertext for m in poll.messages])
+    assert verify_audit(transcript, intake, poll.commitment).ok
+    initial = list(transcript.initial_voters)
+    key, credits = initial[voter]
+    initial[voter] = (key[:31], credits)
+    cut = transcript._replace(initial_voters=tuple(initial))
+    assert verify_audit(cut, intake, poll.commitment).reason == "ReplayMismatch"
+
+
 def test_commitment_to_different_tally_detected(rng) -> None:
     transcript, intake, commitment = audited_poll(rng, tamper_commit=True)
     assert verify_audit(transcript, intake, commitment).reason == "CommitmentMismatch"
@@ -1239,7 +1331,7 @@ def _replay_agrees(transcript) -> bool:
     if transcript.cost_rule not in COST_RULES:
         return False
     try:
-        verdicts, _ = replay_ballots(
+        verdicts, _, _ = replay_whole(
             transcript.cost_rule,
             transcript.options,
             transcript.initial_voters,
@@ -1254,7 +1346,7 @@ def whole_replay_verify_audit(transcript, intake_digest, commitment) -> Verdict:
     """`verify_audit` with check 4 run whole: the message set, the claims'
     shapes, the tally of the votes the claimed verdicts leave, the
     commitment, then the full replay, with no check of the claims against
-    the stateless pass first. Checks 1-3 are `support`'s own."""
+    the stateless step first. Checks 1-3 are `support`'s own."""
     if not naive_entries_match(transcript.entries, intake_digest):
         return Verdict.reject("MessageSetMismatch")
     shapes = {(True, None)} | {(False, reason) for reason in REPLAY_REASONS}
@@ -1476,7 +1568,7 @@ def test_the_audit_decodes_and_checks_only_what_each_check_needs(
     claim of no known shape is rejected from the claims alone; a tampered
     tally or salt after one decode per plaintext and no signature check; an
     honest transcript after one signature check per command that survives
-    the stateless pass."""
+    the stateless step."""
     transcript, intake, commitment = honest_audit(ballots, ballots)
     checked, decoded = signature_checks(monkeypatch), decodes(monkeypatch)
     plaintexts = sum(entry.plaintext is not None for entry in transcript.entries)
@@ -1541,11 +1633,11 @@ def test_the_audit_sums_votes_without_final_state_records(monkeypatch, ballots) 
         assert verify_audit(audit, intake, commitment).reason == reason
         assert (built, len(decoded)) == ([], opened)
     built.clear()
-    _, states = replay_ballots(
+    _, finals, _ = replay_whole(
         transcript.cost_rule, transcript.options, transcript.initial_voters, plaintexts
     )
-    voted = sum(state.vote is not None for state in states)
-    assert sorted(built) == ["FinalVote"] * voted + ["VoterFinalState"] * len(states)
+    voted = sum(vote is not None for _, vote in finals)
+    assert sorted(built) == ["FinalVote"] * voted + ["VoterFinalState"] * len(finals)
 
 
 @pytest.mark.parametrize(
