@@ -5,11 +5,13 @@ one personhood registry, one juror group, one coordinator, one escrow, and
 any number of disputes, all drawing randomness from a single seeded
 generator so a run can be replayed bit-for-bit. The scenario runner drives
 a `World` from a plain-dict script (usually parsed from JSON) and produces
-a JSON-able report. The published scenario schema, `SCENARIO_SCHEMA`, is
-built here from the runner's own operation table, and the runner applies
-it to every script, whoever calls it. The schema is compiled at import into
-the one check that decides every script and words every refusal, as a
-Draft 2020-12 validator would; no JSON Schema library is needed to run.
+a JSON-able report. A script op is the `World` method of its name: the
+method's parameters are the step's fields, and its `now` is the step's
+`t`. The published scenario schema, `SCENARIO_SCHEMA`, is built here from
+those methods, and the runner applies it to every script, whoever calls
+it. The schema is compiled at import into the one check that decides every
+script and words every refusal, as a Draft 2020-12 validator would; no
+JSON Schema library is needed to run.
 
 Everything a chain observer could see goes through the `AdversaryView`:
 an append-only log of schema-checked public events. Ballot plaintexts,
@@ -147,6 +149,9 @@ class World:
     Honest actors draw from `rng`; adversarial probes draw from
     `adversary_rng` so a blocked attack cannot shift the honest sequence
     of keys, nonces, and salts.
+
+    Each method named in `_OP_NAMES` is the one statement of its script op:
+    its parameters are the step's fields, and `now` is the step's `t`.
     """
 
     def __init__(
@@ -263,82 +268,82 @@ class World:
         )
         return dispute.dispute_id
 
-    def join_dispute(self, dispute_id: int, party: str, fee: int, now: int) -> None:
+    def join_dispute(self, dispute: int, party: str, fee: int, now: int) -> None:
         self.engine.join_dispute(
-            dispute_id, party, fee, self._party_key(party).public, now
+            dispute, party, fee, self._party_key(party).public, now
         )
 
     def submit_evidence(
-        self, dispute_id: int, party: str, label: str, text: str, now: int
+        self, dispute: int, party: str, label: str, text: str, now: int
     ) -> str:
         ref = self.engine.submit_evidence(
-            dispute_id, party, hash_bytes(text.encode()), label, now
+            dispute, party, hash_bytes(text.encode()), label, now
         )
         return ref.content_hash.hex()
 
-    def default_if_absent(self, dispute_id: int, now: int) -> str:
-        return self.engine.default_if_absent(dispute_id, now)
+    def default_if_absent(self, dispute: int, now: int) -> str:
+        return self.engine.default_if_absent(dispute, now)
 
     # -- judging -----------------------------------------------------------
 
-    def enroll_judge(self, dispute_id: int, human: str, now: int) -> int:
-        identity = self.identities[human]
+    def enroll_judge(self, dispute: int, judge: str, now: int) -> int:
+        identity = self.identities[judge]
         ballot_key = KeyPair.generate(self.rng)
         signal = create_signal(
             identity,
             self.group,
             ballot_key.public,
-            enrollment_scope(dispute_id),
+            enrollment_scope(dispute),
         )
-        index = self.engine.enroll_judge(dispute_id, signal, now)
-        self.signer_keys[(dispute_id, human)] = ballot_key
-        self.jurors.setdefault(dispute_id, {})[human] = index
+        index = self.engine.enroll_judge(dispute, signal, now)
+        self.signer_keys[(dispute, judge)] = ballot_key
+        self.jurors.setdefault(dispute, {})[judge] = index
         return index
 
     def phase1_vote(
         self,
-        dispute_id: int,
-        human: str,
+        dispute: int,
+        judge: str,
         party: str,
-        proposal_text: str,
+        proposal: str,
         now: int,
         *,
         rotate_key: bool = False,
     ) -> int:
-        option = self._party_index(dispute_id, party)
-        signer = self._ballot_key(dispute_id, human)
+        option = self._party_index(dispute, party)
+        signer = self._ballot_key(dispute, judge)
         fresh = KeyPair.generate(self.rng) if rotate_key else None
         ciphertext = build_message(
             signer=signer,
             coordinator_public=self.coordinator.public,
-            voter_registration_index=self.jurors[dispute_id][human],
+            voter_registration_index=self.jurors[dispute][judge],
             votes={option: 1},
             new_public_key=fresh.public if fresh else None,
-            memo=hash_bytes(proposal_text.encode()),
+            memo=hash_bytes(proposal.encode()),
             rng=self.rng,
         )
-        index = self.engine.submit_phase1_ballot(dispute_id, ciphertext, now)
+        index = self.engine.submit_phase1_ballot(dispute, ciphertext, now)
         if fresh is not None:
-            self.signer_keys[(dispute_id, human)] = fresh
+            self.signer_keys[(dispute, judge)] = fresh
         return index
 
-    def close_phase1(self, dispute_id: int, now: int) -> str:
-        return self.engine.close_phase1(dispute_id, now)
+    def close_phase1(self, dispute: int, now: int) -> str:
+        return self.engine.close_phase1(dispute, now)
 
-    def start_phase2(self, dispute_id: int, now: int) -> dict[str, int]:
-        self.engine.start_phase2(dispute_id, now)
-        dispute = self.engine.disputes[dispute_id]
-        assert dispute.phase1_scores is not None
-        return dict(dispute.phase1_scores)
+    def start_phase2(self, dispute: int, now: int) -> dict[str, int]:
+        self.engine.start_phase2(dispute, now)
+        scores = self.engine.disputes[dispute].phase1_scores
+        assert scores is not None
+        return dict(scores)
 
     def phase2_vote(
         self,
-        dispute_id: int,
+        dispute: int,
         party: str,
         allocations: Mapping[Any, int],
         now: int,
     ) -> int:
-        index = self._party_index(dispute_id, party)
+        index = self._party_index(dispute, party)
         ciphertext = build_message(
             signer=self._party_key(party),
             coordinator_public=self.coordinator.public,
@@ -346,10 +351,10 @@ class World:
             votes={int(option): int(amount) for option, amount in allocations.items()},
             rng=self.rng,
         )
-        return self.engine.submit_phase2_ballot(dispute_id, ciphertext, now)
+        return self.engine.submit_phase2_ballot(dispute, ciphertext, now)
 
-    def close_phase2(self, dispute_id: int, now: int) -> dict[str, Any]:
-        tally = self.engine.close_phase2(dispute_id, now)
+    def close_phase2(self, dispute: int, now: int) -> dict[str, Any]:
+        tally = self.engine.close_phase2(dispute, now)
         return {
             "winner": tally.winner,
             "scores": {str(k): v for k, v in tally.proposal_scores.items()},
@@ -357,15 +362,16 @@ class World:
 
     # -- aftermath -----------------------------------------------------------
 
-    def claim_fee(self, dispute_id: int, human: str, wallet: str) -> int:
-        signature = sign_claim(self._ballot_key(dispute_id, human), dispute_id, wallet)
-        entry = distribute_fee(self.engine, dispute_id, wallet, signature)
+    def claim_fee(self, dispute: int, judge: str, wallet: str) -> int:
+        signature = sign_claim(self._ballot_key(dispute, judge), dispute, wallet)
+        entry = distribute_fee(self.engine, dispute, wallet, signature)
         return entry.amount
 
-    def apply_reputation(self, dispute_id: int) -> dict[str, int]:
-        dispute = self.engine.disputes[dispute_id]
-        by_index = {i: human for human, i in self.jurors.get(dispute_id, {}).items()}
-        return apply_phase2_scores(self.reputation, dispute, by_index)
+    def apply_reputation(self, dispute: int) -> dict[str, int]:
+        by_index = {i: human for human, i in self.jurors.get(dispute, {}).items()}
+        return apply_phase2_scores(
+            self.reputation, self.engine.disputes[dispute], by_index
+        )
 
     def enforce_thresholds(self) -> list[tuple[str, str]]:
         return enforce_thresholds(
@@ -373,12 +379,11 @@ class World:
         )
 
     def issue_party_sbt(
-        self, dispute_id: int, party: str, *, complied: bool, deadline_passed: bool
+        self, dispute: int, party: str, *, complied: bool, deadline_passed: bool
     ) -> str:
-        dispute = self.engine.disputes[dispute_id]
         token = issue_party_sbt(
             self.sbts,
-            dispute,
+            self.engine.disputes[dispute],
             party,
             complied=complied,
             deadline_passed=deadline_passed,
@@ -449,40 +454,32 @@ class World:
 
 # ---- scripted scenarios ---------------------------------------------------------
 
-# op name (also the World method it calls) -> (required fields, optional fields)
-_OPS: dict[str, tuple[set[str], set[str]]] = {
-    "poh_register": ({"human", "voucher"}, set()),
-    "poh_challenge": ({"human", "reason"}, set()),
-    "poh_finalize": (set(), set()),
-    "group_join": ({"human"}, set()),
-    "open_dispute": (
-        {"initiator", "respondents", "fee", "t1", "t2", "min_judges"}, set()
-    ),
-    "join_dispute": ({"dispute", "party", "fee"}, set()),
-    "submit_evidence": ({"dispute", "party", "label", "text"}, set()),
-    "default_if_absent": ({"dispute"}, set()),
-    "enroll_judge": ({"dispute", "judge"}, set()),
-    "phase1_vote": ({"dispute", "judge", "party", "proposal"}, {"rotate_key"}),
-    "close_phase1": ({"dispute"}, set()),
-    "start_phase2": ({"dispute"}, set()),
-    "phase2_vote": ({"dispute", "party", "allocations"}, set()),
-    "close_phase2": ({"dispute"}, set()),
-    "claim_fee": ({"dispute", "judge", "wallet"}, set()),
-    "apply_reputation": ({"dispute"}, set()),
-    "enforce_thresholds": (set(), set()),
-    "issue_party_sbt": ({"dispute", "party", "complied", "deadline_passed"}, set()),
-}
+# The script ops, each the World method of its name (see `World`)
+_OP_NAMES = (
+    "poh_register", "poh_challenge", "poh_finalize", "group_join",
+    "open_dispute", "join_dispute", "submit_evidence", "default_if_absent",
+    "enroll_judge", "phase1_vote", "close_phase1", "start_phase2",
+    "phase2_vote", "close_phase2", "claim_fee", "apply_reputation",
+    "enforce_thresholds", "issue_party_sbt",
+)
 
-# ops whose world method takes no `now`
-_TIMELESS = {
-    "group_join",
-    "claim_fee",
-    "apply_reputation",
-    "enforce_thresholds",
-    "issue_party_sbt",
-}
 
-_STEP_META = {"op", "t", "expect", "expect_result"}
+def _op_table() -> tuple[dict[str, tuple[set[str], set[str]]], set[str]]:
+    """Each op's (required fields, optional fields), and the ops that take
+    `now`, read from the World methods' code at import, before any wrapper."""
+    ops, timed = {}, set()
+    for op in _OP_NAMES:
+        method = World.__dict__[op]
+        code = method.__code__
+        fields = set(code.co_varnames[1 : code.co_argcount + code.co_kwonlyargcount])
+        optional = set(method.__kwdefaults__ or ())
+        ops[op] = (fields - optional - {"now"}, optional)
+        if "now" in fields:
+            timed.add(op)
+    return ops, timed
+
+
+_OPS, _TIMED = _op_table()
 
 # What a step may expect: success, or a rejection naming its error class.
 # `(?!\n)` keeps Python's `re.search`, which the check's `pattern` uses and
@@ -490,8 +487,13 @@ _STEP_META = {"op", "t", "expect", "expect_result"}
 # the published schema.
 EXPECT_PATTERN = r"^(ok|error:[A-Za-z]+)(?!\n)$"
 
-# script field names -> world method parameter names
-_RENAMES = {"dispute": "dispute_id", "judge": "human", "proposal": "proposal_text"}
+# A step's own keys, beside its op's fields
+_STEP_KEYS: dict[str, dict[str, Any]] = {
+    "op": {},  # each op's branch pins it with `const`
+    "t": {"type": "integer", "minimum": 0},
+    "expect": {"type": "string", "pattern": EXPECT_PATTERN},
+    "expect_result": {},
+}
 
 # ---- the published scenario-file schema ---------------------------------------
 
@@ -500,7 +502,8 @@ _FIELD_SCHEMAS: dict[str, dict[str, Any]] = {
     "voucher": {"type": "string"},
     "reason": {"type": "string"},
     "initiator": {"type": "string"},
-    "respondents": {"type": "array", "items": {"type": "string"}, "minItems": 1},
+    "respondents": {"type": "array", "items": {"type": "string"}, "minItems": 1,
+                    "uniqueItems": True},
     "fee": {"type": "integer"},
     "t1": {"type": "integer", "minimum": 1},  # and t1 < t2, which DisputeConfig checks
     "t2": {"type": "integer"},
@@ -529,12 +532,8 @@ def _step_schema(op: str) -> dict[str, Any]:
     """The schema branch for one op: its `op` pinned by `const`, its own
     fields typed, unknown fields rejected."""
     required, optional = _OPS[op]
-    properties: dict[str, Any] = {
-        "op": {"const": op},
-        "t": {"type": "integer", "minimum": 0},
-        "expect": {"type": "string", "pattern": EXPECT_PATTERN},
-        "expect_result": {},
-    }
+    properties = {key: dict(schema) for key, schema in _STEP_KEYS.items()}
+    properties["op"] = {"const": op}
     for field in sorted(required | optional):
         properties[field] = _FIELD_SCHEMAS[field]
     return {
@@ -578,8 +577,8 @@ def _document_schema(step: dict[str, Any] | bool) -> dict[str, Any]:
 
 
 def scenario_schema() -> dict[str, Any]:
-    """JSON Schema for scenario files, generated from the runner's own
-    operation catalogue: one branch per op, unknown fields rejected."""
+    """JSON Schema for scenario files, generated from the World's op
+    methods: one branch per op, unknown fields rejected."""
     return _document_schema({"oneOf": [_step_schema(op) for op in sorted(_OPS)]})
 
 
@@ -886,15 +885,10 @@ def _call_op(world: World, op: str, step: Mapping[str, Any]) -> Any:
         # an unknown dispute is an unknown reference for every op, whether
         # the world or the engine would look it up first, and before any draw
         world.engine.disputes[step["dispute"]]
-    method = getattr(world, op)
-    kwargs = {
-        _RENAMES.get(key, key): value
-        for key, value in step.items()
-        if key not in _STEP_META
-    }
-    if op not in _TIMELESS:
-        kwargs["now"] = step["t"]
-    return method(**kwargs)
+    fields = {key: value for key, value in step.items() if key not in _STEP_KEYS}
+    if op in _TIMED:
+        fields["now"] = step["t"]
+    return getattr(world, op)(**fields)
 
 
 def matches_expected(snapshot: Any, expected: Any) -> bool:

@@ -5,6 +5,7 @@ import copy
 import csv
 import gc
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -15,6 +16,7 @@ import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -703,6 +705,7 @@ REVALUES = [
     ("expect", "ok\n"),
     ("expect", "maybe"),
     ("respondents", []),
+    ("respondents", ["bob", "bob"]),
     ("allocations", {"x": 1}),
     ("allocations", {"00": 1}),
     ("allocations", {"1": 1.5}),
@@ -868,6 +871,38 @@ def test_each_compiled_branch_accepts_a_minimal_step(op) -> None:
     check = _STEP_CHECKS[op]
     assert check(step) is None
     assert check({**step, "op": f"not_{op}"}) == (("op",), f"{op!r} was expected")
+
+
+class RecordingWorld:
+    """Stands in for a World: records each op call, and knows dispute 0,
+    the one a minimal step names."""
+
+    def __init__(self) -> None:
+        self.engine = SimpleNamespace(disputes={0: None})
+        self.calls: list = []
+
+    def __getattr__(self, op):
+        return lambda *args, **kwargs: self.calls.append((op, args, kwargs))
+
+
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_the_runner_calls_each_op_as_its_world_method_binds_it(op) -> None:
+    """`_call_op` gives the World method of a step's op each of the step's
+    fields, optional ones included, under the parameter of its name, and
+    the step's `t` as `now` exactly when the method takes `now`; checked
+    against the method's signature as `inspect` reads it."""
+    optional = {field: MINIMAL[_FIELD_SCHEMAS[field]["type"]] for field in _OPS[op][1]}
+    step = {**minimal_step(op), **optional, "t": 17}
+    world = RecordingWorld()
+    _call_op(world, op, step)
+    [(called, args, kwargs)] = world.calls
+    signature = inspect.signature(getattr(World, op))
+    bound = signature.bind(world, *args, **kwargs).arguments
+    fields = {key: value for key, value in step.items() if key not in ("op", "t")}
+    if "now" in signature.parameters:
+        fields["now"] = 17
+    assert called == op
+    assert bound == {"self": world, **fields}
 
 
 # values at a keyword's edge, of a type no field takes, or of a field's own type

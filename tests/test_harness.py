@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import tracemalloc
 import weakref
 from collections import Counter
@@ -191,6 +192,21 @@ def test_snapshot_is_json_round_trippable() -> None:
     drive_minimal_dispute(world)
     snapshot = world.snapshot()
     assert json.loads(json.dumps(snapshot, sort_keys=True)) == snapshot
+
+
+def test_the_readme_library_quick_start_holds() -> None:
+    """The README's one `python` block runs, and each call whose comment
+    states its result (`# -> ...`) returns it: Phase 1 tallied, the
+    parties' Phase-1 scores, and proposal 0 the winner."""
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    [block] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    results: list = []
+    source = re.sub(r"(?m)^(\S.*?)\s+# -> .*$", r"results.append(\1)", block)
+    exec(source, {"results": results})
+    tallied, scores, phase2 = results
+    assert tallied == "tallied"
+    assert scores == {"alice": 2, "bob": 1}
+    assert phase2["winner"] == 0
 
 
 # ---- scripted scenarios --------------------------------------------------------
