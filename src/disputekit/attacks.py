@@ -19,7 +19,7 @@ The probes:
 """
 from __future__ import annotations
 
-from typing import Any, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .engine import enrollment_scope
 from .errors import (
@@ -37,6 +37,8 @@ from .scenario import World
 
 BLOCKED = "Blocked"
 SUCCEEDED = "Succeeded"
+_FEE = 10  # each party's deposit in every probe's dispute
+_PANEL = ["judge0", "judge1", "judge2"]
 
 
 class AttackReport(NamedTuple):
@@ -52,6 +54,10 @@ class AttackReport(NamedTuple):
 
 
 # ---- shared stage-setting ----------------------------------------------------------
+#
+# These helpers count a dispute's schedule from `at`, the tick it opens:
+# judges enroll from at + 10, Phase 1 takes ballots from at + 150 and closes
+# at at + 200, and the runoff runs from at + 210 to at + 310.
 
 
 def _standard_world(seed: int, *, judges: int = 5) -> World:
@@ -65,55 +71,81 @@ def _standard_world(seed: int, *, judges: int = 5) -> World:
     return world
 
 
-def _open_standard_dispute(world: World, *, fee: int = 10) -> int:
+def _open_standard_dispute(
+    world: World, parties: tuple[str, str] = ("alice", "bob"), *, at: int = 0
+) -> int:
+    """The initiator of `parties` opens a dispute against the respondent,
+    who joins it."""
+    initiator, respondent = parties
     dispute_id = world.open_dispute(
-        "alice", ["bob"], fee, t1=100, t2=200, min_judges=3, now=0
+        initiator, [respondent], _FEE, t1=at + 100, t2=at + 200, min_judges=3, now=at
     )
-    world.join_dispute(dispute_id, "bob", fee, now=1)
+    world.join_dispute(dispute_id, respondent, _FEE, now=at + 1)
     return dispute_id
 
 
-def _enroll(world: World, dispute_id: int, judges: list[str], *, start: int = 10):
+def _enroll(world: World, dispute_id: int, judges: list[str], *, at: int = 0):
     for offset, judge in enumerate(judges):
-        world.enroll_judge(dispute_id, judge, now=start + offset)
+        world.enroll_judge(dispute_id, judge, now=at + 10 + offset)
 
 
-def _vote_round(world: World, dispute_id: int, votes, *, start: int = 150):
-    """votes: list of (judge, party, proposal_text)."""
+def _phase1(world: World, dispute_id: int, votes, *, at: int = 0) -> None:
+    """votes: list of (judge, party, proposal_text), cast one a tick; then
+    Phase 1 closes."""
     for offset, (judge, party, text) in enumerate(votes):
-        world.phase1_vote(dispute_id, judge, party, text, now=start + offset)
+        world.phase1_vote(dispute_id, judge, party, text, now=at + 150 + offset)
+    world.close_phase1(dispute_id, now=at + 200)
+
+
+def _panel_dispute(seed: int) -> tuple[World, int]:
+    """A standard world whose standard dispute the panel has enrolled in."""
+    world = _standard_world(seed)
+    dispute_id = _open_standard_dispute(world)
+    _enroll(world, dispute_id, _PANEL)
+    return world, dispute_id
+
+
+def _resolved_dispute(
+    world: World,
+    votes,
+    wallet: str,
+    *,
+    parties: tuple[str, str] = ("alice", "bob"),
+    at: int = 0,
+) -> int:
+    """A dispute between `parties` judged by the panel's `votes`, whose
+    runoff the side judge0 took settles with one vote for judge0's
+    proposal, and whose fee judge0 claims into `wallet`."""
+    dispute_id = _open_standard_dispute(world, parties, at=at)
+    _enroll(world, dispute_id, _PANEL, at=at)
+    _phase1(world, dispute_id, votes, at=at)
+    world.start_phase2(dispute_id, now=at + 210)
+    world.phase2_vote(dispute_id, votes[0][1], {0: 1}, now=at + 220)
+    world.close_phase2(dispute_id, now=at + 310)
+    world.claim_fee(dispute_id, "judge0", wallet)
+    return dispute_id
 
 
 def _dispute_outcome(world: World, dispute_id: int) -> dict:
     return world.snapshot()["disputes"][str(dispute_id)]
 
 
-def _adversary_ballot(
-    world: World,
-    dispute_id: int,
-    judge: str,
-    votes: dict[int, int],
-    *,
-    memo: bytes,
-    now: int,
-    new_key: Optional[KeyPair] = None,
-) -> int:
-    """A ballot the adversary forces out of (or forges for) a juror slot,
-    built entirely from adversarial randomness."""
-    signer = world.signer_keys[(dispute_id, judge)]
-    ciphertext = build_message(
-        signer=signer,
-        coordinator_public=world.coordinator.public,
-        voter_registration_index=world.jurors[dispute_id][judge],
-        votes=votes,
-        new_public_key=new_key.public if new_key else None,
-        memo=memo,
-        rng=world.adversary_rng,
-    )
-    index = world.engine.submit_phase1_ballot(dispute_id, ciphertext, now)
-    if new_key is not None:
-        world.signer_keys[(dispute_id, judge)] = new_key
-    return index
+def _observed(world: World) -> list[tuple[str, int]]:
+    """What an observer reads of the public record: each event's kind and
+    the length of its ciphertext, if it carries one."""
+    return [
+        (event.kind, len(event.payload.get("ciphertext", b"")))
+        for event in world.view.events
+    ]
+
+
+def _refusal(error: type[Exception], attempt: Callable[[], object]) -> Optional[str]:
+    """The name of `error` if `attempt` raises it; None if it succeeds."""
+    try:
+        attempt()
+    except error:
+        return error.__name__
+    return None
 
 
 # ---- 1: double voting ------------------------------------------------------------
@@ -128,15 +160,10 @@ def attack_double_vote(seed: int = 2029) -> AttackReport:
         ("judge2", "alice", "refund in full"),
     ]
 
-    baseline = _standard_world(seed)
-    base_dispute = _open_standard_dispute(baseline)
-    _enroll(baseline, base_dispute, ["judge0", "judge1", "judge2"])
-    _vote_round(baseline, base_dispute, honest_votes)
-    baseline.close_phase1(base_dispute, now=200)
+    baseline, base_dispute = _panel_dispute(seed)
+    _phase1(baseline, base_dispute, honest_votes)
 
-    attacked = _standard_world(seed)
-    dispute_id = _open_standard_dispute(attacked)
-    _enroll(attacked, dispute_id, ["judge0", "judge1", "judge2"])
+    attacked, dispute_id = _panel_dispute(seed)
 
     # attempt A: enroll the same identity again under a fresh ballot key
     double_enroll_reason = None
@@ -152,17 +179,18 @@ def attack_double_vote(seed: int = 2029) -> AttackReport:
     except InvalidSignal as exc:
         double_enroll_reason = exc.reason
 
-    # attempt B: an extra early ballot; the honest-looking final one follows
-    _adversary_ballot(
-        attacked,
-        dispute_id,
-        "judge0",
-        {attacked.engine.disputes[dispute_id].parties.index("alice"): 1},
+    # attempt B: an extra early ballot, built from adversarial randomness;
+    # the honest-looking final one follows
+    stuffed = build_message(
+        signer=attacked.signer_keys[(dispute_id, "judge0")],
+        coordinator_public=attacked.coordinator.public,
+        voter_registration_index=attacked.jurors[dispute_id]["judge0"],
+        votes={attacked.engine.disputes[dispute_id].parties.index("alice"): 1},
         memo=hash_bytes(b"stuffed ballot"),
-        now=140,
+        rng=attacked.adversary_rng,
     )
-    _vote_round(attacked, dispute_id, honest_votes)
-    attacked.close_phase1(dispute_id, now=200)
+    attacked.engine.submit_phase1_ballot(dispute_id, stuffed, now=140)
+    _phase1(attacked, dispute_id, honest_votes)
 
     base_outcome = _dispute_outcome(baseline, base_dispute)
     attack_outcome = _dispute_outcome(attacked, dispute_id)
@@ -196,9 +224,7 @@ def _coercion_trace(seed: int, *, defect: bool) -> tuple[World, int, dict, list]
     """judge0 votes as the coercer demands, then sends one more message:
     a key rotation carrying either the coerced vote again (comply) or
     their true vote (defect). Everything else is identical."""
-    world = _standard_world(seed)
-    dispute_id = _open_standard_dispute(world)
-    _enroll(world, dispute_id, ["judge0", "judge1", "judge2"])
+    world, dispute_id = _panel_dispute(seed)
 
     # the demanded ballot, visibly cast
     world.phase1_vote(dispute_id, "judge0", "bob", "pay the coercer", now=150)
@@ -212,11 +238,7 @@ def _coercion_trace(seed: int, *, defect: bool) -> tuple[World, int, dict, list]
     world.phase1_vote(dispute_id, "judge2", "bob", "no refund", now=161)
     world.close_phase1(dispute_id, now=200)
 
-    shape = [
-        (event.kind, len(event.payload.get("ciphertext", b"")))
-        for event in world.view.events
-    ]
-    return world, dispute_id, _dispute_outcome(world, dispute_id), shape
+    return world, dispute_id, _dispute_outcome(world, dispute_id), _observed(world)
 
 
 def attack_coercion(seed: int = 2029) -> AttackReport:
@@ -247,47 +269,35 @@ def attack_coercion(seed: int = 2029) -> AttackReport:
 def attack_sybil(seed: int = 2029) -> AttackReport:
     """One person tries to hold several voting slots."""
     world = _standard_world(seed)
-    rejections: dict[str, Optional[str]] = {
-        "duplicate_registration": None,
-        "challenged_puppet": None,
-        "double_join": None,
-        "banned_rejoin": None,
-    }
+    rejections: dict[str, Optional[str]] = {}
+
+    def join_afresh(human: str) -> None:
+        """Join the juror group under a new identity of the adversary's."""
+        world.group.join(human, Identity.generate(world.adversary_rng).commitment)
 
     # (a) register an id that already exists
     world.poh_register("mallory", voucher="judge0", now=0)
     world.poh_finalize(now=20)
     world.group_join("mallory")
-    try:
-        world.poh_register("mallory", voucher="judge1", now=21)
-    except DuplicateHuman:
-        rejections["duplicate_registration"] = "DuplicateHuman"
+    rejections["duplicate_registration"] = _refusal(
+        DuplicateHuman, lambda: world.poh_register("mallory", voucher="judge1", now=21)
+    )
 
     # (b) grow a puppet id, caught by a challenge inside the window
     world.poh_register("mallory-puppet", voucher="mallory", now=22)
     world.poh_challenge("mallory-puppet", "same face as mallory", now=25)
     world.poh_finalize(now=40)
-    try:
-        puppet = Identity.generate(world.adversary_rng)
-        world.group.join("mallory-puppet", puppet.commitment)
-    except NotApproved:
-        rejections["challenged_puppet"] = "NotApproved"
+    rejections["challenged_puppet"] = _refusal(
+        NotApproved, lambda: join_afresh("mallory-puppet")
+    )
 
     # (c) join the juror group twice with a second identity
-    try:
-        second = Identity.generate(world.adversary_rng)
-        world.group.join("mallory", second.commitment)
-    except AlreadyJoined:
-        rejections["double_join"] = "AlreadyJoined"
+    rejections["double_join"] = _refusal(AlreadyJoined, lambda: join_afresh("mallory"))
 
     # (d) get banned, then try to walk back in
     world.reputation.add("mallory", -100)
     world.enforce_thresholds()
-    try:
-        reborn = Identity.generate(world.adversary_rng)
-        world.group.join("mallory", reborn.commitment)
-    except AlreadyJoined:
-        rejections["banned_rejoin"] = "AlreadyJoined"
+    rejections["banned_rejoin"] = _refusal(AlreadyJoined, lambda: join_afresh("mallory"))
 
     # control: an unrelated human still gets in
     world.poh_register("nadia", voucher="judge0", now=41)
@@ -314,60 +324,35 @@ def attack_sybil(seed: int = 2029) -> AttackReport:
 
 def attack_spam(seed: int = 2029) -> AttackReport:
     """Grief with frivolous disputes; check the fee makes it self-defeating."""
-
-    def honest_run(world: World) -> int:
-        dispute_id = _open_standard_dispute(world)
-        _enroll(world, dispute_id, ["judge0", "judge1", "judge2"])
-        _vote_round(
-            world,
-            dispute_id,
-            [
-                ("judge0", "alice", "refund half"),
-                ("judge1", "alice", "refund half now"),
-                ("judge2", "bob", "no refund"),
-            ],
-        )
-        world.close_phase1(dispute_id, now=200)
-        world.start_phase2(dispute_id, now=210)
-        world.phase2_vote(dispute_id, "alice", {0: 1}, now=220)
-        world.close_phase2(dispute_id, now=310)
-        world.claim_fee(dispute_id, "judge0", "wallet-of-judge0")
-        return dispute_id
-
+    honest_votes = [
+        ("judge0", "alice", "refund half"),
+        ("judge1", "alice", "refund half now"),
+        ("judge2", "bob", "no refund"),
+    ]
     baseline = _standard_world(seed)
-    honest_base = honest_run(baseline)
+    honest_base = _resolved_dispute(baseline, honest_votes, "wallet-of-judge0")
 
     attacked = _standard_world(seed)
-    honest_id = honest_run(attacked)
-    fee = 10
+    honest_id = _resolved_dispute(attacked, honest_votes, "wallet-of-judge0")
 
     # spam 1: the victim ignores it -> default judgment, deposits return
     ignored = attacked.open_dispute(
-        "spammer", ["carol"], fee, t1=400, t2=500, min_judges=3, now=320
+        "spammer", ["carol"], _FEE, t1=400, t2=500, min_judges=3, now=320
     )
     attacked.default_if_absent(ignored, now=400)
 
     # spam 2: the victim contests -> full pipeline, the pool leaves both
-    contested = attacked.open_dispute(
-        "spammer", ["carol"], fee, t1=700, t2=800, min_judges=3, now=600
-    )
-    attacked.join_dispute(contested, "carol", fee, now=601)
-    _enroll(attacked, contested, ["judge0", "judge1", "judge2"], start=610)
-    _vote_round(
+    contested = _resolved_dispute(
         attacked,
-        contested,
         [
             ("judge0", "carol", "vexatious claim, carol owes nothing"),
             ("judge1", "carol", "dismiss with prejudice"),
             ("judge2", "carol", "dismiss"),
         ],
-        start=750,
+        "wallet-spam-judge",
+        parties=("spammer", "carol"),
+        at=600,
     )
-    attacked.close_phase1(contested, now=800)
-    attacked.start_phase2(contested, now=810)
-    attacked.phase2_vote(contested, "carol", {0: 1}, now=820)
-    attacked.close_phase2(contested, now=910)
-    attacked.claim_fee(contested, "judge0", "wallet-spam-judge")
     # the judgment orders the spammer to make carol whole; they refuse
     spam_dispute = attacked.engine.disputes[contested]
     issue_party_sbt(
@@ -380,7 +365,7 @@ def attack_spam(seed: int = 2029) -> AttackReport:
     blocked = (
         base_honest == attacked_honest
         and attacked.engine.escrow.conserved()
-        and spammer_net == -fee  # refunded when ignored, forfeited when contested
+        and spammer_net == -_FEE  # refunded when ignored, forfeited when contested
         and attacked.engine.escrow.balance(ignored) == 0
         and attacked.engine.escrow.balance(contested) == 0
         and attacked.sbts.has(PARTY_NON_COMPLIANT, "spammer")
@@ -415,8 +400,7 @@ def attack_takeover(seed: int = 2029) -> AttackReport:
     for i, judge in enumerate(judges):
         party = "alice" if i < 12 else "bob"
         votes.append((judge, party, f"proposal by {judge}"))
-    _vote_round(world, dispute_id, votes)
-    world.close_phase1(dispute_id, now=200)
+    _phase1(world, dispute_id, votes)
     scores = world.start_phase2(dispute_id, now=210)
     dispute = world.engine.disputes[dispute_id]
 
@@ -476,19 +460,12 @@ def attack_takeover(seed: int = 2029) -> AttackReport:
 # ---- 6: reading the tally early ----------------------------------------------------
 
 
-def _info_trace(seed: int, votes) -> tuple[list, list, World, int]:
-    world = _standard_world(seed)
-    dispute_id = _open_standard_dispute(world)
-    _enroll(world, dispute_id, ["judge0", "judge1", "judge2"])
-    _vote_round(world, dispute_id, votes)
-    world.close_phase1(dispute_id, now=200)
-    pre_publication = [
-        (event.kind, len(event.payload.get("ciphertext", b"")))
-        for event in world.view.events
-    ]
+def _info_trace(seed: int, votes) -> tuple[list, list, World]:
+    world, dispute_id = _panel_dispute(seed)
+    _phase1(world, dispute_id, votes)
+    pre_publication = _observed(world)
     world.start_phase2(dispute_id, now=210)
-    post_kinds = world.view.kinds()
-    return pre_publication, post_kinds, world, dispute_id
+    return pre_publication, world.view.kinds(), world
 
 
 def attack_info_asymmetry(seed: int = 2029) -> AttackReport:
@@ -504,8 +481,8 @@ def attack_info_asymmetry(seed: int = 2029) -> AttackReport:
         ("judge1", "bob", "refund most"),
         ("judge2", "alice", "no refund"),
     ]
-    shape_a, kinds_a, world_a, dispute_a = _info_trace(seed, towards_alice)
-    shape_b, kinds_b, world_b, _ = _info_trace(seed, towards_bob)
+    shape_a, kinds_a, world_a = _info_trace(seed, towards_alice)
+    shape_b, kinds_b, world_b = _info_trace(seed, towards_bob)
 
     # before publication, opposite verdicts leave identical footprints
     indistinguishable = shape_a == shape_b

@@ -54,7 +54,9 @@ Nothing in the replay waits for the deadline, so a poll is processed by one
 replay that grows with its intake, as MACI's coordinator reads the
 contract's message log. It is sent only the voters and ciphertexts it has
 not seen, and folds them as they come, so each ballot is opened and checked
-once per coordinator key however often the poll closes. When a poll of
+once however often the poll closes. The poll is processed only under the
+key it was opened for (``coordinator_public``); any other key raises
+InvalidKey before any ballot is opened. When a poll of
 MIN_FORKED_COMMANDS or more voters takes a ballot, its replay runs in the
 poll's worker: a forked copy of the coordinator, with the same key, so no
 one new is trusted. Any other poll's replay runs here from its first
@@ -414,20 +416,22 @@ class MaciPoll:
         return self._result(coordinator_secret).final_states
 
     def process_messages(self, coordinator_secret: DecryptionKey) -> AuditTranscript:
+        """The closed poll's transcript, from its first processing on."""
         if not self.closed:
             raise WrongState("process requires a closed poll")
+        transcript = self._result(coordinator_secret).transcript
         if self._processed is None:
-            self._processed = self._result(coordinator_secret).transcript
+            self._processed = transcript
             self._release()
         return self._processed
 
     def _result(self, coordinator_secret: DecryptionKey) -> _Run:
-        """The run of the intake so far: the coordinator's from the poll's
-        replay (made here unless ``Coordinator.intake`` started a worker),
-        kept until the next intake; any other key's from a replay of its own."""
+        """The run of the intake so far, from the poll's replay (made here
+        unless ``Coordinator.intake`` started a worker), kept until the next
+        intake, and so for good once the poll is closed. Any key but the one
+        the poll was opened for raises InvalidKey, before any state is read."""
         if coordinator_secret.public != self.coordinator_public:
-            replay = _Driver(coordinator_secret, self)
-            return self._transcribed(replay.send(self, ask=True))
+            raise InvalidKey("not the coordinator key this poll was opened for")
         if self._memo is None:
             if self._replay is None:
                 self._replay = _Driver(coordinator_secret, self)

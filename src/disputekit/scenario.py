@@ -162,7 +162,6 @@ class World:
         challenge_window: int = 10,
         tree_depth: int = 12,
     ):
-        self.seed = seed
         self.rng = random.Random(seed)
         self.adversary_rng = random.Random(f"{seed}:adversary")
         self.view = AdversaryView()
@@ -844,37 +843,25 @@ MAX_NESTING = 400
 _TOO_DEEP = "nested too deeply to read"
 
 
-def _integral(script: dict) -> dict:
-    """`script` with every integral float made an int: JSON Schema counts
-    `25.0` as an integer, so the runner must too. A script that holds none,
-    the usual case, is returned itself, not copied. A script nested deeper
-    than MAX_NESTING raises MalformedScript."""
-    return _as_integers(script) if _holds_integral_float(script, 1) else script
-
-
-def _holds_integral_float(node: dict | list, level: int) -> bool:
-    """Whether an integral float sits anywhere under `node`, at `level`,
-    found by a walk that builds nothing. It walks all of `node` even once
-    a float is found, so that every script too deep is refused."""
+def _integral(node: dict | list, level: int = 1) -> dict | list:
+    """`node`, at `level`, with every integral float under it made an int:
+    JSON Schema counts `25.0` as an integer, so the runner must too. One
+    walk, copy-on-write: a container that holds none, the usual case, is
+    returned itself, and only the containers on the path to one are copied.
+    The walk visits every value even once a float is found, so that a script
+    nested deeper than MAX_NESTING is always refused with MalformedScript."""
     if level > MAX_NESTING:
         raise MalformedScript(_TOO_DEEP)
-    found = False
-    for value in node.values() if isinstance(node, dict) else node:
+    copy = None
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
         if isinstance(value, (dict, list)):
-            found = _holds_integral_float(value, level + 1) or found
-        elif isinstance(value, float) and value.is_integer():
-            found = True
-    return found
-
-
-def _as_integers(value: Any) -> Any:
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, dict):
-        return {key: _as_integers(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_as_integers(item) for item in value]
-    return value
+            new = _integral(value, level + 1)
+        else:
+            new = int(value) if isinstance(value, float) and value.is_integer() else value
+        if new is not value:
+            copy = node.copy() if copy is None else copy
+            copy[key] = new
+    return node if copy is None else copy
 
 
 # ---- running a script ------------------------------------------------------------

@@ -1074,7 +1074,7 @@ def test_a_worker_forks_its_own_range_folds_while_another_worker_runs(
 )
 def test_processing_after_a_preview_equals_a_fresh_poll(preview_by, late_intake) -> None:
     """A preview may stand in for processing only while the intake is the one
-    it saw and the coordinator is the same."""
+    it saw; a stranger's preview raises InvalidKey and changes nothing."""
 
     def processed(preview: bool):
         r = random.Random(31)
@@ -1082,7 +1082,10 @@ def test_processing_after_a_preview_equals_a_fresh_poll(preview_by, late_intake)
         keys = {"coordinator": coordinator, "stranger": DecryptionKey.generate(r)}
         cast(poll, r, voters[0], 0, {0: 1})
         cast(poll, r, voters[2], 2, {2: 1}, now=1)
-        if preview:
+        if preview and preview_by == "stranger":
+            with pytest.raises(InvalidKey):
+                poll.preview_valid_votes(keys[preview_by])
+        elif preview:
             poll.preview_valid_votes(keys[preview_by])
         if late_intake == "ballot":
             cast(poll, r, voters[1], 1, {1: 1}, now=5)
@@ -1111,9 +1114,9 @@ def test_a_preview_alone_is_not_processing(rng) -> None:
 def test_an_unchanged_intake_is_opened_once(monkeypatch, rng) -> None:
     """The poll's one replay is sent only what it has not seen: a preview
     and the processing of an unchanged intake open nothing again, and an
-    intake after a preview opens only what is new. Another key's preview is
-    a replay of its own, which opens every message and leaves the
-    coordinator's replay as it was."""
+    intake after a preview opens only what is new. Another key's preview
+    raises InvalidKey, opens nothing and leaves the coordinator's replay as
+    it was."""
     poll, coordinator, voters = make_poll(rng)
     cast(poll, rng, voters[0], 0, {0: 1})
     cast(poll, rng, voters[1], 1, {1: 1}, now=1)
@@ -1129,23 +1132,60 @@ def test_an_unchanged_intake_is_opened_once(monkeypatch, rng) -> None:
     assert len(opened) == 2
 
     stranger = DecryptionKey.generate(rng)
-    assert all(state.vote is None for state in poll.preview_valid_votes(stranger))
-    assert opened[2:] == [stranger, stranger]
+    with pytest.raises(InvalidKey):
+        poll.preview_valid_votes(stranger)
+    assert len(opened) == 2
     assert poll.preview_valid_votes(coordinator) == first
-    assert len(opened) == 4
+    assert len(opened) == 2
 
     poll.register_voter(KeyPair.generate(rng).public, 1)
     poll.preview_valid_votes(coordinator)
-    assert len(opened) == 4
+    assert len(opened) == 2
     cast(poll, rng, voters[2], 2, {2: 1}, now=2)
     previewed = poll.preview_valid_votes(coordinator)
-    assert opened[4:] == [coordinator]
+    assert opened[2:] == [coordinator]
 
     poll.close(100)
     transcript = poll.process_messages(coordinator)
     assert poll.preview_valid_votes(coordinator) == previewed
     assert poll.process_messages(coordinator) is transcript
-    assert len(opened) == 5
+    assert len(opened) == 3
+
+
+def test_a_poll_is_processed_only_under_its_own_key(monkeypatch, rng) -> None:
+    """Any key but the poll's coordinator's raises InvalidKey from both
+    processing methods, before or after processing, and from a preview of
+    the open poll, before any ballot is opened; it leaves nothing behind
+    that the coordinator's processing, commitment and publication read."""
+    poll, coordinator, voters = make_poll(rng)
+    for index, option in enumerate((0, 2, 0)):
+        cast(poll, rng, voters[index], index, {option: 1}, now=index)
+    opened = []
+    real_open = maci._open
+    monkeypatch.setattr(
+        maci, "_open", lambda key, ct: opened.append(key) or real_open(key, ct)
+    )
+    stranger = DecryptionKey.generate(rng)
+    with pytest.raises(InvalidKey):
+        poll.preview_valid_votes(stranger)
+    poll.close(100)
+    with pytest.raises(InvalidKey):
+        poll.preview_valid_votes(stranger)
+    with pytest.raises(InvalidKey):
+        poll.process_messages(stranger)
+    assert opened == []
+    with pytest.raises(CommitBeforeProcessing):
+        poll.commit_tally(rng)
+
+    poll.process_messages(coordinator)
+    poll.commit_tally(rng)
+    assert poll.publish_tally()[0] == {0: 2, 2: 1}
+    assert len(opened) == 3
+    with pytest.raises(InvalidKey):
+        poll.preview_valid_votes(stranger)
+    with pytest.raises(InvalidKey):
+        poll.process_messages(stranger)
+    assert len(opened) == 3
 
 
 def test_the_published_salt_is_the_transcripts(rng) -> None:
