@@ -27,7 +27,7 @@ Three subcommands, three artifact formats:
       the observed intake digest and tally commitment (JSON). The
       transcript states the poll's parameters and starting voters and the
       coordinator's claims: each entry's verdict, the tally and the salt;
-      each voter's final state is derived from the claimed verdicts, not
+      each voter's counted vote is derived from the claimed verdicts, not
       read. Exit 0 on accept, 1 on reject (first failing check named), 2
       on malformed input: a missing or unknown key, or a value that does
       not read, at any level, named by where it is (e.g.
@@ -354,7 +354,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not report["ok"]:
         failed = [
             f"step {step['position']} ({step['op']})"
-            + (f": {step['invariant']}" if "invariant" in step else "")
             for step in report["steps"]
             if not step["pass"]
         ]

@@ -42,13 +42,14 @@ commands, so the rule is two steps:
    ``0 .. options-1`` (BadOption), then amounts the cost rule forbids
    (BadAmount), then the budget (OverBudget).
 
-Each voter's final state is then read off the verdicts (``_final_states``).
-One driver runs the rule for processing and the audit alike: ``_Replay``,
-which takes voters and plaintexts in any interleaving and folds what it has
-not folded when asked. Nothing in the rule crosses voters (keys and votes
-are per voter, and credits never change), so a fold of many commands splits
-its voters into contiguous ranges of about equal command counts, one per
-usable core, and folds each range after the first in a forked child.
+A voter's counted vote is then its last valid command (``_last_valid``),
+which also holds the key the voter ended at. One driver runs the rule for
+processing and the audit alike: ``_Replay``, which takes voters and
+plaintexts in any interleaving and folds what it has not folded when asked.
+Nothing in the rule crosses voters (keys and votes are per voter, and
+credits never change), so a fold of many commands splits its voters into
+contiguous ranges of about equal command counts, one per usable core, and
+folds each range after the first in a forked child.
 
 Nothing in the replay waits for the deadline, so a poll is processed by one
 replay that grows with its intake, as MACI's coordinator reads the
@@ -72,11 +73,10 @@ record carries its own index.
 
 Processing emits an ``AuditTranscript``: decrypted commands, per-message
 verdicts, the tally, and the commitment salt, which ``commit_tally`` draws
-into it. Each voter's final state is not in it: ``_final_states`` derives
-it from the replayed verdicts, and only the poll's run holds it. Where a
-voter's replay ends is its last valid command (``_last_valid``): processing
-reads it off its own verdicts, and the audit off the claimed ones, summing
-the votes without building a final state. The transcript replaces
+into it. The counted votes are not in it: only the poll's run holds them,
+read off the replayed verdicts. The audit reads each voter's last valid
+command off the claimed verdicts instead, and one sum (``_aggregate``)
+tallies the counted commands for both. The transcript replaces
 succinct proofs at simulation fidelity — ``verify_audit`` runs the same
 replay over it, the checks that read only the claims first and the
 signature folds last.
@@ -270,18 +270,6 @@ class MaciMessage(NamedTuple):
 
 
 # A transcript record's fields are its JSON keys, in order (`cli` reads them)
-class FinalVote(NamedTuple):
-    options: tuple[int, ...]
-    amounts: tuple[int, ...]
-    memo: bytes
-    arrival_index: int
-
-
-class VoterFinalState(NamedTuple):  # credits never change: initial_voters[i] holds them
-    current_key: bytes
-    vote: Optional[FinalVote]
-
-
 class TranscriptEntry(NamedTuple):
     ciphertext_digest: bytes
     plaintext: Optional[bytes]  # None when the coordinator could not decrypt
@@ -291,8 +279,8 @@ class TranscriptEntry(NamedTuple):
 
 class AuditTranscript(NamedTuple):
     """The coordinator's claims (each entry's verdict, the tally and the
-    salt) beside the poll's parameters and starting voters. Each voter's
-    final state is not stated: it follows from the claimed verdicts."""
+    salt) beside the poll's parameters and starting voters. The counted
+    votes are not stated: they follow from the claimed verdicts."""
 
     poll_id: int
     cost_rule: str
@@ -329,11 +317,11 @@ def commitment_digest(poll_id: int, tally: Mapping[int, int], salt: bytes) -> by
 
 
 class _Run(NamedTuple):
-    """One processing of an intake: the transcript it publishes, and where
-    each voter's replay ended."""
+    """One processing of an intake: the transcript it publishes, and each
+    voter's counted vote, as ``MaciPoll.preview_valid_votes`` gives it."""
 
     transcript: AuditTranscript
-    final_states: tuple[VoterFinalState, ...]
+    counted: tuple[Optional[tuple[int, Command]], ...]
 
 
 class MaciPoll:
@@ -408,12 +396,15 @@ class MaciPoll:
 
     def preview_valid_votes(
         self, coordinator_secret: DecryptionKey
-    ) -> tuple[VoterFinalState, ...]:
-        """Dry run over the current message list, used to test quorum before
-        deciding whether to extend. Not a processing result, though while
-        the intake is unchanged it reads the run ``process_messages`` reads:
-        the poll's one replay, sent only the ballots it has not seen."""
-        return self._result(coordinator_secret).final_states
+    ) -> tuple[Optional[tuple[int, Command]], ...]:
+        """Each voter's counted vote, as (arrival index, its last valid
+        command), or None for a voter with no valid command; the command's
+        new key is where the voter's key ended. A dry run over the current
+        message list, used to test quorum before deciding whether to extend.
+        Not a processing result, though while the intake is unchanged it
+        reads the run ``process_messages`` reads: the poll's one replay,
+        sent only the ballots it has not seen."""
+        return self._result(coordinator_secret).counted
 
     def process_messages(self, coordinator_secret: DecryptionKey) -> AuditTranscript:
         """The closed poll's transcript, from its first processing on."""
@@ -445,11 +436,10 @@ class MaciPoll:
             self._replay = None
 
     def _transcribed(self, answer: _Answer) -> _Run:
-        """The run of the intake so far whose replay answered this."""
-        plaintexts, verdicts, states = answer
-        final_states = tuple(
-            VoterFinalState(key, vote and FinalVote(*vote)) for key, vote in states
-        )
+        """The run of the intake so far whose replay answered this, each
+        counted vote's command built again from its plain fields."""
+        plaintexts, verdicts, votes = answer
+        counted = tuple(vote and (vote[0], Command(*vote[1:])) for vote in votes)
         transcript = AuditTranscript(
             poll_id=self.poll_id,
             cost_rule=self.cost_rule,
@@ -461,14 +451,10 @@ class MaciPoll:
                     self.messages, plaintexts, verdicts
                 )
             ),
-            tally=_aggregate(
-                (state.vote.options, state.vote.amounts)
-                for state in final_states
-                if state.vote is not None
-            ),
+            tally=_aggregate(vote[1] for vote in counted if vote is not None),
             salt=b"",  # drawn by commit_tally
         )
-        return _Run(transcript, final_states)
+        return _Run(transcript, counted)
 
     @property
     def tally(self) -> dict[int, int]:
@@ -517,9 +503,10 @@ class Coordinator:
     """The one holder of the decryption key and of the salts' generator.
 
     A poll is processed by one replay of its intake (see the module
-    docstring). When a poll of MIN_FORKED_COMMANDS or more voters takes its
-    first ballot, ``intake`` starts the poll's worker: this coordinator
-    forked, holding the same key, whose replay opens and folds each ballot
+    docstring). At the first ballot a poll takes while it holds
+    MIN_FORKED_COMMANDS or more voters, ``intake`` starts the poll's worker:
+    this coordinator forked, holding the same key, whose replay is sent
+    every voter and ballot taken so far and then opens and folds each ballot
     as ``intake`` sends it. Any other poll's replay runs here from its first
     preview. ``proposals`` and ``commit`` read the run through the poll's
     preview and processing. A worker is stopped once its poll is processed
@@ -536,7 +523,9 @@ class Coordinator:
 
     def intake(self, poll: MaciPoll) -> None:
         """The poll took a ballot: its replay, if it has one, is sent what it
-        has not seen. A large poll starts its worker at its first ballot."""
+        has not seen. A poll with no replay yet that holds MIN_FORKED_COMMANDS
+        or more voters starts its worker here, at the first ballot it takes
+        while holding them, and the worker is sent the whole intake so far."""
         if poll._replay is None:
             if len(poll.voters) < MIN_FORKED_COMMANDS or _usable_cores() < 2:
                 return
@@ -546,13 +535,14 @@ class Coordinator:
 
     def proposals(self, poll: MaciPoll) -> list[Proposal]:
         """The counted Phase-1 votes, those that spend the juror's one credit,
-        in arrival order, each memo a text hash. The poll may still be open."""
-        counted = sorted(
-            (state.vote.arrival_index, author, state.vote.memo, state.current_key)
-            for author, state in enumerate(poll.preview_valid_votes(self._secret))
-            if state.vote is not None and sum(state.vote.amounts) == 1
-        )
-        return [Proposal(memo, author, key) for _, author, memo, key in counted]
+        in arrival order: each command's memo (a text hash), its voter's
+        index and its new key. The poll may still be open."""
+        counted = sorted(filter(None, poll.preview_valid_votes(self._secret)))
+        return [
+            Proposal(command.memo, command.voter_registration_index, command.new_public_key)
+            for _, command in counted
+            if sum(command.vote_amount) == 1
+        ]
 
     def commit(self, poll: MaciPoll) -> tuple[dict[int, int], bytes]:
         """Process the closed poll; its tally and the commitment digest. The
@@ -801,8 +791,8 @@ def _last_valid(
     verdicts: Sequence[tuple[bool, Optional[str]]],
 ) -> Iterator[Optional[_Signed]]:
     """Each voter's last command whose verdict is valid, or None: where the
-    voter's replay ends. Processing reads the replayed verdicts, the audit
-    the claimed."""
+    voter's replay ends, and the voter's counted vote. Processing reads the
+    replayed verdicts, the audit the claimed."""
     for chain in chains:
         last = None
         for signed in reversed(chain):
@@ -812,31 +802,11 @@ def _last_valid(
         yield last
 
 
-def _final_states(
-    initial_voters: Sequence[tuple[bytes, int]],
-    chains: Sequence[Sequence[_Signed]],
-    verdicts: Sequence[tuple[bool, Optional[str]]],
-) -> tuple[VoterFinalState, ...]:
-    """Each voter's final state, given each plaintext's verdict: the last
-    valid command's new key and vote, else the registered key and no vote."""
-    states = []
-    for (key, _), last in zip(initial_voters, _last_valid(chains, verdicts)):
-        if last is None:
-            states.append(VoterFinalState(key, None))
-        else:
-            arrival, command, _, _ = last
-            vote = FinalVote(
-                command.vote_option, command.vote_amount, command.memo, arrival
-            )
-            states.append(VoterFinalState(command.new_public_key, vote))
-    return tuple(states)
-
-
-def _aggregate(votes: Iterable[tuple[Sequence[int], Sequence[int]]]) -> dict[int, int]:
-    """The tally of the counted votes, each as (options, amounts)."""
+def _aggregate(commands: Iterable[Command]) -> dict[int, int]:
+    """The tally of the counted votes: each voter's last valid command."""
     tally: dict[int, int] = {}
-    for options, amounts in votes:
-        for option, amount in zip(options, amounts):
+    for command in commands:
+        for option, amount in zip(command.vote_option, command.vote_amount):
             tally[option] = tally.get(option, 0) + amount
     return tally
 
@@ -925,12 +895,13 @@ class _Replay:
         self._unfolded.clear()
 
     def result(self) -> _Answer:
-        """Fold, then (plaintexts, verdicts, final states), each state as
-        (key, vote), the vote a plain tuple of ``FinalVote``'s fields or None."""
+        """Fold, then (plaintexts, verdicts, counted votes): each voter's last
+        valid command (``_last_valid``) as the plain tuple (arrival index,
+        *command), which a worker can send, or None."""
         self.fold()
-        states = _final_states(self.voters, self.chains, self.verdicts)
-        plain = [(state.current_key, state.vote and tuple(state.vote)) for state in states]
-        return self.plaintexts, list(self.verdicts), plain
+        lasts = _last_valid(self.chains, self.verdicts)
+        counted = [last and (last[0], *last[1]) for last in lasts]
+        return self.plaintexts, list(self.verdicts), counted
 
 
 # what a replay answers: ``_Replay.result``
@@ -1066,7 +1037,7 @@ def verify_audit(
     * the rest of check 4a: the claims agree with the replay's verdicts
       before its fold (``_claims_agree``), with no signature check;
     * check 4b: the replay's fold, the O(M) signature replay, gives exactly
-      the claimed verdicts, with no final state built.
+      the claimed verdicts.
 
     The accept set is that of any order: every replay's verdicts pass 4a,
     so 4a rejects only what 4b would, and 4a and 4b both read
@@ -1088,9 +1059,7 @@ def verify_audit(
         replay.add(entry.plaintext)
 
     counted = (
-        (signed[1].vote_option, signed[1].vote_amount)
-        for signed in _last_valid(replay.chains, claimed)
-        if signed is not None
+        last[1] for last in _last_valid(replay.chains, claimed) if last is not None
     )
     if _aggregate(counted) != dict(transcript.tally):
         return Verdict.reject(REASON_TALLY_MISMATCH)

@@ -976,13 +976,9 @@ def _play(script: Mapping[str, Any], seed: int) -> tuple[dict, AdversaryView]:
         "snapshot": world.snapshot(),
         "ok": all(entry["pass"] for entry in steps_report),
     }
-    # the replay checks every prefix of the ledger, so once covers every step;
-    # a broken invariant is named on the last step, or on the report if none
+    # the replay checks every prefix of the ledger, so once covers every step,
+    # but it cannot tell which step broke it: it is named on the report
     if not world.engine.escrow.conserved():
-        broken = "escrow conservation violated"
         report["ok"] = False
-        if steps_report:
-            steps_report[-1].update({"pass": False, "invariant": broken})
-        else:
-            report["invariant"] = broken
+        report["invariant"] = "escrow conservation violated"
     return report, world.view

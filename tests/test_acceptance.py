@@ -132,7 +132,7 @@ def test_quadratic_cost_law() -> None:
             poll.close(10)
             transcript = poll.process_messages(coordinator)
             # the memoised run processing read, not run again
-            counted = poll.preview_valid_votes(coordinator)[0].vote is not None
+            counted = poll.preview_valid_votes(coordinator)[0] is not None
             if counted != should_count:
                 boundary_failures.append((n, credits, counted))
             if not should_count and transcript.entries[0].reason != REASON_OVER_BUDGET:
@@ -428,15 +428,14 @@ def test_ballot_processing_semantics() -> None:
                 if entry.reason != REASON_OVER_BUDGET:
                     violations.append((sequence, "overspend reason", entry.reason))
         # the memoised run processing read, not run again
-        for index, state in enumerate(poll.preview_valid_votes(coordinator)):
-            got = (
-                None
-                if state.vote is None
-                else (state.vote.options, state.vote.amounts, state.vote.arrival_index)
+        for index, vote in enumerate(poll.preview_valid_votes(coordinator)):
+            got = None if vote is None else (
+                vote[1].vote_option, vote[1].vote_amount, vote[0]
             )
             if got != model_last[index]:
                 violations.append((sequence, "final vote", index))
-            if state.current_key != model_keys[index].public:
+            # a counted vote's command holds the key the voter ended at
+            if vote is not None and vote[1].new_public_key != model_keys[index].public:
                 violations.append((sequence, "final key", index))
 
         # salts come from their own generator so the sequences stay as they were

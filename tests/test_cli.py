@@ -406,7 +406,7 @@ def test_an_empty_timeline_reports_as_the_naive_writer_writes(
     tmp_path, monkeypatch, capsys, fault
 ) -> None:
     """No steps: the `steps` list is empty, and a broken invariant is named
-    on the report itself."""
+    on the report, as in every run."""
     if fault:
         monkeypatch.setattr(Escrow, "conserved", lambda self: False)
     script = {"seed": 4, "config": {"genesis_humans": ["ana"]}, "timeline": [],
@@ -520,9 +520,10 @@ def test_run_ledger_fault_exits_one_without_traceback(monkeypatch, capsys) -> No
     assert main(["run", str(HAPPY)]) == EXIT_FAIL
     captured = capsys.readouterr()
     report = json.loads(captured.out)
-    assert report["steps"][-1]["invariant"] == "escrow conservation violated"
-    assert "issue_party_sbt): escrow conservation violated" in captured.err
-    assert "Traceback" not in captured.err
+    assert report["invariant"] == "escrow conservation violated"
+    assert all(step["pass"] and "invariant" not in step for step in report["steps"])
+    # the invariant is named once, on its own, and blames no step
+    assert captured.err == "failed: escrow conservation violated\n"
 
 
 def test_run_names_a_broken_invariant_with_no_steps(tmp_path, monkeypatch, capsys) -> None:
@@ -1527,7 +1528,7 @@ def test_transcript_bytes_are_pinned() -> None:
 
 def test_transcript_json_holds_no_position_or_digest_copies(audit_artifacts) -> None:
     """Voter i and entry j are known by their positions alone, the intake
-    digest is derived from the entries, and each voter's final state from
+    digest is derived from the entries, and each voter's counted vote from
     the claimed verdicts, so the document states none of them."""
     doc, _, _ = audit_artifacts
     assert set(doc) == {

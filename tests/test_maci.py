@@ -6,6 +6,7 @@ import marshal
 import os
 import random
 import signal
+import sys
 import threading
 import types
 
@@ -92,7 +93,7 @@ def finish(poll, coordinator, rng, *, now=100):
     poll.process_messages(coordinator)
     poll.commit_tally(rng)
     tally, salt = poll.publish_tally()
-    # where each voter's replay ended: the memoised run processing read
+    # each voter's counted vote: the memoised run processing read
     return poll.preview_valid_votes(coordinator), tally, salt
 
 
@@ -164,10 +165,10 @@ def test_last_message_wins(rng) -> None:
     poll, coordinator, voters = make_poll(rng)
     cast(poll, rng, voters[0], 0, {0: 1}, now=0)
     cast(poll, rng, voters[0], 0, {1: 1}, now=5)
-    final_states, tally, _ = finish(poll, coordinator, rng)
+    counted, tally, _ = finish(poll, coordinator, rng)
     assert tally == {1: 1}
-    assert final_states[0].vote is not None
-    assert final_states[0].vote.arrival_index == 1
+    assert counted[0] is not None
+    assert counted[0][0] == 1
 
 
 def test_key_switch_invalidates_stale_key(rng) -> None:
@@ -177,13 +178,13 @@ def test_key_switch_invalidates_stale_key(rng) -> None:
     cast(poll, rng, voters[0], 0, {0: 1}, new_key=fresh.public)
     # stale: still signed with the registration key
     cast(poll, rng, voters[0], 0, {1: 1})
-    final_states, tally, _ = finish(poll, coordinator, rng)
+    counted, tally, _ = finish(poll, coordinator, rng)
     assert tally == {0: 1}
     transcript = poll.audit_transcript()
     assert [e.valid for e in transcript.entries] == [True, False]
     assert transcript.entries[1].reason == "BadSignature"
     # and a message signed with the fresh key would have counted
-    assert final_states[0].current_key == fresh.public
+    assert counted[0][1].new_public_key == fresh.public
 
 
 def test_key_switch_then_new_key_message_counts(rng) -> None:
@@ -239,9 +240,9 @@ def test_an_option_outside_the_poll_is_a_bad_option(rng, option) -> None:
     poll, coordinator, voters = make_poll(rng, cost_rule="quadratic", credits=(9, 9))
     cast(poll, rng, voters[0], 0, {0: 2}, now=0)
     cast(poll, rng, voters[0], 0, {1: 1, option: 1}, now=1)
-    final_states, tally, _ = finish(poll, coordinator, rng)
+    counted, tally, _ = finish(poll, coordinator, rng)
     assert tally == {0: 2}
-    assert final_states[0].vote.arrival_index == 0
+    assert counted[0][0] == 0
     transcript = poll.audit_transcript()
     assert [(e.valid, e.reason) for e in transcript.entries] == [
         (True, None), (False, "BadOption")
@@ -291,9 +292,9 @@ def test_undecryptable_message_marked_auth_failure(rng) -> None:
 
 def test_zero_messages_zero_tally(rng) -> None:
     poll, coordinator, _ = make_poll(rng)
-    final_states, tally, _ = finish(poll, coordinator, rng)
+    counted, tally, _ = finish(poll, coordinator, rng)
     assert tally == {}
-    assert all(s.vote is None for s in final_states)
+    assert all(vote is None for vote in counted)
 
 
 # ---- the ballot envelope ------------------------------------------------------------
@@ -338,9 +339,10 @@ def test_a_new_key_of_another_length_is_a_decode_error(rng, length) -> None:
     poll, coordinator, voters = make_poll(rng)
     cast(poll, rng, voters[0], 0, {0: 1}, now=0)
     cast(poll, rng, voters[0], 0, {1: 1}, now=1, new_key=b"\x01" * length)
-    final_states, tally, _ = finish(poll, coordinator, rng)
+    counted, tally, _ = finish(poll, coordinator, rng)
     assert tally == {0: 1}
-    assert final_states[0].current_key == voters[0].public
+    assert counted[0][0] == 0
+    assert counted[0][1].new_public_key == voters[0].public
     transcript = poll.audit_transcript()
     assert [(e.valid, e.reason) for e in transcript.entries] == [
         (True, None), (False, "DecodeError")
@@ -547,8 +549,8 @@ def test_processing_matches_an_independent_reference(
     )
     assert [entry.plaintext for entry in transcript.entries] == plaintexts
     assert [(entry.valid, entry.reason) for entry in transcript.entries] == verdicts
-    final_states = poll.preview_valid_votes(coordinator)  # processing's memoised run
-    assert as_naive(verdicts, final_states) == (verdicts, finals, tally)
+    counted = poll.preview_valid_votes(coordinator)  # processing's memoised run
+    assert as_naive(verdicts, counted) == naive_counted((verdicts, finals, tally))
     assert poll.tally == tally
 
 
@@ -605,28 +607,46 @@ def long_replay(seed: int, cost_rule: str, options: int, voter_count: int, comma
     return cost_rule, options, initial, plaintexts
 
 
-def as_naive(verdicts, states):
-    """A replay's result in `support.naive_replay`'s terms. Each state is a
-    `VoterFinalState` or a replay's plain (key, vote)."""
-    finals = [(key, None if vote is None else tuple(vote)) for key, vote in states]
+def as_naive(verdicts, votes):
+    """A replay's result in `naive_counted`'s terms. Each vote is None, or
+    (arrival, `Command`) as `MaciPoll.preview_valid_votes` gives it, or a
+    replay's plain (arrival, *command); its command names its own voter."""
+    finals = []
+    for voter, vote in enumerate(votes):
+        if vote is None:
+            finals.append(None)
+            continue
+        arrival, key, options, amounts, memo, index = (
+            (vote[0], *vote[1]) if len(vote) == 2 else vote
+        )
+        assert index == voter
+        finals.append((key, (options, amounts, memo, arrival)))
     tally: dict[int, int] = {}
-    for _, vote in finals:
-        if vote is not None:
-            for option, amount in zip(vote[0], vote[1]):
+    for final in finals:
+        if final is not None:
+            for option, amount in zip(final[1][0], final[1][1]):
                 tally[option] = tally.get(option, 0) + amount
     return list(verdicts), finals, tally
 
 
+def naive_counted(expected):
+    """`support.naive_replay`'s result with each voter's final (key, vote)
+    kept only for a voter with a counted vote, else None: the key of a
+    voter with no vote is the registered one, which no replay restates."""
+    verdicts, finals, *rest = expected
+    return (verdicts, [vote and (key, vote) for key, vote in finals], *rest)
+
+
 def replay_whole(cost_rule, options, voters, plaintexts):
     """`maci._Replay` sent the voters, then every plaintext, and folded
-    once, as the audit folds: its result in `support.naive_replay`'s terms."""
+    once, as the audit folds: its result in `naive_counted`'s terms."""
     replay = maci._Replay(cost_rule, options)
     for key, credits in voters:
         replay.add_voter(key, credits)
     for plaintext in plaintexts:
         replay.add(plaintext)
-    _, verdicts, states = replay.result()
-    return as_naive(verdicts, states)
+    _, verdicts, votes = replay.result()
+    return as_naive(verdicts, votes)
 
 
 def fork_spy(monkeypatch, child=None):
@@ -664,7 +684,7 @@ def test_the_split_replay_matches_a_serial_reference(
     whenever two or more cores are usable and the poll holds enough
     commands to split."""
     inputs = long_replay(seed, cost_rule, options, voter_count, commands)
-    expected = naive_replay(*inputs)
+    expected = naive_counted(naive_replay(*inputs))
     with pytest.MonkeyPatch.context() as patch:
         forks = fork_spy(patch)
         result = replay_whole(*inputs)
@@ -706,7 +726,7 @@ def test_voters_split_into_ranges_of_about_equal_command_counts(
 def split_replay():
     """Replay inputs above the split size, and the serial reference's result."""
     inputs = long_replay(7, "linear", 2, 4, 3 * maci.MIN_FORKED_COMMANDS)
-    return inputs, naive_replay(*inputs)
+    return inputs, naive_counted(naive_replay(*inputs))
 
 
 def _raise_os_error() -> int:
@@ -838,12 +858,6 @@ def test_a_poll_processed_here_folds_its_voters_in_ranges(monkeypatch, split_rep
 # ---- a large poll processed as it arrives ---------------------------------------------
 
 
-def plain_replay(result):
-    """A replay's (verdicts, final states) in the worker's plain values."""
-    verdicts, states = result
-    return verdicts, [(s.current_key, s.vote and tuple(s.vote)) for s in states]
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -889,10 +903,10 @@ def test_the_growing_replay_is_the_replay_of_what_was_added(
             replay.add(added[-1])
         roll = rng.random()
         if roll < 0.05 or len(voters) + len(added) == len(order):
-            expected = naive_replay(cost_rule, options, voters, added)[:2]
+            expected = naive_counted(naive_replay(cost_rule, options, voters, added))
             got_plaintexts, *got = replay.result()
             assert got_plaintexts == added
-            assert tuple(got) == expected
+            assert as_naive(*got) == expected
         elif roll < 0.3:
             replay.fold()
 
@@ -901,11 +915,17 @@ _WORKER_MOVES = [*_MOVES, "negative_index", "cut", "preview"]
 
 
 @settings(max_examples=40, deadline=None)
+# a ballot, a voter, then the ballot that starts the worker with that backlog
+@example(
+    seed=1, cost_rule="linear", options=2, credits=[3], threshold=2,
+    moves=[("vote", 0, 1, 0), ("late_voter", 1, 0, 0), ("vote", 0, 1, 1)],
+)
 @given(
     seed=st.integers(0, 2**32 - 1),
     cost_rule=st.sampled_from(sorted(COST_RULES)),
     options=st.integers(1, 3),
     credits=st.lists(st.integers(0, 12), min_size=1, max_size=3),
+    threshold=st.integers(1, 4),
     moves=st.lists(
         st.tuples(
             st.sampled_from(_WORKER_MOVES), st.integers(0, 40), st.integers(-3, 4),
@@ -915,17 +935,19 @@ _WORKER_MOVES = [*_MOVES, "negative_index", "cut", "preview"]
     ),
 )
 def test_a_poll_worker_answers_the_replay_of_the_intake_so_far(
-    seed, cost_rule, options, credits, moves
+    seed, cost_rule, options, credits, threshold, moves
 ) -> None:
-    """Every poll takes a worker at its first ballot here
-    (`MIN_FORKED_COMMANDS` set to 1, two usable cores), sent each ballot as
-    the engine sends it; a poll previewed before its first ballot replays
-    here instead. Each preview (which then extends the deadline, so more
-    ballots follow) and the processing read the run the replay streamed; it
-    must equal the opening and `support.naive_replay` of the intake so far,
-    here, over random intakes: late voters, rotations, stale and stranger
-    signers, garbage, cut and truncated envelopes, negative and unknown
-    indexes. The worker is reaped when the poll commits."""
+    """A poll takes its worker at the first ballot it takes while holding
+    `MIN_FORKED_COMMANDS` voters, drawn here from 1 to 4 (two usable
+    cores), so it may first take ballots and register voters, which the new
+    worker is sent at once; then each ballot as the engine sends it. A poll
+    previewed before its worker starts replays here instead. Each preview
+    (which then extends the deadline, so more ballots follow) and the
+    processing read the run the replay streamed; it must equal the opening
+    and `support.naive_replay` of the intake so far, here, over random
+    intakes: late voters, rotations, stale and stranger signers, garbage,
+    cut and truncated envelopes, negative and unknown indexes. The worker
+    is reaped when the poll commits."""
     rng = random.Random(seed)
     coordinator, stranger = DecryptionKey.generate(rng), DecryptionKey.generate(rng)
     coord = maci.Coordinator(coordinator, random.Random(seed))
@@ -936,13 +958,15 @@ def test_a_poll_worker_answers_the_replay_of_the_intake_so_far(
 
     def replayed_here():
         plaintexts = [maci._open(coordinator, m.ciphertext) for m in poll.messages]
-        return plaintexts, naive_replay(cost_rule, options, poll.voters, plaintexts)[:2]
+        naive = naive_replay(cost_rule, options, poll.voters, plaintexts)
+        return plaintexts, naive_counted(naive)
 
     def worker_run():
         run = poll._result(coordinator)
         entries = run.transcript.entries
-        return [entry.plaintext for entry in entries], plain_replay(
-            ([(entry.valid, entry.reason) for entry in entries], run.final_states)
+        verdicts = [(entry.valid, entry.reason) for entry in entries]
+        return [entry.plaintext for entry in entries], (
+            *as_naive(verdicts, run.counted)[:2], dict(run.transcript.tally)
         )
 
     def read(step) -> None:
@@ -956,7 +980,7 @@ def test_a_poll_worker_answers_the_replay_of_the_intake_so_far(
     now, pids, runs = 0, set(), []
     real_take = maci._Driver.take
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(maci, "MIN_FORKED_COMMANDS", 1)
+        patch.setattr(maci, "MIN_FORKED_COMMANDS", threshold)
         patch.setattr(maci, "_usable_cores", lambda: 2)
         patch.setattr(
             maci._Driver, "take", lambda *args: runs.append(1) or real_take(*args)
@@ -971,7 +995,8 @@ def test_a_poll_worker_answers_the_replay_of_the_intake_so_far(
             if ct is not None:
                 poll.submit_message(ct, now)
                 coord.intake(poll)
-                if poll._replay.child is not None:
+                if poll in coord._forked:
+                    assert len(poll.voters) >= threshold
                     pids.add(poll._replay.child.pid)
         poll.close(poll.deadline)
         read(coord.commit)
@@ -1101,7 +1126,7 @@ def test_processing_after_a_preview_equals_a_fresh_poll(preview_by, late_intake)
 def test_a_preview_alone_is_not_processing(rng) -> None:
     poll, coordinator, voters = make_poll(rng)
     cast(poll, rng, voters[0], 0, {0: 1})
-    assert poll.preview_valid_votes(coordinator)[0].vote is not None
+    assert poll.preview_valid_votes(coordinator)[0] is not None
     poll.close(100)
     with pytest.raises(CommitBeforeProcessing):
         poll.tally
@@ -1635,31 +1660,38 @@ def test_the_audit_decodes_and_checks_only_what_each_check_needs(
     assert audit(transcript) == (None, plaintexts, survivors)
 
 
-def final_state_records(monkeypatch) -> list:
-    """Record the name of every `VoterFinalState` and `FinalVote` built."""
-    built: list = []
-    for name in ("VoterFinalState", "FinalVote"):
-        real = getattr(maci, name)
+def transcribed_commands(monkeypatch) -> list:
+    """Record every `Command` that `MaciPoll._transcribed` builds again from
+    a replay's plain answer, directly or in an expression it runs; a decode's
+    `Command` is not recorded."""
+    real, built = maci.Command, []
 
-        def spy(*args, _real=real, _name=name):
-            built.append(_name)
-            return _real(*args)
+    def spy(*args, **kwargs):
+        caller = sys._getframe(1)
+        if "_transcribed" in (caller.f_code.co_name, caller.f_back.f_code.co_name):
+            built.append(args)
+        return real(*args, **kwargs)
 
-        monkeypatch.setattr(maci, name, spy)
+    monkeypatch.setattr(maci, "Command", spy)
     return built
 
 
 @pytest.mark.parametrize("ballots", [8, 60, 240])
 def test_the_audit_sums_votes_without_final_state_records(monkeypatch, ballots) -> None:
-    """Exact counts: check 2 sums each voter's last claimed-valid vote off
-    the decoded chains, so an audit, honest or rejected at check 2 or 3,
-    builds no `VoterFinalState` and no `FinalVote`, and decodes each
-    plaintext once. Processing's replay, on the same plaintexts, builds one
-    final state per voter and one vote per voter that voted."""
-    transcript, intake, commitment = honest_audit(ballots, ballots)
+    """Exact counts: check 2 sums each voter's last claimed-valid command
+    off the decoded chains, so an audit, honest or rejected at check 2 or
+    3, builds no command again (`MaciPoll._transcribed`), and decodes each
+    plaintext once. Processing the same ballots builds one command again
+    per voter who voted, by `support.naive_replay`."""
     signature_checks(monkeypatch)  # one range: nothing is built in a child
-    built, decoded = final_state_records(monkeypatch), decodes(monkeypatch)
+    built = transcribed_commands(monkeypatch)
+    transcript, intake, commitment = honest_audit(ballots, ballots)
     plaintexts = [entry.plaintext for entry in transcript.entries]
+    _, finals, _ = naive_replay(
+        transcript.cost_rule, transcript.options, transcript.initial_voters, plaintexts
+    )
+    assert len(built) == sum(vote is not None for _, vote in finals) > 0
+    decoded = decodes(monkeypatch)
     opened = sum(plaintext is not None for plaintext in plaintexts)
     tally = dict(transcript.tally)
     tally[0] = tally.get(0, 0) + 1
@@ -1672,12 +1704,6 @@ def test_the_audit_sums_votes_without_final_state_records(monkeypatch, ballots) 
         decoded.clear()
         assert verify_audit(audit, intake, commitment).reason == reason
         assert (built, len(decoded)) == ([], opened)
-    built.clear()
-    _, finals, _ = replay_whole(
-        transcript.cost_rule, transcript.options, transcript.initial_voters, plaintexts
-    )
-    voted = sum(vote is not None for _, vote in finals)
-    assert sorted(built) == ["FinalVote"] * voted + ["VoterFinalState"] * len(finals)
 
 
 @pytest.mark.parametrize(

@@ -23,11 +23,9 @@ from disputekit.incentives import SbtToken
 from disputekit.maci import (
     AuditTranscript,
     Command,
-    FinalVote,
     MaciMessage,
     Proposal,
     TranscriptEntry,
-    VoterFinalState,
     _Run,
 )
 from disputekit.oracle import BResponse, OracleResult, SweepReport
@@ -52,11 +50,9 @@ IMMUTABLE = [
     SbtToken("PartyCompliant", "bob", 0),
     Command(b"k" * 32, (0,), (1,), b"", 0),
     MaciMessage(b"ciphertext"),
-    FinalVote((0,), (1,), b"", 0),
-    VoterFinalState(b"k" * 32, FinalVote((0,), (1,), b"", 0)),
     _TRANSCRIPT.entries[0],
     _TRANSCRIPT,
-    _Run(_TRANSCRIPT, (VoterFinalState(b"k" * 32, None),)),
+    _Run(_TRANSCRIPT, ((0, Command(b"k" * 32, (0,), (1,), b"", 0)), None)),
     _PATH,
     PublicEvent("group_join", {"leaf": 0}),
     QuadraticAllocation("alice", {0: 1}),
