@@ -151,7 +151,7 @@ def _refusal(error: type[Exception], attempt: Callable[[], object]) -> Optional[
 # ---- 1: double voting ------------------------------------------------------------
 
 
-def attack_double_vote(seed: int = 2029) -> AttackReport:
+def attack_double_vote(seed: int) -> AttackReport:
     """One juror tries to count twice: enrolling a second time for the
     same dispute, and stacking extra ballots in the queue."""
     honest_votes = [
@@ -181,10 +181,11 @@ def attack_double_vote(seed: int = 2029) -> AttackReport:
 
     # attempt B: an extra early ballot, built from adversarial randomness;
     # the honest-looking final one follows
+    voter, signer = attacked.jurors[dispute_id]["judge0"]
     stuffed = build_message(
-        signer=attacked.signer_keys[(dispute_id, "judge0")],
+        signer=signer,
         coordinator_public=attacked.coordinator.public,
-        voter_registration_index=attacked.jurors[dispute_id]["judge0"],
+        voter_registration_index=voter,
         votes={attacked.engine.disputes[dispute_id].parties.index("alice"): 1},
         memo=hash_bytes(b"stuffed ballot"),
         rng=attacked.adversary_rng,
@@ -241,7 +242,7 @@ def _coercion_trace(seed: int, *, defect: bool) -> tuple[World, int, dict, list]
     return world, dispute_id, _dispute_outcome(world, dispute_id), _observed(world)
 
 
-def attack_coercion(seed: int = 2029) -> AttackReport:
+def attack_coercion(seed: int) -> AttackReport:
     """A coercer watches the public record to check the victim obeyed."""
     _, _, comply_outcome, comply_shape = _coercion_trace(seed, defect=False)
     _, _, defect_outcome, defect_shape = _coercion_trace(seed, defect=True)
@@ -266,7 +267,7 @@ def attack_coercion(seed: int = 2029) -> AttackReport:
 # ---- 3: sybil identities ----------------------------------------------------------
 
 
-def attack_sybil(seed: int = 2029) -> AttackReport:
+def attack_sybil(seed: int) -> AttackReport:
     """One person tries to hold several voting slots."""
     world = _standard_world(seed)
     rejections: dict[str, Optional[str]] = {}
@@ -322,7 +323,7 @@ def attack_sybil(seed: int = 2029) -> AttackReport:
 # ---- 4: dispute spam -----------------------------------------------------------
 
 
-def attack_spam(seed: int = 2029) -> AttackReport:
+def attack_spam(seed: int) -> AttackReport:
     """Grief with frivolous disputes; check the fee makes it self-defeating."""
     honest_votes = [
         ("judge0", "alice", "refund half"),
@@ -388,7 +389,7 @@ def attack_spam(seed: int = 2029) -> AttackReport:
 # ---- 5: wealth takeover of the runoff -------------------------------------------
 
 
-def attack_takeover(seed: int = 2029) -> AttackReport:
+def attack_takeover(seed: int) -> AttackReport:
     """The richer party (12 credits vs 10) tries to force its proposal
     through the runoff — by overspending, by impersonating the other
     party, and finally by honest all-in spending."""
@@ -468,7 +469,7 @@ def _info_trace(seed: int, votes) -> tuple[list, list, World]:
     return pre_publication, world.view.kinds(), world
 
 
-def attack_info_asymmetry(seed: int = 2029) -> AttackReport:
+def attack_info_asymmetry(seed: int) -> AttackReport:
     """An observer tries to learn the interim tally from the public
     record before the coordinator publishes it."""
     towards_alice = [

@@ -35,8 +35,9 @@ commands, so the rule is two steps:
 
 1. one stateless step per plaintext, in arrival order
    (``_stateless_verdict``): a plaintext that did not open is an
-   AuthFailure, one that is not one canonical command a DecodeError, and one
-   whose index names no voter an UnknownVoter;
+   AuthFailure, and one that is not one canonical command a DecodeError;
+   a command whose index names no registered voter is then an UnknownVoter
+   (``_Replay.add``);
 2. one fold per voter over that voter's surviving commands (``_fold_voter``):
    the signature against the key as it stands, then an option outside
    ``0 .. options-1`` (BadOption), then amounts the cost rule forbids
@@ -602,7 +603,7 @@ _Reasons = list[Optional[str]]  # each command's reason, or None when valid
 
 
 def _stateless_verdict(
-    plaintext: Optional[bytes], voter_count: int
+    plaintext: Optional[bytes],
 ) -> tuple[Optional[str], Optional[tuple[Command, bytes, bytes]]]:
     """The reason a plaintext is invalid whatever any voter's state, or None
     with the decoded command, its signed bytes and its signature."""
@@ -612,8 +613,6 @@ def _stateless_verdict(
         command, signed, signature = decode_signed_command(plaintext)
     except (DecodeError, InvalidKey):
         return REASON_DECODE_ERROR, None
-    if not 0 <= command.voter_registration_index < voter_count:
-        return REASON_UNKNOWN_VOTER, None
     return None, (command, signed, signature)
 
 
@@ -814,11 +813,6 @@ def _aggregate(commands: Iterable[Command]) -> dict[int, int]:
 # ---- a poll's replay: processed as it arrives, here or in its worker -------------
 
 
-# above every voter index a command can hold, so only a negative index is
-# unknown before the voters are all registered
-_ANY_VOTER = 1 << 63
-
-
 class _Replay:
     """The ballot-replay rule over an intake that may grow, as voters and
     plaintexts are added in any interleaving.
@@ -826,11 +820,13 @@ class _Replay:
     ``add`` takes a plaintext's stateless step (``_stateless_verdict``) and
     appends a command that survives it to its voter's chain, or, while that
     voter is not registered, to the commands waiting for it, which read
-    UnknownVoter until a fold after the voter registers. ``fold`` first
-    checks the key of every voter added since it last ran, then folds each
-    voter's commands not yet folded (``_fold_voter``) from the key where
-    that voter's last fold stopped, so it costs what it folds: the voters
-    are split as ``_split`` says, and the ranges folded by ``_fold_ranges``.
+    UnknownVoter until a fold after the voter registers. A negative index
+    names a voter that never registers, so its commands read UnknownVoter
+    for good. ``fold`` first checks the key of every voter added since it
+    last ran, then folds each voter's commands not yet folded
+    (``_fold_voter``) from the key where that voter's last fold stopped, so
+    it costs what it folds: the voters are split as ``_split`` says, and the
+    ranges folded by ``_fold_ranges``.
     ``verdicts`` holds each plaintext's (valid, reason), None for any other
     command not yet folded."""
 
@@ -856,12 +852,12 @@ class _Replay:
     def add(self, plaintext: Optional[bytes]) -> None:
         arrival = len(self.plaintexts)
         self.plaintexts.append(plaintext)
-        reason, decoded = _stateless_verdict(plaintext, _ANY_VOTER)
+        reason, decoded = _stateless_verdict(plaintext)
         if decoded is None:
             self.verdicts.append((False, reason))
             return
         signed, voter = (arrival, *decoded), decoded[0].voter_registration_index
-        if voter < len(self.voters):
+        if 0 <= voter < len(self.voters):
             self.verdicts.append(None)
             self._unfolded.setdefault(voter, len(self.chains[voter]))
             self.chains[voter].append(signed)

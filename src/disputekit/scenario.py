@@ -1,7 +1,8 @@
 """Deterministic simulation world plus a scripted scenario runner.
 
 Two audiences share this module. The `World` is the programmatic surface:
-one personhood registry, one juror group, one coordinator, one escrow, and
+one personhood registry, one juror group, one coordinator (held as its
+`maci.Coordinator`, the one holder of the decryption key), one escrow, and
 any number of disputes, all drawing randomness from a single seeded
 generator so a run can be replayed bit-for-bit. The scenario runner drives
 a `World` from a plain-dict script (usually parsed from JSON) and produces
@@ -27,7 +28,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .engine import DisputeConfig, DisputeEngine, enrollment_scope
 from .errors import MalformedScript, NotAJuror, NotAParty, ProtocolError
-from .identity import Identity, PohRegistry, SemaphoreGroup, create_signal
+from .identity import HumanRecord, Identity, PohRegistry, SemaphoreGroup, create_signal
 from .incentives import (
     ReputationLedger,
     SbtRegistry,
@@ -150,8 +151,10 @@ class World:
     `adversary_rng` so a blocked attack cannot shift the honest sequence
     of keys, nonces, and salts.
 
-    Each method named in `_OP_NAMES` is the one statement of its script op:
-    its parameters are the step's fields, and `now` is the step's `t`.
+    The coordinator is the engine's `maci.Coordinator`: clients seal ballots
+    for its `public` key, and only it can open them. Each method named in
+    `_OP_NAMES` is the one statement of its script op: its parameters are
+    the step's fields, and `now` is the step's `t`.
     """
 
     def __init__(
@@ -167,44 +170,41 @@ class World:
         self.view = AdversaryView()
         self.registry = PohRegistry(challenge_window=challenge_window)
         self.group = SemaphoreGroup(self.registry, tree_depth=tree_depth)
-        self.coordinator = DecryptionKey.generate(self.rng)
-        self.engine = DisputeEngine(
-            Coordinator(self.coordinator, self.rng), self.group, self.view.append
-        )
+        self.coordinator = Coordinator(DecryptionKey.generate(self.rng), self.rng)
+        self.engine = DisputeEngine(self.coordinator, self.group, self.view.append)
         self.reputation = ReputationLedger()
         self.sbts = SbtRegistry()
         self.identities: dict[str, Identity] = {}
         self.party_keys: dict[str, KeyPair] = {}
-        # per (dispute, judge): the ballot key, replaced when a vote rotates it
-        self.signer_keys: dict[tuple[int, str], KeyPair] = {}
-        # per dispute: each enrolled juror's voter index in the Phase-1 poll
-        self.jurors: dict[int, dict[str, int]] = {}
+        # per dispute: each enrolled juror's seat, (voter index in the Phase-1
+        # poll, ballot key), the key replaced when a vote rotates it
+        self.jurors: dict[int, dict[str, tuple[int, KeyPair]]] = {}
         for human in genesis_humans:
-            self.registry.seed_approved(human)
-            self.view.append("poh_status", {"human": human, "status": "Approved"})
+            self._publish_status(self.registry.seed_approved(human))
 
     # -- identity layer ---------------------------------------------------
+
+    def _publish_status(self, record: HumanRecord) -> str:
+        """Put the registration's status on the public record; returns it."""
+        status = record.status.value
+        self.view.append("poh_status", {"human": record.human_id, "status": status})
+        return status
 
     def poh_register(self, human: str, voucher: str, now: int) -> int:
         record = self.registry.register(
             human, hash_bytes(f"video:{human}".encode()), voucher, now
         )
-        self.view.append("poh_status", {"human": human, "status": record.status.value})
+        self._publish_status(record)
         return record.challenge_deadline
 
     def poh_challenge(self, human: str, reason: str, now: int) -> str:
-        record = self.registry.challenge(human, reason, now)
-        self.view.append("poh_status", {"human": human, "status": record.status.value})
-        return record.status.value
+        return self._publish_status(self.registry.challenge(human, reason, now))
 
     def poh_finalize(self, now: int) -> dict[str, str]:
-        changed = self.registry.finalize(now)
-        for record in changed:
-            self.view.append(
-                "poh_status",
-                {"human": record.human_id, "status": record.status.value},
-            )
-        return {record.human_id: record.status.value for record in changed}
+        return {
+            record.human_id: self._publish_status(record)
+            for record in self.registry.finalize(now)
+        }
 
     def group_join(self, human: str) -> int:
         identity = Identity.generate(self.rng)
@@ -230,13 +230,13 @@ class World:
             raise NotAParty(party)
         return parties.index(party)
 
-    def _ballot_key(self, dispute_id: int, human: str) -> KeyPair:
-        """The juror's ballot key as it stands; NotAJuror for a human who
-        never enrolled in the dispute."""
-        pair = self.signer_keys.get((dispute_id, human))
-        if pair is None:
+    def _seat(self, dispute_id: int, human: str) -> tuple[int, KeyPair]:
+        """The juror's voter index and ballot key as it stands; NotAJuror for
+        a human who never enrolled in the dispute."""
+        seat = self.jurors.get(dispute_id, {}).get(human)
+        if seat is None:
             raise NotAJuror(human)
-        return pair
+        return seat
 
     def _party_key(self, party: str) -> KeyPair:
         pair = self.party_keys.get(party)
@@ -274,11 +274,11 @@ class World:
 
     def submit_evidence(
         self, dispute: int, party: str, label: str, text: str, now: int
-    ) -> str:
+    ) -> bytes:
         ref = self.engine.submit_evidence(
             dispute, party, hash_bytes(text.encode()), label, now
         )
-        return ref.content_hash.hex()
+        return ref.content_hash
 
     def default_if_absent(self, dispute: int, now: int) -> str:
         return self.engine.default_if_absent(dispute, now)
@@ -295,8 +295,7 @@ class World:
             enrollment_scope(dispute),
         )
         index = self.engine.enroll_judge(dispute, signal, now)
-        self.signer_keys[(dispute, judge)] = ballot_key
-        self.jurors.setdefault(dispute, {})[judge] = index
+        self.jurors.setdefault(dispute, {})[judge] = (index, ballot_key)
         return index
 
     def phase1_vote(
@@ -310,12 +309,12 @@ class World:
         rotate_key: bool = False,
     ) -> int:
         option = self._party_index(dispute, party)
-        signer = self._ballot_key(dispute, judge)
+        voter, signer = self._seat(dispute, judge)
         fresh = KeyPair.generate(self.rng) if rotate_key else None
         ciphertext = build_message(
             signer=signer,
             coordinator_public=self.coordinator.public,
-            voter_registration_index=self.jurors[dispute][judge],
+            voter_registration_index=voter,
             votes={option: 1},
             new_public_key=fresh.public if fresh else None,
             memo=hash_bytes(proposal.encode()),
@@ -323,7 +322,7 @@ class World:
         )
         index = self.engine.submit_phase1_ballot(dispute, ciphertext, now)
         if fresh is not None:
-            self.signer_keys[(dispute, judge)] = fresh
+            self.jurors[dispute][judge] = (voter, fresh)
         return index
 
     def close_phase1(self, dispute: int, now: int) -> str:
@@ -354,20 +353,17 @@ class World:
 
     def close_phase2(self, dispute: int, now: int) -> dict[str, Any]:
         tally = self.engine.close_phase2(dispute, now)
-        return {
-            "winner": tally.winner,
-            "scores": {str(k): v for k, v in tally.proposal_scores.items()},
-        }
+        return {"winner": tally.winner, "scores": dict(tally.proposal_scores)}
 
     # -- aftermath -----------------------------------------------------------
 
     def claim_fee(self, dispute: int, judge: str, wallet: str) -> int:
-        signature = sign_claim(self._ballot_key(dispute, judge), dispute, wallet)
+        signature = sign_claim(self._seat(dispute, judge)[1], dispute, wallet)
         entry = distribute_fee(self.engine, dispute, wallet, signature)
         return entry.amount
 
     def apply_reputation(self, dispute: int) -> dict[str, int]:
-        by_index = {i: human for human, i in self.jurors.get(dispute, {}).items()}
+        by_index = {i: human for human, (i, _) in self.jurors.get(dispute, {}).items()}
         return apply_phase2_scores(
             self.reputation, self.engine.disputes[dispute], by_index
         )
@@ -394,61 +390,45 @@ class World:
     def snapshot(self) -> dict[str, Any]:
         """Semantic state only: what the run *decided*, not how it got
         there. Two runs that agree here agree on every verdict, balance,
-        and status, regardless of message traffic."""
-        disputes: dict[str, Any] = {}
+        and status, regardless of message traffic. Rendered as the report
+        writes it, by `jsonable`."""
+        disputes: dict[int, Any] = {}
         for dispute in self.engine.disputes.values():
-            disputes[str(dispute.dispute_id)] = {
+            tally = dispute.phase2_tally
+            disputes[dispute.dispute_id] = {
                 "state": dispute.state.value,
-                "parties": list(dispute.parties),
+                "parties": dispute.parties,
                 "fee": dispute.fee,
-                "evidence": [
-                    [ref.party, ref.content_hash.hex(), ref.label]
-                    for ref in dispute.evidence
-                ],
-                "phase1_scores": (
-                    None if dispute.phase1_scores is None else dict(dispute.phase1_scores)
-                ),
+                "evidence": dispute.evidence,
+                "phase1_scores": dispute.phase1_scores,
                 "proposals": [
-                    [k, p.text_hash.hex(), p.author_registration_index]
+                    (k, p.text_hash, p.author_registration_index)
                     for k, p in enumerate(dispute.proposals)
                 ],
-                "phase2_scores": (
-                    {str(k): v for k, v in dispute.phase2_tally.proposal_scores.items()}
-                    if dispute.phase2_tally
-                    else None
-                ),
-                "winner": (
-                    dispute.phase2_tally.winner if dispute.phase2_tally else None
-                ),
+                "phase2_scores": tally.proposal_scores if tally else None,
+                "winner": tally.winner if tally else None,
                 "default_winner": dispute.default_winner,
                 "settled": dispute.settled,
             }
         escrow = self.engine.escrow
         actors = sorted({entry.actor for entry in escrow.entries})
-        return {
+        return jsonable({
             "poh": {
                 human: record.status.value
                 for human, record in self.registry.records.items()
             },
-            "group_root": self.group.root.hex(),
-            "group_bindings": dict(self.group.member_bindings),
+            "group_root": self.group.root,
+            "group_bindings": self.group.member_bindings,
             "spent_nullifiers": len(self.group.seen_nullifier_hashes),
             "disputes": disputes,
-            "escrow_balances": {
-                str(d): escrow.balance(d) for d in self.engine.disputes
-            },
-            "escrow_net": {
-                actor: escrow.net_position(actor) for actor in actors
-            },
-            "reputation": dict(self.reputation.scores),
-            "sbts": [
-                list(item)
-                for item in sorted(
-                    (t.kind, t.subject, -1 if t.dispute_id is None else t.dispute_id)
-                    for t in self.sbts.tokens
-                )
-            ],
-        }
+            "escrow_balances": {d: escrow.balance(d) for d in self.engine.disputes},
+            "escrow_net": {actor: escrow.net_position(actor) for actor in actors},
+            "reputation": self.reputation.scores,
+            "sbts": sorted(
+                (t.kind, t.subject, -1 if t.dispute_id is None else t.dispute_id)
+                for t in self.sbts.tokens
+            ),
+        })
 
 
 # ---- scripted scenarios ---------------------------------------------------------
@@ -968,7 +948,7 @@ def _play(script: Mapping[str, Any], seed: int) -> tuple[dict, AdversaryView]:
             for position, step in enumerate(script["timeline"])
         ]
     finally:
-        world.engine.coordinator.close()
+        world.coordinator.close()
 
     report: dict[str, Any] = {
         "seed": seed,

@@ -217,10 +217,11 @@ def _random_pipeline(seed: int, rng: random.Random) -> dict:
                 ({other: 0, party: 1}, hash_bytes(b"split")),  # counts for `party`
                 ({len(parties) + party: 1}, hash_bytes(b"stray")),  # BadOption
             ][int(roll * 10)]
+            voter, signer = world.jurors[dispute_id][f"j{i}"]
             ciphertext = build_message(
-                signer=world.signer_keys[(dispute_id, f"j{i}")],
+                signer=signer,
                 coordinator_public=world.coordinator.public,
-                voter_registration_index=world.jurors[dispute_id][f"j{i}"],
+                voter_registration_index=voter,
                 votes=votes,
                 memo=memo,
                 rng=rng,
@@ -269,7 +270,7 @@ def test_pipeline_matches_naive_recount() -> None:
         case = _random_pipeline(rng.getrandbits(32), rng)
         world, dispute = case["world"], case["dispute"]
         parties, known = case["parties"], case["known"]
-        coordinator = world.coordinator
+        coordinator = world.coordinator._secret
 
         # phase 1, from the ciphertexts up
         verdicts1, last = _naive_recount(dispute.phase1_poll, coordinator)
@@ -591,10 +592,11 @@ def _double_vote_states(seed: int) -> tuple[dict, dict]:
     except ProtocolError:
         pass
     # a stuffed early ballot, later superseded by the honest final one
+    voter, signer = attacked.jurors[dispute_id]["judge0"]
     stuffed = build_message(
-        signer=attacked.signer_keys[(dispute_id, "judge0")],
+        signer=signer,
         coordinator_public=attacked.coordinator.public,
-        voter_registration_index=attacked.jurors[dispute_id]["judge0"],
+        voter_registration_index=voter,
         votes={0: 1},
         memo=hash_bytes(b"stuffed"),
         rng=attacked.adversary_rng,
@@ -846,7 +848,7 @@ def _random_lifecycle(seed: int, rng: random.Random) -> tuple[str, int]:
             dispute.phase2_tally.winner
         ].author_registration_index
         judge = next(
-            human for human, index in world.jurors[dispute_id].items()
+            human for human, (index, _) in world.jurors[dispute_id].items()
             if index == winner_index
         )
         step(world.claim_fee, dispute_id, judge, f"wallet-{judge}")

@@ -255,7 +255,7 @@ def test_every_ballot_of_a_poll_has_one_length() -> None:
 def counted_vote(defect: bool):
     """What the Phase-1 transcript says of the coerced juror's counted vote."""
     world, dispute, _, _ = attacks._coercion_trace(2029, defect=defect)
-    voter = world.jurors[dispute]["judge0"]
+    voter, _ = world.jurors[dispute]["judge0"]
     counted = None
     for entry in world.engine.disputes[dispute].phase1_poll.audit_transcript().entries:
         command: Command = decode_signed_command(entry.plaintext)[0]

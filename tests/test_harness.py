@@ -133,6 +133,23 @@ def test_world_claim_fee_pays_the_author() -> None:
     assert world.engine.escrow.net_position("payout-wallet") == 20
 
 
+def test_the_world_holds_no_decryption_key_of_its_own() -> None:
+    """The engine's coordinator is the one holder of the key: the world
+    reaches it only through that coordinator, and keeps each juror's seat
+    as (voter index, ballot key)."""
+    world = build_minimal_world()
+    dispute_id = drive_minimal_dispute(world)
+    assert world.coordinator is world.engine.coordinator
+    assert not [
+        name for name, value in vars(world).items()
+        if isinstance(value, primitives.DecryptionKey)
+    ]
+    seats = world.jurors[dispute_id]
+    assert sorted(seats) == ["j0", "j1", "j2"]
+    assert sorted(index for index, _ in seats.values()) == [0, 1, 2]
+    assert all(isinstance(key, primitives.KeyPair) for _, key in seats.values())
+
+
 def _replayed_roots(view: list, depth: int) -> list[tuple[str, str, str]]:
     """Rebuild the member tree from the public record alone (hashlib, no
     disputekit code): each group_join fills its leaf, each group_remove
@@ -586,40 +603,40 @@ def test_matches_expected_is_a_subset_check() -> None:
 
 
 def test_double_vote_is_blocked() -> None:
-    report = attack_double_vote()
+    report = attack_double_vote(2029)
     assert report.blocked
     assert report.detail["double_enroll_reason"] == "DoubleSignal"
     assert report.detail["baseline_scores"] == report.detail["attacked_scores"]
 
 
 def test_coercion_is_blocked() -> None:
-    report = attack_coercion()
+    report = attack_coercion(2029)
     assert report.blocked
     assert report.detail["public_records_indistinguishable"]
     assert report.detail["defect_scores"] != report.detail["comply_scores"]
 
 
 def test_sybil_is_blocked() -> None:
-    report = attack_sybil()
+    report = attack_sybil(2029)
     assert report.blocked
     assert report.detail["banned_rejoin"] == "AlreadyJoined"
 
 
 def test_spam_is_blocked() -> None:
-    report = attack_spam()
+    report = attack_spam(2029)
     assert report.blocked
     assert report.detail["spammer_net_position"] < 0
 
 
 def test_takeover_is_blocked() -> None:
-    report = attack_takeover()
+    report = attack_takeover(2029)
     assert report.blocked
     assert report.detail["phase1_scores"] == {"alice": 12, "bob": 10}
     assert report.detail["forged_ballot_reason"] == "BadSignature"
 
 
 def test_info_asymmetry_is_blocked() -> None:
-    report = attack_info_asymmetry()
+    report = attack_info_asymmetry(2029)
     assert report.blocked
     assert report.detail["tally_events_before_publication"] == 0
 

@@ -226,11 +226,25 @@ def test_negative_amounts_forbidden_on_linear_poll(rng) -> None:
     assert poll.audit_transcript().entries[0].reason == "BadAmount"
 
 
-def test_unknown_registration_index(rng) -> None:
+@pytest.mark.parametrize(
+    "index", [-1, -(2**63), 3, 2**63 - 1],
+    ids=["minus_one", "int64_min", "voter_count", "int64_max"],
+)
+def test_unknown_registration_index(rng, index) -> None:
+    """An index below 0 or at or past the poll's three voters names no
+    voter, processed as the reference replays it and as the audit does."""
     poll, coordinator, voters = make_poll(rng)
-    cast(poll, rng, voters[0], 7, {0: 1})
-    finish(poll, coordinator, rng)
-    assert poll.audit_transcript().entries[0].reason == "UnknownVoter"
+    cast(poll, rng, voters[0], index, {0: 1})
+    counted, tally, _ = finish(poll, coordinator, rng)
+    assert tally == {} and list(counted) == [None] * 3
+    transcript = poll.audit_transcript()
+    assert transcript.entries[0].reason == "UnknownVoter"
+    plaintexts = [entry.plaintext for entry in transcript.entries]
+    verdicts, _, naive_tally = naive_replay("linear", 3, poll.voters, plaintexts)
+    assert verdicts == [(e.valid, e.reason) for e in transcript.entries]
+    assert naive_tally == tally
+    intake = message_set_digest([m.ciphertext for m in poll.messages])
+    assert verify_audit(transcript, intake, poll.commitment).ok
 
 
 @pytest.mark.parametrize("option", [-1, 3, 2**40])
@@ -376,7 +390,7 @@ def test_envelopes_are_one_time_and_one_size() -> None:
     points = [ballot[:32] for ballot in ballots]  # the public record has them
     assert len(set(points)) == len(points) == 6
     keys = [key for key, _ in poll.voters]
-    keys += [pair.public for pair in world.signer_keys.values()]
+    keys += [pair.public for seats in world.jurors.values() for _, pair in seats.values()]
     known = set(keys) | {world.coordinator.public}
     assert not known & set(points)
     assert len({len(ballot) for ballot in ballots}) == 1
