@@ -15,9 +15,9 @@ import pytest
 
 from support import naive_replay
 
-from disputekit import attacks
+from disputekit import attacks, scenario
 from disputekit.engine import enrollment_scope
-from disputekit.errors import InvalidSignal
+from disputekit.errors import InvalidSignal, ProtocolError
 from disputekit.identity import Signal, create_signal
 from disputekit.maci import (
     Command,
@@ -247,6 +247,45 @@ def test_every_ballot_of_a_poll_has_one_length() -> None:
             lengths.setdefault(payload["poll_id"], set()).add(len(payload["ciphertext"]))
     staged(len(lengths) >= 2, "both phases took ballots")
     assert all(len(seen) == 1 for seen in lengths.values())
+
+
+# ---- item 20: an unclaimed pool stays in escrow ------------------------------------
+
+PERMISSIONLESS = ("default_if_absent", "close_phase1", "start_phase2", "close_phase2")
+
+
+def janitor(world: World, start: int) -> None:
+    """What anyone may do once the timeline ends: on every dispute, each
+    permissionless op at the latest of `start`, t1 and t2, and again one,
+    two and three spans later, which covers an extension and a runoff. An
+    op the dispute's state or clock refuses is skipped."""
+    for dispute_id, dispute in world.engine.disputes.items():
+        config = dispute.config
+        base = max(start, config.t1, config.t2)
+        for now in (base + k * config.span for k in range(4)):
+            for op in PERMISSIONLESS:
+                try:
+                    getattr(world, op)(dispute_id, now)
+                except ProtocolError:
+                    pass
+
+
+@open_defect(20)
+def test_every_deposit_leaves_escrow_without_cooperation() -> None:
+    """`happy_path.json` with its one `claim_fee` step removed: the winner
+    never claims, and a janitor calls only permissionless ops."""
+    script = json.loads((SCENARIOS / "happy_path.json").read_text())
+    timeline = [step for step in script["timeline"] if step["op"] != "claim_fee"]
+    staged(len(timeline) == len(script["timeline"]) - 1, "one claim removed")
+    world = World(script["seed"], **script["config"])
+    steps = [scenario._step(world, position, step) for position, step in enumerate(timeline)]
+    staged(all(entry["pass"] for entry in steps), "the rest of the timeline ran")
+    snapshot = world.snapshot()
+    staged(snapshot["disputes"]["0"]["state"] == "Resolved", "the dispute resolved")
+    staged(not snapshot["disputes"]["0"]["settled"], "its pool unclaimed")
+    janitor(world, timeline[-1]["t"])
+    balances = world.snapshot()["escrow_balances"]
+    assert balances == dict.fromkeys(balances, 0)
 
 
 # ---- item 11: a published transcript is a vote receipt -----------------------------
