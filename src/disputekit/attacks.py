@@ -31,7 +31,7 @@ from .errors import (
 from .identity import Identity, create_signal
 from .incentives import PARTY_NON_COMPLIANT, issue_party_sbt
 from .maci import build_message
-from .oracle import region_nonempty
+from .oracle import b_can_win, first_winning_reply
 from .primitives import KeyPair, hash_bytes
 from .scenario import World
 
@@ -424,9 +424,11 @@ def attack_takeover(seed: int) -> AttackReport:
     world.engine.submit_phase2_ballot(dispute_id, forged, now=221)
     # attempt C: the honest maximum — all-in on her own proposal
     world.phase2_vote(dispute_id, "alice", {alice_option: 3}, now=222)
-    # bob's oracle-guided counter: one vote against, three for his own
+    # bob's oracle-guided counter: votes against hers and for his own
+    b_first = bob_option < alice_option
+    against, own = first_winning_reply(scores["alice"], scores["bob"], b_first)
     world.phase2_vote(
-        dispute_id, "bob", {alice_option: -1, bob_option: 3}, now=223
+        dispute_id, "bob", {alice_option: -against, bob_option: own}, now=223
     )
     world.close_phase2(dispute_id, now=310)
 
@@ -434,7 +436,7 @@ def attack_takeover(seed: int) -> AttackReport:
     forged_entry = transcript.entries[1]
     outcome = _dispute_outcome(world, dispute_id)
     poorer_side_won = outcome["winner"] == bob_option
-    oracle_agrees = region_nonempty(scores["alice"], scores["bob"])
+    oracle_agrees = b_can_win(scores["alice"], scores["bob"], b_first)
     blocked = (
         poorer_side_won
         and oracle_agrees
@@ -452,7 +454,7 @@ def attack_takeover(seed: int) -> AttackReport:
             "phase1_scores": scores,
             "winner": outcome["winner"],
             "forged_ballot_reason": forged_entry.reason,
-            "always_win_region_nonempty": oracle_agrees,
+            "b_can_win": oracle_agrees,
             "final_scores": outcome["phase2_scores"],
         },
     )

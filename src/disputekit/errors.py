@@ -127,16 +127,6 @@ class TooEarly(ProtocolError):
     """Deadline-gated operation attempted before its deadline."""
 
 
-# ---- strategy oracle --------------------------------------------------------
-
-class InvalidResponse(ProtocolError):
-    """Counter-allocation is negative or exceeds the responder's budget."""
-
-
-class NonPositiveBudget(ProtocolError):
-    """Budget arguments must be positive (V_A > 0) and non-negative (V_B)."""
-
-
 # ---- incentives -------------------------------------------------------------
 
 class NotTheAuthor(ProtocolError):

@@ -34,7 +34,7 @@ from disputekit.maci import (
     message_set_digest,
     verify_audit,
 )
-from disputekit.oracle import brute_force_defeat, region_nonempty
+from disputekit.oracle import consistency_sweep
 from disputekit.primitives import DecryptionKey, KeyPair, hash_bytes
 from disputekit.scenario import World, run_scenario
 from support import naive_process
@@ -52,50 +52,22 @@ def verdict_line(name: str, passed: bool, detail: str) -> None:
 
 
 def test_richer_party_sweep_agrees_with_closed_form() -> None:
-    """Two independent routes to 'can the poorer side win the runoff?':
-    grid search over every counter-allocation vs the closed-form winnable
-    band. Linear pricing must never yield a winner; quadratic pricing must
-    match the band except within grid reach of its boundary."""
+    """Two independent exact routes to 'can the poorer side win the
+    runoff?': every affordable counter-allocation, priced and tallied by
+    the engine's rules, against the closed form that takes B's best y2 for
+    each y1. They must agree on every budget pair and proposal order, with
+    no tolerance."""
     started = time.perf_counter()
-    pairs = [
-        (float(v_a), float(v_b))
-        for v_a in range(1, 21)
-        for v_b in range(1, 21)
-        if v_a > v_b
-    ]
-
-    linear_counterexamples = []
-    for v_a, v_b in pairs:
-        result = brute_force_defeat(v_a, v_b, "1d1v", 0.01)
-        if not result.a_all_in_always_wins:
-            linear_counterexamples.append((v_a, v_b, result.witness))
-
-    step = 0.001
-    tolerance = 2 * step
-    hard_disagreements = []
-    boundary_disagreements = 0
-    for v_a, v_b in pairs:
-        result = brute_force_defeat(v_a, v_b, "quadratic", step)
-        witness_found = result.witness is not None
-        analytic = region_nonempty(v_a, v_b)
-        if witness_found == analytic:
-            continue
-        near_boundary = region_nonempty(
-            v_a, max(v_b - tolerance, 1e-12)
-        ) != region_nonempty(v_a, v_b + tolerance)
-        if near_boundary:
-            boundary_disagreements += 1
-        else:
-            hard_disagreements.append((v_a, v_b, witness_found, analytic))
-
+    report = consistency_sweep(30)
+    disagreements = report.disagreements
+    winnable = sum(row.b_can_win for row in report.rows)
     elapsed = time.perf_counter() - started
     verdict_line(
         "richer-party runoff sweep",
-        not linear_counterexamples and not hard_disagreements and elapsed < 60,
-        f"{len(pairs)} budget pairs; linear step 0.01 -> "
-        f"{len(linear_counterexamples)} counterexamples; quadratic step {step} -> "
-        f"{len(hard_disagreements)} hard / {boundary_disagreements} boundary "
-        f"disagreements; {elapsed:.1f}s",
+        not disagreements and elapsed < 60,
+        f"{len(report.rows)} rows (budget pairs up to 30, both proposal orders); "
+        f"{winnable} winnable by the poorer side; "
+        f"{len(disagreements)} disagreements {disagreements[:5]}; {elapsed:.1f}s",
     )
 
 

@@ -41,6 +41,7 @@ from disputekit.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
+    SWEEP_V_MAX,
     commitment_to_jsonable,
     main,
     transcript_from_jsonable,
@@ -217,7 +218,7 @@ def test_run_writes_one_line_of_sorted_compact_json(tmp_path) -> None:
     "argv",
     [
         ["run", str(HAPPY)],
-        ["sweep", "4", "0.5"],
+        ["sweep", "4"],
     ],
 )
 @pytest.mark.parametrize("where", ["missing/out.txt", "."])
@@ -1114,93 +1115,104 @@ def test_verify_keeps_the_exit_contract_under_mutation(
 
 def test_sweep_csv_shape_and_exit(tmp_path) -> None:
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "6", "0.05", "--out", str(out)]) == EXIT_OK
+    assert main(["sweep", "6", "--out", str(out)]) == EXIT_OK
     rows = list(csv.reader(io.StringIO(out.read_text())))
     assert rows[0] == [
         "V_A",
         "V_B",
-        "mechanism",
-        "always_wins",
-        "region_nonempty",
+        "b_first",
+        "reply_found",
+        "b_can_win",
         "witness_y1",
         "witness_y2",
     ]
     pairs = sum(1 for a in range(1, 7) for b in range(1, 7) if a > b)
     assert len(rows) == 1 + 2 * pairs
-    for v_a, v_b, mechanism, always_wins, region, y1, y2 in rows[1:]:
-        assert float(v_a) > float(v_b)
-        assert mechanism in ("1d1v", "quadratic")
-        assert always_wins in ("true", "false")
-        assert region in ("true", "false")
-        # a witness exists exactly when the all-in defence fails
-        assert (y1 == "" and y2 == "") == (always_wins == "true")
-        if mechanism == "1d1v":
-            assert always_wins == "true"  # richer party cannot lose here
+    for v_a, v_b, b_first, found, can_win, y1, y2 in rows[1:]:
+        assert 1 <= int(v_b) < int(v_a) <= 6
+        assert b_first in ("true", "false")
+        # both routes agree, and a witness is printed exactly when one exists
+        assert found == can_win
+        assert (y1 == "" and y2 == "") == (found == "false")
+        if found == "true":
+            assert int(y1) ** 2 + int(y2) ** 2 <= int(v_b)
+    assert ["4", "3", "false", "false", "false", "", ""] in rows
+    assert ["2", "1", "true", "true", "true", "0", "1"] in rows
 
 
-def test_sweep_names_each_hard_disagreement_and_exits_one(capsys, monkeypatch) -> None:
-    """A row far from the region boundary whose witness existence differs
-    from the closed form's is a hard disagreement: named on stderr, exit 1."""
+def test_sweep_names_each_disagreement_and_exits_one(capsys, monkeypatch) -> None:
+    """A row whose witness existence differs from `b_can_win`'s answer is a
+    disagreement: named on stderr, exit 1."""
     rows = (
-        oracle.OracleResult(6.0, 2.0, "quadratic", None, True),
-        oracle.OracleResult(6.0, 2.0, "1d1v", None, False),
+        oracle.OracleResult(6, 2, False, None, True),
+        oracle.OracleResult(6, 2, True, None, False),
+        oracle.OracleResult(2, 1, True, (0, 1), False),
     )
-    monkeypatch.setattr(
-        oracle, "consistency_sweep", lambda pairs, step: oracle.SweepReport(step, rows)
-    )
-    assert main(["sweep", "6", "0.5"]) == EXIT_FAIL
+    monkeypatch.setattr(oracle, "consistency_sweep", lambda v_max: oracle.SweepReport(rows))
+    assert main(["sweep", "6"]) == EXIT_FAIL
     captured = capsys.readouterr()
     assert captured.out.splitlines()[1:] == [
-        "6,2,quadratic,true,true,,", "6,2,1d1v,true,false,,"
+        "6,2,false,false,true,,", "6,2,true,false,false,,", "2,1,true,true,false,0,1"
     ]
     assert captured.err == (
-        "2 rows, 0 boundary disagreements, 1 hard disagreements\n"
-        "disagreement at V_A=6 V_B=2 mechanism=quadratic: "
-        "witness missing but region_nonempty=True\n"
+        "3 rows, 2 disagreements\n"
+        "disagreement at V_A=6 V_B=2 b_first=false: "
+        "winning reply missing but b_can_win=true\n"
+        "disagreement at V_A=2 V_B=1 b_first=true: "
+        "winning reply found but b_can_win=false\n"
     )
 
 
 def test_sweep_is_deterministic(tmp_path) -> None:
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["sweep", "5", "0.1", "--out", str(first)]) == EXIT_OK
-    assert main(["sweep", "5", "0.1", "--out", str(second)]) == EXIT_OK
+    assert main(["sweep", "5", "--out", str(first)]) == EXIT_OK
+    assert main(["sweep", "5", "--out", str(second)]) == EXIT_OK
     assert first.read_bytes() == second.read_bytes()
 
 
 def test_sweep_negative_control_exits_one(tmp_path, monkeypatch, capsys) -> None:
-    honest = oracle._always_win_region_nonempty
+    """With `b_can_win` negated, every row disagrees, and each is named."""
+    honest = oracle.b_can_win
     monkeypatch.setattr(
-        oracle,
-        "_always_win_region_nonempty",
-        lambda v_a, v_b, mechanism: not honest(v_a, v_b, mechanism),
+        oracle, "b_can_win", lambda v_a, v_b, b_first: not honest(v_a, v_b, b_first)
     )
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "6", "0.05", "--out", str(out)]) == EXIT_FAIL
-    assert "hard disagreement" in capsys.readouterr().err
+    assert main(["sweep", "6", "--out", str(out)]) == EXIT_FAIL
+    rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"{len(rows)} rows, {len(rows)} disagreements"
+    assert err[1:] == [
+        f"disagreement at V_A={v_a} V_B={v_b} b_first={b_first}: winning reply "
+        f"{'found' if found == 'true' else 'missing'} but b_can_win={can_win}"
+        for v_a, v_b, b_first, found, can_win, _, _ in rows
+    ]
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["sweep", "1", "0.1"],
-        ["sweep", "0", "0.1"],
-        ["sweep", "abc", "0.1"],
-        ["sweep", "5", "0"],
-        ["sweep", "5", "-0.1"],
-        ["sweep", "5"],
+        ["sweep", "1"],
+        ["sweep", "0"],
+        ["sweep", "-3"],
+        ["sweep", "abc"],
+        ["sweep", "1e3"],
+        ["sweep"],
         ["run"],
         ["unknown-command"],
         [],
-        # a step must be finite and no coarser than the budget grid
-        ["sweep", "5", "inf"],
-        ["sweep", "12", "1e300"],
-        ["sweep", "12", "40"],
+        # a further argument, such as a grid step, and a budget above the
+        # bound are refused before any sweep work
+        ["sweep", "12", "0.5"],
+        ["sweep", str(SWEEP_V_MAX + 1)],
+        ["sweep", "100000"],
     ],
 )
-def test_usage_errors_exit_two(argv) -> None:
+def test_usage_errors_exit_two(argv, capsys) -> None:
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: " in err.splitlines()[-1] and "Traceback" not in err
 
 
 # ---- verify ----------------------------------------------------------------------
@@ -1424,7 +1436,7 @@ def test_only_sweep_loads_the_oracle() -> None:
         "print(sorted(name for name in ('csv', 'disputekit.oracle', 'disputekit.scenario')\n"
         "             if name in sys.modules))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = disputekit.cli.main(['sweep', '12', '0.5'])\n"
+        "    code = disputekit.cli.main(['sweep', '12'])\n"
         "print(code, 'csv' in sys.modules)\n"
     )
     assert (done.returncode, done.stdout) == (0, "['disputekit.scenario']\n0 False\n")
@@ -1461,7 +1473,7 @@ def test_a_stdout_with_no_reader_exits_two(tmp_path, audit_artifacts, command) -
     doc, record, _ = audit_artifacts
     argv = {
         "run": ["run", str(HAPPY)],
-        "sweep": ["sweep", "12", "0.5"],
+        "sweep": ["sweep", "12"],
         "verify": ["verify", write_json(tmp_path / "t.json", doc),
                    write_json(tmp_path / "c.json", record)],
     }[command]
@@ -1487,7 +1499,7 @@ def test_a_full_stdout_exits_two() -> None:
     [
         (["run", "missing.json"], EXIT_USAGE),
         (["verify", "missing.json", "missing.json"], EXIT_USAGE),
-        (["sweep", "12", "0.5", "--out", "sweep.csv"], EXIT_OK),
+        (["sweep", "12", "--out", "sweep.csv"], EXIT_OK),
     ],
     ids=["run", "verify", "sweep"],
 )

@@ -17,7 +17,7 @@ from disputekit.engine import (
     EscrowEntry,
     EvidenceRef,
 )
-from disputekit.errors import InvalidResponse, MutableRecord, Verdict
+from disputekit.errors import MutableRecord, Verdict
 from disputekit.identity import HumanRecord, Identity, RegistryStatus, Signal
 from disputekit.incentives import SbtToken
 from disputekit.maci import (
@@ -28,7 +28,7 @@ from disputekit.maci import (
     TranscriptEntry,
     _Run,
 )
-from disputekit.oracle import BResponse, OracleResult, SweepReport
+from disputekit.oracle import OracleResult, SweepReport
 from disputekit.primitives import DecryptionKey, KeyPair, MerklePath
 from disputekit.scenario import PublicEvent
 from disputekit.voting import Phase2Tally, QuadraticAllocation
@@ -57,14 +57,13 @@ IMMUTABLE = [
     PublicEvent("group_join", {"leaf": 0}),
     QuadraticAllocation("alice", {0: 1}),
     Phase2Tally({0: 1}, 0),
-    OracleResult(2.0, 1.0, "quadratic", BResponse(0.0, 1.0, 1.0), True),
-    SweepReport(0.5, ()),
+    OracleResult(2, 1, True, (0, 1), True),
+    SweepReport(()),
     # named tuples with a contract of their own: equality by seed alone,
     # validation when built
     KeyPair.generate(_RNG),
     DecryptionKey.generate(_RNG),
     DisputeConfig(1, 2, 1),
-    BResponse(0.0, 1.0, 1.0),
     AttackReport("sybil", "attempt", "defense", "Blocked", {}),
 ]
 MUTABLE = {Dispute, HumanRecord}
@@ -127,16 +126,10 @@ def test_keys_are_their_seed(key_type) -> None:
         (lambda: DisputeConfig(t1=3, t2=2, min_judges=1), ValueError),
         (lambda: DisputeConfig(1, 2, 0), ValueError),
         (lambda: DisputeConfig(1, 2, min_judges=0), ValueError),
-        (lambda: BResponse(-1.0, 0.0, 1.0), InvalidResponse),
-        (lambda: BResponse(y1=0.0, y2=-1.0, budget=1.0), InvalidResponse),
-        (lambda: BResponse(1.0, 1.0, 1.0), InvalidResponse),
-        (lambda: BResponse(y1=1.0, y2=1.0, budget=1.0), InvalidResponse),
     ],
     ids=[
         "config-t1-positional", "config-t1-keyword", "config-t2-positional",
         "config-t2-keyword", "config-quorum-positional", "config-quorum-keyword",
-        "response-y1-positional", "response-y2-keyword",
-        "response-budget-positional", "response-budget-keyword",
     ],
 )
 def test_validated_records_refuse_bad_values_either_way(build, error) -> None:
@@ -148,10 +141,7 @@ def test_validated_records_are_named_tuples_either_way() -> None:
     config = DisputeConfig(t1=1, t2=3, min_judges=2)
     assert config == DisputeConfig(1, 3, 2) and config.span == 2
     assert repr(config) == "DisputeConfig(t1=1, t2=3, min_judges=2)"
-    response = BResponse(y1=0.5, y2=0.5, budget=1.0)
-    assert response == BResponse(0.5, 0.5, 1.0)
-    assert repr(response) == "BResponse(y1=0.5, y2=0.5, budget=1.0)"
-    assert not hasattr(config, "__dict__") and not hasattr(response, "__dict__")
+    assert not hasattr(config, "__dict__")
 
 
 def _human(**changes) -> HumanRecord:
